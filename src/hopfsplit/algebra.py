@@ -143,6 +143,13 @@ class AlgebraObject:
             self._np_tensor = t
         return self._np_tensor
 
+    def dense_path(self, sized: bool = True) -> bool:
+        """Whether products go through np_tensor(): only over small primes,
+        where its int64 contractions cannot overflow, and when sized only
+        for dim > 12, below which the sparse loops are faster."""
+        f = self.field
+        return f.kind == "Fp" and f.p < 2**15 and (self.dim > 12 or not sized)
+
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -168,7 +175,7 @@ class AlgebraObject:
     def _check_associativity(self):
         n = self.dim
         f = self.field
-        if f.kind == "Fp" and f.p < 2**15 and n > 12:
+        if self.dense_path():
             t = self.np_tensor()
             p = f.p
             t2 = t.reshape(n * n, n)
@@ -325,11 +332,11 @@ class IdealData:
 def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     """All products (row of left) * (row of right), stacked as rows."""
     f = a.field
-    if f.kind == "Fp" and f.p < 2**15 and left.is_np() and right.is_np():
+    if a.dense_path(sized=False):
         t = a.np_tensor()
         p = f.p
-        q = np.tensordot(left._d % p, t, axes=([1], [0])) % p  # (u, j, k)
-        r = np.einsum("ujk,wj->uwk", q, right._d % p) % p
+        q = np.tensordot(left._d, t, axes=([1], [0])) % p  # (u, j, k)
+        r = np.einsum("ujk,wj->uwk", q, right._d) % p
         return Matrix(f, left.rows * right.rows, a.dim, r.reshape(left.rows * right.rows, a.dim), _raw=True)
     rows = []
     for i in range(left.rows):
@@ -596,18 +603,9 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
         raise ValueError("not an ideal")
     f = a.field
     n = a.dim
-    pivots = [next(j for j in range(n) if not f.is_zero(s.basis[i, j])) for i in range(s.dim)]
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
+    free = s.free_columns()
     qdim = len(free)
-    # projection: reduce modulo the ideal, then read the free coordinates
-    proj_entries = {}
-    for j in range(n):
-        v = s.reduce_vector(v_basis(f, n, j))
-        for t, fr in enumerate(free):
-            if not f.is_zero(v[fr]):
-                proj_entries[(t, j)] = v[fr]
-    proj = Matrix.from_entries(f, qdim, n, proj_entries)
+    proj = s.complement_projection()
     lift = {t: fr for t, fr in enumerate(free)}  # section: class t -> e_free[t]
     qmul: dict = {}
     for ti in range(qdim):
@@ -627,13 +625,12 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
 
 def _verify_projection_is_algebra_map(a: AlgebraObject, q: AlgebraObject, proj: Matrix):
     f = a.field
-    if f.kind == "Fp" and f.p < 2**15 and a.dim > 12:
+    if a.dense_path():
         t = a.np_tensor()
         tq = q.np_tensor()
         p = f.p
-        pm = proj._d % p
+        pm = proj._d
         lhs = np.tensordot(t, pm.T, axes=([2], [0])) % p  # (i,j,tq) = proj(e_i e_j)
-        tmp = np.tensordot(pm, tq, axes=([0], [0]))  # wait: need proj(e_i) * proj(e_j)
         # rhs[i,j,:] = sum_{a,b} pm[a,i] pm[b,j] tq[a,b,:]
         rhs = np.einsum("ai,abk->ibk", pm, tq) % p
         rhs = np.einsum("bj,ibk->ijk", pm, rhs) % p

@@ -655,7 +655,7 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     dr = r_space.dim
     incl = r_space.basis.transpose()
     dh = h.dim
-    piv = [next(j for j in range(v.dim) if not f.is_zero(r_space.basis[i, j])) for i in range(dr)]
+    piv = r_space.pivots
     # adjoint action: h . r = h1 r S(h2)
     act_entries: dict = {}
     for hh in range(dh):

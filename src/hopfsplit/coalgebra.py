@@ -170,16 +170,7 @@ def _dual_bialgebra(x):
 
 def quotient_projection(field, sub: Subspace) -> Matrix:
     """Projection onto the canonical complement of a subspace (RREF pivots)."""
-    n = sub.ambient_dim
-    piv = [next(j for j in range(n) if not field.is_zero(sub.basis[i, j])) for i in range(sub.dim)]
-    free = [j for j in range(n) if j not in set(piv)]
-    entries = {}
-    for j in range(n):
-        v = sub.reduce_vector(v_basis(field, n, j))
-        for t, fr in enumerate(free):
-            if not field.is_zero(v[fr]):
-                entries[(t, j)] = v[fr]
-    return Matrix.from_entries(field, len(free), n, entries)
+    return sub.complement_projection()
 
 
 def is_subcoalgebra(c: CoalgebraObject, d: Subspace) -> bool:
@@ -320,10 +311,9 @@ def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject
         raise ValueError("not a subcoalgebra")
     f = c.field
     m = d.dim
-    n = c.dim
     bt = d.basis.transpose()  # n x m, columns are the basis of D
     # coordinate map: since basis is RREF, coordinates are values at pivots
-    piv = [next(j for j in range(n) if not f.is_zero(d.basis[i, j])) for i in range(m)]
+    piv = d.pivots
     comul: dict = {}
     for t in range(m):
         delta = c.comul_vec(d.basis.row_list(t))

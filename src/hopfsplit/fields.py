@@ -99,6 +99,10 @@ class ScalarField:
             return pow(a, n, self.p)
         return a**n
 
+    def reduce(self, arr):
+        """Canonical form of a scalar or numpy array: mod p, as is over Q."""
+        return arr if self.kind == "Q" else arr % self.p
+
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -839,8 +839,7 @@ def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> Quo
     fld = actx.field
     q, proj = quotient_algebra(actx.algebra, IdealData(actx.algebra, ideal_subspace))
     n, dq = actx.dim, q.dim
-    piv = [next(j for j in range(n) if not fld.is_zero(ideal_subspace.basis[i, j])) for i in range(ideal_subspace.dim)]
-    free = [j for j in range(n) if j not in set(piv)]
+    free = ideal_subspace.free_columns()
     incl = Matrix.from_entries(fld, n, dq, {(fr, t): fld.one() for t, fr in enumerate(free)})
     ctx = actx.ctx
     if ctx.kind == "vect":
@@ -1026,7 +1025,7 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     db, dq = b_alg.dim, q_alg.dim
     dm = kernel_sub.dim
     incl = kernel_sub.basis.transpose()  # (dq, dm)
-    piv = [next(j for j in range(dq) if not fld.is_zero(kernel_sub.basis[i, j])) for i in range(dm)]
+    piv = kernel_sub.pivots
     # square-zero check for the kernel
     for s in range(dm):
         for t in range(dm):

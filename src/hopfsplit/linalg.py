@@ -4,32 +4,38 @@ Matrices act on column vectors.  Reduced row echelon form is canonical
 (leftmost pivots, scaled to 1, cleared columns), so every derived object
 (kernel bases, particular solutions, subspace bases) is deterministic.
 
-Over F_p with p < 2**31 the heavy routines run on int64 numpy arrays;
-this is exact integer arithmetic, no floating point is involved.  Over Q
-(and over huge primes) everything runs in pure python.
+Every matrix is one numpy array: int64 over F_p with p < 2**31 (exact
+integer arithmetic, reduced mod p after each step), ``dtype=object``
+otherwise (Fractions over Q, python ints for huge p).  No floating point
+is involved.  The only per-field step is ``ScalarField.reduce``.
 """
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
 from .fields import ScalarField
 
-_NP_LIMIT = 2**31  # (p-1)^2 must fit comfortably in int64 products
+_INT64_LIMIT = 2**31  # (p-1)^2 must fit comfortably in int64 products
 
 
 class InconsistentSystem(Exception):
     """Raised when a linear system has no solution."""
 
 
-def _np_ok(field: ScalarField) -> bool:
-    return field.kind == "Fp" and field.p < _NP_LIMIT
+def _dtype(field: ScalarField):
+    return np.int64 if field.kind == "Fp" and field.p < _INT64_LIMIT else object
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # block the inner dimension so int64 accumulation cannot overflow
+def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = a.shape[1]
     if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        return np.full((a.shape[0], b.shape[1]), field.zero(), dtype=a.dtype)
+    if a.dtype == object:
+        return field.reduce(a @ b)
+    # block the inner dimension so int64 accumulation cannot overflow
+    p = field.p
     max_block = max(1, (2**62) // max(1, (p - 1) ** 2))
     if k <= max_block:
         return (a @ b) % p
@@ -39,92 +45,50 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rref_np(a: np.ndarray, p: int, chunk: int = 2048):
-    """Canonical RREF over F_p; returns (rref_rows, pivot_cols).
+def _rref(a: np.ndarray, field: ScalarField, chunk: int = 2048):
+    """Canonical RREF; returns (rref_rows, pivot_cols).
 
     Rows are consumed in chunks: each chunk is first reduced against the
     pivots found so far (one matmul), then eliminated row by row.  The
     result is the canonical RREF of the input, independent of chunking.
     """
     m, n = a.shape
+    red = field.reduce
     rows: list[np.ndarray] = []  # rref rows, pivot columns strictly increasing
     pivs: list[int] = []
     for s in range(0, m, chunk):
-        c = a[s : s + chunk].astype(np.int64) % p
+        c = red(a[s : s + chunk])
         if pivs:
-            r = np.array(rows, dtype=np.int64)
-            c = (c - _matmul_mod(c[:, pivs], r, p)) % p
+            r = np.array(rows, dtype=a.dtype)
+            c = red(c - _matmul(field, c[:, pivs], r))
         for row in c:
             # reduce against every current pivot (rref rows are 0 at each
             # other's pivot columns, so one pass suffices)
-            for t, pcol in enumerate(list(pivs)):
+            for pcol, prow in zip(pivs, rows):
                 v = row[pcol]
                 if v:
-                    row = (row - v * rows[t]) % p
+                    row = red(row - v * prow)
             nz = np.nonzero(row)[0]
             if not nz.size:
                 continue
             j = int(nz[0])
-            row = (row * pow(int(row[j]), p - 2, p)) % p
-            ins = _bisect_insert(pivs, j)
+            row = red(row * field.inv(row.item(j)))
+            ins = bisect.bisect_left(pivs, j)
             pivs.insert(ins, j)
             rows.insert(ins, row)
             # clear column j in previously stored rows
             for t, old in enumerate(rows):
                 if t != ins and old[j]:
-                    rows[t] = (old - old[j] * row) % p
+                    rows[t] = red(old - old[j] * row)
     if rows:
-        return np.array(rows, dtype=np.int64), list(pivs)
-    return np.zeros((0, n), dtype=np.int64), []
-
-
-def _bisect_find(sorted_list, x):
-    import bisect
-
-    i = bisect.bisect_left(sorted_list, x)
-    if i < len(sorted_list) and sorted_list[i] == x:
-        return i
-    return None
-
-
-def _bisect_insert(sorted_list, x):
-    import bisect
-
-    return bisect.bisect_left(sorted_list, x)
-
-
-def _rref_py(rows: list[list], field: ScalarField):
-    """Canonical RREF in pure python (Fractions or huge-p ints)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [rows[i] for i in range(r)], pivots
+        return np.array(rows, dtype=a.dtype), pivs
+    return np.zeros((0, n), dtype=a.dtype), []
 
 
 class Matrix:
-    """Immutable exact matrix.  ``data`` is either a list of lists of field
-    scalars (Q / huge p) or an int64 numpy array (F_p fast path)."""
+    """Immutable exact matrix over one ndarray ``_d``: int64 over F_p with
+    p < 2**31, ``dtype=object`` otherwise.  Entries read out are python
+    scalars (ints, or Fractions over Q)."""
 
     __slots__ = ("field", "rows", "cols", "_d")
 
@@ -135,30 +99,22 @@ class Matrix:
         if _raw:
             self._d = data
             return
-        if _np_ok(field):
-            arr = np.array(
-                [[int(x) for x in row] for row in data] if rows else [], dtype=np.int64
-            ).reshape(rows, cols)
-            self._d = arr % field.p
-        else:
-            self._d = [[x for x in row] for row in data]
+        arr = np.array(data if rows else [], dtype=_dtype(field)).reshape(rows, cols)
+        self._d = field.reduce(arr)
+
+    def _new(self, rows, cols, arr) -> "Matrix":
+        return Matrix(self.field, rows, cols, arr, _raw=True)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        if _np_ok(field):
-            return cls(field, rows, cols, np.zeros((rows, cols), dtype=np.int64), _raw=True)
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)], _raw=True)
+        return cls(field, rows, cols, np.full((rows, cols), field.zero(), dtype=_dtype(field)), _raw=True)
 
     @classmethod
     def identity(cls, field, n):
-        if _np_ok(field):
-            return cls(field, n, n, np.eye(n, dtype=np.int64), _raw=True)
         m = cls.zeros(field, n, n)
-        for i in range(n):
-            m._d[i][i] = field.one()
+        m._d[range(n), range(n)] = field.one()
         return m
 
     @classmethod
@@ -170,12 +126,8 @@ class Matrix:
     @classmethod
     def from_entries(cls, field, rows, cols, entries: dict):
         m = cls.zeros(field, rows, cols)
-        if m.is_np():
-            for (i, j), v in entries.items():
-                m._d[i, j] = int(v) % field.p
-        else:
-            for (i, j), v in entries.items():
-                m._d[i][j] = v
+        for (i, j), v in entries.items():
+            m._d[i, j] = field.reduce(v)
         return m
 
     @classmethod
@@ -186,158 +138,82 @@ class Matrix:
     def row(cls, field, vec):
         return cls(field, 1, len(vec), [list(vec)])
 
-    def is_np(self) -> bool:
-        return isinstance(self._d, np.ndarray)
-
     # -- entry access ------------------------------------------------------
 
     def __getitem__(self, ij):
-        i, j = ij
-        v = self._d[i, j] if self.is_np() else self._d[i][j]
-        return int(v) if self.is_np() else v
+        return self._d.item(*ij)
 
     def row_list(self, i):
-        if self.is_np():
-            return [int(x) for x in self._d[i]]
-        return list(self._d[i])
+        return self._d[i].tolist()
 
     def col_list(self, j):
-        if self.is_np():
-            return [int(x) for x in self._d[:, j]]
-        return [self._d[i][j] for i in range(self.rows)]
+        return self._d[:, j].tolist()
 
     def to_rows(self):
-        return [self.row_list(i) for i in range(self.rows)]
+        return self._d.tolist()
 
     def entries(self):
         """Yield (i, j, value) for nonzero entries."""
-        if self.is_np():
-            for i, j in zip(*np.nonzero(self._d)):
-                yield int(i), int(j), int(self._d[i, j])
-        else:
-            f = self.field
-            for i, row in enumerate(self._d):
-                for j, v in enumerate(row):
-                    if not f.is_zero(v):
-                        yield i, j, v
+        for i, j in zip(*np.nonzero(self._d)):
+            yield int(i), int(j), self._d.item(i, j)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        if self.is_np():
-            return Matrix(self.field, self.rows, self.cols, (self._d + other._d) % self.field.p, _raw=True)
-        f = self.field
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self._d, other._d)],
-            _raw=True,
-        )
+        return self._new(self.rows, self.cols, self.field.reduce(self._d + other._d))
 
     def __sub__(self, other):
         self._check(other)
-        if self.is_np():
-            return Matrix(self.field, self.rows, self.cols, (self._d - other._d) % self.field.p, _raw=True)
-        f = self.field
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self._d, other._d)],
-            _raw=True,
-        )
+        return self._new(self.rows, self.cols, self.field.reduce(self._d - other._d))
 
     def __neg__(self):
         return self.scale(self.field.neg(self.field.one()))
 
     def scale(self, c):
-        if self.is_np():
-            return Matrix(self.field, self.rows, self.cols, (self._d * (int(c) % self.field.p)) % self.field.p, _raw=True)
         f = self.field
-        return Matrix(self.field, self.rows, self.cols, [[f.mul(c, x) for x in r] for r in self._d], _raw=True)
+        return self._new(self.rows, self.cols, f.reduce(self._d * f.reduce(c)))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.is_np() and other.is_np():
-            return Matrix(self.field, self.rows, other.cols, _matmul_mod(self._d, other._d, self.field.p), _raw=True)
-        f = self.field
-        bt = other.transpose()._d
-        out = []
-        for r in self._d:
-            orow = []
-            for c in bt:
-                s = f.zero()
-                for a, b in zip(r, c):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        s = f.add(s, f.mul(a, b))
-                orow.append(s)
-            out.append(orow)
-        return Matrix(self.field, self.rows, other.cols, out, _raw=True)
+        return self._new(self.rows, other.cols, _matmul(self.field, self._d, other._d))
 
     def transpose(self):
-        if self.is_np():
-            return Matrix(self.field, self.cols, self.rows, self._d.T.copy(), _raw=True)
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self._d[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            _raw=True,
-        )
+        return self._new(self.cols, self.rows, self._d.T.copy())
 
     def kron(self, other):
-        if self.is_np() and other.is_np():
-            return Matrix(
-                self.field, self.rows * other.rows, self.cols * other.cols,
-                np.kron(self._d, other._d) % self.field.p, _raw=True,
-            )
-        f = self.field
-        out = Matrix.zeros(f, self.rows * other.rows, self.cols * other.cols)
-        for i, j, v in self.entries():
-            for k, l, w in other.entries():
-                out._d[i * other.rows + k][j * other.cols + l] = f.mul(v, w)
-        return out
+        return self._new(
+            self.rows * other.rows, self.cols * other.cols, self.field.reduce(np.kron(self._d, other._d))
+        )
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        if self.is_np() and other.is_np():
-            return Matrix(self.field, self.rows, self.cols + other.cols, np.hstack([self._d, other._d]), _raw=True)
-        return Matrix(
-            self.field, self.rows, self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.to_rows(), other.to_rows())],
-        )
+        return self._new(self.rows, self.cols + other.cols, np.hstack([self._d, other._d]))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch")
-        if self.is_np() and other.is_np():
-            return Matrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._d, other._d]), _raw=True)
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.to_rows() + other.to_rows())
+        return self._new(self.rows + other.rows, self.cols, np.vstack([self._d, other._d]))
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector, as python scalars."""
-        if self.is_np():
-            v = np.array([int(x) for x in vec], dtype=np.int64) % self.field.p
-            return [int(x) for x in _matmul_mod(self._d, v.reshape(-1, 1), self.field.p).ravel()]
         f = self.field
-        out = []
-        for r in self._d:
-            s = f.zero()
-            for a, b in zip(r, vec):
-                if not f.is_zero(a) and not f.is_zero(b):
-                    s = f.add(s, f.mul(a, b))
-            out.append(s)
-        return out
+        v = f.reduce(np.array(vec, dtype=self._d.dtype))
+        if self._d.dtype == object:
+            # only the columns met by nonzero coordinates cost anything
+            nz = np.flatnonzero(v)
+            return _matmul(f, self._d[:, nz], v[nz].reshape(-1, 1)).ravel().tolist()
+        return _matmul(f, self._d, v.reshape(-1, 1)).ravel().tolist()
 
     def is_zero(self) -> bool:
-        if self.is_np():
-            return not self._d.any()
-        return all(self.field.is_zero(x) for r in self._d for x in r)
+        return not self._d.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or (self.rows, self.cols) != (other.rows, other.cols):
             return NotImplemented if not isinstance(other, Matrix) else False
-        if self.is_np() and other.is_np():
-            return bool(np.array_equal(self._d, other._d))
-        return self.to_rows() == other.to_rows()
+        return bool(np.array_equal(self._d, other._d))
 
     def _check(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -352,11 +228,8 @@ class Matrix:
         """Canonical reduced row echelon form; returns (Matrix, pivot_cols)."""
         if self.rows == 0:
             return self, []
-        if self.is_np():
-            r, piv = _rref_np(self._d, self.field.p)
-            return Matrix(self.field, r.shape[0], self.cols, r, _raw=True), piv
-        r, piv = _rref_py(self._d, self.field)
-        return Matrix(self.field, len(r), self.cols, r, _raw=True), piv
+        r, piv = _rref(self._d, self.field)
+        return self._new(r.shape[0], self.cols, r), piv
 
     def rank(self) -> int:
         return self.rref()[0].rows
@@ -364,28 +237,7 @@ class Matrix:
     def kernel(self) -> "Matrix":
         """Canonical basis (as rows, in RREF) of {x : self @ x = 0}."""
         r, piv = self.rref()
-        free = [j for j in range(self.cols) if j not in set(piv)]
-        f = self.field
-        if not free:
-            return Matrix.zeros(f, 0, self.cols)
-        if self.is_np():
-            p = f.p
-            out = np.zeros((len(free), self.cols), dtype=np.int64)
-            for t, j in enumerate(free):
-                out[t, j] = 1
-                if r.rows:
-                    out[t, piv] = (-r._d[:, j]) % p
-            ker = Matrix(f, len(free), self.cols, out, _raw=True)
-        else:
-            rows = []
-            for j in free:
-                v = [f.zero()] * self.cols
-                v[j] = f.one()
-                for t, pc in enumerate(piv):
-                    v[pc] = f.neg(r._d[t][j])
-                rows.append(v)
-            ker = Matrix.from_rows(f, rows)
-        return ker.rref()[0]
+        return Subspace(self.cols, r, piv).complement_projection().rref()[0]
 
     def solve(self, b: "Matrix", want_kernel: bool = True):
         """Solve self @ x = b (b a column).  Returns (particular, kernel_rows).
@@ -396,16 +248,12 @@ class Matrix:
         """
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("rhs shape mismatch")
-        aug = self.hstack(b)
-        r, piv = aug.rref()
-        f = self.field
+        r, piv = self.hstack(b).rref()
         if self.cols in piv:
             raise InconsistentSystem("no solution")
-        x = [f.zero()] * self.cols
-        for t, pc in enumerate(piv):
-            x[pc] = r[t, self.cols] if r.is_np() else r._d[t][self.cols]
-            if r.is_np():
-                x[pc] = int(x[pc])
+        x = [self.field.zero()] * self.cols
+        for pc, v in zip(piv, r.col_list(self.cols)):
+            x[pc] = v
         return x, (self.kernel() if want_kernel else None)
 
     def inverse(self) -> "Matrix":
@@ -415,9 +263,7 @@ class Matrix:
         r, piv = aug.rref()
         if piv != list(range(self.rows)):
             raise InconsistentSystem("matrix is singular")
-        if r.is_np():
-            return Matrix(self.field, self.rows, self.rows, r._d[:, self.rows :].copy(), _raw=True)
-        return Matrix(self.field, self.rows, self.rows, [row[self.rows :] for row in r._d])
+        return self._new(self.rows, self.rows, r._d[:, self.rows :].copy())
 
 
 def solve_linear(a: Matrix, b: Matrix):
@@ -427,32 +273,36 @@ def solve_linear(a: Matrix, b: Matrix):
 
 
 class Subspace:
-    """Subspace of K^n held as a canonical RREF row basis."""
+    """Subspace of K^n held as a canonical RREF row basis and its pivot
+    columns."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    def __init__(self, ambient_dim: int, basis: Matrix, pivots: list[int] | None = None):
         self.ambient_dim = ambient_dim
         self.basis = basis  # trusted to be canonical RREF with no zero rows
+        if pivots is None:
+            pivots = (basis._d != 0).argmax(axis=1).tolist() if basis.rows else []
+        self.pivots = pivots
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
         if not vectors:
             return cls.zero(field, ambient_dim)
         m = Matrix.from_rows(field, [list(v) for v in vectors])
-        return cls(ambient_dim, m.rref()[0])
+        return cls(ambient_dim, *m.rref())
 
     @classmethod
     def from_matrix_rows(cls, m: Matrix) -> "Subspace":
-        return cls(m.cols, m.rref()[0])
+        return cls(m.cols, *m.rref())
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(field, 0, ambient_dim))
+        return cls(ambient_dim, Matrix.zeros(field, 0, ambient_dim), [])
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(field, ambient_dim))
+        return cls(ambient_dim, Matrix.identity(field, ambient_dim), list(range(ambient_dim)))
 
     @property
     def field(self):
@@ -461,6 +311,23 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    def free_columns(self) -> list[int]:
+        """Non-pivot coordinates: they index the canonical complement."""
+        pivset = set(self.pivots)
+        return [j for j in range(self.ambient_dim) if j not in pivset]
+
+    def complement_projection(self) -> Matrix:
+        """The (ambient_dim - dim) x ambient_dim matrix of K^n -> K^n / self
+        in the free coordinates: free column j maps to its own unit vector,
+        pivot column of basis row t to -(row t at the free columns)."""
+        f = self.field
+        free = self.free_columns()
+        proj = Matrix.zeros(f, len(free), self.ambient_dim)
+        proj._d[range(len(free)), free] = f.one()
+        if self.dim:
+            proj._d[:, self.pivots] = f.reduce(-self.basis._d[:, free].T)
+        return proj
 
     def __eq__(self, other):
         return (
@@ -475,7 +342,7 @@ class Subspace:
             return other
         if other.dim == 0:
             return self
-        return Subspace(self.ambient_dim, self.basis.vstack(other.basis).rref()[0])
+        return Subspace(self.ambient_dim, *self.basis.vstack(other.basis).rref())
 
     def intersect(self, other) -> "Subspace":
         self._check(other)
@@ -484,17 +351,10 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient_dim)
         m = self.basis.transpose().hstack(other.basis.transpose().scale(self.field.neg(self.field.one())))
         ker = m.kernel()
-        vecs = []
-        ut = self.basis
-        for i in range(ker.rows):
-            coeffs = ker.row_list(i)[: self.dim]
-            vecs.append(Matrix.row(self.field, coeffs) @ ut)
-        if not vecs:
+        if not ker.rows:
             return Subspace.zero(self.field, self.ambient_dim)
-        stacked = vecs[0]
-        for v in vecs[1:]:
-            stacked = stacked.vstack(v)
-        return Subspace(self.ambient_dim, stacked.rref()[0])
+        coeffs = ker._new(ker.rows, self.dim, ker._d[:, : self.dim])
+        return Subspace(self.ambient_dim, *(coeffs @ self.basis).rref())
 
     def contains_vector(self, vec) -> bool:
         if self.dim == 0:
@@ -512,36 +372,24 @@ class Subspace:
     def quotient_complement(self, inside: "Subspace") -> Matrix:
         """Complement basis of self inside `inside` (requires self <= inside).
 
-        Deterministic: scans the RREF basis rows of `inside` in order and
-        keeps those that grow the rank over self.
+        Deterministic: the rows of `inside`'s RREF basis that, scanned in
+        order, grow the rank over self -- the pivot columns of their
+        images under the complement projection.
         """
         if not inside.contains(self):
             raise ValueError("first subspace is not contained in the second")
-        cur = self.basis
-        rank = self.dim
-        keep = []
-        for i in range(inside.dim):
-            row = Matrix.row(self.field, inside.basis.row_list(i))
-            cand = cur.vstack(row)
-            if cand.rank() > rank:
-                cur = cand
-                rank += 1
-                keep.append(inside.basis.row_list(i))
-        if not keep:
-            return Matrix.zeros(self.field, 0, self.ambient_dim)
-        return Matrix.from_rows(self.field, keep)
+        images = self.complement_projection() @ inside.basis.transpose()
+        keep = images.rref()[1]
+        return inside.basis._new(len(keep), self.ambient_dim, inside.basis._d[keep])
 
     def reduce_vector(self, vec) -> list:
-        """Canonical representative of vec modulo this subspace."""
+        """Canonical representative of vec modulo this subspace: zero at the
+        pivots, the complement projection at the free coordinates."""
         f = self.field
-        v = list(vec)
-        piv = [next(j for j in range(self.ambient_dim) if not f.is_zero(self.basis[i, j])) for i in range(self.dim)]
-        for i, pc in enumerate(piv):
-            c = v[pc]
-            if not f.is_zero(c):
-                row = self.basis.row_list(i)
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        out = [f.zero()] * self.ambient_dim
+        for j, c in zip(self.free_columns(), self.complement_projection().apply(vec)):
+            out[j] = c
+        return out
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:

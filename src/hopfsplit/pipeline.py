@@ -84,8 +84,7 @@ def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
     f = a.field
     q_alg, proj = quotient_algebra(a.as_algebra(), IdealData(a.as_algebra(), ideal))
     n, dq = a.dim, q_alg.dim
-    piv = [next(j for j in range(n) if not f.is_zero(ideal.basis[i, j])) for i in range(ideal.dim)]
-    free = [j for j in range(n) if j not in set(piv)]
+    free = ideal.free_columns()
     incl = Matrix.from_entries(f, n, dq, {(fr, t): f.one() for t, fr in enumerate(free)})
     # counit must kill the ideal
     for t in range(ideal.dim):
@@ -151,7 +150,7 @@ def sub_bialgebra(a: BialgebraObject, d: Subspace):
         raise CertificationFailed("candidate does not contain the unit")
     sub_co, incl = restrict_coalgebra(a.as_coalgebra(), d)
     dd = d.dim
-    piv = [next(j for j in range(a.dim) if not f.is_zero(d.basis[i, j])) for i in range(dd)]
+    piv = d.pivots
     mul: dict = {}
     for s in range(dd):
         sv = d.basis.row_list(s)
@@ -473,7 +472,7 @@ def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:
     """(f * g)(x) = f(x1) g(x2) for endomorphism matrices."""
     fld = a.field
     n = a.dim
-    if fld.kind == "Fp" and fld.p < 2**15 and n > 12 and fm.is_np() and gm.is_np():
+    if a.as_algebra().dense_path():
         import numpy as np
 
         p = fld.p
@@ -483,8 +482,8 @@ def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:
             for (i, j), c in col.items():
                 d3[i, j, k] = int(c)
         # W[a,b,k] = sum_{i,j} F[a,i] G[b,j] D[i,j,k]
-        x = np.tensordot(fm._d % p, d3, axes=([1], [0])) % p  # (a, j, k)
-        w = np.einsum("bj,ajk->abk", gm._d % p, x) % p  # (a, b, k)
+        x = np.tensordot(fm._d, d3, axes=([1], [0])) % p  # (a, j, k)
+        w = np.einsum("bj,ajk->abk", gm._d, x) % p  # (a, b, k)
         # result[t,k] = sum_{a,b} T[a,b,t] W[a,b,k]
         out = np.tensordot(t.reshape(n * n, n), w.reshape(n * n, n), axes=([0], [0])) % p
         return Matrix(fld, n, n, out, _raw=True)

@@ -1050,7 +1050,7 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
     p = Matrix.from_entries(f, dr, n, p_entries)
     # multiplication on R: products of coinvariants stay coinvariant
     r_space = Subspace.from_matrix_rows(incl.transpose())
-    piv = [next(j for j in range(n) if not f.is_zero(r_space.basis[i, j])) for i in range(r_space.dim)]
+    piv = r_space.pivots
     mul_r: dict = {}
     for s in range(dr):
         sv = incl.col_list(s)
@@ -1117,7 +1117,7 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     r_space = Subspace.from_matrix_rows(incl.transpose())
-    piv = [next(j for j in range(n) if not f.is_zero(r_space.basis[i, j])) for i in range(r_space.dim)]
+    piv = r_space.pivots
     # delta(r) = r1 sigma(S pi(r2)) (x) r3, laid down in R (x) R
     comul_delta: dict = {}
     s_h = h.antipode

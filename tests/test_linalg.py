@@ -126,38 +126,58 @@ def test_large_prime_python_backend():
     assert m @ inv == Matrix.identity(f, 2)
 
 
+def _reference_rref(f, rows):
+    # plain single-pass Gauss-Jordan elimination with the field's own ops
+    rows = [list(r) for r in rows]
+    piv = []
+    r = 0
+    for c in range(len(rows[0])):
+        k = next((i for i in range(r, len(rows)) if not f.is_zero(rows[i][c])), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not f.is_zero(rows[i][c]):
+                q = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+    return [rows[i] for i in range(r)], piv
+
+
 def test_chunked_rref_matches_reference():
-    # the numpy path reduces rows in chunks; the result must be the
-    # canonical RREF, identical to a plain single-pass elimination
-    rng = random.Random(12345)
-    f = GF(7)
-    rows = [[rng.randrange(7) for _ in range(9)] for _ in range(3000)]
-    m = Matrix.from_rows(f, rows)
-    assert m.is_np()
-    got, piv = m.rref()
+    # rows are reduced in chunks; the result must be the canonical RREF,
+    # identical to a plain single-pass elimination
+    for field in (QQ, GF(7), GF(2**61 - 1)):
+        rng = random.Random(12345)
+        rows = [[field.from_int(rng.randrange(-3, 7)) for _ in range(9)] for _ in range(3000)]
+        got, piv = Matrix.from_rows(field, rows).rref()
+        ref, refpiv = _reference_rref(field, rows)
+        assert piv == refpiv
+        assert got.to_rows() == ref
 
-    def reference_rref(rows, p):
-        rows = [list(r) for r in rows]
-        piv = []
-        r = 0
-        for c in range(len(rows[0])):
-            k = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-            if k is None:
-                continue
-            rows[r], rows[k] = rows[k], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] % p:
-                    q = rows[i][c]
-                    rows[i] = [(x - q * y) % p for x, y in zip(rows[i], rows[r])]
-            piv.append(c)
-            r += 1
-        return [rows[i] for i in range(r)], piv
 
-    ref, refpiv = reference_rref(rows, 7)
-    assert piv == refpiv
-    assert got.to_rows() == ref
+def test_complement_projection_matches_per_vector_reduction():
+    rng = random.Random(2024)
+    for field in (QQ, GF(7)):
+        for _ in range(20):
+            n = rng.randrange(1, 8)
+            vecs = [[field.from_int(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))]
+            s = Subspace.from_vectors(field, n, vecs)
+            free = [j for j in range(n) if j not in s.pivots]
+            proj = s.complement_projection()
+            assert (proj.rows, proj.cols) == (len(free), n)
+            for j in range(n):
+                # reduce e_j against the RREF rows, then read the free coordinates
+                e_j = [field.one() if k == j else field.zero() for k in range(n)]
+                v = e_j
+                for t, pc in enumerate(s.pivots):
+                    c = v[pc]
+                    v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, s.basis.row_list(t))]
+                assert proj.col_list(j) == [v[k] for k in free]
+                assert s.reduce_vector(e_j) == v
 
 
 def test_quotient_basis_returns_subspace():
