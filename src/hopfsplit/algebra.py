@@ -5,6 +5,14 @@ mul[(i,j)] = {k: c}  (meaning e_i e_j = sum c e_k) and a unit vector.
 Validation, two-sided ideals, nilpotency, the Jacobson radical (trace
 form in large characteristic, certified otherwise), separability
 idempotents and quotient algebras all reduce to exact linear algebra.
+
+Over F_p with p < 2**15 the hot kernels run on numpy: associativity is a
+sparse join of the nonzero structure constants summed by one float64
+bincount per left index (`AlgebraObject._associativity_join`), and
+`pairwise_products` is two float64 BLAS contractions.  Both are exact:
+every sum they form has at most 2n integer terms of size at most
+(p - 1)^2 < 2^30, so it stays an integer far below 2^53.  Over Q and
+larger primes associativity is a loop over sparse dicts.
 """
 from __future__ import annotations
 
@@ -134,19 +142,21 @@ class AlgebraObject:
         return Matrix.from_entries(self.field, self.dim, self.dim, entries)
 
     def np_tensor(self):
-        """Dense int64 tensor T[i,j,k] over F_p (fast validation path)."""
+        """Dense int64 tensor T[i,j,k] over F_p, reduced mod p (the dense
+        F_p kernels)."""
         if self._np_tensor is None:
             t = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
             for (i, j), col in self.mul.items():
                 for k, c in col.items():
-                    t[i, j, k] = int(c)
+                    t[i, j, k] = int(c) % self.field.p
             self._np_tensor = t
         return self._np_tensor
 
     def dense_path(self, sized: bool = True) -> bool:
-        """Whether products go through np_tensor(): only over small primes,
-        where its int64 contractions cannot overflow, and when sized only
-        for dim > 12, below which the sparse loops are faster."""
+        """Whether the numpy F_p kernels apply: only over primes below
+        2**15, where their int64 products and float64 sums stay exact, and
+        when sized only for dim > 12, below which the sparse loops are
+        faster."""
         f = self.field
         return f.kind == "Fp" and f.p < 2**15 and (self.dim > 12 or not sized)
 
@@ -173,19 +183,60 @@ class AlgebraObject:
         )
 
     def _check_associativity(self):
+        """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples.
+
+        The witness names the lexicographically first failing (i, j, k).
+        Over F_p with p < 2**15 this is the sparse join
+        `_associativity_join`; over Q and larger primes, the dict loop
+        `_associativity_loop`.
+        """
+        if self.dense_path(sized=False):
+            return self._associativity_join()
+        return self._associativity_loop()
+
+    def _associativity_join(self):
+        """Associativity over F_p (p < 2**15) as a join of the nonzero
+        structure constants (a, b, c, v): e_a e_b has v on e_c.
+
+        Per left index i, the terms of (e_i e_j) e_l pair an entry (i, j, k)
+        with every entry (k, l, m); the terms of e_i (e_j e_l) pair every
+        entry (j, l, k) with every entry (i, k, m).  One bincount over the
+        key (j n + l) n + m, with weights +v w and -v w, sums the
+        difference, and associativity fails at i iff a bin is nonzero mod p.
+        The bins are exact in float64: each sums at most 2n terms of size
+        at most (p - 1)^2 < 2^30, far below 2^53.  Work and memory are
+        bounded by the join size for one i, never by n^3 products.
+        """
+        n, p = self.dim, self.field.p
+        ents = [(i, j, k, int(c) % p) for (i, j), col in self.mul.items() for k, c in col.items()]
+        ents = np.array(ents, dtype=np.int64).reshape(-1, 4)
+        ents = ents[ents[:, 3] != 0]
+        ents = ents[np.lexsort((ents[:, 2], ents[:, 1], ents[:, 0]))]
+        a, b, c, v = ents.T
+        ab = a * n + b
+        # the entries with legs (i, k) are [by_ab[i n + k], by_ab[i n + k + 1]),
+        # those with first leg i are [by_a[i], by_a[i + 1])
+        by_ab = np.searchsorted(ab, np.arange(n * n + 1))
+        by_a = by_ab[::n]
+        every = np.arange(len(v))
+        for i in range(n):
+            s = every[by_a[i]:by_a[i + 1]]
+            l_src, l_dst = _join(s, by_a[c[s]], by_a[c[s] + 1])
+            r_src, r_dst = _join(every, by_ab[i * n + c], by_ab[i * n + c + 1])
+            keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], ab[r_src] * n + c[r_dst]))
+            terms = np.concatenate((v[l_src] * v[l_dst], -(v[r_src] * v[r_dst])))
+            sums = np.bincount(keys, weights=terms)
+            hit = np.flatnonzero(sums)
+            bad = hit[sums[hit].astype(np.int64) % p != 0]
+            if bad.size:
+                j, k = divmod(int(bad[0]) // n, n)
+                return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
+        return True, None
+
+    def _associativity_loop(self):
+        """Associativity by sparse dict arithmetic over any exact field."""
         n = self.dim
         f = self.field
-        if self.dense_path():
-            t = self.np_tensor()
-            p = f.p
-            t2 = t.reshape(n * n, n)
-            for i in range(n):
-                left = (np.tensordot(t[i], t, axes=([1], [0]))) % p  # (j,k,l)
-                right = (t2 @ t[i]).reshape(n, n, n) % p  # (j,k,l)
-                if not np.array_equal(left, right):
-                    bad = np.argwhere(left != right)[0]
-                    return False, f"(e{i}*e{bad[0]})*e{bad[1]} != e{i}*(e{bad[0]}*e{bad[1]})"
-            return True, None
         table = {(i, j): self.pair_product(i, j) for i in range(n) for j in range(n)}
         for i in range(n):
             for j in range(n):
@@ -238,6 +289,15 @@ class AlgebraObject:
                     break
                 span = grown
         return gens
+
+
+def _join(src, lo, hi):
+    """Pair each src[t] with every index in [lo[t], hi[t]); returns the
+    matched (src, index) arrays, grouped by t in order."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    starts = np.repeat(lo - ends + counts, counts)
+    return np.repeat(src, counts), starts + np.arange(len(starts))
 
 
 class BimoduleObject:
@@ -333,11 +393,15 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     """All products (row of left) * (row of right), stacked as rows."""
     f = a.field
     if a.dense_path(sized=False):
-        t = a.np_tensor()
-        p = f.p
-        q = np.tensordot(left._d, t, axes=([1], [0])) % p  # (u, j, k)
-        r = np.einsum("ujk,wj->uwk", q, right._d) % p
-        return Matrix(f, left.rows * right.rows, a.dim, r.reshape(left.rows * right.rows, a.dim), _raw=True)
+        # two float64 BLAS contractions, exact: each sum has at most n
+        # terms of size at most (p - 1)^2, and n (p - 1)^2 < 2^53
+        n, p = a.dim, f.p
+        t = a.np_tensor().reshape(n, n * n).astype(np.float64)
+        q = (left._d.astype(np.float64) @ t).astype(np.int64)
+        q %= p
+        r = np.matmul(right._d.astype(np.float64), q.reshape(left.rows, n, n).astype(np.float64)).astype(np.int64)
+        r %= p  # (u, w, k)
+        return Matrix(f, left.rows * right.rows, n, r.reshape(-1, n), _raw=True)
     rows = []
     for i in range(left.rows):
         u = left.row_list(i)

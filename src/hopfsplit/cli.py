@@ -158,11 +158,11 @@ def _catobject_from_doc(doc, field, dim, hopf, want_l, want_r):
     if want_l:
         if "coact_l" not in st:
             raise FileFormatError("missing structures.coact_l")
-        coact_l = _matrix_from_triples(field, dh * dim, dim, st["coact_l"])
+        coact_l = _matrix_from_triples(field, dh * dim, dim, st["coact_l"], "coact_l")
     if want_r:
         if "coact_r" not in st:
             raise FileFormatError("missing structures.coact_r")
-        coact_r = _matrix_from_triples(field, dim * dh, dim, st["coact_r"])
+        coact_r = _matrix_from_triples(field, dim * dh, dim, st["coact_r"], "coact_r")
     return CatObject(field, dim, hopf, coact_l=coact_l, coact_r=coact_r)
 
 
@@ -178,13 +178,13 @@ def cmd_hochschild(args):
                                    ctx.wants_left_coaction, ctx.wants_right_coaction)
     actx = AlgebraInContext(ctx, alg, aobj)
     cdoc = read_file(args.coeff)
-    from .serialize import _matrix_from_triples
+    from .serialize import _dim, _matrix_from_triples
 
     try:
-        dm = int(cdoc["dim"])
-        act_l = _matrix_from_triples(alg.field, dm, alg.dim * dm, cdoc["act_l"])
-        act_r = _matrix_from_triples(alg.field, dm, dm * alg.dim, cdoc["act_r"])
-    except (KeyError, TypeError, ValueError) as e:
+        dm = _dim(cdoc["dim"], "dim")
+        act_l = _matrix_from_triples(alg.field, dm, alg.dim * dm, cdoc["act_l"], "act_l")
+        act_r = _matrix_from_triples(alg.field, dm, dm * alg.dim, cdoc["act_r"], "act_r")
+    except (KeyError, TypeError) as e:
         raise FileFormatError(f"bad coefficient bimodule file: {e}")
     if ctx.kind == "vect":
         mobj = CatObject(alg.field, dm)

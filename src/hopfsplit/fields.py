@@ -1,8 +1,8 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Every scalar in the toolkit is either a ``fractions.Fraction`` (rationals,
-always in lowest terms) or a python int in ``[0, p)`` (prime field).  No
-floating point is used anywhere.
+always in lowest terms) or a python int in ``[0, p)`` (prime field); no
+scalar is ever a float.
 """
 from __future__ import annotations
 

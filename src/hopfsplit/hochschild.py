@@ -847,36 +847,28 @@ def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> Quo
     else:
         dh = ctx.hopf.dim
 
+        cols = [proj.col_list(xv) for xv in range(n)]  # proj(e_xv)
+
         def descend(co, side):
             if co is None:
                 return None
             # check the ideal is a subcomodule, then push through proj
             for t in range(ideal_subspace.dim):
                 img = co.apply(ideal_subspace.basis.row_list(t))
-                if side == "r":
-                    red = []
-                    for idx, c in enumerate(img):
+                acc = v_zero(fld, dq * dh)
+                for idx, c in enumerate(img):
+                    if fld.is_zero(c):
+                        continue
+                    if side == "r":
                         xv, hh = idx // dh, idx % dh
-                        red.append((proj.apply(v_basis(fld, n, xv)), hh, c))
-                    acc = v_zero(fld, dq * dh)
-                    for pv, hh, c in red:
-                        if fld.is_zero(c):
-                            continue
-                        for qv, w in enumerate(pv):
+                        for qv, w in enumerate(cols[xv]):
                             acc[qv * dh + hh] = fld.add(acc[qv * dh + hh], fld.mul(c, w))
-                    if not v_is_zero(fld, acc):
-                        raise ValueError("ideal is not a right subcomodule")
-                else:
-                    acc = v_zero(fld, dh * dq)
-                    for idx, c in enumerate(img):
-                        if fld.is_zero(c):
-                            continue
+                    else:
                         hh, xv = idx // n, idx % n
-                        pv = proj.apply(v_basis(fld, n, xv))
-                        for qv, w in enumerate(pv):
+                        for qv, w in enumerate(cols[xv]):
                             acc[hh * dq + qv] = fld.add(acc[hh * dq + qv], fld.mul(c, w))
-                    if not v_is_zero(fld, acc):
-                        raise ValueError("ideal is not a left subcomodule")
+                if not v_is_zero(fld, acc):
+                    raise ValueError(f"ideal is not a {'right' if side == 'r' else 'left'} subcomodule")
             entries = {}
             for t in range(dq):
                 img = co.apply(incl.col_list(t))
@@ -885,15 +877,13 @@ def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> Quo
                         continue
                     if side == "r":
                         xv, hh = idx // dh, idx % dh
-                        pv = proj.apply(v_basis(fld, n, xv))
-                        for qv, w in enumerate(pv):
+                        for qv, w in enumerate(cols[xv]):
                             if not fld.is_zero(fld.mul(c, w)):
                                 key = (qv * dh + hh, t)
                                 entries[key] = fld.add(entries.get(key, fld.zero()), fld.mul(c, w))
                     else:
                         hh, xv = idx // n, idx % n
-                        pv = proj.apply(v_basis(fld, n, xv))
-                        for qv, w in enumerate(pv):
+                        for qv, w in enumerate(cols[xv]):
                             if not fld.is_zero(fld.mul(c, w)):
                                 key = (hh * dq + qv, t)
                                 entries[key] = fld.add(entries.get(key, fld.zero()), fld.mul(c, w))

@@ -45,13 +45,18 @@ def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rref(a: np.ndarray, field: ScalarField, chunk: int = 2048):
+def _rref(a: np.ndarray, field: ScalarField):
     """Canonical RREF; returns (rref_rows, pivot_cols).
 
     Rows are consumed in chunks: each chunk is first reduced against the
     pivots found so far (one matmul), then eliminated row by row.  The
     result is the canonical RREF of the input, independent of chunking.
+    An int64 chunk holds 1024 rows: its matmul temporaries set the peak
+    memory of a tall elimination.  An object chunk holds 2048: over Q the
+    dense Fraction matmul multiplies zeros too and costs far more than the
+    row loop, which skips them.
     """
+    chunk = 2048 if a.dtype == object else 1024
     m, n = a.shape
     red = field.reduce
     rows: list[np.ndarray] = []  # rref rows, pivot columns strictly increasing

@@ -3,6 +3,11 @@
 Coefficients travel as strings ("a/b" over Q, integer residues over F_p)
 so exactness survives the wire.  Triple lists are sorted and json.dumps is
 called with sorted keys, making write -> read -> write byte-identical.
+
+Reading raises only FileFormatError on malformed input: indices and
+dimensions must be JSON integers, coefficients strings or JSON integers;
+null, booleans and JSON floats are rejected, as are coefficients that do
+not parse or divide by zero in the field.
 """
 from __future__ import annotations
 
@@ -19,6 +24,49 @@ class FileFormatError(Exception):
     """Malformed input file (CLI exit code 2)."""
 
 
+def _int(x, what) -> int:
+    """A JSON integer: not a bool, float, string or null."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FileFormatError(f"{what}: {x!r} is not an integer")
+    return x
+
+
+def _dim(x, what) -> int:
+    n = _int(x, what)
+    if n < 0:
+        raise FileFormatError(f"{what}: {n} is negative")
+    return n
+
+
+def _list(x, what) -> list:
+    if not isinstance(x, list):
+        raise FileFormatError(f"{what} is not a list: {x!r}")
+    return x
+
+
+def _scalar(f, x, what):
+    """A coefficient: a string, or a JSON integer."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise FileFormatError(f"{what}: coefficient {x!r} is not a string or an integer")
+    try:
+        return f.parse(str(x))
+    except (ValueError, ZeroDivisionError) as e:
+        raise FileFormatError(f"{what}: bad coefficient {x!r}: {e}")
+
+
+def _entries(f, raw, bounds, what):
+    """Parse [i_1, ..., i_r, c] entries, each index below its bound."""
+    out = []
+    for t in _list(raw, what):
+        if not isinstance(t, list) or len(t) != len(bounds) + 1:
+            raise FileFormatError(f"bad {what} entry {t!r}")
+        idx = [_int(x, f"{what} entry {t!r}") for x in t[:-1]]
+        if not all(0 <= i < b for i, b in zip(idx, bounds)):
+            raise FileFormatError(f"{what} entry {t!r} out of range")
+        out.append((*idx, _scalar(f, t[-1], f"{what} entry {t!r}")))
+    return out
+
+
 def field_to_json(f: ScalarField) -> dict:
     return {"kind": "Q"} if f.kind == "Q" else {"kind": "Fp", "p": f.p}
 
@@ -28,7 +76,7 @@ def field_from_json(d) -> ScalarField:
         if d["kind"] == "Q":
             return QQ
         if d["kind"] == "Fp":
-            return GF(int(d["p"]))
+            return GF(_int(d["p"], "field modulus"))
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad field descriptor: {e}")
     raise FileFormatError(f"unknown field kind {d.get('kind')!r}")
@@ -60,12 +108,12 @@ def _matrix_rows(f, m: Matrix) -> list:
     return [[f.fmt(x) for x in m.row_list(i)] for i in range(m.rows)]
 
 
-def _matrix_from_rows(f, rows, expect_shape=None) -> Matrix:
-    data = [[f.parse(str(x)) for x in row] for row in rows]
-    m = Matrix.from_rows(f, data)
-    if expect_shape and (m.rows, m.cols) != expect_shape:
-        raise FileFormatError(f"matrix shape {m.rows}x{m.cols}, expected {expect_shape}")
-    return m
+def _matrix_from_rows(f, rows, expect_shape, what) -> Matrix:
+    m, n = expect_shape
+    data = [[_scalar(f, x, what) for x in _list(row, what)] for row in _list(rows, what)]
+    if len(data) != m or any(len(row) != n for row in data):
+        raise FileFormatError(f"{what}: matrix is not {m}x{n}")
+    return Matrix(f, m, n, data)
 
 
 def object_to_json(x) -> dict:
@@ -87,10 +135,10 @@ def object_from_json(doc):
     """Parse back; the richest structure present wins."""
     try:
         f = field_from_json(doc["field"])
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as e:
+        dim = _dim(doc["dim"], "dim")
+    except (KeyError, TypeError) as e:
         raise FileFormatError(f"missing field/dim: {e}")
-    labels = doc.get("basis") or [f"e{i}" for i in range(dim)]
+    labels = _list(doc.get("basis") or [f"e{i}" for i in range(dim)], "basis")
     if len(labels) != dim:
         raise FileFormatError("basis label count differs from dim")
     has_alg = "mul" in doc
@@ -100,28 +148,16 @@ def object_from_json(doc):
     comul: dict = {}
     counit = None
     if has_alg:
-        for t in doc["mul"]:
-            try:
-                i, j, k, c = int(t[0]), int(t[1]), int(t[2]), f.parse(str(t[3]))
-            except (IndexError, ValueError, TypeError) as e:
-                raise FileFormatError(f"bad mul triple {t!r}: {e}")
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise FileFormatError(f"mul triple {t!r} out of range")
+        for i, j, k, c in _entries(f, doc["mul"], (dim, dim, dim), "mul"):
             mul.setdefault((i, j), {})[k] = f.add(mul.get((i, j), {}).get(k, f.zero()), c)
         unit = _parse_vec(f, doc.get("unit"), dim, "unit")
     if has_coalg:
-        for t in doc["comul"]:
-            try:
-                i, j, k, c = int(t[0]), int(t[1]), int(t[2]), f.parse(str(t[3]))
-            except (IndexError, ValueError, TypeError) as e:
-                raise FileFormatError(f"bad comul triple {t!r}: {e}")
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise FileFormatError(f"comul triple {t!r} out of range")
+        for i, j, k, c in _entries(f, doc["comul"], (dim, dim, dim), "comul"):
             comul.setdefault(k, {})[(i, j)] = f.add(comul.get(k, {}).get((i, j), f.zero()), c)
         counit = _parse_vec(f, doc.get("counit"), dim, "counit")
     if has_alg and has_coalg:
         if "antipode" in doc:
-            s = _matrix_from_rows(f, doc["antipode"], (dim, dim))
+            s = _matrix_from_rows(f, doc["antipode"], (dim, dim), "antipode")
             return HopfObject(f, dim, mul, unit, comul, counit, s, labels)
         return BialgebraObject(f, dim, mul, unit, comul, counit, labels)
     if has_alg:
@@ -134,9 +170,9 @@ def object_from_json(doc):
 def _parse_vec(f, raw, dim, what) -> list:
     if raw is None:
         raise FileFormatError(f"missing {what}")
-    if len(raw) != dim:
+    if len(_list(raw, what)) != dim:
         raise FileFormatError(f"{what} has length {len(raw)}, expected {dim}")
-    return [f.parse(str(x)) for x in raw]
+    return [_scalar(f, x, what) for x in raw]
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -151,15 +187,13 @@ def subspace_to_json(s: Subspace) -> dict:
 def subspace_from_json(doc, field=None, ambient=None) -> Subspace:
     try:
         f = field_from_json(doc["field"]) if "field" in doc else field
-        n = int(doc["ambient_dim"]) if "ambient_dim" in doc else ambient
-        vecs = [[f.parse(str(x)) for x in row] for row in doc["vectors"]]
-    except (KeyError, TypeError, ValueError) as e:
+        n = _dim(doc["ambient_dim"], "ambient_dim") if "ambient_dim" in doc else ambient
+        raw = doc["vectors"]
+    except (KeyError, TypeError) as e:
         raise FileFormatError(f"bad subspace file: {e}")
     if f is None or n is None:
         raise FileFormatError("subspace file lacks field/ambient_dim")
-    for v in vecs:
-        if len(v) != n:
-            raise FileFormatError("subspace vector length differs from ambient_dim")
+    vecs = [_parse_vec(f, v, n, "subspace vector") for v in _list(raw, "vectors")]
     return Subspace.from_vectors(f, n, vecs)
 
 
@@ -169,16 +203,8 @@ def _sparse_matrix_triples(f, m: Matrix) -> list:
     return out
 
 
-def _matrix_from_triples(f, rows, cols, triples) -> Matrix:
-    entries = {}
-    for t in triples:
-        try:
-            i, j, c = int(t[0]), int(t[1]), f.parse(str(t[2]))
-        except (IndexError, ValueError, TypeError) as e:
-            raise FileFormatError(f"bad matrix triple {t!r}: {e}")
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise FileFormatError(f"matrix triple {t!r} out of range")
-        entries[(i, j)] = c
+def _matrix_from_triples(f, rows, cols, triples, what) -> Matrix:
+    entries = {(i, j): c for i, j, c in _entries(f, triples, (rows, cols), what)}
     return Matrix.from_entries(f, rows, cols, entries)
 
 
@@ -220,7 +246,7 @@ def quadruple_from_json(doc):
     try:
         env = doc["quadruple"]
         h = object_from_json(env["H"])
-        dr = int(env["R_dim"])
+        dr = _dim(env["R_dim"], "R_dim")
         side = env["side"]
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad quadruple envelope: {e}")
@@ -228,28 +254,26 @@ def quadruple_from_json(doc):
         raise FileFormatError("quadruple H must be a Hopf object (with antipode)")
     f = h.field
     dh = h.dim
-    act = _matrix_from_triples(f, dr, dh * dr, env.get("yd_act", []))
-    coact = _matrix_from_triples(f, dh * dr, dr, env.get("yd_coact", []))
+    act = _matrix_from_triples(f, dr, dh * dr, env.get("yd_act", []), "yd_act")
+    coact = _matrix_from_triples(f, dh * dr, dr, env.get("yd_coact", []), "yd_coact")
     yd = YDObject(h, dr, act, coact)
     if side == "primal":
         mul: dict = {}
-        for t in env.get("R_mul", []):
-            i, j, k, c = int(t[0]), int(t[1]), int(t[2]), f.parse(str(t[3]))
+        for i, j, k, c in _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"):
             mul.setdefault((i, j), {})[k] = c
         r_alg = AlgebraObject(f, dr, mul, _parse_vec(f, env.get("R_unit"), dr, "R_unit"))
         eps = _parse_vec(f, env.get("eps"), dr, "eps")
-        delta = _matrix_from_triples(f, dr * dr, dr, env.get("delta", []))
-        omega = _matrix_from_triples(f, dr * dr, dh, env.get("omega", []))
+        delta = _matrix_from_triples(f, dr * dr, dr, env.get("delta", []), "delta")
+        omega = _matrix_from_triples(f, dr * dr, dh, env.get("omega", []), "omega")
         return YDQuadruple(h, r_alg, yd, eps, delta, omega)
     if side == "dual":
         comul: dict = {}
-        for t in env.get("R_comul", []):
-            i, j, k, c = int(t[0]), int(t[1]), int(t[2]), f.parse(str(t[3]))
-            comul.setdefault(int(k), {})[(i, j)] = c
+        for i, j, k, c in _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"):
+            comul.setdefault(k, {})[(i, j)] = c
         r_coalg = CoalgebraObject(f, dr, comul, _parse_vec(f, env.get("R_counit"), dr, "R_counit"))
         one = _parse_vec(f, env.get("one"), dr, "one")
-        mulm = _matrix_from_triples(f, dr, dr * dr, env.get("m", []))
-        xi = _matrix_from_triples(f, dh, dr * dr, env.get("xi", []))
+        mulm = _matrix_from_triples(f, dr, dr * dr, env.get("m", []), "m")
+        xi = _matrix_from_triples(f, dh, dr * dr, env.get("xi", []), "xi")
         return DualYDQuadruple(h, r_coalg, yd, one, mulm, xi)
     raise FileFormatError(f"unknown quadruple side {side!r}")
 

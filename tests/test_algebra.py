@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsplit.algebra import (
     AlgebraObject,
@@ -19,7 +21,7 @@ from hopfsplit.algebra import (
     separability_idempotent,
     verify_separability_idempotent,
 )
-from hopfsplit.builtin import group_algebra
+from hopfsplit.builtin import group_algebra, taft
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.tensors import v_basis
@@ -238,3 +240,96 @@ def test_separability_idempotent_in_comodule_context():
 
     e = separability_idempotent(h.as_algebra(), _Ctx())
     assert e == [Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)]
+
+
+# -- associativity: the F_p join against the dict-loop reference -----------
+
+def tensor_algebra(a, b):
+    """A (x) B on the basis e_i (x) e_k at index i * dim B + k."""
+    f, m = a.field, b.dim
+    mul = {}
+    for (i1, j1), c1 in a.mul.items():
+        for (i2, j2), c2 in b.mul.items():
+            mul[(i1 * m + i2, j1 * m + j2)] = {
+                k1 * m + k2: f.mul(x, y) for k1, x in c1.items() for k2, y in c2.items()
+            }
+    return AlgebraObject(f, a.dim * m, mul, [f.mul(x, y) for x in a.unit for y in b.unit])
+
+
+def _factor(spec, f):
+    kind, n = spec
+    if kind == "group":
+        return group_algebra(n, f).as_algebra()
+    return taft(n, f.primitive_root_of_unity(n), f).as_algebra()
+
+
+def _algebra_specs():
+    """(p, factors, dim) for group algebras k[Z_m], Taft algebras T_n and
+    products of two of them, up to dim 36."""
+    out = []
+    for p in (5, 7, 13):
+        single = [("group", m) for m in range(1, 7)] + [("taft", n) for n in (2, 3, 4) if (p - 1) % n == 0]
+        dims = {s: s[1] if s[0] == "group" else s[1] ** 2 for s in single}
+        out += [(p, (s,), dims[s]) for s in single]
+        out += [(p, (s, t), dims[s] * dims[t]) for s in single for t in single if 1 < dims[s] * dims[t] <= 36]
+    return out
+
+
+SPECS = _algebra_specs()
+
+
+def mutated(a, i, j, k, delta):
+    """a with delta added to the coefficient of e_k in e_i e_j."""
+    f = a.field
+    mul = {key: dict(col) for key, col in a.mul.items()}
+    col = mul.setdefault((i, j), {})
+    c = f.add(col.get(k, f.zero()), delta)
+    if f.is_zero(c):
+        col.pop(k, None)
+    else:
+        col[k] = c
+    return AlgebraObject(f, a.dim, mul, a.unit)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 12), (13, 36)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_associativity_join_matches_dict_loop(lo, hi, data):
+    p, factors, dim = data.draw(st.sampled_from([s for s in SPECS if lo <= s[2] <= hi]))
+    f = GF(p)
+    a = _factor(factors[0], f)
+    for spec in factors[1:]:
+        a = tensor_algebra(a, _factor(spec, f))
+    assert a.dim == dim
+    if data.draw(st.booleans()):
+        idx = st.integers(0, dim - 1)
+        a = mutated(a, data.draw(idx), data.draw(idx), data.draw(idx), data.draw(st.integers(1, p - 1)))
+    else:
+        assert a.validate().ok
+    assert a.dense_path(sized=False)
+    assert a._associativity_join() == a._associativity_loop()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_associativity_failure_only_at_last_left_index(field):
+    # e_{n-1} e_0 = e_0 and all other products zero: the only failing
+    # triple is (e_{n-1} e_{n-1}) e_0 = 0 != e_{n-1} (e_{n-1} e_0) = e_0
+    n = 20
+    a = AlgebraObject(field, n, {(n - 1, 0): {0: field.one()}}, [field.zero()] * n)
+    want = (False, f"(e{n - 1}*e{n - 1})*e0 != e{n - 1}*(e{n - 1}*e0)")
+    assert a._check_associativity() == a._associativity_loop() == want
+
+
+def test_flagship_single_constant_mutations_fail_associativity(ha_f7):
+    import random
+
+    a = ha_f7.as_algebra()
+    f = a.field
+    rng = random.Random(7)
+    n = a.dim
+    picks = rng.sample(sorted((i, j, k) for (i, j), col in a.mul.items() for k in col), 5)
+    picks += [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+    assert len(set(picks)) == 10
+    for i, j, k in picks:
+        rep = mutated(a, i, j, k, f.one()).validate()
+        assert "associativity" in dict(rep.failures()), (i, j, k)

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopfsplit.cli import main
 from hopfsplit.serialize import dumps, loads, object_from_json, object_to_json, read_file
 
@@ -249,3 +251,25 @@ def test_bosonize_dual_command(tmp_path, capsys):
     # forgetting --dual on a dual envelope is an input error
     code, _, _ = run_cli(["bosonize", qpath, "--out", out_path], capsys)
     assert code == 2
+
+
+DUAL_NUMBERS = {"field": {"kind": "Q"}, "dim": 2, "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+                "unit": ["1", "0"]}
+
+
+@pytest.mark.parametrize("edit", [
+    {"unit": ["abc", "0"]},
+    {"unit": ["1/0", "0"]},
+    {"field": {"kind": "Fp", "p": 7}, "unit": ["1/7", "0"]},
+    {"mul": None},
+    {"mul": [[0, 0, 0, "1"], [0, True, 1, "1"], [1, 0, 1, "1"]]},
+    {"mul": [[0, 0, 0, "1"], [0, 1, 1, 0.5], [1, 0, 1, "1"]]},
+], ids=["unit_abc", "q_div_by_zero", "f7_div_by_p", "mul_null", "bool_index", "float_coefficient"])
+def test_malformed_probe_exits_2_with_one_line(tmp_path, capsys, edit):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({**DUAL_NUMBERS, **edit}))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
