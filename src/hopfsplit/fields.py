@@ -6,7 +6,12 @@ scalar is ever a float.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# the wire format's scalars: an integer or a fraction of integers, nothing
+# that Fraction() would also read (decimals, exponents, underscores)
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -112,13 +117,14 @@ class ScalarField:
     # -- parsing / formatting (the wire format keeps scalars as strings) --
 
     def parse(self, s: str):
-        s = s.strip()
-        if self.kind == "Q":
-            return Fraction(s)
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        """``[+-]digits`` or ``[+-]digits/digits``, surrounding whitespace
+        allowed; anything else raises ValueError, a zero denominator (mod p
+        over F_p) ZeroDivisionError."""
+        m = _SCALAR.fullmatch(s.strip())
+        if m is None:
+            raise ValueError(f"{s!r} is not an integer or a fraction a/b")
+        num = self.from_int(int(m[1]))
+        return num if m[2] is None else self.div(num, self.from_int(int(m[2])))
 
     def fmt(self, a) -> str:
         return str(a)

@@ -477,8 +477,7 @@ def _any_linear_section(pi: Matrix) -> Matrix:
 def left_inverse(m: Matrix) -> Matrix:
     """L with L m = id, for injective m."""
     fld = m.field
-    aug = m.hstack(Matrix.identity(fld, m.rows))
-    r, piv = aug.rref()
+    r, piv = m.rref(Matrix.identity(fld, m.rows))
     if piv[: m.cols] != list(range(m.cols)):
         raise InconsistentSystem("matrix has no left inverse")
     return Matrix.from_rows(fld, [r.row_list(t)[m.cols :] for t in range(m.cols)])

@@ -8,10 +8,15 @@ Every matrix is one numpy array: int64 over F_p with p < 2**31 (exact
 integer arithmetic, reduced mod p after each step), ``dtype=object``
 otherwise (Fractions over Q, python ints for huge p).  No floating point
 is involved.  The only per-field step is ``ScalarField.reduce``.
+
+Elimination is one kernel for every dtype, ``_rref``: rows are streamed
+in chunks, each chunk is stacked under the RREF found so far, and column
+Gauss-Jordan updates only the block (rows nonzero in the pivot column) x
+(columns nonzero in the pivot row).  Sparse matrices, the common case,
+cost little more than their nonzeros, and over Q no zero Fraction is
+ever multiplied.
 """
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -45,49 +50,63 @@ def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rref(a: np.ndarray, field: ScalarField):
-    """Canonical RREF; returns (rref_rows, pivot_cols).
+_CHUNK = 1024  # rows streamed per Gauss-Jordan pass
 
-    Rows are consumed in chunks: each chunk is first reduced against the
-    pivots found so far (one matmul), then eliminated row by row.  The
-    result is the canonical RREF of the input, independent of chunking.
-    An int64 chunk holds 1024 rows: its matmul temporaries set the peak
-    memory of a tall elimination.  An object chunk holds 2048: over Q the
-    dense Fraction matmul multiplies zeros too and costs far more than the
-    row loop, which skips them.
+
+def _gauss_jordan(a: np.ndarray, field: ScalarField):
+    """Column Gauss-Jordan on ``a`` in place; returns (rref_rows, pivot_cols).
+
+    Column j takes its pivot from the first free row nonzero there, and
+    only the block (rows nonzero in column j) x (columns nonzero in the
+    pivot row) is updated, so zero entries are never multiplied.
     """
-    chunk = 2048 if a.dtype == object else 1024
-    m, n = a.shape
     red = field.reduce
-    rows: list[np.ndarray] = []  # rref rows, pivot columns strictly increasing
+    free = np.ones(a.shape[0], dtype=bool)
+    prows: list[int] = []
     pivs: list[int] = []
-    for s in range(0, m, chunk):
-        c = red(a[s : s + chunk])
-        if pivs:
-            r = np.array(rows, dtype=a.dtype)
-            c = red(c - _matmul(field, c[:, pivs], r))
-        for row in c:
-            # reduce against every current pivot (rref rows are 0 at each
-            # other's pivot columns, so one pass suffices)
-            for pcol, prow in zip(pivs, rows):
-                v = row[pcol]
-                if v:
-                    row = red(row - v * prow)
-            nz = np.nonzero(row)[0]
-            if not nz.size:
-                continue
-            j = int(nz[0])
-            row = red(row * field.inv(row.item(j)))
-            ins = bisect.bisect_left(pivs, j)
-            pivs.insert(ins, j)
-            rows.insert(ins, row)
-            # clear column j in previously stored rows
-            for t, old in enumerate(rows):
-                if t != ins and old[j]:
-                    rows[t] = red(old - old[j] * row)
-    if rows:
-        return np.array(rows, dtype=a.dtype), pivs
-    return np.zeros((0, n), dtype=a.dtype), []
+    for j in range(a.shape[1]):
+        nz = a[:, j].nonzero()[0]
+        cand = nz[free[nz]]
+        if not cand.size:
+            continue
+        r = cand[0]
+        cols = a[r].nonzero()[0]
+        prow = a[r, cols]
+        v = a.item(r, j)
+        if v != 1:
+            prow = red(prow * field.inv(v))
+            a[r, cols] = prow
+        if nz.size > 1:
+            rows = nz[nz != r][:, None]
+            a[rows, cols] = red(a[rows, cols] - a[rows, j] * prow)
+        free[r] = False
+        prows.append(r)
+        pivs.append(j)
+        if len(prows) == a.shape[0]:
+            break
+    return a[prows], pivs
+
+
+def _rref(a: np.ndarray, field: ScalarField, rhs: np.ndarray | None = None):
+    """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given);
+    returns (rref_rows, pivot_cols).
+
+    Rows are streamed in chunks of ``_CHUNK``: a chunk is reduced, its zero
+    rows dropped, and Gauss-Jordan runs on it stacked under the RREF found
+    so far.  Memory stays bounded by (rank + chunk) x columns, and the
+    result is the canonical RREF of the input, independent of chunking.
+    """
+    m = a.shape[0]
+    n = a.shape[1] + (0 if rhs is None else rhs.shape[1])
+    r = np.zeros((0, n), dtype=a.dtype)
+    pivs: list[int] = []
+    for s in range(0, m, _CHUNK):
+        c = a[s : s + _CHUNK] if rhs is None else np.hstack([a[s : s + _CHUNK], rhs[s : s + _CHUNK]])
+        c = field.reduce(c)
+        c = c[c.any(axis=1)]
+        if c.shape[0]:
+            r, pivs = _gauss_jordan(np.vstack([r, c]) if pivs else c, field)
+    return r, pivs
 
 
 class Matrix:
@@ -229,12 +248,13 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self):
-        """Canonical reduced row echelon form; returns (Matrix, pivot_cols)."""
-        if self.rows == 0:
-            return self, []
-        r, piv = _rref(self._d, self.field)
-        return self._new(r.shape[0], self.cols, r), piv
+    def rref(self, rhs: "Matrix | None" = None):
+        """Canonical reduced row echelon form of self, or of ``[self | rhs]``
+        without building that copy; returns (Matrix, pivot_cols)."""
+        if rhs is not None and rhs.rows != self.rows:
+            raise ValueError("row mismatch")
+        r, piv = _rref(self._d, self.field, None if rhs is None else rhs._d)
+        return self._new(r.shape[0], r.shape[1], r), piv
 
     def rank(self) -> int:
         return self.rref()[0].rows
@@ -253,7 +273,7 @@ class Matrix:
         """
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("rhs shape mismatch")
-        r, piv = self.hstack(b).rref()
+        r, piv = self.rref(b)
         if self.cols in piv:
             raise InconsistentSystem("no solution")
         x = [self.field.zero()] * self.cols
@@ -264,8 +284,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("not square")
-        aug = self.hstack(Matrix.identity(self.field, self.rows))
-        r, piv = aug.rref()
+        r, piv = self.rref(Matrix.identity(self.field, self.rows))
         if piv != list(range(self.rows)):
             raise InconsistentSystem("matrix is singular")
         return self._new(self.rows, self.rows, r._d[:, self.rows :].copy())

@@ -5,9 +5,10 @@ so exactness survives the wire.  Triple lists are sorted and json.dumps is
 called with sorted keys, making write -> read -> write byte-identical.
 
 Reading raises only FileFormatError on malformed input: indices and
-dimensions must be JSON integers, coefficients strings or JSON integers;
-null, booleans and JSON floats are rejected, as are coefficients that do
-not parse or divide by zero in the field.
+dimensions must be JSON integers, dimensions at most ``MAX_DIM``,
+coefficients strings or JSON integers; null, booleans and JSON floats are
+rejected, as are coefficients that are not ``[+-]digits[/digits]`` or
+divide by zero in the field.
 """
 from __future__ import annotations
 
@@ -31,10 +32,18 @@ def _int(x, what) -> int:
     return x
 
 
+# Largest dimension a file may declare.  Checked before labels, vectors or
+# the dense n x n x n int64 tensor of the F_p kernels (128 MiB at the cap)
+# are built; the largest worked example, the flagship, has dimension 81.
+MAX_DIM = 256
+
+
 def _dim(x, what) -> int:
     n = _int(x, what)
     if n < 0:
         raise FileFormatError(f"{what}: {n} is negative")
+    if n > MAX_DIM:
+        raise FileFormatError(f"{what}: {n} exceeds the largest supported dimension {MAX_DIM}")
     return n
 
 

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from hopfsplit.cli import main
-from hopfsplit.serialize import dumps, loads, object_from_json, object_to_json, read_file
+from hopfsplit.serialize import (
+    MAX_DIM, FileFormatError, dumps, loads, object_from_json, object_to_json, read_file, subspace_from_json,
+)
 
 
 def run_cli(args, capsys):
@@ -264,7 +266,11 @@ DUAL_NUMBERS = {"field": {"kind": "Q"}, "dim": 2, "mul": [[0, 0, 0, "1"], [0, 1,
     {"mul": None},
     {"mul": [[0, 0, 0, "1"], [0, True, 1, "1"], [1, 0, 1, "1"]]},
     {"mul": [[0, 0, 0, "1"], [0, 1, 1, 0.5], [1, 0, 1, "1"]]},
-], ids=["unit_abc", "q_div_by_zero", "f7_div_by_p", "mul_null", "bool_index", "float_coefficient"])
+    {"unit": ["1.0", "0"]},
+    {"mul": [[0, 0, 0, "1"], [0, 1, 1, "0.5e1"], [1, 0, 1, "1"]]},
+    {"dim": 10**12, "basis": ["a", "b"]},
+], ids=["unit_abc", "q_div_by_zero", "f7_div_by_p", "mul_null", "bool_index", "float_coefficient",
+        "q_float_string", "q_exponent_string", "dim_above_cap"])
 def test_malformed_probe_exits_2_with_one_line(tmp_path, capsys, edit):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps({**DUAL_NUMBERS, **edit}))
@@ -273,3 +279,19 @@ def test_malformed_probe_exits_2_with_one_line(tmp_path, capsys, edit):
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_dim_bound_checked_before_anything_is_built():
+    # every value here is cheap to parse even without the bound: an explicit
+    # basis keeps a huge dim from materializing labels, so a missing bound
+    # fails the match instead of allocating
+    n = MAX_DIM + 1
+    cases = [
+        (object_from_json, {**DUAL_NUMBERS, "dim": n, "basis": [f"e{i}" for i in range(n)], "unit": ["0"] * n}),
+        (object_from_json, {**DUAL_NUMBERS, "dim": 10**12, "basis": ["a", "b"]}),
+        (subspace_from_json, {"field": {"kind": "Q"}, "ambient_dim": 10**12, "vectors": []}),
+    ]
+    for parse, doc in cases:
+        with pytest.raises(FileFormatError, match="exceeds the largest supported dimension"):
+            parse(doc)
+    assert object_from_json({**DUAL_NUMBERS, "dim": 2}).dim == 2

@@ -25,6 +25,17 @@ def test_rational_parsing_roundtrip():
         v = f.parse(s)
         assert f.parse(f.fmt(v)) == v
     assert f.parse("10/15") == Fraction(2, 3)  # lowest terms
+    assert f.parse("-3") == Fraction(-3)
+    assert f.parse(" 2 ") == Fraction(2)
+    assert f.parse("1/2") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("s", ["1.0", "0.5e1", "1e3", "1_0", "1/-2", "1 / 2", "inf", "", "abc"])
+@pytest.mark.parametrize("f", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_parse_accepts_only_integers_and_fractions(f, s):
+    # Fraction() and int() would read several of these; the wire format does not
+    with pytest.raises(ValueError):
+        f.parse(s)
 
 
 def test_prime_field_parsing_and_inverse():

@@ -2,12 +2,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsplit.fields import GF, QQ
-from hopfsplit.linalg import InconsistentSystem, Matrix, Subspace, subspace_ops
+from hopfsplit.linalg import _CHUNK, InconsistentSystem, Matrix, Subspace, subspace_ops
 
 
 def test_identity_solve():
@@ -157,6 +158,51 @@ def test_chunked_rref_matches_reference():
         ref, refpiv = _reference_rref(field, rows)
         assert piv == refpiv
         assert got.to_rows() == ref
+
+
+@st.composite
+def _rref_inputs(draw):
+    """Random low-rank, often sparse, sometimes taller than one chunk, with
+    zero and duplicate rows and a first row scaled off a unit pivot."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(32749), GF(2**61 - 1)]))
+    n = draw(st.integers(1, 7))
+    rank = draw(st.integers(0, n))
+    m = draw(st.sampled_from([1, 2, 3, 17, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5]))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # integer product of an m x rank and a rank x n matrix, small enough to be exact
+    coeff = rng.integers(-3, 4, size=(m, rank)) * (rng.random((m, rank)) < density)
+    basis = rng.integers(-3, 4, size=(rank, n)) * (rng.random((rank, n)) < density)
+    a = coeff @ basis
+    a[rng.random(m) < 0.2] = 0
+    dup = rng.random(m) < 0.2
+    a[dup] = a[rng.integers(0, m, size=int(dup.sum()))]
+    a[0] *= 2
+    # a right-hand side in the column space half of the time: a pivot in the
+    # last column would hide rows of it paired with the wrong rows of a
+    b = a @ rng.integers(-3, 4, size=n) if draw(st.booleans()) else rng.integers(-3, 4, size=m)
+    rows = [[field.from_int(int(x)) for x in r] for r in a]
+    rhs = [[field.from_int(int(x))] for x in b]
+    return field, rows, rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rref_inputs())
+def test_streamed_rref_matches_reference(case):
+    field, rows, rhs = case
+    m = Matrix.from_rows(field, rows)
+    got, piv = m.rref()
+    ref, refpiv = _reference_rref(field, rows)
+    assert piv == refpiv
+    assert got.to_rows() == ref
+    # the right-hand side streamed chunk by chunk equals the stacked system
+    b = Matrix.from_rows(field, rhs)
+    aug, augpiv = m.rref(b)
+    assert (aug, augpiv) == m.hstack(b).rref()
+    assert aug.to_rows() == _reference_rref(field, [r + s for r, s in zip(rows, rhs)])[0]
+    if m.cols not in augpiv:
+        x, _ = m.solve(b, want_kernel=False)
+        assert m.apply(x) == b.col_list(0)
 
 
 def test_complement_projection_matches_per_vector_reduction():
