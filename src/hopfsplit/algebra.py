@@ -8,24 +8,30 @@ idempotents and quotient algebras all reduce to exact linear algebra.
 
 Over F_p with p < 2**15 the hot kernels run on numpy: associativity is a
 sparse join of the nonzero structure constants summed by one float64
-bincount per left index (`AlgebraObject._associativity_join`), and
-`pairwise_products` is two float64 BLAS contractions.  Both are exact:
-every sum they form has at most 2n integer terms of size at most
-(p - 1)^2 < 2^30, so it stays an integer far below 2^53.  Over Q and
-larger primes associativity is a loop over sparse dicts.
+bincount per left index (`AlgebraObject._associativity_join`), exact
+because every sum has at most 2n integer terms of size at most
+(p - 1)^2 < 2^30.  Over Q and larger primes associativity is a loop over
+sparse dicts.  `pairwise_products` is two contractions with the structure
+tensor through `linalg._matmul`, exact for every field.
+
+Whether a linear map f is multiplicative is one kernel for every field,
+`multiplicativity_defect`: f(e_i e_j) - f(e_i) f(e_j) for blocks of left
+indices, reporting the first failing pair (i, j).  It serves quotient
+projections, algebra-map checks, extensions and the tower lift;
+`defect_matrix` keeps the whole defect (a section's curvature).  A failed
+re-verification of computed output raises `VerificationFailed`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, Subspace
+from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul
 from .tensors import (
     SparseMap,
     dense_to_sparse,
     sparse_add,
     sparse_eq,
-    sparse_to_dense,
     v_basis,
     v_eq,
     v_zero,
@@ -56,6 +62,17 @@ class ValidationReport:
     def __repr__(self):
         bad = self.failures()
         return f"ValidationReport(ok)" if not bad else f"ValidationReport(failed: {bad})"
+
+
+class VerificationFailed(AssertionError):
+    """Re-verification of computed output failed.  ``check`` names the
+    property that does not hold; ``witness`` is where it first fails (the
+    basis pair (i, j) for multiplicativity), or None."""
+
+    def __init__(self, check: str, witness=None):
+        super().__init__(check if witness is None else f"{check} fails at {witness}")
+        self.check = check
+        self.witness = witness
 
 
 class AlgebraObject:
@@ -142,13 +159,15 @@ class AlgebraObject:
         return Matrix.from_entries(self.field, self.dim, self.dim, entries)
 
     def np_tensor(self):
-        """Dense int64 tensor T[i,j,k] over F_p, reduced mod p (the dense
-        F_p kernels)."""
+        """Dense tensor T[i,j,k] = coefficient of e_k in e_i e_j, reduced, in
+        the field's matrix dtype (int64 over F_p with p < 2**31, object
+        otherwise)."""
         if self._np_tensor is None:
-            t = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
+            f = self.field
+            t = np.full((self.dim, self.dim, self.dim), f.zero(), dtype=_dtype(f))
             for (i, j), col in self.mul.items():
                 for k, c in col.items():
-                    t[i, j, k] = int(c) % self.field.p
+                    t[i, j, k] = f.reduce(c)
             self._np_tensor = t
         return self._np_tensor
 
@@ -291,15 +310,6 @@ class AlgebraObject:
         return gens
 
 
-def _join(src, lo, hi):
-    """Pair each src[t] with every index in [lo[t], hi[t]); returns the
-    matched (src, index) arrays, grouped by t in order."""
-    counts = hi - lo
-    ends = np.cumsum(counts)
-    starts = np.repeat(lo - ends + counts, counts)
-    return np.repeat(src, counts), starts + np.arange(len(starts))
-
-
 class BimoduleObject:
     """(A,A)-bimodule: left action A (x) M -> M and right action M (x) A -> M."""
 
@@ -390,26 +400,59 @@ class IdealData:
 
 
 def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
-    """All products (row of left) * (row of right), stacked as rows."""
+    """All products (row of left) * (row of right), stacked as rows in
+    (left, right) order: two contractions with the structure tensor, each
+    one exact `_matmul` (float64 BLAS or blocked int64 over F_p, a join of
+    nonzeros over Q and huge p)."""
     f = a.field
-    if a.dense_path(sized=False):
-        # two float64 BLAS contractions, exact: each sum has at most n
-        # terms of size at most (p - 1)^2, and n (p - 1)^2 < 2^53
-        n, p = a.dim, f.p
-        t = a.np_tensor().reshape(n, n * n).astype(np.float64)
-        q = (left._d.astype(np.float64) @ t).astype(np.int64)
-        q %= p
-        r = np.matmul(right._d.astype(np.float64), q.reshape(left.rows, n, n).astype(np.float64)).astype(np.int64)
-        r %= p  # (u, w, k)
-        return Matrix(f, left.rows * right.rows, n, r.reshape(-1, n), _raw=True)
-    rows = []
-    for i in range(left.rows):
-        u = left.row_list(i)
-        for j in range(right.rows):
-            rows.append(a.product(u, right.row_list(j)))
-    if not rows:
-        return Matrix.zeros(f, 0, a.dim)
-    return Matrix.from_rows(f, rows)
+    n, lr, rr = a.dim, left.rows, right.rows
+    q = _matmul(f, left._d, a.np_tensor().reshape(n, n * n))  # (u, (b, k))
+    q = q.reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (b, (u, k))
+    r = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2)  # (u, w, k)
+    return Matrix(f, lr * rr, n, r.reshape(-1, n), _raw=True)
+
+
+_DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
+
+
+def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix):
+    """Yield (i0, D) for consecutive blocks of left indices i0 <= i < i1:
+    row (i - i0) n + j of D is f(e_i e_j) - f(e_i) f(e_j).
+
+    f(e_i e_j) is the block's rows of the structure tensor times f^T;
+    f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Blocks keep D and
+    the products' intermediate near _DEFECT_BLOCK entries, so no
+    n^2 x dim(tgt) array is ever built for a large source.
+    """
+    fld = src.field
+    n = src.dim
+    t = src.np_tensor().reshape(n * n, n)  # row (i, j): e_i e_j
+    ft = f.transpose()
+    step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
+    for i0 in range(0, n, step):
+        i1 = min(n, i0 + step)
+        lhs = _matmul(fld, t[i0 * n : i1 * n], ft._d)
+        rhs = pairwise_products(tgt, ft._new(i1 - i0, tgt.dim, ft._d[i0:i1]), ft)
+        yield i0, fld.reduce(lhs - rhs._d)
+
+
+def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> tuple[int, int] | None:
+    """The first basis pair (i, j), in lexicographic order, with
+    f(e_i e_j) != f(e_i) f(e_j) for the linear map f : src -> tgt (a
+    tgt.dim x src.dim matrix), or None when f is multiplicative."""
+    n = src.dim
+    for i0, d in _defect_rows(src, tgt, f):
+        bad = np.flatnonzero((d != 0).any(axis=1))
+        if bad.size:
+            return divmod(i0 * n + int(bad[0]), n)
+    return None
+
+
+def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
+    """f(e_i e_j) - f(e_i) f(e_j) as a tgt.dim x src.dim^2 matrix with
+    column i n + j: the curvature of a section f."""
+    d = np.vstack([d for _, d in _defect_rows(src, tgt, f)])
+    return Matrix(src.field, tgt.dim, src.dim**2, d.T.copy(), _raw=True)
 
 
 def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
@@ -658,9 +701,10 @@ def verify_separability_idempotent(a: AlgebraObject, e: list):
 def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     """Quotient algebra on the canonical complement basis; returns (Q, proj).
 
-    proj is the (qdim x dim) projection matrix; its algebra-map property is
-    re-verified.  The complement basis consists of the non-pivot coordinates
-    of the ideal's RREF basis, so the construction is deterministic.
+    The complement basis consists of the non-pivot coordinates of the
+    ideal's RREF basis, so the construction is deterministic.  Q's
+    structure constants are proj applied to the products of the free basis
+    vectors, and proj is re-verified to be an algebra map.
     """
     s = ideal.subspace if isinstance(ideal, IdealData) else ideal
     if not is_ideal(a, s):
@@ -670,40 +714,16 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     free = s.free_columns()
     qdim = len(free)
     proj = s.complement_projection()
-    lift = {t: fr for t, fr in enumerate(free)}  # section: class t -> e_free[t]
+    prods = a.np_tensor()[np.ix_(free, free)].reshape(qdim * qdim, n)  # row (ti, tj)
+    consts = _matmul(f, prods, proj._d.T)
     qmul: dict = {}
-    for ti in range(qdim):
-        for tj in range(qdim):
-            prod = a.pair_product(lift[ti], lift[tj])
-            img = proj.apply(sparse_to_dense(f, {(k,): c for k, c in prod.items()}, (n,)))
-            col = {k: c for k, c in enumerate(img) if not f.is_zero(c)}
-            if col:
-                qmul[(ti, tj)] = col
+    for r, k in zip(*np.nonzero(consts)):
+        qmul.setdefault(divmod(int(r), qdim), {})[int(k)] = consts.item(r, k)
     qunit = proj.apply(a.unit)
     labels = tuple(a.labels[fr] for fr in free)
     q = AlgebraObject(f, qdim, qmul, qunit, labels)
     q.validate().require("quotient algebra")
-    _verify_projection_is_algebra_map(a, q, proj)
+    bad = multiplicativity_defect(a, q, proj)
+    if bad is not None:
+        raise VerificationFailed("projection_algebra_map", bad)
     return q, proj
-
-
-def _verify_projection_is_algebra_map(a: AlgebraObject, q: AlgebraObject, proj: Matrix):
-    f = a.field
-    if a.dense_path():
-        t = a.np_tensor()
-        tq = q.np_tensor()
-        p = f.p
-        pm = proj._d
-        lhs = np.tensordot(t, pm.T, axes=([2], [0])) % p  # (i,j,tq) = proj(e_i e_j)
-        # rhs[i,j,:] = sum_{a,b} pm[a,i] pm[b,j] tq[a,b,:]
-        rhs = np.einsum("ai,abk->ibk", pm, tq) % p
-        rhs = np.einsum("bj,ibk->ijk", pm, rhs) % p
-        if not np.array_equal(lhs, rhs):
-            raise AssertionError("quotient projection is not an algebra map")
-        return
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = proj.apply(a.product(v_basis(f, a.dim, i), v_basis(f, a.dim, j)))
-            rhs = q.product(proj.apply(v_basis(f, a.dim, i)), proj.apply(v_basis(f, a.dim, j)))
-            if not v_eq(f, lhs, rhs):
-                raise AssertionError("quotient projection is not an algebra map")

@@ -8,10 +8,12 @@ direct contraction, never trusted from the solver.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import ValidationReport
 from .fields import ScalarField
 from .hopf import HopfObject, IntegralWitness
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, SparseRows, Subspace, _dtype, _rref, kernel_from_rref, particular_from_rref
 from .tensors import SparseMap, sparse_eq, v_basis, v_eq, v_tensor, v_zero
 
 CTX_KINDS = ("vect", "comod_r", "bicomod", "mod_r", "bimod")
@@ -316,42 +318,60 @@ def unit_object(ctx: CategoryContext, field: ScalarField) -> CatObject:
 # Hom-space machinery
 
 
+def coo_arrays(field: ScalarField, entries: dict):
+    """A {(row, col): value} block as COO arrays (rows, cols, values)."""
+    rc = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    return rc[:, 0], rc[:, 1], np.array(list(entries.values()), dtype=_dtype(field))
+
+
 class MapSolver:
     """Stacked linear constraints on the entries of a matrix F: X -> Y.
 
-    vec(F) is row-major: coordinate of F[y, x] is y * dX + x.
+    vec(F) is row-major: coordinate of F[y, x] is y * dX + x.  The system
+    stays in COO arrays (`SparseRows`); elimination densifies one chunk of
+    rows at a time.
     """
 
     def __init__(self, field: ScalarField, d_src: int, d_tgt: int):
         self.field = field
         self.d_src = d_src
         self.d_tgt = d_tgt
-        self.entries: dict = {}
+        self._coo: list[tuple] = []
         self.rhs: list = []
         self.nrows = 0
 
     def add_rows(self, block_entries: dict, block_rows: int, rhs: list | None = None):
-        off = self.nrows
-        for (r, c), v in block_entries.items():
-            if not self.field.is_zero(v):
-                key = (off + r, c)
-                cur = self.entries.get(key)
-                self.entries[key] = v if cur is None else self.field.add(cur, v)
+        self.add_coo(*coo_arrays(self.field, block_entries), block_rows, rhs)
+
+    def add_coo(self, r, c, v, block_rows: int, rhs: list | None = None):
+        """Add a block given as COO arrays; duplicate entries add up."""
+        self._coo.append((r + self.nrows, c, v))
         self.nrows += block_rows
         z = self.field.zero()
         self.rhs.extend(rhs if rhs is not None else [z] * block_rows)
 
-    def matrix(self) -> Matrix:
-        return Matrix.from_entries(self.field, self.nrows, self.d_src * self.d_tgt, self.entries)
+    def _rows(self) -> SparseRows:
+        empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_dtype(self.field)),)
+        r, c, v = (np.concatenate(a) for a in zip(empty, *self._coo))
+        return SparseRows(self.field, (self.nrows, self.d_src * self.d_tgt), r, c, v)
+
+    def _rref(self, rhs: bool = False):
+        """RREF of the system, of [system | rhs] when rhs is set."""
+        rows = self._rows()  # built apart so the unsorted arrays are freed first
+        b = np.array(self.rhs, dtype=rows.dtype).reshape(-1, 1) if rhs else None
+        red, piv = _rref(rows, self.field, b)
+        return Matrix(self.field, *red.shape, red, _raw=True), piv
+
+    def kernel(self) -> Matrix:
+        """Canonical basis (rows, in RREF) of the solutions with zero rhs."""
+        return kernel_from_rref(self.d_src * self.d_tgt, *self._rref())
 
     def kernel_maps(self) -> list[Matrix]:
-        ker = self.matrix().kernel()
+        ker = self.kernel()
         return [self._devec(ker.row_list(i)) for i in range(ker.rows)]
 
     def solve_map(self) -> Matrix:
-        m = self.matrix()
-        sol, _ = m.solve(Matrix.column(self.field, self.rhs), want_kernel=False)
-        return self._devec(sol)
+        return self._devec(particular_from_rref(self.d_src * self.d_tgt, *self._rref(rhs=True)))
 
     def _devec(self, flat: list) -> Matrix:
         dX = self.d_src

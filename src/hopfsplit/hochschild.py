@@ -8,22 +8,41 @@ Cochains are context morphisms A^(x)n -> M; the differentials are
     b0(f)(a)      = a f - f a
     b1(f)(a,b)    = a f(b) - f(ab) + f(a) b
     b2(f)(a,b,c)  = a f(b,c) - f(ab,c) + f(a,bc) - f(a,b) c
+
+Lifting through a nilpotent tower runs on whole matrices: each quotient
+descends its coactions by one product, (proj (x) id_H) co [ideal^T | incl],
+and each square-zero step reads its curvature (`defect_matrix`), kernel
+products and restricted coactions in kernel coordinates
+(`Subspace.coordinates`).  Every step is re-verified; a failure raises
+`VerificationFailed` naming the check and its first failing index.
 """
 from __future__ import annotations
 
-from .algebra import AlgebraObject, IdealData, ValidationReport, ideal_power_nilpotency
+import numpy as np
+
+from .algebra import (
+    AlgebraObject,
+    IdealData,
+    ValidationReport,
+    VerificationFailed,
+    defect_matrix,
+    ideal_power_nilpotency,
+    multiplicativity_defect,
+    pairwise_products,
+)
 from .category import (
     CatObject,
     CategoryContext,
     HomSpace,
     MapSolver,
     colinearity_blocks,
+    coo_arrays,
     hom_space,
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Subspace
-from .tensors import v_basis, v_eq, v_is_zero, v_tensor, v_zero
+from .linalg import InconsistentSystem, Matrix, Subspace, _join, _matmul
+from .tensors import v_basis, v_eq, v_tensor, v_zero
 
 
 class AlgebraInContext:
@@ -145,55 +164,36 @@ class BimoduleInContext:
 
 
 def _is_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, f_mat: Matrix) -> bool:
-    """Direct check that f : X -> Y commutes with the ctx structures."""
+    """Direct check that f : X -> Y commutes with the ctx structures, one
+    product per structure: rho_Y f = (f (x) id_H) rho_X for coactions and
+    f mu_X = mu_Y (f (x) id_H) for actions (mirrored on the left)."""
     if ctx.kind == "vect":
         return True
-    fld = x.field
     dh = ctx.hopf.dim
-    for v in range(x.dim):
-        ev = v_basis(fld, x.dim, v)
-        fv = f_mat.apply(ev)
-        if ctx.wants_right_coaction:
-            lhs = y.coact_r.apply(fv)
-            rho = x.coact_r.apply(ev)
-            rhs = v_zero(fld, y.dim * dh)
-            for idx, c in enumerate(rho):
-                if fld.is_zero(c):
-                    continue
-                xv, hh = idx // dh, idx % dh
-                img = f_mat.apply(v_basis(fld, x.dim, xv))
-                for yv, w in enumerate(img):
-                    if not fld.is_zero(w):
-                        rhs[yv * dh + hh] = fld.add(rhs[yv * dh + hh], fld.mul(c, w))
-            if not v_eq(fld, lhs, rhs):
-                return False
-        if ctx.wants_left_coaction:
-            lhs = y.coact_l.apply(fv)
-            rho = x.coact_l.apply(ev)
-            rhs = v_zero(fld, dh * y.dim)
-            for idx, c in enumerate(rho):
-                if fld.is_zero(c):
-                    continue
-                hh, xv = idx // x.dim, idx % x.dim
-                img = f_mat.apply(v_basis(fld, x.dim, xv))
-                for yv, w in enumerate(img):
-                    if not fld.is_zero(w):
-                        rhs[hh * y.dim + yv] = fld.add(rhs[hh * y.dim + yv], fld.mul(c, w))
-            if not v_eq(fld, lhs, rhs):
-                return False
-        if ctx.wants_right_action:
-            for hh in range(dh):
-                lhs = f_mat.apply(x.act_r.apply(v_tensor(fld, ev, v_basis(fld, dh, hh))))
-                rhs = y.act_r.apply(v_tensor(fld, fv, v_basis(fld, dh, hh)))
-                if not v_eq(fld, lhs, rhs):
-                    return False
-        if ctx.wants_left_action:
-            for hh in range(dh):
-                lhs = f_mat.apply(x.act_l.apply(v_tensor(fld, v_basis(fld, dh, hh), ev)))
-                rhs = y.act_l.apply(v_tensor(fld, v_basis(fld, dh, hh), fv))
-                if not v_eq(fld, lhs, rhs):
-                    return False
-    return True
+    ft = f_mat.transpose()
+    pairs = []
+    if ctx.wants_right_coaction:
+        pairs.append((y.coact_r @ f_mat, _along_factor(f_mat, x.coact_r, dh, "r")))
+    if ctx.wants_left_coaction:
+        pairs.append((y.coact_l @ f_mat, _along_factor(f_mat, x.coact_l, dh, "l")))
+    # mu_Y (f (x) id_H) = ((f^T (x) id_H) mu_Y^T)^T
+    if ctx.wants_right_action:
+        pairs.append((f_mat @ x.act_r, _along_factor(ft, y.act_r.transpose(), dh, "r").transpose()))
+    if ctx.wants_left_action:
+        pairs.append((f_mat @ x.act_l, _along_factor(ft, y.act_l.transpose(), dh, "l").transpose()))
+    return all(lhs == rhs for lhs, rhs in pairs)
+
+
+def _along_factor(p: Matrix, m: Matrix, dh: int, side: str) -> Matrix:
+    """(p (x) id_H) m when side is "r" (rows of m indexed (x, h)), and
+    (id_H (x) p) m when side is "l" (rows (h, x)), without forming the
+    tensor product of the maps."""
+    n, w = p.cols, m.cols
+    d = m._d.reshape(n, dh * w) if side == "r" else m._d.reshape(dh, n, w).transpose(1, 0, 2).reshape(n, dh * w)
+    out = _matmul(p.field, p._d, d).reshape(p.rows, dh, w)  # (q, h, column)
+    if side == "l":
+        out = out.transpose(1, 0, 2)
+    return Matrix(p.field, p.rows * dh, w, out.reshape(-1, w), _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +420,9 @@ class ExtensionData:
         if not rep.ok:
             return rep
         # pi is an algebra map and a ctx morphism
-        ok = True
-        for i in range(de):
-            for j in range(de):
-                lhs = self.pi.apply(e.product(v_basis(fld, de, i), v_basis(fld, de, j)))
-                rhs = a.product(self.pi.apply(v_basis(fld, de, i)), self.pi.apply(v_basis(fld, de, j)))
-                if not v_eq(fld, lhs, rhs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        rep.record("pi_algebra_map", ok and v_eq(fld, self.pi.apply(e.unit), a.unit), "pi not an algebra map")
+        bad = multiplicativity_defect(e, a, self.pi)
+        rep.record("pi_algebra_map", bad is None and v_eq(fld, self.pi.apply(e.unit), a.unit),
+                   "pi not an algebra map" + ("" if bad is None else f" at {bad}"))
         rep.record("pi_ctx", _is_ctx_morphism(self.actx.ctx, self.eactx.obj, self.actx.obj, self.pi),
                    "pi not a ctx morphism")
         # kernel = image of incl, square zero
@@ -438,28 +430,14 @@ class ExtensionData:
         rep.record("incl_into_kernel", comp.is_zero(), "pi . incl != 0")
         rank_ok = self.incl.rank() == dm and de == da + dm
         rep.record("kernel_dimension", rank_ok, "kernel dimension mismatch")
-        sq_ok = True
-        for s in range(dm):
-            for t in range(dm):
-                prod = e.product(self.incl.col_list(s), self.incl.col_list(t))
-                if not v_is_zero(fld, prod):
-                    sq_ok = False
-        rep.record("kernel_square_zero", sq_ok, "M^2 != 0")
-        # induced bimodule structure matches the declared one
-        sigma = _any_linear_section(self.pi)
-        ok_bimod = True
-        for i in range(da):
-            sa = sigma.col_list(i)
-            for t in range(dm):
-                mvec = self.incl.col_list(t)
-                left_ind = e.product(sa, mvec)
-                decl = self.incl.apply(self.mctx.left(v_basis(fld, da, i), v_basis(fld, dm, t)))
-                if not v_eq(fld, left_ind, decl):
-                    ok_bimod = False
-                right_ind = e.product(mvec, sa)
-                decl = self.incl.apply(self.mctx.right(v_basis(fld, dm, t), v_basis(fld, da, i)))
-                if not v_eq(fld, right_ind, decl):
-                    ok_bimod = False
+        kern = self.incl.transpose()  # rows: the kernel basis in E
+        rep.record("kernel_square_zero", pairwise_products(e, kern, kern).is_zero(), "M^2 != 0")
+        # induced bimodule structure matches the declared one: row (i, t) of
+        # sigma(e_i) m_t and column (i, t) of the declared left action agree,
+        # and likewise (t, i) on the right
+        st = _any_linear_section(self.pi).transpose()
+        ok_bimod = (pairwise_products(e, st, kern) == (self.incl @ self.mctx.act_l).transpose()
+                    and pairwise_products(e, kern, st) == (self.incl @ self.mctx.act_r).transpose())
         rep.record("induced_bimodule", ok_bimod, "induced bimodule structure differs from declared")
         return rep
 
@@ -611,38 +589,7 @@ def find_ctx_section(ext: ExtensionData) -> Matrix:
 
 def unitalize_section(ext: ExtensionData, sigma: Matrix) -> Matrix:
     """sigma' = 2 sigma - sigma(.) sigma(1): unital, still a ctx-section."""
-    fld = ext.actx.field
-    e = ext.eactx.algebra
-    da = ext.actx.dim
-    s1 = sigma.apply(ext.actx.algebra.unit)
-    cols = []
-    for i in range(da):
-        si = sigma.col_list(i)
-        prod = e.product(si, s1)
-        two_si = [fld.add(x, x) for x in si]
-        cols.append([fld.sub(x, y) for x, y in zip(two_si, prod)])
-    return Matrix.from_rows(fld, cols).transpose()
-
-
-def curvature(ext: ExtensionData, sigma: Matrix) -> Matrix:
-    """theta(a,b) = sigma(ab) - sigma(a) sigma(b), as a map A (x) A -> E."""
-    fld = ext.actx.field
-    a = ext.actx.algebra
-    e = ext.eactx.algebra
-    da, de = a.dim, e.dim
-    cols = {}
-    for i in range(da):
-        si = sigma.col_list(i)
-        for j in range(da):
-            acc = v_zero(fld, de)
-            for k, c in a.pair_product(i, j).items():
-                acc = [fld.add(x, fld.mul(c, y)) for x, y in zip(acc, sigma.col_list(k))]
-            prod = e.product(si, sigma.col_list(j))
-            acc = [fld.sub(x, y) for x, y in zip(acc, prod)]
-            for t, c in enumerate(acc):
-                if not fld.is_zero(c):
-                    cols[(t, i * da + j)] = c
-    return Matrix.from_entries(fld, de, da * da, cols)
+    return unitalize_section_generic(ext.actx, ext.eactx.algebra, ext.pi, sigma)
 
 
 def cocycle_class_of_extension(ext: ExtensionData, sigma: Matrix | None = None):
@@ -654,13 +601,10 @@ def cocycle_class_of_extension(ext: ExtensionData, sigma: Matrix | None = None):
         if not (ext.pi @ sigma - Matrix.identity(ext.actx.field, ext.actx.dim)).is_zero():
             raise ValueError("supplied sigma is not a section of pi")
     sigma = unitalize_section(ext, sigma)
-    theta = curvature(ext, sigma)
-    li = left_inverse(ext.incl)
-    omega = li @ theta
-    if not (ext.incl @ omega - theta).is_zero():
-        raise AssertionError("curvature does not factor through the kernel")
-    if not differential(ext.actx, ext.mctx, 2, omega).is_zero():
-        raise AssertionError("curvature cocycle fails b2 = 0")
+    omega = _curvature_cocycle(ext, sigma)
+    bad = _first_nonzero_row(differential(ext.actx, ext.mctx, 2, omega)._d.T, (ext.actx.dim,) * 3)
+    if bad is not None:
+        raise VerificationFailed("curvature_cocycle", bad)
     coords = class_coordinates(ext.actx, ext.mctx, omega)
     return omega, coords
 
@@ -689,16 +633,23 @@ class Obstructed(Exception):
         self.coords = coords
 
 
+def _curvature_cocycle(ext: ExtensionData, sigma: Matrix) -> Matrix:
+    """omega with incl omega = sigma(ab) - sigma(a) sigma(b), the curvature
+    of a section, which lands in the kernel."""
+    theta = defect_matrix(ext.actx.algebra, ext.eactx.algebra, sigma)
+    omega = left_inverse(ext.incl) @ theta
+    bad = _first_nonzero_row((ext.incl @ omega - theta)._d.T, (ext.actx.dim,) * 2)
+    if bad is not None:
+        raise VerificationFailed("curvature_in_kernel", bad)
+    return omega
+
+
 def correct_section(ext: ExtensionData, sigma_unital: Matrix) -> Matrix:
     """Turn a unital ctx-section into an algebra-map section by adding
     incl . tau where b1(tau) = curvature; Obstructed carries the H^2 class."""
     actx, mctx = ext.actx, ext.mctx
     fld = actx.field
-    theta = curvature(ext, sigma_unital)
-    li = left_inverse(ext.incl)
-    omega = li @ theta
-    if not (ext.incl @ omega - theta).is_zero():
-        raise AssertionError("curvature does not factor through the kernel")
+    omega = _curvature_cocycle(ext, sigma_unital)
     da, dm = actx.dim, mctx.dim
     solver = MapSolver(fld, da, dm)
     for entries, nrows in colinearity_blocks(actx.ctx, actx.obj, mctx.obj):
@@ -710,26 +661,25 @@ def correct_section(ext: ExtensionData, sigma_unital: Matrix) -> Matrix:
     except InconsistentSystem:
         raise Obstructed(class_coordinates(actx, mctx, omega))
     corrected = sigma_unital + ext.incl @ tau
-    _verify_algebra_section(ext, corrected)
+    _verify_algebra_lift(actx, ext.eactx, corrected, ext.pi, Matrix.identity(fld, da), "corrected_section")
     return corrected
 
 
-def _verify_algebra_section(ext: ExtensionData, sigma: Matrix):
-    fld = ext.actx.field
-    a = ext.actx.algebra
-    e = ext.eactx.algebra
-    if not (ext.pi @ sigma - Matrix.identity(fld, a.dim)).is_zero():
-        raise AssertionError("corrected map is not a section")
-    if not v_eq(fld, sigma.apply(a.unit), e.unit):
-        raise AssertionError("corrected section is not unital")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = sigma.apply(a.product(v_basis(fld, a.dim, i), v_basis(fld, a.dim, j)))
-            rhs = e.product(sigma.col_list(i), sigma.col_list(j))
-            if not v_eq(fld, lhs, rhs):
-                raise AssertionError("corrected section is not multiplicative")
-    if not _is_ctx_morphism(ext.actx.ctx, ext.actx.obj, ext.eactx.obj, sigma):
-        raise AssertionError("corrected section is not a ctx morphism")
+def _verify_algebra_lift(src: AlgebraInContext, tgt: AlgebraInContext, sigma: Matrix,
+                         pi: Matrix, target: Matrix, what: str):
+    """Re-verify that sigma : src -> tgt is a unital, multiplicative ctx
+    morphism with pi sigma = target; raises VerificationFailed naming the
+    check, prefixed by `what`."""
+    fld = src.field
+    if not (pi @ sigma - target).is_zero():
+        raise VerificationFailed(f"{what}_lifts_target")
+    if not v_eq(fld, sigma.apply(src.algebra.unit), tgt.algebra.unit):
+        raise VerificationFailed(f"{what}_unital")
+    bad = multiplicativity_defect(src.algebra, tgt.algebra, sigma)
+    if bad is not None:
+        raise VerificationFailed(f"{what}_multiplicative", bad)
+    if not _is_ctx_morphism(src.ctx, src.obj, tgt.obj, sigma):
+        raise VerificationFailed(f"{what}_ctx_morphism")
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +721,7 @@ def equivalent_extensions(e1: ExtensionData, e2: ExtensionData, bound: int = 409
         f0 = solver.solve_map()
     except InconsistentSystem:
         return EquivalenceResult("inequivalent")
-    ker = solver.matrix().kernel()
+    ker = solver.kernel()
     k = ker.rows
     if fld.kind == "Fp":
         total = fld.p**k
@@ -780,7 +730,7 @@ def equivalent_extensions(e1: ExtensionData, e2: ExtensionData, bound: int = 409
         total = 3**k
         coeff_range = (-1, 0, 1)
     if total > bound:
-        if _is_multiplicative(e1, e2, f0):
+        if multiplicativity_defect(e1.eactx.algebra, e2.eactx.algebra, f0) is None:
             return EquivalenceResult("equivalent", f0)
         return EquivalenceResult("undecided")
     import itertools
@@ -791,25 +741,11 @@ def equivalent_extensions(e1: ExtensionData, e2: ExtensionData, bound: int = 409
             if c == 0:
                 continue
             f = f + _devec(fld, ker.row_list(t), de2, de1).scale(fld.from_int(c))
-        if _is_multiplicative(e1, e2, f):
+        if multiplicativity_defect(e1.eactx.algebra, e2.eactx.algebra, f) is None:
             return EquivalenceResult("equivalent", f)
     if fld.kind == "Fp":
         return EquivalenceResult("inequivalent")
     return EquivalenceResult("inequivalent" if k == 0 else "undecided")
-
-
-def _is_multiplicative(e1: ExtensionData, e2: ExtensionData, f: Matrix) -> bool:
-    fld = e1.actx.field
-    a1 = e1.eactx.algebra
-    a2 = e2.eactx.algebra
-    for i in range(a1.dim):
-        fi = f.col_list(i)
-        for j in range(a1.dim):
-            lhs = f.apply(a1.product(v_basis(fld, a1.dim, i), v_basis(fld, a1.dim, j)))
-            rhs = a2.product(fi, f.col_list(j))
-            if not v_eq(fld, lhs, rhs):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -845,55 +781,42 @@ def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> Quo
         obj = CatObject(fld, dq)
     else:
         dh = ctx.hopf.dim
-
-        cols = [proj.col_list(xv) for xv in range(n)]  # proj(e_xv)
+        di = ideal_subspace.dim
+        cols = ideal_subspace.basis.transpose().hstack(incl)  # [ideal^T | incl]
 
         def descend(co, side):
+            # (proj (x) id_H) co [ideal^T | incl], (id_H (x) proj) on the
+            # left: the ideal block vanishes iff the ideal is a subcomodule,
+            # the complement block is the descended coaction
             if co is None:
                 return None
-            # check the ideal is a subcomodule, then push through proj
-            for t in range(ideal_subspace.dim):
-                img = co.apply(ideal_subspace.basis.row_list(t))
-                acc = v_zero(fld, dq * dh)
-                for idx, c in enumerate(img):
-                    if fld.is_zero(c):
-                        continue
-                    if side == "r":
-                        xv, hh = idx // dh, idx % dh
-                        for qv, w in enumerate(cols[xv]):
-                            acc[qv * dh + hh] = fld.add(acc[qv * dh + hh], fld.mul(c, w))
-                    else:
-                        hh, xv = idx // n, idx % n
-                        for qv, w in enumerate(cols[xv]):
-                            acc[hh * dq + qv] = fld.add(acc[hh * dq + qv], fld.mul(c, w))
-                if not v_is_zero(fld, acc):
-                    raise ValueError(f"ideal is not a {'right' if side == 'r' else 'left'} subcomodule")
-            entries = {}
-            for t in range(dq):
-                img = co.apply(incl.col_list(t))
-                for idx, c in enumerate(img):
-                    if fld.is_zero(c):
-                        continue
-                    if side == "r":
-                        xv, hh = idx // dh, idx % dh
-                        for qv, w in enumerate(cols[xv]):
-                            if not fld.is_zero(fld.mul(c, w)):
-                                key = (qv * dh + hh, t)
-                                entries[key] = fld.add(entries.get(key, fld.zero()), fld.mul(c, w))
-                    else:
-                        hh, xv = idx // n, idx % n
-                        for qv, w in enumerate(cols[xv]):
-                            if not fld.is_zero(fld.mul(c, w)):
-                                key = (hh * dq + qv, t)
-                                entries[key] = fld.add(entries.get(key, fld.zero()), fld.mul(c, w))
-            rows = dq * dh if side == "r" else dh * dq
-            return Matrix.from_entries(fld, rows, dq, entries)
+            img = _along_factor(proj, co @ cols, dh, side)._d
+            if img[:, :di].any():
+                raise ValueError(f"ideal is not a {'right' if side == 'r' else 'left'} subcomodule")
+            return Matrix(fld, dq * dh, dq, img[:, di:].copy(), _raw=True)
 
         obj = CatObject(fld, dq, ctx.hopf,
                         coact_l=descend(actx.obj.coact_l, "l"),
                         coact_r=descend(actx.obj.coact_r, "r"))
     qactx = AlgebraInContext(ctx, q, obj)
     return QuotientStep(qactx, proj, incl, free)
+
+
+def _first_nonzero_row(d: np.ndarray, shape: tuple):
+    """The first nonzero row of d, as an index tuple over shape, or None."""
+    rows = np.flatnonzero((d != 0).any(axis=1))
+    return tuple(int(x) for x in np.unravel_index(rows[0], shape)) if rows.size else None
+
+
+def _kernel_coordinates(kernel: Subspace, rows: Matrix, check: str, shape: tuple) -> Matrix:
+    """Coordinates of the rows in the kernel's basis; when a row lies
+    outside, VerificationFailed names `check` and that row's index tuple
+    over shape."""
+    coords = kernel.coordinates(rows)
+    if coords is None:
+        bad = next(t for t in range(rows.rows) if not kernel.contains_vector(rows.row_list(t)))
+        raise VerificationFailed(check, tuple(int(x) for x in np.unravel_index(bad, shape)))
+    return coords
 
 
 def _solve_ctx_lift(ctx, b_actx, q_actx, cur: QuotientStep, nxt: QuotientStep,
@@ -906,41 +829,34 @@ def _solve_ctx_lift(ctx, b_actx, q_actx, cur: QuotientStep, nxt: QuotientStep,
     """
     fld = b_actx.field
     db = b_actx.dim
-    dq = q_actx.dim
     dm = kr.dim
+    s0 = _coordinate_section(fld, cur, nxt) @ f_cur
     if dm == 0:
-        return _coordinate_section(fld, cur, nxt) @ f_cur
-    iota = _coordinate_section(fld, cur, nxt)
-    s0 = iota @ f_cur
+        return s0
     incl = kr.basis.transpose()  # (dq, dm)
-    s0_vec = _vec(s0)
+    iy, it = incl._d.nonzero()  # nonzeros (y, t) of incl, sorted by y
+    iw = incl._d[iy, it]
+    by_y = np.searchsorted(iy, np.arange(incl.rows + 1))
+    s0_flat = s0._d.ravel()
     solver = MapSolver(fld, db, dm)
     for entries, nrows in colinearity_blocks(ctx, b_actx.obj, q_actx.obj):
-        # restrict columns along sigma0 = s0 + incl X and move s0 to the rhs
-        new_entries: dict = {}
-        rhs = [fld.zero()] * nrows
-        for (row, col), v in entries.items():
-            y, x = col // db, col % db
-            if not fld.is_zero(s0_vec[col]):
-                rhs[row] = fld.sub(rhs[row], fld.mul(v, s0_vec[col]))
-            for t in range(dm):
-                w = incl[y, t]
-                if not fld.is_zero(w):
-                    key = (row, t * db + x)
-                    cur_v = new_entries.get(key, fld.zero())
-                    val = fld.add(cur_v, fld.mul(v, w))
-                    if fld.is_zero(val):
-                        new_entries.pop(key, None)
-                    else:
-                        new_entries[key] = val
-        solver.add_rows(new_entries, nrows, rhs)
+        # restrict columns along sigma0 = s0 + incl X: the entry v at column
+        # (y, x) joins every incl[y, t] = w into v w at column (t, x) of X,
+        # and its s0 term v s0[y, x] moves to the right-hand side
+        r, c, v = coo_arrays(fld, entries)
+        y, x = c // db, c % db
+        src, dst = _join(np.arange(len(v)), by_y[y], by_y[y + 1])
+        rhs = np.full(nrows, fld.zero(), dtype=s0_flat.dtype)
+        np.add.at(rhs, r, fld.reduce(v * s0_flat[c]))
+        solver.add_coo(r[src], it[dst] * db + x[src], fld.reduce(v[src] * iw[dst]), nrows,
+                       fld.reduce(-rhs).tolist())
     try:
         x_map = solver.solve_map()
     except InconsistentSystem:
         raise MissingSection(f"no ctx lift through tower step {step + 1}")
     sigma0 = s0 + incl @ x_map
     if not (p_r @ sigma0 - f_cur).is_zero():
-        raise AssertionError("parameterized lift misses the target")
+        raise VerificationFailed("ctx_lift_hits_target")
     return sigma0
 
 
@@ -950,7 +866,7 @@ def _coordinate_section(fld, cur: QuotientStep, nxt: QuotientStep) -> Matrix:
     entries = {}
     for t, amb in enumerate(cur.free):
         if amb not in pos:
-            raise AssertionError("complement bases do not nest")
+            raise VerificationFailed("complement_bases_nest", amb)
         entries[(pos[amb], t)] = fld.one()
     return Matrix.from_entries(fld, len(nxt.free), len(cur.free), entries)
 
@@ -964,99 +880,73 @@ def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
     f_map is expressed in the canonical basis of A/J produced by
     quotient_in_context(actx, J).  Returns the lifted map B -> A.
     """
-    fld = actx.field
     powers, nil_index = ideal_power_nilpotency(actx.algebra, j_ideal)
     # chain of quotients A/J^1, A/J^2, ..., A/J^(nil) = A
     steps = [quotient_in_context(actx, powers[r]) for r in range(len(powers))]
     if powers[-1].dim != 0:
         raise ValueError("ideal is not nilpotent")
     f_cur = f_map
-    db = b_actx.dim
     for r in range(len(steps) - 1):
         cur, nxt = steps[r], steps[r + 1]
         p_r = cur.proj_from_full @ nxt.incl_to_full  # Q_{r+1} -> Q_r
-        dq = nxt.actx.dim
-        kr = Subspace.from_matrix_rows(p_r.kernel())
+        kr = Subspace(p_r.cols, p_r.kernel())
         sigma0 = _solve_ctx_lift(actx.ctx, b_actx, nxt.actx, cur, nxt, p_r, kr, f_cur, r)
-        sigma0u = unitalize_section_generic(b_actx, nxt.actx.algebra, p_r, f_cur, sigma0)
-        f_cur = _tower_correct(b_actx, nxt.actx, p_r, kr, sigma0u, f_cur)
+        sigma0u = unitalize_section_generic(b_actx, nxt.actx.algebra, p_r, sigma0)
+        f_cur = _tower_correct(b_actx, nxt.actx, p_r, kr, sigma0u)
     lift = f_cur
-    # final checks: algebra map, ctx morphism, projects onto f_map
-    _verify_tower_lift(actx, b_actx, steps, lift, f_map)
+    # final check: the lift projects onto f_map (each step verified the rest)
+    down = steps[0].proj_from_full @ steps[-1].incl_to_full @ lift
+    if not (down - f_map).is_zero():
+        raise VerificationFailed("tower_lift_projects_to_target")
     return (lift, steps) if return_steps else lift
 
 
 def unitalize_section_generic(b_actx: AlgebraInContext, e_alg: AlgebraObject,
-                              p_r: Matrix, f_target: Matrix, sigma: Matrix) -> Matrix:
+                              p_r: Matrix, sigma: Matrix) -> Matrix:
     """sigma' = 2 sigma - sigma(.) sigma(1) for a lift along p_r (the kernel
-    is square-zero, so sigma' is unital and still lifts f_target)."""
+    is square-zero, so sigma' is unital and still lifts what sigma lifts)."""
     fld = b_actx.field
-    s1 = sigma.apply(b_actx.algebra.unit)
-    cols = []
-    for i in range(b_actx.dim):
-        si = sigma.col_list(i)
-        prod = e_alg.product(si, s1)
-        cols.append([fld.sub(fld.add(x, x), y) for x, y in zip(si, prod)])
-    out = Matrix.from_rows(fld, cols).transpose()
+    s1 = Matrix.row(fld, sigma.apply(b_actx.algebra.unit))
+    # row i of the products is sigma(e_i) sigma(1)
+    out = sigma.scale(fld.from_int(2)) - pairwise_products(e_alg, sigma.transpose(), s1).transpose()
     if not v_eq(fld, out.apply(b_actx.algebra.unit), e_alg.unit):
-        raise AssertionError("unitalization failed")
+        raise VerificationFailed("unitalized_lift_unital")
     if not (p_r @ out - p_r @ sigma).is_zero():
-        raise AssertionError("unitalization moved the lift")
+        raise VerificationFailed("unitalized_lift_projection")
     return out
 
 
 def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
-                   p_r: Matrix, kernel_sub: Subspace, sigma: Matrix, f_target: Matrix) -> Matrix:
-    """One square-zero correction step: solve b1(tau) = curvature in ctx."""
+                   p_r: Matrix, kernel_sub: Subspace, sigma: Matrix) -> Matrix:
+    """One square-zero correction step: solve b1(tau) = curvature in ctx.
+
+    The kernel's square-zero test, the curvature, the induced bimodule
+    actions and the restricted coactions are each one product
+    (`pairwise_products`, `defect_matrix`, `@`) read off in kernel
+    coordinates (`Subspace.coordinates`), which fails when a product
+    escapes the kernel.
+    """
     fld = b_actx.field
     b_alg = b_actx.algebra
     q_alg = q_actx.algebra
     db, dq = b_alg.dim, q_alg.dim
     dm = kernel_sub.dim
-    incl = kernel_sub.basis.transpose()  # (dq, dm)
-    piv = kernel_sub.pivots
-    # square-zero check for the kernel
-    for s in range(dm):
-        for t in range(dm):
-            if not v_is_zero(fld, q_alg.product(incl.col_list(s), incl.col_list(t))):
-                raise AssertionError("tower step kernel is not square-zero")
-    # curvature theta : B (x) B -> Q_{r+1}, lands in the kernel
-    theta_cols = {}
-    for i in range(db):
-        si = sigma.col_list(i)
-        for j in range(db):
-            acc = v_zero(fld, dq)
-            for k, c in b_alg.pair_product(i, j).items():
-                acc = [fld.add(x, fld.mul(c, y)) for x, y in zip(acc, sigma.col_list(k))]
-            prod = q_alg.product(si, sigma.col_list(j))
-            acc = [fld.sub(x, y) for x, y in zip(acc, prod)]
-            if not kernel_sub.contains_vector(acc):
-                raise AssertionError("curvature escapes the tower kernel")
-            for t in range(dm):
-                v = acc[piv[t]]
-                if not fld.is_zero(v):
-                    theta_cols[(t, i * db + j)] = v
-    omega = Matrix.from_entries(fld, dm, db * db, theta_cols)
-    # B-bimodule structure on the kernel via sigma (well-defined: M^2 = 0)
-    act_l_e = {}
-    act_r_e = {}
-    for i in range(db):
-        si = sigma.col_list(i)
-        for t in range(dm):
-            mv = incl.col_list(t)
-            left = q_alg.product(si, mv)
-            right = q_alg.product(mv, si)
-            if not kernel_sub.contains_vector(left) or not kernel_sub.contains_vector(right):
-                raise AssertionError("kernel is not stable under the bimodule actions")
-            for s in range(dm):
-                v = left[piv[s]]
-                if not fld.is_zero(v):
-                    act_l_e[(s, i * dm + t)] = v
-                v = right[piv[s]]
-                if not fld.is_zero(v):
-                    act_r_e[(s, t * db + i)] = v
-    act_l = Matrix.from_entries(fld, dm, db * dm, act_l_e)
-    act_r = Matrix.from_entries(fld, dm, dm * db, act_r_e)
+    kern = kernel_sub.basis  # rows: the kernel basis in Q_{r+1}
+    incl = kern.transpose()  # (dq, dm)
+    bad = _first_nonzero_row(pairwise_products(q_alg, kern, kern)._d, (dm, dm))
+    if bad is not None:
+        raise VerificationFailed("tower_kernel_square_zero", bad)
+    # curvature theta(a, b) = sigma(ab) - sigma(a) sigma(b) lands in the
+    # kernel; omega holds its coordinates, column (i, j)
+    theta = defect_matrix(b_alg, q_alg, sigma).transpose()
+    omega = _kernel_coordinates(kernel_sub, theta, "tower_curvature_in_kernel", (db, db)).transpose()
+    # B-bimodule structure on the kernel via sigma (well-defined: M^2 = 0):
+    # rows (i, t) are sigma(e_i) m_t, rows (t, i) are m_t sigma(e_i)
+    st = sigma.transpose()
+    act_l = _kernel_coordinates(kernel_sub, pairwise_products(q_alg, st, kern),
+                                "tower_kernel_left_action", (db, dm)).transpose()
+    act_r = _kernel_coordinates(kernel_sub, pairwise_products(q_alg, kern, st),
+                                "tower_kernel_right_action", (dm, db)).transpose()
     # kernel as a ctx object: restrict the coactions of Q_{r+1}
     ctx = b_actx.ctx
     if ctx.kind == "vect":
@@ -1065,25 +955,18 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
         dh = ctx.hopf.dim
 
         def restrict(co, side):
+            # slice (t, h) of co(m_t) is a vector of Q_{r+1} that must lie
+            # in the kernel; its coordinate s is entry (s, h) of column t
+            # on the right, (h, s) on the left
             if co is None:
                 return None
-            entries = {}
-            for t in range(dm):
-                img = co.apply(incl.col_list(t))
-                for hh in range(dh):
-                    comp = ([img[x * dh + hh] for x in range(dq)] if side == "r"
-                            else [img[hh * dq + x] for x in range(dq)])
-                    if v_is_zero(fld, comp):
-                        continue
-                    if not kernel_sub.contains_vector(comp):
-                        raise AssertionError("kernel coaction escapes the kernel")
-                    for s in range(dm):
-                        v = comp[piv[s]]
-                        if not fld.is_zero(v):
-                            key = (s * dh + hh, t) if side == "r" else (hh * dm + s, t)
-                            entries[key] = v
-            rows = dm * dh if side == "r" else dh * dm
-            return Matrix.from_entries(fld, rows, dm, entries)
+            img = (co @ incl)._d
+            img = (img.reshape(dq, dh, dm).transpose(2, 1, 0) if side == "r"
+                   else img.reshape(dh, dq, dm).transpose(2, 0, 1))  # (t, h, x)
+            slices = Matrix(fld, dm * dh, dq, img.reshape(dm * dh, dq), _raw=True)
+            c = _kernel_coordinates(kernel_sub, slices, "tower_kernel_coaction", (dm, dh))._d
+            c = c.reshape(dm, dh, dm).transpose((2, 1, 0) if side == "r" else (1, 2, 0))
+            return Matrix(fld, dm * dh, dm, c.reshape(dm * dh, dm), _raw=True)
 
         kobj = CatObject(fld, dm, ctx.hopf,
                          coact_l=restrict(q_actx.obj.coact_l, "l"),
@@ -1099,27 +982,5 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     except InconsistentSystem:
         raise Obstructed(f"tower step obstruction (kernel dim {dm})")
     corrected = sigma + incl @ tau
-    # verify: algebra map lifting f_target
-    for i in range(db):
-        for j in range(db):
-            lhs = corrected.apply(b_alg.product(v_basis(fld, db, i), v_basis(fld, db, j)))
-            rhs = q_alg.product(corrected.col_list(i), corrected.col_list(j))
-            if not v_eq(fld, lhs, rhs):
-                raise AssertionError("tower correction failed multiplicativity")
-    if not v_eq(fld, corrected.apply(b_alg.unit), q_alg.unit):
-        raise AssertionError("tower correction failed unitality")
-    if not _is_ctx_morphism(ctx, b_actx.obj, q_actx.obj, corrected):
-        raise AssertionError("tower correction failed colinearity")
-    if not (p_r @ corrected - p_r @ sigma).is_zero():
-        raise AssertionError("tower correction moved the projection")
+    _verify_algebra_lift(b_actx, q_actx, corrected, p_r, p_r @ sigma, "tower_correction")
     return corrected
-
-
-def _verify_tower_lift(actx, b_actx, steps, lift, f_map):
-    fld = actx.field
-    # project the lift down to A/J and compare with f_map
-    p_full = steps[0].proj_from_full  # A -> A/J
-    top_incl = steps[-1].incl_to_full  # Q_n -> A (identity permutation)
-    down = p_full @ top_incl @ lift
-    if not (down - f_map).is_zero():
-        raise AssertionError("tower lift does not project onto the given map")

@@ -8,7 +8,7 @@ subalgebra, so it suffices that it contains an algebra generating set.
 """
 from __future__ import annotations
 
-from .algebra import AlgebraObject, ValidationReport
+from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
 from .linalg import InconsistentSystem, Matrix, Subspace
@@ -455,34 +455,9 @@ def _pair(f, functional: list, vec: list):
 
 def is_algebra_map(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> bool:
     """f(xy) = f(x)f(y) on all basis pairs and f(1) = 1."""
-    fld = src.field
-    if not v_eq(fld, f.apply(src.unit), tgt.unit):
+    if not v_eq(src.field, f.apply(src.unit), tgt.unit):
         return False
-    if src.dense_path():
-        import numpy as np
-
-        p = fld.p
-        ts = src.np_tensor()
-        tt = tgt.np_tensor()
-        fm = f._d
-        # lhs[k,i,j] = f(e_i e_j)_k = sum_m f[k,m] T_src[i,j,m]
-        lhs = np.tensordot(fm, ts, axes=([1], [2])) % p  # (k, i, j)
-        # g[i,b,k] = sum_a f[a,i] T_tgt[a,b,k]
-        g = np.tensordot(fm.T, tt, axes=([1], [0])) % p
-        rhs = np.tensordot(g, fm.T, axes=([1], [1]))  # (i, k, j): sum_b g[i,b,k] F[b,j]
-        rhs = rhs % p
-        rhs = np.transpose(rhs, (1, 0, 2))  # (k, i, j)
-        return bool(np.array_equal(lhs % p, rhs))
-    for i in range(src.dim):
-        fi = f.col_list(i)
-        for j in range(src.dim):
-            lhs = f.apply(
-                [src.pair_product(i, j).get(k, fld.zero()) for k in range(src.dim)]
-            )
-            rhs = tgt.product(fi, f.col_list(j))
-            if not v_eq(fld, lhs, rhs):
-                return False
-    return True
+    return multiplicativity_defect(src, tgt, f) is None
 
 
 def is_coalgebra_map(src, tgt, f: Matrix) -> bool:

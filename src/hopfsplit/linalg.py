@@ -6,15 +6,23 @@ Matrices act on column vectors.  Reduced row echelon form is canonical
 
 Every matrix is one numpy array: int64 over F_p with p < 2**31 (exact
 integer arithmetic, reduced mod p after each step), ``dtype=object``
-otherwise (Fractions over Q, python ints for huge p).  No floating point
-is involved.  The only per-field step is ``ScalarField.reduce``.
+otherwise (Fractions over Q, python ints for huge p).  The only per-field
+step is ``ScalarField.reduce``.  Products, ``_matmul``, run int64 F_p
+operands through float64 BLAS only while k (p - 1)^2 < 2^53 for inner
+dimension k, so every partial sum is an integer float64 holds exactly;
+object products multiply only nonzero pairs.
 
 Elimination is one kernel for every dtype, ``_rref``: rows are streamed
 in chunks, each chunk is stacked under the RREF found so far, and column
 Gauss-Jordan updates only the block (rows nonzero in the pivot column) x
 (columns nonzero in the pivot row).  Sparse matrices, the common case,
 cost little more than their nonzeros, and over Q no zero Fraction is
-ever multiplied.
+ever multiplied.  A tall sparse system can stay COO arrays
+(`SparseRows`), from which `_rref` densifies one chunk of rows at a time;
+`kernel_from_rref` and `particular_from_rref` read its results.
+
+Containment in a subspace is one product: ``Subspace.coordinates``
+checks M = M[:, pivots] @ basis for all rows of M at once.
 """
 from __future__ import annotations
 
@@ -33,14 +41,34 @@ def _dtype(field: ScalarField):
     return np.int64 if field.kind == "Fp" and field.p < _INT64_LIMIT else object
 
 
+def _join(src, lo, hi):
+    """Pair each src[t] with every index in [lo[t], hi[t]); returns the
+    matched (src, index) arrays, grouped by t in order."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    starts = np.repeat(lo - ends + counts, counts)
+    return np.repeat(src, counts), starts + np.arange(len(starts))
+
+
 def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, reduced.
+
+    int64 operands (F_p, entries in [0, p)) multiply in float64 BLAS when
+    k (p - 1)^2 < 2^53 for inner dimension k: every partial sum is then an
+    integer below 2^53, which float64 holds exactly.  Past that bound the
+    int64 product runs with the inner dimension blocked against overflow.
+    Object operands (Q, huge p) go through `_matmul_sparse`.
+    """
     k = a.shape[1]
     if k == 0:
         return np.full((a.shape[0], b.shape[1]), field.zero(), dtype=a.dtype)
     if a.dtype == object:
-        return field.reduce(a @ b)
-    # block the inner dimension so int64 accumulation cannot overflow
+        return _matmul_sparse(field, a, b)
     p = field.p
+    if k * (p - 1) ** 2 < 2**53:
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
     max_block = max(1, (2**62) // max(1, (p - 1) ** 2))
     if k <= max_block:
         return (a @ b) % p
@@ -48,6 +76,61 @@ def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(0, k, max_block):
         out = (out + a[:, s : s + max_block] @ b[s : s + max_block, :]) % p
     return out
+
+
+def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for object arrays, multiplying only nonzero pairs: the nonzeros
+    (i, t) of a are joined with the nonzeros (t, j) of b on t, and the
+    products are summed per (i, j).  A Fraction product costs the same
+    whether or not a factor is zero, so skipping zeros is the whole gain."""
+    # scan the smaller factor for nonzeros first and the other only at the
+    # inner indices those use (a matrix times a sparse vector reads only
+    # the vector's columns)
+    if b.size <= a.size:
+        bt, bj = b.nonzero()
+        inner = np.flatnonzero(np.bincount(bt, minlength=a.shape[1]))
+        ai, at = a[:, inner].nonzero()
+        at = inner[at]
+    else:
+        ai, at = a.nonzero()
+        inner = np.flatnonzero(np.bincount(at, minlength=a.shape[1]))
+        bt, bj = b[inner].nonzero()
+        bt = inner[bt]
+    out = np.full((a.shape[0], b.shape[1]), field.zero(), dtype=object)
+    if ai.size and bt.size:
+        by_t = np.searchsorted(bt, np.arange(a.shape[1] + 1))
+        src, dst = _join(np.arange(ai.size), by_t[at], by_t[at + 1])
+        if src.size:
+            keys = ai[src] * b.shape[1] + bj[dst]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            terms = a[ai, at][src[order]] * b[bt, bj][dst[order]]
+            first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            out.flat[keys[first]] = np.add.reduceat(terms, first)
+    return field.reduce(out)
+
+
+class SparseRows:
+    """A tall matrix held as COO arrays (row, col, value), a row source for
+    `_rref` in place of an ndarray: slicing a range of rows returns only
+    those rows, dense, so no more than one chunk is ever dense.  Duplicate
+    entries add up."""
+
+    def __init__(self, field: ScalarField, shape: tuple[int, int], r, c, v):
+        order = np.argsort(r, kind="stable")
+        self.field = field
+        self.shape = shape
+        self.dtype = _dtype(field)
+        self._r, self._c = r[order], c[order]
+        self._v = np.asarray(v, dtype=self.dtype)[order]
+        self._starts = np.searchsorted(self._r, np.arange(shape[0] + 1))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        s, e = rows.start, min(rows.stop, self.shape[0])
+        lo, hi = self._starts[s], self._starts[e]
+        out = np.full((e - s, self.shape[1]), self.field.zero(), dtype=self.dtype)
+        np.add.at(out, (self._r[lo:hi] - s, self._c[lo:hi]), self._v[lo:hi])
+        return out
 
 
 _CHUNK = 1024  # rows streamed per Gauss-Jordan pass
@@ -87,7 +170,7 @@ def _gauss_jordan(a: np.ndarray, field: ScalarField):
     return a[prows], pivs
 
 
-def _rref(a: np.ndarray, field: ScalarField, rhs: np.ndarray | None = None):
+def _rref(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | None = None):
     """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given);
     returns (rref_rows, pivot_cols).
 
@@ -225,10 +308,6 @@ class Matrix:
         """Matrix times column vector, as python scalars."""
         f = self.field
         v = f.reduce(np.array(vec, dtype=self._d.dtype))
-        if self._d.dtype == object:
-            # only the columns met by nonzero coordinates cost anything
-            nz = np.flatnonzero(v)
-            return _matmul(f, self._d[:, nz], v[nz].reshape(-1, 1)).ravel().tolist()
         return _matmul(f, self._d, v.reshape(-1, 1)).ravel().tolist()
 
     def is_zero(self) -> bool:
@@ -261,8 +340,7 @@ class Matrix:
 
     def kernel(self) -> "Matrix":
         """Canonical basis (as rows, in RREF) of {x : self @ x = 0}."""
-        r, piv = self.rref()
-        return Subspace(self.cols, r, piv).complement_projection().rref()[0]
+        return kernel_from_rref(self.cols, *self.rref())
 
     def solve(self, b: "Matrix", want_kernel: bool = True):
         """Solve self @ x = b (b a column).  Returns (particular, kernel_rows).
@@ -273,12 +351,7 @@ class Matrix:
         """
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("rhs shape mismatch")
-        r, piv = self.rref(b)
-        if self.cols in piv:
-            raise InconsistentSystem("no solution")
-        x = [self.field.zero()] * self.cols
-        for pc, v in zip(piv, r.col_list(self.cols)):
-            x[pc] = v
+        x = particular_from_rref(self.cols, *self.rref(b))
         return x, (self.kernel() if want_kernel else None)
 
     def inverse(self) -> "Matrix":
@@ -288,6 +361,24 @@ class Matrix:
         if piv != list(range(self.rows)):
             raise InconsistentSystem("matrix is singular")
         return self._new(self.rows, self.rows, r._d[:, self.rows :].copy())
+
+
+def kernel_from_rref(cols: int, r: Matrix, piv: list[int]) -> Matrix:
+    """Canonical kernel basis (rows, in RREF) of a matrix with ``cols``
+    columns, from its RREF (r, piv)."""
+    return Subspace(cols, r, piv).complement_projection().rref()[0]
+
+
+def particular_from_rref(cols: int, r: Matrix, piv: list[int]) -> list:
+    """The solution with every free variable zero, from the RREF (r, piv)
+    of the augmented system [A | b] with A of ``cols`` columns; raises
+    InconsistentSystem when b is a pivot column."""
+    if cols in piv:
+        raise InconsistentSystem("no solution")
+    x = [r.field.zero()] * cols
+    for pc, v in zip(piv, r.col_list(cols)):
+        x[pc] = v
+    return x
 
 
 def solve_linear(a: Matrix, b: Matrix):
@@ -380,18 +471,24 @@ class Subspace:
         coeffs = ker._new(ker.rows, self.dim, ker._d[:, : self.dim])
         return Subspace(self.ambient_dim, *(coeffs @ self.basis).rref())
 
+    def coordinates(self, rows: Matrix) -> Matrix | None:
+        """Coordinates C with rows = C @ basis, or None when a row lies
+        outside.  A vector of the span equals its entries at the pivots
+        times the RREF basis, so one product, M - M[:, pivots] @ basis,
+        tests every row of M at once."""
+        if rows.cols != self.ambient_dim:
+            raise ValueError(f"rows of length {rows.cols} in K^{self.ambient_dim}")
+        c = rows._d[:, self.pivots]
+        if not np.array_equal(_matmul(self.field, c, self.basis._d), rows._d):
+            return None
+        return rows._new(rows.rows, self.dim, c)
+
     def contains_vector(self, vec) -> bool:
-        if self.dim == 0:
-            f = self.field
-            return all(f.is_zero(x) for x in vec)
-        m = self.basis.vstack(Matrix.row(self.field, list(vec)))
-        return m.rank() == self.dim
+        return self.coordinates(Matrix.row(self.field, list(vec))) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        if other.dim == 0:
-            return True
-        return self.basis.vstack(other.basis).rank() == self.dim
+        return self.coordinates(other.basis) is not None
 
     def quotient_complement(self, inside: "Subspace") -> Matrix:
         """Complement basis of self inside `inside` (requires self <= inside).

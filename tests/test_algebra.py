@@ -1,6 +1,7 @@
 """Structure-constant algebras: validation, ideals, radical, separability."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,11 @@ from hopfsplit.algebra import (
     NotNilpotentWithin,
     NotSeparable,
     SmallCharUnsupported,
+    defect_matrix,
     ideal_generated_by,
     ideal_power_nilpotency,
     is_ideal,
+    multiplicativity_defect,
     quotient_algebra,
     radical,
     separability_idempotent,
@@ -333,3 +336,89 @@ def test_flagship_single_constant_mutations_fail_associativity(ha_f7):
     for i, j, k in picks:
         rep = mutated(a, i, j, k, f.one()).validate()
         assert "associativity" in dict(rep.failures()), (i, j, k)
+
+
+# -- multiplicativity: the blocked kernel against the per-pair loop ---------
+
+def _defect_reference(src, tgt, f):
+    """f(e_i e_j) - f(e_i) f(e_j) for every pair, by field ops on lists."""
+    fld = src.field
+    cols = [f.col_list(k) for k in range(src.dim)]
+    out = {}
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = [fld.zero()] * tgt.dim
+            for k, c in src.pair_product(i, j).items():
+                lhs = [fld.add(x, fld.mul(c, y)) for x, y in zip(lhs, cols[k])]
+            rhs = tgt.product(cols[i], cols[j])
+            out[(i, j)] = [fld.sub(x, y) for x, y in zip(lhs, rhs)]
+    return out
+
+
+def _algebra_map_case(kind, field, n, k):
+    """(src, tgt, f) for an algebra map of the given kind."""
+    one = field.one()
+    if kind == "group_aut":  # e_i -> e_(k i) on k[Z_n], k a unit mod n
+        a = group_algebra(n, field).as_algebra()
+        unit = next(u for u in range(k, k + n) if np.gcd(u, n) == 1) % n
+        return a, a, Matrix.from_entries(field, n, n, {(unit * i % n, i): one for i in range(n)})
+    lam = field.primitive_root_of_unity(n)
+    t = taft(n, lam, field).as_algebra()
+    if kind == "taft_scale":  # g -> g, x -> c x: g^i x^j -> c^j g^i x^j
+        c = field.from_int(k % 5 + 1)
+        return t, t, Matrix.from_entries(field, n * n, n * n, {(r, r): field.pow(c, r % n) for r in range(n * n)})
+    if kind == "taft_quotient":  # T_n -> T_n / (x) = k[Z_n]
+        rad = Subspace.from_vectors(field, n * n, [v_basis(field, n * n, r) for r in range(n * n) if r % n])
+        q, proj = quotient_algebra(t, rad)
+        return t, q, proj
+    # group_into_product: k[Z_m] -> k[Z_m] (x) T_n, g -> g (x) 1
+    m = k % 4 + 2
+    a = group_algebra(m, field).as_algebra()
+    return a, tensor_algebra(a, t), Matrix.from_entries(field, m * n * n, m, {(i * n * n, i): one for i in range(m)})
+
+
+@pytest.mark.parametrize("field, taft_orders",
+                         [(GF(7), (2, 3)), (GF(65537), (2, 4)), (GF(2**31 - 1), (2, 3)), (QQ, (2,))])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_multiplicativity_defect_matches_pair_loop(field, taft_orders, data):
+    kind = data.draw(st.sampled_from(["group_aut", "taft_scale", "taft_quotient", "group_into_product"]))
+    n = data.draw(st.integers(2, 6)) if kind == "group_aut" else data.draw(st.sampled_from(taft_orders))
+    src, tgt, f = _algebra_map_case(kind, field, n, data.draw(st.integers(1, 6)))
+    # the products run through `_matmul`: float64 BLAS over GF(7) and
+    # GF(65537), blocked int64 over GF(2^31 - 1), the nonzero join over Q
+    if field.kind == "Fp":
+        assert f._d.dtype == np.int64
+        assert (tgt.dim * (field.p - 1) ** 2 < 2**53) == (field.p < 2**31 - 1)
+    else:
+        assert f._d.dtype == object
+    mutate = data.draw(st.booleans())
+    if mutate:
+        r, c = data.draw(st.integers(0, f.rows - 1)), data.draw(st.integers(0, f.cols - 1))
+        delta = Matrix.from_entries(field, f.rows, f.cols, {(r, c): field.from_int(data.draw(st.integers(1, 6)))})
+        f = f + delta
+    ref = _defect_reference(src, tgt, f)
+    first = next((ij for ij, d in ref.items() if any(not field.is_zero(x) for x in d)), None)
+    if not mutate:
+        assert first is None
+    assert multiplicativity_defect(src, tgt, f) == first
+    d = defect_matrix(src, tgt, f)
+    assert all(d.col_list(i * src.dim + j) == ref[(i, j)] for i, j in ref)
+
+
+def test_multiplicativity_defect_blocks_cover_every_left_index(monkeypatch):
+    # the only nonzero product is e_(n-1) e_0 = e_0 and the target has none,
+    # so the identity fails at the last left index only; with one left index
+    # per block and with the default blocks it must still be found
+    import hopfsplit.algebra as alg_mod
+
+    n = 20
+    for field in (QQ, GF(7), GF(65537)):
+        src = AlgebraObject(field, n, {(n - 1, 0): {0: field.one()}}, [field.zero()] * n)
+        tgt = AlgebraObject(field, n, {}, [field.zero()] * n)
+        f = Matrix.identity(field, n)
+        assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
+        monkeypatch.setattr(alg_mod, "_DEFECT_BLOCK", 1)
+        assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
+        assert multiplicativity_defect(src, src, f) is None
+        monkeypatch.undo()

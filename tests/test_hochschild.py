@@ -315,3 +315,115 @@ def test_degree_zero_cochains_are_coinvariants_in_comodule_context():
     # M(1, H) = coinvariants of the regular coaction = K 1
     assert c0.dim == 1
     assert c0.basis[0].col_list(0) == [QQ.one(), QQ.zero()]
+
+
+def _ut3_tower_step(f):
+    """UT(3) with J its strictly upper triangular part: the first tower step
+    A/J^2 -> A/J, with the unitalized ctx-lift of the identity of A/J."""
+    from hopfsplit.algebra import ideal_power_nilpotency
+    from hopfsplit.hochschild import _solve_ctx_lift, unitalize_section_generic
+
+    basis = [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)]
+    idx = {b: i for i, b in enumerate(basis)}
+    mul = {(idx[a], idx[b]): {idx[(a[0], b[1])]: f.one()} for a in basis for b in basis if a[1] == b[0]}
+    alg = AlgebraObject(f, 6, mul, [f.one()] * 3 + [f.zero()] * 3)
+    actx = vect_actx(alg)
+    j = IdealData(alg, Subspace.from_vectors(f, 6, [v_basis(f, 6, i) for i in (3, 4, 5)]))
+    powers, _ = ideal_power_nilpotency(alg, j)
+    cur, nxt = (quotient_in_context(actx, p) for p in powers[:2])
+    b_actx = AlgebraInContext(actx.ctx, cur.actx.algebra, cur.actx.obj)
+    p_r = cur.proj_from_full @ nxt.incl_to_full
+    kr = Subspace(p_r.cols, p_r.kernel())
+    s0 = _solve_ctx_lift(actx.ctx, b_actx, nxt.actx, cur, nxt, p_r, kr, Matrix.identity(f, 3), 0)
+    return b_actx, nxt.actx, p_r, kr, unitalize_section_generic(b_actx, nxt.actx.algebra, p_r, s0)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)])
+def test_corrupted_tower_step_raises_verification_failed(f, monkeypatch):
+    from hopfsplit.algebra import VerificationFailed, multiplicativity_defect
+    from hopfsplit.category import MapSolver
+    from hopfsplit.hochschild import _tower_correct
+
+    b_actx, q_actx, p_r, kr, sigma = _ut3_tower_step(f)
+    corrected = _tower_correct(b_actx, q_actx, p_r, kr, sigma)
+    assert multiplicativity_defect(b_actx.algebra, q_actx.algebra, corrected) is None
+    # sigma no longer lifts an algebra map: its curvature leaves the kernel
+    bad = sigma + Matrix.from_entries(f, sigma.rows, sigma.cols, {(0, 1): f.one()})
+    with pytest.raises(VerificationFailed) as exc:
+        _tower_correct(b_actx, q_actx, p_r, kr, bad)
+    assert exc.value.check == "tower_curvature_in_kernel"
+    assert exc.value.witness == (0, 1)
+    assert isinstance(exc.value, AssertionError)
+    # a solver answer off by a kernel term that keeps sigma(1): the
+    # corrected section is unital but not multiplicative
+    solve = MapSolver.solve_map
+
+    def off_by_one(self):
+        tau = solve(self)
+        return tau + Matrix.from_entries(f, tau.rows, tau.cols, {(0, 0): f.one(), (0, 2): f.neg(f.one())})
+
+    monkeypatch.setattr(MapSolver, "solve_map", off_by_one)
+    with pytest.raises(VerificationFailed) as exc:
+        _tower_correct(b_actx, q_actx, p_r, kr, sigma)
+    assert exc.value.check == "tower_correction_multiplicative"
+    wrong = corrected + Matrix.from_entries(f, 5, 3, {(3, 0): f.one(), (3, 2): f.neg(f.one())})
+    assert exc.value.witness == multiplicativity_defect(b_actx.algebra, q_actx.algebra, wrong)
+
+
+def _ctx_morphism_loop(ctx, x, y, f_mat):
+    """Pointwise reference: each structure checked on basis vectors."""
+    from hopfsplit.tensors import v_tensor
+
+    fld = x.field
+    dh = ctx.hopf.dim
+    cols = [f_mat.col_list(v) for v in range(x.dim)]
+    for v in range(x.dim):
+        ev = v_basis(fld, x.dim, v)
+        if ctx.wants_right_coaction:
+            rhs = [fld.zero()] * (y.dim * dh)
+            for idx, c in enumerate(x.coact_r.apply(ev)):
+                for yv, w in enumerate(cols[idx // dh]):
+                    rhs[yv * dh + idx % dh] = fld.add(rhs[yv * dh + idx % dh], fld.mul(c, w))
+            if y.coact_r.apply(cols[v]) != rhs:
+                return False
+        if ctx.wants_left_coaction:
+            rhs = [fld.zero()] * (dh * y.dim)
+            for idx, c in enumerate(x.coact_l.apply(ev)):
+                for yv, w in enumerate(cols[idx % x.dim]):
+                    k = (idx // x.dim) * y.dim + yv
+                    rhs[k] = fld.add(rhs[k], fld.mul(c, w))
+            if y.coact_l.apply(cols[v]) != rhs:
+                return False
+        for hh in range(dh):
+            eh = v_basis(fld, dh, hh)
+            if ctx.wants_right_action and (f_mat.apply(x.act_r.apply(v_tensor(fld, ev, eh)))
+                                           != y.act_r.apply(v_tensor(fld, cols[v], eh))):
+                return False
+            if ctx.wants_left_action and (f_mat.apply(x.act_l.apply(v_tensor(fld, eh, ev)))
+                                          != y.act_l.apply(v_tensor(fld, eh, cols[v]))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)])
+def test_ctx_morphism_check_matches_pointwise_loop(f):
+    from hopfsplit.builtin import taft
+    from hopfsplit.hochschild import _is_ctx_morphism
+
+    rng = random.Random(11)
+    hopfs = [group_algebra(3, f), taft(2, f.from_int(-1), f)]
+    for h in hopfs:
+        x = CatObject.regular(h)
+        n = h.dim
+        maps = [Matrix.identity(f, n), Matrix.zeros(f, n, n), Matrix.identity(f, n).scale(f.from_int(3))]
+        for _ in range(6):
+            r, c = rng.randrange(n), rng.randrange(n)
+            maps.append(maps[0] + Matrix.from_entries(f, n, n, {(r, c): f.from_int(rng.randrange(1, 5))}))
+        seen = set()
+        for kind in ("comod_r", "bicomod", "mod_r", "bimod"):
+            ctx = CategoryContext(kind, h)
+            for m in maps:
+                want = _ctx_morphism_loop(ctx, x, x, m)
+                assert _is_ctx_morphism(ctx, x, x, m) == want
+                seen.add(want)
+        assert seen == {True, False}

@@ -8,7 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsplit.fields import GF, QQ
-from hopfsplit.linalg import _CHUNK, InconsistentSystem, Matrix, Subspace, subspace_ops
+from hopfsplit.linalg import (
+    _CHUNK,
+    InconsistentSystem,
+    Matrix,
+    SparseRows,
+    Subspace,
+    _matmul,
+    _rref,
+    kernel_from_rref,
+    particular_from_rref,
+    subspace_ops,
+)
 
 
 def test_identity_solve():
@@ -203,6 +214,21 @@ def test_streamed_rref_matches_reference(case):
     if m.cols not in augpiv:
         x, _ = m.solve(b, want_kernel=False)
         assert m.apply(x) == b.col_list(0)
+    # the same system as COO arrays, every entry split in two summands
+    r, c = np.nonzero(np.array([[not field.is_zero(x) for x in row] for row in rows], dtype=bool).reshape(len(rows), -1))
+    vals = [rows[i][j] for i, j in zip(r, c)]
+    halves = [field.sub(v, field.one()) for v in vals]
+    coo = SparseRows(field, (m.rows, m.cols), np.concatenate([r, r]), np.concatenate([c, c]),
+                     np.array(halves + [field.one()] * len(vals), dtype=object))
+    red, piv = _rref(coo, field, b._d)
+    assert (red.tolist(), piv) == (aug.to_rows(), augpiv)
+    red, piv = _rref(coo, field)
+    assert kernel_from_rref(m.cols, Matrix(field, *red.shape, red, _raw=True), piv) == m.kernel()
+    if m.cols not in augpiv:
+        assert particular_from_rref(m.cols, aug, augpiv) == m.solve(b, want_kernel=False)[0]
+    else:
+        with pytest.raises(InconsistentSystem):
+            particular_from_rref(m.cols, aug, augpiv)
 
 
 def test_complement_projection_matches_per_vector_reduction():
@@ -234,3 +260,84 @@ def test_quotient_basis_returns_subspace():
     assert isinstance(comp, Subspace)
     assert comp.dim == 2
     assert (u + comp).dim == 3
+
+
+@st.composite
+def _coordinate_inputs(draw):
+    """A random subspace and rows of which some lie in it and some may not."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(65537), GF(2**61 - 1)]))
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def vec():
+        return [field.from_int(rng.choice([0, 0, 1, -1, 2, rng.randrange(-50, 50)])) for _ in range(n)]
+
+    sub = Subspace.from_vectors(field, n, [vec() for _ in range(draw(st.integers(0, n)))])
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if sub.dim and draw(st.booleans()):
+            c = [field.from_int(rng.randrange(-3, 4)) for _ in range(sub.dim)]
+            rows.append(Matrix.row(field, c) @ sub.basis)
+        else:
+            rows.append(Matrix.row(field, vec()))
+    m = rows[0]
+    for r in rows[1:]:
+        m = m.vstack(r)
+    return field, sub, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coordinate_inputs())
+def test_coordinates_match_rank_reference(case):
+    field, sub, m = case
+    inside = [sub.basis.vstack(m._new(1, m.cols, m._d[t : t + 1])).rank() == sub.dim for t in range(m.rows)]
+    coords = sub.coordinates(m)
+    if all(inside):
+        assert coords is not None and (coords.rows, coords.cols) == (m.rows, sub.dim)
+        assert coords @ sub.basis == m
+    else:
+        assert coords is None
+    for t in range(m.rows):
+        assert sub.contains_vector(m.row_list(t)) == inside[t]
+    assert sub.contains(Subspace.from_matrix_rows(m)) == all(inside)
+    # a row of the wrong length is a caller's error, never "not inside"
+    for width in (m.cols - 1, m.cols + 1):
+        with pytest.raises(ValueError):
+            sub.coordinates(Matrix.zeros(field, 1, width))
+        with pytest.raises(ValueError):
+            sub.contains_vector([field.zero()] * width)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2**61 - 1)])
+def test_object_matmul_skips_zeros_and_matches_plain_product(field):
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1, 1), (1, 2, 2), (2, 4, 2), (1, 16, 1), (3, 5, 7), (12, 9, 1), (20, 30, 25), (4, 0, 3)]
+    for m, k, n in shapes:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            a = (rng.integers(-9, 10, (m, k)) * (rng.random((m, k)) < density)).astype(object)
+            b = (rng.integers(-9, 10, (k, n)) * (rng.random((k, n)) < density)).astype(object)
+            if field.kind == "Q":
+                a = np.vectorize(Fraction, otypes=[object])(a) if a.size else a
+                b = np.vectorize(lambda x: Fraction(x, 3), otypes=[object])(b) if b.size else b
+            a, b = field.reduce(a), field.reduce(b)
+            got = _matmul(field, a, b)
+            assert got.shape == (m, n)
+            assert got.tolist() == field.reduce(a @ b if k else np.zeros((m, n), dtype=object)).tolist()
+
+
+def test_matmul_float_path_stops_at_the_exactness_bound():
+    # p is the largest prime below 2^26: 2 (p-1)^2 < 2^53 <= 3 (p-1)^2, so
+    # inner dimension 2 is the last one computed in float64
+    p = 67108859
+    f = GF(p)
+    assert 2 * (p - 1) ** 2 < 2**53 <= 3 * (p - 1) ** 2
+    rng = np.random.default_rng(3)
+    for k in (2, 3):
+        a = rng.integers(p - 50, p, (4, k))
+        b = rng.integers(p - 50, p, (k, 5))
+        a[0] = b[:, 0] = p - 2  # entry (0, 0) is k (p-2)^2, odd
+        want = [[sum(int(x) * int(y) for x, y in zip(a[i], b[:, j])) % p for j in range(5)] for i in range(4)]
+        assert _matmul(f, a, b).tolist() == want
+    # past the bound float64 rounds: the int64 path above is what makes k = 3 exact
+    big = 3 * (p - 2) ** 2
+    assert int(np.float64(p - 2) ** 2 * 3) != big
