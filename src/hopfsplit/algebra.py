@@ -6,13 +6,14 @@ Validation, two-sided ideals, nilpotency, the Jacobson radical (trace
 form in large characteristic, certified otherwise), separability
 idempotents and quotient algebras all reduce to exact linear algebra.
 
-Over F_p with p < 2**15 the hot kernels run on numpy: associativity is a
-sparse join of the nonzero structure constants summed by one float64
-bincount per left index (`AlgebraObject._associativity_join`), exact
-because every sum has at most 2n integer terms of size at most
-(p - 1)^2 < 2^30.  Over Q and larger primes associativity is a loop over
-sparse dicts.  `pairwise_products` is two contractions with the structure
-tensor through `linalg._matmul`, exact for every field.
+Associativity is one kernel for every field, a sparse join of the nonzero
+structure constants (`AlgebraObject._check_associativity`): per left index
+the products are summed by one float64 bincount over F_p with p < 2**31
+(exact: at most 2n terms per sum, reduced below p first when their
+unreduced sum could pass 2^53) and by sort and `np.add.reduceat` over Q
+and larger primes.  `pairwise_products` is two
+contractions with the structure tensor through `linalg._matmul`, exact for
+every field; the multiplication as a stage map is `AlgebraObject.mul_map`.
 
 Whether a linear map f is multiplicative is one kernel for every field,
 `multiplicativity_defect`: f(e_i e_j) - f(e_i) f(e_j) for blocks of left
@@ -27,15 +28,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul
-from .tensors import (
-    SparseMap,
-    dense_to_sparse,
-    sparse_add,
-    sparse_eq,
-    v_basis,
-    v_eq,
-    v_zero,
-)
+from .tensors import SparseMap, StagePipeline, _summed, dense_to_sparse, sparse_eq, v_basis, v_eq, v_zero
 
 
 class ValidationReport:
@@ -116,13 +109,10 @@ class AlgebraObject:
             out[k] = c
         return out
 
-    def unit_vector(self) -> list:
-        return list(self.unit)
-
     def mul_map(self) -> SparseMap:
         if self._mul_map is None:
-            cols = {(i, j): {(k,): c for k, c in col.items()} for (i, j), col in self.mul.items()}
-            self._mul_map = SparseMap(self.field, (self.dim, self.dim), (self.dim,), cols)
+            n = self.dim
+            self._mul_map = SparseMap.from_matrix(self.mul_matrix(), (n, n), (n,))
         return self._mul_map
 
     def mul_matrix(self) -> Matrix:
@@ -146,18 +136,6 @@ class AlgebraObject:
                     entries[key] = f.add(entries.get(key, f.zero()), f.mul(a, c))
         return Matrix.from_entries(self.field, self.dim, self.dim, entries)
 
-    def right_mult_matrix(self, vec: list) -> Matrix:
-        f = self.field
-        entries = {}
-        for j, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for i in range(self.dim):
-                for k, c in self.mul.get((i, j), {}).items():
-                    key = (k, i)
-                    entries[key] = f.add(entries.get(key, f.zero()), f.mul(a, c))
-        return Matrix.from_entries(self.field, self.dim, self.dim, entries)
-
     def np_tensor(self):
         """Dense tensor T[i,j,k] = coefficient of e_k in e_i e_j, reduced, in
         the field's matrix dtype (int64 over F_p with p < 2**31, object
@@ -170,14 +148,6 @@ class AlgebraObject:
                     t[i, j, k] = f.reduce(c)
             self._np_tensor = t
         return self._np_tensor
-
-    def dense_path(self, sized: bool = True) -> bool:
-        """Whether the numpy F_p kernels apply: only over primes below
-        2**15, where their int64 products and float64 sums stay exact, and
-        when sized only for dim > 12, below which the sparse loops are
-        faster."""
-        f = self.field
-        return f.kind == "Fp" and f.p < 2**15 and (self.dim > 12 or not sized)
 
     # -- validation ---------------------------------------------------------
 
@@ -202,36 +172,30 @@ class AlgebraObject:
         )
 
     def _check_associativity(self):
-        """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples.
-
-        The witness names the lexicographically first failing (i, j, k).
-        Over F_p with p < 2**15 this is the sparse join
-        `_associativity_join`; over Q and larger primes, the dict loop
-        `_associativity_loop`.
-        """
-        if self.dense_path(sized=False):
-            return self._associativity_join()
-        return self._associativity_loop()
-
-    def _associativity_join(self):
-        """Associativity over F_p (p < 2**15) as a join of the nonzero
-        structure constants (a, b, c, v): e_a e_b has v on e_c.
+        """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples, as a join of
+        the nonzero structure constants (a, b, c, v): e_a e_b has v on e_c.
 
         Per left index i, the terms of (e_i e_j) e_l pair an entry (i, j, k)
         with every entry (k, l, m); the terms of e_i (e_j e_l) pair every
-        entry (j, l, k) with every entry (i, k, m).  One bincount over the
-        key (j n + l) n + m, with weights +v w and -v w, sums the
-        difference, and associativity fails at i iff a bin is nonzero mod p.
-        The bins are exact in float64: each sums at most 2n terms of size
-        at most (p - 1)^2 < 2^30, far below 2^53.  Work and memory are
-        bounded by the join size for one i, never by n^3 products.
+        entry (j, l, k) with every entry (i, k, m).  Their difference is
+        summed per key (j n + l) n + m, and associativity fails at i iff a
+        sum is nonzero; the witness names the lexicographically first
+        failing (i, j, k).  Over F_p with p < 2**31 one float64 bincount
+        sums each key's at most 2n terms: exact, because products are
+        reduced below p first unless 2n (p - 1)^2 < 2**53 already.  Object
+        values (Q, larger p) are summed by sort and `np.add.reduceat`
+        (`tensors._summed`).  Work and memory are bounded by the join size
+        for one i, never by n^3 products.
         """
-        n, p = self.dim, self.field.p
-        ents = [(i, j, k, int(c) % p) for (i, j), col in self.mul.items() for k, c in col.items()]
-        ents = np.array(ents, dtype=np.int64).reshape(-1, 4)
-        ents = ents[ents[:, 3] != 0]
-        ents = ents[np.lexsort((ents[:, 2], ents[:, 1], ents[:, 0]))]
-        a, b, c, v = ents.T
+        f, n = self.field, self.dim
+        # products stay unreduced while every sum of 2n of them is exact in float64
+        red = f.reduce if f.kind == "Q" or 2 * n * (f.p - 1) ** 2 >= 2**53 else (lambda x: x)
+        trip = [(i, j, k) for (i, j), col in self.mul.items() for k in col]
+        vals = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
+        nz = vals != 0
+        trip, vals = np.array(trip, dtype=np.int64).reshape(-1, 3)[nz], vals[nz]
+        order = np.lexsort((trip[:, 2], trip[:, 1], trip[:, 0]))
+        (a, b, c), v = trip[order].T, vals[order]
         ab = a * n + b
         # the entries with legs (i, k) are [by_ab[i n + k], by_ab[i n + k + 1]),
         # those with first leg i are [by_a[i], by_a[i + 1])
@@ -243,32 +207,16 @@ class AlgebraObject:
             l_src, l_dst = _join(s, by_a[c[s]], by_a[c[s] + 1])
             r_src, r_dst = _join(every, by_ab[i * n + c], by_ab[i * n + c + 1])
             keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], ab[r_src] * n + c[r_dst]))
-            terms = np.concatenate((v[l_src] * v[l_dst], -(v[r_src] * v[r_dst])))
-            sums = np.bincount(keys, weights=terms)
-            hit = np.flatnonzero(sums)
-            bad = hit[sums[hit].astype(np.int64) % p != 0]
+            terms = np.concatenate((red(v[l_src] * v[l_dst]), -red(v[r_src] * v[r_dst])))
+            if terms.dtype == object:
+                _, bad, _ = _summed(f, np.zeros_like(keys), keys, terms, n**3)
+            else:
+                sums = np.bincount(keys, weights=terms)
+                hit = np.flatnonzero(sums)
+                bad = hit[sums[hit].astype(np.int64) % f.p != 0]
             if bad.size:
                 j, k = divmod(int(bad[0]) // n, n)
                 return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
-        return True, None
-
-    def _associativity_loop(self):
-        """Associativity by sparse dict arithmetic over any exact field."""
-        n = self.dim
-        f = self.field
-        table = {(i, j): self.pair_product(i, j) for i in range(n) for j in range(n)}
-        for i in range(n):
-            for j in range(n):
-                uv = table[(i, j)]
-                for k in range(n):
-                    lhs: dict = {}
-                    for m, c in uv.items():
-                        lhs = sparse_add(f, lhs, table[(m, k)], c)
-                    rhs: dict = {}
-                    for m, c in table[(j, k)].items():
-                        rhs = sparse_add(f, rhs, table[(i, m)], c)
-                    if not sparse_eq(f, {(a,): b for a, b in lhs.items()}, {(a,): b for a, b in rhs.items()}):
-                        return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
         return True, None
 
     def _check_unit(self):
@@ -580,6 +528,17 @@ def separability_idempotent(a: AlgebraObject, ctx=None) -> list:
     diagonal coactions, making the induced bimodule section colinear.
     Returns e as a dense vector of length dim^2; raises NotSeparable.
     """
+    e = _separability_solution(a, ctx)
+    if e is None:
+        # raised here, outside any handler, so that the exception keeps no
+        # frame holding the constraint system alive
+        raise NotSeparable(f"no separability idempotent for {a.dim}-dim algebra")
+    verify_separability_idempotent(a, e)
+    return e
+
+
+def _separability_solution(a: AlgebraObject, ctx) -> list | None:
+    """The canonical solution of the separability system, or None."""
     f = a.field
     n = a.dim
     n2 = n * n
@@ -612,63 +571,40 @@ def separability_idempotent(a: AlgebraObject, ctx=None) -> list:
                 if row:
                     rows.append(row)
                     rhs.append(f.zero())
-    if ctx is not None:
-        rows_c, rhs_c = _ctx_coinvariance_rows(a, ctx)
-        rows.extend(rows_c)
-        rhs.extend(rhs_c)
     m = Matrix.from_entries(f, len(rows), n2, {(r, j): v for r, row in enumerate(rows) for j, v in row.items()})
+    if ctx is not None:
+        coinv = _ctx_coinvariance_rows(a, ctx)
+        m = m.vstack(coinv)
+        rhs.extend([f.zero()] * coinv.rows)
     try:
-        e, _ = m.solve(Matrix.column(f, rhs))
+        return m.solve(Matrix.column(f, rhs), want_kernel=False)[0]
     except InconsistentSystem:
-        raise NotSeparable(f"no separability idempotent for {a.dim}-dim algebra")
-    verify_separability_idempotent(a, e)
-    return e
+        return None
 
 
-def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
-    """Coinvariance of e under the diagonal coactions on A (x) A.
+def _ctx_coinvariance_rows(a: AlgebraObject, ctx) -> Matrix:
+    """Coinvariance of e under the diagonal coactions on A (x) A, as the
+    nonzero rows of a matrix over the coordinates of e, left side first.
 
     Right: rho(x (x) y) = x0 (x) y0 (x) x1 y1 must send e to e (x) 1_H;
-    left symmetrically.  Constraint columns are evaluated with the stage
-    engine and transposed into rows of the linear system.
+    left symmetrically.  Each side is a stage pipeline minus the pipeline
+    inserting 1_H.
     """
-    from .tensors import permute_factors
-
     f = a.field
     n = a.dim
-    dh = ctx.hopf.dim
-    mul_h = ctx.hopf.as_algebra().mul_map()
-    rows_by_key: dict = {}
-
-    def add_entry(side, out_key, col_idx, val):
-        cur = rows_by_key.setdefault((side, out_key), {})
-        cur[col_idx] = f.add(cur.get(col_idx, f.zero()), val)
-
-    for cm, side in ((ctx.coact_r, "r"), (ctx.coact_l, "l")):
+    h = ctx.hopf
+    dh = h.dim
+    mul_h = h.as_algebra().mul_map()
+    blocks = [np.zeros((0, n * n), dtype=_dtype(f))]
+    for cm, pos in ((ctx.coact_l, 0), (ctx.coact_r, 2)):
         if cm is None:
             continue
-        sm = SparseMap.from_matrix(cm, (n,), (n, dh) if side == "r" else (dh, n))
-        for i in range(n):
-            for j in range(n):
-                vec = {(i, j): f.one()}
-                dims = (n, n)
-                if side == "r":
-                    vec, dims = sm.apply_at(vec, dims, 0)  # (n, dh, n)
-                    vec, dims = sm.apply_at(vec, dims, 2)  # (n, dh, n, dh)
-                    vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))
-                    vec, dims = mul_h.apply_at(vec, dims, 2)  # (n, n, dh)
-                    base = {(i, j, h): ctx.hopf.unit[h] for h in range(dh) if not f.is_zero(ctx.hopf.unit[h])}
-                else:
-                    vec, dims = sm.apply_at(vec, dims, 0)  # (dh, n, n)
-                    vec, dims = sm.apply_at(vec, dims, 2)  # (dh, n, dh, n)
-                    vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))
-                    vec, dims = mul_h.apply_at(vec, dims, 0)  # (dh, n, n)
-                    base = {(h, i, j): ctx.hopf.unit[h] for h in range(dh) if not f.is_zero(ctx.hopf.unit[h])}
-                diff = sparse_add(f, vec, {k: f.neg(v) for k, v in base.items()})
-                for out_key, val in diff.items():
-                    add_entry(side, out_key, i * n + j, val)
-    rows = [row for _, row in sorted(rows_by_key.items())]
-    return rows, [f.zero()] * len(rows)
+        sm = SparseMap.from_matrix(cm, (n,), (dh, n) if pos == 0 else (n, dh))
+        # (x, h, y, h') on the right, (h, x, h', y) on the left, then h h'
+        rho = StagePipeline(f, (n, n)).map_at(sm, 0).map_at(sm, 2).permute((0, 2, 1, 3)).map_at(mul_h, pos)
+        d = (rho.matrix() - StagePipeline(f, (n, n)).insert(pos, h.unit, dh).matrix())._d
+        blocks.append(d[d.any(axis=1)])
+    return Matrix(f, sum(len(b) for b in blocks), n * n, np.vstack(blocks), _raw=True)
 
 
 def verify_separability_idempotent(a: AlgebraObject, e: list):

@@ -14,7 +14,7 @@ from .algebra import ValidationReport
 from .fields import ScalarField
 from .hopf import HopfObject, IntegralWitness
 from .linalg import Matrix, SparseRows, Subspace, _dtype, _rref, kernel_from_rref, particular_from_rref
-from .tensors import SparseMap, sparse_eq, v_basis, v_eq, v_tensor, v_zero
+from .tensors import SparseMap, StagePipeline, pipelines_equal, v_basis, v_eq, v_tensor, v_zero
 
 CTX_KINDS = ("vect", "comod_r", "bicomod", "mod_r", "bimod")
 
@@ -100,130 +100,102 @@ class CatObject:
             return rep
         dh = h.dim
         n = self.dim
-        comul = SparseMap(f, (dh,), (dh, dh), {(k,): dict(col) for k, col in h.comul.items()})
+        comul = _comul_map(h)
         mul = h.as_algebra().mul_map()
         eps = h.counit
+
+        def P(*dims):
+            return StagePipeline(f, dims)
+
         if ctx.wants_right_coaction:
             rep.record("has_coact_r", self.coact_r is not None, "missing right coaction")
             if self.coact_r is None:
                 return rep
             sm = SparseMap.from_matrix(self.coact_r, (n,), (n, dh))
-            ok = True
-            for v in range(n):
-                vec = {(v,): f.one()}
-                s1, _ = sm.apply_at(vec, (n,), 0)
-                a1, _ = sm.apply_at(s1, (n, dh), 0)  # (rho (x) id) rho
-                a2, _ = comul.apply_at(s1, (n, dh), 1)  # (id (x) Delta) rho
-                if not sparse_eq(f, a1, a2):
-                    rep.record("coact_r_coassoc", False, f"basis {v}")
-                    return rep
-                # counit law
-                out = v_zero(f, n)
-                for (x, hh), c in s1.items():
-                    out[x] = f.add(out[x], f.mul(c, eps[hh]))
-                if not v_eq(f, out, v_basis(f, n, v)):
-                    rep.record("coact_r_counit", False, f"basis {v}")
-                    return rep
-            rep.record("coact_r_coassoc", ok)
-            rep.record("coact_r_counit", True)
+            if not _record_checks(rep, [
+                ("coact_r_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 0),
+                                                    P(n).map_at(sm, 0).map_at(comul, 1)), "basis {0}"),
+                ("coact_r_counit", pipelines_equal(P(n).map_at(sm, 0).contract(1, eps), P(n)), "basis {0}"),
+            ], interleaved=True):
+                return rep
         if ctx.wants_left_coaction:
             rep.record("has_coact_l", self.coact_l is not None, "missing left coaction")
             if self.coact_l is None:
                 return rep
             sm = SparseMap.from_matrix(self.coact_l, (n,), (dh, n))
-            for v in range(n):
-                vec = {(v,): f.one()}
-                s1, _ = sm.apply_at(vec, (n,), 0)  # (dh, n)
-                a1, _ = sm.apply_at(s1, (dh, n), 1)  # (dh, dh, n): (id (x) rho) rho
-                a2, _ = comul.apply_at(s1, (dh, n), 0)  # (Delta (x) id) rho
-                if not sparse_eq(f, a1, a2):
-                    rep.record("coact_l_coassoc", False, f"basis {v}")
-                    return rep
-                out = v_zero(f, n)
-                for (hh, x), c in s1.items():
-                    out[x] = f.add(out[x], f.mul(c, eps[hh]))
-                if not v_eq(f, out, v_basis(f, n, v)):
-                    rep.record("coact_l_counit", False, f"basis {v}")
-                    return rep
-            rep.record("coact_l_coassoc", True)
-            rep.record("coact_l_counit", True)
+            if not _record_checks(rep, [
+                ("coact_l_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 1),
+                                                    P(n).map_at(sm, 0).map_at(comul, 0)), "basis {0}"),
+                ("coact_l_counit", pipelines_equal(P(n).map_at(sm, 0).contract(0, eps), P(n)), "basis {0}"),
+            ], interleaved=True):
+                return rep
         if ctx.wants_left_coaction and ctx.wants_right_coaction:
             # bicomodule compatibility: (id (x) rho_r) rho_l = (rho_l (x) id) rho_r
             sl = SparseMap.from_matrix(self.coact_l, (n,), (dh, n))
             sr = SparseMap.from_matrix(self.coact_r, (n,), (n, dh))
-            for v in range(n):
-                vec = {(v,): f.one()}
-                a1, _ = sl.apply_at(vec, (n,), 0)
-                a1, _ = sr.apply_at(a1, (dh, n), 1)  # (dh, n, dh)
-                a2, _ = sr.apply_at(vec, (n,), 0)
-                a2, _ = sl.apply_at(a2, (n, dh), 0)  # (dh, n, dh)
-                if not sparse_eq(f, a1, a2):
-                    rep.record("bicomodule_compat", False, f"basis {v}")
-                    return rep
-            rep.record("bicomodule_compat", True)
+            if not _record_checks(rep, [
+                ("bicomodule_compat", pipelines_equal(P(n).map_at(sl, 0).map_at(sr, 1),
+                                                      P(n).map_at(sr, 0).map_at(sl, 0)), "basis {0}"),
+            ]):
+                return rep
         if ctx.wants_right_action:
             rep.record("has_act_r", self.act_r is not None, "missing right action")
             if self.act_r is None:
                 return rep
             am = SparseMap.from_matrix(self.act_r, (n, dh), (n,))
-            for v in range(n):
-                for h1 in range(dh):
-                    for h2 in range(dh):
-                        vec = {(v, h1, h2): f.one()}
-                        a1, _ = am.apply_at(vec, (n, dh, dh), 0)
-                        a1, _ = am.apply_at(a1, (n, dh), 0)
-                        a2, _ = mul.apply_at(vec, (n, dh, dh), 1)
-                        a2, _ = am.apply_at(a2, (n, dh), 0)
-                        if not sparse_eq(f, a1, a2):
-                            rep.record("act_r_assoc", False, f"(v{v},h{h1},h{h2})")
-                            return rep
-            # unit acts trivially
-            for v in range(n):
-                vec = v_tensor(f, v_basis(f, n, v), h.unit)
-                if not v_eq(f, self.act_r.apply(vec), v_basis(f, n, v)):
-                    rep.record("act_r_unit", False, f"v{v}")
-                    return rep
-            rep.record("act_r_assoc", True)
-            rep.record("act_r_unit", True)
+            if not _record_checks(rep, [
+                ("act_r_assoc", pipelines_equal(P(n, dh, dh).map_at(am, 0).map_at(am, 0),
+                                                P(n, dh, dh).map_at(mul, 1).map_at(am, 0)), "(v{0},h{1},h{2})"),
+                ("act_r_unit", pipelines_equal(P(n).insert(1, h.unit, dh).map_at(am, 0), P(n)), "v{0}"),
+            ]):
+                return rep
         if ctx.wants_left_action:
             rep.record("has_act_l", self.act_l is not None, "missing left action")
             if self.act_l is None:
                 return rep
             am = SparseMap.from_matrix(self.act_l, (dh, n), (n,))
-            for v in range(n):
-                for h1 in range(dh):
-                    for h2 in range(dh):
-                        vec = {(h1, h2, v): f.one()}
-                        a1, _ = am.apply_at(vec, (dh, dh, n), 1)
-                        a1, _ = am.apply_at(a1, (dh, n), 0)
-                        a2, _ = mul.apply_at(vec, (dh, dh, n), 0)
-                        a2, _ = am.apply_at(a2, (dh, n), 0)
-                        if not sparse_eq(f, a1, a2):
-                            rep.record("act_l_assoc", False, f"(h{h1},h{h2},v{v})")
-                            return rep
-            for v in range(n):
-                vec = v_tensor(f, h.unit, v_basis(f, n, v))
-                if not v_eq(f, self.act_l.apply(vec), v_basis(f, n, v)):
-                    rep.record("act_l_unit", False, f"v{v}")
-                    return rep
-            rep.record("act_l_assoc", True)
-            rep.record("act_l_unit", True)
+            # declared in loop order (v, h1, h2) over the key (h1, h2, v)
+            if not _record_checks(rep, [
+                ("act_l_assoc", pipelines_equal(P(n, dh, dh).permute((1, 2, 0)).map_at(am, 1).map_at(am, 0),
+                                                P(n, dh, dh).permute((1, 2, 0)).map_at(mul, 0).map_at(am, 0)),
+                 "(h{1},h{2},v{0})"),
+                ("act_l_unit", pipelines_equal(P(n).insert(0, h.unit, dh).map_at(am, 0), P(n)), "v{0}"),
+            ]):
+                return rep
         if ctx.wants_left_action and ctx.wants_right_action:
             al = SparseMap.from_matrix(self.act_l, (dh, n), (n,))
             ar = SparseMap.from_matrix(self.act_r, (n, dh), (n,))
-            for v in range(n):
-                for h1 in range(dh):
-                    for h2 in range(dh):
-                        vec = {(h1, v, h2): f.one()}
-                        a1, _ = al.apply_at(vec, (dh, n, dh), 0)
-                        a1, _ = ar.apply_at(a1, (n, dh), 0)
-                        a2, _ = ar.apply_at(vec, (dh, n, dh), 1)
-                        a2, _ = al.apply_at(a2, (dh, n), 0)
-                        if not sparse_eq(f, a1, a2):
-                            rep.record("bimodule_compat", False, f"(h{h1},v{v},h{h2})")
-                            return rep
-            rep.record("bimodule_compat", True)
+            # loop order (v, h1, h2) over the key (h1, v, h2)
+            _record_checks(rep, [
+                ("bimodule_compat", pipelines_equal(P(n, dh, dh).permute((1, 0, 2)).map_at(al, 0).map_at(ar, 0),
+                                                    P(n, dh, dh).permute((1, 0, 2)).map_at(ar, 1).map_at(al, 0)),
+                 "(h{1},v{0},h{2})"),
+            ])
         return rep
+
+
+def _record_checks(rep: ValidationReport, checks, interleaved: bool = False) -> bool:
+    """Record pipeline checks as one loop over basis tuples records them:
+    only the first failure, or every check as passed when none fails.
+
+    checks holds (name, witness tuple or None, witness format).  The first
+    failure is the first check listed that fails, or, when the checks are
+    interleaved in one loop over the same tuples, the one with the earliest
+    witness (the first listed on a tie).
+    """
+    bad = [((wit, t) if interleaved else (t, wit), name, fmt.format(*wit))
+           for t, (name, wit, fmt) in enumerate(checks) if wit is not None]
+    if bad:
+        _, name, wit = min(bad)
+        rep.record(name, False, wit)
+        return False
+    for name, _, _ in checks:
+        rep.record(name, True)
+    return True
+
+
+def _comul_map(h: HopfObject) -> SparseMap:
+    return SparseMap.from_matrix(h.as_coalgebra().comul_matrix(), (h.dim,), (h.dim, h.dim))
 
 
 def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
@@ -232,72 +204,26 @@ def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
     h = x.hopf
     dh = h.dim if h else 0
     dx, dy = x.dim, y.dim
-    mul_h = h.as_algebra().mul_map() if h else None
-    comul_h = SparseMap(f, (dh,), (dh, dh), {(k,): dict(col) for k, col in h.comul.items()}) if h else None
 
     def diag_coact(cl_x, cl_y, side):
         if cl_x is None or cl_y is None:
             return None
         sx = SparseMap.from_matrix(cl_x, (dx,), (dh, dx) if side == "l" else (dx, dh))
         sy = SparseMap.from_matrix(cl_y, (dy,), (dh, dy) if side == "l" else (dy, dh))
-        entries: dict = {}
-        for xv in range(dx):
-            for yv in range(dy):
-                vec = {(xv, yv): f.one()}
-                dims = (dx, dy)
-                if side == "l":
-                    vec, dims = sx.apply_at(vec, dims, 0)  # (dh, dx, dy)
-                    vec, dims = sy.apply_at(vec, dims, 2)  # (dh, dx, dh, dy)
-                    from .tensors import permute_factors
-
-                    vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))  # (dh, dh, dx, dy)
-                    vec, dims = mul_h.apply_at(vec, dims, 0)  # (dh, dx, dy)
-                    for (hh, a, b), c in vec.items():
-                        entries[((hh * dx + a) * dy + b, xv * dy + yv)] = c
-                else:
-                    vec, dims = sx.apply_at(vec, dims, 0)  # (dx, dh, dy)
-                    vec, dims = sy.apply_at(vec, dims, 2)  # (dx, dh, dy, dh)
-                    from .tensors import permute_factors
-
-                    vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))  # (dx, dy, dh, dh)
-                    vec, dims = mul_h.apply_at(vec, dims, 2)  # (dx, dy, dh)
-                    for (a, b, hh), c in vec.items():
-                        entries[((a * dy + b) * dh + hh, xv * dy + yv)] = c
-        rows = dh * dx * dy if side == "l" else dx * dy * dh
-        return Matrix.from_entries(f, rows, dx * dy, entries)
+        # (h, x, h', y) -> (h h', x, y) on the left, (x, h, y, h') -> (x, y, h h') on the right
+        pipe = StagePipeline(f, (dx, dy)).map_at(sx, 0).map_at(sy, 2).permute((0, 2, 1, 3))
+        return pipe.map_at(h.as_algebra().mul_map(), 0 if side == "l" else 2).matrix()
 
     def diag_act(al_x, al_y, side):
         if al_x is None or al_y is None:
             return None
         sx = SparseMap.from_matrix(al_x, (dh, dx) if side == "l" else (dx, dh), (dx,))
         sy = SparseMap.from_matrix(al_y, (dh, dy) if side == "l" else (dy, dh), (dy,))
-        entries: dict = {}
-        from .tensors import permute_factors
-
-        for hh in range(dh):
-            for xv in range(dx):
-                for yv in range(dy):
-                    if side == "l":
-                        vec = {(hh, xv, yv): f.one()}
-                        dims = (dh, dx, dy)
-                        vec, dims = comul_h.apply_at(vec, dims, 0)  # (dh, dh, dx, dy)
-                        vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))  # (dh, dx, dh, dy)
-                        vec, dims = sx.apply_at(vec, dims, 0)  # (dx, dh, dy)
-                        vec, dims = sy.apply_at(vec, dims, 1)  # (dx, dy)
-                        for (a, b), c in vec.items():
-                            entries[(a * dy + b, (hh * dx + xv) * dy + yv)] = c
-                    else:
-                        vec = {(xv, yv, hh): f.one()}
-                        dims = (dx, dy, dh)
-                        vec, dims = comul_h.apply_at(vec, dims, 2)  # (dx, dy, dh, dh)
-                        vec, dims = permute_factors(vec, dims, (0, 2, 1, 3))  # (dx, dh, dy, dh)
-                        vec, dims = sx.apply_at(vec, dims, 0)  # (dx, dy, dh)
-                        vec, dims = sy.apply_at(vec, dims, 1)  # (dx, dy)
-                        for (a, b), c in vec.items():
-                            entries[(a * dy + b, (xv * dy + yv) * dh + hh)] = c
-        rows = dx * dy
-        cols = dh * dx * dy if side == "l" else dx * dy * dh
-        return Matrix.from_entries(f, rows, cols, entries)
+        if side == "l":  # (h, x, y) -> (h1, x, h2, y) -> (h1 x, h2 y)
+            pipe = StagePipeline(f, (dh, dx, dy)).map_at(_comul_map(h), 0)
+        else:  # (x, y, h) -> (x, h1, y, h2) -> (x h1, y h2)
+            pipe = StagePipeline(f, (dx, dy, dh)).map_at(_comul_map(h), 2)
+        return pipe.permute((0, 2, 1, 3)).map_at(sx, 0).map_at(sy, 1).matrix()
 
     return CatObject(
         f, dx * dy, h,
@@ -583,30 +509,17 @@ class YDObject:
         n = self.dim
         am = SparseMap.from_matrix(self.act, (dh, n), (n,))
         cm = SparseMap.from_matrix(self.coact, (n,), (dh, n))
-        comul = SparseMap(f, (dh,), (dh, dh), {(k,): dict(col) for k, col in h.comul.items()})
         mul = h.as_algebra().mul_map()
-        smap = SparseMap.from_matrix(h.antipode, (dh,), (dh,))
-        from .tensors import permute_factors
-
-        for hh in range(dh):
-            for v in range(n):
-                # lhs: rho(h v)
-                vec = {(hh, v): f.one()}
-                lhs, _ = am.apply_at(vec, (dh, n), 0)
-                lhs, _ = cm.apply_at(lhs, (n,), 0)
-                # rhs: h1 v(-1) S(h3) (x) h2 v(0)
-                r, dims = comul.apply_at(vec, (dh, n), 0)  # (h1, h2, v)
-                r, dims = comul.apply_at(r, dims, 1)  # (h1, h2, h3, v)
-                r, dims = cm.apply_at(r, dims, 3)  # (h1,h2,h3,v-1,v0)
-                r, dims = smap.apply_at(r, dims, 2)  # S(h3)
-                r, dims = permute_factors(r, dims, (0, 3, 2, 1, 4))  # (h1, v-1, Sh3, h2, v0)
-                r, dims = mul.apply_at(r, dims, 0)  # (h1 v-1, Sh3, h2, v0)
-                r, dims = mul.apply_at(r, dims, 0)  # (h1 v-1 Sh3, h2, v0)
-                r, dims = am.apply_at(r, dims, 1)  # (h', h2 v0)
-                if not sparse_eq(f, lhs, r):
-                    rep.record("yd_compatibility", False, f"(h{hh}, v{v})")
-                    return rep
-        rep.record("yd_compatibility", True)
+        comul = _comul_map(h)
+        lhs = StagePipeline(f, (dh, n)).map_at(am, 0).map_at(cm, 0)  # rho(h v)
+        rhs = (StagePipeline(f, (dh, n))  # h1 v(-1) S(h3) (x) h2 v(0)
+               .map_at(comul, 0).map_at(comul, 1)  # (h1, h2, h3, v)
+               .map_at(cm, 3)  # (h1, h2, h3, v-1, v0)
+               .map_at(SparseMap.from_matrix(h.antipode, (dh,), (dh,)), 2)  # S(h3)
+               .permute((0, 3, 2, 1, 4))  # (h1, v-1, Sh3, h2, v0)
+               .map_at(mul, 0).map_at(mul, 0)  # (h1 v-1 Sh3, h2, v0)
+               .map_at(am, 1))  # (h', h2 v0)
+        _record_checks(rep, [("yd_compatibility", pipelines_equal(lhs, rhs), "(h{0}, v{1})")])
         return rep
 
 
@@ -625,23 +538,12 @@ class _LeftOnly(CategoryContext):
 
 def braiding(v: YDObject, w: YDObject) -> Matrix:
     """c(v (x) w) = (v_(-1) . w) (x) v_(0), an invertible map V(x)W -> W(x)V."""
-    f = v.field
     dv, dw = v.dim, w.dim
     dh = v.hopf.dim
     cm = SparseMap.from_matrix(v.coact, (dv,), (dh, dv))
     am = SparseMap.from_matrix(w.act, (dh, dw), (dw,))
-    entries: dict = {}
-    for a in range(dv):
-        for b in range(dw):
-            vec = {(a, b): f.one()}
-            r, dims = cm.apply_at(vec, (dv, dw), 0)  # (dh, dv, dw)
-            from .tensors import permute_factors
-
-            r, dims = permute_factors(r, dims, (0, 2, 1))  # (dh, dw, dv)
-            r, dims = am.apply_at(r, dims, 0)  # (dw, dv)
-            for (x, y), c in r.items():
-                entries[(x * dv + y, a * dw + b)] = c
-    m = Matrix.from_entries(f, dw * dv, dv * dw, entries)
+    # (v, w) -> (v-1, v0, w) -> (v-1, w, v0) -> (v-1 . w, v0)
+    m = StagePipeline(v.field, (dv, dw)).map_at(cm, 0).permute((0, 2, 1)).map_at(am, 0).matrix()
     m.inverse()  # raises if not invertible
     return m
 
@@ -726,56 +628,20 @@ def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
     dh = h.dim
     dw = w.dim
     dim = dw * dh
-    mul = h.as_algebra().mul
-    # act_r: (w (x) k) h = w (x) kh
-    ar_entries = {}
-    for (k, hh), col in mul.items():
-        for k2, c in col.items():
-            for wv in range(dw):
-                ar_entries[(wv * dh + k2, (wv * dh + k) * dh + hh)] = c
-    act_r = Matrix.from_entries(f, dim, dim * dh, ar_entries)
-    # coact_r: w (x) h1 (x) h2
-    cr_entries = {}
-    for k, col in h.comul.items():
-        for (h1, h2), c in col.items():
-            for wv in range(dw):
-                cr_entries[((wv * dh + h1) * dh + h2, wv * dh + k)] = c
-    coact_r = Matrix.from_entries(f, dim * dh, dim, cr_entries)
-    # act_l: h (w (x) k) = (h1 . w) (x) h2 k
+    mul = h.as_algebra().mul_map()
+    comul = _comul_map(h)
+
+    def P(*dims):
+        return StagePipeline(f, dims)
+
+    act_r = P(dw, dh, dh).map_at(mul, 1).matrix()  # (w (x) k) h = w (x) kh
+    coact_r = P(dw, dh).map_at(comul, 1).matrix()  # w (x) k1 (x) k2
+    # h (w (x) k) = (h1 . w) (x) h2 k
     am = SparseMap.from_matrix(w.act, (dh, dw), (dw,))
-    al_entries: dict = {}
-    for hh in range(dh):
-        for wv in range(dw):
-            for k in range(dh):
-                for (h1, h2), c in h.comul.get(hh, {}).items():
-                    acted = am.column((h1, wv))
-                    for (w2,), cw in acted.items():
-                        for k2, cm_ in mul.get((h2, k), {}).items():
-                            key = (w2 * dh + k2, (hh * dw + wv) * dh + k)
-                            cur = al_entries.get(key, f.zero())
-                            val = f.add(cur, f.mul(c, f.mul(cw, cm_)))
-                            if f.is_zero(val):
-                                al_entries.pop(key, None)
-                            else:
-                                al_entries[key] = val
-    act_l = Matrix.from_entries(f, dim, dh * dim, al_entries)
-    # coact_l: w(-1) h1 (x) w(0) (x) h2
+    act_l = P(dh, dw, dh).map_at(comul, 0).permute((0, 2, 1, 3)).map_at(am, 0).map_at(mul, 1).matrix()
+    # w (x) k -> w(-1) k1 (x) w(0) (x) k2
     cm = SparseMap.from_matrix(w.coact, (dw,), (dh, dw))
-    cl_entries: dict = {}
-    for wv in range(dw):
-        rho = cm.column((wv,))
-        for k in range(dh):
-            for (wm1, w0), c in rho.items():
-                for (h1, h2), c2 in h.comul.get(k, {}).items():
-                    for hm, cm2 in mul.get((wm1, h1), {}).items():
-                        key = (hm * dim + w0 * dh + h2, wv * dh + k)
-                        cur = cl_entries.get(key, f.zero())
-                        val = f.add(cur, f.mul(c, f.mul(c2, cm2)))
-                        if f.is_zero(val):
-                            cl_entries.pop(key, None)
-                        else:
-                            cl_entries[key] = val
-    coact_l = Matrix.from_entries(f, dh * dim, dim, cl_entries)
+    coact_l = P(dw, dh).map_at(cm, 0).map_at(comul, 2).permute((0, 2, 1, 3)).map_at(mul, 0).matrix()
     return CatObject(f, dim, h, coact_l, coact_r, act_l, act_r)
 
 
@@ -812,52 +678,17 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject,
         raise ValueError("integral functional must be normalized")
     dh = hopf.dim
     dm = m.dim
-    lv = lam.vector
-    s = hopf.antipode
     cl = SparseMap.from_matrix(m.coact_l, (dm,), (dh, dm))
     cr = SparseMap.from_matrix(m.coact_r, (dm,), (dm, dh))
-    entries: dict = {}
-    for hh in range(dh):
-        sh = s.apply(v_basis(f, dh, hh))
-        for mm in range(dm):
-            rho_l = cl.column((mm,))
-            for kk in range(dh):
-                sk = s.apply(v_basis(f, dh, kk))
-                out = v_zero(f, dm)
-                for (m_1, m0), c in rho_l.items():
-                    # lam(S(h) m_(-1)): product in H
-                    coef1 = f.zero()
-                    for ii, a in enumerate(sh):
-                        if f.is_zero(a):
-                            continue
-                        for z, b in hopf.mul.get((ii, m_1), {}).items():
-                            coef1 = f.add(coef1, f.mul(a, f.mul(b, lv[z])))
-                    if f.is_zero(coef1):
-                        continue
-                    rho_r = cr.column((m0,))
-                    for (m00, m1), c2 in rho_r.items():
-                        coef2 = f.zero()
-                        for jj, a in enumerate(sk):
-                            if f.is_zero(a):
-                                continue
-                            for z, b in hopf.mul.get((m1, jj), {}).items():
-                                coef2 = f.add(coef2, f.mul(a, f.mul(b, lv[z])))
-                        if f.is_zero(coef2):
-                            continue
-                        out[m00] = f.add(out[m00], f.mul(c, f.mul(coef1, f.mul(c2, f.mul(coef2, f.one())))))
-                for x, cval in enumerate(out):
-                    if not f.is_zero(cval):
-                        entries[(x, (hh * dm + mm) * dh + kk)] = cval
-    mu = Matrix.from_entries(f, dm, dh * dm * dh, entries)
+    s = SparseMap.from_matrix(hopf.antipode, (dh,), (dh,))
+    mul = hopf.as_algebra().mul_map()
+    mu = (StagePipeline(f, (dh, dm, dh)).map_at(s, 0).map_at(s, 2)  # (Sh, m, Sk)
+          .map_at(cl, 1).map_at(mul, 0).contract(0, lam.vector)  # lam(S(h) m_(-1)) (m_(0), Sk)
+          .map_at(cr, 0).map_at(mul, 1).contract(1, lam.vector)  # lam(m_(1) S(k)) m_(0)
+          .matrix())
     # retraction check: mu sigma = id with sigma = (rho_l (x) H) rho_r
-    for mm in range(dm):
-        rho_r = cr.column((mm,))
-        acc = v_zero(f, dm)
-        for (m0, h1), c in rho_r.items():
-            rho_l = cl.column((m0,))
-            for (hm, m00), c2 in rho_l.items():
-                img = mu.col_list((hm * dm + m00) * dh + h1)
-                acc = [f.add(x, f.mul(f.mul(c, c2), y)) for x, y in zip(acc, img)]
-        if not v_eq(f, acc, v_basis(f, dm, mm)):
-            raise AssertionError("mu_M is not a retraction of sigma_M")
+    mu_sigma = (StagePipeline(f, (dm,)).map_at(cr, 0).map_at(cl, 0)
+                .map_at(SparseMap.from_matrix(mu, (dh, dm, dh), (dm,)), 0))
+    if pipelines_equal(mu_sigma, StagePipeline(f, (dm,))) is not None:
+        raise AssertionError("mu_M is not a retraction of sigma_M")
     return mu

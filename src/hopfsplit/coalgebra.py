@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import AlgebraObject, ValidationReport, radical
 from .fields import ScalarField
 from .linalg import Matrix, Subspace
-from .tensors import SparseMap, sparse_add, sparse_eq, v_basis, v_eq, v_zero
+from .tensors import sparse_add, sparse_eq, v_basis, v_eq, v_zero
 
 
 class CoalgebraObject:
@@ -42,10 +42,6 @@ class CoalgebraObject:
                 else:
                     out[ij] = s
         return out
-
-    def comul_map(self) -> SparseMap:
-        cols = {(k,): {ij: c for ij, c in col.items()} for k, col in self.comul.items()}
-        return SparseMap(self.field, (self.dim,), (self.dim, self.dim), cols)
 
     def comul_matrix(self) -> Matrix:
         entries = {}

@@ -41,7 +41,7 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Subspace, _join, _matmul
+from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _join
 from .tensors import v_basis, v_eq, v_tensor, v_zero
 
 
@@ -182,18 +182,6 @@ def _is_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, f_mat: Ma
     if ctx.wants_left_action:
         pairs.append((f_mat @ x.act_l, _along_factor(ft, y.act_l.transpose(), dh, "l").transpose()))
     return all(lhs == rhs for lhs, rhs in pairs)
-
-
-def _along_factor(p: Matrix, m: Matrix, dh: int, side: str) -> Matrix:
-    """(p (x) id_H) m when side is "r" (rows of m indexed (x, h)), and
-    (id_H (x) p) m when side is "l" (rows (h, x)), without forming the
-    tensor product of the maps."""
-    n, w = p.cols, m.cols
-    d = m._d.reshape(n, dh * w) if side == "r" else m._d.reshape(dh, n, w).transpose(1, 0, 2).reshape(n, dh * w)
-    out = _matmul(p.field, p._d, d).reshape(p.rows, dh, w)  # (q, h, column)
-    if side == "l":
-        out = out.transpose(1, 0, 2)
-    return Matrix(p.field, p.rows * dh, w, out.reshape(-1, w), _raw=True)
 
 
 # ---------------------------------------------------------------------------

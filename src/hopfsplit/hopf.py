@@ -224,9 +224,6 @@ class HopfObject(BialgebraObject):
         rep.record("antipode", ok, wit)
         return rep
 
-    def antipode_of(self, vec: list) -> list:
-        return self.antipode.apply(vec)
-
 
 class NoAntipode(Exception):
     pass

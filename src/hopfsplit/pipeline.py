@@ -20,6 +20,7 @@ from .algebra import (
     ValidationReport,
     ideal_power_nilpotency,
     is_ideal,
+    pairwise_products,
     separability_idempotent,
 )
 from .category import CatObject, CategoryContext
@@ -469,34 +470,10 @@ def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObj
 
 
 def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:
-    """(f * g)(x) = f(x1) g(x2) for endomorphism matrices."""
-    fld = a.field
-    n = a.dim
-    if a.as_algebra().dense_path():
-        import numpy as np
-
-        p = fld.p
-        t = a.as_algebra().np_tensor()  # T[i,j,k]
-        d3 = np.zeros((n, n, n), dtype=np.int64)  # D[i,j,k]: Delta e_k at (i,j)
-        for k, col in a.comul.items():
-            for (i, j), c in col.items():
-                d3[i, j, k] = int(c)
-        # W[a,b,k] = sum_{i,j} F[a,i] G[b,j] D[i,j,k]
-        x = np.tensordot(fm._d, d3, axes=([1], [0])) % p  # (a, j, k)
-        w = np.einsum("bj,ajk->abk", gm._d, x) % p  # (a, b, k)
-        # result[t,k] = sum_{a,b} T[a,b,t] W[a,b,k]
-        out = np.tensordot(t.reshape(n * n, n), w.reshape(n * n, n), axes=([0], [0])) % p
-        return Matrix(fld, n, n, out, _raw=True)
-    cols = {}
-    for k in range(n):
-        acc = v_zero(fld, n)
-        for (i, j), c in a.comul.get(k, {}).items():
-            prod = a.product(fm.col_list(i), gm.col_list(j))
-            acc = [fld.add(x, fld.mul(c, y)) for x, y in zip(acc, prod)]
-        for t, c in enumerate(acc):
-            if not fld.is_zero(c):
-                cols[(t, k)] = c
-    return Matrix.from_entries(fld, n, n, cols)
+    """(f * g)(x) = f(x1) g(x2) for endomorphism matrices: the products
+    f(e_i) g(e_j), one column per pair (i, j), times the matrix of Delta."""
+    prods = pairwise_products(a.as_algebra(), fm.transpose(), gm.transpose()).transpose()
+    return prods @ a.as_coalgebra().comul_matrix()
 
 
 def _u_eps(a: BialgebraObject) -> Matrix:

@@ -1,16 +1,50 @@
-"""Sparse structure tensors and a staged evaluator for tensor-space maps.
+"""Sparse structure tensors and one batched evaluator for composite maps.
 
-Elements of a tensor space V_1 (x) ... (x) V_k are dicts mapping index
-tuples (i_1, ..., i_k) to nonzero scalars.  A SparseMap consumes a fixed
-number of adjacent factors and emits a fixed number of new ones; chains of
-SparseMaps applied columnwise evaluate composite morphisms (coproducts,
-braidings, actions, ...) without ever materialising huge Kronecker
-matrices.
+A basis tensor of V_1 (x) ... (x) V_k is a tuple (i_1, ..., i_k) of factor
+indices; its key is the row-major flattened index over the factor dims.
+A `SparseMap` between tensor spaces holds its nonzero entries as COO
+arrays (input key, output key, value), sorted by input key, with a CSR
+offset table built once.
+
+A `StagePipeline` declares a composite map as a chain of stages on the
+factors:
+
+  map_at(m, pos)       apply the SparseMap m to factors [pos, pos + arity)
+  permute(perm)        new factor i is old factor perm[i]
+  contract(pos, w)     pair factor pos with the functional w
+  insert(pos, e, dim)  tensor in the fixed element e as a new factor at pos
+
+and evaluates it on a whole batch of input basis tuples at once.  A batch
+is three arrays: the input tuple each term belongs to (its flattened
+index within the batch), the term's current key and its value.  Values
+are int64 in [0, p) over F_p with p < 2**31 and python scalars
+(dtype=object) otherwise, as in `linalg.Matrix`.  A map stage joins every
+term with the map's entries at the term's factor digits (`linalg._join`);
+a contract stage weights each term by the functional at its digit; insert
+repeats each term once per nonzero entry of the element; permute only
+re-addresses keys.  Terms with equal (input, key) are summed by a sort and
+`np.add.reduceat` over products already reduced, and zero sums are
+dropped: over int64 a sum of fewer than 2**32 terms below 2**31 is exact
+and is then reduced mod p, object sums are reduced by the field.  A batch
+is summed after every stage that grows it and once at the end, by
+`matrix()` or `pipelines_equal` (see `StagePipeline.run`).  No stage loops over terms in Python.  Batches hold
+at most `_BLOCK` input tuples.
+
+Callers use two results: `matrix()`, the composite as a Matrix with one
+column per input tuple in lexicographic order, and `pipelines_equal`, the
+lexicographically first input tuple on which two pipelines differ.  A
+check that reports its witness in another loop order declares its input
+in that order and starts with a `permute`.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .fields import ScalarField
-from .linalg import Matrix
+from .linalg import Matrix, _dtype, _join
+
+_BLOCK = 2**13  # input tuples evaluated in one batch
+_KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address
 
 # ---------------------------------------------------------------------------
 # dense element vectors
@@ -24,21 +58,6 @@ def v_basis(field: ScalarField, n: int, i: int) -> list:
     v = v_zero(field, n)
     v[i] = field.one()
     return v
-
-
-def v_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-def v_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
-def v_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
-
-
-def v_is_zero(field, u) -> bool:
-    return all(field.is_zero(a) for a in u)
 
 
 def v_eq(field, u, v) -> bool:
@@ -73,19 +92,6 @@ def dense_to_sparse(field, u, arity=1, dims=None) -> dict:
     return out
 
 
-def sparse_to_dense(field, vec: dict, dims) -> list:
-    n = 1
-    for d in dims:
-        n *= d
-    out = v_zero(field, n)
-    for key, c in vec.items():
-        flat = 0
-        for idx, d in zip(key, dims):
-            flat = flat * d + idx
-        out[flat] = field.add(out[flat], c)
-    return out
-
-
 def sparse_add(field, a: dict, b: dict, coeff=None) -> dict:
     out = dict(a)
     for k, c in b.items():
@@ -108,66 +114,7 @@ def sparse_eq(field, a: dict, b: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sparse maps between tensor spaces
-
-
-class SparseMap:
-    """Columnwise-sparse linear map between tensor spaces.
-
-    cols maps an input index tuple to {output index tuple: scalar}.
-    Missing columns are zero.
-    """
-
-    __slots__ = ("field", "in_dims", "out_dims", "cols")
-
-    def __init__(self, field, in_dims, out_dims, cols):
-        self.field = field
-        self.in_dims = tuple(in_dims)
-        self.out_dims = tuple(out_dims)
-        self.cols = cols
-
-    @classmethod
-    def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
-        cols: dict = {}
-        for i, j, v in m.entries():
-            cols.setdefault(_unflatten(j, in_dims), {})[_unflatten(i, out_dims)] = v
-        return cls(m.field, in_dims, out_dims, cols)
-
-    def to_matrix(self) -> Matrix:
-        rows = _total(self.out_dims)
-        coln = _total(self.in_dims)
-        entries = {}
-        for key, col in self.cols.items():
-            j = _flatten(key, self.in_dims)
-            for okey, v in col.items():
-                entries[(_flatten(okey, self.out_dims), j)] = v
-        return Matrix.from_entries(self.field, rows, coln, entries)
-
-    def column(self, key: tuple) -> dict:
-        return dict(self.cols.get(key, {}))
-
-    def apply_at(self, vec: dict, dims: tuple, pos: int) -> tuple[dict, tuple]:
-        """Apply to factors [pos, pos+arity) of a tuple-keyed vector."""
-        arity = len(self.in_dims)
-        if tuple(dims[pos : pos + arity]) != self.in_dims:
-            raise ValueError(
-                f"factor dims {dims[pos:pos+arity]} do not match map input {self.in_dims}"
-            )
-        f = self.field
-        out: dict = {}
-        for key, c in vec.items():
-            col = self.cols.get(key[pos : pos + arity])
-            if not col:
-                continue
-            pre, post = key[:pos], key[pos + arity :]
-            for okey, w in col.items():
-                nk = pre + okey + post
-                s = f.add(out.get(nk, f.zero()), f.mul(c, w))
-                if f.is_zero(s):
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
-        return out, dims[:pos] + self.out_dims + dims[pos + arity :]
+# COO batches
 
 
 def _total(dims) -> int:
@@ -177,114 +124,190 @@ def _total(dims) -> int:
     return n
 
 
-def _flatten(key, dims) -> int:
-    flat = 0
-    for idx, d in zip(key, dims):
-        flat = flat * d + idx
-    return flat
+def _summed(field: ScalarField, col, key, val, width: int):
+    """Sum the terms of a batch with equal (col, key) and drop zeros; keys
+    are below width.  Values must already be reduced products."""
+    if key.size > 1:
+        flat = col * width + key
+        order = np.argsort(flat)
+        flat = flat[order]
+        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        val = field.reduce(np.add.reduceat(val[order], first))
+        col, key = np.divmod(flat[first], width)
+    keep = val != 0
+    return col[keep], key[keep], val[keep]
 
 
-def _unflatten(flat, dims) -> tuple:
-    key = []
-    for d in reversed(dims):
-        key.append(flat % d)
-        flat //= d
-    return tuple(reversed(key))
+class SparseMap:
+    """Linear map V_1 (x) ... (x) V_a -> W_1 (x) ... (x) W_b.
+
+    dst and val hold the nonzero entries sorted by input key; those of
+    input key s are [starts[s], starts[s + 1]).  Duplicate entries given to
+    the constructor add up.  When every value is 1 (as in the structure
+    maps of a group algebra), applying the map takes no products.
+    """
+
+    __slots__ = ("field", "in_dims", "out_dims", "dst", "val", "starts", "ones")
+
+    def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
+        self.field = field
+        self.in_dims = tuple(in_dims)
+        self.out_dims = tuple(out_dims)
+        val = field.reduce(np.asarray(val, dtype=_dtype(field)))
+        src, self.dst, self.val = _summed(field, np.asarray(src, dtype=np.int64),
+                                          np.asarray(dst, dtype=np.int64), val, _total(self.out_dims))
+        self.starts = np.searchsorted(src, np.arange(_total(self.in_dims) + 1))
+        self.ones = bool((self.val == 1).all())
+
+    @classmethod
+    def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
+        """The map whose matrix is m: columns are input keys, rows output keys."""
+        if (m.rows, m.cols) != (_total(out_dims), _total(in_dims)):
+            raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
+        dst, src = np.nonzero(m._d)
+        return cls(m.field, in_dims, out_dims, src, dst, m._d[dst, src])
+
+    def apply_at(self, batch, dims: tuple, pos: int):
+        """Apply to factors [pos, pos + arity) of every term of a batch;
+        returns the new batch, its terms not yet summed, and its factor
+        dims."""
+        arity = len(self.in_dims)
+        if tuple(dims[pos : pos + arity]) != self.in_dims:
+            raise ValueError(f"factor dims {dims[pos:pos + arity]} do not match map input {self.in_dims}")
+        col, key, val = batch
+        post = _total(dims[pos + arity :])
+        hi, rest = np.divmod(key, _total(self.in_dims) * post)
+        mid, lo = np.divmod(rest, post)
+        t, e = _join(np.arange(key.size), self.starts[mid], self.starts[mid + 1])
+        dims = dims[:pos] + self.out_dims + dims[pos + arity :]
+        key = (hi[t] * _total(self.out_dims) + self.dst[e]) * post + lo[t]
+        val = val[t] if self.ones else self.field.reduce(val[t] * self.val[e])
+        return (col[t], key, val), dims
 
 
-def permute_factors(vec: dict, dims: tuple, perm) -> tuple[dict, tuple]:
-    """Reorder tensor factors; perm[i] = source position of new factor i."""
-    out = {tuple(k[p] for p in perm): c for k, c in vec.items()}
-    return out, tuple(dims[p] for p in perm)
+def _permute(batch, dims: tuple, perm: tuple):
+    col, key, val = batch
+    digits = np.unravel_index(key, dims)
+    dims = tuple(dims[p] for p in perm)
+    return (col, np.ravel_multi_index([digits[p] for p in perm], dims), val), dims
 
 
-def drop_unit_factor(field, vec: dict, dims: tuple, pos: int, weights: list):
-    """Contract factor `pos` against a functional given by `weights`."""
-    out: dict = {}
-    for key, c in vec.items():
-        w = weights[key[pos]]
-        if field.is_zero(w):
-            continue
-        nk = key[:pos] + key[pos + 1 :]
-        s = field.add(out.get(nk, field.zero()), field.mul(c, w))
-        if field.is_zero(s):
-            out.pop(nk, None)
-        else:
-            out[nk] = s
-    return out, dims[:pos] + dims[pos + 1 :]
+def _contract(field: ScalarField, batch, dims: tuple, pos: int, weights):
+    col, key, val = batch
+    post = _total(dims[pos + 1 :])
+    hi, rest = np.divmod(key, dims[pos] * post)
+    digit, lo = np.divmod(rest, post)
+    w = weights[digit]
+    nz = w != 0
+    dims = dims[:pos] + dims[pos + 1 :]
+    return (col[nz], hi[nz] * post + lo[nz], field.reduce(val[nz] * w[nz])), dims
 
 
-def insert_factor(field, vec: dict, dims: tuple, pos: int, element: list, dim: int):
-    """Tensor-insert a fixed element as a new factor at position `pos`."""
-    out: dict = {}
-    for key, c in vec.items():
-        for i, w in enumerate(element):
-            if field.is_zero(w):
-                continue
-            nk = key[:pos] + (i,) + key[pos:]
-            s = field.add(out.get(nk, field.zero()), field.mul(c, w))
-            if not field.is_zero(s):
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-    return out, dims[:pos] + (dim,) + dims[pos:]
+def _insert(field: ScalarField, batch, dims: tuple, pos: int, idx, weights, dim: int):
+    col, key, val = batch
+    post = _total(dims[pos:])
+    hi, lo = np.divmod(key, post)
+    k, n = idx.size, key.size
+    key = (np.repeat(hi, k) * dim + np.tile(idx, n)) * post + np.repeat(lo, k)
+    val = field.reduce(np.repeat(val, k) * np.tile(weights, n))
+    return (np.repeat(col, k), key, val), dims[:pos] + (dim,) + dims[pos:]
 
 
 class StagePipeline:
-    """A composable chain of factorwise operations on tuple-keyed vectors.
+    """A composite map declared as a chain of factorwise stages and
+    evaluated on batches of input basis tuples (see the module docstring).
+    Declaring a stage checks it against the factor dims it receives."""
 
-    Stages are (kind, args) records; run() threads a vector through them.
-    Used to evaluate the compositional axioms of quadruples and
-    bosonizations exactly, column by column.
-    """
-
-    def __init__(self, field, in_dims):
+    def __init__(self, field: ScalarField, in_dims):
         self.field = field
         self.in_dims = tuple(in_dims)
-        self.stages = []
+        self.out_dims = self.in_dims
+        self.stages: list[tuple] = []
+
+    def _add(self, stage: tuple, out_dims: tuple) -> "StagePipeline":
+        if _total(out_dims) > _KEY_LIMIT:
+            raise ValueError(f"tensor space {out_dims} is too large to address")
+        self.stages.append(stage)
+        self.out_dims = out_dims
+        return self
 
     def map_at(self, smap: SparseMap, pos: int) -> "StagePipeline":
-        self.stages.append(("map", smap, pos))
-        return self
+        d, a = self.out_dims, len(smap.in_dims)
+        if d[pos : pos + a] != smap.in_dims:
+            raise ValueError(f"factor dims {d[pos:pos + a]} do not match map input {smap.in_dims}")
+        return self._add(("map", smap, pos), d[:pos] + smap.out_dims + d[pos + a :])
 
     def permute(self, perm) -> "StagePipeline":
-        self.stages.append(("perm", tuple(perm)))
-        return self
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(self.out_dims))):
+            raise ValueError(f"{perm} is not a permutation of {len(self.out_dims)} factors")
+        return self._add(("perm", perm), tuple(self.out_dims[p] for p in perm))
 
     def contract(self, pos: int, weights) -> "StagePipeline":
-        self.stages.append(("contract", pos, list(weights)))
-        return self
+        d = self.out_dims
+        w = self.field.reduce(np.array(list(weights), dtype=_dtype(self.field)))
+        if w.size != d[pos]:
+            raise ValueError(f"functional of length {w.size} on a factor of dim {d[pos]}")
+        return self._add(("contract", pos, w), d[:pos] + d[pos + 1 :])
 
     def insert(self, pos: int, element, dim: int) -> "StagePipeline":
-        self.stages.append(("insert", pos, list(element), dim))
-        return self
+        e = self.field.reduce(np.array(list(element), dtype=_dtype(self.field)))
+        if e.size != dim:
+            raise ValueError(f"element of length {e.size} for a factor of dim {dim}")
+        idx = np.flatnonzero(e != 0)
+        return self._add(("insert", pos, idx, e[idx], dim), self.out_dims[:pos] + (dim,) + self.out_dims[pos:])
 
-    def run(self, vec: dict, dims=None) -> tuple[dict, tuple]:
-        dims = self.in_dims if dims is None else tuple(dims)
+    def run(self, batch):
+        """Evaluate every stage on one batch (col, key, val) over in_dims;
+        returns the batch over out_dims, whose terms the caller sums.
+
+        A stage that leaves more terms than it received is summed at once,
+        so no batch holds more terms than the larger of its input and its
+        distinct keys; other stages leave their terms to a later sum.
+        Values stay nonzero until a sum: every entry, weight and element
+        is nonzero.
+        """
+        f, dims = self.field, self.in_dims
         for st in self.stages:
+            size = batch[1].size
             if st[0] == "map":
-                vec, dims = st[1].apply_at(vec, dims, st[2])
+                batch, dims = st[1].apply_at(batch, dims, st[2])
             elif st[0] == "perm":
-                vec, dims = permute_factors(vec, dims, st[1])
+                batch, dims = _permute(batch, dims, st[1])
             elif st[0] == "contract":
-                vec, dims = drop_unit_factor(self.field, vec, dims, st[1], st[2])
+                batch, dims = _contract(f, batch, dims, st[1], st[2])
             else:
-                vec, dims = insert_factor(self.field, vec, dims, st[1], st[2], st[3])
-        return vec, dims
+                batch, dims = _insert(f, batch, dims, *st[1:])
+            if batch[1].size > size:
+                batch = _summed(f, *batch, _total(dims))
+        return batch
 
-    def run_basis(self, key: tuple) -> tuple[dict, tuple]:
-        return self.run({tuple(key): self.field.one()})
+    def _blocks(self):
+        """Yield (first input, result batch) for consecutive blocks of the
+        input basis in lexicographic order."""
+        n = _total(self.in_dims)
+        for lo in range(0, n, _BLOCK):
+            col = np.arange(min(n, lo + _BLOCK) - lo)
+            yield lo, self.run((col, col + lo, np.full(col.size, self.field.one(), dtype=_dtype(self.field))))
+
+    def matrix(self) -> Matrix:
+        """The composite as a Matrix: column = input key, row = output key."""
+        out = Matrix.zeros(self.field, _total(self.out_dims), _total(self.in_dims))
+        for lo, batch in self._blocks():
+            col, key, val = _summed(self.field, *batch, _total(self.out_dims))
+            out._d[key, col + lo] = val
+        return out
 
 
-def pipelines_equal(p1: StagePipeline, p2: StagePipeline, in_dims=None) -> tuple[bool, tuple | None]:
-    """Evaluate two pipelines on every basis tensor; return (equal, witness)."""
-    dims = tuple(in_dims) if in_dims is not None else p1.in_dims
-    field = p1.field
-    total = _total(dims)
-    for flat in range(total):
-        key = _unflatten(flat, dims)
-        v1, _ = p1.run({key: field.one()}, dims)
-        v2, _ = p2.run({key: field.one()}, dims)
-        if not sparse_eq(field, v1, v2):
-            return False, key
-    return True, None
+def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
+    """The lexicographically first input basis tuple on which two pipelines
+    over the same spaces differ, or None when they are equal."""
+    if (lhs.in_dims, lhs.out_dims) != (rhs.in_dims, rhs.out_dims):
+        raise ValueError(f"pipelines {lhs.in_dims} -> {lhs.out_dims} and {rhs.in_dims} -> {rhs.out_dims}")
+    f, width = lhs.field, _total(lhs.out_dims)
+    for (lo, (c1, k1, v1)), (_, (c2, k2, v2)) in zip(lhs._blocks(), rhs._blocks()):
+        col, _, _ = _summed(f, np.concatenate((c1, c2)), np.concatenate((k1, k2)),
+                            np.concatenate((v1, f.reduce(-v2))), width)
+        if col.size:
+            return tuple(int(i) for i in np.unravel_index(lo + int(col.min()), lhs.in_dims))
+    return None

@@ -1,0 +1,242 @@
+"""The batched stage engine against a per-tuple dict evaluator.
+
+The reference below evaluates a pipeline one basis tuple at a time on
+dicts keyed by index tuples, stage by stage; the engine must give the same
+composite, the same batch results and the same first witness.
+"""
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfsplit.fields import GF, QQ
+from hopfsplit.tensors import SparseMap, StagePipeline, pipelines_equal
+
+FIELDS = [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)]
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple dict reference
+
+
+def _unflatten(flat, dims):
+    key = []
+    for d in reversed(dims):
+        key.append(flat % d)
+        flat //= d
+    return tuple(reversed(key))
+
+
+def _add_term(f, out, key, c):
+    s = f.add(out.get(key, f.zero()), c)
+    if f.is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def ref_stage(f, stage, vec, dims):
+    kind = stage[0]
+    out: dict = {}
+    if kind == "map":
+        cols, in_dims, out_dims, pos = stage[1:5]
+        a = len(in_dims)
+        for key, c in vec.items():
+            for okey, w in cols.get(key[pos : pos + a], {}).items():
+                _add_term(f, out, key[:pos] + okey + key[pos + a :], f.mul(c, w))
+        return out, dims[:pos] + out_dims + dims[pos + a :]
+    if kind == "perm":
+        perm = stage[1]
+        return {tuple(k[p] for p in perm): c for k, c in vec.items()}, tuple(dims[p] for p in perm)
+    if kind == "contract":
+        pos, weights = stage[1:]
+        for key, c in vec.items():
+            _add_term(f, out, key[:pos] + key[pos + 1 :], f.mul(c, weights[key[pos]]))
+        return out, dims[:pos] + dims[pos + 1 :]
+    pos, element, dim = stage[1:]
+    for key, c in vec.items():
+        for i, w in enumerate(element):
+            if not f.is_zero(w):
+                _add_term(f, out, key[:pos] + (i,) + key[pos:], f.mul(c, w))
+    return out, dims[:pos] + (dim,) + dims[pos:]
+
+
+def ref_run(f, stages, in_dims, key):
+    vec, dims = {tuple(key): f.one()}, tuple(in_dims)
+    for st_ in stages:
+        vec, dims = ref_stage(f, st_, vec, dims)
+    return vec
+
+
+def build(f, in_dims, stages) -> StagePipeline:
+    pipe = StagePipeline(f, in_dims)
+    for st_ in stages:
+        if st_[0] == "map":
+            pipe.map_at(st_[5], st_[4])
+        elif st_[0] == "perm":
+            pipe.permute(st_[1])
+        elif st_[0] == "contract":
+            pipe.contract(*st_[1:])
+        else:
+            pipe.insert(*st_[1:])
+    return pipe
+
+
+# ---------------------------------------------------------------------------
+# random maps and chains
+
+
+def scalars(f):
+    if f.kind == "Q":
+        return st.builds(lambda a, b: Fraction(a, b), st.integers(-3, 3), st.integers(1, 3))
+    return st.sampled_from([0, 1, 2, f.p - 1, f.p - 2, f.p // 2 + 1])
+
+
+def flat(key, dims):
+    out = 0
+    for i, d in zip(key, dims):
+        out = out * d + i
+    return out
+
+
+@st.composite
+def sparse_maps(draw, f, in_dims, out_dims):
+    """A SparseMap given with duplicate entries, and its summed columns."""
+    keys_in = list(itertools.product(*map(range, in_dims)))
+    keys_out = list(itertools.product(*map(range, out_dims)))
+    raw = draw(st.lists(st.tuples(st.sampled_from(keys_in), st.sampled_from(keys_out), scalars(f)),
+                        max_size=12))
+    cols: dict = {}
+    for ki, ko, c in raw:
+        _add_term(f, cols.setdefault(ki, {}), ko, c)
+    src = [flat(ki, in_dims) for ki, _, _ in raw]
+    dst = [flat(ko, out_dims) for _, ko, _ in raw]
+    return cols, SparseMap(f, in_dims, out_dims, src, dst, [c for _, _, c in raw])
+
+
+@st.composite
+def chains(draw, f, in_dims, max_stages=5):
+    dims = tuple(in_dims)
+    stages = []
+    for _ in range(draw(st.integers(0, max_stages))):
+        kinds = ["map", "insert"] + (["perm", "contract"] if dims else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "map" and dims:
+            pos = draw(st.integers(0, len(dims) - 1))
+            arity = draw(st.integers(1, min(2, len(dims) - pos)))
+            in_d = dims[pos : pos + arity]
+            out_d = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
+            cols, smap = draw(sparse_maps(f, in_d, out_d))
+            stages.append(("map", cols, in_d, out_d, pos, smap))
+            dims = dims[:pos] + out_d + dims[pos + arity :]
+        elif kind == "perm":
+            perm = tuple(draw(st.permutations(range(len(dims)))))
+            stages.append(("perm", perm))
+            dims = tuple(dims[p] for p in perm)
+        elif kind == "contract":
+            pos = draw(st.integers(0, len(dims) - 1))
+            stages.append(("contract", pos, draw(st.lists(scalars(f), min_size=dims[pos], max_size=dims[pos]))))
+            dims = dims[:pos] + dims[pos + 1 :]
+        elif len(dims) < 4:
+            pos = draw(st.integers(0, len(dims)))
+            dim = draw(st.integers(1, 3))
+            stages.append(("insert", pos, draw(st.lists(scalars(f), min_size=dim, max_size=dim)), dim))
+            dims = dims[:pos] + (dim,) + dims[pos:]
+    return stages
+
+
+input_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batched_pipeline_matches_per_tuple_reference(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    in_dims = data.draw(input_dims)
+    stages = data.draw(chains(f, in_dims))
+    pipe = build(f, in_dims, stages)
+    m = pipe.matrix()
+    keys = list(itertools.product(*map(range, in_dims)))
+    for j, key in enumerate(keys):
+        want = ref_run(f, stages, in_dims, key)
+        got = {_unflatten(i, pipe.out_dims): m[i, j] for i in range(m.rows) if m[i, j] != 0}
+        assert got == want
+    # one batch of chosen input tuples, repeats and scaled values included
+    picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=6))
+    scale = data.draw(st.lists(scalars(f), min_size=len(picks), max_size=len(picks)))
+    col = np.array([t // 2 for t in range(len(picks))], dtype=np.int64)
+    val = f.reduce(np.array(scale, dtype=m._d.dtype))
+    c, k, v = pipe.run((col, np.array(picks, dtype=np.int64), val))
+    want: dict = {}
+    for t, (pick, s) in enumerate(zip(picks, scale)):
+        for okey, w in ref_run(f, stages, in_dims, keys[pick]).items():
+            _add_term(f, want, (t // 2, okey), f.mul(s, w))
+    got: dict = {}  # a batch sums equal keys only at map and contract stages
+    for a, b, x in zip(c.tolist(), k.tolist(), v.tolist()):
+        _add_term(f, got, (a, _unflatten(b, pipe.out_dims)), x)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_witness_is_first_differing_tuple(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    in_dims = data.draw(input_dims)
+    lhs = data.draw(chains(f, in_dims))
+    pipe = build(f, in_dims, lhs)
+    if pipe.out_dims and data.draw(st.booleans()):
+        # the same chain followed by a map that may move some outputs
+        pos = data.draw(st.integers(0, len(pipe.out_dims) - 1))
+        d = (pipe.out_dims[pos],)
+        cols, smap = data.draw(sparse_maps(f, d, d))
+        rhs = lhs + [("map", cols, d, d, pos, smap)]
+    else:
+        rhs = data.draw(chains(f, in_dims))
+    other = build(f, in_dims, rhs)
+    if other.out_dims != pipe.out_dims:
+        return
+    want = None
+    for key in itertools.product(*map(range, in_dims)):
+        if ref_run(f, lhs, in_dims, key) != ref_run(f, rhs, in_dims, key):
+            want = key
+            break
+    assert pipelines_equal(pipe, other) == want
+    assert pipelines_equal(pipe, build(f, in_dims, lhs)) is None
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_witness_follows_declared_loop_order(field):
+    # m is nonzero on the keys (a, b) = (1, 0) and (0, 2) only: in key order
+    # the first is (0, 2); declared in loop order (b, a) it is (b, a) = (0, 1)
+    one = field.one()
+    m = SparseMap(field, (2, 3), (2,), [1 * 3 + 0, 0 * 3 + 2], [0, 1], [one, one])
+    zero = SparseMap(field, (2, 3), (2,), [], [], [])
+    key_order = [StagePipeline(field, (2, 3)).map_at(x, 0) for x in (m, zero)]
+    assert pipelines_equal(*key_order) == (0, 2)
+    loop_order = [StagePipeline(field, (3, 2)).permute((1, 0)).map_at(x, 0) for x in (m, zero)]
+    assert pipelines_equal(*loop_order) == (0, 1)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_terms_with_equal_keys_are_summed(field):
+    # x0 -> e00 + e01 and x1 -> e10; contracting the second factor with
+    # (1, -1) sends both terms of x0 to key 0, where they cancel
+    one, zero = field.one(), field.zero()
+    m = SparseMap(field, (2,), (2, 2), [0, 0, 1], [0, 1, 2], [one, one, one])
+    pipe = StagePipeline(field, (2,)).map_at(m, 0).contract(1, [one, field.neg(one)])
+    assert pipe.matrix().to_rows() == [[zero, zero], [zero, one]]
+    assert pipelines_equal(pipe, StagePipeline(field, (2,)).contract(0, [zero, one]).insert(0, [zero, one], 2)) is None
+    assert pipelines_equal(pipe, StagePipeline(field, (2,))) == (0,)
+
+
+def test_declared_stages_are_checked_against_factor_dims():
+    m = SparseMap(GF(7), (2,), (3,), [0], [0], [1])
+    with pytest.raises(ValueError):
+        StagePipeline(GF(7), (3,)).map_at(m, 0)
+    with pytest.raises(ValueError):
+        StagePipeline(GF(7), (2, 3)).permute((0, 0))
+    with pytest.raises(ValueError):
+        StagePipeline(GF(7), (2,)).contract(0, [1, 2, 3])
