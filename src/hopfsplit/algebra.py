@@ -616,8 +616,9 @@ def verify_separability_idempotent(a: AlgebraObject, e: list):
     for (i, j), c in es.items():
         for k, v in a.mul.get((i, j), {}).items():
             m_of_e[k] = f.add(m_of_e[k], f.mul(c, v))
-    if not v_eq(f, m_of_e, a.unit):
-        raise AssertionError("separability idempotent fails m(e) = 1")
+    bad = next((k for k in range(n) if m_of_e[k] != a.unit[k]), None)
+    if bad is not None:
+        raise VerificationFailed("separability_multiplication", bad)
     for t in range(n):
         lhs: dict = {}
         rhs: dict = {}
@@ -631,7 +632,7 @@ def verify_separability_idempotent(a: AlgebraObject, e: list):
                 s = f.add(rhs.get(key, f.zero()), f.mul(c, v))
                 rhs[key] = s
         if not sparse_eq(f, lhs, rhs):
-            raise AssertionError(f"Casimir property fails at basis element {t}")
+            raise VerificationFailed("separability_casimir", t)
 
 
 def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):

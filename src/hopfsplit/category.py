@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ValidationReport
+from .algebra import ValidationReport, VerificationFailed
 from .fields import ScalarField
 from .hopf import HopfObject, IntegralWitness
 from .linalg import Matrix, SparseRows, Subspace, _dtype, _rref, kernel_from_rref, particular_from_rref
@@ -664,14 +664,14 @@ def phi_iso(v: CatObject, r_incl: Matrix) -> tuple[Matrix, Matrix]:
     return phi, phi.inverse()
 
 
-def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject,
-                        bimodule_actions=None) -> Matrix:
+def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject) -> Matrix:
     """mu_M(h (x) m (x) k) = lam(S(h) m_(-1)) m_(0) lam(m_(1) S(k)).
 
     Verified to be a retraction of sigma_M = (rho_l (x) H) rho_r and a
-    bicomodule morphism; with bimodule_actions = (act_l, act_r, coact_l_A,
-    coact_r_A, d_A) also a bimodule morphism for the diagonal actions on
-    H (x) M (x) H.
+    bicomodule morphism for the outer coactions of H (x) M (x) H (Delta_H
+    on the first factor on the left, on the last on the right); a failure
+    raises VerificationFailed naming the check and, for colinearity, the
+    first basis tuple (h, m, k) where it fails.
     """
     f = hopf.field
     if not lam.normalized:
@@ -686,9 +686,23 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject,
           .map_at(cl, 1).map_at(mul, 0).contract(0, lam.vector)  # lam(S(h) m_(-1)) (m_(0), Sk)
           .map_at(cr, 0).map_at(mul, 1).contract(1, lam.vector)  # lam(m_(1) S(k)) m_(0)
           .matrix())
+    mu_map = SparseMap.from_matrix(mu, (dh, dm, dh), (dm,))
     # retraction check: mu sigma = id with sigma = (rho_l (x) H) rho_r
-    mu_sigma = (StagePipeline(f, (dm,)).map_at(cr, 0).map_at(cl, 0)
-                .map_at(SparseMap.from_matrix(mu, (dh, dm, dh), (dm,)), 0))
+    mu_sigma = StagePipeline(f, (dm,)).map_at(cr, 0).map_at(cl, 0).map_at(mu_map, 0)
     if pipelines_equal(mu_sigma, StagePipeline(f, (dm,))) is not None:
-        raise AssertionError("mu_M is not a retraction of sigma_M")
+        raise VerificationFailed("retraction_identity")
+    # colinearity: rho_l mu = (id_H (x) mu)(Delta (x) id id) and
+    # rho_r mu = (mu (x) id_H)(id id (x) Delta)
+    comul = _comul_map(hopf)
+    src = (dh, dm, dh)
+    sides = {
+        "left": (StagePipeline(f, src).map_at(mu_map, 0).map_at(cl, 0),
+                 StagePipeline(f, src).map_at(comul, 0).map_at(mu_map, 1)),
+        "right": (StagePipeline(f, src).map_at(mu_map, 0).map_at(cr, 0),
+                  StagePipeline(f, src).map_at(comul, 2).map_at(mu_map, 0)),
+    }
+    for side, (lhs, rhs) in sides.items():
+        bad = pipelines_equal(lhs, rhs)
+        if bad is not None:
+            raise VerificationFailed(f"retraction_{side}_colinear", bad)
     return mu

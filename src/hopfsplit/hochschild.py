@@ -3,11 +3,25 @@ context, square-zero extensions, cocycle classes, section correction and
 lifting through nilpotent towers.
 
 Degrees 0..2 only; the degree-3 space exists solely as the codomain of b^2.
-Cochains are context morphisms A^(x)n -> M; the differentials are
+Cochains are context morphisms A^(x)n -> M; the differential is the one
+formula (Loday, Cyclic Homology, 1.1)
 
-    b0(f)(a)      = a f - f a
-    b1(f)(a,b)    = a f(b) - f(ab) + f(a) b
-    b2(f)(a,b,c)  = a f(b,c) - f(ab,c) + f(a,bc) - f(a,b) c
+    b^n(f)(a_1 .. a_{n+1}) = a_1 f(a_2 .. a_{n+1})
+                             + sum_p (-1)^p f(a_1 .. a_p a_{p+1} .. a_{n+1})
+                             + (-1)^(n+1) f(a_1 .. a_n) a_{n+1}
+
+b^n is a fixed sparse operator D_n on the row-major vec(f), built once per
+degree and cached on the bimodule (`BimoduleInContext.operator`): the
+lambda term from the left action's entries, n inner terms from the
+structure constants and the rho term from the right action's entries,
+each broadcast over the slots it leaves untouched, coinciding entries
+summed once.  `differential` is D_n vec(f).  `cohomology` is three
+products: the coefficient matrix D_n B^T for the cochain basis B (as
+rows), the cocycles ker(D_n B^T) B and the coboundaries, the rows of
+(D_(n-1) B_(n-1)^T)^T.  Section correction hands D_1's entries to
+`MapSolver`, whose unknowns are the same vec coordinates.  The
+coefficient matrix is the one a per-cochain evaluation builds, so
+kernels, representatives and reports come out the same byte for byte.
 
 Lifting through a nilpotent tower runs on whole matrices: each quotient
 descends its coactions by one product, (proj (x) id_H) co [ideal^T | incl],
@@ -41,8 +55,8 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _join
-from .tensors import v_basis, v_eq, v_tensor, v_zero
+from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _dtype, _join, _matmul
+from .tensors import SparseMap, _summed, _total, v_basis, v_eq, v_tensor, v_zero
 
 
 class AlgebraInContext:
@@ -93,6 +107,7 @@ class BimoduleInContext:
         self.obj = obj
         self.act_l = act_l  # A (x) M -> M
         self.act_r = act_r  # M (x) A -> M
+        self._operators: dict[int, SparseMap] = {}
 
     @property
     def field(self):
@@ -156,6 +171,13 @@ class BimoduleInContext:
                        "right action not a ctx morphism")
         return rep
 
+    def operator(self, n: int) -> SparseMap:
+        """The Hochschild differential b^n on vec coordinates, built once per
+        degree (`_hochschild_operator`)."""
+        if n not in self._operators:
+            self._operators[n] = _hochschild_operator(self, n)
+        return self._operators[n]
+
     def left(self, avec, m):
         return self.act_l.apply(v_tensor(self.field, avec, m))
 
@@ -204,92 +226,72 @@ def cochain_space(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> Ho
     return hom_space(actx.ctx, tensor_power_object(actx, n), mctx.obj)
 
 
+def _hochschild_operator(mctx: BimoduleInContext, n: int) -> SparseMap:
+    """b^n as a SparseMap from vec(f), f : A^(x)n -> M, to vec(b^n f).
+
+    Keys are the row-major vec coordinates: (m, a_1 .. a_n) in, (m, a_1 ..
+    a_{n+1}) out.  Each term of the formula is one array of entries,
+    broadcast over the slots it leaves untouched; the constructor sums
+    coinciding entries once."""
+    if n not in (0, 1, 2):
+        raise ValueError("differential implemented for degrees 0, 1, 2")
+    a = mctx.actx.algebra
+    fld = a.field
+    da, dm = a.dim, mctx.dim
+    rows, cols, vals = [], [], []
+
+    def term(r, c, v, sign):
+        r, c = np.broadcast_arrays(r, c)
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        v = v if sign > 0 else fld.reduce(-v)
+        vals.append(np.broadcast_to(v, r.shape).ravel())
+
+    # a_1 f(a_2 .. a_{n+1}): act_l[m, (i, m')] joins f's column (m', rest)
+    rest = np.arange(da**n)
+    mo, ax = mctx.act_l._d.nonzero()
+    i, mp = np.divmod(ax, dm)
+    v = mctx.act_l._d[mo, ax][:, None]
+    term((mo * da + i)[:, None] * da**n + rest, mp[:, None] * da**n + rest, v, 1)
+    # (-1)^p f(.., a_p a_{p+1}, ..): e_i e_j = sum_k c e_k at slots p, p + 1
+    ent = [(i, j, k, c) for (i, j), col in a.mul.items() for k, c in col.items()]
+    ii, jj, kk = (np.array([e[t] for e in ent], dtype=np.int64) for t in range(3))
+    cc = fld.reduce(np.array([e[3] for e in ent], dtype=_dtype(fld)))
+    for p in range(1, n + 1):
+        pre = np.arange(dm * da ** (p - 1))[:, None, None]  # (m, a_1 .. a_{p-1})
+        post = np.arange(da ** (n - p))[None, None, :]
+        term(((pre * da + ii[:, None]) * da + jj[:, None]) * da ** (n - p) + post,
+             (pre * da + kk[:, None]) * da ** (n - p) + post, cc[:, None], (-1) ** p)
+    # (-1)^(n+1) f(a_1 .. a_n) a_{n+1}: act_r[m, (m', j)] joins f's column (m', pre)
+    mo, xa = mctx.act_r._d.nonzero()
+    mp, j = np.divmod(xa, da)
+    v = mctx.act_r._d[mo, xa][:, None]
+    term((mo[:, None] * da**n + rest) * da + j[:, None], mp[:, None] * da**n + rest, v, (-1) ** (n + 1))
+    cat = np.concatenate
+    return SparseMap(fld, (dm,) + (da,) * n, (dm,) + (da,) * (n + 1), cat(cols), cat(rows), cat(vals))
+
+
+def _apply_rows(op: SparseMap, rows: np.ndarray) -> np.ndarray:
+    """op applied to each row of a dense (k, vec length) array."""
+    fld = op.field
+    width = _total(op.out_dims)
+    col, key = rows.nonzero()
+    batch, _ = op.apply_at((col, key, rows[col, key]), op.in_dims, 0)
+    col, key, val = _summed(fld, *batch, width)
+    out = np.full((rows.shape[0], width), fld.zero(), dtype=rows.dtype)
+    out[col, key] = val
+    return out
+
+
 def differential(actx: AlgebraInContext, mctx: BimoduleInContext, n: int, f: Matrix) -> Matrix:
-    """b^n applied to a cochain matrix; degrees 0..2 only."""
-    a = actx.algebra
-    fld = a.field
-    da, dm = a.dim, mctx.dim
-    if n == 0:
-        m0 = f.col_list(0)
-        cols = {}
-        for i in range(da):
-            ei = v_basis(fld, da, i)
-            col = [fld.sub(x, y) for x, y in zip(mctx.left(ei, m0), mctx.right(m0, ei))]
-            for t, c in enumerate(col):
-                if not fld.is_zero(c):
-                    cols[(t, i)] = c
-        return Matrix.from_entries(fld, dm, da, cols)
-    if n == 1:
-        cols = {}
-        for i in range(da):
-            fi = f.col_list(i)
-            ei = v_basis(fld, da, i)
-            for j in range(da):
-                fj = f.col_list(j)
-                ej = v_basis(fld, da, j)
-                col = mctx.left(ei, fj)
-                prod = a.pair_product(i, j)
-                for k, c in prod.items():
-                    col = [fld.sub(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(k))]
-                col = [fld.add(x, y) for x, y in zip(col, mctx.right(fi, ej))]
-                for t, c in enumerate(col):
-                    if not fld.is_zero(c):
-                        cols[(t, i * da + j)] = c
-        return Matrix.from_entries(fld, dm, da * da, cols)
-    if n == 2:
-        cols = {}
-        for i in range(da):
-            ei = v_basis(fld, da, i)
-            for j in range(da):
-                prod_ij = a.pair_product(i, j)
-                fij = f.col_list(i * da + j)
-                for k in range(da):
-                    ek = v_basis(fld, da, k)
-                    prod_jk = a.pair_product(j, k)
-                    col = mctx.left(ei, f.col_list(j * da + k))
-                    for m, c in prod_ij.items():
-                        col = [fld.sub(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(m * da + k))]
-                    for m, c in prod_jk.items():
-                        col = [fld.add(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(i * da + m))]
-                    col = [fld.sub(x, y) for x, y in zip(col, mctx.right(fij, ek))]
-                    for t, c in enumerate(col):
-                        if not fld.is_zero(c):
-                            cols[(t, (i * da + j) * da + k)] = c
-        return Matrix.from_entries(fld, dm, da * da * da, cols)
-    raise ValueError("differential implemented for degrees 0, 1, 2")
-
-
-def b1_operator_rows(actx: AlgebraInContext, mctx: BimoduleInContext):
-    """Entries of b^1 as a linear operator on vec(tau), tau : A -> M.
-
-    Row index (m, (i,j)) flat; column index (m', x) flat.
-    """
-    a = actx.algebra
-    fld = a.field
-    da, dm = a.dim, mctx.dim
-    entries: dict = {}
-
-    def bump(r, c, v):
-        cur = entries.get((r, c))
-        s = v if cur is None else fld.add(cur, v)
-        if fld.is_zero(s):
-            entries.pop((r, c), None)
-        else:
-            entries[(r, c)] = s
-
-    for m_out, ax, v in mctx.act_l.entries():
-        i, mp = ax // dm, ax % dm
-        for j in range(da):
-            bump(m_out * da * da + i * da + j, mp * da + j, v)
-    for (i, j), col in a.mul.items():
-        for k, c in col.items():
-            for m_out in range(dm):
-                bump(m_out * da * da + i * da + j, m_out * da + k, fld.neg(c))
-    for m_out, xa, v in mctx.act_r.entries():
-        mp, j = xa // da, xa % da
-        for i in range(da):
-            bump(m_out * da * da + i * da + j, mp * da + i, v)
-    return entries, dm * da * da
+    """b^n applied to a cochain matrix (degrees 0..2): the cached operator
+    of mctx on vec(f)."""
+    if actx.algebra is not mctx.actx.algebra:
+        raise ValueError("the bimodule is over another algebra")
+    if (f.rows, f.cols) != (mctx.dim, actx.dim**n):
+        raise ValueError(f"{f.rows}x{f.cols} matrix is not a {n}-cochain")
+    img = _apply_rows(mctx.operator(n), f._d.reshape(1, -1))
+    return Matrix(f.field, mctx.dim, actx.dim ** (n + 1), img.reshape(mctx.dim, -1), _raw=True)
 
 
 class CohomologyData:
@@ -302,60 +304,51 @@ class CohomologyData:
         self.cochain_basis = cochain_basis  # HomSpace
 
 
+def _basis_rows(hs: HomSpace) -> np.ndarray:
+    """The cochain basis as rows of vec coordinates."""
+    return np.stack([b._d.ravel() for b in hs.basis])
+
+
 def cohomology(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> CohomologyData:
-    """dim ker b^n - dim im b^(n-1) with RREF-deterministic representatives."""
+    """dim ker b^n - dim im b^(n-1) with RREF-deterministic representatives.
+
+    With B the cochain basis as rows, the cocycles are ker(D_n B^T) B and
+    the coboundaries the rows of (D_(n-1) B_(n-1)^T)^T."""
     if n not in (0, 1, 2):
         raise ValueError("cohomology implemented for degrees 0, 1, 2")
     fld = actx.field
     cs = cochain_space(actx, mctx, n)
     da, dm = actx.dim, mctx.dim
     veclen = dm * (da**n)
-    # cocycles: kernel of b^n within the ctx-Hom space
     if cs.dim == 0:
         zero_sub = Subspace.zero(fld, max(veclen, 1))
         return CohomologyData(n, 0, [], zero_sub, zero_sub, cs)
-    img_cols = []
-    for bmat in cs.basis:
-        img = differential(actx, mctx, n, bmat)
-        img_cols.append(_vec(img))
-    coeff = Matrix.from_rows(fld, img_cols).transpose()  # (out coords) x (cs.dim)
+    basis = _basis_rows(cs)
+    images = _apply_rows(mctx.operator(n), basis)
+    coeff = Matrix(fld, images.shape[1], cs.dim, images.T.copy(), _raw=True)
     ker = coeff.kernel()  # rows: coefficient vectors of cocycles
-    cocycle_vecs = []
-    for t in range(ker.rows):
-        co = ker.row_list(t)
-        acc = v_zero(fld, veclen)
-        for c, bmat in zip(co, cs.basis):
-            if fld.is_zero(c):
-                continue
-            bv = _vec(bmat)
-            acc = [fld.add(x, fld.mul(c, y)) for x, y in zip(acc, bv)]
-        cocycle_vecs.append(acc)
-    z_space = Subspace.from_vectors(fld, veclen, cocycle_vecs) if cocycle_vecs else Subspace.zero(fld, veclen)
-    # coboundaries: image of b^(n-1) on the ctx cochains one degree down
-    if n == 0:
+    cocycles = ker @ Matrix(fld, cs.dim, veclen, basis, _raw=True)
+    z_space = Subspace.from_matrix_rows(cocycles) if ker.rows else Subspace.zero(fld, veclen)
+    prev = cochain_space(actx, mctx, n - 1) if n else None
+    if prev is None or prev.dim == 0:
         b_space = Subspace.zero(fld, veclen)
     else:
-        prev = cochain_space(actx, mctx, n - 1)
-        ims = [_vec(differential(actx, mctx, n - 1, bm)) for bm in prev.basis]
-        b_space = Subspace.from_vectors(fld, veclen, ims) if ims else Subspace.zero(fld, veclen)
-    if not z_space.contains(b_space):
-        raise AssertionError("coboundaries escape the cocycles (differential bug)")
-    dim = z_space.dim - b_space.dim
+        coboundaries = Matrix(fld, prev.dim, veclen, _apply_rows(mctx.operator(n - 1), _basis_rows(prev)), _raw=True)
+        b_space = Subspace.from_matrix_rows(coboundaries)
+        # re-verify b^n b^(n-1) = 0 on the cochains: every coboundary is a cocycle
+        _kernel_coordinates(z_space, coboundaries, "coboundaries_in_cocycles", (prev.dim,))
     comp = b_space.quotient_complement(z_space)
     reps = []
     for t in range(comp.rows):
-        mat = _devec(fld, comp.row_list(t), dm, da**n)
+        mat = Matrix(fld, dm, da**n, comp._d[t].reshape(dm, da**n), _raw=True)
         if n == 2:
             mat = normalize_2cocycle(actx, mctx, mat)
         reps.append(mat)
-    return CohomologyData(n, dim, reps, z_space, b_space, cs)
+    return CohomologyData(n, z_space.dim - b_space.dim, reps, z_space, b_space, cs)
 
 
 def _vec(m: Matrix) -> list:
-    out = []
-    for i in range(m.rows):
-        out.extend(m.row_list(i))
-    return out
+    return m._d.ravel().tolist()
 
 
 def _devec(fld, flat: list, rows: int, cols: int) -> Matrix:
@@ -364,21 +357,12 @@ def _devec(fld, flat: list, rows: int, cols: int) -> Matrix:
 
 def normalize_2cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omega: Matrix) -> Matrix:
     """Subtract b1 of tau(a) = omega(1 (x) a): kills omega(1, -) and omega(-, 1)."""
-    a = actx.algebra
-    fld = a.field
-    da, dm = a.dim, mctx.dim
-    tau_cols = {}
-    for x in range(da):
-        col = v_zero(fld, dm)
-        for i, u in enumerate(a.unit):
-            if fld.is_zero(u):
-                continue
-            ocol = omega.col_list(i * da + x)
-            col = [fld.add(p, fld.mul(u, q)) for p, q in zip(col, ocol)]
-        for t, c in enumerate(col):
-            if not fld.is_zero(c):
-                tau_cols[(t, x)] = c
-    tau = Matrix.from_entries(fld, dm, da, tau_cols)
+    fld = actx.field
+    da, dm = actx.dim, mctx.dim
+    # tau[m, x] = sum_i unit_i omega[m, (i, x)]: the unit contracted with slot 1
+    slots = omega._d.reshape(dm, da, da).transpose(1, 0, 2).reshape(da, dm * da)
+    unit = np.array(actx.algebra.unit, dtype=omega._d.dtype).reshape(1, da)
+    tau = Matrix(fld, dm, da, _matmul(fld, unit, slots).reshape(dm, da), _raw=True)
     return omega - differential(actx, mctx, 1, tau)
 
 
@@ -604,7 +588,9 @@ def class_coordinates(actx: AlgebraInContext, mctx: BimoduleInContext, omega: Ma
     vec = _vec(omega)
     if h2.dimension == 0:
         if not h2.coboundaries.contains_vector(vec):
-            raise AssertionError("cocycle not a coboundary although H^2 = 0")
+            residue = np.array(h2.coboundaries.reduce_vector(vec), dtype=omega._d.dtype)
+            raise VerificationFailed("class_is_coboundary",
+                                     _first_nonzero_row(residue.reshape(-1, 1), (mctx.dim, actx.dim, actx.dim)))
         return []
     cols = [_vec(r) for r in h2.cocycle_reps]
     nb = h2.coboundaries.basis
@@ -642,8 +628,7 @@ def correct_section(ext: ExtensionData, sigma_unital: Matrix) -> Matrix:
     solver = MapSolver(fld, da, dm)
     for entries, nrows in colinearity_blocks(actx.ctx, actx.obj, mctx.obj):
         solver.add_rows(entries, nrows)
-    entries, nrows = b1_operator_rows(actx, mctx)
-    solver.add_rows(entries, nrows, _vec(omega))
+    _add_b1_rows(solver, mctx, omega)
     try:
         tau = solver.solve_map()
     except InconsistentSystem:
@@ -651,6 +636,14 @@ def correct_section(ext: ExtensionData, sigma_unital: Matrix) -> Matrix:
     corrected = sigma_unital + ext.incl @ tau
     _verify_algebra_lift(actx, ext.eactx, corrected, ext.pi, Matrix.identity(fld, da), "corrected_section")
     return corrected
+
+
+def _add_b1_rows(solver: MapSolver, mctx: BimoduleInContext, omega: Matrix):
+    """The equations b^1(tau) = omega on the unknown vec(tau): the rows and
+    columns of the degree-1 operator are those of the solver."""
+    op = mctx.operator(1)
+    src, dst, val = op.coo()
+    solver.add_coo(dst, src, val, _total(op.out_dims), _vec(omega))
 
 
 def _verify_algebra_lift(src: AlgebraInContext, tgt: AlgebraInContext, sigma: Matrix,
@@ -963,8 +956,7 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     solver = MapSolver(fld, db, dm)
     for entries, nrows in colinearity_blocks(ctx, b_actx.obj, kobj):
         solver.add_rows(entries, nrows)
-    entries, nrows = b1_operator_rows(b_actx, mctx)
-    solver.add_rows(entries, nrows, _vec(omega))
+    _add_b1_rows(solver, mctx, omega)
     try:
         tau = solver.solve_map()
     except InconsistentSystem:

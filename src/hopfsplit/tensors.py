@@ -150,22 +150,36 @@ class SparseMap:
     __slots__ = ("field", "in_dims", "out_dims", "dst", "val", "starts", "ones")
 
     def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
+        val = field.reduce(np.asarray(val, dtype=_dtype(field)))
+        src, dst, val = _summed(field, np.asarray(src, dtype=np.int64),
+                                np.asarray(dst, dtype=np.int64), val, _total(out_dims))
+        self._set(field, in_dims, out_dims, src, dst, val)
+
+    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val):
+        """Store entries already sorted by (input, output) key, unique and
+        nonzero."""
         self.field = field
         self.in_dims = tuple(in_dims)
         self.out_dims = tuple(out_dims)
-        val = field.reduce(np.asarray(val, dtype=_dtype(field)))
-        src, self.dst, self.val = _summed(field, np.asarray(src, dtype=np.int64),
-                                          np.asarray(dst, dtype=np.int64), val, _total(self.out_dims))
+        self.dst, self.val = dst, val
         self.starts = np.searchsorted(src, np.arange(_total(self.in_dims) + 1))
-        self.ones = bool((self.val == 1).all())
+        self.ones = bool((val == 1).all())
 
     @classmethod
     def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
-        """The map whose matrix is m: columns are input keys, rows output keys."""
+        """The map whose matrix is m: columns are input keys, rows output keys.
+        The entries of m are unique and reduced, and the nonzeros of m^T come
+        sorted by (input, output) key, so nothing is sorted or summed."""
         if (m.rows, m.cols) != (_total(out_dims), _total(in_dims)):
             raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
-        dst, src = np.nonzero(m._d)
-        return cls(m.field, in_dims, out_dims, src, dst, m._d[dst, src])
+        src, dst = np.nonzero(m._d.T)
+        smap = cls.__new__(cls)
+        smap._set(m.field, in_dims, out_dims, src, dst, m._d[dst, src])
+        return smap
+
+    def coo(self):
+        """The entries as COO arrays (input key, output key, value)."""
+        return np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts)), self.dst, self.val
 
     def apply_at(self, batch, dims: tuple, pos: int):
         """Apply to factors [pos, pos + arity) of every term of a batch;

@@ -458,3 +458,18 @@ def test_multiplicativity_defect_blocks_cover_every_left_index(monkeypatch):
         assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
         assert multiplicativity_defect(src, src, f) is None
         monkeypatch.undo()
+
+
+def test_separability_idempotent_typed_failures():
+    from hopfsplit.algebra import VerificationFailed
+
+    a = group_algebra(2, QQ).as_algebra()
+    e = separability_idempotent(a)  # 1/2 (1 (x) 1 + g (x) g)
+    # + 1 (x) g: m(e) = 1 + g, first wrong at coordinate 1
+    with pytest.raises(VerificationFailed) as exc:
+        verify_separability_idempotent(a, [e[0], e[1] + 1, e[2], e[3]])
+    assert (exc.value.check, exc.value.witness) == ("separability_multiplication", 1)
+    # + 1 (x) g - g (x) 1 keeps m(e) = 1; g e != e g
+    with pytest.raises(VerificationFailed) as exc:
+        verify_separability_idempotent(a, [e[0], e[1] + 1, e[2] - 1, e[3]])
+    assert (exc.value.check, exc.value.witness) == ("separability_casimir", 1)

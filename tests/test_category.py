@@ -251,3 +251,21 @@ def test_yd_hopf_bimodule_random_roundtrip():
                 mid = w.act_l.apply(v_tensor(QQ, v_basis(QQ, 2, hh), x))
                 rhs = w.act_r.apply(v_tensor(QQ, mid, sh))  # grouplike: Delta(h) = h (x) h
                 assert lhs.col_list(0) == rhs
+
+
+def test_integral_retraction_rejects_non_colinear_functional():
+    # the counit of Q[Z_2] as a normalized functional: mu(h, m, k) =
+    # eps(h) eps(k) m is a retraction of sigma, but not left colinear, first
+    # at h = 1, m = g, k = 1, where rho_l mu gives g (x) g and
+    # (id (x) mu)(Delta (x) id) gives 1 (x) g
+    import pytest
+
+    from hopfsplit.algebra import VerificationFailed
+    from hopfsplit.hopf import IntegralWitness
+
+    h = group_algebra(2, QQ)
+    eps = IntegralWitness("in_dual", "two_sided", list(h.counit), True, QQ.one())
+    with pytest.raises(VerificationFailed) as exc:
+        integral_retraction(h, eps, CatObject.regular(h))
+    assert exc.value.check == "retraction_left_colinear"
+    assert exc.value.witness == (0, 1, 0)

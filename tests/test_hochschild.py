@@ -427,3 +427,44 @@ def test_ctx_morphism_check_matches_pointwise_loop(f):
                 assert _is_ctx_morphism(ctx, x, x, m) == want
                 seen.add(want)
         assert seen == {True, False}
+
+
+def test_escaping_coboundary_raises_verification_failed(monkeypatch):
+    # b^1 corrupted by one entry: b^1(f)(1, 1) gains f(1), so the image of
+    # the first basis cochain is no 2-cocycle
+    import numpy as np
+
+    from hopfsplit.algebra import VerificationFailed
+    from hopfsplit.tensors import SparseMap
+
+    alg = dual_numbers(QQ)
+    actx = vect_actx(alg)
+    mctx = BimoduleInContext.regular(actx)
+    good = mctx.operator(1)
+    src, dst, val = good.coo()
+    bad = SparseMap(QQ, good.in_dims, good.out_dims, np.append(src, 0), np.append(dst, 0),
+                    np.append(val, QQ.one()))
+    operator = BimoduleInContext.operator
+    monkeypatch.setattr(mctx, "operator", lambda n: bad if n == 1 else operator(mctx, n))
+    with pytest.raises(VerificationFailed) as exc:
+        cohomology(actx, mctx, 2)
+    assert exc.value.check == "coboundaries_in_cocycles"
+    assert exc.value.witness == (0,)
+
+
+def test_class_of_non_cocycle_with_vanishing_h2_raises():
+    # H^2(Q[Z_2], Q[Z_2]) = 0, so omega(1, 1) = 1, which is no coboundary,
+    # is no cocycle either; its residue modulo the coboundaries is first
+    # nonzero at (m, a, b) = (1, 0, 1)
+    from hopfsplit.algebra import VerificationFailed
+    from hopfsplit.hochschild import class_coordinates
+
+    alg = group_algebra(2, QQ).as_algebra()
+    actx = vect_actx(alg)
+    mctx = BimoduleInContext.regular(actx)
+    omega = Matrix.from_entries(QQ, 2, 4, {(0, 0): QQ.one()})
+    assert not differential(actx, mctx, 2, omega).is_zero()
+    with pytest.raises(VerificationFailed) as exc:
+        class_coordinates(actx, mctx, omega)
+    assert exc.value.check == "class_is_coboundary"
+    assert exc.value.witness == (1, 0, 1)

@@ -240,3 +240,28 @@ def test_declared_stages_are_checked_against_factor_dims():
         StagePipeline(GF(7), (2, 3)).permute((0, 0))
     with pytest.raises(ValueError):
         StagePipeline(GF(7), (2,)).contract(0, [1, 2, 3])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**61 - 1)])
+def test_from_matrix_matches_constructor(field):
+    # from_matrix reads the sorted nonzeros directly; the constructor sorts
+    # and sums the same entries given in shuffled order
+    from hopfsplit.linalg import Matrix
+
+    rng = np.random.default_rng(5)
+    mats = [Matrix.zeros(field, 3, 4), Matrix.zeros(field, 0, 2),
+            Matrix.from_rows(field, [[field.one()] * 4 for _ in range(3)])]
+    for _ in range(6):
+        rows, cols = (int(x) for x in rng.integers(1, 6, size=2))
+        vals = rng.choice([0, 0, 1, 2, -1, 3], size=(rows, cols)).tolist()
+        mats.append(Matrix.from_rows(field, [[field.from_int(v) for v in r] for r in vals]))
+    for m in mats:
+        got = SparseMap.from_matrix(m, (m.cols,), (m.rows,))
+        ent = list(m.entries())
+        order = rng.permutation(len(ent))
+        src, dst, val = ([ent[t][k] for t in order] for k in (1, 0, 2))
+        want = SparseMap(field, (m.cols,), (m.rows,), src, dst, val)
+        for a, b in zip((got.dst, got.val, got.starts), (want.dst, want.val, want.starts)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.ones == want.ones
+        assert all(np.array_equal(a, b) for a, b in zip(got.coo(), want.coo()))
