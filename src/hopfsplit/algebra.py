@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul
-from .tensors import SparseMap, StagePipeline, _summed, dense_to_sparse, sparse_eq, v_basis, v_eq, v_zero
+from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul, _summed
+from .tensors import SparseMap, StagePipeline, dense_to_sparse, sparse_eq, v_basis, v_eq, v_zero
 
 
 class ValidationReport:
@@ -123,18 +123,14 @@ class AlgebraObject:
                 entries[(k, i * self.dim + j)] = c
         return Matrix.from_entries(self.field, self.dim, self.dim * self.dim, entries)
 
-    def left_mult_matrix(self, vec: list) -> Matrix:
-        """Matrix of x -> vec * x."""
+    def constants(self):
+        """The structure constants as arrays (i, j, k, v): e_i e_j has the
+        reduced coefficient v on e_k, v nonzero."""
         f = self.field
-        entries = {}
-        for i, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for j in range(self.dim):
-                for k, c in self.mul.get((i, j), {}).items():
-                    key = (k, j)
-                    entries[key] = f.add(entries.get(key, f.zero()), f.mul(a, c))
-        return Matrix.from_entries(self.field, self.dim, self.dim, entries)
+        ijk = np.array([(i, j, k) for (i, j), col in self.mul.items() for k in col], dtype=np.int64).reshape(-1, 3)
+        v = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
+        nz = v != 0
+        return (*ijk[nz].T, v[nz])
 
     def np_tensor(self):
         """Dense tensor T[i,j,k] = coefficient of e_k in e_i e_j, reduced, in
@@ -184,18 +180,15 @@ class AlgebraObject:
         sums each key's at most 2n terms: exact, because products are
         reduced below p first unless 2n (p - 1)^2 < 2**53 already.  Object
         values (Q, larger p) are summed by sort and `np.add.reduceat`
-        (`tensors._summed`).  Work and memory are bounded by the join size
+        (`linalg._summed`).  Work and memory are bounded by the join size
         for one i, never by n^3 products.
         """
         f, n = self.field, self.dim
         # products stay unreduced while every sum of 2n of them is exact in float64
         red = f.reduce if f.kind == "Q" or 2 * n * (f.p - 1) ** 2 >= 2**53 else (lambda x: x)
-        trip = [(i, j, k) for (i, j), col in self.mul.items() for k in col]
-        vals = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
-        nz = vals != 0
-        trip, vals = np.array(trip, dtype=np.int64).reshape(-1, 3)[nz], vals[nz]
-        order = np.lexsort((trip[:, 2], trip[:, 1], trip[:, 0]))
-        (a, b, c), v = trip[order].T, vals[order]
+        a, b, c, v = self.constants()
+        order = np.lexsort((c, b, a))
+        a, b, c, v = a[order], b[order], c[order], v[order]
         ab = a * n + b
         # the entries with legs (i, k) are [by_ab[i n + k], by_ab[i n + k + 1]),
         # those with first leg i are [by_a[i], by_a[i + 1])
@@ -471,6 +464,17 @@ class CertificationFailed(Exception):
         self.check = check
 
 
+def trace_form(a: AlgebraObject) -> Matrix:
+    """The trace form G[i, j] = Tr(L_i L_j) = sum_(a, b) L_i[a, b] L_j[b, a]
+    of the left regular representation, as one product: the structure
+    tensor T[i, j, k] = [e_i e_j]_k gives L_i[a, b] = T[i, b, a] and
+    L_j[b, a] = T[j, a, b]."""
+    n = a.dim
+    t = a.np_tensor()
+    g = _matmul(a.field, t.transpose(0, 2, 1).reshape(n, n * n), t.reshape(n, n * n).T)
+    return Matrix(a.field, n, n, g, _raw=True)
+
+
 def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> IdealData:
     """Jacobson radical.
 
@@ -483,18 +487,7 @@ def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> I
     if certified_candidate is None:
         if f.kind == "Fp" and f.p <= a.dim:
             raise SmallCharUnsupported(f"char {f.p} <= dim {a.dim}: supply a certified candidate")
-        lmats = [a.left_mult_matrix(v_basis(f, a.dim, i)) for i in range(a.dim)]
-        gram_rows = []
-        for i in range(a.dim):
-            row = []
-            for j in range(a.dim):
-                prod = lmats[i] @ lmats[j]
-                tr = f.zero()
-                for t in range(a.dim):
-                    tr = f.add(tr, prod[t, t])
-                row.append(tr)
-            gram_rows.append(row)
-        ker = Matrix.from_rows(f, gram_rows).kernel()
+        ker = trace_form(a).kernel()
         rad = IdealData(a, Subspace.from_matrix_rows(ker))
         if rad.dim:
             if not is_ideal(a, rad.subspace):
@@ -539,52 +532,48 @@ def separability_idempotent(a: AlgebraObject, ctx=None) -> list:
 
 def _separability_solution(a: AlgebraObject, ctx) -> list | None:
     """The canonical solution of the separability system, or None."""
-    f = a.field
-    n = a.dim
-    n2 = n * n
-    rows: list[dict] = []
-    rhs: list = []
-    # m(e) = 1
-    for k in range(n):
-        row: dict = {}
-        for (i, j), col in a.mul.items():
-            c = col.get(k)
-            if c is not None:
-                row[i * n + j] = f.add(row.get(i * n + j, f.zero()), c)
-        rows.append(row)
-        rhs.append(a.unit[k])
-    # (e_t (x) 1) e = e (1 (x) e_t): coefficient rows over components (x,y)
-    for t in range(n):
-        for x in range(n):
-            for y in range(n):
-                row = {}
-                # left: sum_c e_{c,y} * [e_t e_c]_x
-                for c in range(n):
-                    v = a.mul.get((t, c), {}).get(x)
-                    if v is not None:
-                        row[c * n + y] = f.add(row.get(c * n + y, f.zero()), v)
-                # right: sum_d e_{x,d} * [e_d e_t]_y
-                for d in range(n):
-                    v = a.mul.get((d, t), {}).get(y)
-                    if v is not None:
-                        row[x * n + d] = f.sub(row.get(x * n + d, f.zero()), v)
-                if row:
-                    rows.append(row)
-                    rhs.append(f.zero())
-    m = Matrix.from_entries(f, len(rows), n2, {(r, j): v for r, row in enumerate(rows) for j, v in row.items()})
-    if ctx is not None:
-        coinv = _ctx_coinvariance_rows(a, ctx)
-        m = m.vstack(coinv)
-        rhs.extend([f.zero()] * coinv.rows)
     try:
-        return m.solve(Matrix.column(f, rhs), want_kernel=False)[0]
+        return _separability_system(a, ctx).solve_map()._d.ravel().tolist()
     except InconsistentSystem:
         return None
 
 
-def _ctx_coinvariance_rows(a: AlgebraObject, ctx) -> Matrix:
-    """Coinvariance of e under the diagonal coactions on A (x) A, as the
-    nonzero rows of a matrix over the coordinates of e, left side first.
+def _separability_system(a: AlgebraObject, ctx):
+    """The separability system on the coordinates (x, y) -> x n + y of e in
+    A (x) A, as a `category.MapSolver` on n x n matrices, built by index
+    arithmetic on the structure constants (i, j, k, v), e_i e_j = v e_k + ...
+
+    Row k < n is m(e) = 1 at e_k: entry v at (i, j).  Row n + (t n + x) n + y
+    is the (x, y) coordinate of (e_t (x) 1) e - e (1 (x) e_t): the left term
+    e_t e_c = v e_x puts v at (c, y) for every y, the right term
+    e_d e_t = v e_y puts -v at (x, d) for every x.  With ctx the
+    coinvariance rows follow.  Rows may be zero; elimination drops them.
+    """
+    from .category import MapSolver
+
+    f, n = a.field, a.dim
+    i, j, k, v = a.constants()
+    every = np.arange(n)
+    solver = MapSolver(f, n, n)
+    solver.add_coo(k, i * n + j, v, n, a.unit)
+    # left term over (t, c, x) = (i, j, k), broadcast over y
+    lr = ((i * n + k) * n)[:, None] + every
+    lc = (j * n)[:, None] + every
+    # right term over (d, t, y) = (i, j, k), broadcast over x
+    rr = (j[:, None] * n + every) * n + k[:, None]
+    rc = every * n + i[:, None]
+    lv, rv = np.broadcast_to(v[:, None], lr.shape), np.broadcast_to(f.reduce(-v)[:, None], rr.shape)
+    solver.add_coo(np.concatenate((lr.ravel(), rr.ravel())), np.concatenate((lc.ravel(), rc.ravel())),
+                   np.concatenate((lv.ravel(), rv.ravel())), n**3)
+    if ctx is not None:
+        solver.add_coo(*_ctx_coinvariance_rows(a, ctx))
+    return solver
+
+
+def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
+    """Coinvariance of e under the diagonal coactions on A (x) A, as COO
+    arrays (rows, cols, values) over the coordinates of e and the row
+    count, left side first.
 
     Right: rho(x (x) y) = x0 (x) y0 (x) x1 y1 must send e to e (x) 1_H;
     left symmetrically.  Each side is a stage pipeline minus the pipeline
@@ -595,7 +584,7 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx) -> Matrix:
     h = ctx.hopf
     dh = h.dim
     mul_h = h.as_algebra().mul_map()
-    blocks = [np.zeros((0, n * n), dtype=_dtype(f))]
+    coo, rows = [], 0
     for cm, pos in ((ctx.coact_l, 0), (ctx.coact_r, 2)):
         if cm is None:
             continue
@@ -603,8 +592,12 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx) -> Matrix:
         # (x, h, y, h') on the right, (h, x, h', y) on the left, then h h'
         rho = StagePipeline(f, (n, n)).map_at(sm, 0).map_at(sm, 2).permute((0, 2, 1, 3)).map_at(mul_h, pos)
         d = (rho.matrix() - StagePipeline(f, (n, n)).insert(pos, h.unit, dh).matrix())._d
-        blocks.append(d[d.any(axis=1)])
-    return Matrix(f, sum(len(b) for b in blocks), n * n, np.vstack(blocks), _raw=True)
+        r, c = d.nonzero()
+        coo.append((r + rows, c, d[r, c]))
+        rows += d.shape[0]
+    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_dtype(f)),)
+    r, c, v = (np.concatenate(x) for x in zip(empty, *coo))
+    return r, c, v, rows
 
 
 def verify_separability_idempotent(a: AlgebraObject, e: list):

@@ -255,7 +255,8 @@ class MapSolver:
 
     vec(F) is row-major: coordinate of F[y, x] is y * dX + x.  The system
     stays in COO arrays (`SparseRows`); elimination densifies one chunk of
-    rows at a time.
+    rows at a time, over Q modulo primes with an exact certificate
+    (`linalg._rref_modular`).
     """
 
     def __init__(self, field: ScalarField, d_src: int, d_tgt: int):
@@ -442,7 +443,8 @@ def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
 
 
 def _verify_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, m: Matrix):
-    """Independent re-check of colinearity by direct application."""
+    """Independent re-check of colinearity by direct application; raises
+    VerificationFailed with the first basis vector of X where it fails."""
     f = x.field
     if ctx.kind == "vect":
         return
@@ -462,7 +464,7 @@ def _verify_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, m: Ma
                     if not f.is_zero(w):
                         rhs[yv * dh + hh] = f.add(rhs[yv * dh + hh], f.mul(c, w))
             if not v_eq(f, lhs, rhs):
-                raise AssertionError("solver returned a non-colinear map (right)")
+                raise VerificationFailed("hom_map_right_colinear", v)
         if ctx.wants_left_coaction:
             lhs = y.coact_l.apply(m.apply(ev))
             rho = x.coact_l.apply(ev)
@@ -476,7 +478,7 @@ def _verify_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, m: Ma
                     if not f.is_zero(w):
                         rhs[hh * y.dim + yv] = f.add(rhs[hh * y.dim + yv], f.mul(c, w))
             if not v_eq(f, lhs, rhs):
-                raise AssertionError("solver returned a non-colinear map (left)")
+                raise VerificationFailed("hom_map_left_colinear", v)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +596,7 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
                     tmp2 = v.act_r.apply(v_tensor(f, tmp, v_basis(f, dh, idx2)))
                     out = [f.add(o, f.mul(f.mul(c, w2), z)) for o, z in zip(out, tmp2)]
             if not r_space.contains_vector(out):
-                raise AssertionError("adjoint action does not preserve the coinvariants")
+                raise VerificationFailed("adjoint_action_preserves_coinvariants", (hh, t))
             for s in range(dr):
                 val = out[piv[s]]
                 if not f.is_zero(val):
@@ -610,7 +612,7 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
             if all(f.is_zero(c) for c in comp):
                 continue
             if not r_space.contains_vector(comp):
-                raise AssertionError("left coaction does not preserve the coinvariants")
+                raise VerificationFailed("coaction_preserves_coinvariants", (t, hh))
             for s in range(dr):
                 val = comp[piv[s]]
                 if not f.is_zero(val):

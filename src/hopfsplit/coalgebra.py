@@ -9,7 +9,7 @@ dense vector.  Everything coalgebra-theoretic is done by exact kernels:
 """
 from __future__ import annotations
 
-from .algebra import AlgebraObject, ValidationReport, radical
+from .algebra import AlgebraObject, ValidationReport, VerificationFailed, radical
 from .fields import ScalarField
 from .linalg import Matrix, Subspace
 from .tensors import sparse_add, sparse_eq, v_basis, v_eq, v_zero
@@ -171,10 +171,15 @@ def quotient_projection(field, sub: Subspace) -> Matrix:
 
 def is_subcoalgebra(c: CoalgebraObject, d: Subspace) -> bool:
     """Delta(D) inside D (x) D, tested with the two one-sided quotients."""
+    return _subcoalgebra_defect(c, d) is None
+
+
+def _subcoalgebra_defect(c: CoalgebraObject, d: Subspace) -> int | None:
+    """The first basis row t of D with Delta(d_t) outside D (x) D, or None."""
     f = c.field
     pi = quotient_projection(f, d)
     if pi.rows == 0:
-        return True
+        return None
     for t in range(d.dim):
         delta = c.comul_vec(d.basis.row_list(t))
         left: dict = {}
@@ -190,8 +195,8 @@ def is_subcoalgebra(c: CoalgebraObject, d: Subspace) -> bool:
                     key = (i, q)
                     right[key] = f.add(right.get(key, f.zero()), f.mul(v, w))
         if any(not f.is_zero(v) for v in left.values()) or any(not f.is_zero(v) for v in right.values()):
-            return False
-    return True
+            return t
+    return None
 
 
 def in_tensor_square(c: CoalgebraObject, sub: Subspace, vec_sparse: dict) -> bool:
@@ -246,9 +251,11 @@ def wedge(d: Subspace, c: CoalgebraObject) -> Subspace:
     m = Matrix.from_entries(f, q * q, n, entries)
     ker = Subspace.from_matrix_rows(m.kernel())
     if not ker.contains(d):
-        raise AssertionError("wedge does not contain its input")
-    if not is_subcoalgebra(c, ker):
-        raise AssertionError("wedge is not a subcoalgebra")
+        outside = next(t for t in range(d.dim) if not ker.contains_vector(d.basis.row_list(t)))
+        raise VerificationFailed("wedge_contains_input", outside)
+    bad = _subcoalgebra_defect(c, ker)
+    if bad is not None:
+        raise VerificationFailed("wedge_subcoalgebra", bad)
     return ker
 
 
@@ -342,7 +349,7 @@ def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject
                     else:
                         rebuilt[key] = val
         if not sparse_eq(f, rebuilt, c.comul_vec(d.basis.row_list(t))):
-            raise AssertionError("subcoalgebra coordinate read-off failed")
+            raise VerificationFailed("subcoalgebra_readoff", t)
     return sub, bt
 
 
@@ -382,8 +389,9 @@ def coradical_filtration(c: CoalgebraObject, c0: Subspace) -> FiltrationData:
         nxt = Subspace.from_matrix_rows(Matrix.from_entries(f, q0 * qn, c.dim, entries).kernel())
         if nxt.dim <= cur.dim:
             return FiltrationData(steps, exhausts=False)
-        if not is_subcoalgebra(c, nxt):
-            raise AssertionError("filtration step is not a subcoalgebra")
+        bad = _subcoalgebra_defect(c, nxt)
+        if bad is not None:
+            raise VerificationFailed("filtration_step_subcoalgebra", bad)
         steps.append(nxt)
         cur = nxt
     return FiltrationData(steps, exhausts=True)

@@ -55,8 +55,8 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _dtype, _join, _matmul
-from .tensors import SparseMap, _summed, _total, v_basis, v_eq, v_tensor, v_zero
+from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _join, _matmul, _summed
+from .tensors import SparseMap, _total, v_basis, v_eq, v_tensor, v_zero
 
 
 class AlgebraInContext:
@@ -254,9 +254,7 @@ def _hochschild_operator(mctx: BimoduleInContext, n: int) -> SparseMap:
     v = mctx.act_l._d[mo, ax][:, None]
     term((mo * da + i)[:, None] * da**n + rest, mp[:, None] * da**n + rest, v, 1)
     # (-1)^p f(.., a_p a_{p+1}, ..): e_i e_j = sum_k c e_k at slots p, p + 1
-    ent = [(i, j, k, c) for (i, j), col in a.mul.items() for k, c in col.items()]
-    ii, jj, kk = (np.array([e[t] for e in ent], dtype=np.int64) for t in range(3))
-    cc = fld.reduce(np.array([e[3] for e in ent], dtype=_dtype(fld)))
+    ii, jj, kk, cc = a.constants()
     for p in range(1, n + 1):
         pre = np.arange(dm * da ** (p - 1))[:, None, None]  # (m, a_1 .. a_{p-1})
         post = np.arange(da ** (n - p))[None, None, :]
@@ -417,10 +415,7 @@ class ExtensionData:
 def _any_linear_section(pi: Matrix) -> Matrix:
     """A right inverse of a surjective matrix (canonical: free vars zero)."""
     fld = pi.field
-    cols = []
-    for i in range(pi.rows):
-        sol, _ = pi.solve(Matrix.column(fld, v_basis(fld, pi.rows, i)))
-        cols.append(sol)
+    cols = [pi.solve(Matrix.column(fld, v_basis(fld, pi.rows, i))) for i in range(pi.rows)]
     return Matrix.from_rows(fld, cols).transpose()
 
 
@@ -597,7 +592,7 @@ def class_coordinates(actx: AlgebraInContext, mctx: BimoduleInContext, omega: Ma
     for t in range(nb.rows):
         cols.append(nb.row_list(t))
     m = Matrix.from_rows(fld, cols).transpose()
-    sol, _ = m.solve(Matrix.column(fld, vec))
+    sol = m.solve(Matrix.column(fld, vec))
     return sol[: h2.dimension]
 
 

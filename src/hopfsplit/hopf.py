@@ -282,7 +282,7 @@ def upgrade_to_hopf(b: BialgebraObject, antipode_hint: Matrix | None = None, sol
             row_idx += 1
     m = Matrix.from_entries(f, row_idx, n * n, {(r, c): v for r, row in rows.items() for c, v in row.items()})
     try:
-        sol, _ = m.solve(Matrix.column(f, rhs))
+        sol = m.solve(Matrix.column(f, rhs))
     except InconsistentSystem:
         raise NoAntipode("convolution system for the antipode is inconsistent")
     s = Matrix.from_rows(f, [[sol[x * n + y] for y in range(n)] for x in range(n)])

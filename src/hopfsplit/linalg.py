@@ -21,14 +21,27 @@ ever multiplied.  A tall sparse system can stay COO arrays
 (`SparseRows`), from which `_rref` densifies one chunk of rows at a time;
 `kernel_from_rref` and `particular_from_rref` read its results.
 
+Over Q a `SparseRows` source is eliminated modulo primes below 2^31
+(`_rref_modular`): the int64 kernel runs on the image n d^-1 mod p of its
+nonzeros, the result is lifted by CRT and Wang's rational reconstruction
+and returned only after an exact certificate over Q (full column rank
+mod p, or A = A[:, pivots] R checked as a COO join of nonzeros).  The
+output is the same canonical RREF the Fraction kernel gives, which still
+answers dense Q input and any system no prime certifies.  (Sorting and
+`np.add.reduceat` sum duplicates here, never `np.unique`: it imports
+`numpy.ma`, about 1.7 MB of resident memory.)
+
 Containment in a subspace is one product: ``Subspace.coordinates``
 checks M = M[:, pivots] @ basis for all rows of M at once.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, isqrt
+
 import numpy as np
 
-from .fields import ScalarField
+from .fields import GF, QQ, ScalarField
 
 _INT64_LIMIT = 2**31  # (p-1)^2 must fit comfortably in int64 products
 
@@ -48,6 +61,21 @@ def _join(src, lo, hi):
     ends = np.cumsum(counts)
     starts = np.repeat(lo - ends + counts, counts)
     return np.repeat(src, counts), starts + np.arange(len(starts))
+
+
+def _summed(field: ScalarField, col, key, val, width: int):
+    """Sum the terms of a batch with equal (col, key) and drop zeros; keys
+    are below width.  Values must already be reduced products.  The result
+    is sorted by col * width + key."""
+    if key.size > 1:
+        flat = col * width + key
+        order = np.argsort(flat)
+        flat = flat[order]
+        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        val = field.reduce(np.add.reduceat(val[order], first))
+        col, key = np.divmod(flat[first], width)
+    keep = val != 0
+    return col[keep], key[keep], val[keep]
 
 
 def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,15 +198,150 @@ def _gauss_jordan(a: np.ndarray, field: ScalarField):
     return a[prows], pivs
 
 
+# primes below 2^31, so images mod p run the int64 kernel; tried in order
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+           2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399)
+
+
+def _rational(u: int, m: int, bound: int):
+    """Wang's rational reconstruction: the fraction n/d = u mod m with
+    |n|, d <= bound, or None."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(images: list, primes: list, piv: list[int], cols: int):
+    """The rational RREF whose images mod ``primes`` are ``images`` (all with
+    pivots ``piv``): CRT, then rational reconstruction of the nonzero
+    entries off the pivot columns.  Returns (rref_rows, (rows, cols, values)
+    of those entries), or None when an entry has no reconstruction."""
+    off = np.ones(cols, dtype=bool)
+    off[piv] = False
+    ti, tj = (np.logical_or.reduce([im != 0 for im in images]) & off).nonzero()
+    x, m = images[0][ti, tj].astype(object), primes[0]
+    for im, p in zip(images[1:], primes[1:]):
+        x = x + m * ((im[ti, tj].astype(object) - x) * pow(m, -1, p) % p)
+        m *= p
+    bound = isqrt(m // 2)
+    residues = x.tolist()
+    known: dict = {}
+    for u in residues:
+        if u not in known:
+            known[u] = _rational(u, m, bound)
+            if known[u] is None:
+                return None
+    vals = np.array([known[u] for u in residues], dtype=object)
+    out = np.full((len(piv), cols), Fraction(0), dtype=object)
+    out[range(len(piv)), piv] = Fraction(1)
+    out[ti, tj] = vals
+    return out, (ti, tj, vals)
+
+
+def _certified(entries, off_pivot, piv: list[int], cols: int) -> bool:
+    """Whether A = A[:, piv] R exactly, for A given by its summed nonzeros
+    (rows, cols, values, sorted by row * cols + col) and R an RREF with
+    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot``.  Only the
+    off-pivot columns need checking (R[:, piv] = I), as a COO join of A's
+    entries at pivot columns with R's rows."""
+    r, c, v = entries
+    ti, tj, tv = off_pivot
+    slot = np.full(cols, -1)
+    slot[piv] = np.arange(len(piv))
+    t = slot[c]
+    at_piv = np.flatnonzero(t >= 0)
+    starts = np.searchsorted(ti, np.arange(len(piv) + 1))
+    src, dst = _join(at_piv, starts[t[at_piv]], starts[t[at_piv] + 1])
+    pr, pc, pv = _summed(QQ, r[src], tj[dst], v[src] * tv[dst], cols)
+    rest = t < 0
+    return (np.array_equal(pr, r[rest]) and np.array_equal(pc, c[rest])
+            and bool((pv == v[rest]).all()))
+
+
+def _covers(piv: list[int], other: list[int]) -> bool:
+    """Whether the rank profile of pivots ``piv`` is at least that of
+    ``other`` at every column."""
+    return len(piv) >= len(other) and all(x <= y for x, y in zip(piv, other))
+
+
+def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
+    """Canonical RREF over Q of a `SparseRows` source (of ``[a | rhs]``) from
+    its images mod the primes of ``_PRIMES``, or None when no prime gives a
+    certified result.
+
+    A prime dividing a denominator is skipped.  The image of n/d is
+    n d^-1 mod p, formed from the nonzeros only, and runs the int64 kernel.
+    rank_p <= rank_Q, so full column rank mod p proves R = I.  Otherwise the
+    images with equal pivots are lifted by CRT and rational reconstruction
+    (`_lift`) and accepted only when A = A[:, piv] R holds exactly over Q
+    (`_certified`): then rowspace(A) lies in rowspace(R), rank_Q(A) <=
+    rank(R) = rank_p <= rank_Q(A), the row spaces are equal, and R is the
+    canonical RREF.  Images with a smaller rank profile than the ones kept
+    are dropped; a larger one replaces them.
+    """
+    m, cols = a.shape
+    r, c, v = a._r, a._c, a._v
+    if rhs is not None:
+        br, bc = rhs.nonzero()
+        r, c, v = np.concatenate((r, br)), np.concatenate((c, bc + cols)), np.concatenate((v, rhs[br, bc]))
+        cols += rhs.shape[1]
+    entries = r, c, v = _summed(QQ, r, c, v, cols)
+    if not v.size:
+        return np.zeros((0, cols), dtype=object), []
+    # the images skip zero rows: the canonical RREF does not see them
+    dense_r = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
+    m = int(dense_r[-1]) + 1
+    vals = v.tolist()
+    num = np.array([x.numerator for x in vals], dtype=object)
+    den = [x.denominator for x in vals]
+    dens = set(den) - {1}
+    piv, images, primes = None, [], []
+    for p in _PRIMES:
+        if any(d % p == 0 for d in dens):
+            continue
+        img = (num % p).astype(np.int64)
+        if dens:
+            inv = {d: pow(d, -1, p) for d in dens}
+            img = img * np.array([inv.get(d, 1) for d in den], dtype=np.int64) % p
+        gf = GF(p)
+        red, pp = _rref(SparseRows(gf, (m, cols), dense_r, c, img), gf)
+        if len(pp) == cols:
+            out = np.full((cols, cols), Fraction(0), dtype=object)
+            out[range(cols), range(cols)] = Fraction(1)
+            return out, pp
+        if pp != piv:
+            if piv is not None and not _covers(pp, piv):
+                continue
+            piv, images, primes = pp, [], []
+        images.append(red)
+        primes.append(p)
+        lifted = _lift(images, primes, piv, cols)
+        if lifted is not None and _certified(entries, lifted[1], piv, cols):
+            return lifted[0], piv
+    return None
+
+
 def _rref(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | None = None):
     """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given);
     returns (rref_rows, pivot_cols).
+
+    A `SparseRows` source over Q is eliminated modulo primes and certified
+    exactly (`_rref_modular`); dense input over Q, and a modular attempt no
+    prime certifies, take the Fraction path below.
 
     Rows are streamed in chunks of ``_CHUNK``: a chunk is reduced, its zero
     rows dropped, and Gauss-Jordan runs on it stacked under the RREF found
     so far.  Memory stays bounded by (rank + chunk) x columns, and the
     result is the canonical RREF of the input, independent of chunking.
     """
+    if field.kind == "Q" and isinstance(a, SparseRows):
+        out = _rref_modular(a, rhs)
+        if out is not None:
+            return out
     m = a.shape[0]
     n = a.shape[1] + (0 if rhs is None else rhs.shape[1])
     r = np.zeros((0, n), dtype=a.dtype)
@@ -337,17 +500,12 @@ class Matrix:
         """Canonical basis (as rows, in RREF) of {x : self @ x = 0}."""
         return kernel_from_rref(self.cols, *self.rref())
 
-    def solve(self, b: "Matrix", want_kernel: bool = True):
-        """Solve self @ x = b (b a column).  Returns (particular, kernel_rows).
-
-        The particular solution sets all free variables to zero; raises
-        InconsistentSystem when no solution exists.  want_kernel=False
-        skips the kernel computation and returns (particular, None).
-        """
+    def solve(self, b: "Matrix") -> list:
+        """The solution of self @ x = b (b a column) with every free variable
+        zero; raises InconsistentSystem when no solution exists."""
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("rhs shape mismatch")
-        x = particular_from_rref(self.cols, *self.rref(b))
-        return x, (self.kernel() if want_kernel else None)
+        return particular_from_rref(self.cols, *self.rref(b))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -390,8 +548,7 @@ def particular_from_rref(cols: int, r: Matrix, piv: list[int]) -> list:
 
 def solve_linear(a: Matrix, b: Matrix):
     """Particular solution and kernel basis, or InconsistentSystem."""
-    x, ker = a.solve(b)
-    return x, ker
+    return a.solve(b), a.kernel()
 
 
 class Subspace:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import Matrix, _dtype, _join
+from .linalg import Matrix, _dtype, _join, _summed
 
 _BLOCK = 2**13  # input tuples evaluated in one batch
 _KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address
@@ -122,20 +122,6 @@ def _total(dims) -> int:
     for d in dims:
         n *= d
     return n
-
-
-def _summed(field: ScalarField, col, key, val, width: int):
-    """Sum the terms of a batch with equal (col, key) and drop zeros; keys
-    are below width.  Values must already be reduced products."""
-    if key.size > 1:
-        flat = col * width + key
-        order = np.argsort(flat)
-        flat = flat[order]
-        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        val = field.reduce(np.add.reduceat(val[order], first))
-        col, key = np.divmod(flat[first], width)
-    keep = val != 0
-    return col[keep], key[keep], val[keep]
 
 
 class SparseMap:

@@ -22,9 +22,10 @@ from hopfsplit.algebra import (
     quotient_algebra,
     radical,
     separability_idempotent,
+    trace_form,
     verify_separability_idempotent,
 )
-from hopfsplit.builtin import group_algebra, taft
+from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.tensors import sparse_add, sparse_eq, v_basis
@@ -473,3 +474,138 @@ def test_separability_idempotent_typed_failures():
     with pytest.raises(VerificationFailed) as exc:
         verify_separability_idempotent(a, [e[0], e[1] + 1, e[2] - 1, e[3]])
     assert (exc.value.check, exc.value.witness) == ("separability_casimir", 1)
+
+
+# -- trace form and separability system: one product, one COO build --------
+
+
+def upper_triangular(f, k):
+    """UT(k) on the matrix units E_ab, a <= b."""
+    basis = [(a, b) for a in range(k) for b in range(a, k)]
+    idx = {e: t for t, e in enumerate(basis)}
+    mul = {(idx[x], idx[y]): {idx[(x[0], y[1])]: f.one()} for x in basis for y in basis if x[1] == y[0]}
+    return AlgebraObject(f, len(basis), mul, [f.one() if a == b else f.zero() for a, b in basis])
+
+
+def trace_form_by_products(a):
+    """Tr(L_i L_j) from the n^2 products of left multiplication matrices."""
+    f, n = a.field, a.dim
+    lmats = [Matrix.from_entries(f, n, n, {(k, j): c for j in range(n) for k, c in a.mul.get((i, j), {}).items()})
+             for i in range(n)]
+    gram = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            prod = lmats[i] @ lmats[j]
+            tr = f.zero()
+            for t in range(n):
+                tr = f.add(tr, prod[t, t])
+            row.append(tr)
+        gram.append(row)
+    return gram
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)])
+def test_trace_form_matches_product_loop(field):
+    algebras = [dual_numbers(field), truncated_cubic(field), upper_triangular(field, 3),
+                group_algebra(3, field).as_algebra(), sweedler_h4(field).as_algebra()]
+    if field == GF(7):
+        algebras.append(taft(3, field.primitive_root_of_unity(3), field).as_algebra())
+    for a in algebras:
+        assert trace_form(a).to_rows() == trace_form_by_products(a)
+
+
+def separability_system_by_dict_loop(a, ctx):
+    """The separability system as rows over the coordinates (x, y) of e:
+    m(e) = 1, the nonempty Casimir rows (t, x, y), then the nonzero
+    coinvariance rows, left side first, each from a loop over the basis."""
+    f, n = a.field, a.dim
+    rows, rhs = [], []
+    for k in range(n):
+        row = {}
+        for (i, j), col in a.mul.items():
+            c = col.get(k)
+            if c is not None:
+                row[i * n + j] = f.add(row.get(i * n + j, f.zero()), c)
+        rows.append(row)
+        rhs.append(a.unit[k])
+    for t in range(n):
+        for x in range(n):
+            for y in range(n):
+                row = {}
+                for c in range(n):
+                    v = a.mul.get((t, c), {}).get(x)
+                    if v is not None:
+                        row[c * n + y] = f.add(row.get(c * n + y, f.zero()), v)
+                for d in range(n):
+                    v = a.mul.get((d, t), {}).get(y)
+                    if v is not None:
+                        row[x * n + d] = f.sub(row.get(x * n + d, f.zero()), v)
+                if row:
+                    rows.append(row)
+                    rhs.append(f.zero())
+    dense = [[row.get(c, f.zero()) for c in range(n * n)] for row in rows]
+    if ctx is not None:
+        h = ctx.hopf
+        dh = h.dim
+        hm = h.as_algebra()
+        for cm, left in ((ctx.coact_l, True), (ctx.coact_r, False)):
+            # rho(e_x (x) e_y) - e_x (x) e_y (x) 1 on (h, x', y') left, (x', y', h) right
+            out = [[f.zero()] * (n * n) for _ in range(dh * n * n)]
+
+            def at(h_, x_, y_):
+                return (h_ * n + x_) * n + y_ if left else (x_ * n + y_) * dh + h_
+
+            for x in range(n):
+                for y in range(n):
+                    col = x * n + y
+                    for r1, c1, v1 in cm.entries():
+                        if c1 != x:
+                            continue
+                        h1, x0 = divmod(r1, n) if left else divmod(r1, dh)[::-1]
+                        for r2, c2, v2 in cm.entries():
+                            if c2 != y:
+                                continue
+                            h2, y0 = divmod(r2, n) if left else divmod(r2, dh)[::-1]
+                            for hk, w in enumerate(hm.product(v_basis(f, dh, h1), v_basis(f, dh, h2))):
+                                r = at(hk, x0, y0)
+                                out[r][col] = f.add(out[r][col], f.mul(f.mul(v1, v2), w))
+                    for hk in range(dh):
+                        r = at(hk, x, y)
+                        out[r][col] = f.sub(out[r][col], h.unit[hk])
+            for row in out:
+                if any(not f.is_zero(v) for v in row):
+                    dense.append(row)
+                    rhs.append(f.zero())
+    return dense, rhs
+
+
+def _nonzero_rows(rows, rhs):
+    return [(r, b) for r, b in zip(rows, rhs) if any(v != 0 for v in r) or b != 0]
+
+
+def _bicomodule_ctx(h):
+    class _Ctx:
+        hopf = h
+        coact_l = h.as_coalgebra().comul_matrix()
+        coact_r = h.as_coalgebra().comul_matrix()
+
+    return _Ctx()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_separability_system_matches_dict_loop(field):
+    from hopfsplit.algebra import _separability_system
+
+    cases = [(group_algebra(m, field).as_algebra(), None) for m in (1, 2, 3, 5)]
+    cases += [(upper_triangular(field, k), None) for k in (1, 2, 3)]
+    h4 = sweedler_h4(field)
+    z3 = group_algebra(3, field)
+    cases += [(h4.as_algebra(), None), (h4.as_algebra(), _bicomodule_ctx(h4)), (z3.as_algebra(), _bicomodule_ctx(z3))]
+    for a, ctx in cases:
+        solver = _separability_system(a, ctx)
+        coo = solver._rows()
+        # duplicate entries add up; _rref reduces each chunk mod p
+        got = _nonzero_rows(field.reduce(coo[0 : coo.shape[0]]).tolist(), solver.rhs)
+        want = _nonzero_rows(*separability_system_by_dict_loop(a, ctx))
+        assert got == want

@@ -269,3 +269,29 @@ def test_integral_retraction_rejects_non_colinear_functional():
         integral_retraction(h, eps, CatObject.regular(h))
     assert exc.value.check == "retraction_left_colinear"
     assert exc.value.witness == (0, 1, 0)
+
+
+def test_hom_map_colinearity_failures_are_typed():
+    # the re-check behind every hom_space basis map (solved modularly over
+    # Q) names the side and the first basis vector of X where it fails
+    import pytest
+
+    from hopfsplit.algebra import VerificationFailed
+    from hopfsplit.category import _verify_ctx_morphism
+
+    h = group_algebra(3, QQ)
+    reg = CatObject.regular(h)
+    shift = Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # e_1 -> e_0
+    # right: rho(e_0) = e_0 (x) e_0 against (shift (x) id)(e_1 (x) e_1) = e_0 (x) e_1
+    with pytest.raises(VerificationFailed) as exc:
+        _verify_ctx_morphism(CategoryContext("comod_r", h), reg, reg, shift)
+    assert (exc.value.check, exc.value.witness) == ("hom_map_right_colinear", 1)
+    # with the trivial right coaction every map is right colinear, and the
+    # regular left coaction fails at e_1 the same way
+    obj = CatObject(QQ, 3, h, coact_l=reg.coact_l, coact_r=CatObject.trivial(QQ, h, 3).coact_r)
+    bicomod = CategoryContext("bicomod", h)
+    with pytest.raises(VerificationFailed) as exc:
+        _verify_ctx_morphism(bicomod, obj, obj, shift)
+    assert (exc.value.check, exc.value.witness) == ("hom_map_left_colinear", 1)
+    _verify_ctx_morphism(bicomod, obj, obj, Matrix.identity(QQ, 3))
+    assert hom_space(bicomod, obj, obj).dim == 3

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsplit import linalg
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import (
     _CHUNK,
+    _PRIMES,
     InconsistentSystem,
     Matrix,
     SparseRows,
@@ -18,13 +20,14 @@ from hopfsplit.linalg import (
     _rref,
     kernel_from_rref,
     particular_from_rref,
+    solve_linear,
     subspace_ops,
 )
 
 
 def test_identity_solve():
     a = Matrix.identity(QQ, 2)
-    x, ker = a.solve(Matrix.column(QQ, [Fraction(1), Fraction(0)]))
+    x, ker = solve_linear(a, Matrix.column(QQ, [Fraction(1), Fraction(0)]))
     assert x == [Fraction(1), Fraction(0)]
     assert ker.rows == 0
 
@@ -41,7 +44,7 @@ def test_mod7_inverse():
     oracle = next(t for t in range(7) if (3 * t) % 7 == 1)
     assert oracle == 5
     a = Matrix.from_rows(f, [[3]])
-    x, _ = a.solve(Matrix.column(f, [1]))
+    x = a.solve(Matrix.column(f, [1]))
     assert x == [5]
 
 
@@ -82,7 +85,7 @@ def test_solve_verified_by_multiplication():
         a = Matrix.from_rows(f, rows)
         xs = [rng.randrange(11) for _ in range(4)]
         b = Matrix.column(f, a.apply(xs))
-        x, ker = a.solve(b)
+        x, ker = solve_linear(a, b)
         assert a.apply(x) == b.col_list(0)
         for i in range(ker.rows):
             assert all(v == 0 for v in a.apply(ker.row_list(i)))
@@ -212,7 +215,7 @@ def test_streamed_rref_matches_reference(case):
     assert (aug, augpiv) == m.hstack(b).rref()
     assert aug.to_rows() == _reference_rref(field, [r + s for r, s in zip(rows, rhs)])[0]
     if m.cols not in augpiv:
-        x, _ = m.solve(b, want_kernel=False)
+        x = m.solve(b)
         assert m.apply(x) == b.col_list(0)
     # the same system as COO arrays, every entry split in two summands
     r, c = np.nonzero(np.array([[not field.is_zero(x) for x in row] for row in rows], dtype=bool).reshape(len(rows), -1))
@@ -225,7 +228,7 @@ def test_streamed_rref_matches_reference(case):
     red, piv = _rref(coo, field)
     assert kernel_from_rref(m.cols, Matrix(field, *red.shape, red, _raw=True), piv) == m.kernel()
     if m.cols not in augpiv:
-        assert particular_from_rref(m.cols, aug, augpiv) == m.solve(b, want_kernel=False)[0]
+        assert particular_from_rref(m.cols, aug, augpiv) == m.solve(b)
     else:
         with pytest.raises(InconsistentSystem):
             particular_from_rref(m.cols, aug, augpiv)
@@ -341,3 +344,153 @@ def test_matmul_float_path_stops_at_the_exactness_bound():
     # past the bound float64 rounds: the int64 path above is what makes k = 3 exact
     big = 3 * (p - 2) ** 2
     assert int(np.float64(p - 2) ** 2 * 3) != big
+
+
+# -- modular elimination of SparseRows over Q -------------------------------
+
+
+def _coo_split(rows, rng):
+    """The COO arrays of a dense list of rows, each nonzero entry written as
+    two or three summands (duplicates add up)."""
+    r, c, v = [], [], []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x == 0:
+                continue
+            parts = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(0, 2))]
+            for part in parts + [x - sum(parts, Fraction(0))]:
+                r.append(i)
+                c.append(j)
+                v.append(part)
+    return np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), np.array(v, dtype=object)
+
+
+def _sparse_rows(rows, cols, rng):
+    return SparseRows(QQ, (len(rows), cols), *_coo_split(rows, rng))
+
+
+@st.composite
+def _modular_inputs(draw):
+    """A = C B over Q of a drawn rank, with zero rows and (in the "big"
+    case) entries and fractions past 2^16, so one prime cannot lift them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    rank = min(n, draw(st.integers(1, 4)))  # rank 0: test_modular_rref_of_all_zero_and_empty_input
+    m = draw(st.sampled_from([1, 2, 5, 13, 40]))
+    big = draw(st.booleans())
+
+    def entry():
+        if big:
+            return Fraction(rng.randrange(-2**24, 2**24), rng.choice([1, 1, 3, 2**17 + 29]))
+        return Fraction(rng.choice([0, 0, 1, -1, 2, rng.randrange(-9, 10)]), rng.choice([1, 1, 2, 3]))
+
+    basis = [[entry() for _ in range(n)] for _ in range(rank)]
+    coeff = [[Fraction(rng.randrange(-3, 4)) if rng.random() < 0.7 else Fraction(0) for _ in range(rank)] for _ in range(m)]
+    rows = [[sum((c * b[j] for c, b in zip(cr, basis)), Fraction(0)) for j in range(n)] for cr in coeff]
+    if draw(st.booleans()):  # consistent
+        x = [entry() for _ in range(n)]
+        rhs = [[sum((a * y for a, y in zip(row, x)), Fraction(0))] for row in rows]
+    else:
+        rhs = [[entry()] for _ in range(m)]
+    return rows, rhs, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modular_inputs())
+def test_modular_rref_matches_reference(case):
+    rows, rhs, rng = case
+    n = len(rows[0])
+    a = _sparse_rows(rows, n, rng)
+    for b, dense in ((None, rows), (np.array(rhs, dtype=object), [r + s for r, s in zip(rows, rhs)])):
+        red, piv = _rref(a, QQ, b)
+        ref, refpiv = _reference_rref(QQ, dense)
+        assert piv == refpiv
+        assert red.tolist() == ref
+        assert all(type(x) is Fraction for x in red.flat)
+
+
+def test_modular_rref_of_all_zero_and_empty_input():
+    for rows in ([[Fraction(0)] * 3] * 4, [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]]):
+        r = [i for i, row in enumerate(rows) for _ in row] * 2
+        c = [j for row in rows for j in range(len(row))] * 2
+        v = [x for row in rows for x in row] + [-x for row in rows for x in row]
+        coo = SparseRows(QQ, (len(rows), len(rows[0])), np.array(r), np.array(c), np.array(v, dtype=object))
+        red, piv = _rref(coo, QQ)
+        assert (red.shape, piv) == ((0, len(rows[0])), [])
+    empty = SparseRows(QQ, (0, 2), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object))
+    assert _rref(empty, QQ)[1] == []
+
+
+def _record_primes(monkeypatch):
+    """The field of every Gauss-Jordan run, in order."""
+    seen = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def spy(a, field):
+        seen.append(field)
+        return gauss_jordan(a, field)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    return seen
+
+
+def _record_certificates(monkeypatch):
+    verdicts = []
+    certified = linalg._certified
+
+    def spy(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_certified", spy)
+    return verdicts
+
+
+def _column_of_multiples(p):
+    # column 0 is p times a column independent of the others: over Q the
+    # rank is 3, mod p column 0 vanishes and the image has rank 2
+    rows = [[Fraction(p * x), Fraction(y, 2), Fraction(z)] for x, y, z in
+            ((1, 1, 0), (2, 0, 1), (0, 1, 1), (3, 1, 1), (1, 2, 2))]
+    return rows + [[Fraction(0), Fraction(1, 2), Fraction(1)]]
+
+
+def test_certificate_rejects_a_prime_that_drops_a_pivot(monkeypatch):
+    rows = [r[:2] + [Fraction(0)] + r[2:] for r in _column_of_multiples(_PRIMES[0])]
+    rows = [r + [r[1] + 3 * r[3]] for r in rows]  # a dependent column: R != I
+    seen, verdicts = _record_primes(monkeypatch), _record_certificates(monkeypatch)
+    red, piv = _rref(_sparse_rows(rows, 5, random.Random(1)), QQ)
+    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    assert [f.p for f in seen] == list(_PRIMES[:2])
+    assert verdicts == [False, True]
+    assert piv == [0, 1, 3]
+
+
+def test_fraction_kernel_answers_when_every_prime_fails(monkeypatch):
+    rows = _column_of_multiples(_PRIMES[0])
+    rows = [r + [r[0] - r[2]] for r in rows]
+    monkeypatch.setattr(linalg, "_PRIMES", _PRIMES[:1])
+    seen = _record_primes(monkeypatch)
+    red, piv = _rref(_sparse_rows(rows, 4, random.Random(2)), QQ)
+    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    assert seen[0] == GF(_PRIMES[0]) and seen[-1] == QQ
+
+
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    p = _PRIMES[0]
+    rows = [[Fraction(1, p), Fraction(2), Fraction(1, 3)], [Fraction(2, p), Fraction(1), Fraction(5)],
+            [Fraction(3, p), Fraction(3), Fraction(16, 3)]]
+    seen = _record_primes(monkeypatch)
+    red, piv = _rref(_sparse_rows(rows, 3, random.Random(3)), QQ)
+    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    assert seen[0] == GF(_PRIMES[1]) and GF(p) not in seen and QQ not in seen
+
+
+def test_modular_rref_lifts_large_entries_by_crt(monkeypatch):
+    # RREF entries with numerators and denominators near 2^40 need at least
+    # three primes of 31 bits before rational reconstruction can succeed
+    big = Fraction(2**40 + 15, 2**39 + 7)
+    rows = [[Fraction(1), Fraction(0), big], [Fraction(0), Fraction(3), 1 / big], [Fraction(2), Fraction(3), 2 * big + 1 / big]]
+    seen = _record_primes(monkeypatch)
+    red, piv = _rref(_sparse_rows(rows, 3, random.Random(4)), QQ, np.array([[big], [Fraction(1)], [2 * big + 1]], dtype=object))
+    assert (red.tolist(), piv) == _reference_rref(QQ, [r + [b] for r, b in zip(rows, [big, Fraction(1), 2 * big + 1])])
+    assert len(seen) >= 3 and QQ not in seen
