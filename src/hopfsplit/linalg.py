@@ -283,7 +283,7 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
     canonical RREF.  Images with a smaller rank profile than the ones kept
     are dropped; a larger one replaces them.
     """
-    m, cols = a.shape
+    cols = a.shape[1]
     r, c, v = a._r, a._c, a._v
     if rhs is not None:
         br, bc = rhs.nonzero()
