@@ -7,11 +7,12 @@ form in large characteristic, certified otherwise), separability
 idempotents and quotient algebras all reduce to exact linear algebra.
 
 Associativity is one kernel for every field, a sparse join of the nonzero
-structure constants (`AlgebraObject._check_associativity`): per left index
-the products are summed by one float64 bincount over F_p with p < 2**31
-(exact: at most 2n terms per sum, reduced below p first when their
-unreduced sum could pass 2^53) and by sort and `np.add.reduceat` over Q
-and larger primes.  `pairwise_products` is two
+structure constants (`AlgebraObject._check_associativity`) whose sums per
+left index are one sort and `np.add.reduceat` (`linalg._summed`).  The
+left nucleus {x : (xy)z = x(yz) for all y, z} is a subalgebra of any
+algebra, so once 1 is a unit the join needs only the left indices of a
+generating set (`validate(generators)`); a failure there reruns the full
+join, which names the first failing triple.  `pairwise_products` is two
 contractions with the structure tensor through `linalg._matmul`, exact for
 every field; the multiplication as a stage map is `AlgebraObject.mul_map`.
 
@@ -79,6 +80,7 @@ class AlgebraObject:
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self._np_tensor = None
         self._mul_map = None
+        self._generators: dict = {}
 
     # -- products ----------------------------------------------------------
 
@@ -147,15 +149,24 @@ class AlgebraObject:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self) -> ValidationReport:
+    def validate(self, generators=None) -> ValidationReport:
+        """Shape, associativity and unit, in that order.
+
+        `generators`, basis indices that generate the algebra, restrict the
+        associativity join to those left indices when the unit check
+        passes: the left nucleus is a subalgebra, so it is everything once
+        it holds 1 and the generators.  Without them, with a broken unit or
+        when the restricted join fails, the join runs over every left
+        index, so the report and its witness do not depend on them.
+        """
         rep = ValidationReport()
         rep.record("shape", self._shape_ok(), "structure constants out of range")
         if not rep.ok:
             return rep
-        ok, wit = self._check_associativity()
-        rep.record("associativity", ok, wit)
-        ok, wit = self._check_unit()
-        rep.record("unit", ok, wit)
+        unit = self._check_unit()
+        ok = generators is not None and unit[0] and self._check_associativity(generators)[0]
+        rep.record("associativity", *((True, None) if ok else self._check_associativity()))
+        rep.record("unit", *unit)
         return rep
 
     def _shape_ok(self) -> bool:
@@ -167,25 +178,22 @@ class AlgebraObject:
             for (i, j), col in self.mul.items()
         )
 
-    def _check_associativity(self):
-        """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples, as a join of
-        the nonzero structure constants (a, b, c, v): e_a e_b has v on e_c.
+    def _check_associativity(self, lefts=None):
+        """(e_i e_j) e_k == e_i (e_j e_k) for every left index i in `lefts`
+        (default: all) and all j, k, as a join of the nonzero structure
+        constants (a, b, c, v): e_a e_b has v on e_c.
 
         Per left index i, the terms of (e_i e_j) e_l pair an entry (i, j, k)
         with every entry (k, l, m); the terms of e_i (e_j e_l) pair every
-        entry (j, l, k) with every entry (i, k, m).  Their difference is
-        summed per key (j n + l) n + m, and associativity fails at i iff a
-        sum is nonzero; the witness names the lexicographically first
-        failing (i, j, k).  Over F_p with p < 2**31 one float64 bincount
-        sums each key's at most 2n terms: exact, because products are
-        reduced below p first unless 2n (p - 1)^2 < 2**53 already.  Object
-        values (Q, larger p) are summed by sort and `np.add.reduceat`
-        (`linalg._summed`).  Work and memory are bounded by the join size
-        for one i, never by n^3 products.
+        entry (j, l, k) with every entry (i, k, m).  Their reduced
+        difference is summed per key (j n + l) n + m by sort and
+        `np.add.reduceat` (`linalg._summed`, the one summation path for
+        every field), and associativity fails at i iff a sum is nonzero;
+        the witness names the lexicographically first failing (i, j, k)
+        among the left indices checked.  Work and memory are bounded by the
+        join size for one i, never by n^3.
         """
         f, n = self.field, self.dim
-        # products stay unreduced while every sum of 2n of them is exact in float64
-        red = f.reduce if f.kind == "Q" or 2 * n * (f.p - 1) ** 2 >= 2**53 else (lambda x: x)
         a, b, c, v = self.constants()
         order = np.lexsort((c, b, a))
         a, b, c, v = a[order], b[order], c[order], v[order]
@@ -195,18 +203,13 @@ class AlgebraObject:
         by_ab = np.searchsorted(ab, np.arange(n * n + 1))
         by_a = by_ab[::n]
         every = np.arange(len(v))
-        for i in range(n):
+        for i in range(n) if lefts is None else lefts:
             s = every[by_a[i]:by_a[i + 1]]
             l_src, l_dst = _join(s, by_a[c[s]], by_a[c[s] + 1])
             r_src, r_dst = _join(every, by_ab[i * n + c], by_ab[i * n + c + 1])
             keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], ab[r_src] * n + c[r_dst]))
-            terms = np.concatenate((red(v[l_src] * v[l_dst]), -red(v[r_src] * v[r_dst])))
-            if terms.dtype == object:
-                _, bad, _ = _summed(f, np.zeros_like(keys), keys, terms, n**3)
-            else:
-                sums = np.bincount(keys, weights=terms)
-                hit = np.flatnonzero(sums)
-                bad = hit[sums[hit].astype(np.int64) % f.p != 0]
+            terms = np.concatenate((f.reduce(v[l_src] * v[l_dst]), -f.reduce(v[r_src] * v[r_dst])))
+            _, bad, _ = _summed(f, np.zeros_like(keys), keys, terms, n**3)
             if bad.size:
                 j, k = divmod(int(bad[0]) // n, n)
                 return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
@@ -225,29 +228,48 @@ class AlgebraObject:
     # -- generation ---------------------------------------------------------
 
     def generating_basis_indices(self, cap: int = 24) -> list[int] | None:
-        """Greedy algebra generating set from the basis, or None past cap.
+        """Greedy algebra generating set from the basis, or None past cap
+        (cached per cap).
 
-        Used to verify multiplicative properties on |G| * dim pairs instead
-        of dim^2 (sound: {u : property for all v} is a unital subalgebra).
+        Used to verify properties on |G| * dim pairs instead of dim^2 (sound
+        when {u : property for all v} is a unital subalgebra, as for the
+        left nucleus and for Delta-multiplicativity).
         """
-        f = self.field
-        span = Subspace.from_vectors(f, self.dim, [self.unit])
+        if cap not in self._generators:
+            self._generators[cap] = self._generating_set(cap)
+        return self._generators[cap]
+
+    def _generating_set(self, cap: int) -> list[int] | None:
+        """Basis indices, taken in order whenever e_i is outside the span so
+        far, whose left-Krylov closure from 1 is the algebra.
+
+        The span S is kept closed under left multiplication by the
+        generators: a new generator g adds e_g and g S; after that
+        only the rows each round adds (new pivots) are multiplied by G.
+        Every vector reached is a product of 1 and generators, so it lies
+        in any unital subalgebra holding them; in an associative algebra S
+        is the subalgebra the generators generate.
+        """
+        f, n = self.field, self.dim
+        span = Subspace.from_vectors(f, n, [self.unit])
         gens: list[int] = []
-        for i in range(self.dim):
-            e = v_basis(f, self.dim, i)
-            if span.contains_vector(e):
+        for i in range(n):
+            if span.contains_vector(v_basis(f, n, i)):
                 continue
             gens.append(i)
             if len(gens) > cap:
                 return None
-            # close the span under products until stable
-            span = span + Subspace.from_vectors(f, self.dim, [e])
+            g = Matrix.from_entries(f, len(gens), n, {(t, x): f.one() for t, x in enumerate(gens)})
+            e = g._new(1, n, g._d[-1:])
+            new = pairwise_products(self, e, span.basis).vstack(e)
             while True:
-                prods = pairwise_products(self, span.basis, span.basis)
-                grown = span + Subspace.from_matrix_rows(prods)
+                grown = span + Subspace.from_matrix_rows(new)
                 if grown.dim == span.dim:
                     break
+                old = set(span.pivots)
+                fresh = [t for t, c in enumerate(grown.pivots) if c not in old]
                 span = grown
+                new = pairwise_products(self, g, span.basis._new(len(fresh), n, span.basis._d[fresh]))
         return gens
 
 
