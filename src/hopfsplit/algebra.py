@@ -69,6 +69,9 @@ class VerificationFailed(AssertionError):
         self.witness = witness
 
 
+_JOIN_BLOCK = 2**16  # terms in one associativity join over consecutive left indices
+
+
 class AlgebraObject:
     """Associative unital algebra by structure constants over an exact field."""
 
@@ -80,6 +83,7 @@ class AlgebraObject:
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self._np_tensor = None
         self._mul_map = None
+        self._constants = None
         self._generators: dict = {}
 
     # -- products ----------------------------------------------------------
@@ -127,12 +131,16 @@ class AlgebraObject:
 
     def constants(self):
         """The structure constants as arrays (i, j, k, v): e_i e_j has the
-        reduced coefficient v on e_k, v nonzero."""
-        f = self.field
-        ijk = np.array([(i, j, k) for (i, j), col in self.mul.items() for k in col], dtype=np.int64).reshape(-1, 3)
-        v = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
-        nz = v != 0
-        return (*ijk[nz].T, v[nz])
+        reduced coefficient v on e_k, v nonzero (cached; do not modify).
+        `_in_range` records whether every index lies in range(dim)."""
+        if self._constants is None:
+            f = self.field
+            ijk = np.array([(i, j, k) for (i, j), col in self.mul.items() for k in col], dtype=np.int64).reshape(-1, 3)
+            v = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
+            nz = v != 0
+            self._in_range = bool(((ijk >= 0) & (ijk < self.dim)).all())
+            self._constants = (*ijk[nz].T, v[nz])
+        return self._constants
 
     def np_tensor(self):
         """Dense tensor T[i,j,k] = coefficient of e_k in e_i e_j, reduced, in
@@ -150,15 +158,11 @@ class AlgebraObject:
     # -- validation ---------------------------------------------------------
 
     def validate(self, generators=None) -> ValidationReport:
-        """Shape, associativity and unit, in that order.
-
-        `generators`, basis indices that generate the algebra, restrict the
-        associativity join to those left indices when the unit check
-        passes: the left nucleus is a subalgebra, so it is everything once
-        it holds 1 and the generators.  Without them, with a broken unit or
-        when the restricted join fails, the join runs over every left
-        index, so the report and its witness do not depend on them.
-        """
+        """Shape, associativity and unit, in that order.  `generators` (basis
+        indices that generate the algebra) restrict the associativity join
+        to their left indices once the unit check passes: the left nucleus
+        is a subalgebra, so it is everything when it holds 1 and them.
+        Otherwise, or when that join fails, the full join names the witness."""
         rep = ValidationReport()
         rep.record("shape", self._shape_ok(), "structure constants out of range")
         if not rep.ok:
@@ -170,107 +174,121 @@ class AlgebraObject:
         return rep
 
     def _shape_ok(self) -> bool:
-        n = self.dim
-        if len(self.unit) != n:
-            return False
-        return all(
-            0 <= i < n and 0 <= j < n and all(0 <= k < n for k in col)
-            for (i, j), col in self.mul.items()
-        )
+        self.constants()
+        return len(self.unit) == self.dim and self._in_range
 
     def _check_associativity(self, lefts=None):
         """(e_i e_j) e_k == e_i (e_j e_k) for every left index i in `lefts`
         (default: all) and all j, k, as a join of the nonzero structure
         constants (a, b, c, v): e_a e_b has v on e_c.
 
-        Per left index i, the terms of (e_i e_j) e_l pair an entry (i, j, k)
-        with every entry (k, l, m); the terms of e_i (e_j e_l) pair every
-        entry (j, l, k) with every entry (i, k, m).  Their reduced
-        difference is summed per key (j n + l) n + m by sort and
+        Per left index i, each entry (i, j, k) pairs with every entry
+        (k, l, m) for the terms of (e_i e_j) e_l, and each entry (i, k, m)
+        with every entry (j, l, k) for the terms of e_i (e_j e_l).  Their
+        reduced difference is summed per key (j n + l) n + m by sort and
         `np.add.reduceat` (`linalg._summed`, the one summation path for
         every field), and associativity fails at i iff a sum is nonzero;
         the witness names the lexicographically first failing (i, j, k)
-        among the left indices checked.  Work and memory are bounded by the
-        join size for one i, never by n^3.
+        among the left indices checked.  Consecutive left indices whose terms
+        start in the same window of _JOIN_BLOCK terms share one join, so a
+        join holds at most _JOIN_BLOCK terms plus one index's, never n^3.
         """
         f, n = self.field, self.dim
         a, b, c, v = self.constants()
-        order = np.lexsort((c, b, a))
+        order = np.argsort(a, kind="stable")
         a, b, c, v = a[order], b[order], c[order], v[order]
-        ab = a * n + b
-        # the entries with legs (i, k) are [by_ab[i n + k], by_ab[i n + k + 1]),
-        # those with first leg i are [by_a[i], by_a[i + 1])
-        by_ab = np.searchsorted(ab, np.arange(n * n + 1))
-        by_a = by_ab[::n]
-        every = np.arange(len(v))
-        for i in range(n) if lefts is None else lefts:
-            s = every[by_a[i]:by_a[i + 1]]
+        # the entries with first leg x are [by_a[x], by_a[x + 1]), those with
+        # last leg x are last[by_c[x]:by_c[x + 1]]
+        by_a = np.searchsorted(a, np.arange(n + 1))
+        last = np.argsort(c, kind="stable")
+        by_c = np.searchsorted(c[last], np.arange(n + 1))
+        lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
+        size = np.bincount(a, np.diff(by_a)[c] + np.diff(by_c)[b], n)[lefts]
+        for blk in np.split(lefts, np.flatnonzero(np.diff((np.cumsum(size) - size) // _JOIN_BLOCK)) + 1):
+            s = _join(blk, by_a[blk], by_a[blk + 1])[1]
             l_src, l_dst = _join(s, by_a[c[s]], by_a[c[s] + 1])
-            r_src, r_dst = _join(every, by_ab[i * n + c], by_ab[i * n + c + 1])
-            keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], ab[r_src] * n + c[r_dst]))
+            r_src, r_at = _join(s, by_c[b[s]], by_c[b[s] + 1])
+            r_dst = last[r_at]
+            keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], (a[r_dst] * n + b[r_dst]) * n + c[r_src]))
             terms = np.concatenate((f.reduce(v[l_src] * v[l_dst]), -f.reduce(v[r_src] * v[r_dst])))
-            _, bad, _ = _summed(f, np.zeros_like(keys), keys, terms, n**3)
+            bad_i, bad, _ = _summed(f, np.concatenate((a[l_src], a[r_src])), keys, terms, n**3)
             if bad.size:
-                j, k = divmod(int(bad[0]) // n, n)
+                i, (j, k) = int(bad_i[0]), divmod(int(bad[0]) // n, n)
                 return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
         return True, None
 
     def _check_unit(self):
-        f = self.field
-        for j in range(self.dim):
-            e = v_basis(f, self.dim, j)
-            if not v_eq(f, self.product(self.unit, e), e):
-                return False, f"1*e{j} != e{j}"
-            if not v_eq(f, self.product(e, self.unit), e):
-                return False, f"e{j}*1 != e{j}"
-        return True, None
+        """1 e_j = e_j = e_j 1 for every basis index j, from the structure
+        constants: left and right multiplication by the unit vector minus
+        the identity, summed per (j, k) by `linalg._summed`.  The witness
+        is the first failing j, the left side first."""
+        f, n = self.field, self.dim
+        a, b, c, v = self.constants()
+        u = f.reduce(np.array(self.unit, dtype=_dtype(f)))
+        eye = np.arange(n)
+        minus_one = np.full(n, f.reduce(-f.one()), dtype=v.dtype)
+        first = []
+        for by, j in ((a, b), (b, a)):  # 1 e_j: u_a e_a e_j; e_j 1: e_j u_b e_b
+            bad, _, _ = _summed(f, np.concatenate((j, eye)), np.concatenate((c, eye)),
+                                np.concatenate((f.reduce(u[by] * v), minus_one)), n)
+            first.append(int(bad[0]) if bad.size else n)
+        j = min(first)
+        if j == n:
+            return True, None
+        return False, f"1*e{j} != e{j}" if first[0] == j else f"e{j}*1 != e{j}"
 
     # -- generation ---------------------------------------------------------
 
     def generating_basis_indices(self, cap: int = 24) -> list[int] | None:
-        """Greedy algebra generating set from the basis, or None past cap
-        (cached per cap).
-
-        Used to verify properties on |G| * dim pairs instead of dim^2 (sound
-        when {u : property for all v} is a unital subalgebra, as for the
-        left nucleus and for Delta-multiplicativity).
-        """
+        """Greedy algebra generating set from the basis, or None past cap;
+        cached per cap.  A property whose set {u : property for all v} is a
+        unital subalgebra (the left nucleus, Delta-multiplicativity) then
+        needs checking on |G| * dim pairs instead of dim^2."""
         if cap not in self._generators:
             self._generators[cap] = self._generating_set(cap)
         return self._generators[cap]
 
     def _generating_set(self, cap: int) -> list[int] | None:
-        """Basis indices, taken in order whenever e_i is outside the span so
-        far, whose left-Krylov closure from 1 is the algebra.
-
-        The span S is kept closed under left multiplication by the
-        generators: a new generator g adds e_g and g S; after that
-        only the rows each round adds (new pivots) are multiplied by G.
-        Every vector reached is a product of 1 and generators, so it lies
-        in any unital subalgebra holding them; in an associative algebra S
-        is the subalgebra the generators generate.
-        """
+        """Each e_i, in order, outside the left-Krylov closure from 1 of the
+        earlier generators becomes one.  The span S stays closed under left
+        multiplication by the generators: a new generator g adds e_g and
+        g S, then each round multiplies only the rows it added (new pivots).
+        Every vector reached is a product of 1 and generators, so it lies in
+        any unital subalgebra holding them; in an associative algebra S is
+        the subalgebra they generate."""
         f, n = self.field, self.dim
+        a, b, c, v = self.constants()
+
+        def left_mul(gs):  # row j, column t n + k: the coefficient of e_k in e_gs[t] e_j
+            m = np.isin(a, gs)
+            out = np.full((n, len(gs) * n), f.zero(), dtype=v.dtype)
+            out[b[m], np.searchsorted(gs, a[m]) * n + c[m]] = v[m]
+            return out
+
+        def times(lm, rows):  # the rows e_g u for the generators g of lm and u in rows
+            return rows._new(rows.rows * (lm.shape[1] // n), n, _matmul(f, rows._d, lm).reshape(-1, n))
+
+        eye = Matrix.identity(f, n)
         span = Subspace.from_vectors(f, n, [self.unit])
         gens: list[int] = []
-        for i in range(n):
-            if span.contains_vector(v_basis(f, n, i)):
-                continue
+        while True:
+            outside = (_matmul(f, eye._d[:, span.pivots], span.basis._d) != eye._d).any(axis=1)
+            if not outside.any():
+                return gens
+            i = int(outside.argmax())
             gens.append(i)
             if len(gens) > cap:
                 return None
-            g = Matrix.from_entries(f, len(gens), n, {(t, x): f.one() for t, x in enumerate(gens)})
-            e = g._new(1, n, g._d[-1:])
-            new = pairwise_products(self, e, span.basis).vstack(e)
+            new = times(left_mul([i]), span.basis).vstack(eye._new(1, n, eye._d[i : i + 1]))
+            lm = left_mul(gens)
             while True:
-                grown = span + Subspace.from_matrix_rows(new)
+                grown = Subspace.from_matrix_rows(span.basis.vstack(new))
                 if grown.dim == span.dim:
                     break
                 old = set(span.pivots)
-                fresh = [t for t, c in enumerate(grown.pivots) if c not in old]
+                fresh = [r for r, p in enumerate(grown.pivots) if p not in old]
                 span = grown
-                new = pairwise_products(self, g, span.basis._new(len(fresh), n, span.basis._d[fresh]))
-        return gens
+                new = times(lm, span.basis._new(len(fresh), n, span.basis._d[fresh]))
 
 
 class BimoduleObject:

@@ -2,9 +2,11 @@
 convolution inversion, integrals and their ad-(co)invariance.
 
 A BialgebraObject carries algebra and coalgebra structure constants on one
-basis.  The multiplicativity of Delta is checked on (generator, basis)
-pairs: the set {u : Delta(uv) = Delta(u)Delta(v) for all v} is a unital
-subalgebra, so it suffices that it contains an algebra generating set.
+basis.  Associativity and the multiplicativity of Delta are checked on one
+generating set of basis elements: the left nucleus and {u : Delta(uv) =
+Delta(u)Delta(v) for all v} are unital subalgebras, so each is everything
+once it contains the generators (a failed associativity check there falls
+back to the full join for its witness, `AlgebraObject.validate`).
 """
 from __future__ import annotations
 

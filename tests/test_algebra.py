@@ -19,6 +19,7 @@ from hopfsplit.algebra import (
     ideal_power_nilpotency,
     is_ideal,
     multiplicativity_defect,
+    pairwise_products,
     quotient_algebra,
     radical,
     separability_idempotent,
@@ -27,6 +28,7 @@ from hopfsplit.algebra import (
 )
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
+from hopfsplit.hopf import BialgebraObject
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.tensors import sparse_add, sparse_eq, v_basis
 
@@ -332,22 +334,137 @@ def mutated(a, i, j, k, delta):
     return AlgebraObject(f, a.dim, mul, a.unit)
 
 
-@pytest.mark.parametrize("lo, hi", [(1, 12), (13, 36)])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_associativity_join_matches_dict_loop(lo, hi, data):
-    f, factors, dim = data.draw(st.sampled_from([s for s in SPECS if lo <= s[2] <= hi]))
+def draw_spec_algebra(data, specs):
+    """A product of SPECS factors, with one structure constant changed half
+    of the time; returns (algebra, mutated)."""
+    f, factors, dim = data.draw(st.sampled_from(specs))
     a = _factor(factors[0], f)
     for spec in factors[1:]:
         a = tensor_algebra(a, _factor(spec, f))
     assert a.dim == dim
-    if data.draw(st.booleans()):
+    mutate = data.draw(st.booleans())
+    if mutate:
         idx = st.integers(0, dim - 1)
         delta = f.from_int(data.draw(st.integers(1, 6 if f.kind == "Q" else f.p - 1)))
         a = mutated(a, data.draw(idx), data.draw(idx), data.draw(idx), delta)
-    else:
+    return a, mutate
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 12), (13, 36)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_associativity_join_matches_dict_loop(lo, hi, data):
+    import hopfsplit.algebra as alg_mod
+
+    a, mutate = draw_spec_algebra(data, [s for s in SPECS if lo <= s[2] <= hi])
+    if not mutate:
         assert a.validate().ok
-    assert a._check_associativity() == associativity_by_dict_loop(a)
+    # one left index per join, a few, or all of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alg_mod, "_JOIN_BLOCK", data.draw(st.sampled_from([1, 50, 2**16])))
+        assert a._check_associativity() == associativity_by_dict_loop(a)
+
+
+def unit_by_dict_loop(a):
+    """Reference: 1 e_j and e_j 1 against e_j for each j in turn."""
+    f = a.field
+    for j in range(a.dim):
+        if not sparse_eq(f, a.product_sparse(dict(enumerate(a.unit)), {j: f.one()}), {j: f.one()}):
+            return False, f"1*e{j} != e{j}"
+        if not sparse_eq(f, a.product_sparse({j: f.one()}, dict(enumerate(a.unit))), {j: f.one()}):
+            return False, f"e{j}*1 != e{j}"
+    return True, None
+
+
+def generating_set_by_full_closure(a, cap=24):
+    """Reference: the greedy generating set with the span closed under all
+    products of its basis after each new generator."""
+    f, n = a.field, a.dim
+    span = Subspace.from_vectors(f, n, [a.unit])
+    gens = []
+    for i in range(n):
+        if span.contains_vector(v_basis(f, n, i)):
+            continue
+        gens.append(i)
+        if len(gens) > cap:
+            return None
+        span = span + Subspace.from_vectors(f, n, [v_basis(f, n, i)])
+        while True:
+            grown = span + Subspace.from_matrix_rows(pairwise_products(a, span.basis, span.basis))
+            if grown.dim == span.dim:
+                break
+            span = grown
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_generating_set_needs_the_new_generator_times_the_span(field):
+    # k<x, y> / (words of length 3) on 1, x, y, xx, xy, yx, yy: after x,
+    # the span is {1, x, xx}; y generates only with y x, a product of the
+    # new generator with the old span
+    words = ["", "x", "y", "xx", "xy", "yx", "yy"]
+    idx = {w: t for t, w in enumerate(words)}
+    mul = {(idx[u], idx[w]): {idx[u + w]: field.one()} for u in words for w in words if len(u + w) <= 2}
+    a = AlgebraObject(field, 7, mul, [field.one()] + [field.zero()] * 6)
+    assert a.validate().ok
+    assert a.generating_basis_indices() == generating_set_by_full_closure(a) == [1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_check_matches_dict_loop(data):
+    a, _ = draw_spec_algebra(data, SPECS)
+    if data.draw(st.booleans()):
+        f = a.field
+        unit = list(a.unit)
+        unit[data.draw(st.integers(0, a.dim - 1))] = f.from_int(data.draw(st.integers(0, 3)))
+        a = AlgebraObject(f, a.dim, a.mul, unit)
+    assert a._check_unit() == unit_by_dict_loop(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_on_generators_matches_full_join(data):
+    # the left nucleus is a subalgebra: with a unit and every generator in
+    # it, the algebra is associative, so a non-associative algebra with a
+    # unit fails at a generator's left index; the report, witness
+    # included, is the full join's either way
+    a, mutate = draw_spec_algebra(data, [s for s in SPECS if s[0] in (QQ, GF(7), GF(2**31 - 1))])
+    gens = a.generating_basis_indices()
+    if not mutate:  # the left-Krylov closure of an associative algebra is the subalgebra
+        assert gens == generating_set_by_full_closure(a)
+    full = a.validate()
+    assert a.validate(gens).checks == full.checks
+    if gens is not None and a._check_unit()[0] and not a._check_associativity()[0]:
+        assert not a._check_associativity(gens)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_generator_join_rejects_defect_at_non_generator(field):
+    # k[Z_5] is generated by g = e1; the only changed constant is
+    # e3 e4 = e2 + e0, at left index 3, yet e1 is no longer in the left
+    # nucleus: (e1 e2) e4 = e3 e4 != e2 = e1 (e2 e4)
+    a = mutated(group_algebra(5, field).as_algebra(), 3, 4, 0, field.one())
+    gens = a.generating_basis_indices()
+    assert gens == [1]
+    want = (False, "(e1*e2)*e4 != e1*(e2*e4)")
+    assert a._check_associativity(gens) == a._check_associativity() == want
+    assert a.validate(gens).checks == a.validate().checks
+    assert dict(a.validate(gens).failures()) == {"associativity": want[1]}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_validate_with_broken_unit_runs_the_full_join(field):
+    # the unit vector is 0, so the nucleus argument does not apply: the
+    # join on the left index 0 passes, but validate must still find the
+    # failure at the last left index
+    n = 20
+    a = AlgebraObject(field, n, {(n - 1, 0): {0: field.one()}}, [field.zero()] * n)
+    assert a._check_associativity([0]) == (True, None)
+    rep = a.validate([0])
+    assert rep.checks == a.validate().checks
+    assert dict(rep.failures()) == {"associativity": f"(e{n - 1}*e{n - 1})*e0 != e{n - 1}*(e{n - 1}*e0)",
+                                     "unit": "1*e0 != e0"}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
@@ -371,8 +488,13 @@ def test_flagship_single_constant_mutations_fail_associativity(ha_f7):
     picks += [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(5)]
     assert len(set(picks)) == 10
     for i, j, k in picks:
-        rep = mutated(a, i, j, k, f.one()).validate()
+        b = mutated(a, i, j, k, f.one())
+        rep = b.validate()
         assert "associativity" in dict(rep.failures()), (i, j, k)
+        # through the bialgebra, on the generating set when the unit holds
+        bi = BialgebraObject(f, n, b.mul, b.unit, ha_f7.comul, ha_f7.counit)
+        want = [("algebra:" + name, ok, wit) for name, ok, wit in rep.checks]
+        assert [c for c in bi.validate().checks if c[0].startswith("algebra:")] == want, (i, j, k)
 
 
 # -- multiplicativity: the blocked kernel against the per-pair loop ---------

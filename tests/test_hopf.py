@@ -138,3 +138,24 @@ def test_is_algebra_map_checks():
     assert is_coalgebra_map(h.as_coalgebra(), h.as_coalgebra(), h.antipode)
     flip = Matrix.from_entries(QQ, 3, 3, {(0, 0): QQ.one(), (1, 2): QQ.one(), (2, 1): QQ.one()})
     assert is_algebra_map(h.as_algebra(), h.as_algebra(), flip)  # inversion on Z3
+
+
+def test_validate_computes_one_generating_set(monkeypatch):
+    # one closure serves both the associativity join and the Delta check;
+    # a broken counit or unit computes none
+    from hopfsplit.algebra import AlgebraObject
+
+    calls = []
+    closure = AlgebraObject._generating_set
+    monkeypatch.setattr(AlgebraObject, "_generating_set", lambda a, cap: calls.append((a.dim, cap)) or closure(a, cap))
+    f = GF(7)
+    h = taft(3, f.primitive_root_of_unity(3), f)
+    assert h.validate().ok
+    assert calls == [(9, 24)]
+    assert h.validate().ok  # cached on the algebra
+    assert calls == [(9, 24)]
+    bad_counit = BialgebraObject(f, 9, h.mul, h.unit, h.comul, [f.zero()] * 9)
+    bad_unit = BialgebraObject(f, 9, h.mul, [f.zero()] * 9, h.comul, h.counit)
+    assert "coalgebra:counit" in dict(bad_counit.validate().failures())
+    assert "algebra:unit" in dict(bad_unit.validate().failures())
+    assert calls == [(9, 24)]

@@ -131,12 +131,23 @@ def test_extract_trivial_from_h_itself():
     assert q.omega_is_trivial()
 
 
+BIALGEBRA_CHECKS = ["algebra:shape", "algebra:associativity", "algebra:unit", "coalgebra:shape",
+                    "coalgebra:coassociativity", "coalgebra:counit", "delta_unital", "eps_unital",
+                    "eps_multiplicative", "delta_multiplicative"]
+INDUCED_CHECKS = ["pi_sigma_id", "induced_right_coaction", "induced_left_coaction", "induced_right_action",
+                  "induced_left_action"]
+PRIMAL_CHECKS = ["bialgebra:" + c for c in BIALGEBRA_CHECKS] + [
+    "pi_coalgebra_map", "sigma_algebra_map", "pi_algebra_map"] + INDUCED_CHECKS
+DUAL_CHECKS = ["bialgebra:" + c for c in BIALGEBRA_CHECKS] + [
+    "pi_coalgebra_map", "sigma_algebra_map", "sigma_coalgebra_map", "pi_bilinear"] + INDUCED_CHECKS
+
+
 def test_extract_and_rebosonize_primal():
     h4, h2, pi, sigma = h4_split_data()
     q = extract_quadruple_primal(h4, h2, pi, sigma)
     assert q.omega_is_trivial()
     bos = bosonize(q)
-    assert validate_bosonization(bos).ok
+    assert validate_bosonization(bos).checks == [(name, True, None) for name in PRIMAL_CHECKS]
 
 
 def test_extract_bosonize_roundtrip_identity():
@@ -155,7 +166,7 @@ def test_extract_dual_h4():
     q = extract_quadruple_dual(h4, h2, pi, sigma)
     assert q.xi_is_trivial()
     bos = dual_bosonize(q)
-    assert validate_bosonization(bos).ok
+    assert validate_bosonization(bos).checks == [(name, True, None) for name in DUAL_CHECKS]
 
 
 def test_extraction_rejects_bad_premises():
@@ -190,6 +201,22 @@ def test_forced_bosonization_of_mutation_fails_somewhere():
         assert not rep.ok
     except (ValueError, AssertionError):
         pass  # construction itself may explode, which also counts as failure
+
+
+def test_flagship_bosonization_report_lists_every_check(ha_report):
+    rep = validate_bosonization(ha_report.bosonization)
+    assert rep.checks == [(name, True, None) for name in DUAL_CHECKS]
+
+
+def test_forced_bosonization_names_failing_delta_pair():
+    # Delta_R(1) gains y (x) y, so Delta(1 # 1) is not 1 (x) 1 and the first
+    # non-multiplicative basis pair is (e1, e0) = (1 # g, 1 # 1)
+    q = h4_quadruple()
+    f = QQ
+    delta = q.delta + Matrix.from_entries(f, 4, 2, {(3, 0): f.one()})
+    bad = YDQuadruple(q.hopf, q.r_alg, q.yd, q.eps, delta, q.omega)
+    failures = dict(validate_bosonization(bosonize(bad, force=True)).failures())
+    assert failures["bialgebra:delta_multiplicative"] == "Delta(e1 e0) != Delta(e1)Delta(e0)"
 
 
 def test_quadruple_rejects_non_yd_algebra():
