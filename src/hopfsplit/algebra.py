@@ -225,11 +225,11 @@ class AlgebraObject:
         f, n = self.field, self.dim
         a, b, c, v = self.constants()
         u = f.reduce(np.array(self.unit, dtype=_dtype(f)))
-        eye = np.arange(n)
+        diag = np.arange(n)
         minus_one = np.full(n, f.reduce(-f.one()), dtype=v.dtype)
         first = []
         for by, j in ((a, b), (b, a)):  # 1 e_j: u_a e_a e_j; e_j 1: e_j u_b e_b
-            bad, _, _ = _summed(f, np.concatenate((j, eye)), np.concatenate((c, eye)),
+            bad, _, _ = _summed(f, np.concatenate((j, diag)), np.concatenate((c, diag)),
                                 np.concatenate((f.reduce(u[by] * v), minus_one)), n)
             first.append(int(bad[0]) if bad.size else n)
         j = min(first)
