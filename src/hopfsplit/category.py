@@ -100,7 +100,7 @@ class CatObject:
             return rep
         dh = h.dim
         n = self.dim
-        comul = _comul_map(h)
+        comul = h.as_coalgebra().comul_map()
         mul = h.as_algebra().mul_map()
         eps = h.counit
 
@@ -194,10 +194,6 @@ def _record_checks(rep: ValidationReport, checks, interleaved: bool = False) -> 
     return True
 
 
-def _comul_map(h: HopfObject) -> SparseMap:
-    return SparseMap.from_matrix(h.as_coalgebra().comul_matrix(), (h.dim,), (h.dim, h.dim))
-
-
 def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
     """X (x) Y with diagonal (co)actions."""
     f = x.field
@@ -220,9 +216,9 @@ def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
         sx = SparseMap.from_matrix(al_x, (dh, dx) if side == "l" else (dx, dh), (dx,))
         sy = SparseMap.from_matrix(al_y, (dh, dy) if side == "l" else (dy, dh), (dy,))
         if side == "l":  # (h, x, y) -> (h1, x, h2, y) -> (h1 x, h2 y)
-            pipe = StagePipeline(f, (dh, dx, dy)).map_at(_comul_map(h), 0)
+            pipe = StagePipeline(f, (dh, dx, dy)).map_at(h.as_coalgebra().comul_map(), 0)
         else:  # (x, y, h) -> (x, h1, y, h2) -> (x h1, y h2)
-            pipe = StagePipeline(f, (dx, dy, dh)).map_at(_comul_map(h), 2)
+            pipe = StagePipeline(f, (dx, dy, dh)).map_at(h.as_coalgebra().comul_map(), 2)
         return pipe.permute((0, 2, 1, 3)).map_at(sx, 0).map_at(sy, 1).matrix()
 
     return CatObject(
@@ -512,7 +508,7 @@ class YDObject:
         am = SparseMap.from_matrix(self.act, (dh, n), (n,))
         cm = SparseMap.from_matrix(self.coact, (n,), (dh, n))
         mul = h.as_algebra().mul_map()
-        comul = _comul_map(h)
+        comul = h.as_coalgebra().comul_map()
         lhs = StagePipeline(f, (dh, n)).map_at(am, 0).map_at(cm, 0)  # rho(h v)
         rhs = (StagePipeline(f, (dh, n))  # h1 v(-1) S(h3) (x) h2 v(0)
                .map_at(comul, 0).map_at(comul, 1)  # (h1, h2, h3, v)
@@ -570,6 +566,16 @@ def coinvariants(field, dim: int, coact_r: Matrix, hopf: HopfObject) -> Subspace
     return Subspace.from_matrix_rows(m.kernel())
 
 
+def _coordinates_in(space: Subspace, rows: Matrix, check: str, witness) -> Matrix:
+    """Coordinates of every row in the space; VerificationFailed(check,
+    witness(k)) names the first row k outside it."""
+    c = space.coordinates(rows)
+    if c is None:
+        k = next(k for k in range(rows.rows) if not space.contains_vector(rows.row_list(k)))
+        raise VerificationFailed(check, witness(k))
+    return c
+
+
 def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     """Diagram of a Hopf bimodule: coinvariants with adjoint action and
     restricted left coaction.  Returns (R, incl) with incl (dV x dR)."""
@@ -578,47 +584,23 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     r_space = coinvariants(f, v.dim, v.coact_r, h)
     dr = r_space.dim
     incl = r_space.basis.transpose()
-    dh = h.dim
-    piv = r_space.pivots
-    # adjoint action: h . r = h1 r S(h2)
-    act_entries: dict = {}
-    for hh in range(dh):
-        for t in range(dr):
-            rv = r_space.basis.row_list(t)
-            out = v_zero(f, v.dim)
-            for (h1, h2), c in h.comul.get(hh, {}).items():
-                sh2 = h.antipode.apply(v_basis(f, dh, h2))
-                # left action by e_h1 then right action by S(h2)
-                tmp = v.act_l.apply(v_tensor(f, v_basis(f, dh, h1), rv))
-                for idx2, w2 in enumerate(sh2):
-                    if f.is_zero(w2):
-                        continue
-                    tmp2 = v.act_r.apply(v_tensor(f, tmp, v_basis(f, dh, idx2)))
-                    out = [f.add(o, f.mul(f.mul(c, w2), z)) for o, z in zip(out, tmp2)]
-            if not r_space.contains_vector(out):
-                raise VerificationFailed("adjoint_action_preserves_coinvariants", (hh, t))
-            for s in range(dr):
-                val = out[piv[s]]
-                if not f.is_zero(val):
-                    act_entries[(s, hh * dr + t)] = val
-    act = Matrix.from_entries(f, dr, dh * dr, act_entries)
-    # restricted left coaction
-    co_entries: dict = {}
-    for t in range(dr):
-        rho = v.coact_l.apply(r_space.basis.row_list(t))
-        # check it lands in H (x) R and read off coordinates
-        for hh in range(dh):
-            comp = [rho[hh * v.dim + x] for x in range(v.dim)]
-            if all(f.is_zero(c) for c in comp):
-                continue
-            if not r_space.contains_vector(comp):
-                raise VerificationFailed("coaction_preserves_coinvariants", (t, hh))
-            for s in range(dr):
-                val = comp[piv[s]]
-                if not f.is_zero(val):
-                    co_entries[(hh * dr + s, t)] = val
-    coact = Matrix.from_entries(f, dh * dr, dr, co_entries)
-    yd = YDObject(h, dr, act, coact)
+    dh, n = h.dim, v.dim
+    # adjoint action h . r = h1 r S(h2), one row per (h, t)
+    adj = (StagePipeline(f, (dh, dr))
+           .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
+           .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
+           .map_at(SparseMap.from_matrix(h.antipode, (dh,), (dh,)), 1)  # (h1, S h2, r)
+           .permute((0, 2, 1))
+           .map_at(SparseMap.from_matrix(v.act_l, (dh, n), (n,)), 0)  # (h1 r, S h2)
+           .map_at(SparseMap.from_matrix(v.act_r, (n, dh), (n,)), 0)
+           .matrix().transpose())
+    act = _coordinates_in(r_space, adj, "adjoint_action_preserves_coinvariants", lambda k: divmod(k, dr))
+    # restricted left coaction: the H-components of rho(r_t), one row per (t, h)
+    rho = (v.coact_l @ incl)._d.reshape(dh, n, dr).transpose(2, 0, 1)
+    co = _coordinates_in(r_space, incl._new(dr * dh, n, rho.reshape(dr * dh, n)),
+                         "coaction_preserves_coinvariants", lambda k: divmod(k, dh))
+    coact = co._new(dh * dr, dr, co._d.reshape(dr, dh, dr).transpose(1, 2, 0).reshape(dh * dr, dr))
+    yd = YDObject(h, dr, act.transpose(), coact)
     yd.validate().require("diagram of a Hopf bimodule")
     return yd, incl
 
@@ -631,7 +613,7 @@ def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
     dw = w.dim
     dim = dw * dh
     mul = h.as_algebra().mul_map()
-    comul = _comul_map(h)
+    comul = h.as_coalgebra().comul_map()
 
     def P(*dims):
         return StagePipeline(f, dims)
@@ -695,7 +677,7 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject) ->
         raise VerificationFailed("retraction_identity")
     # colinearity: rho_l mu = (id_H (x) mu)(Delta (x) id id) and
     # rho_r mu = (mu (x) id_H)(id id (x) Delta)
-    comul = _comul_map(hopf)
+    comul = hopf.as_coalgebra().comul_map()
     src = (dh, dm, dh)
     sides = {
         "left": (StagePipeline(f, src).map_at(mu_map, 0).map_at(cl, 0),

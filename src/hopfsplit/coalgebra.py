@@ -2,17 +2,34 @@
 coradical certification and the coradical filtration.
 
 comul[k] = {(i,j): c} encodes Delta(e_k) = sum c e_i (x) e_j; counit is a
-dense vector.  Everything coalgebra-theoretic is done by exact kernels:
-  - wedge(D, C)           = Ker((pi_D (x) pi_D) Delta)
-  - filtration step       = Ker((pi_0 (x) pi_n) Delta)
-  - membership in U (x) U = killed by (pi_U (x) id) and (id (x) pi_U)
+dense vector.  Only `CoalgebraObject.validate`, `comul_matrix` (Delta as a
+dim^2 x dim matrix, row i dim + j) and `dualize` read the dict.  Every
+other computation is the dual of one on the algebra side: `comul_map()` is
+Delta as a cached `tensors.SparseMap` (n,) -> (n, n), as `mul_map()` is the
+product, and the kernels below are `StagePipeline`s over it or products
+with `comul_matrix()`:
+
+  - Ker((p (x) q) Delta)    one pipeline for maps p, q out of C: the wedge
+                            D ^ D (p = q = pi_D), the filtration step
+                            (pi_0, pi_n) and the two-sided wedge (pi_D, pi_E)
+  - subcoalgebra defect     Delta of D's basis with pi_D on either factor;
+                            the first basis row with a nonzero image is the
+                            witness
+  - coordinates in D (x) D  two `Subspace.coordinates` calls, one per factor
+  - x in U (x) U            pi_U x = 0 and pi_U x^T = 0 for an n x n matrix x
+
+Here pi_D is the complement projection of D (`quotient_projection`).
 """
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .algebra import AlgebraObject, ValidationReport, VerificationFailed, radical
 from .fields import ScalarField
 from .linalg import Matrix, Subspace
-from .tensors import sparse_add, sparse_eq, v_basis, v_eq, v_zero
+from .tensors import SparseMap, StagePipeline, sparse_eq, v_basis, v_eq, v_zero
 
 
 class CoalgebraObject:
@@ -24,24 +41,15 @@ class CoalgebraObject:
         self.comul = {k: dict(v) for k, v in comul.items() if v}
         self.counit = list(counit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
+        self._delta = None
 
-    def comul_of(self, k: int) -> dict:
-        return self.comul.get(k, {})
-
-    def comul_vec(self, vec: list) -> dict:
-        """Delta applied to a dense vector, as {(i,j): c}."""
-        f = self.field
-        out: dict = {}
-        for k, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
-            for ij, w in self.comul_of(k).items():
-                s = f.add(out.get(ij, f.zero()), f.mul(c, w))
-                if f.is_zero(s):
-                    out.pop(ij, None)
-                else:
-                    out[ij] = s
-        return out
+    def comul_map(self) -> SparseMap:
+        """Delta as a SparseMap (n,) -> (n, n), built once (see
+        `AlgebraObject.mul_map`)."""
+        if self._delta is None:
+            n = self.dim
+            self._delta = SparseMap.from_matrix(self.comul_matrix(), (n,), (n, n))
+        return self._delta
 
     def comul_matrix(self) -> Matrix:
         entries = {}
@@ -71,16 +79,17 @@ class CoalgebraObject:
         # coassociativity, basis by basis (tuned: raw int ops over F_p)
         is_fp = f.kind == "Fp"
         p = f.p if is_fp else None
+        comul = self.comul
         for k in range(n):
             lhs: dict = {}
             rhs: dict = {}
-            for (i, j), c in self.comul_of(k).items():
-                for (x, y), w in self.comul_of(i).items():
+            for (i, j), c in comul.get(k, {}).items():
+                for (x, y), w in comul.get(i, {}).items():
                     key = (x, y, j)
                     prev = lhs.get(key)
                     val = c * w if prev is None else prev + c * w
                     lhs[key] = val % p if is_fp else val
-                for (x, y), w in self.comul_of(j).items():
+                for (x, y), w in comul.get(j, {}).items():
                     key = (i, x, y)
                     prev = rhs.get(key)
                     val = c * w if prev is None else prev + c * w
@@ -93,7 +102,7 @@ class CoalgebraObject:
         for k in range(n):
             left = v_zero(f, n)
             right = v_zero(f, n)
-            for (i, j), c in self.comul_of(k).items():
+            for (i, j), c in comul.get(k, {}).items():
                 left[j] = f.add(left[j], f.mul(self.counit[i], c))
                 right[i] = f.add(right[i], f.mul(self.counit[j], c))
             e = v_basis(f, n, k)
@@ -113,18 +122,17 @@ def dualize(x):
 
     Structure constants are transposed against the dual basis; applying
     dualize twice gives back an equal object under the canonical basis
-    identification.
+    identification.  A bialgebra's dual is the dual of its coalgebra as the
+    algebra and the dual of its algebra as the coalgebra.
     """
     from .hopf import BialgebraObject, HopfObject
 
-    if isinstance(x, HopfObject):
-        b = _dual_bialgebra(x)
-        return HopfObject(
-            b.field, b.dim, b.mul, b.unit, b.comul, b.counit,
-            antipode=x.antipode.transpose(), labels=b.labels,
-        )
     if isinstance(x, BialgebraObject):
-        return _dual_bialgebra(x)
+        alg, co = dualize(x.as_coalgebra()), dualize(x.as_algebra())
+        if isinstance(x, HopfObject):
+            return HopfObject(x.field, x.dim, alg.mul, alg.unit, co.comul, co.counit,
+                              antipode=x.antipode.transpose(), labels=alg.labels)
+        return BialgebraObject(x.field, x.dim, alg.mul, alg.unit, co.comul, co.counit, labels=alg.labels)
     if isinstance(x, AlgebraObject):
         comul = {}
         for (i, j), col in x.mul.items():
@@ -144,20 +152,52 @@ def _dual_labels(labels):
     return tuple(l + "*" if not l.endswith("*") else l[:-1] for l in labels)
 
 
-def _dual_bialgebra(x):
-    from .hopf import BialgebraObject
+# ---------------------------------------------------------------------------
+# Delta kernels
 
-    mul = {}
-    for k, col in x.comul.items():
-        for (i, j), c in col.items():
-            mul.setdefault((i, j), {})[k] = c
-    comul = {}
-    for (i, j), col in x.mul.items():
-        for k, c in col.items():
-            comul.setdefault(k, {})[(i, j)] = c
-    return BialgebraObject(
-        x.field, x.dim, mul, list(x.counit), comul, list(x.unit), labels=_dual_labels(x.labels)
-    )
+
+def _map(m: Matrix) -> SparseMap:
+    """The matrix m as a one-factor SparseMap (m.cols,) -> (m.rows,)."""
+    return SparseMap.from_matrix(m, (m.cols,), (m.rows,))
+
+
+def _delta_of_rows(c: CoalgebraObject, rows: Matrix) -> StagePipeline:
+    """Delta of each row of `rows`: a pipeline (rows.rows,) -> (n, n)."""
+    return StagePipeline(c.field, (rows.rows,)).map_at(_map(rows.transpose()), 0).map_at(c.comul_map(), 0)
+
+
+def _coproduct_kernel(c: CoalgebraObject, p: Matrix, q: Matrix) -> Subspace:
+    """Ker((p (x) q) Delta) for linear maps p, q out of C."""
+    m = StagePipeline(c.field, (c.dim,)).map_at(c.comul_map(), 0).map_at(_map(p), 0).map_at(_map(q), 1).matrix()
+    return Subspace.from_matrix_rows(m.kernel())
+
+
+def _tensors(m: Matrix) -> list[Matrix]:
+    """The columns of an n^2 x k matrix (row i n + j) as n x n matrices."""
+    n = math.isqrt(m.rows)
+    return [m._new(n, n, m._d[:, t].reshape(n, n)) for t in range(m.cols)]
+
+
+def _outer(f: ScalarField, u: list, v: list) -> Matrix:
+    """u (x) v as an n x n matrix."""
+    return Matrix.column(f, u) @ Matrix.row(f, v)
+
+
+def _square_coordinates(d: Subspace, x: Matrix) -> Matrix | None:
+    """Coordinates of the columns of x (elements of C (x) C, row i n + j) in
+    the basis d_s (x) d_u of D (x) D, as a dim(D)^2 x x.cols matrix with row
+    s dim(D) + u; None when a column lies outside D (x) D.  The first
+    `coordinates` call reads the right leg of every row i of every column,
+    the second the left leg of every right coordinate."""
+    n, m, k = d.ambient_dim, x.cols, d.dim
+    # right: row (t, i), column u; left: row (t, u), column s
+    right = d.coordinates(x._new(m * n, n, x._d.T.reshape(m * n, n)))
+    if right is None:
+        return None
+    left = d.coordinates(x._new(m * k, n, right._d.reshape(m, n, k).transpose(0, 2, 1).reshape(m * k, n)))
+    if left is None:
+        return None
+    return x._new(k * k, m, left._d.reshape(m, k, k).transpose(2, 1, 0).reshape(k * k, m))
 
 
 # ---------------------------------------------------------------------------
@@ -175,53 +215,24 @@ def is_subcoalgebra(c: CoalgebraObject, d: Subspace) -> bool:
 
 
 def _subcoalgebra_defect(c: CoalgebraObject, d: Subspace) -> int | None:
-    """The first basis row t of D with Delta(d_t) outside D (x) D, or None."""
-    f = c.field
-    pi = quotient_projection(f, d)
-    if pi.rows == 0:
+    """The first basis row t of D with Delta(d_t) outside D (x) D, that is
+    with (pi_D (x) id) Delta(d_t) or (id (x) pi_D) Delta(d_t) nonzero, or None."""
+    pi = quotient_projection(c.field, d)
+    if pi.rows == 0 or d.dim == 0:
         return None
-    for t in range(d.dim):
-        delta = c.comul_vec(d.basis.row_list(t))
-        left: dict = {}
-        right: dict = {}
-        for (i, j), w in delta.items():
-            for q in range(pi.rows):
-                v = pi[q, i]
-                if not f.is_zero(v):
-                    key = (q, j)
-                    left[key] = f.add(left.get(key, f.zero()), f.mul(v, w))
-                v = pi[q, j]
-                if not f.is_zero(v):
-                    key = (i, q)
-                    right[key] = f.add(right.get(key, f.zero()), f.mul(v, w))
-        if any(not f.is_zero(v) for v in left.values()) or any(not f.is_zero(v) for v in right.values()):
-            return t
-    return None
+    p = _map(pi)
+    bad = (_delta_of_rows(c, d.basis).map_at(p, 0).matrix()._d.any(axis=0)
+           | _delta_of_rows(c, d.basis).map_at(p, 1).matrix()._d.any(axis=0))
+    t = np.flatnonzero(bad)
+    return int(t[0]) if t.size else None
 
 
-def in_tensor_square(c: CoalgebraObject, sub: Subspace, vec_sparse: dict) -> bool:
-    """Is an element of C (x) C (as {(i,j): v}) inside sub (x) sub?"""
-    f = c.field
-    pi = quotient_projection(f, sub)
-    if pi.rows == 0:
-        return all(f.is_zero(v) for v in vec_sparse.values())
-    for side in (0, 1):
-        acc: dict = {}
-        for (i, j), w in vec_sparse.items():
-            src = i if side == 0 else j
-            for q in range(pi.rows):
-                v = pi[q, src]
-                if f.is_zero(v):
-                    continue
-                key = (q, j) if side == 0 else (i, q)
-                s = f.add(acc.get(key, f.zero()), f.mul(v, w))
-                if f.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        if acc:
-            return False
-    return True
+def in_tensor_square(c: CoalgebraObject, sub: Subspace, x: Matrix) -> bool:
+    """Is x, an n x n matrix holding the coefficient of e_i (x) e_j at
+    (i, j), inside sub (x) sub?  Both legs must vanish under the complement
+    projection: pi x = 0 and pi x^T = 0 (nothing to test when sub is C)."""
+    pi = quotient_projection(c.field, sub)
+    return (pi @ x).is_zero() and (pi @ x.transpose()).is_zero()
 
 
 def wedge(d: Subspace, c: CoalgebraObject) -> Subspace:
@@ -230,26 +241,9 @@ def wedge(d: Subspace, c: CoalgebraObject) -> Subspace:
         raise ValueError("wedge requires a subcoalgebra")
     f = c.field
     pi = quotient_projection(f, d)
-    q = pi.rows
-    n = c.dim
-    if q == 0:
-        return Subspace.full(f, n)
-    entries = {}
-    for k, col in c.comul.items():
-        for (i, j), w in col.items():
-            for a in range(q):
-                va = pi[a, i]
-                if f.is_zero(va):
-                    continue
-                for b in range(q):
-                    vb = pi[b, j]
-                    if f.is_zero(vb):
-                        continue
-                    key = (a * q + b, k)
-                    cur = entries.get(key, f.zero())
-                    entries[key] = f.add(cur, f.mul(w, f.mul(va, vb)))
-    m = Matrix.from_entries(f, q * q, n, entries)
-    ker = Subspace.from_matrix_rows(m.kernel())
+    if pi.rows == 0:
+        return Subspace.full(f, c.dim)
+    ker = _coproduct_kernel(c, pi, pi)
     if not ker.contains(d):
         outside = next(t for t in range(d.dim) if not ker.contains_vector(d.basis.row_list(t)))
         raise VerificationFailed("wedge_contains_input", outside)
@@ -306,51 +300,27 @@ def _dual_algebra_of_subcoalgebra(c: CoalgebraObject, d: Subspace) -> AlgebraObj
 def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject, Matrix]:
     """Coalgebra structure on a subcoalgebra in its RREF basis.
 
-    Coordinates are read off at pivot pairs (exact for RREF bases) and the
-    read-off is re-verified by rebuilding Delta.  Returns (D, incl) with
-    incl the (dim x d.dim) inclusion matrix.
+    The coordinates of Delta(d_t) in D (x) D are read off by
+    `_square_coordinates`, which also verifies that Delta(d_t) is their
+    combination.  Returns (D, incl) with incl the (dim x d.dim) inclusion
+    matrix.
     """
+    from .smash import _comul_dict
+
     if not is_subcoalgebra(c, d):
         raise ValueError("not a subcoalgebra")
     f = c.field
     m = d.dim
-    bt = d.basis.transpose()  # n x m, columns are the basis of D
-    # coordinate map: since basis is RREF, coordinates are values at pivots
-    piv = d.pivots
-    comul: dict = {}
-    for t in range(m):
-        delta = c.comul_vec(d.basis.row_list(t))
-        col: dict = {}
-        # Delta lands in D (x) D, so pivot read-off gives exact coordinates
-        for (s, u) in ((s, u) for s in range(m) for u in range(m)):
-            v = delta.get((piv[s], piv[u]))
-            if v is not None and not f.is_zero(v):
-                col[(s, u)] = v
-        if col:
-            comul[t] = col
+    delta = _delta_of_rows(c, d.basis).matrix()
+    coords = _square_coordinates(d, delta)
+    if coords is None:
+        cols = (delta._new(delta.rows, 1, delta._d[:, t : t + 1]) for t in range(m))
+        t = next(t for t, col in enumerate(cols) if _square_coordinates(d, col) is None)
+        raise VerificationFailed("subcoalgebra_readoff", t)
     counit = [c.counit_of(d.basis.row_list(t)) for t in range(m)]
-    sub = CoalgebraObject(f, m, comul, counit, tuple(f"d{t}" for t in range(m)))
+    sub = CoalgebraObject(f, m, _comul_dict(coords), counit, tuple(f"d{t}" for t in range(m)))
     sub.validate().require("subcoalgebra restriction")
-    # verify the read-off: rebuild Delta from coordinates and compare
-    for t in range(m):
-        rebuilt: dict = {}
-        for (s, u), w in sub.comul_of(t).items():
-            for i2, a in enumerate(bt.col_list(s)):
-                if f.is_zero(a):
-                    continue
-                for j2, b in enumerate(bt.col_list(u)):
-                    if f.is_zero(b):
-                        continue
-                    key = (i2, j2)
-                    cur = rebuilt.get(key, f.zero())
-                    val = f.add(cur, f.mul(w, f.mul(a, b)))
-                    if f.is_zero(val):
-                        rebuilt.pop(key, None)
-                    else:
-                        rebuilt[key] = val
-        if not sparse_eq(f, rebuilt, c.comul_vec(d.basis.row_list(t))):
-            raise VerificationFailed("subcoalgebra_readoff", t)
-    return sub, bt
+    return sub, d.basis.transpose()
 
 
 class FiltrationData:
@@ -365,28 +335,13 @@ class FiltrationData:
 
 
 def coradical_filtration(c: CoalgebraObject, c0: Subspace) -> FiltrationData:
-    """C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C), computed as a kernel."""
+    """C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) = Ker((pi_0 (x) pi_n) Delta)."""
     f = c.field
     pi0 = quotient_projection(f, c0)
     steps = [c0]
     cur = c0
     while cur.dim < c.dim:
-        pin = quotient_projection(f, cur)
-        q0, qn = pi0.rows, pin.rows
-        entries = {}
-        for k, col in c.comul.items():
-            for (i, j), w in col.items():
-                for a in range(q0):
-                    va = pi0[a, i]
-                    if f.is_zero(va):
-                        continue
-                    for b in range(qn):
-                        vb = pin[b, j]
-                        if f.is_zero(vb):
-                            continue
-                        key = (a * qn + b, k)
-                        entries[key] = f.add(entries.get(key, f.zero()), f.mul(w, f.mul(va, vb)))
-        nxt = Subspace.from_matrix_rows(Matrix.from_entries(f, q0 * qn, c.dim, entries).kernel())
+        nxt = _coproduct_kernel(c, pi0, quotient_projection(f, cur))
         if nxt.dim <= cur.dim:
             return FiltrationData(steps, exhausts=False)
         bad = _subcoalgebra_defect(c, nxt)
@@ -413,76 +368,35 @@ def connected_filtration_check(c: CoalgebraObject, filtration: FiltrationData) -
         rep.record("grouplike", False, "counit vanishes on C_0")
         return rep
     g = [f.div(x, eg) for x in g]
-    gdelta = c.comul_vec(g)
-    gg = {}
-    for i, a in enumerate(g):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            if not f.is_zero(b):
-                gg[(i, j)] = f.mul(a, b)
-    rep.record("grouplike", sparse_eq(f, gdelta, gg), "C_0 generator is not grouplike")
+    dm = c.comul_matrix()
+    gg = _outer(f, g, g)
+    rep.record("grouplike", _tensors(dm @ Matrix.column(f, g))[0] == gg, "C_0 generator is not grouplike")
     for n in range(1, len(filtration.steps)):
         step = filtration.steps[n]
         prev = filtration.steps[n - 1]
-        for t in range(step.dim):
+        for t, delta in enumerate(_tensors(dm @ step.basis.transpose())):
             x = step.basis.row_list(t)
-            delta = c.comul_vec(x)
-            for i, a in enumerate(x):
-                if f.is_zero(a):
-                    continue
-                for j, b in enumerate(g):
-                    if f.is_zero(b):
-                        continue
-                    delta = sparse_add(f, delta, {(i, j): f.neg(f.mul(a, b))})
-                    delta = sparse_add(f, delta, {(j, i): f.neg(f.mul(a, b))})
-            if not in_tensor_square(c, prev, delta):
+            if not in_tensor_square(c, prev, delta - _outer(f, x, g) - _outer(f, g, x)):
                 rep.record(f"filtration_degree_{n}", False, f"basis vector {t}")
                 return rep
         rep.record(f"filtration_degree_{n}", True)
     if len(filtration.steps) > 1:
         step = filtration.steps[1]
-        for t in range(step.dim):
+        for t, delta in enumerate(_tensors(dm @ step.basis.transpose())):
             x = step.basis.row_list(t)
-            delta = c.comul_vec(x)
-            expect: dict = {}
-            ex = c.counit_of(x)
-            for i, a in enumerate(x):
-                for j, b in enumerate(g):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        expect = sparse_add(f, expect, {(i, j): f.mul(a, b)})
-                        expect = sparse_add(f, expect, {(j, i): f.mul(a, b)})
-            for i, a in enumerate(g):
-                for j, b in enumerate(g):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        expect = sparse_add(f, expect, {(i, j): f.neg(f.mul(ex, f.mul(a, b)))})
-            rep.record(f"degree1_formula_{t}", sparse_eq(f, delta, expect), "degree-1 formula fails")
+            expect = _outer(f, x, g) + _outer(f, g, x) - gg.scale(c.counit_of(x))
+            rep.record(f"degree1_formula_{t}", delta == expect, "degree-1 formula fails")
     return rep
 
 
 def wedge2(d: Subspace, e: Subspace, c: CoalgebraObject) -> Subspace:
-    """Two-argument wedge: Delta^(-1)(D (x) C + C (x) E)."""
+    """Two-argument wedge: Delta^(-1)(D (x) C + C (x) E) = Ker((pi_D (x) pi_E) Delta)."""
     f = c.field
     pi_d = quotient_projection(f, d)
     pi_e = quotient_projection(f, e)
-    qd, qe = pi_d.rows, pi_e.rows
-    if qd == 0 or qe == 0:
+    if pi_d.rows == 0 or pi_e.rows == 0:
         return Subspace.full(f, c.dim)
-    entries = {}
-    for k, col in c.comul.items():
-        for (i, j), w in col.items():
-            for a in range(qd):
-                va = pi_d[a, i]
-                if f.is_zero(va):
-                    continue
-                for b in range(qe):
-                    vb = pi_e[b, j]
-                    if f.is_zero(vb):
-                        continue
-                    key = (a * qe + b, k)
-                    entries[key] = f.add(entries.get(key, f.zero()), f.mul(w, f.mul(va, vb)))
-    m = Matrix.from_entries(f, qd * qe, c.dim, entries)
-    return Subspace.from_matrix_rows(m.kernel())
+    return _coproduct_kernel(c, pi_d, pi_e)
 
 
 def grouplike_simple_pieces(c: CoalgebraObject, d: Subspace) -> list[Subspace] | None:
@@ -492,6 +406,7 @@ def grouplike_simple_pieces(c: CoalgebraObject, d: Subspace) -> list[Subspace] |
     vector is not grouplike (general decomposition is out of scope).
     """
     f = c.field
+    dm = c.comul_matrix()
     pieces = []
     for t in range(d.dim):
         g = d.basis.row_list(t)
@@ -499,14 +414,7 @@ def grouplike_simple_pieces(c: CoalgebraObject, d: Subspace) -> list[Subspace] |
         if f.is_zero(eg):
             return None
         g = [f.div(x, eg) for x in g]
-        gg = {}
-        for i, a in enumerate(g):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(g):
-                if not f.is_zero(b):
-                    gg[(i, j)] = f.mul(a, b)
-        if not sparse_eq(f, c.comul_vec(g), gg):
+        if _tensors(dm @ Matrix.column(f, g))[0] != _outer(f, g, g):
             return None
         pieces.append(Subspace.from_vectors(f, c.dim, [g]))
     return pieces

@@ -25,12 +25,14 @@ from .algebra import (
 )
 from .category import CatObject, CategoryContext
 from .coalgebra import (
+    _outer,
+    _tensors,
     coradical,
     coradical_filtration,
     dualize,
     grouplike_simple_pieces,
-    is_subcoalgebra,
     in_tensor_square,
+    is_subcoalgebra,
     restrict_coalgebra,
     wedge2,
 )
@@ -47,13 +49,18 @@ from .hopf import (
 )
 from .linalg import Matrix, Subspace
 from .smash import (
+    _comul_dict,
+    _mul_dict,
+    _pi_linear_defect,
+    _sigma_colinear_defect,
+    actions_from_sigma,
+    bosonize,
     coactions_from_pi,
     dual_bosonize,
-    bosonize,
     extract_quadruple_dual,
     extract_quadruple_primal,
 )
-from .tensors import sparse_add, v_basis, v_eq, v_zero
+from .tensors import SparseMap, StagePipeline
 
 
 class CertificationFailed(Exception):
@@ -91,52 +98,15 @@ def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
     for t in range(ideal.dim):
         if not f.is_zero(a.counit_of(ideal.basis.row_list(t))):
             raise CertificationFailed("counit does not vanish on the candidate")
-    # comultiplication descends iff the candidate is a coideal
-    comul: dict = {}
-    for t in range(dq):
-        img = a.comul_vec(incl.col_list(t))
-        col: dict = {}
-        for (i, j), c in img.items():
-            pi_ = proj.col_list(i)
-            pj = proj.col_list(j)
-            for s, x in enumerate(pi_):
-                if f.is_zero(x):
-                    continue
-                for u, y in enumerate(pj):
-                    if f.is_zero(y):
-                        continue
-                    key = (s, u)
-                    v = f.add(col.get(key, f.zero()), f.mul(c, f.mul(x, y)))
-                    if f.is_zero(v):
-                        col.pop(key, None)
-                    else:
-                        col[key] = v
-        if col:
-            comul[t] = col
+    # (proj (x) proj) Delta: the quotient's Delta on the complement basis,
+    # and zero on the ideal exactly when the candidate is a coideal
+    pm = SparseMap.from_matrix(proj, (n,), (dq,))
+    delta = StagePipeline(f, (n,)).map_at(a.as_coalgebra().comul_map(), 0).map_at(pm, 0).map_at(pm, 1).matrix()
     counit = [a.counit_of(incl.col_list(t)) for t in range(dq)]
-    q = BialgebraObject(f, dq, q_alg.mul, q_alg.unit, comul, counit, q_alg.labels)
+    q = BialgebraObject(f, dq, q_alg.mul, q_alg.unit, _comul_dict(delta @ incl), counit, q_alg.labels)
     q.validate().require("quotient bialgebra")
-    # well-definedness: (proj (x) proj) Delta must kill the ideal
-    for t in range(ideal.dim):
-        img = a.comul_vec(ideal.basis.row_list(t))
-        acc: dict = {}
-        for (i, j), c in img.items():
-            pi_ = proj.col_list(i)
-            pj = proj.col_list(j)
-            for s, x in enumerate(pi_):
-                if f.is_zero(x):
-                    continue
-                for u, y in enumerate(pj):
-                    if f.is_zero(y):
-                        continue
-                    key = (s, u)
-                    v = f.add(acc.get(key, f.zero()), f.mul(c, f.mul(x, y)))
-                    if f.is_zero(v):
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = v
-        if acc:
-            raise CertificationFailed("candidate is not a coideal")
+    if not (delta @ ideal.basis.transpose()).is_zero():
+        raise CertificationFailed("candidate is not a coideal")
     return q, proj, incl
 
 
@@ -151,19 +121,11 @@ def sub_bialgebra(a: BialgebraObject, d: Subspace):
         raise CertificationFailed("candidate does not contain the unit")
     sub_co, incl = restrict_coalgebra(a.as_coalgebra(), d)
     dd = d.dim
-    piv = d.pivots
-    mul: dict = {}
-    for s in range(dd):
-        sv = d.basis.row_list(s)
-        for t in range(dd):
-            prod = a.product(sv, d.basis.row_list(t))
-            if not d.contains_vector(prod):
-                raise CertificationFailed("candidate is not closed under multiplication")
-            col = {u: prod[piv[u]] for u in range(dd) if not f.is_zero(prod[piv[u]])}
-            if col:
-                mul[(s, t)] = col
-    unit = [a.unit[piv[u]] for u in range(dd)]
-    b = BialgebraObject(f, dd, mul, unit, sub_co.comul, sub_co.counit,
+    prods = d.coordinates(pairwise_products(a.as_algebra(), d.basis, d.basis))
+    if prods is None:
+        raise CertificationFailed("candidate is not closed under multiplication")
+    unit = [a.unit[p] for p in d.pivots]
+    b = BialgebraObject(f, dd, _mul_dict(prods.transpose()), unit, sub_co.comul, sub_co.counit,
                         tuple(f"h{t}" for t in range(dd)))
     b.validate().require("sub-bialgebra")
     return b, incl
@@ -272,43 +234,13 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
     rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), a.as_algebra(), sigma),
                "sigma is not an algebra map")
     coact_l, coact_r = coactions_from_pi(a, pi, h.dim)
-    ok_r = _sigma_right_colinear(a, h, sigma, coact_r)
-    rep.record("sigma_right_colinear", ok_r, "sigma not right colinear")
+    rep.record("sigma_right_colinear", _sigma_colinear_defect(h, sigma, coact_r, "r") is None,
+               "sigma not right colinear")
     if level == "bicomodule":
-        ok_l = _sigma_left_colinear(a, h, sigma, coact_l)
-        rep.record("sigma_left_colinear", ok_l, "sigma not left colinear")
+        rep.record("sigma_left_colinear", _sigma_colinear_defect(h, sigma, coact_l, "l") is None,
+                   "sigma not left colinear")
     rep.require("radical-side split")
     return SplitResult(certified, level, pi, sigma, h, rep)
-
-
-def _sigma_right_colinear(a, h, sigma, coact_r) -> bool:
-    f = a.field
-    n, dh = a.dim, h.dim
-    for hh in range(dh):
-        lhs = coact_r.apply(sigma.col_list(hh))
-        rhs = v_zero(f, n * dh)
-        for (h1, h2), c in h.comul.get(hh, {}).items():
-            for x, w in enumerate(sigma.col_list(h1)):
-                if not f.is_zero(w):
-                    rhs[x * dh + h2] = f.add(rhs[x * dh + h2], f.mul(c, w))
-        if not v_eq(f, lhs, rhs):
-            return False
-    return True
-
-
-def _sigma_left_colinear(a, h, sigma, coact_l) -> bool:
-    f = a.field
-    n, dh = a.dim, h.dim
-    for hh in range(dh):
-        lhs = coact_l.apply(sigma.col_list(hh))
-        rhs = v_zero(f, dh * n)
-        for (h1, h2), c in h.comul.get(hh, {}).items():
-            for x, w in enumerate(sigma.col_list(h2)):
-                if not f.is_zero(w):
-                    rhs[h1 * n + x] = f.add(rhs[h1 * n + x], f.mul(c, w))
-        if not v_eq(f, lhs, rhs):
-            return False
-    return True
 
 
 def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> SplitResult:
@@ -335,7 +267,9 @@ def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> Spl
                "sigma is not a bialgebra map")
     rep.record("pi_coalgebra_map", is_coalgebra_map(a.as_coalgebra(), h_cor.as_coalgebra(), pi_c),
                "pi is not a coalgebra map")
-    ok = _pi_bilinear(a, h_cor, pi_c, sigma_c, both="bicomodule" == level)
+    act_l, act_r = actions_from_sigma(a, sigma_c, h_cor.dim)
+    ok = _pi_linear_defect(h_cor, pi_c, act_r, "r") is None and (
+        level != "bicomodule" or _pi_linear_defect(h_cor, pi_c, act_l, "l") is None)
     rep.record("pi_bilinear" if level == "bicomodule" else "pi_right_linear", ok,
                "pi is not H-(bi)linear")
     # the image of sigma_C is the certified coradical
@@ -344,24 +278,6 @@ def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> Spl
                "section image differs from the coradical")
     rep.require("coradical-side split")
     return SplitResult(certified, level, pi_c, sigma_c, h_cor, rep)
-
-
-def _pi_bilinear(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, both: bool) -> bool:
-    f = a.field
-    n, dh = a.dim, h.dim
-    for hh in range(dh):
-        sh = sigma.col_list(hh)
-        for i in range(n):
-            lhs = pi.apply(a.product(v_basis(f, n, i), sh))
-            rhs = h.product(pi.apply(v_basis(f, n, i)), v_basis(f, dh, hh))
-            if not v_eq(f, lhs, rhs):
-                return False
-            if both:
-                lhs = pi.apply(a.product(sh, v_basis(f, n, i)))
-                rhs = h.product(v_basis(f, dh, hh), pi.apply(v_basis(f, n, i)))
-                if not v_eq(f, lhs, rhs):
-                    return False
-    return True
 
 
 class SplitReport:
@@ -387,7 +303,6 @@ class SplitReport:
 def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitReport:
     """Extract the quadruple, bosonize, and verify phi : R # H -> A is a
     bialgebra isomorphism (bijective + algebra map + coalgebra map)."""
-    f = a.field
     h = split_res.hopf
     rep = ValidationReport()
     for name, ok, wit in split_res.checks.checks:
@@ -401,19 +316,10 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
     rep.record("quadruple_axioms", True)
     rep.record("bosonization_valid", True)
     # phi(r # h) = r sigma(h)
-    dr, dh = bos.r_dim, h.dim
     from .smash import _diagram_yd
 
     yd, incl, _v = _diagram_yd(a, h, split_res.pi, split_res.sigma)
-    cols = {}
-    for t in range(dr):
-        rv = incl.col_list(t)
-        for hh in range(dh):
-            img = a.product(rv, split_res.sigma.col_list(hh))
-            for x, c in enumerate(img):
-                if not f.is_zero(c):
-                    cols[(x, t * dh + hh)] = c
-    phi = Matrix.from_entries(f, a.dim, dr * dh, cols)
+    phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).transpose()
     phi.inverse()  # bijectivity (raises if singular)
     rep.record("iso_bijective", True)
     rep.record("iso_algebra_map", is_algebra_map(bos.bialgebra.as_algebra(), a.as_algebra(), phi),
@@ -506,38 +412,22 @@ def corad_filtration_smash_check(a: BialgebraObject, report: SplitReport) -> Val
     # R inside A: image of the reconstruction iso restricted to R # 1
     dr, dh = report.bosonization.r_dim, h.dim
     r_space = _span_from_iso_r(a, report, dr, dh)
-    lengths = []
+    coact_l, _ = coactions_from_pi(a, report.pi, dh)
+    n, dm = a.dim, a.as_coalgebra().comul_matrix()
     for nstep, cn in enumerate(filt.steps):
         rn = r_space.intersect(cn)
-        lengths.append((cn.dim, rn.dim))
         rep.record(f"dim_C{nstep}_eq_dimR{nstep}_times_dimH", cn.dim == rn.dim * h.dim,
                    f"dim C_{nstep} = {cn.dim} != {rn.dim} * {h.dim}")
         if nstep == 0:
             continue
         prev = filt.steps[nstep - 1]
-        coact_l, _ = coactions_from_pi(a, report.pi, dh)
-        ok = True
-        for t in range(rn.dim):
-            r = rn.basis.row_list(t)
-            delta = a.comul_vec(r)
-            # subtract sigma(r_(-1)) (x) r_(0) and r (x) 1
-            rho = coact_l.apply(r)
-            for idx, c in enumerate(rho):
-                if f.is_zero(c):
-                    continue
-                hh, x = idx // a.dim, idx % a.dim
-                sh = sigma.col_list(hh)
-                for y, w in enumerate(sh):
-                    if not f.is_zero(w):
-                        delta = sparse_add(f, delta, {(y, x): f.neg(f.mul(c, w))})
-            for x, c in enumerate(r):
-                if f.is_zero(c):
-                    continue
-                for y, u in enumerate(a.unit):
-                    if not f.is_zero(u):
-                        delta = sparse_add(f, delta, {(x, y): f.neg(f.mul(c, u))})
-            if not in_tensor_square(a.as_coalgebra(), prev, delta):
-                ok = False
+        # Delta(r) - sigma(r_(-1)) (x) r_(0) - r (x) 1 in C_(n-1) (x) C_(n-1)
+        rt = rn.basis.transpose()
+        rho = coact_l @ rt  # column t: rho(r_t), row h n + x
+        ok = all(in_tensor_square(a.as_coalgebra(), prev,
+                                  delta - sigma @ rho._new(dh, n, rho._d[:, t].reshape(dh, n))
+                                  - _outer(f, rn.basis.row_list(t), a.unit))
+                 for t, delta in enumerate(_tensors(dm @ rt)))
         rep.record(f"degree_{nstep}_membership", ok, f"R_{nstep} membership fails")
     # degree-one identity: C_1 = C_0 + sum (C(tau) wedge K 1) H
     pieces = grouplike_simple_pieces(a.as_coalgebra(), c0)
@@ -549,12 +439,7 @@ def corad_filtration_smash_check(a: BialgebraObject, report: SplitReport) -> Val
     for piece in pieces:
         w = wedge2(piece, one_span, a.as_coalgebra())
         # multiply by H: span of w_basis * sigma(h)
-        prods = []
-        for t in range(w.dim):
-            wv = w.basis.row_list(t)
-            for hh in range(h.dim):
-                prods.append(a.product(wv, sigma.col_list(hh)))
-        total = total + Subspace.from_vectors(f, a.dim, prods)
+        total = total + Subspace.from_matrix_rows(pairwise_products(a.as_algebra(), w.basis, sigma.transpose()))
     if len(filt.steps) > 1:
         rep.record("c1_identity", total == filt.steps[1], "degree-one subspace identity fails")
     else:
@@ -564,17 +449,8 @@ def corad_filtration_smash_check(a: BialgebraObject, report: SplitReport) -> Val
 
 def _span_from_iso_r(a: BialgebraObject, report: SplitReport, dr: int, dh: int) -> Subspace:
     """The diagram R embedded in A: phi(R # 1_H)."""
-    f = a.field
-    vecs = []
-    for t in range(dr):
-        acc = v_zero(f, a.dim)
-        for hh, u in enumerate(report.hopf.unit):
-            if f.is_zero(u):
-                continue
-            col = report.iso.col_list(t * dh + hh)
-            acc = [f.add(x, f.mul(u, y)) for x, y in zip(acc, col)]
-        vecs.append(acc)
-    return Subspace.from_vectors(f, a.dim, vecs)
+    one_r = StagePipeline(a.field, (dr,)).insert(1, report.hopf.unit, dh).matrix()  # r -> r # 1_H
+    return Subspace.from_matrix_rows((report.iso @ one_r).transpose())
 
 
 def run_radical_pipeline(a: BialgebraObject, candidate: Subspace, level: str = "bicomodule") -> SplitReport:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
+
 from .algebra import AlgebraObject, ValidationReport, pairwise_products
-from .category import CatObject, YDObject, _comul_map, hopf_bimodule_from_yd, phi_iso
-from .coalgebra import CoalgebraObject
+from .category import CatObject, YDObject, hopf_bimodule_from_yd, phi_iso
+from .coalgebra import CoalgebraObject, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
 from .linalg import Matrix, Subspace, _along_factor
-from .tensors import SparseMap, StagePipeline, pipelines_equal, sparse_eq, v_basis, v_eq, v_tensor, v_zero
+from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor, v_zero
 
 
 def _composite(pipe: StagePipeline) -> SparseMap:
@@ -54,7 +56,7 @@ class _Maps:
         self.hopf = hopf
         self.yd = yd
         self.mul_h = hopf.as_algebra().mul_map()
-        self.comul_h = _comul_map(hopf)
+        self.comul_h = hopf.as_coalgebra().comul_map()
         self.s_h = SparseMap.from_matrix(hopf.antipode, (dh,), (dh,))
         self.act = SparseMap.from_matrix(yd.act, (dh, dr), (dr,))
         self.coact = SparseMap.from_matrix(yd.coact, (dr,), (dh, dr))
@@ -262,7 +264,7 @@ class DualYDQuadruple:
         mp = self.maps()
         P = mp.P
         delta_m = self.r_coalg.comul_matrix()
-        delta = SparseMap.from_matrix(delta_m, (dr,), (dr, dr))
+        delta = self.r_coalg.comul_map()
         mul = SparseMap.from_matrix(self.mul, (dr, dr), (dr,))
         xi = SparseMap.from_matrix(self.xi, (dr, dr), (dh,))
         delta_rr = _braided_comul_rr(mp, delta)
@@ -382,7 +384,7 @@ def smash_product_algebra(r_alg: AlgebraObject, yd: YDObject, hopf: HopfObject,
     dim = dr * dh
     act = SparseMap.from_matrix(yd.act, (dh, dr), (dr,))
     mul = (StagePipeline(f, (dr, dh, dr, dh))
-           .map_at(_comul_map(hopf), 1)  # (r, h1, h2, s, k)
+           .map_at(hopf.as_coalgebra().comul_map(), 1)  # (r, h1, h2, s, k)
            .permute((0, 1, 3, 2, 4))  # (r, h1, s, h2, k)
            .map_at(act, 1)  # (r, h1 . s, h2, k)
            .map_at(r_alg.mul_map(), 0)  # (r (h1 . s), h2, k)
@@ -400,12 +402,11 @@ def smash_coproduct_coalgebra(r_coalg: CoalgebraObject, coact: Matrix, hopf: Hop
     f = hopf.field
     dr, dh = r_coalg.dim, hopf.dim
     dim = dr * dh
-    delta = SparseMap.from_matrix(r_coalg.comul_matrix(), (dr,), (dr, dr))
     coact_m = SparseMap.from_matrix(coact, (dr,), (dh, dr))
     comul = (StagePipeline(f, (dr, dh))
-             .map_at(delta, 0)           # (c1, c2, h)
+             .map_at(r_coalg.comul_map(), 0)  # (c1, c2, h)
              .map_at(coact_m, 1)         # (c1, cm, c20, h)
-             .map_at(_comul_map(hopf), 3)  # (c1, cm, c20, h1, h2)
+             .map_at(hopf.as_coalgebra().comul_map(), 3)  # (c1, cm, c20, h1, h2)
              .permute((0, 1, 3, 2, 4))   # (c1, cm, h1, c20, h2)
              .map_at(hopf.as_algebra().mul_map(), 1))
     counit = [f.mul(r_coalg.counit[a], hopf.counit[x]) for a in range(dr) for x in range(dh)]
@@ -473,7 +474,7 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
     dr, dh = q.yd.dim, q.hopf.dim
     coalg = smash_coproduct_coalgebra(q.r_coalg, q.yd.coact, q.hopf)
     mp = q.maps()
-    delta = SparseMap.from_matrix(q.r_coalg.comul_matrix(), (dr,), (dr, dr))
+    delta = q.r_coalg.comul_map()
     mul = SparseMap.from_matrix(q.mul, (dr, dr), (dr,))
     xi = SparseMap.from_matrix(q.xi, (dr, dr), (dh,))
     # m(r#h (x) s#k) = m(r1 (x) (r2_(-1) h1).s1) # xi(r2_(0) (x) h2.s2) h3 k
@@ -573,11 +574,9 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
         rep.record("sigma_coalgebra_map", is_coalgebra_map(h.as_coalgebra(), bi.as_coalgebra(), sigma),
                    "sigma is not a coalgebra map")
         # pi bilinear for the actions induced by sigma: pi(sigma(h) a) = h pi(a)
-        # and pi(a sigma(h)) = pi(a) h, i.e. pi act = mul_H (id (x) pi)
-        mul_t = h.as_algebra().mul_matrix().transpose()
-        rep.record("pi_bilinear", pi @ act_l == _along_factor(pi.transpose(), mul_t, dh, "l").transpose()
-                   and pi @ act_r == _along_factor(pi.transpose(), mul_t, dh, "r").transpose(),
-                   "pi is not (H,H)-bilinear")
+        # and pi(a sigma(h)) = pi(a) h
+        rep.record("pi_bilinear", _pi_linear_defect(h, pi, act_l, "l") is None
+                   and _pi_linear_defect(h, pi, act_r, "r") is None, "pi is not (H,H)-bilinear")
     comp = pi @ sigma
     rep.record("pi_sigma_id", comp == Matrix.identity(f, dh), "pi sigma != id")
     # the (co)actions induced by pi and sigma must be those of the Hopf
@@ -611,6 +610,37 @@ class ExtractionError(Exception):
     pass
 
 
+def _sigma_colinear_defect(h: HopfObject, sigma: Matrix, coact: Matrix, side: str) -> int | None:
+    """The first basis index of H at which sigma is not colinear for a
+    coaction induced by pi, or None: coact sigma = (sigma (x) id) Delta_H for
+    the right coaction (side "r"), (id (x) sigma) Delta_H for the left one
+    (side "l")."""
+    d = coact @ sigma - _along_factor(sigma, h.as_coalgebra().comul_matrix(), h.dim, side)
+    bad = np.flatnonzero(d._d.any(axis=0))
+    return int(bad[0]) if bad.size else None
+
+
+def _pi_linear_defect(h: HopfObject, pi: Matrix, act: Matrix, side: str) -> tuple[int, int] | None:
+    """The first (h, a), in that loop order, at which pi is not H-linear for
+    an action induced by sigma, or None: pi act = mul_H (id (x) pi) for the
+    left action (side "l": pi(sigma(h) a) = h pi(a)), mul_H (pi (x) id) for
+    the right one (side "r": pi(a sigma(h)) = pi(a) h)."""
+    dh, n = h.dim, pi.cols
+    mul_t = h.as_algebra().mul_matrix().transpose()
+    d = (pi @ act - _along_factor(pi.transpose(), mul_t, dh, side).transpose())._d.any(axis=0)
+    bad = np.flatnonzero(d.reshape(dh, n) if side == "l" else d.reshape(n, dh).T)
+    return divmod(int(bad[0]), n) if bad.size else None
+
+
+def _raise_first(failures):
+    """Raise ExtractionError for the (message, witness) pair whose witness
+    comes first; on a tie the earlier pair wins, as in a loop that tests
+    them in turn at each basis index."""
+    found = [(wit, i, msg) for i, (msg, wit) in enumerate(failures) if wit is not None]
+    if found:
+        raise ExtractionError(min(found)[2])
+
+
 def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, side: str):
     f = a.field
     if not (pi @ sigma == Matrix.identity(f, h.dim)):
@@ -624,25 +654,8 @@ def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix
             raise ExtractionError("sigma is not an algebra map")
         # sigma bicolinear for the coactions induced by pi
         coact_l, coact_r = coactions_from_pi(a, pi, h.dim)
-        n, dh = a.dim, h.dim
-        for hh in range(dh):
-            sh = sigma.col_list(hh)
-            lhs = coact_r.apply(sh)
-            rhs = v_zero(f, n * dh)
-            for (h1, h2), c in h.comul.get(hh, {}).items():
-                for x, w in enumerate(sigma.col_list(h1)):
-                    if not f.is_zero(w):
-                        rhs[x * dh + h2] = f.add(rhs[x * dh + h2], f.mul(c, w))
-            if not v_eq(f, lhs, rhs):
-                raise ExtractionError("sigma is not right colinear")
-            lhs = coact_l.apply(sh)
-            rhs = v_zero(f, dh * n)
-            for (h1, h2), c in h.comul.get(hh, {}).items():
-                for x, w in enumerate(sigma.col_list(h2)):
-                    if not f.is_zero(w):
-                        rhs[h1 * n + x] = f.add(rhs[h1 * n + x], f.mul(c, w))
-            if not v_eq(f, lhs, rhs):
-                raise ExtractionError("sigma is not left colinear")
+        _raise_first([("sigma is not right colinear", _sigma_colinear_defect(h, sigma, coact_r, "r")),
+                      ("sigma is not left colinear", _sigma_colinear_defect(h, sigma, coact_l, "l"))])
     else:
         if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
             raise ExtractionError("sigma is not an algebra map")
@@ -651,19 +664,9 @@ def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix
         if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pi):
             raise ExtractionError("pi is not a coalgebra map")
         # pi bilinear: pi(sigma(h) a sigma(k)) = h pi(a) k
-        f2 = f
-        n, dh = a.dim, h.dim
-        for hh in range(dh):
-            sh = sigma.col_list(hh)
-            for i in range(n):
-                lhs = pi.apply(a.product(sh, v_basis(f, n, i)))
-                rhs = h.product(v_basis(f, dh, hh), pi.apply(v_basis(f, n, i)))
-                if not v_eq(f2, lhs, rhs):
-                    raise ExtractionError("pi is not left H-linear")
-                lhs = pi.apply(a.product(v_basis(f, n, i), sh))
-                rhs = h.product(pi.apply(v_basis(f, n, i)), v_basis(f, dh, hh))
-                if not v_eq(f2, lhs, rhs):
-                    raise ExtractionError("pi is not right H-linear")
+        act_l, act_r = actions_from_sigma(a, sigma, h.dim)
+        _raise_first([("pi is not left H-linear", _pi_linear_defect(h, pi, act_l, "l")),
+                      ("pi is not right H-linear", _pi_linear_defect(h, pi, act_r, "r"))])
 
 
 def _diagram_yd(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix):
@@ -706,110 +709,35 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
 
 
 def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix) -> DualYDQuadruple:
-    """Dual-side extraction: delta via the cotensor identification, m and xi
-    by splitting phi^{-1} of products; validated before returning."""
+    """Dual-side extraction: delta(r) = r1 sigma(S pi(r2)) (x) r3 read off in
+    R (x) R, m and xi by splitting phi^{-1} of products; validated before
+    returning."""
     f = a.field
     _split_premises(a, h, pi, sigma, "dual")
     yd, incl, v = _diagram_yd(a, h, pi, sigma)
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     r_space = Subspace.from_matrix_rows(incl.transpose())
-    piv = r_space.pivots
-    # delta(r) = r1 sigma(S pi(r2)) (x) r3, laid down in R (x) R
-    comul_delta: dict = {}
-    s_h = h.antipode
-    for t in range(dr):
-        rv = incl.col_list(t)
-        col: dict = {}
-        for (i, j), c in a.comul_vec(rv).items():
-            # split Delta(r) = r1 (x) r2, then r2 -> pi(r2_1)... use Delta again
-            for (j1, j2), c2 in a.comul.get(j, {}).items():
-                pj = pi.col_list(j1)
-                for hh, w in enumerate(pj):
-                    if f.is_zero(w):
-                        continue
-                    sh = s_h.apply(v_basis(f, dh, hh))
-                    for hh2, w2 in enumerate(sh):
-                        if f.is_zero(w2):
-                            continue
-                        left = a.product(v_basis(f, n, i), sigma.col_list(hh2))
-                        coef = f.mul(c, f.mul(c2, f.mul(w, w2)))
-                        for x, xv in enumerate(left):
-                            if not f.is_zero(xv):
-                                key = (x, j2)
-                                col[key] = f.add(col.get(key, f.zero()), f.mul(coef, xv))
-        # col lives in R (x) R inside A (x) A: read off coordinates
-        rcol: dict = {}
-        for (x, y), cval in col.items():
-            if f.is_zero(cval):
-                continue
-            rcol[(x, y)] = cval
-        # verify membership and convert
-        filtered = _tensor_coords_in_r(f, r_space, piv, rcol, n)
-        if filtered is None:
-            raise ExtractionError("delta does not land in R (x) R")
-        if filtered:
-            comul_delta[t] = filtered
+    comul = a.as_coalgebra().comul_map()
+    delta = (StagePipeline(f, (dr,))
+             .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 0)  # r
+             .map_at(comul, 0).map_at(comul, 1)  # (r1, r2, r3)
+             .map_at(SparseMap.from_matrix(sigma @ h.antipode @ pi, (n,), (n,)), 1)  # (r1, sigma S pi(r2), r3)
+             .map_at(a.as_algebra().mul_map(), 0))  # (r1 sigma(S pi(r2)), r3)
+    coords = _square_coordinates(r_space, delta.matrix())
+    if coords is None:
+        raise ExtractionError("delta does not land in R (x) R")
     eps_r = [a.counit_of(incl.col_list(t)) for t in range(dr)]
-    r_coalg = CoalgebraObject(f, dr, comul_delta, eps_r, tuple(f"r{t}" for t in range(dr)))
+    r_coalg = CoalgebraObject(f, dr, _comul_dict(coords), eps_r, tuple(f"r{t}" for t in range(dr)))
     r_coalg.validate().require("diagram coalgebra")
-    # one, m, xi
-    one_r = [a.unit[piv[u]] for u in range(dr)]
+    # one, m, xi: phi^{-1} of the products of coinvariants, in R # H, with
+    # eps_H on the H leg (m) or eps_R on the R leg (xi)
+    one_r = [a.unit[p] for p in r_space.pivots]
     if not r_space.contains_vector(a.unit):
         raise ExtractionError("1_A is not right coinvariant")
-    mul_e: dict = {}
-    xi_e: dict = {}
-    for s in range(dr):
-        sv = incl.col_list(s)
-        for t in range(dr):
-            prod = a.product(sv, incl.col_list(t))
-            w = phi_inv.apply(prod)
-            for idx, c in enumerate(w):
-                if f.is_zero(c):
-                    continue
-                u, hh = idx // dh, idx % dh
-                e = h.counit[hh]
-                if not f.is_zero(e):
-                    key = (u, s * dr + t)
-                    mul_e[key] = f.add(mul_e.get(key, f.zero()), f.mul(c, e))
-                er = eps_r[u]
-                if not f.is_zero(er):
-                    key = (hh, s * dr + t)
-                    xi_e[key] = f.add(xi_e.get(key, f.zero()), f.mul(c, er))
-    mul = Matrix.from_entries(f, dr, dr * dr, mul_e)
-    xi = Matrix.from_entries(f, dh, dr * dr, xi_e)
+    w = phi_inv @ pairwise_products(a.as_algebra(), incl.transpose(), incl.transpose()).transpose()
+    mul = StagePipeline(f, (dr, dh)).contract(1, h.counit).matrix() @ w
+    xi = StagePipeline(f, (dr, dh)).contract(0, eps_r).matrix() @ w
     q = DualYDQuadruple(h, r_coalg, yd, one_r, mul, xi)
     q.validate().require("extracted dual quadruple")
     return q
-
-
-def _tensor_coords_in_r(f, r_space: Subspace, piv: list, vec: dict, n: int):
-    """Coordinates of an element of R (x) R (inside A (x) A) in the RREF
-    basis of R, or None if it escapes R (x) R."""
-    # rebuild from pivot read-off and compare
-    dr = r_space.dim
-    coords: dict = {}
-    for s in range(dr):
-        for t in range(dr):
-            c = vec.get((piv[s], piv[t]))
-            if c is not None and not f.is_zero(c):
-                coords[(s, t)] = c
-    rebuilt: dict = {}
-    for (s, t), c in coords.items():
-        bs = r_space.basis.row_list(s)
-        bt = r_space.basis.row_list(t)
-        for x, a_ in enumerate(bs):
-            if f.is_zero(a_):
-                continue
-            for y, b_ in enumerate(bt):
-                if f.is_zero(b_):
-                    continue
-                key = (x, y)
-                v = f.add(rebuilt.get(key, f.zero()), f.mul(c, f.mul(a_, b_)))
-                if f.is_zero(v):
-                    rebuilt.pop(key, None)
-                else:
-                    rebuilt[key] = v
-    if not sparse_eq(f, rebuilt, vec):
-        return None
-    return coords
