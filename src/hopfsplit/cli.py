@@ -7,6 +7,7 @@ Output is deterministic: fixed key order, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (
@@ -412,9 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as e:

@@ -10,10 +10,12 @@ back to the full join for its witness, `AlgebraObject.validate`).
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix
+from .linalg import InconsistentSystem, Matrix, _dtype
 from .tensors import SparseMap, StagePipeline, pipelines_equal, sparse_eq, v_basis, v_eq, v_zero
 
 
@@ -164,19 +166,25 @@ class BialgebraObject:
         return True, None
 
     def _check_eps_multiplicative(self):
-        f = self.field
-        eps = self.counit
-        for (i, j), col in self.mul.items():
-            lhs = f.zero()
-            for k, c in col.items():
-                lhs = f.add(lhs, f.mul(c, eps[k]))
-            if lhs != f.mul(eps[i], eps[j]):
-                return False, f"eps(e{i} e{j})"
-        # pairs missing from the table are zero products
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if (i, j) not in self.mul and not f.is_zero(f.mul(eps[i], eps[j])):
-                    return False, f"eps(e{i} e{j}) = 0 but eps(e{i})eps(e{j}) != 0"
+        """eps(e_i e_j) = eps(e_i) eps(e_j) for every pair, from the
+        structure constants; the witness is the first failing pair of the
+        table in insertion order, else the first failing absent pair."""
+        f, n = self.field, self.dim
+        eps = f.reduce(np.array(self.counit, dtype=_dtype(f)))
+        a, b, c, v = self._alg.constants()
+        lhs = np.full(n * n, f.zero(), dtype=eps.dtype)
+        np.add.at(lhs, a * n + b, f.reduce(v * eps[c]))
+        bad = (f.reduce(lhs - np.outer(eps, eps).ravel()) != 0).reshape(n, n)
+        pairs = np.array(list(self.mul), dtype=np.int64).reshape(-1, 2)
+        hit = np.flatnonzero(bad[pairs[:, 0], pairs[:, 1]])
+        if hit.size:
+            i, j = pairs[hit[0]].tolist()
+            return False, f"eps(e{i} e{j})"
+        bad[pairs[:, 0], pairs[:, 1]] = False
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i, j = divmod(int(hit[0]), n)
+            return False, f"eps(e{i} e{j}) = 0 but eps(e{i})eps(e{j}) != 0"
         return True, None
 
 
@@ -199,22 +207,22 @@ class NoAntipode(Exception):
 
 
 def check_antipode(b: BialgebraObject, s: Matrix):
-    """m(S (x) id)Delta = u eps = m(id (x) S)Delta, basis by basis."""
-    f = b.field
-    for k in range(b.dim):
-        target = [f.mul(b.counit[k], x) for x in b.unit]
-        left = v_zero(f, b.dim)
-        right = v_zero(f, b.dim)
-        for (i, j), c in b.comul.get(k, {}).items():
-            si = s.apply(v_basis(f, b.dim, i))
-            left = [f.add(x, f.mul(c, y)) for x, y in zip(left, b.product(si, v_basis(f, b.dim, j)))]
-            sj = s.apply(v_basis(f, b.dim, j))
-            right = [f.add(x, f.mul(c, y)) for x, y in zip(right, b.product(v_basis(f, b.dim, i), sj))]
-        if not v_eq(f, left, target):
-            return False, f"m(S (x) id)Delta != u eps at basis {k}"
-        if not v_eq(f, right, target):
-            return False, f"m(id (x) S)Delta != u eps at basis {k}"
-    return True, None
+    """m(S (x) id)Delta = u eps = m(id (x) S)Delta, as pipelines over every
+    basis element at once; the witness is the first failing basis element,
+    the left identity before the right one."""
+    f, n = b.field, b.dim
+    delta, mul = b.as_coalgebra().comul_map(), b.as_algebra().mul_map()
+    sm = SparseMap.from_matrix(s, (n,), (n,))
+    target = StagePipeline(f, (n,)).contract(0, b.counit).insert(0, b.unit, n)
+    fails = []
+    for pos, name in enumerate(("m(S (x) id)Delta", "m(id (x) S)Delta")):
+        w = pipelines_equal(StagePipeline(f, (n,)).map_at(delta, 0).map_at(sm, pos).map_at(mul, 0), target)
+        if w is not None:
+            fails.append((w[0], pos, name))
+    if not fails:
+        return True, None
+    k, _, name = min(fails)
+    return False, f"{name} != u eps at basis {k}"
 
 
 def upgrade_to_hopf(b: BialgebraObject, antipode_hint: Matrix | None = None, solve_limit: int = 30) -> HopfObject:
@@ -276,44 +284,34 @@ class IntegralWitness:
 
 
 def _integral_system(h: BialgebraObject, where: str, side: str) -> Matrix:
-    f = h.field
-    n = h.dim
-    blocks = []
+    """The integral conditions on t (in_H) or lam (in_dual), n^2 rows per
+    side, scattered from the nonzero structure constants.
+
+    in_H left, x t = eps(x) t: row x n + out, column t holds the
+    coefficient of e_out in e_x e_t (right: e_t e_x), minus eps(x) where
+    t = out.  in_dual left, sum h1 lam(h2) = lam(h) 1: row k n + out,
+    column t holds the coefficient of e_out (x) e_t in Delta(e_k) (right:
+    e_t (x) e_out), minus 1_out where t = k.
+    """
+    f, n = h.field, h.dim
+    rows = np.arange(n * n)
+    x, y = np.divmod(rows, n)
+    if where == "in_H":
+        a, b, c, v = h.as_algebra().constants()  # e_a e_b has v on e_c
+        legs = {"left": (a * n + c, b), "right": (b * n + c, a)}
+        diag_col, diag_val = y, np.repeat(f.reduce(np.array(h.counit, dtype=_dtype(f))), n)
+    else:
+        k, ab, v = h.as_coalgebra().comul_map().coo()  # Delta(e_k) has v on e_a (x) e_b
+        a, b = np.divmod(ab, n)
+        legs = {"left": (k * n + a, b), "right": (k * n + b, a)}
+        diag_col, diag_val = x, np.tile(f.reduce(np.array(h.unit, dtype=_dtype(f))), n)
     sides = ("left", "right") if side == "two_sided" else (side,)
-    for s in sides:
-        entries: dict = {}
-        if where == "in_H":
-            # left: x t = eps(x) t for every basis x (right: t x)
-            for x in range(n):
-                for out in range(n):
-                    row: dict = {}
-                    for t in range(n):
-                        pair = (x, t) if s == "left" else (t, x)
-                        v = h.mul.get(pair, {}).get(out)
-                        if v is not None:
-                            row[t] = f.add(row.get(t, f.zero()), v)
-                    row[out] = f.sub(row.get(out, f.zero()), h.counit[x])
-                    for t, v in row.items():
-                        if not f.is_zero(v):
-                            entries[(x * n + out, t)] = v
-        else:
-            # left integral on H: sum h1 lam(h2) = lam(h) 1 (right: mirrored)
-            for k in range(n):
-                for out in range(n):
-                    row: dict = {}
-                    for (i, j), c in h.comul.get(k, {}).items():
-                        leg, coef = (j, i) if s == "left" else (i, j)
-                        if coef == out:
-                            row[leg] = f.add(row.get(leg, f.zero()), c)
-                    row[k] = f.sub(row.get(k, f.zero()), h.unit[out])
-                    for t, v in row.items():
-                        if not f.is_zero(v):
-                            entries[(k * n + out, t)] = v
-        blocks.append(Matrix.from_entries(f, n * n, n, entries))
-    m = blocks[0]
-    for b2 in blocks[1:]:
-        m = m.vstack(b2)
-    return m
+    d = np.full((len(sides) * n * n, n), f.zero(), dtype=_dtype(f))
+    for s, name in enumerate(sides):
+        block = d[s * n * n : (s + 1) * n * n]
+        block[legs[name]] = v
+        block[rows, diag_col] -= diag_val
+    return Matrix(f, d.shape[0], n, f.reduce(d), _raw=True)
 
 
 def find_integral(h: BialgebraObject, where: str = "in_H", side: str = "two_sided") -> IntegralWitness:

@@ -9,10 +9,19 @@ dimensions must be JSON integers, dimensions at most ``MAX_DIM``,
 coefficients strings or JSON integers; null, booleans and JSON floats are
 rejected, as are coefficients that are not ``[+-]digits[/digits]`` or
 divide by zero in the field.
+
+Every reader parses its coefficients through `_batch_scalars`: a list of
+strings that all match ``[+-]digits`` is checked with one match on its
+distinct strings joined by newlines, and each distinct string is converted
+once.  Any other list, well-formed or not, is parsed item by item, so the
+fast path changes neither the accepted inputs nor the first error and its
+message.  Duplicate entries of a triple list add up in every reader.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 from .algebra import AlgebraObject
 from .coalgebra import CoalgebraObject
@@ -63,8 +72,47 @@ def _scalar(f, x, what):
         raise FileFormatError(f"{what}: bad coefficient {x!r}: {e}")
 
 
+# the integer case of the coefficient grammar, one string per line: "\n" is
+# outside the grammar, so with exactly one "\n" per string none spans two
+_INT_LINES = re.compile(r"(?:[+-]?[0-9]+\n)*")
+
+
+def _batch_scalars(f, xs) -> list | None:
+    """The parsed coefficients xs when every one is a string ``[+-]digits``,
+    as `ScalarField.parse` gives them; None for any other list, which the
+    caller parses item by item.  Each distinct string is checked and
+    converted once."""
+    if set(map(type, xs)) != {str}:
+        return None
+    distinct = set(xs)
+    text = "\n".join(distinct) + "\n"
+    if text.count("\n") != len(distinct) or _INT_LINES.fullmatch(text) is None:
+        return None
+    try:
+        value = {x: f.from_int(int(x)) for x in distinct}
+    except ValueError:  # past int's digit limit, reported by the item parse
+        return None
+    return list(map(value.__getitem__, xs))
+
+
+def _batch_entries(f, raw, bounds) -> list | None:
+    """`_entries` of a list whose entries all have the right length, JSON
+    integer indices in range and integer coefficient strings; else None."""
+    if type(raw) is not list or set(map(type, raw)) != {list} or set(map(len, raw)) != {len(bounds) + 1}:
+        return None
+    cols = list(zip(*raw))
+    for col, b in zip(cols, bounds):
+        if set(map(type, col)) != {int} or min(col) < 0 or max(col) >= b:
+            return None
+    vals = _batch_scalars(f, cols[-1])
+    return None if vals is None else list(zip(*cols[:-1], vals))
+
+
 def _entries(f, raw, bounds, what):
     """Parse [i_1, ..., i_r, c] entries, each index below its bound."""
+    out = _batch_entries(f, raw, bounds)
+    if out is not None:
+        return out
     out = []
     for t in _list(raw, what):
         if not isinstance(t, list) or len(t) != len(bounds) + 1:
@@ -119,6 +167,10 @@ def _matrix_rows(f, m: Matrix) -> list:
 
 def _matrix_from_rows(f, rows, expect_shape, what) -> Matrix:
     m, n = expect_shape
+    if type(rows) is list and len(rows) == m and all(type(r) is list and len(r) == n for r in rows):
+        vals = _batch_scalars(f, list(itertools.chain.from_iterable(rows)))
+        if vals is not None:
+            return Matrix(f, m, n, vals)
     data = [[_scalar(f, x, what) for x in _list(row, what)] for row in _list(rows, what)]
     if len(data) != m or any(len(row) != n for row in data):
         raise FileFormatError(f"{what}: matrix is not {m}x{n}")
@@ -140,6 +192,24 @@ def object_to_json(x) -> dict:
     return doc
 
 
+def _mul_table(f, entries) -> dict:
+    """{(i, j): {k: c}} from (i, j, k, c) entries; duplicates add up."""
+    mul: dict = {}
+    for i, j, k, c in entries:
+        col = mul.setdefault((i, j), {})
+        col[k] = f.add(col[k], c) if k in col else c
+    return mul
+
+
+def _comul_table(f, entries) -> dict:
+    """{k: {(i, j): c}} from (i, j, k, c) entries; duplicates add up."""
+    comul: dict = {}
+    for i, j, k, c in entries:
+        col = comul.setdefault(k, {})
+        col[(i, j)] = f.add(col[(i, j)], c) if (i, j) in col else c
+    return comul
+
+
 def object_from_json(doc):
     """Parse back; the richest structure present wins."""
     try:
@@ -157,12 +227,10 @@ def object_from_json(doc):
     comul: dict = {}
     counit = None
     if has_alg:
-        for i, j, k, c in _entries(f, doc["mul"], (dim, dim, dim), "mul"):
-            mul.setdefault((i, j), {})[k] = f.add(mul.get((i, j), {}).get(k, f.zero()), c)
+        mul = _mul_table(f, _entries(f, doc["mul"], (dim, dim, dim), "mul"))
         unit = _parse_vec(f, doc.get("unit"), dim, "unit")
     if has_coalg:
-        for i, j, k, c in _entries(f, doc["comul"], (dim, dim, dim), "comul"):
-            comul.setdefault(k, {})[(i, j)] = f.add(comul.get(k, {}).get((i, j), f.zero()), c)
+        comul = _comul_table(f, _entries(f, doc["comul"], (dim, dim, dim), "comul"))
         counit = _parse_vec(f, doc.get("counit"), dim, "counit")
     if has_alg and has_coalg:
         if "antipode" in doc:
@@ -181,7 +249,8 @@ def _parse_vec(f, raw, dim, what) -> list:
         raise FileFormatError(f"missing {what}")
     if len(_list(raw, what)) != dim:
         raise FileFormatError(f"{what} has length {len(raw)}, expected {dim}")
-    return [_scalar(f, x, what) for x in raw]
+    vals = _batch_scalars(f, raw)
+    return vals if vals is not None else [_scalar(f, x, what) for x in raw]
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -213,7 +282,9 @@ def _sparse_matrix_triples(f, m: Matrix) -> list:
 
 
 def _matrix_from_triples(f, rows, cols, triples, what) -> Matrix:
-    entries = {(i, j): c for i, j, c in _entries(f, triples, (rows, cols), what)}
+    entries: dict = {}
+    for i, j, c in _entries(f, triples, (rows, cols), what):
+        entries[(i, j)] = f.add(entries[(i, j)], c) if (i, j) in entries else c
     return Matrix.from_entries(f, rows, cols, entries)
 
 
@@ -267,18 +338,14 @@ def quadruple_from_json(doc):
     coact = _matrix_from_triples(f, dh * dr, dr, env.get("yd_coact", []), "yd_coact")
     yd = YDObject(h, dr, act, coact)
     if side == "primal":
-        mul: dict = {}
-        for i, j, k, c in _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"):
-            mul.setdefault((i, j), {})[k] = c
+        mul = _mul_table(f, _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"))
         r_alg = AlgebraObject(f, dr, mul, _parse_vec(f, env.get("R_unit"), dr, "R_unit"))
         eps = _parse_vec(f, env.get("eps"), dr, "eps")
         delta = _matrix_from_triples(f, dr * dr, dr, env.get("delta", []), "delta")
         omega = _matrix_from_triples(f, dr * dr, dh, env.get("omega", []), "omega")
         return YDQuadruple(h, r_alg, yd, eps, delta, omega)
     if side == "dual":
-        comul: dict = {}
-        for i, j, k, c in _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"):
-            comul.setdefault(k, {})[(i, j)] = c
+        comul = _comul_table(f, _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"))
         r_coalg = CoalgebraObject(f, dr, comul, _parse_vec(f, env.get("R_counit"), dr, "R_counit"))
         one = _parse_vec(f, env.get("one"), dr, "one")
         mulm = _matrix_from_triples(f, dr, dr * dr, env.get("m", []), "m")

@@ -295,3 +295,25 @@ def test_dim_bound_checked_before_anything_is_built():
         with pytest.raises(FileFormatError, match="exceeds the largest supported dimension"):
             parse(doc)
     assert object_from_json({**DUAL_NUMBERS, "dim": 2}).dim == 2
+
+
+def test_parser_built_once_with_unchanged_usage_errors(tmp_path, capsys):
+    from hopfsplit import cli
+
+    assert cli._parser() is cli._parser()
+    for argv in (["integral"], ["frobnicate"], ["split", "x", "--side", "middle", "--candidate", "c"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert capsys.readouterr().err == err
+        assert err.startswith("usage: hopfsplit")
+    # options of one call do not carry over to the next
+    path = str(tmp_path / "z2.json")
+    run_cli(["example", "group_algebra", "--n", "2", "--field", "q", "--out", path], capsys)
+    code, out, _ = run_cli(["--json", "validate", path], capsys)
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run_cli(["validate", path], capsys)
+    assert code == 0 and not out.startswith("{")
