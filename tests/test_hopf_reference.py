@@ -216,7 +216,8 @@ def test_check_antipode_matches_loop(hopf):
     for t in range(12):
         s = hopf.antipode
         if t % 3 < 2:
-            bump = Matrix.from_entries(f, n, n, {(rng.randrange(n), rng.randrange(n)): f.from_int(rng.randrange(1, 4))})
+            ij = (rng.randrange(n), rng.randrange(n))
+            bump = Matrix.from_entries(f, n, n, {ij: f.from_int(rng.randrange(1, 4))})
             s = s + bump
             b = hopf
         else:
@@ -231,7 +232,8 @@ def test_check_antipode_names_left_before_right():
     # S = id on k[Z_3] fails both identities, first at g^1: left is named
     h = group_algebra(3, QQ)
     ident = Matrix.identity(QQ, 3)
-    assert check_antipode(h, ident) == loop_check_antipode(h, ident) == (False, "m(S (x) id)Delta != u eps at basis 1")
+    want = (False, "m(S (x) id)Delta != u eps at basis 1")
+    assert check_antipode(h, ident) == loop_check_antipode(h, ident) == want
     # every single bump of the Sweedler product table; some break only the
     # right identity, at a basis element where the left one holds
     h4 = sweedler_h4(QQ)
