@@ -22,6 +22,14 @@ indices, reporting the first failing pair (i, j).  It serves quotient
 projections, algebra-map checks, extensions and the tower lift;
 `defect_matrix` keeps the whole defect (a section's curvature).  A failed
 re-verification of computed output raises `VerificationFailed`.
+
+A passing `validate` is remembered, and `verified_generators` then returns
+the generating set it cached (never searching for one).  On an
+associative unital A, {x : xI <= I} and {x : Ix <= I} are unital
+subalgebras, and so is {x : f(xy) = f(x) f(y) for all y} when the target
+is associative and unital and f(1) = 1; so `is_ideal` multiplies I by the
+generators only, and `multiplicativity_defect` reads its verdict on their
+rows, rerunning every row for the witness.  `radical` validates A first.
 """
 from __future__ import annotations
 
@@ -69,7 +77,7 @@ class VerificationFailed(AssertionError):
         self.witness = witness
 
 
-_JOIN_BLOCK = 2**16  # terms in one associativity join over consecutive left indices
+_JOIN_BLOCK = 2**13  # terms in one associativity join over consecutive left indices
 
 
 class AlgebraObject:
@@ -85,6 +93,7 @@ class AlgebraObject:
         self._mul_map = None
         self._constants = None
         self._generators: dict = {}
+        self._verified = False  # the last `validate` passed
 
     # -- products ----------------------------------------------------------
 
@@ -171,6 +180,7 @@ class AlgebraObject:
         ok = generators is not None and unit[0] and self._check_associativity(generators)[0]
         rep.record("associativity", *((True, None) if ok else self._check_associativity()))
         rep.record("unit", *unit)
+        self._verified = rep.ok
         return rep
 
     def _shape_ok(self) -> bool:
@@ -247,6 +257,16 @@ class AlgebraObject:
         if cap not in self._generators:
             self._generators[cap] = self._generating_set(cap)
         return self._generators[cap]
+
+    def verified_generators(self) -> list[int] | None:
+        """A generating set that `generating_basis_indices` has cached, once
+        `validate` has passed, else None; never starts a search.  The
+        algebra is then associative and unital, so a property whose
+        solution set is a unital subalgebra holds on it once it holds on
+        these basis elements."""
+        if not self._verified:
+            return None
+        return next((g for g in self._generators.values() if g is not None), None)
 
     def _generating_set(self, cap: int) -> list[int] | None:
         """Each e_i, in order, outside the left-Krylov closure from 1 of the
@@ -390,15 +410,16 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     q = _matmul(f, left._d, a.np_tensor().reshape(n, n * n))  # (u, (b, k))
     q = q.reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (b, (u, k))
     r = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2)  # (u, w, k)
-    return Matrix(f, lr * rr, n, r.reshape(-1, n), _raw=True)
+    return Matrix(f, lr * rr, n, r.reshape(lr * rr, n), _raw=True)
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
 
 
-def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix):
-    """Yield (i0, D) for consecutive blocks of left indices i0 <= i < i1:
-    row (i - i0) n + j of D is f(e_i e_j) - f(e_i) f(e_j).
+def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
+    """Yield D for consecutive blocks of the left indices (all of them, or
+    the list `lefts`): row r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for
+    the block's r-th index i.
 
     f(e_i e_j) is the block's rows of the structure tensor times f^T;
     f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Blocks keep D and
@@ -407,42 +428,77 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix):
     """
     fld = src.field
     n = src.dim
-    t = src.np_tensor().reshape(n * n, n)  # row (i, j): e_i e_j
+    t = src.np_tensor()
     ft = f.transpose()
     step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
-    for i0 in range(0, n, step):
-        i1 = min(n, i0 + step)
-        lhs = _matmul(fld, t[i0 * n : i1 * n], ft._d)
-        rhs = pairwise_products(tgt, ft._new(i1 - i0, tgt.dim, ft._d[i0:i1]), ft)
-        yield i0, fld.reduce(lhs - rhs._d)
+    count = n if lefts is None else len(lefts)
+    for s in range(0, count, step):
+        blk = slice(s, s + step) if lefts is None else lefts[s : s + step]
+        rows = ft._d[blk]
+        lhs = _matmul(fld, t[blk].reshape(-1, n), ft._d)
+        rhs = pairwise_products(tgt, ft._new(rows.shape[0], tgt.dim, rows), ft)
+        yield fld.reduce(lhs - rhs._d)
+
+
+def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:
+    """Generators of src on which the multiplicativity of f decides it, or
+    None.  When src and tgt are verified associative and unital and
+    f(1) = 1, {x : f(xy) = f(x) f(y) for all y} is a unital subalgebra:
+    f(x x' y) = f(x) f(x' y) = f(x) f(x') f(y) = f(x x') f(y) for x, x'
+    in it, and 1 is in it because f(1) = 1."""
+    gens = src.verified_generators()
+    if gens is None or not tgt._verified or not v_eq(src.field, f.apply(src.unit), tgt.unit):
+        return None
+    return gens
 
 
 def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> tuple[int, int] | None:
     """The first basis pair (i, j), in lexicographic order, with
     f(e_i e_j) != f(e_i) f(e_j) for the linear map f : src -> tgt (a
-    tgt.dim x src.dim matrix), or None when f is multiplicative."""
-    n = src.dim
-    for i0, d in _defect_rows(src, tgt, f):
+    tgt.dim x src.dim matrix), or None when f is multiplicative.  The
+    verdict is read on the generator rows alone when `_map_generators`
+    allows it; a defect there reruns every row, so the witness is always
+    the full scan's."""
+    gens = _map_generators(src, tgt, f)
+    if gens is not None and not any((d != 0).any() for d in _defect_rows(src, tgt, f, gens)):
+        return None
+    done = 0
+    for d in _defect_rows(src, tgt, f):
         bad = np.flatnonzero((d != 0).any(axis=1))
         if bad.size:
-            return divmod(i0 * n + int(bad[0]), n)
+            return divmod(done + int(bad[0]), src.dim)
+        done += d.shape[0]
     return None
 
 
 def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
     """f(e_i e_j) - f(e_i) f(e_j) as a tgt.dim x src.dim^2 matrix with
     column i n + j: the curvature of a section f."""
-    d = np.vstack([d for _, d in _defect_rows(src, tgt, f)])
+    d = np.vstack(list(_defect_rows(src, tgt, f)))
     return Matrix(src.field, tgt.dim, src.dim**2, d.T.copy(), _raw=True)
 
 
 def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
+    """g I and I g inside I for every basis element g, or only for the
+    generators once A is verified (`verified_generators`): {x : xI <= I}
+    and {x : Ix <= I} are unital subalgebras of an associative A.  Each
+    side's products for a block of g near _DEFECT_BLOCK entries are tested
+    with one `Subspace.coordinates` product."""
     if s.dim == 0:
         return True
-    basis = Matrix.identity(a.field, a.dim)
-    lp = pairwise_products(a, basis, s.basis)
-    rp = pairwise_products(a, s.basis, basis)
-    return s.contains(Subspace.from_matrix_rows(lp)) and s.contains(Subspace.from_matrix_rows(rp))
+    fld, n = a.field, a.dim
+    t = a.np_tensor()
+    gens = a.verified_generators()
+    idx = np.arange(n) if gens is None else np.asarray(gens)
+    step = max(1, _DEFECT_BLOCK // (s.dim * n))
+    for at in range(0, len(idx), step):
+        blk = idx[at : at + step]
+        # row (u, g) of the products: e_g s_u = sum_b s_u[b] T[g, b], then s_u e_g
+        for side in (t[blk].transpose(1, 0, 2), t[:, blk]):
+            prods = _matmul(fld, s.basis._d, side.reshape(n, -1)).reshape(-1, n)
+            if s.coordinates(Matrix(fld, prods.shape[0], n, prods, _raw=True)) is None:
+                return False
+    return True
 
 
 def ideal_generated_by(a: AlgebraObject, f: Matrix) -> IdealData:
@@ -504,6 +560,17 @@ class CertificationFailed(Exception):
         self.check = check
 
 
+def _require_valid(a: AlgebraObject):
+    """Validate A unless it already passed, on a generating set once shape
+    and unit hold (so that it caches one for the restricted checks); a
+    failed axiom raises CertificationFailed naming it."""
+    if not a._verified:
+        gens = a.generating_basis_indices() if a._shape_ok() and a._check_unit()[0] else None
+        bad = a.validate(gens).failures()
+        if bad:
+            raise CertificationFailed("algebra %s: %s" % bad[0])
+
+
 def trace_form(a: AlgebraObject) -> Matrix:
     """The trace form G[i, j] = Tr(L_i L_j) = sum_(a, b) L_i[a, b] L_j[b, a]
     of the left regular representation, as one product: the structure
@@ -522,7 +589,11 @@ def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> I
     Tr(L_x L_y) of the left regular representation, then verified nilpotent.
     With a candidate: certify it is a nilpotent ideal with separable
     quotient, which pins it as the radical in any characteristic.
+    Either way A is validated first, on a generating set (so the ideal
+    tests may use it), unless it already is; a failed axiom raises
+    CertificationFailed naming it.
     """
+    _require_valid(a)
     f = a.field
     if certified_candidate is None:
         if f.kind == "Fp" and f.p <= a.dim:

@@ -19,6 +19,8 @@ with `comul_matrix()`:
   - x in U (x) U            pi_U x = 0 and pi_U x^T = 0 for an n x n matrix x
 
 Here pi_D is the complement projection of D (`quotient_projection`).
+`coradical` and `coradical_filtration` validate C first, once per object
+(a passing `validate` is remembered).
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ class CoalgebraObject:
         self.counit = list(counit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self._delta = None
+        self._verified = False  # `validate` has passed
 
     def comul_map(self) -> SparseMap:
         """Delta as a SparseMap (n,) -> (n, n), built once (see
@@ -110,6 +113,7 @@ class CoalgebraObject:
                 rep.record("counit", False, f"basis element {k}")
                 return rep
         rep.record("counit", True)
+        self._verified = True
         return rep
 
 
@@ -257,6 +261,15 @@ class CertificationFailed(Exception):
     pass
 
 
+def _require_valid(c: CoalgebraObject):
+    """Validate C unless it already passed; a failed axiom raises
+    CertificationFailed naming it."""
+    if not c._verified:
+        bad = c.validate().failures()
+        if bad:
+            raise CertificationFailed("coalgebra %s: %s" % bad[0])
+
+
 def coradical(c: CoalgebraObject, certified_candidate: Subspace | None = None) -> Subspace:
     """The coradical C_0.
 
@@ -268,6 +281,7 @@ def coradical(c: CoalgebraObject, certified_candidate: Subspace | None = None) -
     """
     from .algebra import NotSeparable, separability_idempotent
 
+    _require_valid(c)
     f = c.field
     if certified_candidate is None:
         dual = dualize(c)
@@ -335,7 +349,16 @@ class FiltrationData:
 
 
 def coradical_filtration(c: CoalgebraObject, c0: Subspace) -> FiltrationData:
-    """C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) = Ker((pi_0 (x) pi_n) Delta)."""
+    """C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) = Ker((pi_0 (x) pi_n) Delta),
+    once C is validated (CertificationFailed otherwise)."""
+    _require_valid(c)
+    return _filtration(c, c0)
+
+
+def _filtration(c: CoalgebraObject, c0: Subspace) -> FiltrationData:
+    """The chain of `coradical_filtration` up to stabilization, each step
+    re-verified to be a subcoalgebra (VerificationFailed names the first
+    failing basis row; only a non-coassociative C reaches it)."""
     f = c.field
     pi0 = quotient_projection(f, c0)
     steps = [c0]

@@ -731,3 +731,192 @@ def test_separability_system_matches_dict_loop(field):
         got = _nonzero_rows(field.reduce(coo[0 : coo.shape[0]]).tolist(), solver.rhs)
         want = _nonzero_rows(*separability_system_by_dict_loop(a, ctx))
         assert got == want
+
+
+# -- ideals and algebra maps on a verified generating set -------------------
+
+def is_ideal_by_rref(a, s):
+    """Reference: every basis element times I and I times every basis
+    element, each side's products reduced to a subspace of I."""
+    if s.dim == 0:
+        return True
+    basis = Matrix.identity(a.field, a.dim)
+    lp = pairwise_products(a, basis, s.basis)
+    rp = pairwise_products(a, s.basis, basis)
+    return s.contains(Subspace.from_matrix_rows(lp)) and s.contains(Subspace.from_matrix_rows(rp))
+
+
+def first_defect(src, tgt, f):
+    """Reference: the first pair of `_defect_reference` with a nonzero defect."""
+    return next((ij for ij, d in _defect_reference(src, tgt, f).items() if any(not src.field.is_zero(x) for x in d)),
+                None)
+
+
+def _factor_counit(spec, f):
+    kind, n = spec
+    return [f.one()] * n if kind == "group" else [f.one() if r % n == 0 else f.zero() for r in range(n * n)]
+
+
+def draw_gated_algebra(data, specs):
+    """A fresh copy of a SPECS algebra, with one structure constant changed
+    half of the time, and its counit (a character of the unmutated
+    algebra).  Half of the time it is validated on its generating set;
+    otherwise a generating set is cached without validating, which the gate
+    must refuse.  Returns (algebra, counit, verified)."""
+    f, factors, dim = data.draw(st.sampled_from(specs))
+    a, eps = _factor(factors[0], f), _factor_counit(factors[0], f)
+    for spec in factors[1:]:
+        a = tensor_algebra(a, _factor(spec, f))
+        eps = [f.mul(x, y) for x in eps for y in _factor_counit(spec, f)]
+    a = AlgebraObject(f, a.dim, a.mul, a.unit)
+    if data.draw(st.booleans()):
+        idx = st.integers(0, dim - 1)
+        delta = f.from_int(data.draw(st.integers(1, 6 if f.kind == "Q" else f.p - 1)))
+        a = mutated(a, data.draw(idx), data.draw(idx), data.draw(idx), delta)
+    gens = a.generating_basis_indices() if a._check_unit()[0] else None
+    verified = data.draw(st.booleans()) and a.validate(gens).ok and gens is not None
+    assert (a.verified_generators() is not None) == verified
+    return a, eps, verified
+
+
+def draw_subspace(data, a):
+    """A two-sided, left or right ideal generated by random vectors, their
+    span, a span of basis vectors, 0 or A."""
+    f, n = a.field, a.dim
+    kind = data.draw(st.sampled_from(["ideal", "left", "right", "span", "basis", "zero", "full"]))
+    if kind == "zero":
+        return Subspace.zero(f, n)
+    if kind == "full":
+        return Subspace.full(f, n)
+    if kind == "basis":
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        return Subspace.from_vectors(f, n, [v_basis(f, n, i) for i in idx])
+    vecs = Matrix.from_rows(f, [[f.from_int(data.draw(st.integers(-2, 2))) for _ in range(n)]
+                                for _ in range(data.draw(st.integers(1, 2)))])
+    eye = Matrix.identity(f, n)
+    rows = {"ideal": lambda: ideal_generated_by(a, vecs.transpose()).subspace.basis,
+            "left": lambda: pairwise_products(a, eye, vecs),
+            "right": lambda: pairwise_products(a, vecs, eye),
+            "span": lambda: vecs}[kind]()
+    return Subspace.from_matrix_rows(rows.vstack(vecs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_is_ideal_on_generators_matches_full_check(data):
+    # a verified algebra answers on its generators, anything else on the
+    # whole basis; the verdict is the full check's either way
+    a, _, _ = draw_gated_algebra(data, [s for s in SPECS if s[2] <= 36])
+    s = draw_subspace(data, a)
+    assert is_ideal(a, s) == is_ideal_by_rref(a, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multiplicativity_on_generators_matches_full_scan(data):
+    import hopfsplit.algebra as alg_mod
+
+    src, eps, verified = draw_gated_algebra(data, [s for s in SPECS if s[2] <= 16])
+    fld, n = src.field, src.dim
+    kind = data.draw(st.sampled_from(["identity", "counit", "quotient"]))
+    if kind == "quotient" and src._check_associativity()[0] and src._check_unit()[0]:
+        ideal = ideal_generated_by(src, Matrix.column(fld, [fld.from_int(data.draw(st.integers(-2, 2)))
+                                                           for _ in range(n)]))
+        tgt, f = quotient_algebra(src, ideal)
+    elif kind == "counit":
+        tgt, f = one_dim_field_algebra(fld), Matrix.row(fld, eps)
+        tgt.validate()
+    else:
+        tgt, f = src, Matrix.identity(fld, n)
+    if f.rows and data.draw(st.booleans()):  # may break f(1) = 1 as well
+        r, c = data.draw(st.integers(0, f.rows - 1)), data.draw(st.integers(0, f.cols - 1))
+        f = f + Matrix.from_entries(fld, f.rows, f.cols, {(r, c): fld.from_int(data.draw(st.integers(1, 6)))})
+    want = first_defect(src, tgt, f)
+    assert multiplicativity_defect(src, tgt, f) == want
+    gens = alg_mod._map_generators(src, tgt, f)
+    if not verified:
+        assert gens is None
+    if gens is not None:  # the restricted verdict alone is the full one
+        assert any((d != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_unverified_algebras_take_the_full_path(field, monkeypatch):
+    # k[Z_5] with e3 e4 = e2 + e0 is generated by e1 but not associative.
+    # x = sum e_i spans a line that e1 fixes on both sides, yet e3 x = x + e0;
+    # the augmentation eps agrees with e1 products but eps(e3 e4) = 2.  The
+    # generator rows cannot see either defect, so a gate that let the
+    # cached generators through would answer wrongly.
+    import hopfsplit.algebra as alg_mod
+
+    one, n = field.one(), 5
+    a = mutated(group_algebra(n, field).as_algebra(), 3, 4, 0, one)
+    line = Subspace.from_vectors(field, n, [[one] * n])
+    k = one_dim_field_algebra(field)
+    k.validate()
+    eps = Matrix.row(field, [one] * n)
+    assert a.generating_basis_indices() == [1]
+    seen = []
+    real = alg_mod._defect_rows
+    monkeypatch.setattr(alg_mod, "_defect_rows", lambda *args: seen.append(args[3:]) or real(*args))
+    for validate in (False, True):
+        if validate:
+            assert not a.validate([1]).ok
+        assert a.verified_generators() is None
+        assert is_ideal(a, line) is is_ideal_by_rref(a, line) is False
+        seen.clear()
+        assert multiplicativity_defect(a, k, eps) == first_defect(a, k, eps) == (3, 4)
+        assert seen == [()]
+    # the generator rows alone pass: the gate is what keeps the verdicts right
+    assert not any((d != 0).any() for d in real(a, k, eps, [1]))
+    # an associative k[Z_5] takes the generator rows once validated, not before
+    b = AlgebraObject(field, n, group_algebra(n, field).as_algebra().mul, [one] + [field.zero()] * (n - 1))
+    b.generating_basis_indices()
+    for validate, rows in ((False, ()), (True, ([1],))):
+        if validate:
+            assert b.validate([1]).ok
+        seen.clear()
+        assert multiplicativity_defect(b, k, eps) is None
+        assert seen[:1] == [rows]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_multiplicativity_on_generators_needs_f_of_one(field):
+    # k[x]/(x^3) is generated by x; f(1) = 2, f(x) = f(x^2) = 0 into k
+    # passes every generator row, yet f(1 * 1) = 2 != 4 = f(1) f(1)
+    a = truncated_cubic(field)
+    assert a.validate(a.generating_basis_indices()).ok and a.verified_generators() == [1]
+    k = one_dim_field_algebra(field)
+    k.validate()
+    f = Matrix.row(field, [field.from_int(2), field.zero(), field.zero()])
+    assert multiplicativity_defect(a, k, f) == first_defect(a, k, f) == (0, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_is_ideal_on_generators_checks_both_sides(field):
+    # in UT(2), span{E11} is a left ideal (E_ab E11 = 0 unless b = 1) but
+    # E11 E12 = E12 leaves it on the right
+    a = upper_triangular(field, 2)
+    assert a.validate(a.generating_basis_indices()).ok and a.verified_generators() is not None
+    left = Subspace.from_vectors(field, 3, [v_basis(field, 3, 0)])
+    assert is_ideal(a, left) is is_ideal_by_rref(a, left) is False
+    assert is_ideal(a, Subspace.from_vectors(field, 3, [v_basis(field, 3, 1)])) is True
+
+
+def test_quotient_by_the_whole_algebra_is_zero():
+    a = group_algebra(3, GF(5)).as_algebra()
+    q, proj = quotient_algebra(a, Subspace.full(GF(5), 3))
+    assert (q.dim, proj.rows, proj.cols) == (0, 0, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_multiplicativity_on_generators_needs_a_verified_target(field):
+    # the identity k[Z_3] -> k[Z_3] with e2 e2 = e1 + e0 in the target: the
+    # target keeps its unit and the products by the generator e1, but it is
+    # not associative, so only the full scan finds the defect at (2, 2)
+    src = group_algebra(3, field).as_algebra()
+    assert src.verified_generators() == [1]
+    tgt = mutated(src, 2, 2, 0, field.one())
+    assert not tgt.validate().ok
+    f = Matrix.identity(field, 3)
+    assert multiplicativity_defect(src, tgt, f) == first_defect(src, tgt, f) == (2, 2)

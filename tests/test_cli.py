@@ -317,3 +317,47 @@ def test_parser_built_once_with_unchanged_usage_errors(tmp_path, capsys):
     assert code == 0 and out.startswith("{")
     code, out, _ = run_cli(["validate", path], capsys)
     assert code == 0 and not out.startswith("{")
+
+
+def test_radical_refuses_a_non_associative_algebra(tmp_path, capsys):
+    # T_3 over F_7 with g.x changed from e4 to 2 e4: validate names the
+    # associativity failure, and radical --candidate must not certify J
+    path = tmp_path / "t3.json"
+    run_cli(["example", "taft", "--n", "3", "--field", "fp:7", "--out", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    for t in doc["mul"]:
+        if t[:3] == [3, 1, 4]:
+            t[3] = "2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    cand = tmp_path / "j.json"
+    cand.write_text(json.dumps({"field": {"kind": "Fp", "p": 7}, "ambient_dim": 9,
+                                "vectors": [["1" if j == i else "0" for j in range(9)] for i in range(9) if i % 3]}))
+    code, out, _ = run_cli(["validate", str(bad)], capsys)
+    assert code == 1
+    assert "algebra:associativity: FAIL (e1*e3)*e1 != e1*(e3*e1)" in out.splitlines()
+    for argv in (["radical", str(bad), "--candidate", str(cand)], ["radical", str(bad)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == ("CertificationFailed: radical certification failed: "
+                       "algebra associativity: (e1*e3)*e1 != e1*(e3*e1)\n")
+
+
+def test_coradical_and_filtration_refuse_a_non_coassociative_coalgebra(tmp_path, capsys):
+    # 1, x, y, z over Q with x primitive, Delta y = 1(x)y + y(x)1 + x(x)x and
+    # Delta z = 1(x)z + z(x)1 + y(x)x: (Delta (x) id) Delta z has x(x)x(x)x
+    # and (id (x) Delta) Delta z does not
+    comul = [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [0, 2, 2, "1"], [2, 0, 2, "1"], [1, 1, 2, "1"],
+             [0, 3, 3, "1"], [3, 0, 3, "1"], [2, 1, 3, "1"]]
+    co = tmp_path / "co.json"
+    co.write_text(json.dumps({"field": {"kind": "Q"}, "dim": 4, "basis": ["1", "x", "y", "z"],
+                              "comul": comul, "counit": ["1", "0", "0", "0"]}))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"field": {"kind": "Q"}, "ambient_dim": 4, "vectors": [["1", "0", "0", "0"]]}))
+    code, out, _ = run_cli(["validate", str(co)], capsys)
+    assert (code, out) == (1, "shape: ok\ncoassociativity: FAIL basis element 3\n")
+    for cmd in ("coradical", "filtration"):
+        for argv in ([cmd, str(co), "--candidate", str(one)], [cmd, str(co)]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err == "CertificationFailed: coalgebra coassociativity: basis element 3\n"

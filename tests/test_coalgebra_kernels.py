@@ -408,16 +408,27 @@ def test_coproduct_kernel_and_defect_match_dict_loops(data):
 def test_wedge_and_filtration_match_dict_loops(data):
     """Equal subspaces, and the same VerificationFailed witness t where a
     mutated Delta makes a wedge or a filtration step fail to be a
-    subcoalgebra."""
+    subcoalgebra.  `coradical_filtration` validates C first, so the
+    filtration kernel `_filtration` is compared with the loop, and the
+    public function either refuses an invalid C or returns the kernel's
+    chain."""
     h, c = draw_coalgebra(data, [name for name in HOPFS if name != "flagship_f7"])
     d = draw_subspace(data, c, h)
     got, want = outcome(wedge, d, c), outcome(wedge_by_dict_loop, d, c)
     assert got == want
-    got, want = outcome(coradical_filtration, c, d), outcome(filtration_by_dict_loop, c, d)
+    got, want = outcome(coal._filtration, c, d), outcome(filtration_by_dict_loop, c, d)
     if got[0] == "ok":
         assert (got[1].steps, got[1].exhausts) == (want[1].steps, want[1].exhausts)
     else:
         assert got == want
+    bad = c.validate().failures()
+    public = outcome(coradical_filtration, c, d)
+    if bad:
+        assert public == ("CertificationFailed", "coalgebra %s: %s" % bad[0])
+    elif got[0] == "ok":
+        assert (public[1].steps, public[1].exhausts) == (got[1].steps, got[1].exhausts)
+    else:
+        assert public == got
 
 
 # (hopf, (k, i, j, delta) added to Delta(e_k) at e_i (x) e_j, D spanned by
@@ -442,8 +453,13 @@ def test_subcoalgebra_failures_name_the_dict_loop_witness(name, change, span, ch
     c = mutated(h, k, i, j, f.from_int(delta))
     d = Subspace.from_vectors(f, n, [v_basis(f, n, s) for s in span])
     fn, ref, args = ((wedge, wedge_by_dict_loop, (d, c)) if check == "wedge_subcoalgebra"
-                     else (coradical_filtration, filtration_by_dict_loop, (c, d)))
+                     else (coal._filtration, filtration_by_dict_loop, (c, d)))
     assert outcome(fn, *args) == outcome(ref, *args) == ("VerificationFailed", check, t)
+    # a step that is not a subcoalgebra needs a non-coassociative Delta,
+    # which the public filtration refuses before building a step
+    (name, wit), = c.validate().failures()
+    assert name == "coassociativity"
+    assert outcome(coradical_filtration, c, d) == ("CertificationFailed", f"coalgebra coassociativity: {wit}")
 
 
 def test_flagship_coradical_filtration_matches_dict_loop():
