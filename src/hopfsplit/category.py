@@ -240,19 +240,14 @@ def unit_object(ctx: CategoryContext, field: ScalarField) -> CatObject:
 # Hom-space machinery
 
 
-def coo_arrays(field: ScalarField, entries: dict):
-    """A {(row, col): value} block as COO arrays (rows, cols, values)."""
-    rc = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    return rc[:, 0], rc[:, 1], np.array(list(entries.values()), dtype=_dtype(field))
-
-
 class MapSolver:
     """Stacked linear constraints on the entries of a matrix F: X -> Y.
 
     vec(F) is row-major: coordinate of F[y, x] is y * dX + x.  The system
-    stays in COO arrays (`SparseRows`); elimination densifies one chunk of
-    rows at a time, over Q modulo primes with an exact certificate
-    (`linalg._rref_modular`).
+    stays in COO arrays (`SparseRows`) until `linalg._rref`'s sparse front
+    end has summed them and dropped zero, duplicate and singleton rows; only
+    the core left is densified, one chunk of rows at a time, over Q modulo
+    primes with an exact certificate (`linalg._rref_modular`).
     """
 
     def __init__(self, field: ScalarField, d_src: int, d_tgt: int):
@@ -262,9 +257,6 @@ class MapSolver:
         self._coo: list[tuple] = []
         self.rhs: list = []
         self.nrows = 0
-
-    def add_rows(self, block_entries: dict, block_rows: int, rhs: list | None = None):
-        self.add_coo(*coo_arrays(self.field, block_entries), block_rows, rhs)
 
     def add_coo(self, r, c, v, block_rows: int, rhs: list | None = None):
         """Add a block given as COO arrays; duplicate entries add up."""
@@ -280,7 +272,7 @@ class MapSolver:
 
     def _rref(self, rhs: bool = False):
         """RREF of the system, of [system | rhs] when rhs is set."""
-        rows = self._rows()  # built apart so the unsorted arrays are freed first
+        rows = self._rows()
         b = np.array(self.rhs, dtype=rows.dtype).reshape(-1, 1) if rhs else None
         red, piv = _rref(rows, self.field, b)
         return Matrix(self.field, *red.shape, red, _raw=True), piv
@@ -301,93 +293,104 @@ class MapSolver:
         return Matrix.from_rows(self.field, [flat[y * dX : (y + 1) * dX] for y in range(self.d_tgt)])
 
 
-def _post_block(p: Matrix, d_src: int) -> tuple[dict, int]:
+def _grid(m: Matrix):
+    """The nonzeros (i, j, value) of m, with i and j as columns, ready to
+    broadcast against a range of a further index."""
+    i, j = m._d.nonzero()
+    return i[:, None], j[:, None], m._d[i, j]
+
+
+def _block(rows, cols, v, nrows: int):
+    """A constraint block as COO arrays (rows, cols, values) and its row
+    count, from the index grids of every (nonzero, further index) pair and
+    the values of the nonzeros."""
+    return rows.ravel(), cols.ravel(), np.repeat(v, rows.shape[1]), nrows
+
+
+def _post_block(p: Matrix, d_src: int):
     """F -> P @ F; rows (z, x)."""
-    entries = {}
-    for z, y, v in p.entries():
-        for x in range(d_src):
-            entries[(z * d_src + x, y * d_src + x)] = v
-    return entries, p.rows * d_src
+    z, y, v = _grid(p)
+    x = np.arange(d_src)
+    return _block(z * d_src + x, y * d_src + x, v, p.rows * d_src)
 
 
-def _pre_block(q: Matrix, d_tgt: int, d_src: int) -> tuple[dict, int]:
+def _pre_block(q: Matrix, d_tgt: int, d_src: int):
     """F -> F @ Q; rows (y, w)."""
-    entries = {}
-    for x, w, v in q.entries():
-        for y in range(d_tgt):
-            entries[(y * q.cols + w, y * d_src + x)] = v
-    return entries, d_tgt * q.cols
+    x, w, v = _grid(q)
+    y = np.arange(d_tgt)
+    return _block(y * q.cols + w, y * d_src + x, v, d_tgt * q.cols)
 
 
-def _right_tensor_block(r: Matrix, d_src: int, d_tgt: int, dh: int) -> tuple[dict, int]:
+def _right_tensor_block(r: Matrix, d_src: int, d_tgt: int, dh: int):
     """F -> (F (x) id_H) @ R with R : X -> X (x) H; rows ((y, h), x)."""
-    entries = {}
-    for rx, x, v in r.entries():
-        xp, hh = rx // dh, rx % dh
-        for y in range(d_tgt):
-            entries[((y * dh + hh) * d_src + x, y * d_src + xp)] = v
-    return entries, d_tgt * dh * d_src
+    rx, x, v = _grid(r)
+    xp, hh = np.divmod(rx, dh)
+    y = np.arange(d_tgt)
+    return _block((y * dh + hh) * d_src + x, y * d_src + xp, v, d_tgt * dh * d_src)
 
 
-def _left_tensor_block(l: Matrix, d_src: int, d_tgt: int, dh: int) -> tuple[dict, int]:
+def _left_tensor_block(l: Matrix, d_src: int, d_tgt: int, dh: int):
     """F -> (id_H (x) F) @ L with L : X -> H (x) X; rows ((h, y), x)."""
-    entries = {}
-    for rx, x, v in l.entries():
-        hh, xp = rx // d_src, rx % d_src
-        for y in range(d_tgt):
-            entries[((hh * d_tgt + y) * d_src + x, y * d_src + xp)] = v
-    return entries, dh * d_tgt * d_src
+    rx, x, v = _grid(l)
+    hh, xp = np.divmod(rx, d_src)
+    y = np.arange(d_tgt)
+    return _block((hh * d_tgt + y) * d_src + x, y * d_src + xp, v, dh * d_tgt * d_src)
 
 
-def _neg(field, entries: dict) -> dict:
-    return {k: field.neg(v) for k, v in entries.items()}
+def _difference(field: ScalarField, a, b):
+    """The block a - b: both blocks' entries, b's negated.  Entries at one
+    position add up in the solver, so none is merged here."""
+    return (np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1])),
+            np.concatenate((a[2], field.reduce(-b[2]))), a[3])
 
 
-def _merge(field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = v if cur is None else field.add(cur, v)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+def _action_block(field: ScalarField, x_act: Matrix, y_act: Matrix, d_src: int, d_tgt: int, d: int, side: str):
+    """F x_act = y_act (F (x) id_A) for right actions of an algebra A of
+    dim d (side "r", rows (y_out, (x, a))), F x_act = y_act (id_A (x) F)
+    for left ones (side "l", rows (y_out, (a, x)))."""
+    yo, z, v = _grid(y_act)
+    x = np.arange(d_src)
+    if side == "r":
+        yp, av = np.divmod(z, d)
+        rows = yo * (d_src * d) + x * d + av
+    else:
+        av, yp = np.divmod(z, d_tgt)
+        rows = yo * (d * d_src) + av * d_src + x
+    nrows = y_act.rows * d_src * d
+    return _difference(field, _pre_block(x_act, d_tgt, d_src), _block(rows, yp * d_src + x, v, nrows))
 
 
-def colinearity_blocks(ctx: CategoryContext, x: CatObject, y: CatObject) -> list[tuple[dict, int]]:
-    """Constraint blocks expressing that F : X -> Y is a ctx-morphism."""
+def colinearity_blocks(ctx: CategoryContext, x: CatObject, y: CatObject) -> list[tuple]:
+    """Constraint blocks expressing that F : X -> Y is a ctx-morphism, each
+    as COO arrays (rows, cols, values) and its row count; entries may
+    repeat a position and add up."""
     f = x.field
     blocks = []
     if ctx.kind == "vect":
         return blocks
     dh = ctx.hopf.dim
     if ctx.wants_right_coaction:
-        b1, n1 = _post_block(y.coact_r, x.dim)
-        b2, _ = _right_tensor_block(x.coact_r, x.dim, y.dim, dh)
-        blocks.append((_merge(f, b1, _neg(f, b2)), n1))
+        blocks.append(_difference(f, _post_block(y.coact_r, x.dim),
+                                  _right_tensor_block(x.coact_r, x.dim, y.dim, dh)))
     if ctx.wants_left_coaction:
-        b1, n1 = _post_block(y.coact_l, x.dim)
-        b2, _ = _left_tensor_block(x.coact_l, x.dim, y.dim, dh)
-        blocks.append((_merge(f, b1, _neg(f, b2)), n1))
+        blocks.append(_difference(f, _post_block(y.coact_l, x.dim),
+                                  _left_tensor_block(x.coact_l, x.dim, y.dim, dh)))
     if ctx.wants_right_action:
-        # F mu_X = mu_Y (F (x) id): rows (y_out, (x, h))
-        b1, n1 = _pre_block(x.act_r, y.dim, x.dim)
-        entries = {}
-        for yo, yh, v in y.act_r.entries():
-            yp, hh = yh // dh, yh % dh
-            for xv in range(x.dim):
-                entries[(yo * (x.dim * dh) + xv * dh + hh, yp * x.dim + xv)] = v
-        blocks.append((_merge(f, b1, _neg(f, entries)), n1))
+        blocks.append(_action_block(f, x.act_r, y.act_r, x.dim, y.dim, dh, "r"))
     if ctx.wants_left_action:
-        b1, n1 = _pre_block(x.act_l, y.dim, x.dim)
-        entries = {}
-        for yo, hy, v in y.act_l.entries():
-            hh, yp = hy // y.dim, hy % y.dim
-            for xv in range(x.dim):
-                entries[(yo * (dh * x.dim) + hh * x.dim + xv, yp * x.dim + xv)] = v
-        blocks.append((_merge(f, b1, _neg(f, entries)), n1))
+        blocks.append(_action_block(f, x.act_l, y.act_l, x.dim, y.dim, dh, "l"))
     return blocks
+
+
+def bimodule_blocks(x: CatObject, y: CatObject, extra_bimodule) -> list[tuple]:
+    """Constraint blocks expressing that F : X -> Y is a bimodule map for
+    extra_bimodule = (x_act_l, x_act_r, y_act_l, y_act_r, d_alg), as in
+    `colinearity_blocks`: F xal = yal (id_A (x) F), then F xar = yar (F (x)
+    id_A)."""
+    xal, xar, yal, yar, d_alg = extra_bimodule
+    f = x.field
+    return [_action_block(f, xal, yal, x.dim, y.dim, d_alg, "l"),
+            _action_block(f, xar, yar, x.dim, y.dim, d_alg, "r")]
 
 
 class HomSpace:
@@ -411,27 +414,12 @@ def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
     extra_bimodule = (x_act_l, x_act_r, y_act_l, y_act_r, d_alg): the four
     action matrices of a declared algebra A acting on X and Y.
     """
-    f = x.field
-    solver = MapSolver(f, x.dim, y.dim)
-    for entries, n in colinearity_blocks(ctx, x, y):
-        solver.add_rows(entries, n)
+    solver = MapSolver(x.field, x.dim, y.dim)
+    blocks = colinearity_blocks(ctx, x, y)
     if extra_bimodule is not None:
-        xal, xar, yal, yar, d_alg = extra_bimodule
-        # F xal = yal (id_A (x) F)
-        b1, n1 = _pre_block(xal, y.dim, x.dim)
-        entries = {}
-        for yo, ay, v in yal.entries():
-            av, yp = ay // y.dim, ay % y.dim
-            for xv in range(x.dim):
-                entries[(yo * (d_alg * x.dim) + av * x.dim + xv, yp * x.dim + xv)] = v
-        solver.add_rows(_merge(f, b1, _neg(f, entries)), n1)
-        b1, n1 = _pre_block(xar, y.dim, x.dim)
-        entries = {}
-        for yo, ya, v in yar.entries():
-            yp, av = ya // d_alg, ya % d_alg
-            for xv in range(x.dim):
-                entries[(yo * (x.dim * d_alg) + xv * d_alg + av, yp * x.dim + xv)] = v
-        solver.add_rows(_merge(f, b1, _neg(f, entries)), n1)
+        blocks += bimodule_blocks(x, y, extra_bimodule)
+    for block in blocks:
+        solver.add_coo(*block)
     maps = solver.kernel_maps()
     for m in maps:
         _verify_ctx_morphism(ctx, x, y, m)

@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .coalgebra import CertificationFailed as CoradCertificationFailed
 from .coalgebra import coradical, coradical_filtration
-from .fields import GF, QQ, ScalarField
+from .fields import GF, QQ, ScalarField, is_prime
 from .hochschild import AlgebraInContext, BimoduleInContext, Obstructed, cohomology
 from .hopf import (
     BialgebraObject,
@@ -42,6 +42,7 @@ from .pipeline import (
     split_radical,
 )
 from .serialize import (
+    MAX_DIM,
     FileFormatError,
     dumps,
     object_from_json,
@@ -71,11 +72,15 @@ def _parse_field(s: str) -> ScalarField:
     s = s.lower()
     if s in ("q", "qq", "rationals"):
         return QQ
-    if s.startswith("fp:"):
-        return GF(int(s[3:]))
-    if s.startswith("f") and s[1:].isdigit():
-        return GF(int(s[1:]))
-    raise FileFormatError(f"cannot parse field {s!r} (use 'q' or 'fp:P')")
+    digits = s[3:] if s.startswith("fp:") else s[1:] if s.startswith("f") and s[1:].isdigit() else ""
+    try:
+        p = int(digits)
+    except ValueError:
+        raise FileFormatError(f"cannot parse field {s!r} (use 'q' or 'fp:P')") from None
+    try:
+        return GF(p)
+    except ValueError as e:  # not a prime below 2**63
+        raise FileFormatError(str(e)) from None
 
 
 def _emit(args, text_lines, json_doc):
@@ -308,29 +313,61 @@ def cmd_bosonize(args):
     return 0
 
 
+def _example_scalar(field: ScalarField, text: str, option: str):
+    """A scalar parameter of `example`; one that does not parse is an input
+    error."""
+    try:
+        return field.parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise FileFormatError(f"{option}: {e}") from None
+
+
+def _example_root(field: ScalarField, text: str | None, order: int):
+    """lam for `taft` and `ha`: --lam when given, else the field's smallest
+    primitive root; either must be a primitive order-th root of unity."""
+    if not text:
+        lam = field.primitive_root_of_unity(order)
+        if lam is None:
+            raise FileFormatError(f"field has no primitive {order}-th root of unity")
+        return lam
+    lam = _example_scalar(field, text, "--lam")
+    one = field.one()
+    if field.pow(lam, order) != one or any(field.pow(lam, d) == one for d in range(1, order)):
+        raise FileFormatError(f"--lam {text} is not a primitive {order}-th root of unity")
+    return lam
+
+
 def cmd_example(args):
+    """Every parameter is checked before anything is built, so a malformed
+    one exits 2: the field, --n >= 1, --p an odd prime, the dimension
+    against MAX_DIM (no command reads a larger file), --lam and --a."""
     from . import builtin
 
     field = _parse_field(args.field)
     name = args.name
+    if name in ("group_algebra", "dual_group_algebra", "taft") and args.n < 1:
+        raise FileFormatError(f"--n must be a positive integer, not {args.n}")
+    if name == "ha" and (args.p < 3 or not is_prime(args.p)):
+        raise FileFormatError(f"--p must be an odd prime, not {args.p}")
+    dim = {"group_algebra": args.n, "dual_group_algebra": args.n, "sweedler_h4": 4,
+           "taft": args.n**2, "ha": args.p**4}[name]
+    if dim > MAX_DIM:
+        raise FileFormatError(f"{name} of dimension {dim} exceeds the largest supported dimension {MAX_DIM}")
     if name == "group_algebra":
         obj = builtin.group_algebra(args.n, field)
     elif name == "dual_group_algebra":
         obj = builtin.dual_group_algebra(args.n, field)
     elif name == "sweedler_h4":
+        _example_root(field, None, 2)  # H4 needs -1 != 1
         obj = builtin.sweedler_h4(field)
     elif name == "taft":
-        lam = field.parse(args.lam) if args.lam else field.primitive_root_of_unity(args.n)
-        if lam is None:
-            raise NotSeparable("field has no primitive root of unity of the required order")
-        obj = builtin.taft(args.n, lam, field)
-    elif name == "ha":
-        lam = field.parse(args.lam) if args.lam else field.primitive_root_of_unity(args.p)
-        if lam is None:
-            raise FileFormatError(f"field has no primitive {args.p}-th root of unity")
-        obj = builtin.build_ha(args.p, field, lam, field.parse(args.a))
+        obj = builtin.taft(args.n, _example_root(field, args.lam, args.n), field)
     else:
-        raise FileFormatError(f"unknown example {name!r}")
+        lam = _example_root(field, args.lam, args.p)
+        a = _example_scalar(field, args.a, "--a")
+        if field.is_zero(a):
+            raise FileFormatError("--a must be nonzero")
+        obj = builtin.build_ha(args.p, field, lam, a)
     doc = object_to_json(obj)
     if args.out:
         write_file(args.out, doc)

@@ -49,8 +49,9 @@ from .category import (
     CategoryContext,
     HomSpace,
     MapSolver,
+    _post_block,
+    _pre_block,
     colinearity_blocks,
-    coo_arrays,
     hom_space,
     tensor_catobject,
     unit_object,
@@ -544,13 +545,9 @@ def find_ctx_section(ext: ExtensionData) -> Matrix:
     fld = actx.field
     da, de = actx.dim, ext.eactx.dim
     solver = MapSolver(fld, da, de)
-    for entries, nrows in colinearity_blocks(actx.ctx, actx.obj, ext.eactx.obj):
-        solver.add_rows(entries, nrows)
-    from .category import _post_block
-
-    entries, nrows = _post_block(ext.pi, da)
-    rhs = _vec(Matrix.identity(fld, da))
-    solver.add_rows(entries, nrows, rhs)
+    for block in colinearity_blocks(actx.ctx, actx.obj, ext.eactx.obj):
+        solver.add_coo(*block)
+    solver.add_coo(*_post_block(ext.pi, da), _vec(Matrix.identity(fld, da)))
     return solver.solve_map()
 
 
@@ -621,8 +618,8 @@ def correct_section(ext: ExtensionData, sigma_unital: Matrix) -> Matrix:
     omega = _curvature_cocycle(ext, sigma_unital)
     da, dm = actx.dim, mctx.dim
     solver = MapSolver(fld, da, dm)
-    for entries, nrows in colinearity_blocks(actx.ctx, actx.obj, mctx.obj):
-        solver.add_rows(entries, nrows)
+    for block in colinearity_blocks(actx.ctx, actx.obj, mctx.obj):
+        solver.add_coo(*block)
     _add_b1_rows(solver, mctx, omega)
     try:
         tau = solver.solve_map()
@@ -678,21 +675,13 @@ def equivalent_extensions(e1: ExtensionData, e2: ExtensionData, bound: int = 409
     fld = e1.actx.field
     de1, de2 = e1.eactx.dim, e2.eactx.dim
     solver = MapSolver(fld, de1, de2)
-    from .category import _post_block, _pre_block
-
-    entries, nrows = _post_block(e2.pi, de1)
-    solver.add_rows(entries, nrows, _vec(e1.pi))
-    entries, nrows = _pre_block(e1.incl, de2, de1)
-    solver.add_rows(entries, nrows, _vec(e2.incl))
-    for entries, nrows in colinearity_blocks(e1.actx.ctx, e1.eactx.obj, e2.eactx.obj):
-        solver.add_rows(entries, nrows)
-    # unit condition f(1) = 1
-    u_entries = {}
-    for x, u in enumerate(e1.eactx.algebra.unit):
-        if not fld.is_zero(u):
-            for y in range(de2):
-                u_entries[(y, y * de1 + x)] = u
-    solver.add_rows(u_entries, de2, list(e2.eactx.algebra.unit))
+    solver.add_coo(*_post_block(e2.pi, de1), _vec(e1.pi))
+    solver.add_coo(*_pre_block(e1.incl, de2, de1), _vec(e2.incl))
+    for block in colinearity_blocks(e1.actx.ctx, e1.eactx.obj, e2.eactx.obj):
+        solver.add_coo(*block)
+    # unit condition f(1) = 1: F u = u' with u the unit as a column
+    solver.add_coo(*_pre_block(Matrix.column(fld, e1.eactx.algebra.unit), de2, de1),
+                   list(e2.eactx.algebra.unit))
     try:
         f0 = solver.solve_map()
     except InconsistentSystem:
@@ -815,11 +804,10 @@ def _solve_ctx_lift(ctx, b_actx, q_actx, cur: QuotientStep, nxt: QuotientStep,
     by_y = np.searchsorted(iy, np.arange(incl.rows + 1))
     s0_flat = s0._d.ravel()
     solver = MapSolver(fld, db, dm)
-    for entries, nrows in colinearity_blocks(ctx, b_actx.obj, q_actx.obj):
+    for r, c, v, nrows in colinearity_blocks(ctx, b_actx.obj, q_actx.obj):
         # restrict columns along sigma0 = s0 + incl X: the entry v at column
         # (y, x) joins every incl[y, t] = w into v w at column (t, x) of X,
         # and its s0 term v s0[y, x] moves to the right-hand side
-        r, c, v = coo_arrays(fld, entries)
         y, x = c // db, c % db
         src, dst = _join(np.arange(len(v)), by_y[y], by_y[y + 1])
         rhs = np.full(nrows, fld.zero(), dtype=s0_flat.dtype)
@@ -949,8 +937,8 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
                          coact_r=restrict(q_actx.obj.coact_r, "r"))
     mctx = BimoduleInContext(b_actx, kobj, act_l, act_r)
     solver = MapSolver(fld, db, dm)
-    for entries, nrows in colinearity_blocks(ctx, b_actx.obj, kobj):
-        solver.add_rows(entries, nrows)
+    for block in colinearity_blocks(ctx, b_actx.obj, kobj):
+        solver.add_coo(*block)
     _add_b1_rows(solver, mctx, omega)
     try:
         tau = solver.solve_map()

@@ -12,19 +12,34 @@ operands through float64 BLAS only while k (p - 1)^2 < 2^53 for inner
 dimension k, so every partial sum is an integer float64 holds exactly;
 object products multiply only nonzero pairs.
 
-Elimination is one kernel for every dtype, ``_rref``: rows are streamed
-in chunks, each chunk is stacked under the RREF found so far, and column
-Gauss-Jordan updates only the block (rows nonzero in the pivot column) x
-(columns nonzero in the pivot row).  Sparse matrices, the common case,
-cost little more than their nonzeros, and over Q no zero Fraction is
-ever multiplied.  A tall sparse system can stay COO arrays
-(`SparseRows`), from which `_rref` densifies one chunk of rows at a time;
-`kernel_from_rref` and `particular_from_rref` read its results.
+Elimination is one kernel for every dtype, ``_rref_chunked``: rows are
+streamed in chunks, each chunk is stacked under the RREF found so far, and
+column Gauss-Jordan updates only the block (rows nonzero in the pivot
+column) x (columns nonzero in the pivot row).  Sparse matrices, the
+common case, cost little more than their nonzeros, and over Q no zero
+Fraction is ever multiplied.
+
+A tall sparse system can stay COO arrays (`SparseRows`); `_rref` then
+runs a sparse front end before anything is dense (`_rref_sparse`,
+structured Gaussian elimination after LaMacchia and Odlyzko, CRYPTO '90).
+Duplicate entries are summed and zero rows dropped, each row is scaled to
+a leading 1, and duplicate rows are dropped (a lexsort of the rows padded
+as (col, value) keys, then an exact comparison of neighbours).  Singleton
+rows are then pivoted until none is left: a row with one nonzero at
+column j puts e_j in the row space, so e_j is a row of the canonical RREF,
+and column j is deleted from the other rows, which can make new
+singletons.  The chunked Gauss-Jordan runs only on the core left, on its
+nonzero columns, and the e_j rows are merged back in by pivot.  The row
+space never changes, so the output is the canonical RREF the streamed
+kernel gives on the whole system.  `kernel_from_rref` and
+`particular_from_rref` read the results.  Dense input (`Matrix.rref`,
+hence `Matrix.kernel` and `Subspace.from_matrix_rows`) is streamed
+directly.
 
 Over Q a `SparseRows` source is eliminated modulo primes below 2^31
-(`_rref_modular`): the int64 kernel runs on the image n d^-1 mod p of its
-nonzeros, the result is lifted by CRT and Wang's rational reconstruction
-and returned only after an exact certificate over Q (full column rank
+(`_rref_modular`): the front end and the int64 kernel run on the image
+n d^-1 mod p of its nonzeros, the result is lifted by CRT and Wang's
+rational reconstruction and returned only after an exact certificate over Q (full column rank
 mod p, or A = A[:, pivots] R checked as a COO join of nonzeros).  The
 output is the same canonical RREF the Fraction kernel gives, which still
 answers dense Q input and any system no prime certifies.  (Sorting and
@@ -139,25 +154,28 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 class SparseRows:
-    """A tall matrix held as COO arrays (row, col, value), a row source for
-    `_rref` in place of an ndarray: slicing a range of rows returns only
-    those rows, dense, so no more than one chunk is ever dense.  Duplicate
-    entries add up."""
+    """A tall matrix held as COO arrays (row, col, value) of reduced values,
+    a row source for `_rref` in place of an ndarray.  Duplicate entries add
+    up in `_rref`, which eliminates the summed, deduplicated core through
+    slicing: a range of rows comes back dense, so no more than one chunk is
+    ever dense.  Slicing reads entries sorted by row with no duplicates, as
+    the core's are."""
 
     def __init__(self, field: ScalarField, shape: tuple[int, int], r, c, v):
-        order = np.argsort(r, kind="stable")
         self.field = field
         self.shape = shape
         self.dtype = _dtype(field)
-        self._r, self._c = r[order], c[order]
-        self._v = np.asarray(v, dtype=self.dtype)[order]
-        self._starts = np.searchsorted(self._r, np.arange(shape[0] + 1))
+        self._r, self._c = r, c
+        self._v = np.asarray(v, dtype=self.dtype)
+        self._starts = None
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if self._starts is None:
+            self._starts = np.searchsorted(self._r, np.arange(self.shape[0] + 1))
         s, e = rows.start, min(rows.stop, self.shape[0])
         lo, hi = self._starts[s], self._starts[e]
         out = np.full((e - s, self.shape[1]), self.field.zero(), dtype=self.dtype)
-        np.add.at(out, (self._r[lo:hi] - s, self._c[lo:hi]), self._v[lo:hi])
+        out[self._r[lo:hi] - s, self._c[lo:hi]] = self._v[lo:hi]
         return out
 
 
@@ -329,19 +347,28 @@ def _rref(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | No
     """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given);
     returns (rref_rows, pivot_cols).
 
-    A `SparseRows` source over Q is eliminated modulo primes and certified
-    exactly (`_rref_modular`); dense input over Q, and a modular attempt no
-    prime certifies, take the Fraction path below.
+    A `SparseRows` source goes through the sparse front end
+    (`_rref_sparse`), over Q modulo primes with an exact certificate
+    (`_rref_modular`); a modular attempt no prime certifies takes the front
+    end over Fractions.  Dense input is streamed by `_rref_chunked`.
+    """
+    if isinstance(a, SparseRows):
+        if field.kind == "Q":
+            out = _rref_modular(a, rhs)
+            if out is not None:
+                return out
+        return _rref_sparse(a, field, rhs)
+    return _rref_chunked(a, field, rhs)
+
+
+def _rref_chunked(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | None = None):
+    """Canonical RREF by streamed Gauss-Jordan.
 
     Rows are streamed in chunks of ``_CHUNK``: a chunk is reduced, its zero
     rows dropped, and Gauss-Jordan runs on it stacked under the RREF found
     so far.  Memory stays bounded by (rank + chunk) x columns, and the
     result is the canonical RREF of the input, independent of chunking.
     """
-    if field.kind == "Q" and isinstance(a, SparseRows):
-        out = _rref_modular(a, rhs)
-        if out is not None:
-            return out
     m = a.shape[0]
     n = a.shape[1] + (0 if rhs is None else rhs.shape[1])
     r = np.zeros((0, n), dtype=a.dtype)
@@ -353,6 +380,93 @@ def _rref(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | No
         if c.shape[0]:
             r, pivs = _gauss_jordan(np.vstack([r, c]) if pivs else c, field)
     return r, pivs
+
+
+def _ranks(x: np.ndarray):
+    """The distinct values of x in sorted order, and the index of each entry
+    of x among them."""
+    order = np.argsort(x)
+    s = x[order]
+    new = np.concatenate(([True], s[1:] != s[:-1]))
+    rank = np.empty(x.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return s[new], rank
+
+
+def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = None):
+    """Canonical RREF of a `SparseRows` source (of ``[a | rhs]``) through a
+    structured front end (LaMacchia-Odlyzko) before any dense step:
+
+    - the rhs is folded into the COO arrays, duplicate entries are summed
+      and zero rows dropped (`_summed`);
+    - each row is scaled to a leading 1;
+    - duplicate rows are dropped: the rows, padded to the longest as int64
+      (col, value) keys, are lexsorted and neighbours compared exactly;
+    - singleton rows are pivoted until none is left: a row with one
+      nonzero at column j puts e_j in the row space, so e_j is a row of the
+      canonical RREF and column j is deleted from every other row;
+    - `_rref_chunked` eliminates the core left, on its nonzero columns
+      only, and the e_j rows are merged in by pivot.
+
+    The row space is unchanged at every step, and it has one canonical
+    RREF, so the result is the one `_rref_chunked` gives on the whole input.
+    """
+    cols = a.shape[1]
+    r, c, v = a._r, a._c, a._v
+    if rhs is not None:
+        br, bc = rhs.nonzero()
+        r, c, v = np.concatenate((r, br)), np.concatenate((c, bc + cols)), np.concatenate((v, rhs[br, bc]))
+        cols += rhs.shape[1]
+    r, c, v = _summed(field, r, c, v, cols)
+    if not v.size:
+        return np.zeros((0, cols), dtype=a.dtype), []
+    start = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+    count = np.diff(np.append(start, v.size))
+    rid = np.repeat(np.arange(start.size), count)
+    lead = v[start]
+    if (lead != 1).any():  # one inversion per distinct leading value
+        distinct, rank = _ranks(lead)
+        inv = np.array([field.inv(u) for u in distinct.tolist()], dtype=v.dtype)
+        v = field.reduce(v * inv[rank][rid])
+    # (col, value) as one int64, c p + v, or by the value's rank when the
+    # values are python objects
+    if v.dtype == object:
+        distinct, rank = _ranks(v)
+        key = c * distinct.size + rank
+    else:
+        key = c * field.p + v
+    pad = np.full((start.size, int(count.max())), -1, dtype=np.int64)
+    pad[rid, np.arange(v.size) - start[rid]] = key
+    order = np.lexsort(pad.T[::-1])
+    dup = np.zeros(start.size, dtype=bool)
+    dup[order[1:]] = (pad[order[1:]] == pad[order[:-1]]).all(axis=1)
+    keep = ~dup[rid]
+    r, c, v = rid[keep], c[keep], v[keep]
+    unit = np.zeros(cols, dtype=bool)
+    while True:
+        single = (np.bincount(r, minlength=start.size) == 1)[r]
+        if not single.any():
+            break
+        unit[c[single]] = True
+        keep = ~unit[c]
+        r, c, v = r[keep], c[keep], v[keep]
+    upiv = np.flatnonzero(unit)
+    used = np.zeros(cols, dtype=bool)
+    used[c] = True
+    ccols = np.flatnonzero(used)
+    red, cpiv = np.zeros((0, ccols.size), dtype=a.dtype), []
+    if v.size:
+        rows = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
+        core = SparseRows(field, (int(rows[-1]) + 1, ccols.size), rows, (np.cumsum(used) - 1)[c], v)
+        red, cpiv = _rref_chunked(core, field)
+    piv = np.concatenate((upiv, ccols[cpiv]))
+    order = np.argsort(piv)
+    slot = np.empty(piv.size, dtype=np.int64)
+    slot[order] = np.arange(piv.size)
+    out = np.full((piv.size, cols), field.zero(), dtype=a.dtype)
+    out[slot[: upiv.size], upiv] = field.one()
+    out[slot[upiv.size :, None], ccols] = red
+    return out, piv[order].tolist()
 
 
 class Matrix:

@@ -727,8 +727,10 @@ def test_separability_system_matches_dict_loop(field):
     for a, ctx in cases:
         solver = _separability_system(a, ctx)
         coo = solver._rows()
-        # duplicate entries add up; _rref reduces each chunk mod p
-        got = _nonzero_rows(field.reduce(coo[0 : coo.shape[0]]).tolist(), solver.rhs)
+        # duplicate entries add up, as in _rref
+        dense = np.full(coo.shape, field.zero(), dtype=coo.dtype)
+        np.add.at(dense, (coo._r, coo._c), coo._v)
+        got = _nonzero_rows(field.reduce(dense).tolist(), solver.rhs)
         want = _nonzero_rows(*separability_system_by_dict_loop(a, ctx))
         assert got == want
 

@@ -4,20 +4,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from hopfsplit.builtin import group_algebra, sweedler_h4
+from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.category import (
+    CTX_KINDS,
     CatObject,
     CategoryContext,
     YDObject,
+    bimodule_blocks,
     braiding,
+    colinearity_blocks,
     coinvariants,
     hom_space,
     hopf_bimodule_from_yd,
     integral_retraction,
     phi_iso,
+    tensor_catobject,
     yd_from_hopf_bimodule,
 )
-from hopfsplit.fields import QQ
+from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import find_integral
 from hopfsplit.linalg import Matrix
 from hopfsplit.smash import coactions_from_pi, actions_from_sigma
@@ -295,3 +299,107 @@ def test_hom_map_colinearity_failures_are_typed():
     assert (exc.value.check, exc.value.witness) == ("hom_map_left_colinear", 1)
     _verify_ctx_morphism(bicomod, obj, obj, Matrix.identity(QQ, 3))
     assert hom_space(bicomod, obj, obj).dim == 3
+
+
+# -- constraint blocks as COO arrays -----------------------------------------
+# The dict builders the COO blocks replaced, kept as the reference: one
+# {(row, col): value} dict per block, built entry by entry, the two sides of
+# each equation merged with zero sums dropped.
+
+
+def _post_block_by_dict(p, d_src):
+    return {(z * d_src + x, y * d_src + x): v for z, y, v in p.entries() for x in range(d_src)}, p.rows * d_src
+
+
+def _pre_block_by_dict(q, d_tgt, d_src):
+    return {(y * q.cols + w, y * d_src + x): v for x, w, v in q.entries() for y in range(d_tgt)}, d_tgt * q.cols
+
+
+def _right_tensor_block_by_dict(r, d_src, d_tgt, dh):
+    return {((y * dh + rx % dh) * d_src + x, y * d_src + rx // dh): v
+            for rx, x, v in r.entries() for y in range(d_tgt)}
+
+
+def _left_tensor_block_by_dict(l, d_src, d_tgt, dh):
+    return {((rx // d_src * d_tgt + y) * d_src + x, y * d_src + rx % d_src): v
+            for rx, x, v in l.entries() for y in range(d_tgt)}
+
+
+def _merge_by_dict(f, a, b):
+    """a - b with zero sums dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = f.sub(out.get(k, f.zero()), v)
+        if f.is_zero(out[k]):
+            del out[k]
+    return out
+
+
+def _action_block_by_dict(f, x_act, y_act, dx, dy, d, side):
+    b1, n1 = _pre_block_by_dict(x_act, dy, dx)
+    entries = {}
+    for yo, z, v in y_act.entries():
+        for xv in range(dx):
+            if side == "r":
+                yp, av = divmod(z, d)
+                entries[(yo * (dx * d) + xv * d + av, yp * dx + xv)] = v
+            else:
+                av, yp = divmod(z, dy)
+                entries[(yo * (d * dx) + av * dx + xv, yp * dx + xv)] = v
+    return _merge_by_dict(f, b1, entries), n1
+
+
+def _colinearity_blocks_by_dict(ctx, x, y):
+    f = x.field
+    blocks = []
+    if ctx.kind == "vect":
+        return blocks
+    dh = ctx.hopf.dim
+    if ctx.wants_right_coaction:
+        b1, n1 = _post_block_by_dict(y.coact_r, x.dim)
+        blocks.append((_merge_by_dict(f, b1, _right_tensor_block_by_dict(x.coact_r, x.dim, y.dim, dh)), n1))
+    if ctx.wants_left_coaction:
+        b1, n1 = _post_block_by_dict(y.coact_l, x.dim)
+        blocks.append((_merge_by_dict(f, b1, _left_tensor_block_by_dict(x.coact_l, x.dim, y.dim, dh)), n1))
+    if ctx.wants_right_action:
+        blocks.append(_action_block_by_dict(f, x.act_r, y.act_r, x.dim, y.dim, dh, "r"))
+    if ctx.wants_left_action:
+        blocks.append(_action_block_by_dict(f, x.act_l, y.act_l, x.dim, y.dim, dh, "l"))
+    return blocks
+
+
+def _summed_block(f, block):
+    """A COO block as a dict with equal positions added up and zero sums
+    dropped, its row count, and the number of positions that cancelled."""
+    r, c, v, nrows = block
+    assert len(r) == len(c) == len(v)
+    out = {}
+    for key, x in zip(zip(r.tolist(), c.tolist()), v.tolist()):
+        assert 0 <= key[0] < nrows
+        out[key] = f.add(out.get(key, f.zero()), x)
+    nonzero = {k: x for k, x in out.items() if not f.is_zero(x)}
+    return nonzero, nrows, len(out) - len(nonzero)
+
+
+def test_coo_constraint_blocks_match_dict_builders():
+    cancelled = 0
+    for h in (taft(3, 2, GF(7)), sweedler_h4(QQ)):
+        f = h.field
+        reg, triv = CatObject.regular(h), CatObject.trivial(f, h, 2)
+        objects = [reg, triv, tensor_catobject(reg, triv)]
+        for kind in CTX_KINDS:
+            ctx = CategoryContext(kind, h)
+            for x in objects:
+                for y in objects:
+                    got = [_summed_block(f, b) for b in colinearity_blocks(ctx, x, y)]
+                    assert [g[:2] for g in got] == _colinearity_blocks_by_dict(ctx, x, y)
+                    cancelled += sum(g[2] for g in got)
+        for x in objects:
+            for y in objects:
+                got = [_summed_block(f, b) for b in
+                       bimodule_blocks(x, y, (x.act_l, x.act_r, y.act_l, y.act_r, h.dim))]
+                assert [g[:2] for g in got] == [
+                    _action_block_by_dict(f, x.act_l, y.act_l, x.dim, y.dim, h.dim, "l"),
+                    _action_block_by_dict(f, x.act_r, y.act_r, x.dim, y.dim, h.dim, "r")]
+                cancelled += sum(g[2] for g in got)
+    assert cancelled  # some entries of the two sides cancel to zero

@@ -281,6 +281,56 @@ def test_malformed_probe_exits_2_with_one_line(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["group_algebra", "--field", "fp:abc"], "cannot parse field 'fp:abc'"),
+    (["group_algebra", "--field", "fp:"], "cannot parse field 'fp:'"),
+    (["group_algebra", "--field", "fp:4"], "modulus 4 is not a prime"),
+    (["group_algebra", "--field", "fp:1"], "modulus 1 is not a prime"),
+    (["group_algebra", "--field", "f4"], "modulus 4 is not a prime"),
+    (["taft", "--n", "0", "--field", "fp:7"], "--n must be a positive integer, not 0"),
+    (["taft", "--n", "5", "--field", "fp:7"], "field has no primitive 5-th root of unity"),
+    (["ha", "--p", "3", "--field", "fp:5"], "field has no primitive 3-th root of unity"),
+    (["group_algebra", "--n", "-2"], "--n must be a positive integer, not -2"),
+    (["group_algebra", "--n", "0"], "--n must be a positive integer, not 0"),
+    (["dual_group_algebra", "--n", "0"], "--n must be a positive integer, not 0"),
+    (["ha", "--p", "1", "--field", "fp:7"], "--p must be an odd prime, not 1"),
+    (["ha", "--p", "9", "--field", "fp:19"], "--p must be an odd prime, not 9"),
+    (["ha", "--p", "5", "--field", "fp:11"], "ha of dimension 625 exceeds the largest supported dimension 256"),
+    (["group_algebra", "--n", "100000"], "group_algebra of dimension 100000 exceeds"),
+    (["taft", "--n", "3", "--field", "fp:7", "--lam", "abc"], "--lam: 'abc' is not an integer"),
+    (["taft", "--n", "3", "--field", "fp:7", "--lam", "1/7"], "--lam: inverse of zero"),
+    (["taft", "--n", "3", "--field", "fp:7", "--lam", "1"], "--lam 1 is not a primitive 3-th root of unity"),
+    (["ha", "--p", "3", "--field", "fp:7", "--a", "0"], "--a must be nonzero"),
+    (["ha", "--p", "3", "--field", "fp:7", "--a", "x"], "--a: 'x' is not an integer"),
+    (["sweedler_h4", "--field", "fp:2"], "field has no primitive 2-th root of unity"),
+], ids=["fp_abc", "fp_empty", "fp_4", "fp_1", "f4", "taft_n0", "taft_no_root", "ha_no_root",
+        "group_n_negative", "group_n0", "dual_group_n0", "ha_p1", "ha_p9", "ha_above_max_dim",
+        "group_above_max_dim", "lam_abc", "lam_div_by_p", "lam_not_primitive", "a_zero", "a_x",
+        "h4_char_2"])
+def test_malformed_example_parameters_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(["example", *argv, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["group_algebra", "--n", "1", "--field", "q"],
+    ["group_algebra", "--n", "1", "--field", "fp:7"],
+    ["group_algebra", "--n", "1", "--field", "f7"],
+    ["group_algebra", "--n", "1", "--field", "FP:7"],
+    ["group_algebra", "--n", "256", "--field", "fp:2"],
+    ["taft", "--n", "3", "--field", "fp:7", "--lam", "2"],
+    ["ha", "--p", "3", "--field", "fp:7", "--lam", "4", "--a", "-1"],
+])
+def test_example_parameters_at_their_bounds_still_build(tmp_path, capsys, argv):
+    code, out, err = run_cli(["example", *argv, "--out", str(tmp_path / "x.json")], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_dim_bound_checked_before_anything_is_built():
     # every value here is cheap to parse even without the bound: an explicit
     # basis keeps a huge dim from materializing labels, so a missing bound

@@ -494,3 +494,133 @@ def test_modular_rref_lifts_large_entries_by_crt(monkeypatch):
     red, piv = _rref(_sparse_rows(rows, 3, random.Random(4)), QQ, np.array([[big], [Fraction(1)], [2 * big + 1]], dtype=object))
     assert (red.tolist(), piv) == _reference_rref(QQ, [r + [b] for r, b in zip(rows, [big, Fraction(1), 2 * big + 1])])
     assert len(seen) >= 3 and QQ not in seen
+
+
+# -- the sparse front end of _rref ------------------------------------------
+
+
+def _chunked_reference(field, a, rhs):
+    """Reference: `_rref` on a SparseRows source before its sparse front
+    end.  Chunks of rows are densified with duplicate entries added up,
+    reduced, stripped of zero rows and eliminated stacked under the RREF so
+    far, over Q in Fractions."""
+    r = np.zeros((0, a.shape[1] + (0 if rhs is None else rhs.shape[1])), dtype=a.dtype)
+    pivs = []
+    for s in range(0, a.shape[0], _CHUNK):
+        e = min(s + _CHUNK, a.shape[0])
+        c = np.full((e - s, a.shape[1]), field.zero(), dtype=a.dtype)
+        at = (a._r >= s) & (a._r < e)
+        np.add.at(c, (a._r[at] - s, a._c[at]), a._v[at])
+        if rhs is not None:
+            c = np.hstack([c, rhs[s:e]])
+        c = field.reduce(c)
+        c = c[c.any(axis=1)]
+        if c.shape[0]:
+            r, pivs = linalg._gauss_jordan(np.vstack([r, c]) if pivs else c, field)
+    return r, pivs
+
+
+_FRONT_END_FIELDS = [GF(2), GF(7), GF(15013), GF(2**31 - 1), GF(2**61 - 1), QQ]
+
+
+@st.composite
+def _front_end_inputs(draw):
+    """A sparse system of one of five shapes, written as COO arrays in
+    shuffled order with split and cancelling entries, and maybe a rhs:
+
+    - "random": sparse rows of a random low-rank product;
+    - "duplicates": few distinct rows, each repeated with nonzero scalings;
+    - "zero": every entry cancels;
+    - "deficient": rows spanning a smaller space, one of them repeated with
+      a rhs off its multiple, so the system is inconsistent;
+    - "chain": e_j0 and rows x_jk + c x_j(k+1) along a permutation, so each
+      deleted singleton column makes the next row a singleton.
+    """
+    field = draw(st.sampled_from(_FRONT_END_FIELDS))
+    kind = draw(st.sampled_from(["random", "duplicates", "zero", "deficient", "chain"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    with_rhs = kind == "deficient" or draw(st.booleans())
+
+    def scalar(nonzero=False):
+        while True:
+            x = (Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3])) if field.kind == "Q"
+                 else rng.choice([1, field.p - 1, rng.randrange(field.p)]))
+            if x or not nonzero:
+                return x
+
+    def sparse_row():
+        return [scalar() if rng.random() < 0.35 else field.zero() for _ in range(n + 1)]
+
+    if kind == "chain":
+        perm = rng.sample(range(n), n)
+        rows = [[field.zero()] * (n + 1) for _ in range(n)]
+        rows[0][perm[0]] = scalar(nonzero=True)
+        for k in range(1, n):
+            rows[k][perm[k - 1]], rows[k][perm[k]] = scalar(), scalar(nonzero=True)
+        for row in rows:
+            row[n] = scalar()
+        rows += [sparse_row() for _ in range(rng.randrange(3))]
+    elif kind == "duplicates":
+        base = [sparse_row() for _ in range(rng.randrange(1, 4))]
+        rows = [[field.mul(c, x) for x in rng.choice(base)]
+                for c in (scalar(nonzero=True) for _ in range(rng.randrange(1, 30)))]
+    elif kind == "zero":
+        rows = [[field.zero()] * (n + 1) for _ in range(rng.randrange(1, 6))]
+    else:
+        rank = rng.randrange(1, n + 1) if kind == "random" else rng.randrange(0, n)
+        base = [sparse_row() for _ in range(rank)]
+        rows = []
+        for _ in range(rng.randrange(1, 25)):
+            row = [field.zero()] * (n + 1)
+            for b in base:
+                c = scalar()
+                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        if kind == "deficient":
+            k = rng.randrange(len(rows))
+            c = scalar(nonzero=True)
+            rows.append([field.mul(c, x) for x in rows[k][:n]] + [field.add(field.mul(c, rows[k][n]), field.one())])
+    rng.shuffle(rows)
+    # COO entries: every nonzero split in summands, plus cancelling pairs
+    r, c, v = [], [], []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[:n]):
+            terms = [] if field.is_zero(x) else [x]
+            if terms and rng.random() < 0.5:
+                y = scalar()
+                terms = [field.sub(x, y), y]
+            if rng.random() < 0.2:
+                y = scalar()
+                terms += [y, field.neg(y)]
+            r += [i] * len(terms)
+            c += [j] * len(terms)
+            v += terms
+    order = rng.sample(range(len(v)), len(v))
+    a = SparseRows(field, (len(rows), n), np.array(r, dtype=np.int64)[order],
+                   np.array(c, dtype=np.int64)[order], np.array(v, dtype=object)[order])
+    rhs = np.array([[row[n]] for row in rows], dtype=a.dtype) if with_rhs else None
+    return field, kind, a, rhs, draw(st.sampled_from([3, _CHUNK]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_front_end_inputs())
+def test_sparse_front_end_matches_chunked_reference(case):
+    field, kind, a, rhs, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CHUNK", chunk)
+        ref, refpiv = _chunked_reference(field, a, rhs)
+        outs = [_rref(a, field, rhs)]
+        if field.kind == "Q":  # the Fraction front end, which no prime certified
+            outs.append(linalg._rref_sparse(a, field, rhs))
+    for red, piv in outs:
+        assert piv == refpiv
+        assert red.dtype == ref.dtype and red.shape == ref.shape
+        assert red.tolist() == ref.tolist()
+        assert [type(x) for x in red.flat] == [type(x) for x in ref.flat]
+    if kind == "zero":
+        assert refpiv == []
+    if kind == "deficient":
+        assert refpiv[-1] == a.shape[1]  # the pivot in the rhs column
+    if kind == "chain":
+        assert refpiv[: a.shape[1]] == list(range(a.shape[1]))
