@@ -12,9 +12,17 @@ left index are one sort and `np.add.reduceat` (`linalg._summed`).  The
 left nucleus {x : (xy)z = x(yz) for all y, z} is a subalgebra of any
 algebra, so once 1 is a unit the join needs only the left indices of a
 generating set (`validate(generators)`); a failure there reruns the full
-join, which names the first failing triple.  `pairwise_products` is two
-contractions with the structure tensor through `linalg._matmul`, exact for
-every field; the multiplication as a stage map is `AlgebraObject.mul_map`.
+join, which names the first failing triple.  Products of vectors,
+`pairwise_products`, are two joins on the structure constants (row-by-row
+sparse products, after Gustavson, ACM TOMS 4(3), 1978), each summed by
+`linalg._summed`: the nonzeros of the left rows meet the constants of
+their first leg, and the sums meet the nonzeros of the right rows.  A
+stage whose term count is not below the size of the dense array it fills
+runs as one exact `linalg._matmul` on arrays densified for that call, so
+dense operands cost no more than a dense product.  No n^3 array is kept:
+the ideal test, the multiplicativity defect, quotient algebras and the
+trace form read the constants too.  The multiplication as a stage map is
+`AlgebraObject.mul_map`.
 
 Whether a linear map f is multiplicative is one kernel for every field,
 `multiplicativity_defect`: f(e_i e_j) - f(e_i) f(e_j) for blocks of left
@@ -89,7 +97,6 @@ class AlgebraObject:
         self.mul = {k: dict(v) for k, v in mul.items() if v}
         self.unit = list(unit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
-        self._np_tensor = None
         self._mul_map = None
         self._constants = None
         self._generators: dict = {}
@@ -125,9 +132,12 @@ class AlgebraObject:
         return out
 
     def mul_map(self) -> SparseMap:
+        """Multiplication as a cached `SparseMap` (n, n) -> (n,): the
+        structure constants keyed (i n + j, k), which the map sorts."""
         if self._mul_map is None:
             n = self.dim
-            self._mul_map = SparseMap.from_matrix(self.mul_matrix(), (n, n), (n,))
+            a, b, c, v = self.constants()
+            self._mul_map = SparseMap(self.field, (n, n), (n,), a * n + b, c, v)
         return self._mul_map
 
     def mul_matrix(self) -> Matrix:
@@ -140,29 +150,20 @@ class AlgebraObject:
 
     def constants(self):
         """The structure constants as arrays (i, j, k, v): e_i e_j has the
-        reduced coefficient v on e_k, v nonzero (cached; do not modify).
-        `_in_range` records whether every index lies in range(dim)."""
+        reduced coefficient v on e_k, v nonzero, sorted by first leg i
+        (cached; do not modify).  The entries with first leg x are
+        [_by_a[x], _by_a[x + 1]); `_in_range` records whether every index
+        lies in range(dim)."""
         if self._constants is None:
             f = self.field
             ijk = np.array([(i, j, k) for (i, j), col in self.mul.items() for k in col], dtype=np.int64).reshape(-1, 3)
             v = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
-            nz = v != 0
+            keep = np.flatnonzero(v != 0)
+            keep = keep[np.argsort(ijk[keep, 0], kind="stable")]
             self._in_range = bool(((ijk >= 0) & (ijk < self.dim)).all())
-            self._constants = (*ijk[nz].T, v[nz])
+            self._constants = (*ijk[keep].T, v[keep])
+            self._by_a = np.searchsorted(self._constants[0], np.arange(self.dim + 1))
         return self._constants
-
-    def np_tensor(self):
-        """Dense tensor T[i,j,k] = coefficient of e_k in e_i e_j, reduced, in
-        the field's matrix dtype (int64 over F_p with p < 2**31, object
-        otherwise)."""
-        if self._np_tensor is None:
-            f = self.field
-            t = np.full((self.dim, self.dim, self.dim), f.zero(), dtype=_dtype(f))
-            for (i, j), col in self.mul.items():
-                for k, c in col.items():
-                    t[i, j, k] = f.reduce(c)
-            self._np_tensor = t
-        return self._np_tensor
 
     # -- validation ---------------------------------------------------------
 
@@ -205,11 +206,9 @@ class AlgebraObject:
         """
         f, n = self.field, self.dim
         a, b, c, v = self.constants()
-        order = np.argsort(a, kind="stable")
-        a, b, c, v = a[order], b[order], c[order], v[order]
         # the entries with first leg x are [by_a[x], by_a[x + 1]), those with
         # last leg x are last[by_c[x]:by_c[x + 1]]
-        by_a = np.searchsorted(a, np.arange(n + 1))
+        by_a = self._by_a
         last = np.argsort(c, kind="stable")
         by_c = np.searchsorted(c[last], np.arange(n + 1))
         lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
@@ -400,17 +399,63 @@ class IdealData:
         return self.subspace.dim
 
 
+def _dense(f: ScalarField, shape) -> np.ndarray:
+    """A zero array to densify structure constants into for one product.
+    Reduced entries over F_p with p < 2**31 fit int32, half the size of
+    the int64 operands, and `_matmul` widens it."""
+    dtype = _dtype(f)
+    return np.full(shape, f.zero(), dtype=np.int32 if dtype == np.int64 else dtype)
+
+
 def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     """All products (row of left) * (row of right), stacked as rows in
-    (left, right) order: two contractions with the structure tensor, each
-    one exact `_matmul` (float64 BLAS or blocked int64 over F_p, a join of
-    nonzeros over Q and huge p)."""
-    f = a.field
-    n, lr, rr = a.dim, left.rows, right.rows
-    q = _matmul(f, left._d, a.np_tensor().reshape(n, n * n))  # (u, (b, k))
-    q = q.reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (b, (u, k))
-    r = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2)  # (u, w, k)
-    return Matrix(f, lr * rr, n, r.reshape(lr * rr, n), _raw=True)
+    (left, right) order, as two joins on the structure constants (i, j, k, v),
+    each summed by `linalg._summed`.
+
+    Stage 1, P[u, j, k] = sum_i left[u, i] [e_i e_j]_k, pairs each nonzero
+    (u, i) of left with the constants of first leg i.  Stage 2,
+    out[u rr + w, k] = sum_j right[w, j] P[u, j, k], pairs each nonzero
+    (w, j) of right with the nonzeros of P at j.  Each stage knows its term
+    count before it multiplies anything; a stage whose count is not below
+    the size of the dense array it fills (lr n^2, then lr rr n) runs instead
+    as one exact `_matmul` on arrays densified for the call, since a join of
+    dense operands makes far more terms than that product has entries."""
+    f, n, lr, rr = a.field, a.dim, left.rows, right.rows
+    if left.cols != n or right.cols != n:
+        raise ValueError(f"operands of width {left.cols} and {right.cols} in a {n}-dim algebra")
+    ci, cj, ck, cv = a.constants()
+    by_a = a._by_a
+    u, i = left._d.nonzero()
+    x = left._d[u, i]
+    q = None  # P as a dense (j, (u, k)) array, when stage 1 made one
+    if np.diff(by_a)[i].sum() < lr * n * n:
+        s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
+        # summed per (j, (u, k)), so P comes out sorted by j for stage 2
+        pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], f.reduce(x[s] * cv[e]), lr * n)
+        pu, pk = np.divmod(puk, n)
+        per_j = np.bincount(pj, minlength=n)
+    else:
+        t = _dense(f, (n, n * n))
+        t[ci, cj * n + ck] = cv
+        q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)
+        per_j = np.count_nonzero(q, axis=1)
+    w, j = right._d.nonzero()
+    y = right._d[w, j]
+    if per_j[j].sum() < lr * rr * n:
+        if q is not None:
+            pj, uk = q.nonzero()
+            (pu, pk), pv = np.divmod(uk, n), q[pj, uk]
+        starts = np.searchsorted(pj, np.arange(n + 1))
+        s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
+        row, k, val = _summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n)
+        out = np.full((lr * rr, n), f.zero(), dtype=cv.dtype)
+        out[row, k] = val
+    else:
+        if q is None:
+            q = np.full((n, lr * n), f.zero(), dtype=cv.dtype)
+            q[pj, pu * n + pk] = pv
+        out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
+    return Matrix(f, lr * rr, n, out, _raw=True)
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
@@ -421,22 +466,25 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     the list `lefts`): row r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for
     the block's r-th index i.
 
-    f(e_i e_j) is the block's rows of the structure tensor times f^T;
-    f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Blocks keep D and
-    the products' intermediate near _DEFECT_BLOCK entries, so no
+    f(e_i e_j) is the block's constants, read from the first-leg ranges of
+    its indices, times f^T; f(e_i) f(e_j) is `pairwise_products` of rows of
+    f^T.  Blocks keep D and the products near _DEFECT_BLOCK entries, so no
     n^2 x dim(tgt) array is ever built for a large source.
     """
     fld = src.field
     n = src.dim
-    t = src.np_tensor()
+    _, cj, ck, cv = src.constants()
+    by_a = src._by_a
     ft = f.transpose()
     step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
-    count = n if lefts is None else len(lefts)
-    for s in range(0, count, step):
-        blk = slice(s, s + step) if lefts is None else lefts[s : s + step]
-        rows = ft._d[blk]
-        lhs = _matmul(fld, t[blk].reshape(-1, n), ft._d)
-        rhs = pairwise_products(tgt, ft._new(rows.shape[0], tgt.dim, rows), ft)
+    lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
+    for s in range(0, lefts.size, step):
+        blk = lefts[s : s + step]
+        r, e = _join(np.arange(blk.size), by_a[blk], by_a[blk + 1])
+        t = _dense(fld, (blk.size * n, n))
+        t[r * n + cj[e], ck[e]] = cv[e]
+        lhs = _matmul(fld, t, ft._d)
+        rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
         yield fld.reduce(lhs - rhs._d)
 
 
@@ -482,22 +530,22 @@ def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
     """g I and I g inside I for every basis element g, or only for the
     generators once A is verified (`verified_generators`): {x : xI <= I}
     and {x : Ix <= I} are unital subalgebras of an associative A.  Each
-    side's products for a block of g near _DEFECT_BLOCK entries are tested
-    with one `Subspace.coordinates` product."""
+    side is one `pairwise_products` of the unit rows e_g with the basis of
+    I, its zero rows dropped and the rest tested with one
+    `Subspace.coordinates` product; the left side is tested first."""
+    if s.ambient_dim != a.dim:
+        raise ValueError(f"subspace of K^{s.ambient_dim} in a {a.dim}-dim algebra")
     if s.dim == 0:
         return True
-    fld, n = a.field, a.dim
-    t = a.np_tensor()
     gens = a.verified_generators()
-    idx = np.arange(n) if gens is None else np.asarray(gens)
-    step = max(1, _DEFECT_BLOCK // (s.dim * n))
-    for at in range(0, len(idx), step):
-        blk = idx[at : at + step]
-        # row (u, g) of the products: e_g s_u = sum_b s_u[b] T[g, b], then s_u e_g
-        for side in (t[blk].transpose(1, 0, 2), t[:, blk]):
-            prods = _matmul(fld, s.basis._d, side.reshape(n, -1)).reshape(-1, n)
-            if s.coordinates(Matrix(fld, prods.shape[0], n, prods, _raw=True)) is None:
-                return False
+    units = Matrix.identity(a.field, a.dim)
+    if gens is not None:
+        units = units._new(len(gens), a.dim, units._d[gens])
+    for lhs, rhs in ((units, s.basis), (s.basis, units)):
+        prods = pairwise_products(a, lhs, rhs)
+        prods = prods._d[(prods._d != 0).any(axis=1)]
+        if s.coordinates(Matrix(a.field, prods.shape[0], a.dim, prods, _raw=True)) is None:
+            return False
     return True
 
 
@@ -572,14 +620,21 @@ def _require_valid(a: AlgebraObject):
 
 
 def trace_form(a: AlgebraObject) -> Matrix:
-    """The trace form G[i, j] = Tr(L_i L_j) = sum_(a, b) L_i[a, b] L_j[b, a]
-    of the left regular representation, as one product: the structure
-    tensor T[i, j, k] = [e_i e_j]_k gives L_i[a, b] = T[i, b, a] and
-    L_j[b, a] = T[j, a, b]."""
-    n = a.dim
-    t = a.np_tensor()
-    g = _matmul(a.field, t.transpose(0, 2, 1).reshape(n, n * n), t.reshape(n, n * n).T)
-    return Matrix(a.field, n, n, g, _raw=True)
+    """The trace form G[i, j] = Tr(L_i L_j) = sum_(x, y) L_i[x, y] L_j[y, x]
+    of the left regular representation, L_i[x, y] = [e_i e_y]_x: each
+    structure constant (i, y, x, v) joins every constant (j, x, y, w) with
+    the last two legs swapped, and v w is summed per (i, j) by
+    `linalg._summed`."""
+    f, n = a.field, a.dim
+    ci, cj, ck, cv = a.constants()
+    order = np.argsort(cj * n + ck)
+    legs, swapped = (cj * n + ck)[order], ck * n + cj
+    s, e = _join(np.arange(ci.size), np.searchsorted(legs, swapped), np.searchsorted(legs, swapped, side="right"))
+    e = order[e]
+    gi, gj, gv = _summed(f, ci[s], ci[e], f.reduce(cv[s] * cv[e]), n)
+    g = np.full((n, n), f.zero(), dtype=cv.dtype)
+    g[gi, gj] = gv
+    return Matrix(f, n, n, g, _raw=True)
 
 
 def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> IdealData:
@@ -755,8 +810,9 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     free = s.free_columns()
     qdim = len(free)
     proj = s.complement_projection()
-    prods = a.np_tensor()[np.ix_(free, free)].reshape(qdim * qdim, n)  # row (ti, tj)
-    consts = _matmul(f, prods, proj._d.T)
+    eye = Matrix.identity(f, n)
+    basis = eye._new(qdim, n, eye._d[free])
+    consts = _matmul(f, pairwise_products(a, basis, basis)._d, proj._d.T)  # row (ti, tj)
     qmul: dict = {}
     for r, k in zip(*np.nonzero(consts)):
         qmul.setdefault(divmod(int(r), qdim), {})[int(k)] = consts.item(r, k)
