@@ -16,12 +16,13 @@ join, which names the first failing triple.  Products of vectors,
 `pairwise_products`, are two joins on the structure constants (row-by-row
 sparse products, after Gustavson, ACM TOMS 4(3), 1978), each summed by
 `linalg._summed`: the nonzeros of the left rows meet the constants of
-their first leg, and the sums meet the nonzeros of the right rows.  A
-stage whose term count is not below the size of the dense array it fills
-runs as one exact `linalg._matmul` on arrays densified for that call, so
-dense operands cost no more than a dense product.  No n^3 array is kept:
-the ideal test, the multiplicativity defect, quotient algebras and the
-trace form read the constants too.  The multiplication as a stage map is
+their first leg, and the sums meet the nonzeros of the right rows.  The
+term counts are known before anything is multiplied; when one is not
+below the size of the dense array its stage fills, the whole product runs
+as two exact `linalg._matmul` on the constants densified for that call,
+so dense operands cost no more than a dense product.  No n^3 array is
+kept: the ideal test, the multiplicativity defect, quotient algebras and
+the trace form read the constants too.  The multiplication as a stage map is
 `AlgebraObject.mul_map`.
 
 Whether a linear map f is multiplicative is one kernel for every field,
@@ -415,46 +416,40 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     Stage 1, P[u, j, k] = sum_i left[u, i] [e_i e_j]_k, pairs each nonzero
     (u, i) of left with the constants of first leg i.  Stage 2,
     out[u rr + w, k] = sum_j right[w, j] P[u, j, k], pairs each nonzero
-    (w, j) of right with the nonzeros of P at j.  Each stage knows its term
-    count before it multiplies anything; a stage whose count is not below
-    the size of the dense array it fills (lr n^2, then lr rr n) runs instead
-    as one exact `_matmul` on arrays densified for the call, since a join of
-    dense operands makes far more terms than that product has entries."""
+    (w, j) of right with the nonzeros of P at j.  The term counts are known
+    before anything is multiplied: stage 1 makes one term per nonzero of
+    left and constant of its first leg, and stage 2 at most one per nonzero
+    of left, constant (i, j, k) and nonzero of right at j.  When either
+    count is not below the size of the dense array its stage fills
+    (lr n^2, then lr rr n), the product runs instead as two exact `_matmul`
+    with the constants densified for the call, since a join of dense
+    operands makes far more terms than that product has entries."""
     f, n, lr, rr = a.field, a.dim, left.rows, right.rows
     if left.cols != n or right.cols != n:
         raise ValueError(f"operands of width {left.cols} and {right.cols} in a {n}-dim algebra")
     ci, cj, ck, cv = a.constants()
-    by_a = a._by_a
+    if lr * rr * n == 0:
+        return Matrix(f, lr * rr, n, np.full((lr * rr, n), f.zero(), dtype=cv.dtype), _raw=True)
     u, i = left._d.nonzero()
-    x = left._d[u, i]
-    q = None  # P as a dense (j, (u, k)) array, when stage 1 made one
-    if np.diff(by_a)[i].sum() < lr * n * n:
-        s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
-        # summed per (j, (u, k)), so P comes out sorted by j for stage 2
-        pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], f.reduce(x[s] * cv[e]), lr * n)
-        pu, pk = np.divmod(puk, n)
-        per_j = np.bincount(pj, minlength=n)
-    else:
+    w, j = right._d.nonzero()
+    per_i = np.bincount(i, minlength=n)[ci]  # left nonzeros at each constant's first leg
+    if per_i.sum() >= lr * n * n or (per_i * np.bincount(j, minlength=n)[cj]).sum() >= lr * rr * n:
         t = _dense(f, (n, n * n))
         t[ci, cj * n + ck] = cv
-        q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)
-        per_j = np.count_nonzero(q, axis=1)
-    w, j = right._d.nonzero()
-    y = right._d[w, j]
-    if per_j[j].sum() < lr * rr * n:
-        if q is not None:
-            pj, uk = q.nonzero()
-            (pu, pk), pv = np.divmod(uk, n), q[pj, uk]
-        starts = np.searchsorted(pj, np.arange(n + 1))
-        s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
-        row, k, val = _summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n)
-        out = np.full((lr * rr, n), f.zero(), dtype=cv.dtype)
-        out[row, k] = val
-    else:
-        if q is None:
-            q = np.full((n, lr * n), f.zero(), dtype=cv.dtype)
-            q[pj, pu * n + pk] = pv
+        q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (j, (u, k))
         out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
+        return Matrix(f, lr * rr, n, out, _raw=True)
+    by_a = a._by_a
+    x, y = left._d[u, i], right._d[w, j]
+    s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
+    # summed per (j, (u, k)), so P comes out sorted by j for stage 2
+    pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], f.reduce(x[s] * cv[e]), lr * n)
+    pu, pk = np.divmod(puk, n)
+    starts = np.searchsorted(pj, np.arange(n + 1))
+    s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
+    row, k, val = _summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n)
+    out = np.full((lr * rr, n), f.zero(), dtype=cv.dtype)
+    out[row, k] = val
     return Matrix(f, lr * rr, n, out, _raw=True)
 
 
@@ -624,12 +619,20 @@ def trace_form(a: AlgebraObject) -> Matrix:
     of the left regular representation, L_i[x, y] = [e_i e_y]_x: each
     structure constant (i, y, x, v) joins every constant (j, x, y, w) with
     the last two legs swapped, and v w is summed per (i, j) by
-    `linalg._summed`."""
+    `linalg._summed`.  When the join would make n^3 terms or more (dense
+    constants), the form is instead one exact `_matmul` of the constants
+    densified for the call as T[i, (y, x)] and T[j, (x, y)]."""
     f, n = a.field, a.dim
     ci, cj, ck, cv = a.constants()
     order = np.argsort(cj * n + ck)
     legs, swapped = (cj * n + ck)[order], ck * n + cj
-    s, e = _join(np.arange(ci.size), np.searchsorted(legs, swapped), np.searchsorted(legs, swapped, side="right"))
+    lo, hi = np.searchsorted(legs, swapped), np.searchsorted(legs, swapped, side="right")
+    if (hi - lo).sum() >= n**3:
+        t = np.full((n, n, n), f.zero(), dtype=cv.dtype)  # int64: two int32 factors would multiply in int32
+        t[ci, cj, ck] = cv
+        g = _matmul(f, t.transpose(0, 2, 1).reshape(n, n * n), t.reshape(n, n * n).T)
+        return Matrix(f, n, n, g, _raw=True)
+    s, e = _join(np.arange(ci.size), lo, hi)
     e = order[e]
     gi, gj, gv = _summed(f, ci[s], ci[e], f.reduce(cv[s] * cv[e]), n)
     g = np.full((n, n), f.zero(), dtype=cv.dtype)

@@ -114,8 +114,8 @@ def draw_operand(data, f, n, rows):
     return Matrix(f, rows, n, out)
 
 
-def products_with_branches(a, left, right):
-    """pairwise_products and, per stage, whether it ran the dense product."""
+def products_with_branch(a, left, right):
+    """pairwise_products and whether it ran the dense product."""
     calls = []
     real = alg_mod._matmul
 
@@ -126,20 +126,23 @@ def products_with_branches(a, left, right):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alg_mod, "_matmul", spy)
         got = pairwise_products(a, left, right)
-    return got, (any(c is left._d for c in calls), any(c is right._d for c in calls))
+    return got, bool(calls)
 
 
 def dense_by_rule(a, left, right):
-    """Which stages the term-count rule sends to the dense product,
-    counted on the reference tensor."""
-    f, n = a.field, a.dim
-    t = tensor_of(a)
-    per_first = (t != 0).sum(axis=(1, 2))
-    stage1 = int(per_first[np.nonzero(left._d)[1]].sum())
-    p = _matmul(f, left._d, t.reshape(n, n * n)).reshape(left.rows, n, n)
-    per_j = (p != 0).sum(axis=(0, 2))
-    stage2 = int(per_j[np.nonzero(right._d)[1]].sum())
-    return stage1 >= left.rows * n * n, stage2 >= left.rows * right.rows * n
+    """Whether the term-count rule sends the product to the dense branch,
+    counted on the reference tensor: stage 1 makes a term per nonzero
+    (u, i) of left and nonzero T[i, j, k], stage 2 at most one per such
+    term and nonzero (w, j) of right."""
+    n, lr, rr = a.dim, left.rows, right.rows
+    if lr * rr * n == 0:
+        return False
+    at_i = (left._d != 0).sum(axis=0)
+    at_j = (right._d != 0).sum(axis=0)
+    nz = tensor_of(a) != 0
+    stage1 = int((at_i[:, None, None] * nz).sum())
+    stage2 = int((at_i[:, None, None] * at_j[None, :, None] * nz).sum())
+    return stage1 >= lr * n * n or stage2 >= lr * rr * n
 
 
 def test_pairwise_products_match_the_tensor_contractions():
@@ -153,55 +156,71 @@ def test_pairwise_products_match_the_tensor_contractions():
         a = draw_algebra(data, f, n)
         left = draw_operand(data, f, n, data.draw(st.integers(0, 5)))
         right = draw_operand(data, f, n, data.draw(st.integers(0, 5)))
-        got, branches = products_with_branches(a, left, right)
+        got, dense = products_with_branch(a, left, right)
         want = products_by_tensor(a, left, right)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got._d.dtype == want._d.dtype
         assert np.array_equal(got._d, want._d)
-        assert branches == dense_by_rule(a, left, right)
-        if left.rows and right.rows and n:
-            seen.add(branches)
+        assert dense == dense_by_rule(a, left, right)
+        seen.add(dense)
 
     check()
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_dense_operands_take_the_dense_product_and_unit_rows_the_join(field):
-    # k[Z_3] has 3 constants per first leg: unit rows make 9 terms in each
-    # stage against 27 dense entries (join).  With every triple a constant 1
-    # and all-ones rows, stage 1 makes 81 terms and P is all 3s, so stage 2
-    # makes 81 terms too, against 27 dense entries each (dense product).
+    # k[Z_3] has 3 constants per first leg: unit rows make 9 terms in
+    # stage 1 and at most 9 in stage 2, against 27 dense entries each
+    # (join).  With every triple a constant 1, one all-ones left row makes 27
+    # terms against 9 entries (dense product).  Unit left rows make 9 terms
+    # in stage 1, but an all-ones right row takes each to 3, so 27 against
+    # 9 entries (dense product)
     n, one = 3, field.one()
     eye = Matrix.identity(field, n)
     group = group_algebra(n, field).as_algebra()
-    got, branches = products_with_branches(group, eye, Matrix(field, n, n, eye._d.copy(), _raw=True))
-    assert branches == (False, False)
+    got, dense = products_with_branch(group, eye, Matrix(field, n, n, eye._d.copy(), _raw=True))
+    assert not dense
     assert np.array_equal(got._d, products_by_tensor(group, eye, eye)._d)
     full = AlgebraObject(field, n, {(i, j): dict.fromkeys(range(n), one) for i in range(n) for j in range(n)},
                          [one] + [field.zero()] * (n - 1))
-    ones = Matrix(field, n, n, [[one] * n] * n)
-    got, branches = products_with_branches(full, ones, Matrix(field, n, n, ones._d.copy(), _raw=True))
-    assert branches == (True, True)
-    assert np.array_equal(got._d, products_by_tensor(full, ones, ones)._d)
+    ones = Matrix(field, 1, n, [[one] * n])
+    for left, right in ((ones, eye), (eye, ones)):
+        got, dense = products_with_branch(full, left, right)
+        assert dense
+        assert np.array_equal(got._d, products_by_tensor(full, left, right)._d)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_empty_operands_multiply_nothing(field):
+    # no row on either side: an empty result, without densifying the constants
+    a = group_algebra(3, field).as_algebra()
+    eye = Matrix.identity(field, 3)
+    none = Matrix(field, 0, 3, [])
+    for left, right in ((none, eye), (eye, none), (none, none)):
+        got, dense = products_with_branch(a, left, right)
+        assert not dense
+        assert (got.rows, got.cols) == (0, 3)
+        assert got._d.dtype == _dtype(field)
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1), GF(2**61 - 1)])
 def test_products_reduce_every_term(field):
     # c = p - 1.  One term per stage, 2 c^2 and then c (2 c^2 mod p), each
     # must come out reduced; three terms c^2 on one key of stage 1 pass 2^63
-    # over F_(2^31 - 1) unless each is reduced first
-    c, n = field.p - 1, 3
+    # over F_(2^31 - 1) unless each is reduced first (n = 4 keeps stage 2's
+    # bound of 3 terms below its 4 dense entries)
+    c, n = field.p - 1, 4
     zero = field.zero()
-    unit = [field.one(), zero, zero]
+    unit = [field.one()] + [zero] * (n - 1)
     one_term = AlgebraObject(field, n, {(1, 1): {0: c}}, unit)
-    three_terms = AlgebraObject(field, n, {(i, 0): {0: c} for i in range(n)}, unit)
-    cases = ((one_term, [[zero, field.from_int(2), zero]], [[zero, c, zero]]),
-             (three_terms, [[c] * n], [[c, zero, zero]]))
+    three_terms = AlgebraObject(field, n, {(i, 0): {0: c} for i in range(3)}, unit)
+    cases = ((one_term, [[zero, field.from_int(2), zero, zero]], [[zero, c, zero, zero]]),
+             (three_terms, [[c, c, c, zero]], [[c, zero, zero, zero]]))
     for a, left, right in cases:
         left, right = Matrix(field, 1, n, left), Matrix(field, 1, n, right)
-        got, branches = products_with_branches(a, left, right)
-        assert branches == (False, False)
+        got, dense = products_with_branch(a, left, right)
+        assert not dense
         assert np.array_equal(got._d, products_by_tensor(a, left, right)._d)
 
 
@@ -237,12 +256,73 @@ def test_defect_rows_match_the_tensor_blocks(data):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data())
-def test_trace_form_matches_the_tensor_product(data):
-    f = data.draw(st.sampled_from(FIELDS))
-    a = draw_algebra(data, f, data.draw(st.integers(0, 6)))
-    assert np.array_equal(trace_form(a)._d, trace_form_by_tensor(a))
+def trace_form_with_branch(a):
+    """trace_form and whether it ran the dense product."""
+    calls = []
+    real = alg_mod._matmul
+
+    def spy(field, x, y):
+        calls.append(x)
+        return real(field, x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alg_mod, "_matmul", spy)
+        got = trace_form(a)
+    return got, bool(calls)
+
+
+def test_trace_form_matches_the_tensor_product():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(FIELDS))
+        a = draw_algebra(data, f, data.draw(st.integers(0, 6)))
+        got, dense = trace_form_with_branch(a)
+        assert got._d.dtype == _dtype(f)
+        assert np.array_equal(got._d, trace_form_by_tensor(a))
+        # the join makes sum over (y, x) of c(y, x) c(x, y) terms, c(y, x)
+        # the constants of e_y e_x
+        c = (tensor_of(a) != 0).sum(axis=0)
+        assert dense == (int((c * c.T).sum()) >= a.dim**3)
+        seen.add(dense)
+
+    check()
+    assert seen == {False, True}
+
+
+def group_algebra_in_random_basis(n, f):
+    """k[Z_n] in the basis b = P e for a seeded random invertible P:
+    T_b[r, t] = sum P[r, s] P[t, u] T[s, u] P^-1.  Nearly every structure
+    constant is nonzero, as for any algebra in a non-monomial basis."""
+    rng = np.random.default_rng(0)
+    while True:
+        p = Matrix(f, n, n, [[f.from_int(int(x)) for x in row] for row in rng.integers(0, 5, (n, n))])
+        if p.rank() == n:
+            break
+    inv = p.inverse()._d
+    t = _matmul(f, p._d, tensor_of(group_algebra(n, f).as_algebra()).reshape(n, n * n))  # (r, (u, k))
+    t = _matmul(f, p._d, t.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))  # (t, (r, k))
+    t = _matmul(f, t.reshape(n, n, n).transpose(1, 0, 2).reshape(n * n, n), inv).reshape(n, n, n)
+    mul = {(r, c): {k: t[r, c, k] for k in range(n) if t[r, c, k] != 0} for r in range(n) for c in range(n)}
+    return AlgebraObject(f, n, mul, list(inv[0]))  # e_0 = sum P^-1[0, l] b_l
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_trace_form_of_dense_constants_takes_the_dense_product(field):
+    n = 9
+    dense = group_algebra_in_random_basis(n, field)
+    assert dense.validate().ok
+    ci, cj, ck, _ = dense.constants()
+    c = np.zeros((n, n), dtype=np.int64)
+    np.add.at(c, (cj, ck), 1)
+    assert (c * c.T).sum() >= n**3
+    got, took_dense = trace_form_with_branch(dense)
+    assert took_dense and np.array_equal(got._d, trace_form_by_tensor(dense))
+    monomial = group_algebra(n, field).as_algebra()
+    got, took_dense = trace_form_with_branch(monomial)
+    assert not took_dense and np.array_equal(got._d, trace_form_by_tensor(monomial))
 
 
 def _builtin(kind, f):

@@ -73,7 +73,7 @@ def test_pairs_alternate_resume_and_write_the_bench_file(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     log, out = tmp_path / "log.jsonl", tmp_path / "BENCH.json"
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pr", "3",
-            "--job", "w:0:3", "--log", str(log), "--out", str(out)]
+            "--job", "w:0", "--pairs", "3", "--log", str(log), "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     data = json.loads(out.read_text())
@@ -100,5 +100,7 @@ def test_parse_output_reads_the_record_and_the_last_line():
 
 
 def test_bad_job_spec_is_refused():
-    with pytest.raises(Exception):
-        bench_pairs.parse_job("flagship_f7", 10)
+    assert bench_pairs.parse_job("flagship_f7:1") == ("flagship_f7", 1)
+    for bad in ("flagship_f7", "flagship_f7:0:5"):
+        with pytest.raises(Exception):
+            bench_pairs.parse_job(bad)

@@ -1,19 +1,20 @@
 """Run perfbench in two checkouts in alternating pairs and write a BENCH file.
 
     python tools/bench_pairs.py --parent ../parent --change . --pr 17 \
-        --job flagship_f7:0 --job flagship_f7:1 --job taft_cli:0:5 \
+        --job flagship_f7:0 --job flagship_f7:1 --job taft_cli:0 \
         --pairs 10 --seconds 10 --log bench.jsonl --out BENCH_17.json \
         --claim "flagship_f7 accept_s improves (seed 0, held-out seed 1)"
 
-Each job is WORKLOAD:SEED, or WORKLOAD:SEED:PAIRS to override --pairs.  A
-pair runs `python3 perfbench/run.py --workload W --seed S --seconds SEC
---trace 0` once in each checkout; the side that runs first alternates
-from pair to pair, the parent first in pair 0.  Only perfbench's stdout is
-read: the `run record:` line and the final JSON line.  Every run is
-appended to the log (JSON lines), and the BENCH file is rewritten from the
-whole log after each pair, so an interrupted run keeps what it measured
-and a rerun with the same log runs only the missing runs.  With no --job
-it rewrites the BENCH file from the log alone.
+Each job is WORKLOAD:SEED and runs --pairs pairs.  A pair runs
+`python3 perfbench/run.py --workload W --seed S --seconds SEC --trace 0`
+once in each checkout; the side that runs first alternates from pair to
+pair, the parent first in pair 0.  Only perfbench's stdout is read: the
+`run record:` line and the final JSON line.  The commits in the BENCH file
+are those of each side's first run record.  Every run is appended to the
+log (JSON lines), and the BENCH file is rewritten from the whole log after
+each pair, so an interrupted run keeps what it measured and a rerun with
+the same log runs only the missing runs.  With no --job it rewrites the
+BENCH file from the log alone.
 
 Per workload and seed the BENCH file records the pairs, whether every run
 was correct, the failed-job counts per side and, for each end-to-end
@@ -126,8 +127,8 @@ def bench(log: list[dict], args, metrics: list[dict]) -> dict:
     return {
         "pr": args.pr,
         "claim": args.claim,
-        "parent_commit": args.parent_commit or first["parent"].get("commit"),
-        "change_commit": args.change_commit or first["change"].get("commit"),
+        "parent_commit": first["parent"].get("commit"),
+        "change_commit": first["change"].get("commit"),
         "machine": machine(first["change"] or first["parent"]) if log else {},
         "method": (f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in both "
                    "checkouts, written by tools/bench_pairs.py; parent and change alternate which runs first "
@@ -162,11 +163,11 @@ def end_to_end_metrics(checkout: str) -> list[dict]:
         return json.load(fh)["end_to_end"]
 
 
-def parse_job(text: str, pairs: int) -> tuple[str, int, int]:
+def parse_job(text: str) -> tuple[str, int]:
     parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(f"job {text!r} is not WORKLOAD:SEED[:PAIRS]")
-    return parts[0], int(parts[1]), int(parts[2]) if len(parts) == 3 else pairs
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"job {text!r} is not WORKLOAD:SEED")
+    return parts[0], int(parts[1])
 
 
 def main(argv=None) -> int:
@@ -174,21 +175,19 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--job", action="append", default=[], help="WORKLOAD:SEED[:PAIRS], repeatable")
+    ap.add_argument("--job", action="append", default=[], help="WORKLOAD:SEED, repeatable")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--claim", default="")
-    ap.add_argument("--parent-commit", default=None)
-    ap.add_argument("--change-commit", default=None)
     ap.add_argument("--log", required=True, help="JSON-lines log of every run (appended)")
     ap.add_argument("--out", required=True, help="BENCH file to write")
     args = ap.parse_args(argv)
 
     metrics = end_to_end_metrics(args.change)
     log = load_log(args.log)
-    for workload, seed, pairs in (parse_job(j, args.pairs) for j in args.job):
+    for workload, seed in map(parse_job, args.job):
         done = {(r["side"], r["pair"]) for r in log if (r["workload"], r["seed"]) == (workload, seed)}
-        for k in range(pairs):
+        for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 if (side, k) in done:
                     continue
