@@ -114,8 +114,8 @@ def draw_operand(data, f, n, rows):
     return Matrix(f, rows, n, out)
 
 
-def products_with_branch(a, left, right):
-    """pairwise_products and whether it ran the dense product."""
+def with_branch(fn, *args):
+    """fn(*args) and whether it ran a dense `_matmul`."""
     calls = []
     real = alg_mod._matmul
 
@@ -125,7 +125,7 @@ def products_with_branch(a, left, right):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alg_mod, "_matmul", spy)
-        got = pairwise_products(a, left, right)
+        got = fn(*args)
     return got, bool(calls)
 
 
@@ -156,7 +156,7 @@ def test_pairwise_products_match_the_tensor_contractions():
         a = draw_algebra(data, f, n)
         left = draw_operand(data, f, n, data.draw(st.integers(0, 5)))
         right = draw_operand(data, f, n, data.draw(st.integers(0, 5)))
-        got, dense = products_with_branch(a, left, right)
+        got, dense = with_branch(pairwise_products, a, left, right)
         want = products_by_tensor(a, left, right)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got._d.dtype == want._d.dtype
@@ -179,14 +179,14 @@ def test_dense_operands_take_the_dense_product_and_unit_rows_the_join(field):
     n, one = 3, field.one()
     eye = Matrix.identity(field, n)
     group = group_algebra(n, field).as_algebra()
-    got, dense = products_with_branch(group, eye, Matrix(field, n, n, eye._d.copy(), _raw=True))
+    got, dense = with_branch(pairwise_products, group, eye, Matrix(field, n, n, eye._d.copy(), _raw=True))
     assert not dense
     assert np.array_equal(got._d, products_by_tensor(group, eye, eye)._d)
     full = AlgebraObject(field, n, {(i, j): dict.fromkeys(range(n), one) for i in range(n) for j in range(n)},
                          [one] + [field.zero()] * (n - 1))
     ones = Matrix(field, 1, n, [[one] * n])
     for left, right in ((ones, eye), (eye, ones)):
-        got, dense = products_with_branch(full, left, right)
+        got, dense = with_branch(pairwise_products, full, left, right)
         assert dense
         assert np.array_equal(got._d, products_by_tensor(full, left, right)._d)
 
@@ -198,7 +198,7 @@ def test_empty_operands_multiply_nothing(field):
     eye = Matrix.identity(field, 3)
     none = Matrix(field, 0, 3, [])
     for left, right in ((none, eye), (eye, none), (none, none)):
-        got, dense = products_with_branch(a, left, right)
+        got, dense = with_branch(pairwise_products, a, left, right)
         assert not dense
         assert (got.rows, got.cols) == (0, 3)
         assert got._d.dtype == _dtype(field)
@@ -219,7 +219,7 @@ def test_products_reduce_every_term(field):
              (three_terms, [[c, c, c, zero]], [[c, zero, zero, zero]]))
     for a, left, right in cases:
         left, right = Matrix(field, 1, n, left), Matrix(field, 1, n, right)
-        got, dense = products_with_branch(a, left, right)
+        got, dense = with_branch(pairwise_products, a, left, right)
         assert not dense
         assert np.array_equal(got._d, products_by_tensor(a, left, right)._d)
 
@@ -256,21 +256,6 @@ def test_defect_rows_match_the_tensor_blocks(data):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
-def trace_form_with_branch(a):
-    """trace_form and whether it ran the dense product."""
-    calls = []
-    real = alg_mod._matmul
-
-    def spy(field, x, y):
-        calls.append(x)
-        return real(field, x, y)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(alg_mod, "_matmul", spy)
-        got = trace_form(a)
-    return got, bool(calls)
-
-
 def test_trace_form_matches_the_tensor_product():
     seen = set()
 
@@ -279,7 +264,7 @@ def test_trace_form_matches_the_tensor_product():
     def check(data):
         f = data.draw(st.sampled_from(FIELDS))
         a = draw_algebra(data, f, data.draw(st.integers(0, 6)))
-        got, dense = trace_form_with_branch(a)
+        got, dense = with_branch(trace_form, a)
         assert got._d.dtype == _dtype(f)
         assert np.array_equal(got._d, trace_form_by_tensor(a))
         # the join makes sum over (y, x) of c(y, x) c(x, y) terms, c(y, x)
@@ -318,10 +303,10 @@ def test_trace_form_of_dense_constants_takes_the_dense_product(field):
     c = np.zeros((n, n), dtype=np.int64)
     np.add.at(c, (cj, ck), 1)
     assert (c * c.T).sum() >= n**3
-    got, took_dense = trace_form_with_branch(dense)
+    got, took_dense = with_branch(trace_form, dense)
     assert took_dense and np.array_equal(got._d, trace_form_by_tensor(dense))
     monomial = group_algebra(n, field).as_algebra()
-    got, took_dense = trace_form_with_branch(monomial)
+    got, took_dense = with_branch(trace_form, monomial)
     assert not took_dense and np.array_equal(got._d, trace_form_by_tensor(monomial))
 
 
