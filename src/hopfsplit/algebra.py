@@ -1,10 +1,15 @@
 """Finite-dimensional associative algebras presented by structure constants.
 
-An algebra is a basis e_0..e_{n-1}, a sparse multiplication tensor
-mul[(i,j)] = {k: c}  (meaning e_i e_j = sum c e_k) and a unit vector.
-Validation, two-sided ideals, nilpotency, the Jacobson radical (trace
-form in large characteristic, certified otherwise), separability
-idempotents and quotient algebras all reduce to exact linear algebra.
+An algebra is a basis e_0..e_{n-1}, its structure constants and a unit
+vector.  The constants are stored once, as read-only arrays (i, j, k, v):
+e_i e_j has the coefficient v on e_k (`AlgebraObject.table`, each (i, j, k)
+at most once).  Producers inside the package hand these arrays over
+through `AlgebraObject.from_constants`; a dict {(i, j): {k: c}} given to
+the constructor is converted once, and `AlgebraObject.mul` rebuilds that
+dict only for callers outside the package.  Validation, two-sided ideals,
+nilpotency, the Jacobson radical (trace form in large characteristic,
+certified otherwise), separability idempotents and quotient algebras all
+reduce to exact linear algebra on the arrays.
 
 Associativity is one kernel for every field, a sparse join of the nonzero
 structure constants (`AlgebraObject._check_associativity`) whose sums per
@@ -46,7 +51,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul, _summed
-from .tensors import SparseMap, StagePipeline, dense_to_sparse, sparse_eq, v_basis, v_eq, v_zero
+from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq
 
 
 class ValidationReport:
@@ -89,48 +94,80 @@ class VerificationFailed(AssertionError):
 _JOIN_BLOCK = 2**13  # terms in one associativity join over consecutive left indices
 
 
+def table_from_entries(field: ScalarField, entries) -> tuple:
+    """Structure-constant arrays (i, j, k, v) from (i, j, k, c) tuples, in
+    their order, with the coefficients reduced."""
+    entries = list(entries)
+    ijk = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
+    v = field.reduce(np.array([e[3] for e in entries], dtype=_dtype(field)))
+    return (*ijk.T, v)
+
+
+def constants_of(m: Matrix, n: int) -> tuple:
+    """The structure constants (i, j, k, v) held by a product matrix
+    (n x n^2, column i n + j) or a coproduct matrix (n^2 x n, row i n + j),
+    ordered by the pair i n + j, then by k."""
+    d = m._d.T if m.rows == n else m._d
+    ij, k = np.nonzero(d)
+    return (*np.divmod(ij, n), k, d[ij, k])
+
+
+def _frozen(table) -> tuple:
+    table = tuple(np.asarray(x) for x in table)
+    for x in table:
+        x.flags.writeable = False
+    return table
+
+
 class AlgebraObject:
     """Associative unital algebra by structure constants over an exact field."""
 
     def __init__(self, field: ScalarField, dim: int, mul: dict, unit: list, labels=None):
+        """mul[(i, j)] = {k: c} means e_i e_j = sum c e_k."""
+        self._store(field, dim, table_from_entries(field, ((i, j, k, c) for (i, j), col in mul.items()
+                                                            for k, c in col.items())), unit, labels)
+
+    @classmethod
+    def from_constants(cls, field: ScalarField, dim: int, table, unit: list, labels=None) -> "AlgebraObject":
+        """The algebra on the arrays table = (i, j, k, v), each (i, j, k)
+        at most once and v reduced; the arrays are kept, not copied."""
+        a = cls.__new__(cls)
+        a._store(field, dim, table, unit, labels)
+        return a
+
+    def _store(self, field, dim, table, unit, labels):
         self.field = field
         self.dim = dim
-        self.mul = {k: dict(v) for k, v in mul.items() if v}
+        self.table = _frozen(table)
         self.unit = list(unit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
+        self._mul = None
         self._mul_map = None
         self._constants = None
         self._generators: dict = {}
         self._verified = False  # the last `validate` passed
 
+    @property
+    def mul(self) -> dict:
+        """The stored constants as {(i, j): {k: c}} (built once; the package
+        reads the arrays)."""
+        if self._mul is None:
+            self._mul = {}
+            for i, j, k, c in zip(*(x.tolist() for x in self.table)):
+                self._mul.setdefault((i, j), {})[k] = c
+        return self._mul
+
     # -- products ----------------------------------------------------------
 
-    def pair_product(self, i: int, j: int) -> dict:
-        """e_i * e_j as a sparse {k: c} dict."""
-        return self.mul.get((i, j), {})
-
-    def product_sparse(self, u: dict, v: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                ab = f.mul(a, b)
-                for k, c in self.mul.get((i, j), {}).items():
-                    s = f.add(out.get(k, f.zero()), f.mul(ab, c))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
     def product(self, u: list, v: list) -> list:
+        """u v for vectors given as lists: u_a v_b c summed on e_k over the
+        constants (a, b, k, c)."""
         f = self.field
-        us = {i: a for i, a in enumerate(u) if not f.is_zero(a)}
-        vs = {j: b for j, b in enumerate(v) if not f.is_zero(b)}
-        out = v_zero(f, self.dim)
-        for k, c in self.product_sparse(us, vs).items():
-            out[k] = c
-        return out
+        a, b, k, c = self.constants()
+        u, v = (f.reduce(np.array(x, dtype=c.dtype)) for x in (u, v))
+        out = np.full(self.dim, f.zero(), dtype=c.dtype)
+        np.add.at(out, k, f.reduce(f.reduce(u[a] * v[b]) * c))
+        return f.reduce(out).tolist()
 
     def mul_map(self) -> SparseMap:
         """Multiplication as a cached `SparseMap` (n, n) -> (n,): the
@@ -143,26 +180,21 @@ class AlgebraObject:
 
     def mul_matrix(self) -> Matrix:
         """Multiplication as a dim x dim^2 matrix (columns ordered (i,j))."""
-        entries = {}
-        for (i, j), col in self.mul.items():
-            for k, c in col.items():
-                entries[(k, i * self.dim + j)] = c
-        return Matrix.from_entries(self.field, self.dim, self.dim * self.dim, entries)
+        n = self.dim
+        a, b, c, v = self.constants()
+        m = Matrix.zeros(self.field, n, n * n)
+        m._d[c, a * n + b] = v
+        return m
 
     def constants(self):
-        """The structure constants as arrays (i, j, k, v): e_i e_j has the
-        reduced coefficient v on e_k, v nonzero, sorted by first leg i
-        (cached; do not modify).  The entries with first leg x are
-        [_by_a[x], _by_a[x + 1]); `_in_range` records whether every index
-        lies in range(dim)."""
+        """The nonzero structure constants (i, j, k, v), sorted by first
+        leg i (cached; do not modify).  The entries with first leg x are
+        [_by_a[x], _by_a[x + 1])."""
         if self._constants is None:
-            f = self.field
-            ijk = np.array([(i, j, k) for (i, j), col in self.mul.items() for k in col], dtype=np.int64).reshape(-1, 3)
-            v = f.reduce(np.array([c for col in self.mul.values() for c in col.values()], dtype=_dtype(f)))
+            i, j, k, v = self.table
             keep = np.flatnonzero(v != 0)
-            keep = keep[np.argsort(ijk[keep, 0], kind="stable")]
-            self._in_range = bool(((ijk >= 0) & (ijk < self.dim)).all())
-            self._constants = (*ijk[keep].T, v[keep])
+            keep = keep[np.argsort(i[keep], kind="stable")]
+            self._constants = (i[keep], j[keep], k[keep], v[keep])
             self._by_a = np.searchsorted(self._constants[0], np.arange(self.dim + 1))
         return self._constants
 
@@ -186,8 +218,7 @@ class AlgebraObject:
         return rep
 
     def _shape_ok(self) -> bool:
-        self.constants()
-        return len(self.unit) == self.dim and self._in_range
+        return len(self.unit) == self.dim and _in_range(self.table, self.dim)
 
     def _check_associativity(self, lefts=None):
         """(e_i e_j) e_k == e_i (e_j e_k) for every left index i in `lefts`
@@ -311,6 +342,11 @@ class AlgebraObject:
                 new = times(lm, span.basis._new(len(fresh), n, span.basis._d[fresh]))
 
 
+def _in_range(table, n: int) -> bool:
+    """Every index of the structure constants lies in range(n)."""
+    return all(((x >= 0) & (x < n)).all() for x in table[:3])
+
+
 class BimoduleObject:
     """(A,A)-bimodule: left action A (x) M -> M and right action M (x) A -> M."""
 
@@ -322,14 +358,8 @@ class BimoduleObject:
 
     @classmethod
     def regular(cls, a: AlgebraObject) -> "BimoduleObject":
-        n = a.dim
-        f = a.field
-        ent_l, ent_r = {}, {}
-        for (i, j), col in a.mul.items():
-            for k, c in col.items():
-                ent_l[(k, i * n + j)] = f.add(ent_l.get((k, i * n + j), f.zero()), c)
-                ent_r[(k, i * n + j)] = f.add(ent_r.get((k, i * n + j), f.zero()), c)
-        return cls(a, n, Matrix.from_entries(f, n, n * n, ent_l), Matrix.from_entries(f, n, n * n, ent_r))
+        m = a.mul_matrix()
+        return cls(a, a.dim, m, m)
 
     def left(self, avec: list, m: list) -> list:
         from .tensors import v_tensor
@@ -343,33 +373,9 @@ class BimoduleObject:
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
-        a = self.algebra
-        f = a.field
-        for i in range(a.dim):
-            ei = v_basis(f, a.dim, i)
-            for j in range(a.dim):
-                ej = v_basis(f, a.dim, j)
-                prod = a.product(ei, ej)
-                for t in range(self.dim):
-                    m = v_basis(f, self.dim, t)
-                    if not v_eq(f, self.left(prod, m), self.left(ei, self.left(ej, m))):
-                        rep.record("left_action", False, f"(e{i}e{j})m{t}")
-                        return rep
-                    if not v_eq(f, self.right(m, prod), self.right(self.right(m, ei), ej)):
-                        rep.record("right_action", False, f"m{t}(e{i}e{j})")
-                        return rep
-                    if not v_eq(f, self.left(ei, self.right(m, ej)), self.right(self.left(ei, m), ej)):
-                        rep.record("bimodule_compat", False, f"e{i}(m{t}e{j})")
-                        return rep
-        for t in range(self.dim):
-            m = v_basis(f, self.dim, t)
-            if not v_eq(f, self.left(a.unit, m), m) or not v_eq(f, self.right(m, a.unit), m):
-                rep.record("unit_action", False, f"1*m{t}")
-                return rep
-        rep.record("left_action", True)
-        rep.record("right_action", True)
-        rep.record("bimodule_compat", True)
-        rep.record("unit_action", True)
+        record_bimodule_axioms(rep, self.algebra, self.dim, self.act_l, self.act_r, {
+            "left": ("left_action", "(e{0}e{1})m{2}"), "right": ("right_action", "m{2}(e{0}e{1})"),
+            "middle": ("bimodule_compat", "e{0}(m{2}e{1})"), "unit": ("unit_action", "1*m{0}")})
         return rep
 
     @classmethod
@@ -385,6 +391,55 @@ class BimoduleObject:
                 ent_l[(t, i * dim + t)] = eps[i]
                 ent_r[(t, t * n + i)] = eps[i]
         return cls(a, dim, Matrix.from_entries(f, dim, n * dim, ent_l), Matrix.from_entries(f, dim, dim * n, ent_r))
+
+
+def _bimodule_defect(a: AlgebraObject, dm: int, act_l: Matrix, act_r: Matrix):
+    """The first bimodule axiom that fails on basis elements, as (axiom,
+    witness), or None.  Axioms "left" (e_i e_j) m_t = e_i (e_j m_t),
+    "right" m_t (e_i e_j) = (m_t e_i) e_j and "middle" e_i (m_t e_j) =
+    (e_i m_t) e_j are pipelines over (i, j, t); the witness is the
+    lexicographically first failing (i, j, t), the axioms in that order on
+    a tie.  Then "unit", 1 m_t = m_t = m_t 1, with witness (t,)."""
+    f, n = a.field, a.dim
+    mul = a.mul_map()
+    lm = SparseMap.from_matrix(act_l, (n, dm), (dm,))
+    rm = SparseMap.from_matrix(act_r, (dm, n), (dm,))
+
+    def P(*dims):
+        return StagePipeline(f, dims)
+
+    axioms = (
+        ("left", P(n, n, dm).map_at(mul, 0).map_at(lm, 0), P(n, n, dm).map_at(lm, 1).map_at(lm, 0)),
+        ("right", P(n, n, dm).map_at(mul, 0).permute((1, 0)).map_at(rm, 0),
+         P(n, n, dm).permute((2, 0, 1)).map_at(rm, 0).map_at(rm, 0)),
+        ("middle", P(n, n, dm).permute((0, 2, 1)).map_at(rm, 1).map_at(lm, 0),
+         P(n, n, dm).permute((0, 2, 1)).map_at(lm, 0).map_at(rm, 0)),
+    )
+    fails = [(pipelines_equal(lhs, rhs), s, name) for s, (name, lhs, rhs) in enumerate(axioms)]
+    fails = [x for x in fails if x[0] is not None]
+    if fails:
+        w, _, name = min(fails)
+        return name, w
+    units = [pipelines_equal(P(dm).insert(0, a.unit, n).map_at(lm, 0), P(dm)),
+             pipelines_equal(P(dm).insert(1, a.unit, n).map_at(rm, 0), P(dm))]
+    units = [w for w in units if w is not None]
+    return ("unit", min(units)) if units else None
+
+
+def record_bimodule_axioms(rep: ValidationReport, a: AlgebraObject, dm: int, act_l: Matrix, act_r: Matrix,
+                           names: dict) -> bool:
+    """Record `_bimodule_defect` in rep and return whether every axiom holds.
+    names maps each axiom to its check name and a witness format over the
+    witness indices.  A failure is recorded alone; otherwise every axiom
+    passes, in the order of names."""
+    bad = _bimodule_defect(a, dm, act_l, act_r)
+    if bad is not None:
+        check, fmt = names[bad[0]]
+        rep.record(check, False, fmt.format(*bad[1]))
+        return False
+    for check, _ in names.values():
+        rep.record(check, True)
+    return True
 
 
 class IdealData:
@@ -770,31 +825,32 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
 
 
 def verify_separability_idempotent(a: AlgebraObject, e: list):
-    """Re-check m(e)=1 and the Casimir property by direct contraction."""
-    f = a.field
-    n = a.dim
-    es = dense_to_sparse(f, e, dims=(n, n))
-    m_of_e = v_zero(f, n)
-    for (i, j), c in es.items():
-        for k, v in a.mul.get((i, j), {}).items():
-            m_of_e[k] = f.add(m_of_e[k], f.mul(c, v))
-    bad = next((k for k in range(n) if m_of_e[k] != a.unit[k]), None)
-    if bad is not None:
-        raise VerificationFailed("separability_multiplication", bad)
-    for t in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (i, j), c in es.items():
-            for k, v in a.mul.get((t, i), {}).items():
-                key = (k, j)
-                s = f.add(lhs.get(key, f.zero()), f.mul(c, v))
-                lhs[key] = s
-            for k, v in a.mul.get((j, t), {}).items():
-                key = (i, k)
-                s = f.add(rhs.get(key, f.zero()), f.mul(c, v))
-                rhs[key] = s
-        if not sparse_eq(f, lhs, rhs):
-            raise VerificationFailed("separability_casimir", t)
+    """Re-check m(e) = 1 and the Casimir property (e_t (x) 1) e = e (1 (x) e_t)
+    on the structure constants (i, j, k, v).  m(e) sums e_ij v on e_k; the
+    witness is the first k where it differs from 1.  Each nonzero e_ij
+    meets the constants (t, i, k, v) for the term e_ij v on e_k (x) e_j of
+    (e_t (x) 1) e, and the constants (j, t, k, v) for e_ij v on e_i (x) e_k
+    of e (1 (x) e_t); the difference is summed per t by `linalg._summed`,
+    and the witness is the first t where it is nonzero."""
+    f, n = a.field, a.dim
+    ci, cj, ck, cv = a.constants()
+    ev = f.reduce(np.array(e, dtype=_dtype(f)))
+    unit = f.reduce(-np.array(a.unit, dtype=_dtype(f)))
+    _, bad, _ = _summed(f, np.zeros(ck.size + n, dtype=np.int64), np.concatenate((ck, np.arange(n))),
+                        np.concatenate((f.reduce(ev[ci * n + cj] * cv), unit)), n)
+    if bad.size:
+        raise VerificationFailed("separability_multiplication", int(bad[0]))
+    nz = np.flatnonzero(ev)
+    i, j = np.divmod(nz, n)
+    by_b = np.argsort(cj, kind="stable")
+    b_at = np.searchsorted(cj[by_b], np.arange(n + 1))
+    s, t = _join(np.arange(nz.size), b_at[i], b_at[i + 1])
+    t = by_b[t]
+    s2, t2 = _join(np.arange(nz.size), a._by_a[j], a._by_a[j + 1])
+    bad, _, _ = _summed(f, np.concatenate((ci[t], cj[t2])), np.concatenate((ck[t] * n + j[s], i[s2] * n + ck[t2])),
+                        np.concatenate((f.reduce(ev[nz[s]] * cv[t]), -f.reduce(ev[nz[s2]] * cv[t2]))), n * n)
+    if bad.size:
+        raise VerificationFailed("separability_casimir", int(bad[0]))
 
 
 def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
@@ -816,12 +872,8 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
     consts = _matmul(f, pairwise_products(a, basis, basis)._d, proj._d.T)  # row (ti, tj)
-    qmul: dict = {}
-    for r, k in zip(*np.nonzero(consts)):
-        qmul.setdefault(divmod(int(r), qdim), {})[int(k)] = consts.item(r, k)
-    qunit = proj.apply(a.unit)
-    labels = tuple(a.labels[fr] for fr in free)
-    q = AlgebraObject(f, qdim, qmul, qunit, labels)
+    q = AlgebraObject.from_constants(f, qdim, constants_of(Matrix(f, qdim * qdim, qdim, consts, _raw=True), qdim),
+                                     proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     q.validate().require("quotient algebra")
     bad = multiplicativity_defect(a, q, proj)
     if bad is not None:

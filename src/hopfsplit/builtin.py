@@ -1,47 +1,79 @@
 """Builtin Hopf objects: group algebras, their duals, Taft algebras and the
 p^4-dimensional two-generator family used by the end-to-end runs.
 
-The two-generator family H(a) is built by normal-form rewriting on
-monomials c^i x1^j x2^r (0 <= i < p^2, 0 <= j, r < p) subject to
+Each builder computes its structure constants as arrays (i, j, k, v) and
+hands them to `AlgebraObject.from_constants` and
+`CoalgebraObject.from_constants`; the Hopf object is validated once,
+antipode included.
+
+The two-generator family H(a) has the basis of monomials c^i x1^j x2^r
+(0 <= i < p^2, 0 <= j, r < p) subject to
 
     c^(p^2) = 1,   x1^p = x2^p = c^p - 1,
     x1 c = lam^-1 c x1,   x2 c = lam c x2,   x2 x1 = lam x1 x2 + a(c^2 - 1),
 
 with lam a primitive p-th root of unity; c is grouplike and
 Delta(xi) = c (x) xi + xi (x) 1.  c^p is central since lam^p = 1, so the
-power reductions commute with everything.
+power reductions commute with everything.  Normal-form rewriting gives
+only the right multiplications R_c, R_x1, R_x2 of the generators on the
+basis (column t holds e_t g).  Walking the monomials m = c^i x1^j x2^r in
+order, one step from the previous monomial of the chain gives
+
+    R_(m g) = R_g R_m                                (e_t m g = R_g R_m e_t)
+    Delta(m c) = R_c D_m R_c^T,  Delta(m x) = R_c D_m R_x^T + R_x D_m
+    S(m g) = L_(S g) S(m)                            (S is anti-multiplicative)
+
+where D_m is Delta(m) as an n x n matrix and L_y the left multiplication
+by y, whose column t is R_t y.  The column t of R_(e_t') is e_t e_t', so
+the product constants are the nonzeros of the R_m; only the current chain
+of n x n matrices is kept, never an n^3 array.
 """
 from __future__ import annotations
 
+import numpy as np
+
+from .algebra import AlgebraObject, table_from_entries
+from .coalgebra import CoalgebraObject
 from .fields import ScalarField
-from .hopf import BialgebraObject, HopfObject, upgrade_to_hopf
-from .linalg import Matrix
+from .hopf import HopfObject
+from .linalg import Matrix, _dtype, _matmul
+
+
+def _validated(h: HopfObject, what: str) -> HopfObject:
+    h.validate().require(what)
+    return h
+
+
+def _hopf(f: ScalarField, dim: int, mul, unit, comul, counit, s: Matrix, labels) -> HopfObject:
+    """The Hopf object on the structure-constant arrays mul and comul."""
+    return HopfObject.from_parts(AlgebraObject.from_constants(f, dim, mul, unit, labels),
+                                 CoalgebraObject.from_constants(f, dim, comul, counit, labels), s)
+
+
+def _ones(f: ScalarField, size: int) -> np.ndarray:
+    return np.full(size, f.one(), dtype=_dtype(f))
 
 
 def group_algebra(n: int, field: ScalarField) -> HopfObject:
     """K[Z_n]: basis g^0..g^(n-1), grouplike basis, S(g^i) = g^-i."""
     f = field
-    mul = {(i, j): {(i + j) % n: f.one()} for i in range(n) for j in range(n)}
+    i, j = (x.ravel() for x in np.indices((n, n)))
+    g = np.arange(n)
     unit = [f.one() if i == 0 else f.zero() for i in range(n)]
-    comul = {k: {(k, k): f.one()} for k in range(n)}
-    counit = [f.one()] * n
     s = Matrix.from_entries(f, n, n, {((-i) % n, i): f.one() for i in range(n)})
-    h = HopfObject(f, n, mul, unit, comul, counit, s, tuple(f"g^{i}" for i in range(n)))
-    h.validate().require("group algebra")
-    return h
+    return _validated(_hopf(f, n, (i, j, (i + j) % n, _ones(f, n * n)), unit, (g, g, g, _ones(f, n)), [f.one()] * n,
+                            s, tuple(f"g^{i}" for i in range(n))), "group algebra")
 
 
 def dual_group_algebra(n: int, field: ScalarField) -> HopfObject:
     """Functions on Z_n: pointwise product of delta functions, convolution coproduct."""
     f = field
-    mul = {(i, i): {i: f.one()} for i in range(n)}
-    unit = [f.one()] * n
-    comul = {k: {(i, (k - i) % n): f.one() for i in range(n)} for k in range(n)}
+    k, i = (x.ravel() for x in np.indices((n, n)))
+    g = np.arange(n)
     counit = [f.one() if k == 0 else f.zero() for k in range(n)]
     s = Matrix.from_entries(f, n, n, {((-i) % n, i): f.one() for i in range(n)})
-    h = HopfObject(f, n, mul, unit, comul, counit, s, tuple(f"d{i}" for i in range(n)))
-    h.validate().require("dual group algebra")
-    return h
+    return _validated(_hopf(f, n, (g, g, g, _ones(f, n)), [f.one()] * n, (i, (k - i) % n, k, _ones(f, n * n)),
+                            counit, s, tuple(f"d{i}" for i in range(n))), "dual group algebra")
 
 
 def taft(n: int, lam, field: ScalarField) -> HopfObject:
@@ -55,34 +87,22 @@ def taft(n: int, lam, field: ScalarField) -> HopfObject:
     def idx(i, j):  # basis g^i x^j
         return i * n + j
 
-    mul: dict = {}
-    for i1 in range(n):
-        for j1 in range(n):
-            for i2 in range(n):
-                for j2 in range(n):
-                    # (g^i1 x^j1)(g^i2 x^j2) = lam^(j1*i2) g^(i1+i2) x^(j1+j2)
-                    if j1 + j2 >= n:
-                        continue  # x^n = 0
-                    c = f.pow(lam, j1 * i2)
-                    mul.setdefault((idx(i1, j1), idx(i2, j2)), {})[idx((i1 + i2) % n, j1 + j2)] = c
+    # (g^i1 x^j1)(g^i2 x^j2) = lam^(j1 i2) g^(i1+i2) x^(j1+j2), zero when
+    # j1 + j2 >= n (x^n = 0)
+    i1, j1, i2, j2 = (x.ravel() for x in np.indices((n,) * 4))
+    keep = j1 + j2 < n
+    i1, j1, i2, j2 = i1[keep], j1[keep], i2[keep], j2[keep]
+    powers = np.array([f.pow(lam, e) for e in range(n)], dtype=_dtype(f))
+    mul = (idx(i1, j1), idx(i2, j2), idx((i1 + i2) % n, j1 + j2), powers[j1 * i2 % n])
     unit = [f.zero()] * dim
     unit[idx(0, 0)] = f.one()
     # Delta(g^i x^j) = (g(x)g)^i (g(x)x + x(x)1)^j, expanded with the
-    # q-binomial coefficients for lam
-    comul: dict = {}
+    # q-binomial coefficients for lam:
+    # (g(x)x + x(x)1)^j = sum_t qbin[j][t] g^t x^(j-t) (x) x^t
     qbin = _gauss_binomials(f, lam, n)
-    for i in range(n):
-        for j in range(n):
-            col: dict = {}
-            for t in range(j + 1):
-                # (g(x)x + x(x)1)^j = sum_t qbin[j][t] g^t x^(j-t) (x) x^t
-                c = qbin[j][t]
-                left = idx((i + t) % n, j - t)
-                right = idx(i, t)
-                col[(left, right)] = f.add(col.get((left, right), f.zero()), c)
-            comul[idx(i, j)] = col
+    comul = table_from_entries(f, ((idx((i + t) % n, j - t), idx(i, t), idx(i, j), qbin[j][t])
+                                   for i in range(n) for j in range(n) for t in range(j + 1)))
     counit = [f.one() if j == 0 else f.zero() for i in range(n) for j in range(n)]
-    b = BialgebraObject(f, dim, mul, unit, comul, counit, tuple(f"g^{i}x^{j}" for i in range(n) for j in range(n)))
     # S(g) = g^-1, S(x) = -g^-1 x, anti-multiplicative
     s_entries = {}
     for i in range(n):
@@ -92,9 +112,8 @@ def taft(n: int, lam, field: ScalarField) -> HopfObject:
             c = f.mul(f.pow(f.neg(f.one()), j), f.pow(lam, exp))
             s_entries[(idx((-i - j) % n, j), idx(i, j))] = c
     s = Matrix.from_entries(f, dim, dim, s_entries)
-    h = upgrade_to_hopf(b, antipode_hint=s)
-    h.validate().require("taft algebra")
-    return h
+    labels = tuple(f"g^{i}x^{j}" for i in range(n) for j in range(n))
+    return _validated(_hopf(f, dim, mul, unit, comul, counit, s, labels), "taft algebra")
 
 
 def sweedler_h4(field: ScalarField) -> HopfObject:
@@ -204,19 +223,6 @@ class _MonomialRewriter:
             return
         self._add(acc, (i, j, r), coeff)
 
-    def product_monomials(self, m1, m2):
-        """(c^i1 x1^j1 x2^r1)(c^i2 x1^j2 x2^r2) in normal form."""
-        i1, j1, r1 = m1
-        i2, j2, r2 = m2
-        elem = {m1: self.f.one()}
-        if i2:
-            elem = self.times_c(elem, i2)
-        for _ in range(j2):
-            elem = self.times_x1(elem)
-        for _ in range(r2):
-            elem = self.times_x2(elem)
-        return elem
-
 
 def build_ha(p: int, field: ScalarField, lam, a) -> HopfObject:
     """Pointed Hopf algebra of dimension p^4 on generators c, x1, x2.
@@ -232,100 +238,85 @@ def build_ha(p: int, field: ScalarField, lam, a) -> HopfObject:
         raise ValueError("a must be nonzero")
     if f.kind == "Fp" and p * p % f.p == 0:
         raise ValueError("characteristic divides the group order")
-    rw = _MonomialRewriter(p, f, lam, a)
-    dim = p**4
-    monos = [(i, j, r) for i in range(p * p) for j in range(p) for r in range(p)]
-    mul: dict = {}
-    for m1 in monos:
-        for m2 in monos:
-            prod = rw.product_monomials(m1, m2)
-            col = {rw.idx(*m): c for m, c in prod.items()}
-            if col:
-                mul[(rw.idx(*m1), rw.idx(*m2))] = col
-    unit = [f.zero()] * dim
-    unit[rw.idx(0, 0, 0)] = f.one()
-    alg_labels = tuple(f"c^{i}x1^{j}x2^{r}" for (i, j, r) in monos)
-
-    # comultiplication: Delta is multiplicative on the generators
-    # Delta(c) = c (x) c, Delta(xi) = c (x) xi + xi (x) 1
-    from .algebra import AlgebraObject
-
-    alg = AlgebraObject(f, dim, mul, unit, alg_labels)
-
-    def tensor_mult(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for (a1, b1), c1 in u.items():
-            for (a2, b2), c2 in v.items():
-                c12 = f.mul(c1, c2)
-                for ka, ca in alg.mul.get((a1, a2), {}).items():
-                    for kb, cb in alg.mul.get((b1, b2), {}).items():
-                        key = (ka, kb)
-                        s = f.add(out.get(key, f.zero()), f.mul(c12, f.mul(ca, cb)))
-                        if f.is_zero(s):
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-        return out
-
-    e = rw.idx
-    dc = {(e(1, 0, 0), e(1, 0, 0)): f.one()}
-    dx1 = {(e(1, 0, 0), e(0, 1, 0)): f.one(), (e(0, 1, 0), e(0, 0, 0)): f.one()}
-    dx2 = {(e(1, 0, 0), e(0, 0, 1)): f.one(), (e(0, 0, 1), e(0, 0, 0)): f.one()}
-    one_one = {(e(0, 0, 0), e(0, 0, 0)): f.one()}
-    comul: dict = {}
-    for i, j, r in monos:
-        d = one_one
-        for _ in range(i):
-            d = tensor_mult(d, dc)
-        for _ in range(j):
-            d = tensor_mult(d, dx1)
-        for _ in range(r):
-            d = tensor_mult(d, dx2)
-        comul[e(i, j, r)] = d
-    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
-
-    # antipode hint: S(c) = c^-1, S(xi) = -c^-1 xi, anti-multiplicative:
-    # S(c^i x1^j x2^r) = S(x2)^r S(x1)^j S(c)^i
-    sc = {(p * p - 1, 0, 0): f.one()}
-    sx1 = _neg_cinv_x(rw, which=1)
-    sx2 = _neg_cinv_x(rw, which=2)
-    s_entries: dict = {}
-    for i, j, r in monos:
-        acc = {(0, 0, 0): f.one()}
-        for _ in range(r):
-            acc = _elem_mult(rw, acc, sx2)
-        for _ in range(j):
-            acc = _elem_mult(rw, acc, sx1)
-        for _ in range(i):
-            acc = _elem_mult(rw, acc, sc)
-        for m, c in acc.items():
-            s_entries[(rw.idx(*m), e(i, j, r))] = c
-    s = Matrix.from_entries(f, dim, dim, s_entries)
-    b = BialgebraObject(f, dim, mul, unit, comul, counit, alg_labels)
-    h = upgrade_to_hopf(b, antipode_hint=s)
-    h.validate().require("p^4 two-generator Hopf algebra")
-    return h
+    h = _ha_from_generators(p, f, *_regular_generators(_MonomialRewriter(p, f, lam, a)))
+    return _validated(h, "p^4 two-generator Hopf algebra")
 
 
-def _neg_cinv_x(rw: _MonomialRewriter, which: int):
+def _monomials(p: int) -> list:
+    """The basis c^i x1^j x2^r as (i, j, r), in the order of its index."""
+    return [(i, j, r) for i in range(p * p) for j in range(p) for r in range(p)]
+
+
+def _regular_generators(rw: _MonomialRewriter) -> list:
+    """R_c, R_x1, R_x2 as n x n arrays: column t holds e_t g in normal form."""
     f = rw.f
-    base = {(rw.psq - 1, 0, 0): f.one()}
-    elem = rw.times_x1(base) if which == 1 else rw.times_x2(base)
-    return {m: f.neg(c) for m, c in elem.items()}
-
-
-def _elem_mult(rw: _MonomialRewriter, u: dict, v: dict) -> dict:
-    f = rw.f
-    out: dict = {}
-    for m1, c1 in u.items():
-        for m2, c2 in v.items():
-            for m, c in rw.product_monomials(m1, m2).items():
-                s = f.add(out.get(m, f.zero()), f.mul(c, f.mul(c1, c2)))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+    monos = _monomials(rw.p)
+    out = []
+    for times in (rw.times_c, rw.times_x1, rw.times_x2):
+        r = np.full((len(monos), len(monos)), f.zero(), dtype=_dtype(f))
+        for t, m in enumerate(monos):
+            for mono, c in times({m: f.one()}).items():
+                r[rw.idx(*mono), t] = c
+        out.append(r)
     return out
+
+
+def _chain_steps(p: int):
+    """(t, g) for each monomial t but 1, in index order: t = m g, with g
+    = 0 (c), 1 (x1) or 2 (x2) the last generator of t.  The walk keeps the
+    chain (c^i, c^i x1^j, c^i x1^j x2^r) of the monomials reached last; m
+    is its entry g, and t replaces that entry and the ones after it."""
+    for t, (i, j, r) in enumerate(_monomials(p)):
+        if t:
+            yield t, 0 if j == r == 0 else 1 if r == 0 else 2
+
+
+def _ha_from_generators(p: int, f: ScalarField, rc, rx1, rx2) -> HopfObject:
+    """The Hopf object H(a) from the right multiplications of its
+    generators, by the chain recurrences of the module docstring; not
+    validated."""
+    n = p**4
+    gens = (rc, rx1, rx2)
+    inv_c = (p * p - 1) * p * p  # the index of c^(p^2 - 1) = c^-1 = S(c)
+    eye = Matrix.identity(f, n)._d
+    # the columns S(c) = c^-1 and S(xi) = -c^-1 xi
+    sg = np.stack([eye[inv_c], f.reduce(-rx1[:, inv_c]), f.reduce(-rx2[:, inv_c])], axis=1)
+    one = np.full((n, n), f.zero(), dtype=rc.dtype)
+    one[0, 0] = f.one()
+
+    def mm(x, y):
+        return _matmul(f, x, y)
+
+    def record(t, rm, dm):
+        k, m1 = np.nonzero(rm)  # e_m1 e_t has rm[k, m1] on e_k
+        mul.append((m1, np.full(k.size, t), k, rm[k, m1]))
+        a, b = np.nonzero(dm)
+        comul.append((a, b, np.full(a.size, t), dm[a, b]))
+        left.append(mm(rm, sg))  # column t of L_S(c), L_S(x1), L_S(x2)
+
+    mul, comul, left = [], [], []
+    chain = [(eye, one)] * 3  # (R_m, Delta(m))
+    record(0, eye, one)
+    for t, g in _chain_steps(p):
+        r, d = chain[g]
+        d_next = mm(mm(rc, d), gens[g].T)
+        chain[g:] = [(mm(gens[g], r), d_next if g == 0 else f.reduce(d_next + mm(gens[g], d)))] * (3 - g)
+        record(t, *chain[g])
+    left = np.stack(left, axis=1)  # L_S(g)[:, t] = left[:, t, g]
+    s = np.full((n, n), f.zero(), dtype=rc.dtype)
+    s[:, 0] = eye[0]
+    s_chain = [eye[0]] * 3
+    for t, g in _chain_steps(p):
+        s_chain[g:] = [mm(left[:, :, g], s_chain[g][:, None])[:, 0]] * (3 - g)
+        s[:, t] = s_chain[g]
+    mul = [np.concatenate(x) for x in zip(*mul)]
+    order = np.lexsort((mul[2], mul[1], mul[0]))
+    monos = _monomials(p)
+    unit = [f.one() if t == 0 else f.zero() for t in range(n)]
+    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
+    labels = tuple(f"c^{i}x1^{j}x2^{r}" for (i, j, r) in monos)
+    return _hopf(f, n, [x[order] for x in mul], unit, [np.concatenate(x) for x in zip(*comul)], counit,
+                 Matrix(f, n, n, s, _raw=True), labels)
 
 
 def builtin(name: str, field: ScalarField, **params) -> HopfObject:

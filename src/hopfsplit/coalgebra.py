@@ -1,13 +1,20 @@
 """Finite-dimensional coalgebras: validation, dualization, wedge products,
 coradical certification and the coradical filtration.
 
-comul[k] = {(i,j): c} encodes Delta(e_k) = sum c e_i (x) e_j; counit is a
-dense vector.  Only `CoalgebraObject.validate`, `comul_matrix` (Delta as a
-dim^2 x dim matrix, row i dim + j) and `dualize` read the dict.  Every
-other computation is the dual of one on the algebra side: `comul_map()` is
-Delta as a cached `tensors.SparseMap` (n,) -> (n, n), as `mul_map()` is the
-product, and the kernels below are `StagePipeline`s over it or products
-with `comul_matrix()`:
+The comultiplication is stored as read-only arrays (i, j, k, v), as the
+product of an algebra is (`algebra.AlgebraObject`): Delta(e_k) has the
+coefficient v on e_i (x) e_j.  The counit is a dense vector.  Producers
+inside the package hand the arrays over through
+`CoalgebraObject.from_constants`; a dict {k: {(i, j): c}} given to the
+constructor is converted once, and `CoalgebraObject.comul` rebuilds it
+only for callers outside the package.  The dual algebra has the same
+arrays, so `dualize` copies nothing.  `comul_map()` is Delta as a cached
+`tensors.SparseMap` (n,) -> (n, n), as `mul_map()` is the product, and
+`validate` joins its entries: coassociativity is the mirror of the
+associativity join of `AlgebraObject`, grouped by the coproduct's input
+leg k.  The kernels below are `StagePipeline`s over `comul_map()` or
+products with `comul_matrix()` (Delta as a dim^2 x dim matrix, row
+i dim + j):
 
   - Ker((p (x) q) Delta)    one pipeline for maps p, q out of C: the wedge
                             D ^ D (p = q = pi_D), the filtration step
@@ -28,38 +35,64 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraObject, ValidationReport, VerificationFailed, radical
+from .algebra import (AlgebraObject, ValidationReport, VerificationFailed, _frozen, _in_range, _JOIN_BLOCK,
+                      constants_of, radical, table_from_entries)
 from .fields import ScalarField
-from .linalg import Matrix, Subspace
-from .tensors import SparseMap, StagePipeline, sparse_eq, v_basis, v_eq, v_zero
+from .linalg import Matrix, Subspace, _dtype, _join, _summed
+from .tensors import SparseMap, StagePipeline
 
 
 class CoalgebraObject:
     """Coassociative counital coalgebra by structure constants."""
 
     def __init__(self, field: ScalarField, dim: int, comul: dict, counit: list, labels=None):
+        """comul[k] = {(i, j): c} means Delta(e_k) = sum c e_i (x) e_j."""
+        self._store(field, dim, table_from_entries(field, ((i, j, k, c) for k, col in comul.items()
+                                                            for (i, j), c in col.items())), counit, labels)
+
+    @classmethod
+    def from_constants(cls, field: ScalarField, dim: int, table, counit: list, labels=None) -> "CoalgebraObject":
+        """The coalgebra on the arrays table = (i, j, k, v), each (i, j, k)
+        at most once and v reduced; the arrays are kept, not copied."""
+        c = cls.__new__(cls)
+        c._store(field, dim, table, counit, labels)
+        return c
+
+    def _store(self, field, dim, table, counit, labels):
         self.field = field
         self.dim = dim
-        self.comul = {k: dict(v) for k, v in comul.items() if v}
+        self.table = _frozen(table)
         self.counit = list(counit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
+        self._comul = None
         self._delta = None
         self._verified = False  # `validate` has passed
+
+    @property
+    def comul(self) -> dict:
+        """The stored constants as {k: {(i, j): c}} (built once; the package
+        reads the arrays)."""
+        if self._comul is None:
+            self._comul = {}
+            for i, j, k, c in zip(*(x.tolist() for x in self.table)):
+                self._comul.setdefault(k, {})[(i, j)] = c
+        return self._comul
 
     def comul_map(self) -> SparseMap:
         """Delta as a SparseMap (n,) -> (n, n), built once (see
         `AlgebraObject.mul_map`)."""
         if self._delta is None:
             n = self.dim
-            self._delta = SparseMap.from_matrix(self.comul_matrix(), (n,), (n, n))
+            i, j, k, v = self.table
+            self._delta = SparseMap(self.field, (n,), (n, n), k, i * n + j, v)
         return self._delta
 
     def comul_matrix(self) -> Matrix:
-        entries = {}
-        for k, col in self.comul.items():
-            for (i, j), c in col.items():
-                entries[(i * self.dim + j, k)] = c
-        return Matrix.from_entries(self.field, self.dim * self.dim, self.dim, entries)
+        n = self.dim
+        k, ij, v = self.comul_map().coo()
+        m = Matrix.zeros(self.field, n * n, n)
+        m._d[ij, k] = v
+        return m
 
     def counit_of(self, vec: list):
         f = self.field
@@ -69,52 +102,64 @@ class CoalgebraObject:
         return s
 
     def validate(self) -> ValidationReport:
+        """Shape, coassociativity and the counit laws, in that order; each
+        witness is the first failing input leg k."""
         rep = ValidationReport()
-        f = self.field
-        n = self.dim
-        ok = len(self.counit) == n and all(
-            0 <= k < n and all(0 <= i < n and 0 <= j < n for i, j in col)
-            for k, col in self.comul.items()
-        )
+        ok = len(self.counit) == self.dim and _in_range(self.table, self.dim)
         rep.record("shape", ok, "comultiplication indices out of range")
         if not ok:
             return rep
-        # coassociativity, basis by basis (tuned: raw int ops over F_p)
-        is_fp = f.kind == "Fp"
-        p = f.p if is_fp else None
-        comul = self.comul
-        for k in range(n):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (i, j), c in comul.get(k, {}).items():
-                for (x, y), w in comul.get(i, {}).items():
-                    key = (x, y, j)
-                    prev = lhs.get(key)
-                    val = c * w if prev is None else prev + c * w
-                    lhs[key] = val % p if is_fp else val
-                for (x, y), w in comul.get(j, {}).items():
-                    key = (i, x, y)
-                    prev = rhs.get(key)
-                    val = c * w if prev is None else prev + c * w
-                    rhs[key] = val % p if is_fp else val
-            if not sparse_eq(f, lhs, rhs):
-                rep.record("coassociativity", False, f"basis element {k}")
-                return rep
-        rep.record("coassociativity", True)
-        # counit laws
-        for k in range(n):
-            left = v_zero(f, n)
-            right = v_zero(f, n)
-            for (i, j), c in comul.get(k, {}).items():
-                left[j] = f.add(left[j], f.mul(self.counit[i], c))
-                right[i] = f.add(right[i], f.mul(self.counit[j], c))
-            e = v_basis(f, n, k)
-            if not v_eq(f, left, e) or not v_eq(f, right, e):
-                rep.record("counit", False, f"basis element {k}")
-                return rep
-        rep.record("counit", True)
-        self._verified = True
+        k = self._coassociativity_defect()
+        rep.record("coassociativity", k is None, f"basis element {k}")
+        if k is not None:
+            return rep
+        k = self._counit_defect()
+        rep.record("counit", k is None, f"basis element {k}")
+        self._verified = k is None
         return rep
+
+    def _coassociativity_defect(self) -> int | None:
+        """The first k with (Delta (x) id) Delta(e_k) != (id (x) Delta) Delta(e_k),
+        or None: the mirror of `AlgebraObject._check_associativity`.  Each
+        entry (i, j, k, c) of Delta pairs with every entry (x, y, i, w) for
+        the terms w c e_x (x) e_y (x) e_j of the left side, and with every
+        entry (x, y, j, w) for the terms w c e_i (x) e_x (x) e_y of the right
+        side.  Their difference is summed per (k, key) by `linalg._summed`,
+        so k fails iff a sum is nonzero.  Consecutive input legs share one
+        join while their terms fit a window of _JOIN_BLOCK."""
+        f, n = self.field, self.dim
+        delta = self.comul_map()
+        src, ij, v = delta.coo()  # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1])
+        by_k = delta.starts
+        i, j = np.divmod(ij, n)
+        count = np.diff(by_k)
+        before = np.concatenate(([0], np.cumsum(count[i] + count[j])))[by_k]  # terms before each leg
+        cuts = (np.flatnonzero(np.diff(before[:-1] // _JOIN_BLOCK)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            s = np.arange(by_k[lo], by_k[hi])
+            l_src, l_dst = _join(s, by_k[i[s]], by_k[i[s] + 1])
+            r_src, r_dst = _join(s, by_k[j[s]], by_k[j[s] + 1])
+            keys = np.concatenate((ij[l_dst] * n + j[l_src], i[r_src] * n * n + ij[r_dst]))
+            terms = np.concatenate((f.reduce(v[l_src] * v[l_dst]), -f.reduce(v[r_src] * v[r_dst])))
+            bad, _, _ = _summed(f, np.concatenate((src[l_src], src[r_src])), keys, terms, n**3)
+            if bad.size:
+                return int(bad[0])
+        return None
+
+    def _counit_defect(self) -> int | None:
+        """The first k with (eps (x) id) Delta(e_k) != e_k or
+        (id (x) eps) Delta(e_k) != e_k, or None: both sides minus e_k, keyed
+        by the remaining leg (the right side shifted by n), summed per k by
+        `linalg._summed`."""
+        f, n = self.field, self.dim
+        k, ij, v = self.comul_map().coo()
+        i, j = np.divmod(ij, n)
+        eps = f.reduce(np.array(self.counit, dtype=_dtype(f)))
+        diag = np.arange(n)
+        bad, _, _ = _summed(f, np.concatenate((k, k, diag, diag)), np.concatenate((j, n + i, diag, n + diag)),
+                            np.concatenate((f.reduce(eps[i] * v), f.reduce(eps[j] * v),
+                                            np.full(2 * n, f.reduce(-f.one()), dtype=v.dtype))), 2 * n)
+        return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +169,11 @@ class CoalgebraObject:
 def dualize(x):
     """Finite-dimensional dual: algebras <-> coalgebras, bialgebra <-> bialgebra.
 
-    Structure constants are transposed against the dual basis; applying
-    dualize twice gives back an equal object under the canonical basis
-    identification.  A bialgebra's dual is the dual of its coalgebra as the
+    Against the dual basis, e_i e_j = v e_k + ... turns into
+    Delta(e_k*) = v e_i* (x) e_j* + ..., so the dual keeps the arrays
+    (i, j, k, v) of the object, with the roles of the legs swapped;
+    applying dualize twice gives back an equal object under the canonical
+    basis identification.  A bialgebra's dual is the dual of its coalgebra as the
     algebra and the dual of its algebra as the coalgebra.
     """
     from .hopf import BialgebraObject, HopfObject
@@ -134,21 +181,12 @@ def dualize(x):
     if isinstance(x, BialgebraObject):
         alg, co = dualize(x.as_coalgebra()), dualize(x.as_algebra())
         if isinstance(x, HopfObject):
-            return HopfObject(x.field, x.dim, alg.mul, alg.unit, co.comul, co.counit,
-                              antipode=x.antipode.transpose(), labels=alg.labels)
-        return BialgebraObject(x.field, x.dim, alg.mul, alg.unit, co.comul, co.counit, labels=alg.labels)
+            return HopfObject.from_parts(alg, co, x.antipode.transpose())
+        return BialgebraObject.from_parts(alg, co)
     if isinstance(x, AlgebraObject):
-        comul = {}
-        for (i, j), col in x.mul.items():
-            for k, c in col.items():
-                comul.setdefault(k, {})[(i, j)] = c
-        return CoalgebraObject(x.field, x.dim, comul, list(x.unit), _dual_labels(x.labels))
+        return CoalgebraObject.from_constants(x.field, x.dim, x.table, x.unit, _dual_labels(x.labels))
     if isinstance(x, CoalgebraObject):
-        mul = {}
-        for k, col in x.comul.items():
-            for (i, j), c in col.items():
-                mul.setdefault((i, j), {})[k] = c
-        return AlgebraObject(x.field, x.dim, mul, list(x.counit), _dual_labels(x.labels))
+        return AlgebraObject.from_constants(x.field, x.dim, x.table, x.counit, _dual_labels(x.labels))
     raise TypeError(f"cannot dualize {type(x).__name__}")
 
 
@@ -319,8 +357,6 @@ def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject
     combination.  Returns (D, incl) with incl the (dim x d.dim) inclusion
     matrix.
     """
-    from .smash import _comul_dict
-
     if not is_subcoalgebra(c, d):
         raise ValueError("not a subcoalgebra")
     f = c.field
@@ -332,7 +368,7 @@ def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject
         t = next(t for t, col in enumerate(cols) if _square_coordinates(d, col) is None)
         raise VerificationFailed("subcoalgebra_readoff", t)
     counit = [c.counit_of(d.basis.row_list(t)) for t in range(m)]
-    sub = CoalgebraObject(f, m, _comul_dict(coords), counit, tuple(f"d{t}" for t in range(m)))
+    sub = CoalgebraObject.from_constants(f, m, constants_of(coords, m), counit, tuple(f"d{t}" for t in range(m)))
     sub.validate().require("subcoalgebra restriction")
     return sub, d.basis.transpose()
 

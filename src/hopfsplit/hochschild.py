@@ -43,6 +43,7 @@ from .algebra import (
     ideal_power_nilpotency,
     multiplicativity_defect,
     pairwise_products,
+    record_bimodule_axioms,
 )
 from .category import (
     CatObject,
@@ -120,49 +121,17 @@ class BimoduleInContext:
 
     @classmethod
     def regular(cls, actx: AlgebraInContext) -> "BimoduleInContext":
-        a = actx.algebra
-        n = a.dim
-        f = a.field
-        ent = {}
-        for (i, j), col in a.mul.items():
-            for k, c in col.items():
-                ent[(k, i * n + j)] = c
-        m = Matrix.from_entries(f, n, n * n, ent)
+        m = actx.algebra.mul_matrix()
         return cls(actx, actx.obj, m, m)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
-        a = self.actx.algebra
-        f = self.field
-        n, dm = a.dim, self.dim
         for name, ok, wit in self.obj.validate(self.actx.ctx).checks:
             rep.record("object:" + name, ok, wit)
-        # module axioms
-        for i in range(n):
-            ei = v_basis(f, n, i)
-            for j in range(n):
-                ej = v_basis(f, n, j)
-                prod = a.product(ei, ej)
-                for t in range(dm):
-                    m = v_basis(f, dm, t)
-                    if not v_eq(f, self.left(prod, m), self.left(ei, self.left(ej, m))):
-                        rep.record("left_module", False, f"(e{i}e{j})m{t}")
-                        return rep
-                    if not v_eq(f, self.right(m, prod), self.right(self.right(m, ei), ej)):
-                        rep.record("right_module", False, f"m{t}(e{i}e{j})")
-                        return rep
-                    if not v_eq(f, self.left(ei, self.right(m, ej)), self.right(self.left(ei, m), ej)):
-                        rep.record("middle_compat", False, f"e{i}m{t}e{j}")
-                        return rep
-        for t in range(dm):
-            m = v_basis(f, dm, t)
-            if not v_eq(f, self.left(a.unit, m), m) or not v_eq(f, self.right(m, a.unit), m):
-                rep.record("unit_module", False, f"m{t}")
-                return rep
-        rep.record("left_module", True)
-        rep.record("right_module", True)
-        rep.record("middle_compat", True)
-        rep.record("unit_module", True)
+        if not record_bimodule_axioms(rep, self.actx.algebra, self.dim, self.act_l, self.act_r, {
+                "left": ("left_module", "(e{0}e{1})m{2}"), "right": ("right_module", "m{2}(e{0}e{1})"),
+                "middle": ("middle_compat", "e{0}m{2}e{1}"), "unit": ("unit_module", "m{0}")}):
+            return rep
         if self.actx.ctx.kind != "vect":
             am = tensor_catobject(self.actx.obj, self.obj)
             rep.record("act_l_ctx", _is_ctx_morphism(self.actx.ctx, am, self.obj, self.act_l),
@@ -438,25 +407,17 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
     if not differential(actx, mctx, 2, omega).is_zero():
         raise ValueError("omega is not a 2-cocycle")
     de = da + dm
-    mul: dict = {}
-    for i in range(da):
-        for j in range(da):
-            col: dict = {}
-            for k, c in a.pair_product(i, j).items():
-                col[k] = c
-            oc = omega.col_list(i * da + j)
-            for t, c in enumerate(oc):
-                if not fld.is_zero(c):
-                    col[da + t] = fld.neg(c)
-            if col:
-                mul[(i, j)] = col
-    for i, t, v in mctx.act_l.entries():
-        # act_l[(i_out), (a, m)]
-        av, mv = t // dm, t % dm
-        mul.setdefault((av, da + mv), {})[da + i] = v
-    for i, t, v in mctx.act_r.entries():
-        mv, av = t // da, t % da
-        mul.setdefault((da + mv, av), {})[da + i] = v
+    # e_i e_j = (a_i a_j, -omega(a_i, a_j)), a_i m_t and m_t a_j by the actions
+    ai, aj, ak, av = a.table
+    w = -omega._d
+    wt, wij = np.nonzero(w)
+    parts = [(ai, aj, ak, av), (*np.divmod(wij, da), da + wt, fld.reduce(w[wt, wij]))]
+    for act, split in ((mctx.act_l, (da, dm)), (mctx.act_r, (dm, da))):
+        out, col = np.nonzero(act._d)
+        x, y = np.divmod(col, split[1])
+        legs = (x, da + y) if split[0] == da else (da + x, y)
+        parts.append((*legs, da + out, act._d[out, col]))
+    table = [np.concatenate(x) for x in zip(*parts)]
     unit = list(a.unit) + v_zero(fld, dm)
     w11 = v_zero(fld, dm)
     for i, u in enumerate(a.unit):
@@ -469,8 +430,8 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
             w11 = [fld.add(x, fld.mul(fld.mul(u, u2), y)) for x, y in zip(w11, oc)]
     for t, c in enumerate(w11):
         unit[da + t] = c
-    e_alg = AlgebraObject(fld, de, mul, unit,
-                          tuple(actx.algebra.labels) + tuple("m:" + l for l in mctx.obj.labels))
+    e_alg = AlgebraObject.from_constants(fld, de, table, unit,
+                                         tuple(actx.algebra.labels) + tuple("m:" + l for l in mctx.obj.labels))
     e_obj = _direct_sum_object(actx.ctx, actx.obj, mctx.obj)
     eactx = AlgebraInContext(actx.ctx, e_alg, e_obj)
     pi = Matrix.from_entries(fld, da, de, {(i, i): fld.one() for i in range(da)})

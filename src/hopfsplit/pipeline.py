@@ -15,9 +15,11 @@ output is never trusted.
 from __future__ import annotations
 
 from .algebra import (
+    AlgebraObject,
     IdealData,
     NotSeparable,
     ValidationReport,
+    constants_of,
     ideal_power_nilpotency,
     is_ideal,
     pairwise_products,
@@ -25,6 +27,7 @@ from .algebra import (
 )
 from .category import CatObject, CategoryContext
 from .coalgebra import (
+    CoalgebraObject,
     _outer,
     _tensors,
     coradical,
@@ -49,8 +52,6 @@ from .hopf import (
 )
 from .linalg import Matrix, Subspace
 from .smash import (
-    _comul_dict,
-    _mul_dict,
     _pi_linear_defect,
     _sigma_colinear_defect,
     actions_from_sigma,
@@ -103,7 +104,8 @@ def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
     pm = SparseMap.from_matrix(proj, (n,), (dq,))
     delta = StagePipeline(f, (n,)).map_at(a.as_coalgebra().comul_map(), 0).map_at(pm, 0).map_at(pm, 1).matrix()
     counit = [a.counit_of(incl.col_list(t)) for t in range(dq)]
-    q = BialgebraObject(f, dq, q_alg.mul, q_alg.unit, _comul_dict(delta @ incl), counit, q_alg.labels)
+    q = BialgebraObject.from_parts(q_alg, CoalgebraObject.from_constants(f, dq, constants_of(delta @ incl, dq), counit,
+                                                                         q_alg.labels))
     q.validate().require("quotient bialgebra")
     if not (delta @ ideal.basis.transpose()).is_zero():
         raise CertificationFailed("candidate is not a coideal")
@@ -125,8 +127,9 @@ def sub_bialgebra(a: BialgebraObject, d: Subspace):
     if prods is None:
         raise CertificationFailed("candidate is not closed under multiplication")
     unit = [a.unit[p] for p in d.pivots]
-    b = BialgebraObject(f, dd, _mul_dict(prods.transpose()), unit, sub_co.comul, sub_co.counit,
-                        tuple(f"h{t}" for t in range(dd)))
+    labels = tuple(f"h{t}" for t in range(dd))
+    b = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dd, constants_of(prods, dd), unit, labels),
+                                   CoalgebraObject.from_constants(f, dd, sub_co.table, sub_co.counit, labels))
     b.validate().require("sub-bialgebra")
     return b, incl
 
@@ -358,7 +361,7 @@ def hopf_upgrade(a: BialgebraObject, biideal: Subspace) -> HopfObject:
     ok, wit = check_antipode(a, s)
     if not ok:
         raise ValueError(f"lifted antipode fails verification: {wit}")
-    return HopfObject(f, n, a.mul, a.unit, a.comul, a.counit, s, a.labels)
+    return HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
 
 
 def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObject:
@@ -372,7 +375,7 @@ def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObj
     ok, wit = check_antipode(a, s)
     if not ok:
         raise ValueError(f"dual-lifted antipode fails verification: {wit}")
-    return HopfObject(a.field, a.dim, a.mul, a.unit, a.comul, a.counit, s, a.labels)
+    return HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
 
 
 def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:

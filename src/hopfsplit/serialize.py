@@ -23,7 +23,9 @@ import itertools
 import json
 import re
 
-from .algebra import AlgebraObject
+import numpy as np
+
+from .algebra import AlgebraObject, table_from_entries
 from .coalgebra import CoalgebraObject
 from .fields import GF, QQ, ScalarField
 from .hopf import BialgebraObject, HopfObject
@@ -139,22 +141,10 @@ def field_from_json(d) -> ScalarField:
     raise FileFormatError(f"unknown field kind {d.get('kind')!r}")
 
 
-def _triples_from_mul(f, mul: dict) -> list:
-    out = []
-    for (i, j), col in mul.items():
-        for k, c in col.items():
-            out.append([i, j, k, f.fmt(c)])
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
-    return out
-
-
-def _triples_from_comul(f, comul: dict) -> list:
-    out = []
-    for k, col in comul.items():
-        for (i, j), c in col.items():
-            out.append([i, j, k, f.fmt(c)])
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
-    return out
+def _triples(f, table) -> list:
+    """[i, j, k, c] for the stored structure constants (i, j, k, v), sorted."""
+    order = np.lexsort(table[2::-1])
+    return [[i, j, k, f.fmt(c)] for i, j, k, c in zip(*(x[order].tolist() for x in table))]
 
 
 def _vec_strs(f, vec) -> list:
@@ -182,32 +172,30 @@ def object_to_json(x) -> dict:
     f = x.field
     doc = {"field": field_to_json(f), "dim": x.dim, "basis": list(x.labels)}
     if isinstance(x, (AlgebraObject, BialgebraObject)):
-        doc["mul"] = _triples_from_mul(f, x.mul)
+        doc["mul"] = _triples(f, x.as_algebra().table if isinstance(x, BialgebraObject) else x.table)
         doc["unit"] = _vec_strs(f, x.unit)
     if isinstance(x, (CoalgebraObject, BialgebraObject)):
-        doc["comul"] = _triples_from_comul(f, x.comul)
+        doc["comul"] = _triples(f, x.as_coalgebra().table if isinstance(x, BialgebraObject) else x.table)
         doc["counit"] = _vec_strs(f, x.counit)
     if isinstance(x, HopfObject):
         doc["antipode"] = _matrix_rows(f, x.antipode)
     return doc
 
 
-def _mul_table(f, entries) -> dict:
-    """{(i, j): {k: c}} from (i, j, k, c) entries; duplicates add up."""
-    mul: dict = {}
-    for i, j, k, c in entries:
-        col = mul.setdefault((i, j), {})
-        col[k] = f.add(col[k], c) if k in col else c
-    return mul
-
-
-def _comul_table(f, entries) -> dict:
-    """{k: {(i, j): c}} from (i, j, k, c) entries; duplicates add up."""
-    comul: dict = {}
-    for i, j, k, c in entries:
-        col = comul.setdefault(k, {})
-        col[(i, j)] = f.add(col[(i, j)], c) if (i, j) in col else c
-    return comul
+def _table(f, entries, n: int) -> tuple:
+    """Structure-constant arrays (i, j, k, v) from (i, j, k, c) entries with
+    indices below n: the entries of one (i, j, k) add up, in the place of
+    its first entry."""
+    i, j, k, v = table_from_entries(f, entries)
+    key = (i * n + j) * n + k
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    if first.size == key.size:
+        return i, j, k, v
+    sums = np.full(first.size, f.zero(), dtype=v.dtype)
+    np.add.at(sums, inv, v)
+    order = np.argsort(first)
+    pick = first[order]
+    return i[pick], j[pick], k[pick], f.reduce(sums[order])
 
 
 def object_from_json(doc):
@@ -220,28 +208,20 @@ def object_from_json(doc):
     labels = _list(doc.get("basis") or [f"e{i}" for i in range(dim)], "basis")
     if len(labels) != dim:
         raise FileFormatError("basis label count differs from dim")
-    has_alg = "mul" in doc
-    has_coalg = "comul" in doc
-    mul: dict = {}
-    unit = None
-    comul: dict = {}
-    counit = None
-    if has_alg:
-        mul = _mul_table(f, _entries(f, doc["mul"], (dim, dim, dim), "mul"))
-        unit = _parse_vec(f, doc.get("unit"), dim, "unit")
-    if has_coalg:
-        comul = _comul_table(f, _entries(f, doc["comul"], (dim, dim, dim), "comul"))
-        counit = _parse_vec(f, doc.get("counit"), dim, "counit")
-    if has_alg and has_coalg:
-        if "antipode" in doc:
-            s = _matrix_from_rows(f, doc["antipode"], (dim, dim), "antipode")
-            return HopfObject(f, dim, mul, unit, comul, counit, s, labels)
-        return BialgebraObject(f, dim, mul, unit, comul, counit, labels)
-    if has_alg:
-        return AlgebraObject(f, dim, mul, unit, labels)
-    if has_coalg:
-        return CoalgebraObject(f, dim, comul, counit, labels)
-    raise FileFormatError("file carries neither mul nor comul")
+    alg = coalg = None
+    if "mul" in doc:
+        mul = _table(f, _entries(f, doc["mul"], (dim, dim, dim), "mul"), dim)
+        alg = AlgebraObject.from_constants(f, dim, mul, _parse_vec(f, doc.get("unit"), dim, "unit"), labels)
+    if "comul" in doc:
+        comul = _table(f, _entries(f, doc["comul"], (dim, dim, dim), "comul"), dim)
+        coalg = CoalgebraObject.from_constants(f, dim, comul, _parse_vec(f, doc.get("counit"), dim, "counit"), labels)
+    if alg is None and coalg is None:
+        raise FileFormatError("file carries neither mul nor comul")
+    if alg is None or coalg is None:
+        return coalg if alg is None else alg
+    if "antipode" in doc:
+        return HopfObject.from_parts(alg, coalg, _matrix_from_rows(f, doc["antipode"], (dim, dim), "antipode"))
+    return BialgebraObject.from_parts(alg, coalg)
 
 
 def _parse_vec(f, raw, dim, what) -> list:
@@ -302,14 +282,14 @@ def quadruple_to_json(q) -> dict:
     }
     if isinstance(q, YDQuadruple):
         env["side"] = "primal"
-        env["R_mul"] = _triples_from_mul(f, q.r_alg.mul)
+        env["R_mul"] = _triples(f, q.r_alg.table)
         env["R_unit"] = _vec_strs(f, q.r_alg.unit)
         env["eps"] = _vec_strs(f, q.eps)
         env["delta"] = _sparse_matrix_triples(f, q.delta)
         env["omega"] = _sparse_matrix_triples(f, q.omega)
     elif isinstance(q, DualYDQuadruple):
         env["side"] = "dual"
-        env["R_comul"] = _triples_from_comul(f, q.r_coalg.comul)
+        env["R_comul"] = _triples(f, q.r_coalg.table)
         env["R_counit"] = _vec_strs(f, q.r_coalg.counit)
         env["one"] = _vec_strs(f, q.one)
         env["m"] = _sparse_matrix_triples(f, q.mul)
@@ -338,15 +318,15 @@ def quadruple_from_json(doc):
     coact = _matrix_from_triples(f, dh * dr, dr, env.get("yd_coact", []), "yd_coact")
     yd = YDObject(h, dr, act, coact)
     if side == "primal":
-        mul = _mul_table(f, _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"))
-        r_alg = AlgebraObject(f, dr, mul, _parse_vec(f, env.get("R_unit"), dr, "R_unit"))
+        mul = _table(f, _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"), dr)
+        r_alg = AlgebraObject.from_constants(f, dr, mul, _parse_vec(f, env.get("R_unit"), dr, "R_unit"))
         eps = _parse_vec(f, env.get("eps"), dr, "eps")
         delta = _matrix_from_triples(f, dr * dr, dr, env.get("delta", []), "delta")
         omega = _matrix_from_triples(f, dr * dr, dh, env.get("omega", []), "omega")
         return YDQuadruple(h, r_alg, yd, eps, delta, omega)
     if side == "dual":
-        comul = _comul_table(f, _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"))
-        r_coalg = CoalgebraObject(f, dr, comul, _parse_vec(f, env.get("R_counit"), dr, "R_counit"))
+        comul = _table(f, _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"), dr)
+        r_coalg = CoalgebraObject.from_constants(f, dr, comul, _parse_vec(f, env.get("R_counit"), dr, "R_counit"))
         one = _parse_vec(f, env.get("one"), dr, "one")
         mulm = _matrix_from_triples(f, dr, dr * dr, env.get("m", []), "m")
         xi = _matrix_from_triples(f, dh, dr * dr, env.get("xi", []), "xi")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraObject, ValidationReport, pairwise_products
+from .algebra import AlgebraObject, ValidationReport, constants_of, pairwise_products
 from .category import CatObject, YDObject, hopf_bimodule_from_yd, phi_iso
 from .coalgebra import CoalgebraObject, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
@@ -27,22 +27,6 @@ from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor, 
 def _composite(pipe: StagePipeline) -> SparseMap:
     """A pipeline's composite as one map, a stage of later pipelines."""
     return SparseMap.from_matrix(pipe.matrix(), pipe.in_dims, pipe.out_dims)
-
-
-def _mul_dict(m: Matrix) -> dict:
-    """Structure constants {(i, j): {k: c}} of a dim x dim^2 product matrix."""
-    out: dict = {}
-    for ij, k, c in m.transpose().entries():
-        out.setdefault(divmod(ij, m.rows), {})[k] = c
-    return out
-
-
-def _comul_dict(m: Matrix) -> dict:
-    """Structure constants {k: {(i, j): c}} of a dim^2 x dim coproduct matrix."""
-    out: dict = {}
-    for k, ij, c in m.transpose().entries():
-        out.setdefault(k, {})[divmod(ij, m.cols)] = c
-    return out
 
 
 class _Maps:
@@ -391,7 +375,7 @@ def smash_product_algebra(r_alg: AlgebraObject, yd: YDObject, hopf: HopfObject,
            .map_at(hopf.as_algebra().mul_map(), 1))  # (r (h1 . s), h2 k)
     unit = v_tensor(f, r_alg.unit, hopf.unit)
     labels = tuple(f"{rl}#{hl}" for rl in r_alg.labels for hl in hopf.labels)
-    out_alg = AlgebraObject(f, dim, _mul_dict(mul.matrix()), unit, labels)
+    out_alg = AlgebraObject.from_constants(f, dim, constants_of(mul.matrix(), dim), unit, labels)
     if validate:
         out_alg.validate().require("smash product algebra")
     return out_alg
@@ -410,8 +394,8 @@ def smash_coproduct_coalgebra(r_coalg: CoalgebraObject, coact: Matrix, hopf: Hop
              .permute((0, 1, 3, 2, 4))   # (c1, cm, h1, c20, h2)
              .map_at(hopf.as_algebra().mul_map(), 1))
     counit = [f.mul(r_coalg.counit[a], hopf.counit[x]) for a in range(dr) for x in range(dh)]
-    out_co = CoalgebraObject(f, dim, _comul_dict(comul.matrix()), counit,
-                             tuple(f"{rl}#{hl}" for rl in r_coalg.labels for hl in hopf.labels))
+    out_co = CoalgebraObject.from_constants(f, dim, constants_of(comul.matrix(), dim), counit,
+                                            tuple(f"{rl}#{hl}" for rl in r_coalg.labels for hl in hopf.labels))
     out_co.validate().require("smash coproduct coalgebra")
     return out_co
 
@@ -456,7 +440,8 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
              .map_at(mp.mul_h, 1))        # (d1, d2m h2, d20, h3)
     dim = dr * dh
     counit = [f.mul(q.eps[a], q.hopf.counit[x]) for a in range(dr) for x in range(dh)]
-    bi = BialgebraObject(f, dim, alg.mul, alg.unit, _comul_dict(comul.matrix()), counit, alg.labels)
+    bi = BialgebraObject.from_parts(alg, CoalgebraObject.from_constants(f, dim, constants_of(comul.matrix(), dim),
+                                                                        counit, alg.labels))
     pi, sigma = _canonical_pi_sigma(f, dr, dh, q)
     bos = Bosonization(bi, q.hopf, dr, pi, sigma, "primal")
     bos.yd_coact = q.yd.coact
@@ -494,7 +479,8 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
              .map_at(mp.mul_h, 1))         # (m1, x h3 k)
     dim = dr * dh
     unit = v_tensor(f, q.one, q.hopf.unit)
-    bi = BialgebraObject(f, dim, _mul_dict(mul_t.matrix()), unit, coalg.comul, coalg.counit, coalg.labels)
+    bi = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dim, constants_of(mul_t.matrix(), dim), unit,
+                                                                 coalg.labels), coalg)
     pi, sigma = _canonical_pi_sigma_dual(f, dr, dh, q)
     bos = Bosonization(bi, q.hopf, dr, pi, sigma, "dual")
     bos.yd_coact = q.yd.coact
@@ -698,7 +684,7 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
     if prods is None:
         raise ExtractionError("R is not closed under multiplication")
     one_r = [a.unit[piv] for piv in r_space.pivots]
-    r_alg = AlgebraObject(f, dr, _mul_dict(prods.transpose()), one_r, tuple(f"r{t}" for t in range(dr)))
+    r_alg = AlgebraObject.from_constants(f, dr, constants_of(prods, dr), one_r, tuple(f"r{t}" for t in range(dr)))
     # delta and omega: (P (x) P) Delta of the coinvariants and of sigma(H)
     d = a.as_coalgebra().comul_matrix()
     delta, omega = (_along_factor(p, _along_factor(p, d @ m, n, "r"), dr, "l") for m in (incl, sigma))
@@ -728,7 +714,7 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     if coords is None:
         raise ExtractionError("delta does not land in R (x) R")
     eps_r = [a.counit_of(incl.col_list(t)) for t in range(dr)]
-    r_coalg = CoalgebraObject(f, dr, _comul_dict(coords), eps_r, tuple(f"r{t}" for t in range(dr)))
+    r_coalg = CoalgebraObject.from_constants(f, dr, constants_of(coords, dr), eps_r, tuple(f"r{t}" for t in range(dr)))
     r_coalg.validate().require("diagram coalgebra")
     # one, m, xi: phi^{-1} of the products of coinvariants, in R # H, with
     # eps_H on the H leg (m) or eps_R on the R leg (xi)

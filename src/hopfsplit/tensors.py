@@ -74,45 +74,6 @@ def v_tensor(field, u, v) -> list:
     return out
 
 
-def dense_to_sparse(field, u, arity=1, dims=None) -> dict:
-    """Dense list -> dict keyed by index tuples (splitting by dims if given)."""
-    out = {}
-    for i, a in enumerate(u):
-        if field.is_zero(a):
-            continue
-        if dims is None:
-            out[(i,)] = a
-        else:
-            key = []
-            rest = i
-            for d in reversed(dims):
-                key.append(rest % d)
-                rest //= d
-            out[tuple(reversed(key))] = a
-    return out
-
-
-def sparse_add(field, a: dict, b: dict, coeff=None) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        if coeff is not None:
-            c = field.mul(coeff, c)
-        s = field.add(out.get(k, field.zero()), c)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def sparse_eq(field, a: dict, b: dict) -> bool:
-    if a == b:  # zero-free dicts compare directly
-        return True
-    keys = set(a) | set(b)
-    z = field.zero()
-    return all(a.get(k, z) == b.get(k, z) for k in keys)
-
-
 # ---------------------------------------------------------------------------
 # COO batches
 

@@ -91,6 +91,45 @@ def test_pairs_alternate_resume_and_write_the_bench_file(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["notes"] == {"claim": "kept"}
 
 
+def test_traced_pairs_alternate_after_the_untraced_ones_and_summarize(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+    cover = {"parent": [0.96, 0.93], "change": [0.99, 0.98]}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = os.path.basename(checkout)
+        calls.append((side, seconds, trace))
+        if not trace:
+            return {"record": {"nproc": 2, "python": "3", "numpy": "2", "threads": {}, "commit": side},
+                    "correct": True, "failed": 0, "metrics": {"accept_s": 1.0, "rank_ratio": 0.5}}
+        k = sum(1 for s, _, t in calls if s == side and t) - 1
+        busy = 0.2 if side == "parent" else 0.1
+        return {"record": {}, "correct": cover[side][k] >= 0.95, "failed": int(cover[side][k] < 0.95),
+                "metrics": {"builtin.build.busy_s": busy + k, "trace.coverage_min": cover[side][k]}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    log, out = tmp_path / "log.jsonl", tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pr", "3",
+            "--job", "w:0", "--pairs", "1", "--traced", "2", "--seconds", "5", "--log", str(log), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # untraced pair 0, then traced pairs 0 and 1 with --seconds 0, alternating who runs first
+    assert calls == [("parent", 5.0, 0), ("change", 5.0, 0), ("parent", 0, 1), ("change", 0, 1),
+                     ("change", 0, 1), ("parent", 0, 1)]
+    job = json.loads(out.read_text())["workloads"]["w/seed0"]
+    assert job["pairs"] == 1 and job["end_to_end"]["accept_s"]["parent_runs"] == [1.0]
+    traced = job["traced"]
+    assert traced["runs"] == {"parent": 2, "change": 2}
+    assert traced["coverage_min"] == cover
+    assert traced["failed"] == {"parent": [0, 1], "change": [0, 0]}
+    assert traced["per_layer"]["builtin.build.busy_s"] == {"parent": 0.7, "change": 0.6}
+    # a rerun with the same log runs nothing more
+    calls.clear()
+    assert bench_pairs.main(argv) == 0
+    assert calls == []
+
+
 def test_parse_output_reads_the_record_and_the_last_line():
     stdout = ("run record: " + json.dumps({"nproc": 2}) + "\n"
               + json.dumps({"correct": False, "attempted": 4, "failed": 1,

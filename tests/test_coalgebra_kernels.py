@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfsplit.coalgebra as coal
+from dict_reference import sparse_eq
 from hopfsplit.algebra import IdealData, VerificationFailed, ideal_generated_by, quotient_algebra
 from hopfsplit.builtin import build_ha, dual_group_algebra, group_algebra, sweedler_h4, taft
 from hopfsplit.category import CatObject, YDObject, yd_from_hopf_bimodule
@@ -35,7 +36,7 @@ from hopfsplit.hopf import BialgebraObject, is_coalgebra_map
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.pipeline import CertificationFailed, quotient_bialgebra
 from hopfsplit.smash import _diagram_yd, _split_premises
-from hopfsplit.tensors import sparse_eq, v_basis, v_eq, v_tensor, v_zero
+from hopfsplit.tensors import v_basis, v_eq, v_tensor, v_zero
 
 HOPFS = {
     "taft2_f5": lambda: taft(2, GF(5).primitive_root_of_unity(2), GF(5)),

@@ -10,6 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_reference import pair_product
 from hopfsplit.algebra import AlgebraObject
 from hopfsplit.builtin import group_algebra
 from hopfsplit.category import CatObject, CategoryContext
@@ -49,7 +50,7 @@ def differential_by_loop(actx, mctx, n, f):
                 fj = f.col_list(j)
                 ej = v_basis(fld, da, j)
                 col = mctx.left(ei, fj)
-                for k, c in a.pair_product(i, j).items():
+                for k, c in pair_product(a, i, j).items():
                     col = [fld.sub(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(k))]
                 col = [fld.add(x, y) for x, y in zip(col, mctx.right(fi, ej))]
                 for t, c in enumerate(col):
@@ -60,14 +61,14 @@ def differential_by_loop(actx, mctx, n, f):
     for i in range(da):
         ei = v_basis(fld, da, i)
         for j in range(da):
-            prod_ij = a.pair_product(i, j)
+            prod_ij = pair_product(a, i, j)
             fij = f.col_list(i * da + j)
             for k in range(da):
                 ek = v_basis(fld, da, k)
                 col = mctx.left(ei, f.col_list(j * da + k))
                 for m, c in prod_ij.items():
                     col = [fld.sub(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(m * da + k))]
-                for m, c in a.pair_product(j, k).items():
+                for m, c in pair_product(a, j, k).items():
                     col = [fld.add(x, fld.mul(c, y)) for x, y in zip(col, f.col_list(i * da + m))]
                 col = [fld.sub(x, y) for x, y in zip(col, mctx.right(fij, ek))]
                 for t, c in enumerate(col):
