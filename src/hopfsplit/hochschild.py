@@ -412,11 +412,12 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
     w = -omega._d
     wt, wij = np.nonzero(w)
     parts = [(ai, aj, ak, av), (*np.divmod(wij, da), da + wt, fld.reduce(w[wt, wij]))]
-    for act, split in ((mctx.act_l, (da, dm)), (mctx.act_r, (dm, da))):
-        out, col = np.nonzero(act._d)
-        x, y = np.divmod(col, split[1])
-        legs = (x, da + y) if split[0] == da else (da + x, y)
-        parts.append((*legs, da + out, act._d[out, col]))
+    out, col = np.nonzero(mctx.act_l._d)  # a_x m_y at column x dm + y
+    x, y = np.divmod(col, dm)
+    parts.append((x, da + y, da + out, mctx.act_l._d[out, col]))
+    out, col = np.nonzero(mctx.act_r._d)  # m_y a_x at column y da + x
+    y, x = np.divmod(col, da)
+    parts.append((da + y, x, da + out, mctx.act_r._d[out, col]))
     table = [np.concatenate(x) for x in zip(*parts)]
     unit = list(a.unit) + v_zero(fld, dm)
     w11 = v_zero(fld, dm)
