@@ -144,6 +144,7 @@ class AlgebraObject:
         self._mul = None
         self._mul_map = None
         self._constants = None
+        self._shape = self._unit_check = None
         self._generators: dict = {}
         self._verified = False  # the last `validate` passed
 
@@ -218,7 +219,10 @@ class AlgebraObject:
         return rep
 
     def _shape_ok(self) -> bool:
-        return len(self.unit) == self.dim and _in_range(self.table, self.dim)
+        """The unit has length dim and every index is in range (cached)."""
+        if self._shape is None:
+            self._shape = len(self.unit) == self.dim and _in_range(self.table, self.dim)
+        return self._shape
 
     def _check_associativity(self, lefts=None):
         """(e_i e_j) e_k == e_i (e_j e_k) for every left index i in `lefts`
@@ -262,7 +266,12 @@ class AlgebraObject:
         """1 e_j = e_j = e_j 1 for every basis index j, from the structure
         constants: left and right multiplication by the unit vector minus
         the identity, summed per (j, k) by `linalg._summed`.  The witness
-        is the first failing j, the left side first."""
+        is the first failing j, the left side first (cached)."""
+        if self._unit_check is None:
+            self._unit_check = self._unit_defect()
+        return self._unit_check
+
+    def _unit_defect(self):
         f, n = self.field, self.dim
         a, b, c, v = self.constants()
         u = f.reduce(np.array(self.unit, dtype=_dtype(f)))
@@ -344,7 +353,8 @@ class AlgebraObject:
 
 def _in_range(table, n: int) -> bool:
     """Every index of the structure constants lies in range(n)."""
-    return all(((x >= 0) & (x < n)).all() for x in table[:3])
+    ijk = np.concatenate(table[:3])
+    return ijk.size == 0 or 0 <= ijk.min() and ijk.max() < n
 
 
 class BimoduleObject:

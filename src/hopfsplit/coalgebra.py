@@ -133,8 +133,11 @@ class CoalgebraObject:
         by_k = delta.starts
         i, j = np.divmod(ij, n)
         count = np.diff(by_k)
-        before = np.concatenate(([0], np.cumsum(count[i] + count[j])))[by_k]  # terms before each leg
-        cuts = (np.flatnonzero(np.diff(before[:-1] // _JOIN_BLOCK)) + 1).tolist()
+        terms = np.cumsum(count[i] + count[j])
+        cuts = []
+        if terms.size and terms[-1] > _JOIN_BLOCK:
+            before = np.concatenate(([0], terms))[by_k]  # terms before each input leg
+            cuts = (np.flatnonzero(np.diff(before[:-1] // _JOIN_BLOCK)) + 1).tolist()
         for lo, hi in zip([0] + cuts, cuts + [n]):
             s = np.arange(by_k[lo], by_k[hi])
             l_src, l_dst = _join(s, by_k[i[s]], by_k[i[s] + 1])

@@ -7,9 +7,9 @@ each holding its structure constants as arrays (i, j, k, v).
 Hopf object made from a bialgebra, or a bialgebra from its dual parts,
 shares their arrays and cached maps.  Every check reads the arrays or the
 cached maps: Delta(1) on the entries of Delta at the support of 1, eps
-multiplicative by index arithmetic, Delta multiplicative and the antipode
-identities as `tensors.StagePipeline`s, the convolution system for the
-antipode by a join of Delta with the product.  Associativity and the
+multiplicative by index arithmetic, Delta multiplicative by joins of the
+constants, the antipode identities as `tensors.StagePipeline`s, the
+convolution system for the antipode by a join of Delta with the product.  Associativity and the
 multiplicativity of Delta are checked on one
 generating set of basis elements: the left nucleus and {u : Delta(uv) =
 Delta(u)Delta(v) for all v} are unital subalgebras, so each is everything
@@ -147,8 +147,6 @@ class BialgebraObject:
         gens = np.asarray(list(gens), dtype=np.int64)
         a, c, x, v = self._alg.constants()  # sorted by first leg a
         by_a = self._alg._by_a
-        by_ac = np.argsort(a * n + c, kind="stable")
-        ac_at = np.searchsorted((a * n + c)[by_ac], np.arange(n * n + 1))
         delta = self._coalg.comul_map()
         s, pq, w = delta.coo()  # sorted by input leg s, whose entries are [by_s[s], by_s[s + 1])
         by_s = delta.starts
@@ -161,12 +159,18 @@ class BialgebraObject:
         r, k = _join(np.arange(e.size), by_a[p[e]], by_a[p[e] + 1])
         gi, e = gi[r], e[r]
         t1 = (gi, q[e], c[k], x[k], f.reduce(w[e] * v[k]))
-        c_first = np.diff(p_at)[t1[2]].sum() <= np.diff(by_a)[t1[1]].sum()
-        grow = np.diff(p_at)[t1[2]] if c_first else np.diff(by_a)[t1[1]]
-        before = np.concatenate(([0], np.cumsum(np.bincount(t1[0], grow, gens.size))))  # terms before each generator
-        cuts = (np.flatnonzero(np.diff(before[:-1] // _DELTA_BLOCK)) + 1).tolist()
+        grow_c, grow_b = np.diff(p_at)[t1[2]], np.diff(by_a)[t1[1]]
+        c_first = grow_c.sum() <= grow_b.sum()
+        grow = grow_c if c_first else grow_b
+        if c_first:  # the constants by pair (b, d) are by_ac[ac_at[b n + d]:ac_at[b n + d + 1]]
+            by_ac = np.argsort(a * n + c, kind="stable")
+            ac_at = np.searchsorted((a * n + c)[by_ac], np.arange(n * n + 1))
+        cuts = []
+        if grow.sum() > _DELTA_BLOCK:
+            before = np.concatenate(([0], np.cumsum(np.bincount(t1[0], grow, gens.size))))  # terms before each generator
+            cuts = (np.flatnonzero(np.diff(before[:-1] // _DELTA_BLOCK)) + 1).tolist()
         for lo, hi in zip([0] + cuts, cuts + [gens.size]):
-            sel = slice(*np.searchsorted(t1[0], [lo, hi]))  # t1 is sorted by generator
+            sel = slice(*np.searchsorted(t1[0], [lo, hi])) if cuts else slice(None)  # t1 is sorted by generator
             g, b, cc, xx, val = (y[sel] for y in t1)
             if c_first:  # Delta entries (c, d, j), then the constants (b, d, y)
                 r, m = _join(np.arange(g.size), p_at[cc], p_at[cc + 1])
