@@ -371,16 +371,6 @@ class BimoduleObject:
         m = a.mul_matrix()
         return cls(a, a.dim, m, m)
 
-    def left(self, avec: list, m: list) -> list:
-        from .tensors import v_tensor
-
-        return self.act_l.apply(v_tensor(self.algebra.field, avec, m))
-
-    def right(self, m: list, avec: list) -> list:
-        from .tensors import v_tensor
-
-        return self.act_r.apply(v_tensor(self.algebra.field, m, avec))
-
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         record_bimodule_axioms(rep, self.algebra, self.dim, self.act_l, self.act_r, {

@@ -22,7 +22,7 @@ from hopfsplit.coalgebra import CoalgebraObject, dualize
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import _convolution_system, check_ad_coinvariance, check_ad_invariance, find_integral
 from hopfsplit.linalg import Matrix
-from hopfsplit.serialize import _entries, object_from_json, object_to_json
+from hopfsplit.serialize import FileFormatError, _entries, object_from_json, object_to_json
 from hopfsplit.tensors import v_basis, v_eq, v_tensor, v_zero
 
 # -- the dict path and the old loops ----------------------------------------
@@ -258,6 +258,13 @@ def test_arrays_views_and_triples_match_the_dict_path(case):
         assert sorted(zip(*(t.tolist() for t in x.table))) == sorted(zip(*(t.tolist() for t in y.table)))
     assert sorted(zip(*(t.tolist() for t in a.constants()))) == sorted(
         zip(*(t.tolist() for t in b.as_algebra().constants())))
+    # an index out of range: the reader refuses the file, the dict
+    # constructors keep the entry and fail the shape check
+    with pytest.raises(FileFormatError, match="out of range"):
+        object_from_json({**doc, "mul": doc["mul"] + [[0, n, 0, "1"]]})
+    wide = {**mul, (0, n): {0: f.one()}}
+    a = AlgebraObject(f, n, wide, b.unit)
+    assert a.mul == wide and a.validate().checks == [("shape", False, "structure constants out of range")]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
