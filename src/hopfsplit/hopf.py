@@ -167,7 +167,8 @@ class BialgebraObject:
             ac_at = np.searchsorted((a * n + c)[by_ac], np.arange(n * n + 1))
         cuts = []
         if grow.sum() > _DELTA_BLOCK:
-            before = np.concatenate(([0], np.cumsum(np.bincount(t1[0], grow, gens.size))))  # terms before each generator
+            # the terms before each generator
+            before = np.concatenate(([0], np.cumsum(np.bincount(t1[0], grow, gens.size))))
             cuts = (np.flatnonzero(np.diff(before[:-1] // _DELTA_BLOCK)) + 1).tolist()
         for lo, hi in zip([0] + cuts, cuts + [gens.size]):
             sel = slice(*np.searchsorted(t1[0], [lo, hi])) if cuts else slice(None)  # t1 is sorted by generator

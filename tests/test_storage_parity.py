@@ -475,3 +475,30 @@ def test_dualize_shares_the_arrays():
     assert all(x is y for x, y in zip(d.as_algebra().table, h.as_coalgebra().table))
     assert all(x is y for x, y in zip(d.as_coalgebra().table, h.as_algebra().table))
     assert dualize(d).mul == h.mul and dualize(d).comul == h.comul
+
+
+@pytest.mark.parametrize("name", sorted(HOPF))
+def test_blocked_joins_match_the_loops(name, monkeypatch):
+    """With blocks of one term, every generator (Delta multiplicativity) and
+    every input leg (coassociativity) is its own join."""
+    import hopfsplit.coalgebra
+    import hopfsplit.hopf
+
+    monkeypatch.setattr(hopfsplit.hopf, "_DELTA_BLOCK", 1)
+    monkeypatch.setattr(hopfsplit.coalgebra, "_JOIN_BLOCK", 1)
+    h = _hopf(name)
+    f, n = h.field, h.dim
+    rng = random.Random(n)
+    doc = object_to_json(h)
+    del doc["antipode"]
+    for t in range(12):
+        mutant = {**doc, "mul": [list(x) for x in doc["mul"]], "comul": [list(x) for x in doc["comul"]]}
+        if t:
+            key = "mul" if t % 2 else "comul"
+            mutant[key].append([rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.choice(["1", "2", "-1"])])
+        b = object_from_json(mutant)
+        mul, comul = _old(f, mutant)
+        gens = rng.sample(range(n), rng.randrange(1, n + 1))
+        assert b._check_delta_on_generators(gens) == loop_delta_on_generators(f, n, mul, comul, gens)
+        got = [(check, ok, wit) for check, ok, wit in b.as_coalgebra().validate().checks]
+        assert got == loop_coalgebra_validate(f, n, comul, b.counit)
