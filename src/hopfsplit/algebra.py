@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, Subspace, _dtype, _join, _matmul, _summed
+from .linalg import InconsistentSystem, Matrix, SparseRows, Subspace, _dtype, _join, _matmul, _summed
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq
 
 
@@ -463,10 +463,11 @@ def _dense(f: ScalarField, shape) -> np.ndarray:
     return np.full(shape, f.zero(), dtype=np.int32 if dtype == np.int64 else dtype)
 
 
-def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
+def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRows:
     """All products (row of left) * (row of right), stacked as rows in
-    (left, right) order, as two joins on the structure constants (i, j, k, v),
-    each summed by `linalg._summed`.
+    (left, right) order, as summed COO rows (`linalg.SparseRows`): two
+    joins on the structure constants (i, j, k, v), each summed by
+    `linalg._summed`.  Consumers read the COO; `.dense()` is the Matrix.
 
     Stage 1, P[u, j, k] = sum_i left[u, i] [e_i e_j]_k, pairs each nonzero
     (u, i) of left with the constants of first leg i.  Stage 2,
@@ -484,7 +485,8 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
         raise ValueError(f"operands of width {left.cols} and {right.cols} in a {n}-dim algebra")
     ci, cj, ck, cv = a.constants()
     if lr * rr * n == 0:
-        return Matrix(f, lr * rr, n, np.full((lr * rr, n), f.zero(), dtype=cv.dtype), _raw=True)
+        none = np.zeros(0, dtype=np.int64)
+        return SparseRows(f, (lr * rr, n), none, none, none)
     u, i = left._d.nonzero()
     w, j = right._d.nonzero()
     per_i = np.bincount(i, minlength=n)[ci]  # left nonzeros at each constant's first leg
@@ -493,7 +495,7 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
         t[ci, cj * n + ck] = cv
         q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (j, (u, k))
         out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
-        return Matrix(f, lr * rr, n, out, _raw=True)
+        return SparseRows.from_matrix(Matrix(f, lr * rr, n, out, _raw=True))
     by_a = a._by_a
     x, y = left._d[u, i], right._d[w, j]
     s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
@@ -502,24 +504,23 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> Matrix:
     pu, pk = np.divmod(puk, n)
     starts = np.searchsorted(pj, np.arange(n + 1))
     s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
-    row, k, val = _summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n)
-    out = np.full((lr * rr, n), f.zero(), dtype=cv.dtype)
-    out[row, k] = val
-    return Matrix(f, lr * rr, n, out, _raw=True)
+    return SparseRows(f, (lr * rr, n), *_summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n))
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
 
 
 def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
-    """Yield D for consecutive blocks of the left indices (all of them, or
-    the list `lefts`): row r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for
-    the block's r-th index i.
+    """Yield D, as summed COO rows (`linalg.SparseRows`), for consecutive
+    blocks of the left indices (all of them, or the list `lefts`): row
+    r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for the block's r-th index i.
 
     f(e_i e_j) is the block's constants, read from the first-leg ranges of
-    its indices, times f^T; f(e_i) f(e_j) is `pairwise_products` of rows of
-    f^T.  Blocks keep D and the products near _DEFECT_BLOCK entries, so no
-    n^2 x dim(tgt) array is ever built for a large source.
+    its indices, joined with f^T (`SparseRows.matmul`); f(e_i) f(e_j) is
+    `pairwise_products` of rows of f^T; their difference is summed by
+    `linalg._summed`, so a row of D is failing iff it holds an entry.
+    Blocks span about _DEFECT_BLOCK entries of the dense D, so a failure
+    is found before later blocks are multiplied.
     """
     fld = src.field
     n = src.dim
@@ -531,11 +532,11 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     for s in range(0, lefts.size, step):
         blk = lefts[s : s + step]
         r, e = _join(np.arange(blk.size), by_a[blk], by_a[blk + 1])
-        t = _dense(fld, (blk.size * n, n))
-        t[r * n + cj[e], ck[e]] = cv[e]
-        lhs = _matmul(fld, t, ft._d)
+        lhs = SparseRows(fld, (blk.size * n, n), r * n + cj[e], ck[e], cv[e]).matmul(ft._d)
         rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
-        yield fld.reduce(lhs - rhs._d)
+        diff = _summed(fld, np.concatenate((lhs._r, rhs._r)), np.concatenate((lhs._c, rhs._c)),
+                       np.concatenate((lhs._v, fld.reduce(-rhs._v))), tgt.dim)
+        yield SparseRows(fld, rhs.shape, *diff)
 
 
 def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:
@@ -556,24 +557,29 @@ def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -
     tgt.dim x src.dim matrix), or None when f is multiplicative.  The
     verdict is read on the generator rows alone when `_map_generators`
     allows it; a defect there reruns every row, so the witness is always
-    the full scan's."""
+    the full scan's: the smallest row of the first block with an entry."""
     gens = _map_generators(src, tgt, f)
-    if gens is not None and not any((d != 0).any() for d in _defect_rows(src, tgt, f, gens)):
+    if gens is not None and not any(d._v.size for d in _defect_rows(src, tgt, f, gens)):
         return None
     done = 0
     for d in _defect_rows(src, tgt, f):
-        bad = np.flatnonzero((d != 0).any(axis=1))
-        if bad.size:
-            return divmod(done + int(bad[0]), src.dim)
-        done += d.shape[0]
+        if d._v.size:
+            return divmod(done + int(d._r[0]), src.dim)
+        done += d.rows
     return None
 
 
 def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
     """f(e_i e_j) - f(e_i) f(e_j) as a tgt.dim x src.dim^2 matrix with
-    column i n + j: the curvature of a section f."""
-    d = np.vstack(list(_defect_rows(src, tgt, f)))
-    return Matrix(src.field, tgt.dim, src.dim**2, d.T.copy(), _raw=True)
+    column i n + j: the curvature of a section f, densified once from the
+    COO blocks."""
+    fld, n = src.field, src.dim
+    out = np.full((tgt.dim, n * n), fld.zero(), dtype=_dtype(fld))
+    done = 0
+    for d in _defect_rows(src, tgt, f):
+        out[d._c, d._r + done] = d._v
+        done += d.rows
+    return Matrix(fld, tgt.dim, n * n, out, _raw=True)
 
 
 def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
@@ -581,8 +587,8 @@ def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
     generators once A is verified (`verified_generators`): {x : xI <= I}
     and {x : Ix <= I} are unital subalgebras of an associative A.  Each
     side is one `pairwise_products` of the unit rows e_g with the basis of
-    I, its zero rows dropped and the rest tested with one
-    `Subspace.coordinates` product; the left side is tested first."""
+    I, tested as COO with one `Subspace.coordinates` join; the left side
+    is tested first."""
     if s.ambient_dim != a.dim:
         raise ValueError(f"subspace of K^{s.ambient_dim} in a {a.dim}-dim algebra")
     if s.dim == 0:
@@ -591,29 +597,25 @@ def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
     units = Matrix.identity(a.field, a.dim)
     if gens is not None:
         units = units._new(len(gens), a.dim, units._d[gens])
-    for lhs, rhs in ((units, s.basis), (s.basis, units)):
-        prods = pairwise_products(a, lhs, rhs)
-        prods = prods._d[(prods._d != 0).any(axis=1)]
-        if s.coordinates(Matrix(a.field, prods.shape[0], a.dim, prods, _raw=True)) is None:
-            return False
-    return True
+    return all(s.coordinates(pairwise_products(a, lhs, rhs)) is not None
+               for lhs, rhs in ((units, s.basis), (s.basis, units)))
 
 
 def ideal_generated_by(a: AlgebraObject, f: Matrix) -> IdealData:
     """Two-sided ideal generated by the image of f : X -> A.
 
     Realised as the span of all products e_i * f(x_t) * e_j, which is the
-    image of the three-fold multiplication against f placed in the middle.
+    image of the three-fold multiplication against f placed in the middle;
+    the products stay COO up to `linalg._rref`'s sparse front end.
     """
     field = a.field
-    mid = [f.col_list(t) for t in range(f.cols)]
-    if not mid:
+    if not f.cols:
         return IdealData(a, Subspace.zero(field, a.dim), f)
-    mid_m = Matrix.from_rows(field, mid)
+    mid_m = f.transpose()
     basis = Matrix.identity(field, a.dim)
     left = pairwise_products(a, basis, mid_m)  # rows: e_i * f_t
-    full = pairwise_products(a, left, basis)  # rows: (e_i f_t) * e_j
-    span = Subspace.from_matrix_rows(full.vstack(left).vstack(mid_m))
+    full = pairwise_products(a, left.dense(), basis)  # rows: (e_i f_t) * e_j
+    span = Subspace.from_matrix_rows(full.vstack(left).vstack(SparseRows.from_matrix(mid_m)))
     # span already contains f(X) since 1 is a combination of basis elements
     return IdealData(a, span, f)
 
@@ -871,8 +873,8 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     proj = s.complement_projection()
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
-    consts = _matmul(f, pairwise_products(a, basis, basis)._d, proj._d.T)  # row (ti, tj)
-    q = AlgebraObject.from_constants(f, qdim, constants_of(Matrix(f, qdim * qdim, qdim, consts, _raw=True), qdim),
+    consts = pairwise_products(a, basis, basis).matmul(proj._d.T)  # row (ti, tj)
+    q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts._r, qdim), consts._c, consts._v),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     q.validate().require("quotient algebra")
     bad = multiplicativity_defect(a, q, proj)

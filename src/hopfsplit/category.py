@@ -479,8 +479,11 @@ class YDObject:
         self.act = act  # (dim, dH*dim)
         self.coact = coact  # (dH*dim, dim)
         self.labels = tuple(labels) if labels else tuple(f"r{i}" for i in range(dim))
+        self._passed = None  # the report of a passing `validate`, returned again
 
     def validate(self) -> ValidationReport:
+        if self._passed is not None:
+            return self._passed
         rep = ValidationReport()
         h = self.hopf
         f = self.field
@@ -506,6 +509,8 @@ class YDObject:
                .map_at(mul, 0).map_at(mul, 0)  # (h1 v-1 Sh3, h2, v0)
                .map_at(am, 1))  # (h', h2 v0)
         _record_checks(rep, [("yd_compatibility", pipelines_equal(lhs, rhs), "(h{0}, v{1})")])
+        if rep.ok:
+            self._passed = rep
         return rep
 
 

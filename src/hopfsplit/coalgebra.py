@@ -94,6 +94,10 @@ class CoalgebraObject:
         m._d[ij, k] = v
         return m
 
+    def counit_of_rows(self, m: Matrix) -> list:
+        """eps of every row of m, as one product."""
+        return (m @ Matrix.column(self.field, self.counit)).col_list(0)
+
     def counit_of(self, vec: list):
         f = self.field
         s = f.zero()
@@ -177,15 +181,21 @@ def dualize(x):
     (i, j, k, v) of the object, with the roles of the legs swapped;
     applying dualize twice gives back an equal object under the canonical
     basis identification.  A bialgebra's dual is the dual of its coalgebra as the
-    algebra and the dual of its algebra as the coalgebra.
+    algebra and the dual of its algebra as the coalgebra.  Its axioms are
+    the object's, read with the legs swapped (associativity is
+    coassociativity, the antipode identities transpose), so a bialgebra
+    whose last `validate` passed has a dual that counts as validated.
     """
     from .hopf import BialgebraObject, HopfObject
 
     if isinstance(x, BialgebraObject):
         alg, co = dualize(x.as_coalgebra()), dualize(x.as_algebra())
         if isinstance(x, HopfObject):
-            return HopfObject.from_parts(alg, co, x.antipode.transpose())
-        return BialgebraObject.from_parts(alg, co)
+            dual = HopfObject.from_parts(alg, co, x.antipode.transpose())
+        else:
+            dual = BialgebraObject.from_parts(alg, co)
+        dual._verified = x._verified
+        return dual
     if isinstance(x, AlgebraObject):
         return CoalgebraObject.from_constants(x.field, x.dim, x.table, x.unit, _dual_labels(x.labels))
     if isinstance(x, CoalgebraObject):
@@ -370,7 +380,7 @@ def restrict_coalgebra(c: CoalgebraObject, d: Subspace) -> tuple[CoalgebraObject
         cols = (delta._new(delta.rows, 1, delta._d[:, t : t + 1]) for t in range(m))
         t = next(t for t, col in enumerate(cols) if _square_coordinates(d, col) is None)
         raise VerificationFailed("subcoalgebra_readoff", t)
-    counit = [c.counit_of(d.basis.row_list(t)) for t in range(m)]
+    counit = c.counit_of_rows(d.basis)
     sub = CoalgebraObject.from_constants(f, m, constants_of(coords, m), counit, tuple(f"d{t}" for t in range(m)))
     sub.validate().require("subcoalgebra restriction")
     return sub, d.basis.transpose()

@@ -57,7 +57,7 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Subspace, _along_factor, _join, _matmul, _summed
+from .linalg import InconsistentSystem, Matrix, SparseRows, Subspace, _along_factor, _join, _matmul, _summed
 from .tensors import SparseMap, _total, v_basis, v_eq, v_tensor, v_zero
 
 
@@ -371,13 +371,13 @@ class ExtensionData:
         rank_ok = self.incl.rank() == dm and de == da + dm
         rep.record("kernel_dimension", rank_ok, "kernel dimension mismatch")
         kern = self.incl.transpose()  # rows: the kernel basis in E
-        rep.record("kernel_square_zero", pairwise_products(e, kern, kern).is_zero(), "M^2 != 0")
+        rep.record("kernel_square_zero", pairwise_products(e, kern, kern).dense().is_zero(), "M^2 != 0")
         # induced bimodule structure matches the declared one: row (i, t) of
         # sigma(e_i) m_t and column (i, t) of the declared left action agree,
         # and likewise (t, i) on the right
         st = _any_linear_section(self.pi).transpose()
-        ok_bimod = (pairwise_products(e, st, kern) == (self.incl @ self.mctx.act_l).transpose()
-                    and pairwise_products(e, kern, st) == (self.incl @ self.mctx.act_r).transpose())
+        ok_bimod = (pairwise_products(e, st, kern).dense() == (self.incl @ self.mctx.act_l).transpose()
+                    and pairwise_products(e, kern, st).dense() == (self.incl @ self.mctx.act_r).transpose())
         rep.record("induced_bimodule", ok_bimod, "induced bimodule structure differs from declared")
         return rep
 
@@ -729,18 +729,20 @@ def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> Quo
     return QuotientStep(qactx, proj, incl, free)
 
 
-def _first_nonzero_row(d: np.ndarray, shape: tuple):
-    """The first nonzero row of d, as an index tuple over shape, or None."""
-    rows = np.flatnonzero((d != 0).any(axis=1))
+def _first_nonzero_row(d: "np.ndarray | SparseRows", shape: tuple):
+    """The first nonzero row of d (dense, or summed COO rows), as an index
+    tuple over shape, or None."""
+    rows = d._r if isinstance(d, SparseRows) else np.flatnonzero((d != 0).any(axis=1))
     return tuple(int(x) for x in np.unravel_index(rows[0], shape)) if rows.size else None
 
 
-def _kernel_coordinates(kernel: Subspace, rows: Matrix, check: str, shape: tuple) -> Matrix:
-    """Coordinates of the rows in the kernel's basis; when a row lies
-    outside, VerificationFailed names `check` and that row's index tuple
-    over shape."""
+def _kernel_coordinates(kernel: Subspace, rows: "Matrix | SparseRows", check: str, shape: tuple) -> Matrix:
+    """Coordinates of the rows (dense, or summed COO rows) in the kernel's
+    basis; when a row lies outside, VerificationFailed names `check` and
+    that row's index tuple over shape."""
     coords = kernel.coordinates(rows)
     if coords is None:
+        rows = rows.dense() if isinstance(rows, SparseRows) else rows
         bad = next(t for t in range(rows.rows) if not kernel.contains_vector(rows.row_list(t)))
         raise VerificationFailed(check, tuple(int(x) for x in np.unravel_index(bad, shape)))
     return coords
@@ -834,7 +836,7 @@ def unitalize_section_generic(b_actx: AlgebraInContext, e_alg: AlgebraObject,
     fld = b_actx.field
     s1 = Matrix.row(fld, sigma.apply(b_actx.algebra.unit))
     # row i of the products is sigma(e_i) sigma(1)
-    out = sigma.scale(fld.from_int(2)) - pairwise_products(e_alg, sigma.transpose(), s1).transpose()
+    out = sigma.scale(fld.from_int(2)) - pairwise_products(e_alg, sigma.transpose(), s1).dense().transpose()
     if not v_eq(fld, out.apply(b_actx.algebra.unit), e_alg.unit):
         raise VerificationFailed("unitalized_lift_unital")
     if not (p_r @ out - p_r @ sigma).is_zero():
@@ -859,7 +861,7 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     dm = kernel_sub.dim
     kern = kernel_sub.basis  # rows: the kernel basis in Q_{r+1}
     incl = kern.transpose()  # (dq, dm)
-    bad = _first_nonzero_row(pairwise_products(q_alg, kern, kern)._d, (dm, dm))
+    bad = _first_nonzero_row(pairwise_products(q_alg, kern, kern), (dm, dm))
     if bad is not None:
         raise VerificationFailed("tower_kernel_square_zero", bad)
     # curvature theta(a, b) = sigma(ab) - sigma(a) sigma(b) lands in the

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, _dtype, _join, _summed
+from .linalg import InconsistentSystem, Matrix, SparseRows, _dtype, _join, _summed, kernel_from_rref
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_zero
 
 
@@ -52,6 +52,7 @@ class BialgebraObject:
         self.labels = alg.labels
         self._alg = alg
         self._coalg = coalg
+        self._verified = False  # the last `validate` passed
 
     # views sharing the same structure constants
     def as_algebra(self) -> AlgebraObject:
@@ -86,7 +87,9 @@ class BialgebraObject:
         """Algebra, coalgebra and compatibility axioms.  When the algebra's
         shape and unit and every coalgebra axiom hold, one generating set
         of at most generator_cap basis elements serves both the
-        associativity join and the Delta-multiplicativity check."""
+        associativity join and the Delta-multiplicativity check.  A passing
+        report is remembered (`_verified`, for a Hopf object with its
+        antipode), so a certificate need not validate again."""
         rep = ValidationReport()
         alg = self._alg
         c = self._coalg.validate()
@@ -107,6 +110,7 @@ class BialgebraObject:
         # Delta multiplicative on (generator, basis) pairs
         ok, wit = self._check_delta_on_generators(range(self.dim) if gens is None else gens)
         rep.record("delta_multiplicative", ok, wit)
+        self._verified = rep.ok
         return rep
 
     def _delta_unital(self) -> bool:
@@ -239,6 +243,7 @@ class HopfObject(BialgebraObject):
         rep = super().validate(generator_cap)
         ok, wit = check_antipode(self, self.antipode)
         rep.record("antipode", ok, wit)
+        self._verified = rep.ok
         return rep
 
 
@@ -326,9 +331,11 @@ class IntegralWitness:
         return f"IntegralWitness({self.where}, {self.side}, normalized={self.normalized})"
 
 
-def _integral_system(h: BialgebraObject, where: str, side: str) -> Matrix:
+def _integral_system(h: BialgebraObject, where: str, side: str) -> SparseRows:
     """The integral conditions on t (in_H) or lam (in_dual), n^2 rows per
-    side, scattered from the nonzero structure constants.
+    side, as summed COO rows (`linalg.SparseRows`) scattered from the
+    nonzero structure constants, so the kernel takes `linalg._rref`'s
+    sparse front end and the 2 n^2 x n system is never dense.
 
     in_H left, x t = eps(x) t: row x n + out, column t holds the
     coefficient of e_out in e_x e_t (right: e_t e_x), minus eps(x) where
@@ -349,12 +356,13 @@ def _integral_system(h: BialgebraObject, where: str, side: str) -> Matrix:
         legs = {"left": (k * n + a, b), "right": (k * n + b, a)}
         diag_col, diag_val = x, np.tile(f.reduce(np.array(h.unit, dtype=_dtype(f))), n)
     sides = ("left", "right") if side == "two_sided" else (side,)
-    d = np.full((len(sides) * n * n, n), f.zero(), dtype=_dtype(f))
+    r, c, val = [], [], []
     for s, name in enumerate(sides):
-        block = d[s * n * n : (s + 1) * n * n]
-        block[legs[name]] = v
-        block[rows, diag_col] -= diag_val
-    return Matrix(f, d.shape[0], n, f.reduce(d), _raw=True)
+        r += [legs[name][0] + s * n * n, rows + s * n * n]
+        c += [legs[name][1], diag_col]
+        val += [v, f.reduce(-diag_val)]
+    entries = _summed(f, *(np.concatenate(x) for x in (r, c, val)), n)
+    return SparseRows(f, (len(sides) * n * n, n), *entries)
 
 
 def find_integral(h: BialgebraObject, where: str = "in_H", side: str = "two_sided") -> IntegralWitness:
@@ -365,7 +373,7 @@ def find_integral(h: BialgebraObject, where: str = "in_H", side: str = "two_side
     Normalization failure is the Maschke obstruction, reported as data.
     """
     f = h.field
-    ker = _integral_system(h, where, side).kernel()
+    ker = kernel_from_rref(h.dim, *_integral_system(h, where, side).rref())
     if ker.rows == 0:
         return IntegralWitness(where, side, v_zero(f, h.dim), False, f.zero())
     t = ker.row_list(0)
@@ -378,7 +386,7 @@ def find_integral(h: BialgebraObject, where: str = "in_H", side: str = "two_side
 
 def integral_space_dimension(h: BialgebraObject, where: str, side: str) -> int:
     """Dimension of the integral solution space (1 for Hopf objects)."""
-    return _integral_system(h, where, side).kernel().rows
+    return kernel_from_rref(h.dim, *_integral_system(h, where, side).rref()).rows
 
 
 def _eval_at_unit(h: BialgebraObject, lam: list):

@@ -154,12 +154,16 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 class SparseRows:
-    """A tall matrix held as COO arrays (row, col, value) of reduced values,
-    a row source for `_rref` in place of an ndarray.  Duplicate entries add
-    up in `_rref`, which eliminates the summed, deduplicated core through
-    slicing: a range of rows comes back dense, so no more than one chunk is
-    ever dense.  Slicing reads entries sorted by row with no duplicates, as
-    the core's are."""
+    """A tall matrix held as COO arrays (row, col, value) of reduced values.
+
+    A linear system (`category.MapSolver`) may repeat entries and list them
+    in any order; `_rref` sums them.  Products hand over *summed* entries,
+    sorted by (row, col), unique and nonzero: `algebra.pairwise_products`,
+    `from_matrix`, `matmul` and `vstack` of summed sources.  Containment
+    (`Subspace.coordinates`) and the readers of a first failing row need
+    summed entries.  Slicing, `_rref`'s read of its summed core, returns a
+    range of rows dense, so no more than one chunk is ever dense; `dense()`
+    is the whole matrix, for the few callers that need a `Matrix`."""
 
     def __init__(self, field: ScalarField, shape: tuple[int, int], r, c, v):
         self.field = field
@@ -169,6 +173,20 @@ class SparseRows:
         self._v = np.asarray(v, dtype=self.dtype)
         self._starts = None
 
+    @classmethod
+    def from_matrix(cls, m: "Matrix") -> "SparseRows":
+        """The summed entries of a dense matrix."""
+        r, c = m._d.nonzero()
+        return cls(m.field, (m.rows, m.cols), r, c, m._d[r, c])
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
+
     def __getitem__(self, rows: slice) -> np.ndarray:
         if self._starts is None:
             self._starts = np.searchsorted(self._r, np.arange(self.shape[0] + 1))
@@ -177,6 +195,32 @@ class SparseRows:
         out = np.full((e - s, self.shape[1]), self.field.zero(), dtype=self.dtype)
         out[self._r[lo:hi] - s, self._c[lo:hi]] = self._v[lo:hi]
         return out
+
+    def dense(self) -> "Matrix":
+        return Matrix(self.field, self.rows, self.cols, self[0 : self.rows], _raw=True)
+
+    def vstack(self, other: "SparseRows") -> "SparseRows":
+        if self.cols != other.cols:
+            raise ValueError("col mismatch")
+        r = np.concatenate((self._r, other._r + self.rows))
+        return SparseRows(self.field, (self.rows + other.rows, self.cols), r, np.concatenate((self._c, other._c)),
+                          np.concatenate((self._v, other._v)))
+
+    def matmul(self, b: np.ndarray) -> "SparseRows":
+        """self @ b for a dense b, summed: each entry (r, k, v) joins the
+        nonzeros of row k of b, and the products are summed per (r, column)."""
+        bk, bt = b.nonzero()
+        starts = np.searchsorted(bk, np.arange(b.shape[0] + 1))
+        src, dst = _join(np.arange(self._v.size), starts[self._c], starts[self._c + 1])
+        r, c, v = _summed(self.field, self._r[src], bt[dst], self.field.reduce(self._v[src] * b[bk[dst], bt[dst]]),
+                          b.shape[1])
+        return SparseRows(self.field, (self.rows, b.shape[1]), r, c, v)
+
+    def rref(self):
+        """Canonical RREF through `_rref`'s sparse front end; returns
+        (Matrix, pivot_cols), as `Matrix.rref`."""
+        r, piv = _rref(self, self.field)
+        return Matrix(self.field, r.shape[0], r.shape[1], r, _raw=True), piv
 
 
 _CHUNK = 1024  # rows streamed per Gauss-Jordan pass
@@ -260,12 +304,12 @@ def _lift(images: list, primes: list, piv: list[int], cols: int):
     return out, (ti, tj, vals)
 
 
-def _certified(entries, off_pivot, piv: list[int], cols: int) -> bool:
+def _certified(field: ScalarField, entries, off_pivot, piv: list[int], cols: int) -> bool:
     """Whether A = A[:, piv] R exactly, for A given by its summed nonzeros
     (rows, cols, values, sorted by row * cols + col) and R an RREF with
-    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot``.  Only the
-    off-pivot columns need checking (R[:, piv] = I), as a COO join of A's
-    entries at pivot columns with R's rows."""
+    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot`` (sorted by
+    row).  Only the off-pivot columns need checking (R[:, piv] = I), as a
+    COO join of A's entries at pivot columns with R's rows."""
     r, c, v = entries
     ti, tj, tv = off_pivot
     slot = np.full(cols, -1)
@@ -274,7 +318,7 @@ def _certified(entries, off_pivot, piv: list[int], cols: int) -> bool:
     at_piv = np.flatnonzero(t >= 0)
     starts = np.searchsorted(ti, np.arange(len(piv) + 1))
     src, dst = _join(at_piv, starts[t[at_piv]], starts[t[at_piv] + 1])
-    pr, pc, pv = _summed(QQ, r[src], tj[dst], v[src] * tv[dst], cols)
+    pr, pc, pv = _summed(field, r[src], tj[dst], field.reduce(v[src] * tv[dst]), cols)
     rest = t < 0
     return (np.array_equal(pr, r[rest]) and np.array_equal(pc, c[rest])
             and bool((pv == v[rest]).all()))
@@ -338,7 +382,7 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
         images.append(red)
         primes.append(p)
         lifted = _lift(images, primes, piv, cols)
-        if lifted is not None and _certified(entries, lifted[1], piv, cols):
+        if lifted is not None and _certified(QQ, entries, lifted[1], piv, cols):
             return lifted[0], piv
     return None
 
@@ -749,17 +793,34 @@ class Subspace:
         coeffs = ker._new(ker.rows, self.dim, ker._d[:, : self.dim])
         return Subspace(self.ambient_dim, *(coeffs @ self.basis).rref())
 
-    def coordinates(self, rows: Matrix) -> Matrix | None:
+    def coordinates(self, rows: "Matrix | SparseRows") -> Matrix | None:
         """Coordinates C with rows = C @ basis, or None when a row lies
         outside.  A vector of the span equals its entries at the pivots
-        times the RREF basis, so one product, M - M[:, pivots] @ basis,
-        tests every row of M at once."""
+        times the RREF basis, so M = M[:, pivots] @ basis tests every row
+        of M at once: one product for a dense M, and for summed COO rows
+        the join of `_certified`, as over Q, so M is never dense."""
         if rows.cols != self.ambient_dim:
             raise ValueError(f"rows of length {rows.cols} in K^{self.ambient_dim}")
-        c = rows._d[:, self.pivots]
-        if not np.array_equal(_matmul(self.field, c, self.basis._d), rows._d):
+        if not isinstance(rows, SparseRows):
+            c = rows._d[:, self.pivots]
+            if not np.array_equal(_matmul(self.field, c, self.basis._d), rows._d):
+                return None
+            return rows._new(rows.rows, self.dim, c)
+        b = self.basis._d
+        off = np.ones(self.ambient_dim, dtype=bool)
+        off[self.pivots] = False
+        ti, tj = (b != 0).nonzero()
+        keep = off[tj]
+        ti, tj = ti[keep], tj[keep]
+        entries = rows._r, rows._c, rows._v
+        if not _certified(self.field, entries, (ti, tj, b[ti, tj]), self.pivots, self.ambient_dim):
             return None
-        return rows._new(rows.rows, self.dim, c)
+        slot = np.full(self.ambient_dim, -1)
+        slot[self.pivots] = np.arange(self.dim)
+        at = ~off[rows._c]
+        c = np.full((rows.rows, self.dim), self.field.zero(), dtype=b.dtype)
+        c[rows._r[at], slot[rows._c[at]]] = rows._v[at]
+        return Matrix(self.field, rows.rows, self.dim, c, _raw=True)
 
     def contains_vector(self, vec) -> bool:
         return self.coordinates(Matrix.row(self.field, list(vec))) is not None

@@ -96,14 +96,14 @@ def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
     free = ideal.free_columns()
     incl = Matrix.from_entries(f, n, dq, {(fr, t): f.one() for t, fr in enumerate(free)})
     # counit must kill the ideal
-    for t in range(ideal.dim):
-        if not f.is_zero(a.counit_of(ideal.basis.row_list(t))):
-            raise CertificationFailed("counit does not vanish on the candidate")
+    coalg = a.as_coalgebra()
+    if not all(f.is_zero(e) for e in coalg.counit_of_rows(ideal.basis)):
+        raise CertificationFailed("counit does not vanish on the candidate")
     # (proj (x) proj) Delta: the quotient's Delta on the complement basis,
     # and zero on the ideal exactly when the candidate is a coideal
     pm = SparseMap.from_matrix(proj, (n,), (dq,))
     delta = StagePipeline(f, (n,)).map_at(a.as_coalgebra().comul_map(), 0).map_at(pm, 0).map_at(pm, 1).matrix()
-    counit = [a.counit_of(incl.col_list(t)) for t in range(dq)]
+    counit = coalg.counit_of_rows(incl.transpose())
     q = BialgebraObject.from_parts(q_alg, CoalgebraObject.from_constants(f, dq, constants_of(delta @ incl, dq), counit,
                                                                          q_alg.labels))
     q.validate().require("quotient bialgebra")
@@ -138,12 +138,19 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
                         max_nil: int = 64) -> CertifiedInput:
     """Certify the hypotheses of the chosen splitting side.
 
+    The input is validated first unless its last `validate` passed; a
+    failed axiom raises CertificationFailed naming it.
+
     radical:   candidate is a nilpotent biideal and A/candidate is a
                separable (semisimple) Hopf quotient -- hence candidate = J.
     coradical: candidate is a sub-bialgebra with antipode, separable as an
                algebra, and certified to be the coradical by the wedge
                tower; integral normalizations record the Maschke verdicts.
     """
+    if not a._verified:
+        bad = a.validate().failures()
+        if bad:
+            raise CertificationFailed("bialgebra %s: %s" % bad[0])
     rep = ValidationReport()
     f = a.field
     if side == "radical":
@@ -322,7 +329,7 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
     from .smash import _diagram_yd
 
     yd, incl, _v = _diagram_yd(a, h, split_res.pi, split_res.sigma)
-    phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).transpose()
+    phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).dense().transpose()
     phi.inverse()  # bijectivity (raises if singular)
     rep.record("iso_bijective", True)
     rep.record("iso_algebra_map", is_algebra_map(bos.bialgebra.as_algebra(), a.as_algebra(), phi),
@@ -381,7 +388,7 @@ def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObj
 def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:
     """(f * g)(x) = f(x1) g(x2) for endomorphism matrices: the products
     f(e_i) g(e_j), one column per pair (i, j), times the matrix of Delta."""
-    prods = pairwise_products(a.as_algebra(), fm.transpose(), gm.transpose()).transpose()
+    prods = pairwise_products(a.as_algebra(), fm.transpose(), gm.transpose()).dense().transpose()
     return prods @ a.as_coalgebra().comul_matrix()
 
 

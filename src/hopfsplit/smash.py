@@ -103,6 +103,7 @@ class YDQuadruple:
         self.eps = list(eps)
         self.delta = delta  # (dR^2, dR)
         self.omega = omega  # (dR^2, dH)
+        self._verified = False  # the last `validate` passed
 
     @property
     def field(self):
@@ -198,6 +199,7 @@ class YDQuadruple:
         rep.record("yd5_omega_unital", v_eq(f, self.omega.apply(self.hopf.unit), v_tensor(f, one, one)),
                    "omega(1) != 1 (x) 1")
         _record_pipelines(rep, checks)
+        self._verified = rep.ok
         return rep
 
     def omega_is_trivial(self) -> bool:
@@ -229,6 +231,7 @@ class DualYDQuadruple:
         self.one = list(one)
         self.mul = mul  # (dR, dR^2)
         self.xi = xi  # (dH, dR^2)
+        self._verified = False  # the last `validate` passed
 
     @property
     def field(self):
@@ -337,6 +340,7 @@ class DualYDQuadruple:
             ("yd10_xi_unit_l", P(dr).insert(0, one, dr).map_at(xi, 0),
              P(dr).contract(0, eps).insert(0, self.hopf.unit, dh)),
         ])
+        self._verified = rep.ok
         return rep
 
     def xi_is_trivial(self) -> bool:
@@ -417,10 +421,11 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
     """Bialgebra on R # H: smash algebra + quadruple comultiplication.
 
     Refuses invalid quadruples unless force=True (used by mutation tests);
-    the result is always re-validated via validate_bosonization for valid
+    a quadruple whose last `validate` passed is not validated again.  The
+    result is always re-validated via validate_bosonization for valid
     inputs.
     """
-    if not force:
+    if not force and not q._verified:
         q.validate().require("quadruple")
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
@@ -453,7 +458,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
 
 def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
     """Bialgebra on R # H: smash coproduct + quadruple multiplication."""
-    if not force:
+    if not force and not q._verified:
         q.validate().require("dual quadruple")
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
@@ -580,16 +585,18 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
 
 
 def coactions_from_pi(a: BialgebraObject, pi: Matrix, dh: int):
-    """rho_l = (pi (x) id) Delta and rho_r = (id (x) pi) Delta as matrices."""
-    d = a.as_coalgebra().comul_matrix()
-    return _along_factor(pi, d, a.dim, "r"), _along_factor(pi, d, a.dim, "l")
+    """rho_l = (pi (x) id) Delta and rho_r = (id (x) pi) Delta as matrices,
+    each one pipeline on the cached Delta map (`comul_map`)."""
+    n = a.dim
+    comul, pm = a.as_coalgebra().comul_map(), SparseMap.from_matrix(pi, (n,), (dh,))
+    return tuple(StagePipeline(a.field, (n,)).map_at(comul, 0).map_at(pm, pos).matrix() for pos in (0, 1))
 
 
 def actions_from_sigma(a: BialgebraObject, sigma: Matrix, dh: int):
     """act_l(h (x) a) = sigma(h) a and act_r(a (x) h) = a sigma(h)."""
     s, eye = sigma.transpose(), Matrix.identity(a.field, a.dim)
     alg = a.as_algebra()
-    return pairwise_products(alg, s, eye).transpose(), pairwise_products(alg, eye, s).transpose()
+    return pairwise_products(alg, s, eye).dense().transpose(), pairwise_products(alg, eye, s).dense().transpose()
 
 
 class ExtractionError(Exception):
@@ -688,7 +695,7 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
     # delta and omega: (P (x) P) Delta of the coinvariants and of sigma(H)
     d = a.as_coalgebra().comul_matrix()
     delta, omega = (_along_factor(p, _along_factor(p, d @ m, n, "r"), dr, "l") for m in (incl, sigma))
-    eps_r = [a.counit_of(incl.col_list(t)) for t in range(dr)]
+    eps_r = a.as_coalgebra().counit_of_rows(incl.transpose())
     q = YDQuadruple(h, r_alg, yd, eps_r, delta, omega)
     q.validate().require("extracted quadruple")
     return q
@@ -713,7 +720,7 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     coords = _square_coordinates(r_space, delta.matrix())
     if coords is None:
         raise ExtractionError("delta does not land in R (x) R")
-    eps_r = [a.counit_of(incl.col_list(t)) for t in range(dr)]
+    eps_r = a.as_coalgebra().counit_of_rows(incl.transpose())
     r_coalg = CoalgebraObject.from_constants(f, dr, constants_of(coords, dr), eps_r, tuple(f"r{t}" for t in range(dr)))
     r_coalg.validate().require("diagram coalgebra")
     # one, m, xi: phi^{-1} of the products of coinvariants, in R # H, with
@@ -721,7 +728,7 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     one_r = [a.unit[p] for p in r_space.pivots]
     if not r_space.contains_vector(a.unit):
         raise ExtractionError("1_A is not right coinvariant")
-    w = phi_inv @ pairwise_products(a.as_algebra(), incl.transpose(), incl.transpose()).transpose()
+    w = phi_inv @ pairwise_products(a.as_algebra(), incl.transpose(), incl.transpose()).dense().transpose()
     mul = StagePipeline(f, (dr, dh)).contract(1, h.counit).matrix() @ w
     xi = StagePipeline(f, (dr, dh)).contract(0, eps_r).matrix() @ w
     q = DualYDQuadruple(h, r_coalg, yd, one_r, mul, xi)

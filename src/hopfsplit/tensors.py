@@ -147,10 +147,15 @@ class SparseMap:
 
 
 def _permute(batch, dims: tuple, perm: tuple):
+    """Re-address every key through its digits, _BLOCK keys at a time, so
+    the digit arrays (one per factor) stay small for a large batch."""
     col, key, val = batch
-    digits = np.unravel_index(key, dims)
-    dims = tuple(dims[p] for p in perm)
-    return (col, np.ravel_multi_index([digits[p] for p in perm], dims), val), dims
+    new_dims = tuple(dims[p] for p in perm)
+    out = np.empty_like(key)
+    for lo in range(0, key.size, _BLOCK):
+        digits = np.unravel_index(key[lo : lo + _BLOCK], dims)
+        out[lo : lo + _BLOCK] = np.ravel_multi_index([digits[p] for p in perm], new_dims)
+    return (col, out, val), new_dims
 
 
 def _contract(field: ScalarField, batch, dims: tuple, pos: int, weights):

@@ -798,8 +798,8 @@ def draw_subspace(data, a):
                                 for _ in range(data.draw(st.integers(1, 2)))])
     eye = Matrix.identity(f, n)
     rows = {"ideal": lambda: ideal_generated_by(a, vecs.transpose()).subspace.basis,
-            "left": lambda: pairwise_products(a, eye, vecs),
-            "right": lambda: pairwise_products(a, vecs, eye),
+            "left": lambda: pairwise_products(a, eye, vecs).dense(),
+            "right": lambda: pairwise_products(a, vecs, eye).dense(),
             "span": lambda: vecs}[kind]()
     return Subspace.from_matrix_rows(rows.vstack(vecs))
 
@@ -840,7 +840,7 @@ def test_multiplicativity_on_generators_matches_full_scan(data):
     if not verified:
         assert gens is None
     if gens is not None:  # the restricted verdict alone is the full one
-        assert any((d != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
+        assert any((d._v != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
@@ -871,7 +871,7 @@ def test_unverified_algebras_take_the_full_path(field, monkeypatch):
         assert multiplicativity_defect(a, k, eps) == first_defect(a, k, eps) == (3, 4)
         assert seen == [()]
     # the generator rows alone pass: the gate is what keeps the verdicts right
-    assert not any((d != 0).any() for d in real(a, k, eps, [1]))
+    assert not any((d._v != 0).any() for d in real(a, k, eps, [1]))
     # an associative k[Z_5] takes the generator rows once validated, not before
     b = AlgebraObject(field, n, group_algebra(n, field).as_algebra().mul, [one] + [field.zero()] * (n - 1))
     b.generating_basis_indices()

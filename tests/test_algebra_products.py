@@ -129,6 +129,15 @@ def with_branch(fn, *args):
     return got, bool(calls)
 
 
+def assert_summed(m):
+    """COO rows as products hand them over: sorted by (row, col), unique,
+    nonzero and of the field's dtype."""
+    key = m._r * m.cols + m._c
+    assert m._v.dtype == _dtype(m.field)
+    assert (np.diff(key) > 0).all() and (m._v != 0).all()
+    assert ((0 <= m._c) & (m._c < m.cols)).all() and ((0 <= m._r) & (m._r < m.rows)).all()
+
+
 def dense_by_rule(a, left, right):
     """Whether the term-count rule sends the product to the dense branch,
     counted on the reference tensor: stage 1 makes a term per nonzero
@@ -159,6 +168,8 @@ def test_pairwise_products_match_the_tensor_contractions():
         got, dense = with_branch(pairwise_products, a, left, right)
         want = products_by_tensor(a, left, right)
         assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert_summed(got)
+        got = got.dense()
         assert got._d.dtype == want._d.dtype
         assert np.array_equal(got._d, want._d)
         assert dense == dense_by_rule(a, left, right)
@@ -181,14 +192,15 @@ def test_dense_operands_take_the_dense_product_and_unit_rows_the_join(field):
     group = group_algebra(n, field).as_algebra()
     got, dense = with_branch(pairwise_products, group, eye, Matrix(field, n, n, eye._d.copy(), _raw=True))
     assert not dense
-    assert np.array_equal(got._d, products_by_tensor(group, eye, eye)._d)
+    assert np.array_equal(got.dense()._d, products_by_tensor(group, eye, eye)._d)
     full = AlgebraObject(field, n, {(i, j): dict.fromkeys(range(n), one) for i in range(n) for j in range(n)},
                          [one] + [field.zero()] * (n - 1))
     ones = Matrix(field, 1, n, [[one] * n])
     for left, right in ((ones, eye), (eye, ones)):
         got, dense = with_branch(pairwise_products, full, left, right)
         assert dense
-        assert np.array_equal(got._d, products_by_tensor(full, left, right)._d)
+        assert_summed(got)
+        assert np.array_equal(got.dense()._d, products_by_tensor(full, left, right)._d)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -201,7 +213,7 @@ def test_empty_operands_multiply_nothing(field):
         got, dense = with_branch(pairwise_products, a, left, right)
         assert not dense
         assert (got.rows, got.cols) == (0, 3)
-        assert got._d.dtype == _dtype(field)
+        assert got.dense()._d.dtype == _dtype(field)
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1), GF(2**61 - 1)])
@@ -221,7 +233,7 @@ def test_products_reduce_every_term(field):
         left, right = Matrix(field, 1, n, left), Matrix(field, 1, n, right)
         got, dense = with_branch(pairwise_products, a, left, right)
         assert not dense
-        assert np.array_equal(got._d, products_by_tensor(a, left, right)._d)
+        assert np.array_equal(got.dense()._d, products_by_tensor(a, left, right)._d)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -253,7 +265,7 @@ def test_defect_rows_match_the_tensor_blocks(data):
         want = list(defect_rows_by_tensor(src, tgt, m, lefts))
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+        assert g.shape == w.shape and np.array_equal(g.dense()._d, w)
 
 
 def test_trace_form_matches_the_tensor_product():

@@ -369,9 +369,9 @@ def test_parser_built_once_with_unchanged_usage_errors(tmp_path, capsys):
     assert code == 0 and not out.startswith("{")
 
 
-def test_radical_refuses_a_non_associative_algebra(tmp_path, capsys):
-    # T_3 over F_7 with g.x changed from e4 to 2 e4: validate names the
-    # associativity failure, and radical --candidate must not certify J
+def _non_associative_taft3(tmp_path, capsys):
+    """T_3 over F_7 with g.x changed from e4 to 2 e4, and the radical J of
+    T_3 as a candidate file; returns (structure path, candidate path)."""
     path = tmp_path / "t3.json"
     run_cli(["example", "taft", "--n", "3", "--field", "fp:7", "--out", str(path)], capsys)
     doc = json.loads(path.read_text())
@@ -383,6 +383,13 @@ def test_radical_refuses_a_non_associative_algebra(tmp_path, capsys):
     cand = tmp_path / "j.json"
     cand.write_text(json.dumps({"field": {"kind": "Fp", "p": 7}, "ambient_dim": 9,
                                 "vectors": [["1" if j == i else "0" for j in range(9)] for i in range(9) if i % 3]}))
+    return bad, cand
+
+
+def test_radical_refuses_a_non_associative_algebra(tmp_path, capsys):
+    # validate names the associativity failure, and radical --candidate
+    # must not certify J
+    bad, cand = _non_associative_taft3(tmp_path, capsys)
     code, out, _ = run_cli(["validate", str(bad)], capsys)
     assert code == 1
     assert "algebra:associativity: FAIL (e1*e3)*e1 != e1*(e3*e1)" in out.splitlines()
@@ -391,6 +398,18 @@ def test_radical_refuses_a_non_associative_algebra(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert err == ("CertificationFailed: radical certification failed: "
                        "algebra associativity: (e1*e3)*e1 != e1*(e3*e1)\n")
+
+
+def test_split_validates_its_input_first(tmp_path, capsys):
+    # split names the input's own associativity failure on either side,
+    # not a failure of a structure derived from it (the quotient A/J used
+    # to fail at (e2*e1)*e2)
+    bad, cand = _non_associative_taft3(tmp_path, capsys)
+    for side in ("radical", "coradical"):
+        code, out, err = run_cli(["split", str(bad), "--side", side, "--candidate", str(cand)], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("CertificationFailed: split input certification failed: "
+                       "bialgebra algebra:associativity: (e1*e3)*e1 != e1*(e3*e1)\n")
 
 
 def test_coradical_and_filtration_refuse_a_non_coassociative_coalgebra(tmp_path, capsys):
