@@ -183,8 +183,8 @@ def dualize(x):
     basis identification.  A bialgebra's dual is the dual of its coalgebra as the
     algebra and the dual of its algebra as the coalgebra.  Its axioms are
     the object's, read with the legs swapped (associativity is
-    coassociativity, the antipode identities transpose), so a bialgebra
-    whose last `validate` passed has a dual that counts as validated.
+    coassociativity), so the dual of a bialgebra whose axioms were
+    validated counts as validated.
     """
     from .hopf import BialgebraObject, HopfObject
 

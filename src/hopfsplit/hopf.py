@@ -52,7 +52,7 @@ class BialgebraObject:
         self.labels = alg.labels
         self._alg = alg
         self._coalg = coalg
-        self._verified = False  # the last `validate` passed
+        self._verified = False  # the bialgebra axioms of the last `validate` held
 
     # views sharing the same structure constants
     def as_algebra(self) -> AlgebraObject:
@@ -87,9 +87,10 @@ class BialgebraObject:
         """Algebra, coalgebra and compatibility axioms.  When the algebra's
         shape and unit and every coalgebra axiom hold, one generating set
         of at most generator_cap basis elements serves both the
-        associativity join and the Delta-multiplicativity check.  A passing
-        report is remembered (`_verified`, for a Hopf object with its
-        antipode), so a certificate need not validate again."""
+        associativity join and the Delta-multiplicativity check.  Whether
+        these axioms held is remembered (`_verified`; a Hopf object's
+        antipode is not part of it), so a certificate need not validate
+        them again."""
         rep = ValidationReport()
         alg = self._alg
         c = self._coalg.validate()
@@ -243,7 +244,6 @@ class HopfObject(BialgebraObject):
         rep = super().validate(generator_cap)
         ok, wit = check_antipode(self, self.antipode)
         rep.record("antipode", ok, wit)
-        self._verified = rep.ok
         return rep
 
 

@@ -138,8 +138,9 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
                         max_nil: int = 64) -> CertifiedInput:
     """Certify the hypotheses of the chosen splitting side.
 
-    The input is validated first unless its last `validate` passed; a
-    failed axiom raises CertificationFailed naming it.
+    The bialgebra axioms of the input are validated first unless its last
+    `validate` found them to hold (the input's antipode, if any, is not a
+    hypothesis); a failed axiom raises CertificationFailed naming it.
 
     radical:   candidate is a nilpotent biideal and A/candidate is a
                separable (semisimple) Hopf quotient -- hence candidate = J.
@@ -148,7 +149,7 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
                tower; integral normalizations record the Maschke verdicts.
     """
     if not a._verified:
-        bad = a.validate().failures()
+        bad = BialgebraObject.validate(a).failures()
         if bad:
             raise CertificationFailed("bialgebra %s: %s" % bad[0])
     rep = ValidationReport()

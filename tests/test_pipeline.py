@@ -17,6 +17,7 @@ from hopfsplit.pipeline import (
     reconstruct_and_verify,
     run_coradical_pipeline,
     run_radical_pipeline,
+    split_coradical,
     split_radical,
 )
 from hopfsplit.tensors import v_basis
@@ -140,3 +141,38 @@ def test_radford_nontrivial_direction_on_dual_flagship(ha_f7, ha_report):
     q = extract_quadruple_primal(a_dual, h_dual, ha_report.sigma.transpose(), sigma_d)
     assert not q.omega_is_trivial()
     assert not is_coalgebra_map(h_dual.as_coalgebra(), a_dual.as_coalgebra(), sigma_d)
+
+
+@pytest.mark.parametrize("side", ["radical", "coradical"])
+def test_split_validates_the_input_bialgebra_once(h4_qq, side, monkeypatch):
+    # H4 is validated when it is built, so neither it nor its dual (on the
+    # coradical side) is validated again; a fresh object on the same
+    # constants is validated once, and only for the bialgebra axioms (its
+    # antipode is no hypothesis of the split)
+    from hopfsplit.hopf import BialgebraObject, HopfObject
+
+    seen = []
+    for cls in (BialgebraObject, HopfObject):
+        real = cls.validate
+        monkeypatch.setattr(cls, "validate", lambda b, *a, real=real, cls=cls: seen.append((cls, b.dim)) or real(b, *a))
+    cand = h4_radical_candidate(QQ) if side == "radical" else h4_coradical_candidate(QQ)
+    split = split_radical if side == "radical" else split_coradical
+    split(certify_split_input(h4_qq, side, cand), "bicomodule")
+    assert (BialgebraObject, 4) not in seen and (HopfObject, 4) not in seen
+    fresh = HopfObject.from_parts(h4_qq.as_algebra(), h4_qq.as_coalgebra(), h4_qq.antipode)
+    seen.clear()
+    split(certify_split_input(fresh, side, cand), "bicomodule")
+    assert [s for s in seen if s[1] == 4] == [(BialgebraObject, 4)]
+
+
+@pytest.mark.parametrize("side", ["radical", "coradical"])
+def test_reconstruction_validates_its_quadruple_once(h4_qq, side, monkeypatch):
+    from hopfsplit import smash
+
+    calls = []
+    for cls in (smash.YDQuadruple, smash.DualYDQuadruple):
+        real = cls.validate
+        monkeypatch.setattr(cls, "validate", lambda q, real=real: calls.append(type(q)) or real(q))
+    report = run_radical_pipeline(h4_qq, h4_radical_candidate(QQ)) if side == "radical" else \
+        run_coradical_pipeline(h4_qq, h4_coradical_candidate(QQ))
+    assert report.checks.ok and len(calls) == 1
