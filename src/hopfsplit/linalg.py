@@ -46,8 +46,10 @@ answers dense Q input and any system no prime certifies.  (Sorting and
 `np.add.reduceat` sum duplicates here, never `np.unique`: it imports
 `numpy.ma`, about 1.7 MB of resident memory.)
 
-Containment in a subspace is one product: ``Subspace.coordinates``
-checks M = M[:, pivots] @ basis for all rows of M at once.
+Containment in a subspace checks M = M[:, pivots] @ basis for all rows
+of M at once (``Subspace.coordinates``): one product for a dense M, and
+for summed COO rows (a `SparseRows` product) the same join that certifies
+a modular RREF over Q, so the rows are never dense.
 """
 from __future__ import annotations
 

@@ -10,7 +10,8 @@ Coradical side: the same machinery run on the finite-dimensional dual
 section transposed back to a bilinear coalgebra retraction.
 
 Every matrix in a SplitReport re-verifies its defining property; solver
-output is never trusted.
+output is never trusted.  The input's bialgebra axioms are validated
+before any candidate check, once per object (`certify_split_input`).
 """
 from __future__ import annotations
 
