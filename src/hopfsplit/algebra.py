@@ -50,7 +50,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, SparseRows, Subspace, _dtype, _join, _matmul, _summed
+from .linalg import (_LIMIT, InconsistentSystem, Matrix, SparseRows, Subspace, _dtype, _fit, _fractions, _join, _matmul,
+                     _numerators, _scaled, _summed, _times)
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq
 
 
@@ -143,7 +144,7 @@ class AlgebraObject:
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self._mul = None
         self._mul_map = None
-        self._constants = None
+        self._constants = self._numer = None
         self._shape = self._unit_check = None
         self._generators: dict = {}
         self._verified = False  # the last `validate` passed
@@ -199,6 +200,13 @@ class AlgebraObject:
             self._by_a = np.searchsorted(self._constants[0], np.arange(self.dim + 1))
         return self._constants
 
+    def constant_numerators(self):
+        """The values of `constants()` as (numerators, denominator, bound),
+        integers over one denominator (`linalg._numerators`; cached)."""
+        if self._numer is None:
+            self._numer = _numerators(self.field, self.constants()[3])
+        return self._numer
+
     # -- validation ---------------------------------------------------------
 
     def validate(self, generators=None) -> ValidationReport:
@@ -241,7 +249,8 @@ class AlgebraObject:
         join holds at most _JOIN_BLOCK terms plus one index's, never n^3.
         """
         f, n = self.field, self.dim
-        a, b, c, v = self.constants()
+        a, b, c, _ = self.constants()
+        v, _, bound = self.constant_numerators()  # both sides' terms have the denominator squared
         # the entries with first leg x are [by_a[x], by_a[x + 1]), those with
         # last leg x are last[by_c[x]:by_c[x + 1]]
         by_a = self._by_a
@@ -255,7 +264,8 @@ class AlgebraObject:
             r_src, r_at = _join(s, by_c[b[s]], by_c[b[s] + 1])
             r_dst = last[r_at]
             keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], (a[r_dst] * n + b[r_dst]) * n + c[r_src]))
-            terms = np.concatenate((f.reduce(v[l_src] * v[l_dst]), -f.reduce(v[r_src] * v[r_dst])))
+            terms, tb = _times(f, v[l_src], bound, v[l_dst], bound)
+            terms = _fit(np.concatenate((terms, -_times(f, v[r_src], bound, v[r_dst], bound)[0])), tb * keys.size)
             bad_i, bad, _ = _summed(f, np.concatenate((a[l_src], a[r_src])), keys, terms, n**3)
             if bad.size:
                 i, (j, k) = int(bad_i[0]), divmod(int(bad[0]) // n, n)
@@ -273,14 +283,17 @@ class AlgebraObject:
 
     def _unit_defect(self):
         f, n = self.field, self.dim
-        a, b, c, v = self.constants()
-        u = f.reduce(np.array(self.unit, dtype=_dtype(f)))
+        a, b, c, _ = self.constants()
+        v, den, bv = self.constant_numerators()
+        u, du, bu = _numerators(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
+        den *= du  # of u_a v, and of -1 = -den / den
         diag = np.arange(n)
-        minus_one = np.full(n, f.reduce(-f.one()), dtype=v.dtype)
+        minus_one = np.full(n, f.reduce(-den), dtype=object if den >= _LIMIT else v.dtype)
         first = []
         for by, j in ((a, b), (b, a)):  # 1 e_j: u_a e_a e_j; e_j 1: e_j u_b e_b
-            bad, _, _ = _summed(f, np.concatenate((j, diag)), np.concatenate((c, diag)),
-                                np.concatenate((f.reduce(u[by] * v), minus_one)), n)
+            terms, tb = _times(f, u[by], bu, v, bv)
+            terms = _fit(np.concatenate((terms, minus_one)), max(tb, den) * (terms.size + n))
+            bad, _, _ = _summed(f, np.concatenate((j, diag)), np.concatenate((c, diag)), terms, n)
             first.append(int(bad[0]) if bad.size else n)
         j = min(first)
         if j == n:
@@ -496,15 +509,23 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
         q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (j, (u, k))
         out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
         return SparseRows.from_matrix(Matrix(f, lr * rr, n, out, _raw=True))
+    # both stages multiply integer numerators (`linalg._numerators`); the
+    # sums are over dx dc dy and become field values once, at the end
     by_a = a._by_a
-    x, y = left._d[u, i], right._d[w, j]
+    x, dx, xb = _numerators(f, left._d[u, i])
+    y, dy, yb = _numerators(f, right._d[w, j])
+    cn, dc, cb = a.constant_numerators()
     s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
     # summed per (j, (u, k)), so P comes out sorted by j for stage 2
-    pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], f.reduce(x[s] * cv[e]), lr * n)
+    terms, tb = _times(f, x[s], xb, cn[e], cb)
+    pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], _fit(terms, tb * terms.size), lr * n)
+    pb = tb * terms.size if f.kind == "Q" else f.p - 1
     pu, pk = np.divmod(puk, n)
     starts = np.searchsorted(pj, np.arange(n + 1))
     s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
-    return SparseRows(f, (lr * rr, n), *_summed(f, pu[e] * rr + w[s], pk[e], f.reduce(y[s] * pv[e]), n))
+    terms, tb = _times(f, y[s], yb, pv[e], pb)
+    r, c, val = _summed(f, pu[e] * rr + w[s], pk[e], _fit(terms, tb * terms.size), n)
+    return SparseRows(f, (lr * rr, n), r, c, _fractions(f, val, dx * dc * dy))
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
@@ -516,27 +537,38 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for the block's r-th index i.
 
     f(e_i e_j) is the block's constants, read from the first-leg ranges of
-    its indices, joined with f^T (`SparseRows.matmul`); f(e_i) f(e_j) is
-    `pairwise_products` of rows of f^T; their difference is summed by
-    `linalg._summed`, so a row of D is failing iff it holds an entry.
-    Blocks span about _DEFECT_BLOCK entries of the dense D, so a failure
-    is found before later blocks are multiplied.
+    its indices, joined with the rows of f^T at their last leg;
+    f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Both are integer
+    numerators (`linalg._numerators`) brought over one denominator, their
+    difference is summed by `linalg._summed`, so a row of D is failing iff
+    it holds an entry, and only those entries become field values.  Blocks
+    span about _DEFECT_BLOCK entries of the dense D, so a failure is found
+    before later blocks are multiplied.
     """
     fld = src.field
     n = src.dim
-    _, cj, ck, cv = src.constants()
+    _, cj, ck, _ = src.constants()
+    cn, dc, cb = src.constant_numerators()
     by_a = src._by_a
     ft = f.transpose()
+    fk, fm = ft._d.nonzero()  # the entries of f(e_k) are [f_at[k], f_at[k + 1])
+    fv, df, fb = _numerators(fld, ft._d[fk, fm])
+    f_at = np.searchsorted(fk, np.arange(n + 1))
     step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
     lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
     for s in range(0, lefts.size, step):
         blk = lefts[s : s + step]
         r, e = _join(np.arange(blk.size), by_a[blk], by_a[blk + 1])
-        lhs = SparseRows(fld, (blk.size * n, n), r * n + cj[e], ck[e], cv[e]).matmul(ft._d)
+        t, g = _join(np.arange(e.size), f_at[ck[e]], f_at[ck[e] + 1])
+        r, e = r[t], e[t]  # constant e (row r n + j of D) meets the entry g of f(e_k)
+        lhs, lb = _times(fld, cn[e], cb, fv[g], fb)  # over dc df
         rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
-        diff = _summed(fld, np.concatenate((lhs._r, rhs._r)), np.concatenate((lhs._c, rhs._c)),
-                       np.concatenate((lhs._v, fld.reduce(-rhs._v))), tgt.dim)
-        yield SparseRows(fld, rhs.shape, *diff)
+        rv, dr, rb = _numerators(fld, rhs._v)  # over dr
+        (lhs, lb), (rv, rb) = _scaled(lhs, lb, dr), _scaled(rv, rb, dc * df)
+        terms = _fit(np.concatenate((lhs, fld.reduce(-rv))), max(lb, rb) * (lhs.size + rv.size))
+        rows, cols, vals = _summed(fld, np.concatenate((r * n + cj[e], rhs._r)), np.concatenate((fm[g], rhs._c)),
+                                   terms, tgt.dim)
+        yield SparseRows(fld, rhs.shape, rows, cols, _fractions(fld, vals, dc * df * dr))
 
 
 def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:

@@ -8,6 +8,8 @@ direct contraction, never trusted from the solver.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import ValidationReport, VerificationFailed
@@ -71,6 +73,23 @@ class CatObject:
         self.act_r = act_r
         self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
 
+    # the structure maps as SparseMaps, each built once
+    @cached_property
+    def coact_l_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.coact_l, (self.dim,), (self.hopf.dim, self.dim))
+
+    @cached_property
+    def coact_r_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.coact_r, (self.dim,), (self.dim, self.hopf.dim))
+
+    @cached_property
+    def act_l_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.act_l, (self.hopf.dim, self.dim), (self.dim,))
+
+    @cached_property
+    def act_r_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.act_r, (self.dim, self.hopf.dim), (self.dim,))
+
     @classmethod
     def trivial(cls, field, hopf, dim=1) -> "CatObject":
         """K^dim with trivial (co)actions (the unit object for dim = 1)."""
@@ -111,7 +130,7 @@ class CatObject:
             rep.record("has_coact_r", self.coact_r is not None, "missing right coaction")
             if self.coact_r is None:
                 return rep
-            sm = SparseMap.from_matrix(self.coact_r, (n,), (n, dh))
+            sm = self.coact_r_map
             if not _record_checks(rep, [
                 ("coact_r_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 0),
                                                     P(n).map_at(sm, 0).map_at(comul, 1)), "basis {0}"),
@@ -122,7 +141,7 @@ class CatObject:
             rep.record("has_coact_l", self.coact_l is not None, "missing left coaction")
             if self.coact_l is None:
                 return rep
-            sm = SparseMap.from_matrix(self.coact_l, (n,), (dh, n))
+            sm = self.coact_l_map
             if not _record_checks(rep, [
                 ("coact_l_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 1),
                                                     P(n).map_at(sm, 0).map_at(comul, 0)), "basis {0}"),
@@ -131,8 +150,7 @@ class CatObject:
                 return rep
         if ctx.wants_left_coaction and ctx.wants_right_coaction:
             # bicomodule compatibility: (id (x) rho_r) rho_l = (rho_l (x) id) rho_r
-            sl = SparseMap.from_matrix(self.coact_l, (n,), (dh, n))
-            sr = SparseMap.from_matrix(self.coact_r, (n,), (n, dh))
+            sl, sr = self.coact_l_map, self.coact_r_map
             if not _record_checks(rep, [
                 ("bicomodule_compat", pipelines_equal(P(n).map_at(sl, 0).map_at(sr, 1),
                                                       P(n).map_at(sr, 0).map_at(sl, 0)), "basis {0}"),
@@ -142,7 +160,7 @@ class CatObject:
             rep.record("has_act_r", self.act_r is not None, "missing right action")
             if self.act_r is None:
                 return rep
-            am = SparseMap.from_matrix(self.act_r, (n, dh), (n,))
+            am = self.act_r_map
             if not _record_checks(rep, [
                 ("act_r_assoc", pipelines_equal(P(n, dh, dh).map_at(am, 0).map_at(am, 0),
                                                 P(n, dh, dh).map_at(mul, 1).map_at(am, 0)), "(v{0},h{1},h{2})"),
@@ -153,7 +171,7 @@ class CatObject:
             rep.record("has_act_l", self.act_l is not None, "missing left action")
             if self.act_l is None:
                 return rep
-            am = SparseMap.from_matrix(self.act_l, (dh, n), (n,))
+            am = self.act_l_map
             # declared in loop order (v, h1, h2) over the key (h1, h2, v)
             if not _record_checks(rep, [
                 ("act_l_assoc", pipelines_equal(P(n, dh, dh).permute((1, 2, 0)).map_at(am, 1).map_at(am, 0),
@@ -163,8 +181,7 @@ class CatObject:
             ]):
                 return rep
         if ctx.wants_left_action and ctx.wants_right_action:
-            al = SparseMap.from_matrix(self.act_l, (dh, n), (n,))
-            ar = SparseMap.from_matrix(self.act_r, (n, dh), (n,))
+            al, ar = self.act_l_map, self.act_r_map
             # loop order (v, h1, h2) over the key (h1, v, h2)
             _record_checks(rep, [
                 ("bimodule_compat", pipelines_equal(P(n, dh, dh).permute((1, 0, 2)).map_at(al, 0).map_at(ar, 0),
@@ -481,23 +498,36 @@ class YDObject:
         self.labels = tuple(labels) if labels else tuple(f"r{i}" for i in range(dim))
         self._passed = None  # the report of a passing `validate`, returned again
 
+    @cached_property
+    def module(self) -> CatObject:
+        """R as a left module and left comodule; its stage maps are R's."""
+        return CatObject(self.field, self.dim, self.hopf, coact_l=self.coact, act_l=self.act)
+
+    @property
+    def act_map(self) -> SparseMap:
+        """The action as a SparseMap (dH, dim) -> (dim,), built once."""
+        return self.module.act_l_map
+
+    @property
+    def coact_map(self) -> SparseMap:
+        """The coaction as a SparseMap (dim,) -> (dH, dim), built once."""
+        return self.module.coact_l_map
+
     def validate(self) -> ValidationReport:
         if self._passed is not None:
             return self._passed
         rep = ValidationReport()
         h = self.hopf
         f = self.field
-        obj = CatObject(f, self.dim, h, coact_l=self.coact, act_l=self.act)
         # reuse comodule/module axiom checks through ad-hoc contexts
-        rep_mod = obj.validate(_LeftOnly(h))
+        rep_mod = self.module.validate(_LeftOnly(h))
         for name, ok, wit in rep_mod.checks:
             rep.record(name, ok, wit)
         if not rep.ok:
             return rep
         dh = h.dim
         n = self.dim
-        am = SparseMap.from_matrix(self.act, (dh, n), (n,))
-        cm = SparseMap.from_matrix(self.coact, (n,), (dh, n))
+        am, cm = self.act_map, self.coact_map
         mul = h.as_algebra().mul_map()
         comul = h.as_coalgebra().comul_map()
         lhs = StagePipeline(f, (dh, n)).map_at(am, 0).map_at(cm, 0)  # rho(h v)
@@ -529,12 +559,8 @@ class _LeftOnly(CategoryContext):
 
 def braiding(v: YDObject, w: YDObject) -> Matrix:
     """c(v (x) w) = (v_(-1) . w) (x) v_(0), an invertible map V(x)W -> W(x)V."""
-    dv, dw = v.dim, w.dim
-    dh = v.hopf.dim
-    cm = SparseMap.from_matrix(v.coact, (dv,), (dh, dv))
-    am = SparseMap.from_matrix(w.act, (dh, dw), (dw,))
     # (v, w) -> (v-1, v0, w) -> (v-1, w, v0) -> (v-1 . w, v0)
-    m = StagePipeline(v.field, (dv, dw)).map_at(cm, 0).permute((0, 2, 1)).map_at(am, 0).matrix()
+    m = StagePipeline(v.field, (v.dim, w.dim)).map_at(v.coact_map, 0).permute((0, 2, 1)).map_at(w.act_map, 0).matrix()
     m.inverse()  # raises if not invertible
     return m
 
@@ -614,11 +640,9 @@ def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
     act_r = P(dw, dh, dh).map_at(mul, 1).matrix()  # (w (x) k) h = w (x) kh
     coact_r = P(dw, dh).map_at(comul, 1).matrix()  # w (x) k1 (x) k2
     # h (w (x) k) = (h1 . w) (x) h2 k
-    am = SparseMap.from_matrix(w.act, (dh, dw), (dw,))
-    act_l = P(dh, dw, dh).map_at(comul, 0).permute((0, 2, 1, 3)).map_at(am, 0).map_at(mul, 1).matrix()
+    act_l = P(dh, dw, dh).map_at(comul, 0).permute((0, 2, 1, 3)).map_at(w.act_map, 0).map_at(mul, 1).matrix()
     # w (x) k -> w(-1) k1 (x) w(0) (x) k2
-    cm = SparseMap.from_matrix(w.coact, (dw,), (dh, dw))
-    coact_l = P(dw, dh).map_at(cm, 0).map_at(comul, 2).permute((0, 2, 1, 3)).map_at(mul, 0).matrix()
+    coact_l = P(dw, dh).map_at(w.coact_map, 0).map_at(comul, 2).permute((0, 2, 1, 3)).map_at(mul, 0).matrix()
     return CatObject(f, dim, h, coact_l, coact_r, act_l, act_r)
 
 

@@ -11,6 +11,7 @@ import functools
 import sys
 
 from .algebra import (
+    AlgebraObject,
     CertificationFailed as RadicalCertificationFailed,
     IdealData,
     NotNilpotentWithin,
@@ -20,6 +21,7 @@ from .algebra import (
     separability_idempotent,
 )
 from .coalgebra import CertificationFailed as CoradCertificationFailed
+from .coalgebra import CoalgebraObject
 from .coalgebra import coradical, coradical_filtration
 from .fields import GF, QQ, ScalarField, is_prime
 from .hochschild import AlgebraInContext, BimoduleInContext, Obstructed, cohomology
@@ -91,6 +93,26 @@ def _emit(args, text_lines, json_doc):
             print(line)
 
 
+def _algebra_of(obj, command: str):
+    """The algebra of a structure file; a file without mul is an input
+    error naming what the command needs."""
+    if isinstance(obj, BialgebraObject):
+        return obj.as_algebra()
+    if isinstance(obj, AlgebraObject):
+        return obj
+    raise FileFormatError(f"{command} needs an algebra (a file with mul and unit), not a coalgebra")
+
+
+def _coalgebra_of(obj, command: str):
+    """The coalgebra of a structure file; a file without comul is an input
+    error naming what the command needs."""
+    if isinstance(obj, BialgebraObject):
+        return obj.as_coalgebra()
+    if isinstance(obj, CoalgebraObject):
+        return obj
+    raise FileFormatError(f"{command} needs a coalgebra (a file with comul and counit), not an algebra")
+
+
 def cmd_validate(args):
     obj = object_from_json(read_file(args.file))
     rep = obj.validate()
@@ -100,8 +122,7 @@ def cmd_validate(args):
 
 
 def cmd_radical(args):
-    obj = object_from_json(read_file(args.file))
-    alg = obj.as_algebra() if isinstance(obj, BialgebraObject) else obj
+    alg = _algebra_of(object_from_json(read_file(args.file)), "radical")
     cand = None
     if args.candidate:
         cand = IdealData(alg, subspace_from_json(read_file(args.candidate), alg.field, alg.dim))
@@ -116,8 +137,7 @@ def cmd_radical(args):
 
 
 def cmd_coradical(args):
-    obj = object_from_json(read_file(args.file))
-    co = obj.as_coalgebra() if isinstance(obj, BialgebraObject) else obj
+    co = _coalgebra_of(object_from_json(read_file(args.file)), "coradical")
     cand = None
     if args.candidate:
         cand = subspace_from_json(read_file(args.candidate), co.field, co.dim)
@@ -130,8 +150,7 @@ def cmd_coradical(args):
 
 
 def cmd_filtration(args):
-    obj = object_from_json(read_file(args.file))
-    co = obj.as_coalgebra() if isinstance(obj, BialgebraObject) else obj
+    co = _coalgebra_of(object_from_json(read_file(args.file)), "filtration")
     cand = None
     if args.candidate:
         cand = subspace_from_json(read_file(args.candidate), co.field, co.dim)
@@ -174,8 +193,7 @@ def _catobject_from_doc(doc, field, dim, hopf, want_l, want_r):
 
 def cmd_hochschild(args):
     doc = read_file(args.file)
-    obj = object_from_json(doc)
-    alg = obj.as_algebra() if isinstance(obj, BialgebraObject) else obj
+    alg = _algebra_of(object_from_json(doc), "hochschild")
     ctx, hopf = _context_from_args(args, alg.field)
     if ctx.kind == "vect":
         aobj = CatObject(alg.field, alg.dim)
@@ -209,8 +227,7 @@ def cmd_hochschild(args):
 
 def cmd_separable(args):
     doc = read_file(args.file)
-    obj = object_from_json(doc)
-    alg = obj.as_algebra() if isinstance(obj, BialgebraObject) else obj
+    alg = _algebra_of(object_from_json(doc), "separable")
     ctx, hopf = _context_from_args(args, alg.field)
     ctx_rec = None
     if ctx.kind != "vect":

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import (AlgebraObject, ValidationReport, VerificationFailed, _frozen, _in_range, _JOIN_BLOCK,
                       constants_of, radical, table_from_entries)
 from .fields import ScalarField
-from .linalg import Matrix, Subspace, _dtype, _join, _summed
+from .linalg import _LIMIT, Matrix, Subspace, _dtype, _fit, _join, _numerators, _summed, _times
 from .tensors import SparseMap, StagePipeline
 
 
@@ -133,7 +133,9 @@ class CoalgebraObject:
         join while their terms fit a window of _JOIN_BLOCK."""
         f, n = self.field, self.dim
         delta = self.comul_map()
-        src, ij, v = delta.coo()  # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1])
+        # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1]); the
+        # numerators share one denominator, so both sides' terms do
+        src, ij, v = delta.coo_numerators()
         by_k = delta.starts
         i, j = np.divmod(ij, n)
         count = np.diff(by_k)
@@ -147,7 +149,9 @@ class CoalgebraObject:
             l_src, l_dst = _join(s, by_k[i[s]], by_k[i[s] + 1])
             r_src, r_dst = _join(s, by_k[j[s]], by_k[j[s] + 1])
             keys = np.concatenate((ij[l_dst] * n + j[l_src], i[r_src] * n * n + ij[r_dst]))
-            terms = np.concatenate((f.reduce(v[l_src] * v[l_dst]), -f.reduce(v[r_src] * v[r_dst])))
+            terms, bound = _times(f, v[l_src], delta.bound, v[l_dst], delta.bound)
+            terms = np.concatenate((terms, -_times(f, v[r_src], delta.bound, v[r_dst], delta.bound)[0]))
+            terms = _fit(terms, bound * terms.size)
             bad, _, _ = _summed(f, np.concatenate((src[l_src], src[r_src])), keys, terms, n**3)
             if bad.size:
                 return int(bad[0])
@@ -159,13 +163,18 @@ class CoalgebraObject:
         by the remaining leg (the right side shifted by n), summed per k by
         `linalg._summed`."""
         f, n = self.field, self.dim
-        k, ij, v = self.comul_map().coo()
+        delta = self.comul_map()
+        k, ij, v = delta.coo_numerators()
         i, j = np.divmod(ij, n)
-        eps = f.reduce(np.array(self.counit, dtype=_dtype(f)))
+        eps, den, eb = _numerators(f, f.reduce(np.array(self.counit, dtype=_dtype(f))))
+        den *= delta.den  # of eps(e_i) v, and of -1 = -den / den
+        terms, bound = _times(f, eps[i], eb, v, delta.bound)
+        one = np.full(2 * n, f.reduce(-den), dtype=object if den >= _LIMIT else v.dtype)
+        terms = np.concatenate((terms, _times(f, eps[j], eb, v, delta.bound)[0], one))
+        terms = _fit(terms, max(bound, den) * terms.size)
         diag = np.arange(n)
         bad, _, _ = _summed(f, np.concatenate((k, k, diag, diag)), np.concatenate((j, n + i, diag, n + diag)),
-                            np.concatenate((f.reduce(eps[i] * v), f.reduce(eps[j] * v),
-                                            np.full(2 * n, f.reduce(-f.one()), dtype=v.dtype))), 2 * n)
+                            terms, 2 * n)
         return int(bad[0]) if bad.size else None
 
 

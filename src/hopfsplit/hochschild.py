@@ -57,8 +57,9 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, SparseRows, Subspace, _along_factor, _join, _matmul, _summed
-from .tensors import SparseMap, _total, v_basis, v_eq, v_tensor, v_zero
+from .linalg import (InconsistentSystem, Matrix, SparseRows, Subspace, _along_factor, _fractions, _join, _matmul,
+                     _numerators)
+from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor, v_zero
 
 
 class AlgebraInContext:
@@ -242,12 +243,13 @@ def _hochschild_operator(mctx: BimoduleInContext, n: int) -> SparseMap:
 def _apply_rows(op: SparseMap, rows: np.ndarray) -> np.ndarray:
     """op applied to each row of a dense (k, vec length) array."""
     fld = op.field
-    width = _total(op.out_dims)
+    width, n = _total(op.out_dims), _total(op.in_dims)
     col, key = rows.nonzero()
-    batch, _ = op.apply_at((col, key, rows[col, key]), op.in_dims, 0)
-    col, key, val = _summed(fld, *batch, width)
+    num, den, bound = _numerators(fld, rows[col, key])
+    flat, val, den, _ = _sum(fld, op.apply_at((col * n + key, num, den, bound), 1))
+    col, key = np.divmod(flat, width)
     out = np.full((rows.shape[0], width), fld.zero(), dtype=rows.dtype)
-    out[col, key] = val
+    out[col, key] = _fractions(fld, val, den)
     return out
 
 

@@ -12,6 +12,16 @@ operands through float64 BLAS only while k (p - 1)^2 < 2^53 for inner
 dimension k, so every partial sum is an integer float64 holds exactly;
 object products multiply only nonzero pairs.
 
+Sparse kernels (products, summations, the stage engine of `tensors`)
+compute on integer numerators over one positive common denominator
+(``_numerators``): over F_p the reduced values over 1, over Q int64
+numerators while a bound on their absolute values proves that every
+product and sum fits int64 (``_times``, ``_fit``: the bound of a product
+is the product of the bounds, that of a sum of n terms n times theirs,
+and past 2^63 the operands become python ints).  `Fraction`s stay in
+`Matrix` storage, the Gauss-Jordan fallback and the read-out of a
+result (``_fractions``).
+
 Elimination is one kernel for every dtype, ``_rref_chunked``: rows are
 streamed in chunks, each chunk is stacked under the RREF found so far, and
 column Gauss-Jordan updates only the block (rows nonzero in the pivot
@@ -54,7 +64,7 @@ a modular RREF over Q, so the rows are never dense.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -71,28 +81,98 @@ def _dtype(field: ScalarField):
     return np.int64 if field.kind == "Fp" and field.p < _INT64_LIMIT else object
 
 
+# -- integer numerators over a common denominator ---------------------------
+
+_LIMIT = 2**63  # int64 holds every integer of absolute value below this
+
+
+def _num_dtype(field: ScalarField):
+    """The dtype of numerators: int64, except over F_p with p >= 2**31."""
+    return np.int64 if field.kind == "Q" else _dtype(field)
+
+
+def _numerators(field: ScalarField, vals: np.ndarray):
+    """Field values as (numerators, denominator, bound): integers over one
+    positive common denominator, and a bound on their absolute values.
+
+    Over Q the denominator is the lcm of the values' denominators and the
+    numerators are int64 when the bound fits, python ints otherwise; over F_p
+    the reduced values are their own numerators over 1, bounded by p - 1."""
+    if field.kind == "Fp":
+        return vals, 1, field.p - 1
+    fr = vals.tolist()
+    dens = [x.denominator for x in fr]
+    den = lcm(*dens)
+    nums = [x.numerator for x in fr] if den == 1 else [x.numerator * (den // d) for x, d in zip(fr, dens)]
+    bound = max(map(abs, nums), default=0)
+    return np.array(nums, dtype=np.int64 if bound < _LIMIT else object), den, bound
+
+
+def _fractions(field: ScalarField, num: np.ndarray, den: int) -> np.ndarray:
+    """The field values of numerators over den: `Fraction`s in lowest terms
+    over Q, the numerators themselves over F_p (where den is 1)."""
+    if field.kind == "Fp":
+        return num
+    out = np.empty(num.size, dtype=object)
+    out[:] = [Fraction(x) for x in num.tolist()] if den == 1 else [Fraction(x, den) for x in num.tolist()]
+    return out
+
+
+def _fit(val: np.ndarray, bound: int) -> np.ndarray:
+    """val as python ints (dtype=object) unless it is int64 and bound, a bound
+    on every product or sum about to be formed from it, is below 2**63."""
+    return val.astype(object) if bound >= _LIMIT and val.dtype != object else val
+
+
+def _times(field: ScalarField, a: np.ndarray, ba: int, b: np.ndarray, bb: int):
+    """The reduced products a * b of numerator arrays bounded by ba and bb,
+    and a bound on them: ba bb over Q, p - 1 over F_p."""
+    out = field.reduce(_fit(a, ba * bb) * b)
+    return out, ba * bb if field.kind == "Q" else field.p - 1
+
+
+def _scaled(val: np.ndarray, bound: int, k: int):
+    """val * k for a positive integer k (bringing numerators to a multiple
+    of their denominator), and the bound of the result."""
+    if k == 1:
+        return val, bound
+    return _fit(val, bound * k) * k, bound * k
+
+
 def _join(src, lo, hi):
     """Pair each src[t] with every index in [lo[t], hi[t]); returns the
     matched (src, index) arrays, grouped by t in order."""
     counts = hi - lo
-    ends = np.cumsum(counts)
-    starts = np.repeat(lo - ends + counts, counts)
-    return np.repeat(src, counts), starts + np.arange(len(starts))
+    t = src.repeat(counts)
+    return t, np.arange(t.size) + (lo - counts.cumsum() + counts).repeat(counts)
+
+
+def _sum_terms(field: ScalarField, flat, val):
+    """Sum the terms with equal key and drop zeros; returns (key, value)
+    sorted by key.  Values must be reduced products, and int64 ones must
+    have sums int64 holds (`_fit`)."""
+    if flat.size > 1:
+        order = flat.argsort()
+        flat = flat[order]
+        new = np.empty(flat.size, dtype=bool)
+        new[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=new[1:])
+        first = new.nonzero()[0]
+        val = field.reduce(np.add.reduceat(val[order], first))
+        flat = flat[first]
+    keep = val != 0
+    if np.count_nonzero(keep) == keep.size:
+        return flat, val
+    return flat[keep], val[keep]
 
 
 def _summed(field: ScalarField, col, key, val, width: int):
     """Sum the terms of a batch with equal (col, key) and drop zeros; keys
     are below width.  Values must already be reduced products.  The result
     is sorted by col * width + key."""
-    if key.size > 1:
-        flat = col * width + key
-        order = np.argsort(flat)
-        flat = flat[order]
-        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        val = field.reduce(np.add.reduceat(val[order], first))
-        col, key = np.divmod(flat[first], width)
-    keep = val != 0
-    return col[keep], key[keep], val[keep]
+    flat, val = _sum_terms(field, col * width + key, val)
+    col, key = np.divmod(flat, width)
+    return col, key, val
 
 
 def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,8 +206,9 @@ def _matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for object arrays, multiplying only nonzero pairs: the nonzeros
     (i, t) of a are joined with the nonzeros (t, j) of b on t, and the
-    products are summed per (i, j).  A Fraction product costs the same
-    whether or not a factor is zero, so skipping zeros is the whole gain."""
+    products are summed per (i, j).  Over Q the nonzeros are multiplied and
+    summed as integer numerators (`_numerators`), int64 while the bound on
+    the sums allows, and only the sums become `Fraction`s again."""
     # scan the smaller factor for nonzeros first and the other only at the
     # inner indices those use (a matrix times a sparse vector reads only
     # the vector's columns)
@@ -146,13 +227,12 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
         by_t = np.searchsorted(bt, np.arange(a.shape[1] + 1))
         src, dst = _join(np.arange(ai.size), by_t[at], by_t[at + 1])
         if src.size:
-            keys = ai[src] * b.shape[1] + bj[dst]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            terms = a[ai, at][src[order]] * b[bt, bj][dst[order]]
-            first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            out.flat[keys[first]] = np.add.reduceat(terms, first)
-    return field.reduce(out)
+            an, ad, ab = _numerators(field, a[ai, at])
+            bn, bd, bb = _numerators(field, b[bt, bj])
+            terms, bound = _times(field, an[src], ab, bn[dst], bb)
+            keys, sums = _sum_terms(field, ai[src] * b.shape[1] + bj[dst], _fit(terms, bound * terms.size))
+            out.flat[keys] = _fractions(field, sums, ad * bd)
+    return out
 
 
 class SparseRows:
@@ -210,13 +290,17 @@ class SparseRows:
 
     def matmul(self, b: np.ndarray) -> "SparseRows":
         """self @ b for a dense b, summed: each entry (r, k, v) joins the
-        nonzeros of row k of b, and the products are summed per (r, column)."""
+        nonzeros of row k of b, and the products of their numerators are
+        summed per (r, column)."""
+        f = self.field
         bk, bt = b.nonzero()
         starts = np.searchsorted(bk, np.arange(b.shape[0] + 1))
         src, dst = _join(np.arange(self._v.size), starts[self._c], starts[self._c + 1])
-        r, c, v = _summed(self.field, self._r[src], bt[dst], self.field.reduce(self._v[src] * b[bk[dst], bt[dst]]),
-                          b.shape[1])
-        return SparseRows(self.field, (self.rows, b.shape[1]), r, c, v)
+        av, ad, ab = _numerators(f, self._v)
+        bv, bd, bb = _numerators(f, b[bk, bt])
+        terms, tb = _times(f, av[src], ab, bv[dst], bb)
+        r, c, v = _summed(f, self._r[src], bt[dst], _fit(terms, tb * terms.size), b.shape[1])
+        return SparseRows(f, (self.rows, b.shape[1]), r, c, _fractions(f, v, ad * bd))
 
     def rref(self):
         """Canonical RREF through `_rref`'s sparse front end; returns

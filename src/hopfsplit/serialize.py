@@ -208,6 +208,9 @@ def object_from_json(doc):
     labels = _list(doc.get("basis") or [f"e{i}" for i in range(dim)], "basis")
     if len(labels) != dim:
         raise FileFormatError("basis label count differs from dim")
+    for x in labels:
+        if not isinstance(x, str):
+            raise FileFormatError(f"basis label {x!r} is not a string")
     alg = coalg = None
     if "mul" in doc:
         mul = _table(f, _entries(f, doc["mul"], (dim, dim, dim), "mul"), dim)

@@ -24,65 +24,66 @@ from .linalg import Matrix, Subspace, _along_factor
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor, v_zero
 
 
-def _composite(pipe: StagePipeline) -> SparseMap:
-    """A pipeline's composite as one map, a stage of later pipelines."""
-    return SparseMap.from_matrix(pipe.matrix(), pipe.in_dims, pipe.out_dims)
-
-
 class _Maps:
-    """Stage maps shared by the quadruple validators and bosonizations."""
+    """Stage maps shared by the quadruple validators and bosonizations.  The
+    structure maps are those H and R keep (`mul_map`, `comul_map`,
+    `YDObject.act_map`, `coact_map`), so building this costs nothing; the
+    antipode and the diagonal (co)actions on R (x) R serve one `validate`
+    and are built there."""
+
+    __slots__ = ("f", "dh", "dr", "hopf", "mul_h", "comul_h", "act", "coact")
 
     def __init__(self, hopf: HopfObject, yd: YDObject):
-        dh, dr = hopf.dim, yd.dim
         self.f = hopf.field
-        self.dh = dh
-        self.dr = dr
+        self.dh = hopf.dim
+        self.dr = yd.dim
         self.hopf = hopf
-        self.yd = yd
         self.mul_h = hopf.as_algebra().mul_map()
         self.comul_h = hopf.as_coalgebra().comul_map()
-        self.s_h = SparseMap.from_matrix(hopf.antipode, (dh,), (dh,))
-        self.act = SparseMap.from_matrix(yd.act, (dh, dr), (dr,))
-        self.coact = SparseMap.from_matrix(yd.coact, (dr,), (dh, dr))
+        self.act = yd.act_map
+        self.coact = yd.coact_map
+
+    def s_h(self) -> SparseMap:
+        return SparseMap.from_matrix(self.hopf.antipode, (self.dh,), (self.dh,))
 
     def P(self, *dims) -> StagePipeline:
         return StagePipeline(self.f, dims)
 
-    @cached_property
     def act_rr(self) -> SparseMap:
         """Diagonal H-action on R (x) R: (h, a, b) -> (h1, a, h2, b) -> (h1.a, h2.b)."""
         dh, dr = self.dh, self.dr
-        return _composite(self.P(dh, dr, dr).map_at(self.comul_h, 0).permute((0, 2, 1, 3))
-                          .map_at(self.act, 0).map_at(self.act, 1))
+        return (self.P(dh, dr, dr).map_at(self.comul_h, 0).permute((0, 2, 1, 3))
+                .map_at(self.act, 0).map_at(self.act, 1).sparse_map())
 
-    @cached_property
     def rho_rr(self) -> SparseMap:
         """Diagonal H-coaction on R (x) R: (a, b) -> (h, a0, h', b0) -> (h h', a0, b0)."""
         dr = self.dr
-        return _composite(self.P(dr, dr).map_at(self.coact, 0).map_at(self.coact, 2)
-                          .permute((0, 2, 1, 3)).map_at(self.mul_h, 0))
+        return (self.P(dr, dr).map_at(self.coact, 0).map_at(self.coact, 2)
+                .permute((0, 2, 1, 3)).map_at(self.mul_h, 0).sparse_map())
 
 
 def _braided_mul_rr(maps: _Maps, mul_r: SparseMap) -> SparseMap:
     """(r (x) s)(t (x) v) = r (s_(-1) . t) (x) s_(0) v on R (x) R."""
     dr = maps.dr
-    return _composite(maps.P(dr, dr, dr, dr)
-                      .map_at(maps.coact, 1)  # (a, b-1, b0, c, d)
-                      .permute((0, 1, 3, 2, 4))  # (a, b-1, c, b0, d)
-                      .map_at(maps.act, 1)  # (a, bc, b0, d)
-                      .map_at(mul_r, 0)  # (abc, b0, d)
-                      .map_at(mul_r, 1))  # (abc, b0 d)
+    return (maps.P(dr, dr, dr, dr)
+            .map_at(maps.coact, 1)  # (a, b-1, b0, c, d)
+            .permute((0, 1, 3, 2, 4))  # (a, b-1, c, b0, d)
+            .map_at(maps.act, 1)  # (a, bc, b0, d)
+            .map_at(mul_r, 0)  # (abc, b0, d)
+            .map_at(mul_r, 1)  # (abc, b0 d)
+            .sparse_map())
 
 
 def _braided_comul_rr(maps: _Maps, delta: SparseMap) -> SparseMap:
     """delta_{R(x)R} = (id (x) c_{R,R} (x) id)(delta (x) delta)."""
     dr = maps.dr
-    return _composite(maps.P(dr, dr)
-                      .map_at(delta, 0).map_at(delta, 2)  # (a1, a2, b1, b2)
-                      # braid (a2, b1): c(x (x) y) = x_(-1) . y (x) x_(0)
-                      .map_at(maps.coact, 1)  # (a1, am, a20, b1, b2)
-                      .permute((0, 1, 3, 2, 4))  # (a1, am, b1, a20, b2)
-                      .map_at(maps.act, 1))  # (a1, ^b1, a20, b2)
+    return (maps.P(dr, dr)
+            .map_at(delta, 0).map_at(delta, 2)  # (a1, a2, b1, b2)
+            # braid (a2, b1): c(x (x) y) = x_(-1) . y (x) x_(0)
+            .map_at(maps.coact, 1)  # (a1, am, a20, b1, b2)
+            .permute((0, 1, 3, 2, 4))  # (a1, am, b1, a20, b2)
+            .map_at(maps.act, 1)  # (a1, ^b1, a20, b2)
+            .sparse_map())
 
 
 def _record_pipelines(rep: ValidationReport, checks):
@@ -112,6 +113,18 @@ class YDQuadruple:
     def maps(self) -> _Maps:
         return _Maps(self.hopf, self.yd)
 
+    def delta_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.delta, (self.yd.dim,), (self.yd.dim,) * 2)
+
+    def omega_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.omega, (self.hopf.dim,), (self.yd.dim,) * 2)
+
+    @cached_property
+    def m_rr(self) -> SparseMap:
+        """The braided product of R (x) R, built once: `validate` and
+        `bosonize` both apply it."""
+        return _braided_mul_rr(self.maps(), self.r_alg.mul_map())
+
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         f = self.field
@@ -124,11 +137,9 @@ class YDQuadruple:
         mp = self.maps()
         P = mp.P
         mul_r = self.r_alg.mul_map()
-        delta = SparseMap.from_matrix(self.delta, (dr,), (dr, dr))
-        omega = SparseMap.from_matrix(self.omega, (dh,), (dr, dr))
-        m_rr = _braided_mul_rr(mp, mul_r)
-        act_rr = mp.act_rr
-        rho_rr = mp.rho_rr
+        delta, omega, m_rr = self.delta_map(), self.omega_map(), self.m_rr
+        act_rr = mp.act_rr()
+        rho_rr = mp.rho_rr()
         rep.record("R_mul_yd_linear", pipelines_equal(
             P(dh, dr, dr).map_at(mul_r, 1).map_at(mp.act, 0),
             P(dh, dr, dr).map_at(act_rr, 0).map_at(mul_r, 0)) is None, "mul not H-linear")
@@ -159,7 +170,7 @@ class YDQuadruple:
              P(dr).map_at(mp.coact, 0).map_at(delta, 1)),
             # YD3: omega colinear for the adjoint coaction
             ("yd3_omega_colinear", P(dh).map_at(omega, 0).map_at(rho_rr, 0),
-             P(dh).map_at(mp.comul_h, 0).map_at(mp.comul_h, 1).map_at(mp.s_h, 2).permute((0, 2, 1))
+             P(dh).map_at(mp.comul_h, 0).map_at(mp.comul_h, 1).map_at(mp.s_h(), 2).permute((0, 2, 1))
              .map_at(mp.mul_h, 0).map_at(omega, 1)),
             # YD4: delta multiplicative for the braided product
             ("yd4_delta_braided_multiplicative", P(dr, dr).map_at(mul_r, 0).map_at(delta, 0),
@@ -240,6 +251,12 @@ class DualYDQuadruple:
     def maps(self) -> _Maps:
         return _Maps(self.hopf, self.yd)
 
+    def mul_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.mul, (self.yd.dim,) * 2, (self.yd.dim,))
+
+    def xi_map(self) -> SparseMap:
+        return SparseMap.from_matrix(self.xi, (self.yd.dim,) * 2, (self.hopf.dim,))
+
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         f = self.field
@@ -252,11 +269,10 @@ class DualYDQuadruple:
         P = mp.P
         delta_m = self.r_coalg.comul_matrix()
         delta = self.r_coalg.comul_map()
-        mul = SparseMap.from_matrix(self.mul, (dr, dr), (dr,))
-        xi = SparseMap.from_matrix(self.xi, (dr, dr), (dh,))
+        mul, xi = self.mul_map(), self.xi_map()
         delta_rr = _braided_comul_rr(mp, delta)
-        act_rr = mp.act_rr
-        rho_rr = mp.rho_rr
+        act_rr = mp.act_rr()
+        rho_rr = mp.rho_rr()
         eps = self.r_coalg.counit
         epsh = self.hopf.counit
         one = self.one
@@ -287,7 +303,7 @@ class DualYDQuadruple:
              P(dh, dr, dr).map_at(act_rr, 0).map_at(mul, 0)),
             # YD3': xi linear for the adjoint action
             ("yd3_xi_adjoint_linear", P(dh, dr, dr).map_at(act_rr, 0).map_at(xi, 0),
-             P(dh, dr, dr).map_at(xi, 1).map_at(mp.comul_h, 0).map_at(mp.s_h, 1).permute((0, 2, 1))
+             P(dh, dr, dr).map_at(xi, 1).map_at(mp.comul_h, 0).map_at(mp.s_h(), 1).permute((0, 2, 1))
              .map_at(mp.mul_h, 0).map_at(mp.mul_h, 0)),
             # YD4': m a coalgebra map for the braided structure
             ("yd4_mul_braided_comultiplicative", P(dr, dr).map_at(mul, 0).map_at(delta, 0),
@@ -370,7 +386,7 @@ def smash_product_algebra(r_alg: AlgebraObject, yd: YDObject, hopf: HopfObject,
     f = hopf.field
     dr, dh = r_alg.dim, hopf.dim
     dim = dr * dh
-    act = SparseMap.from_matrix(yd.act, (dh, dr), (dr,))
+    act = yd.act_map
     mul = (StagePipeline(f, (dr, dh, dr, dh))
            .map_at(hopf.as_coalgebra().comul_map(), 1)  # (r, h1, h2, s, k)
            .permute((0, 1, 3, 2, 4))  # (r, h1, s, h2, k)
@@ -405,13 +421,15 @@ def smash_coproduct_coalgebra(r_coalg: CoalgebraObject, coact: Matrix, hopf: Hop
 
 
 class Bosonization:
-    """A bialgebra on R (x) H together with the structure maps pi, sigma."""
+    """A bialgebra on R (x) H together with the structure maps pi, sigma and
+    the Yetter-Drinfeld object R it was built from."""
 
-    def __init__(self, bialgebra: BialgebraObject, hopf: HopfObject, r_dim: int,
+    def __init__(self, bialgebra: BialgebraObject, hopf: HopfObject, yd: YDObject,
                  pi: Matrix, sigma: Matrix, side: str):
         self.bialgebra = bialgebra
         self.hopf = hopf
-        self.r_dim = r_dim
+        self.yd = yd
+        self.r_dim = yd.dim
         self.pi = pi  # (dH, dR*dH)
         self.sigma = sigma  # (dR*dH, dH)
         self.side = side  # "primal" | "dual"
@@ -430,10 +448,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
     alg = smash_product_algebra(q.r_alg, q.yd, q.hopf, validate=False)
-    mp = q.maps()
-    delta = SparseMap.from_matrix(q.delta, (dr,), (dr, dr))
-    omega = SparseMap.from_matrix(q.omega, (dh,), (dr, dr))
-    m_rr = _braided_mul_rr(mp, q.r_alg.mul_map())
+    mp, delta, omega, m_rr = q.maps(), q.delta_map(), q.omega_map(), q.m_rr
     comul = (mp.P(dr, dh)
              .map_at(mp.comul_h, 1)       # (r, h1, h2)
              .map_at(mp.comul_h, 2)       # (r, h1, h2, h3)
@@ -448,9 +463,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
     bi = BialgebraObject.from_parts(alg, CoalgebraObject.from_constants(f, dim, constants_of(comul.matrix(), dim),
                                                                         counit, alg.labels))
     pi, sigma = _canonical_pi_sigma(f, dr, dh, q)
-    bos = Bosonization(bi, q.hopf, dr, pi, sigma, "primal")
-    bos.yd_coact = q.yd.coact
-    bos.yd_act = q.yd.act
+    bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "primal")
     if not force:
         validate_bosonization(bos).require("bosonization")
     return bos
@@ -463,10 +476,8 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
     coalg = smash_coproduct_coalgebra(q.r_coalg, q.yd.coact, q.hopf)
-    mp = q.maps()
+    mp, mul, xi = q.maps(), q.mul_map(), q.xi_map()
     delta = q.r_coalg.comul_map()
-    mul = SparseMap.from_matrix(q.mul, (dr, dr), (dr,))
-    xi = SparseMap.from_matrix(q.xi, (dr, dr), (dh,))
     # m(r#h (x) s#k) = m(r1 (x) (r2_(-1) h1).s1) # xi(r2_(0) (x) h2.s2) h3 k
     mul_t = (mp.P(dr, dh, dr, dh)
              .map_at(delta, 0)             # (r1, r2, h, s, k)
@@ -487,9 +498,7 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
     bi = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dim, constants_of(mul_t.matrix(), dim), unit,
                                                                  coalg.labels), coalg)
     pi, sigma = _canonical_pi_sigma_dual(f, dr, dh, q)
-    bos = Bosonization(bi, q.hopf, dr, pi, sigma, "dual")
-    bos.yd_coact = q.yd.coact
-    bos.yd_act = q.yd.act
+    bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "dual")
     if not force:
         validate_bosonization(bos).require("dual bosonization")
     return bos
@@ -548,7 +557,6 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
     h = bos.hopf
     f = bi.field
     dh = h.dim
-    dr = bos.r_dim
     for name, ok, wit in bi.validate().checks:
         rep.record("bialgebra:" + name, ok, wit)
     pi, sigma = bos.pi, bos.sigma
@@ -572,7 +580,7 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
     rep.record("pi_sigma_id", comp == Matrix.identity(f, dh), "pi sigma != id")
     # the (co)actions induced by pi and sigma must be those of the Hopf
     # bimodule R # H: right ones canonical, left ones diagonal
-    smash = hopf_bimodule_from_yd(YDObject(h, dr, bos.yd_act, bos.yd_coact))
+    smash = hopf_bimodule_from_yd(bos.yd)
     rep.record("induced_right_coaction", coact_r == smash.coact_r, "(id (x) pi) Delta is not the smash coaction")
     rep.record("induced_left_coaction", coact_l == smash.coact_l, "(pi (x) id) Delta is not the diagonal coaction")
     rep.record("induced_right_action", act_r == smash.act_r, "(r#k) sigma(h) != r # kh")

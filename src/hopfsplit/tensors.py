@@ -3,8 +3,20 @@
 A basis tensor of V_1 (x) ... (x) V_k is a tuple (i_1, ..., i_k) of factor
 indices; its key is the row-major flattened index over the factor dims.
 A `SparseMap` between tensor spaces holds its nonzero entries as COO
-arrays (input key, output key, value), sorted by input key, with a CSR
-offset table built once.
+arrays (input key, output key, numerator), sorted by input key, with a
+CSR offset table built once.
+
+Values are integer numerators over one positive common denominator per
+map or batch (`linalg._numerators`).  Over F_p the numerators are the
+reduced values (int64 below p < 2**31, python ints for larger p) over 1.
+Over Q they are int64 while a bound proves that int64 holds them, and
+python ints (dtype=object) past it: every map and batch carries a bound
+on |numerator|, a product is bounded by the product of the bounds
+(`linalg._times`) and a sum of n terms by n times theirs, and a product or
+sum whose bound reaches 2**63 is formed from python ints (`linalg._fit`),
+as `linalg._matmul` proves its 2**53 rule before using float64.  A
+`Fraction` is made only on read-out: `SparseMap.coo()`, `matrix()`, and
+never by `pipelines_equal`.
 
 A `StagePipeline` declares a composite map as a chain of stages on the
 factors:
@@ -14,37 +26,47 @@ factors:
   contract(pos, w)     pair factor pos with the functional w
   insert(pos, e, dim)  tensor in the fixed element e as a new factor at pos
 
-and evaluates it on a whole batch of input basis tuples at once.  A batch
-is three arrays: the input tuple each term belongs to (its flattened
-index within the batch), the term's current key and its value.  Values
-are int64 in [0, p) over F_p with p < 2**31 and python scalars
-(dtype=object) otherwise, as in `linalg.Matrix`.  A map stage joins every
-term with the map's entries at the term's factor digits (`linalg._join`);
-a contract stage weights each term by the functional at its digit; insert
-repeats each term once per nonzero entry of the element; permute only
-re-addresses keys.  Terms with equal (input, key) are summed by a sort and
-`np.add.reduceat` over products already reduced, and zero sums are
-dropped: over int64 a sum of fewer than 2**32 terms below 2**31 is exact
-and is then reduced mod p, object sums are reduced by the field.  A batch
-is summed after every stage that grows it and once at the end, by
-`matrix()` or `pipelines_equal` (see `StagePipeline.run`).  No stage loops over terms in Python.  Batches hold
+Declaring a stage checks it against the factor dims it receives and fixes
+the numbers its evaluation needs (the size of the factors after it,
+weights as numerators), so evaluating one is a single call on the batch.
+A pipeline evaluates on a whole batch of input basis tuples at once.  A
+batch is (key, numerators, denominator, bound); a term's key is its input
+tuple within the batch times the size of the current tensor space plus
+its factor key, so every stage, and the sum, reads one key array.  A map
+stage joins each term with the map's entries at the term's factor digits
+(`linalg._join`), or, for a map with at most one entry per input key (the
+structure maps of group algebras, most actions and coactions), indexes
+them directly; a contract stage weights each term by the functional at its
+digit; insert repeats each term once per nonzero entry of the element;
+permute only re-addresses keys.  The denominators of the map, weights and
+element multiply into the batch's.  Terms with equal key are summed by a
+sort and `np.add.reduceat` (`linalg._sum_terms`) and zero sums are
+dropped; over F_p the sums are reduced mod p.  A stage that grows a batch
+to more than `_BLOCK` terms is summed at once, and every batch once at the end,
+by `matrix()`, `sparse_map()` or `pipelines_equal` (see
+`StagePipeline.run`).  No stage loops over terms in Python.  Batches hold
 at most `_BLOCK` input tuples.
 
-Callers use two results: `matrix()`, the composite as a Matrix with one
-column per input tuple in lexicographic order, and `pipelines_equal`, the
-lexicographically first input tuple on which two pipelines differ.  A
-check that reports its witness in another loop order declares its input
-in that order and starts with a `permute`.
+Callers use three results: `matrix()`, the composite as a Matrix with one
+column per input tuple in lexicographic order; `sparse_map()`, the
+composite as a `SparseMap` built from the summed batches, a stage of later
+pipelines; and `pipelines_equal`, the lexicographically first input tuple
+on which two pipelines differ, found by summing one side's numerators
+against the other's over the product of their denominators.  A check that
+reports its witness in another loop order declares its input in that
+order and starts with a `permute`.
 """
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import Matrix, _dtype, _join, _summed
+from .linalg import Matrix, _dtype, _fit, _fractions, _join, _num_dtype, _numerators, _scaled, _sum_terms, _times
 
 _BLOCK = 2**13  # input tuples evaluated in one batch
-_KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address
+_KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address: keys hold the input tuple too
 
 # ---------------------------------------------------------------------------
 # dense element vectors
@@ -85,32 +107,62 @@ def _total(dims) -> int:
     return n
 
 
+def _sum(field: ScalarField, batch):
+    """Sum a batch's terms with equal key (`linalg._sum_terms`).  The sum of
+    n terms bounded by b is bounded by n b; int64 numerators whose sums that
+    bound does not prove to fit become python ints first.  A bound past
+    2**32 is replaced by the largest |sum|, so it grows with the values, not
+    with the number of stages."""
+    flat, val, den, bound = batch
+    bound *= flat.size
+    flat, val = _sum_terms(field, flat, _fit(val, bound))
+    if field.kind == "Fp":
+        bound = field.p - 1
+    elif bound >= 2**32:
+        bound = int(np.abs(val).max()) if val.size else 0
+    return flat, val, den, bound
+
+
 class SparseMap:
     """Linear map V_1 (x) ... (x) V_a -> W_1 (x) ... (x) W_b.
 
     dst and val hold the nonzero entries sorted by input key; those of
-    input key s are [starts[s], starts[s + 1]).  Duplicate entries given to
-    the constructor add up.  When every value is 1 (as in the structure
-    maps of a group algebra), applying the map takes no products.
+    input key s are [starts[s], starts[s + 1]).  val holds numerators over
+    the positive denominator den, and bound is the largest |val| (see the
+    module docstring); `coo()` reads the field values.  Duplicate entries
+    given to the constructor add up.  When every value is 1 (as in the
+    structure maps of a group algebra), applying the map takes no products;
+    when no input key has more than one entry (fan <= 1, as for the
+    structure maps of a group algebra and most actions and coactions), it
+    takes no join.
     """
 
-    __slots__ = ("field", "in_dims", "out_dims", "dst", "val", "starts", "ones")
+    __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "dst", "val", "den", "bound", "starts",
+                 "fan", "ones")
 
     def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
-        val = field.reduce(np.asarray(val, dtype=_dtype(field)))
-        src, dst, val = _summed(field, np.asarray(src, dtype=np.int64),
-                                np.asarray(dst, dtype=np.int64), val, _total(out_dims))
-        self._set(field, in_dims, out_dims, src, dst, val)
+        num, den, bound = _numerators(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
+        flat = np.asarray(src, dtype=np.int64) * _total(out_dims) + np.asarray(dst, dtype=np.int64)
+        flat, num, _, _ = _sum(field, (flat, num, den, bound))
+        src, dst = np.divmod(flat, _total(out_dims))
+        self._set(field, in_dims, out_dims, src, dst, num, den)
 
-    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val):
+    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val, den: int):
         """Store entries already sorted by (input, output) key, unique and
-        nonzero."""
+        nonzero, as numerators over den, which is made lowest."""
+        if field.kind == "Q" and den > 1:
+            g = gcd(den, int(np.gcd.reduce(val))) if val.size else den  # no entries: over 1
+            if g > 1:
+                val, den = (val // g if val.size else val), den // g
         self.field = field
         self.in_dims = tuple(in_dims)
         self.out_dims = tuple(out_dims)
-        self.dst, self.val = dst, val
-        self.starts = np.searchsorted(src, np.arange(_total(self.in_dims) + 1))
-        self.ones = bool((val == 1).all())
+        self.in_size, self.out_size = _total(self.in_dims), _total(self.out_dims)
+        self.dst, self.val, self.den = dst, val, den
+        self.bound = (int(np.abs(val).max()) if val.size else 0) if field.kind == "Q" else field.p - 1
+        self.starts = np.searchsorted(src, np.arange(self.in_size + 1))
+        self.fan = int(np.diff(self.starts).max()) if self.in_size else 0  # most entries of one input key
+        self.ones = den == 1 and bool((val == 1).all())
 
     @classmethod
     def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
@@ -120,63 +172,95 @@ class SparseMap:
         if (m.rows, m.cols) != (_total(out_dims), _total(in_dims)):
             raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
         src, dst = np.nonzero(m._d.T)
+        num, den, _ = _numerators(m.field, m._d[dst, src])
         smap = cls.__new__(cls)
-        smap._set(m.field, in_dims, out_dims, src, dst, m._d[dst, src])
+        smap._set(m.field, in_dims, out_dims, src, dst, num, den)
         return smap
 
+    def coo_numerators(self):
+        """The entries as COO arrays (input key, output key, numerator over
+        den)."""
+        return np.repeat(np.arange(self.in_size), np.diff(self.starts)), self.dst, self.val
+
     def coo(self):
-        """The entries as COO arrays (input key, output key, value)."""
-        return np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts)), self.dst, self.val
+        """The entries as COO arrays (input key, output key, field value)."""
+        src, dst, val = self.coo_numerators()
+        return src, dst, _fractions(self.field, val, self.den)
 
-    def apply_at(self, batch, dims: tuple, pos: int):
-        """Apply to factors [pos, pos + arity) of every term of a batch;
-        returns the new batch, its terms not yet summed, and its factor
-        dims."""
-        arity = len(self.in_dims)
-        if tuple(dims[pos : pos + arity]) != self.in_dims:
-            raise ValueError(f"factor dims {dims[pos:pos + arity]} do not match map input {self.in_dims}")
-        col, key, val = batch
-        post = _total(dims[pos + arity :])
-        hi, rest = np.divmod(key, _total(self.in_dims) * post)
-        mid, lo = np.divmod(rest, post)
-        t, e = _join(np.arange(key.size), self.starts[mid], self.starts[mid + 1])
-        dims = dims[:pos] + self.out_dims + dims[pos + arity :]
-        key = (hi[t] * _total(self.out_dims) + self.dst[e]) * post + lo[t]
-        val = val[t] if self.ones else self.field.reduce(val[t] * self.val[e])
-        return (col[t], key, val), dims
+    def apply_at(self, batch, post: int):
+        """Apply to the factors of every term of a batch whose key digits lie
+        just above post, the size of the factors after them; returns the
+        new batch, its terms not yet summed.  `StagePipeline.map_at` checks
+        the factor dims when the stage is declared."""
+        flat, val, den, bound = batch
+        hi, mid = np.divmod(flat, self.in_size * post)
+        if post > 1:
+            mid, lo = np.divmod(mid, post)
+        if self.fan > 1:  # term t meets entries e
+            t, e = _join(np.arange(flat.size), self.starts[mid], self.starts[mid + 1])
+        elif self.dst.size < self.in_size:  # terms at keys without an entry vanish
+            e = self.starts[mid]
+            t = (self.starts[mid + 1] != e).nonzero()[0]
+            e = e[t]
+        else:  # one entry per key: entry s is that of key s
+            t, e = None, mid
+        if t is not None:
+            hi, val = hi[t], val[t]
+            if post > 1:
+                lo = lo[t]
+        flat = hi * self.out_size + self.dst[e]
+        if post > 1:
+            flat = flat * post + lo
+        if self.ones:
+            return flat, val, den, bound
+        val, bound = _times(self.field, val, bound, self.val[e], self.bound)
+        return flat, val, den * self.den, bound
 
 
-def _permute(batch, dims: tuple, perm: tuple):
+def _map_stage(batch, smap: SparseMap, post: int):
+    """A map stage.  `apply_at` is looked up on every call, so a wrapper put
+    on `SparseMap.apply_at` (a tracer's) sees every map stage."""
+    return smap.apply_at(batch, post)
+
+
+def _permute(batch, dims: tuple, perm: tuple, new_dims: tuple):
     """Re-address every key through its digits, _BLOCK keys at a time, so
-    the digit arrays (one per factor) stay small for a large batch."""
-    col, key, val = batch
-    new_dims = tuple(dims[p] for p in perm)
-    out = np.empty_like(key)
-    for lo in range(0, key.size, _BLOCK):
-        digits = np.unravel_index(key[lo : lo + _BLOCK], dims)
-        out[lo : lo + _BLOCK] = np.ravel_multi_index([digits[p] for p in perm], new_dims)
-    return (col, out, val), new_dims
+    the digit arrays (one per factor) stay small for a large batch.  The
+    input tuple is the leading digit of a key."""
+    flat, val, den, bound = batch
+    lead = 2**62 // _total(dims)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        digits = np.unravel_index(flat[lo : lo + _BLOCK], (lead,) + dims)
+        out[lo : lo + _BLOCK] = np.ravel_multi_index([digits[0]] + [digits[p + 1] for p in perm], (lead,) + new_dims)
+    return out, val, den, bound
 
 
-def _contract(field: ScalarField, batch, dims: tuple, pos: int, weights):
-    col, key, val = batch
-    post = _total(dims[pos + 1 :])
-    hi, rest = np.divmod(key, dims[pos] * post)
-    digit, lo = np.divmod(rest, post)
-    w = weights[digit]
+def _contract(batch, field: ScalarField, size: int, post: int, w, wden: int, wbound: int):
+    """Pair the factor of dim size whose key digit lies above post with
+    the functional of numerators w over wden."""
+    flat, val, den, bound = batch
+    hi, digit = np.divmod(flat, size * post)
+    if post > 1:
+        digit, lo = np.divmod(digit, post)
+        hi = hi * post + lo
+    w = w[digit]
     nz = w != 0
-    dims = dims[:pos] + dims[pos + 1 :]
-    return (col[nz], hi[nz] * post + lo[nz], field.reduce(val[nz] * w[nz])), dims
+    if np.count_nonzero(nz) < nz.size:
+        hi, val, w = hi[nz], val[nz], w[nz]
+    val, bound = _times(field, val, bound, w, wbound)
+    return hi, val, den * wden, bound
 
 
-def _insert(field: ScalarField, batch, dims: tuple, pos: int, idx, weights, dim: int):
-    col, key, val = batch
-    post = _total(dims[pos:])
-    hi, lo = np.divmod(key, post)
-    k, n = idx.size, key.size
-    key = (np.repeat(hi, k) * dim + np.tile(idx, n)) * post + np.repeat(lo, k)
-    val = field.reduce(np.repeat(val, k) * np.tile(weights, n))
-    return (np.repeat(col, k), key, val), dims[:pos] + (dim,) + dims[pos:]
+def _insert(batch, field: ScalarField, post: int, dim: int, idx, e, eden: int, ebound: int):
+    """Tensor in, as a factor of dim dim above post, the element whose
+    nonzero numerators over eden are e at idx."""
+    flat, val, den, bound = batch
+    hi, lo = np.divmod(flat, post)
+    k, n = idx.size, flat.size
+    flat = (hi.repeat(k) * dim + np.tile(idx, n)) * post + lo.repeat(k)
+    val, bound = _times(field, val.repeat(k), bound, np.tile(e, n), ebound)
+    return flat, val, den * eden, bound
 
 
 class StagePipeline:
@@ -185,95 +269,124 @@ class StagePipeline:
     Declaring a stage checks it against the factor dims it receives."""
 
     def __init__(self, field: ScalarField, in_dims):
+        if _total(in_dims) > _KEY_LIMIT:
+            raise ValueError(f"tensor space {tuple(in_dims)} is too large to address")
         self.field = field
         self.in_dims = tuple(in_dims)
         self.out_dims = self.in_dims
-        self.stages: list[tuple] = []
+        self.stages: list[tuple] = []  # (fn, args): batch -> fn(batch, *args)
 
-    def _add(self, stage: tuple, out_dims: tuple) -> "StagePipeline":
+    def _add(self, out_dims: tuple, fn, *args) -> "StagePipeline":
+        """Append the stage batch -> fn(batch, *args)."""
         if _total(out_dims) > _KEY_LIMIT:
             raise ValueError(f"tensor space {out_dims} is too large to address")
-        self.stages.append(stage)
+        self.stages.append((fn, args))
         self.out_dims = out_dims
         return self
+
+    def _vector(self, values):
+        return _numerators(self.field, self.field.reduce(np.array(list(values), dtype=_dtype(self.field))))
 
     def map_at(self, smap: SparseMap, pos: int) -> "StagePipeline":
         d, a = self.out_dims, len(smap.in_dims)
         if d[pos : pos + a] != smap.in_dims:
             raise ValueError(f"factor dims {d[pos:pos + a]} do not match map input {smap.in_dims}")
-        return self._add(("map", smap, pos), d[:pos] + smap.out_dims + d[pos + a :])
+        return self._add(d[:pos] + smap.out_dims + d[pos + a :], _map_stage, smap, _total(d[pos + a :]))
 
     def permute(self, perm) -> "StagePipeline":
         perm = tuple(perm)
         if sorted(perm) != list(range(len(self.out_dims))):
             raise ValueError(f"{perm} is not a permutation of {len(self.out_dims)} factors")
-        return self._add(("perm", perm), tuple(self.out_dims[p] for p in perm))
+        new_dims = tuple(self.out_dims[p] for p in perm)
+        return self._add(new_dims, _permute, self.out_dims, perm, new_dims)
 
     def contract(self, pos: int, weights) -> "StagePipeline":
         d = self.out_dims
-        w = self.field.reduce(np.array(list(weights), dtype=_dtype(self.field)))
+        w, den, bound = self._vector(weights)
         if w.size != d[pos]:
             raise ValueError(f"functional of length {w.size} on a factor of dim {d[pos]}")
-        return self._add(("contract", pos, w), d[:pos] + d[pos + 1 :])
+        return self._add(d[:pos] + d[pos + 1 :], _contract, self.field, d[pos], _total(d[pos + 1 :]), w, den, bound)
 
     def insert(self, pos: int, element, dim: int) -> "StagePipeline":
-        e = self.field.reduce(np.array(list(element), dtype=_dtype(self.field)))
+        e, den, bound = self._vector(element)
         if e.size != dim:
             raise ValueError(f"element of length {e.size} for a factor of dim {dim}")
         idx = np.flatnonzero(e != 0)
-        return self._add(("insert", pos, idx, e[idx], dim), self.out_dims[:pos] + (dim,) + self.out_dims[pos:])
+        d = self.out_dims
+        return self._add(d[:pos] + (dim,) + d[pos:], _insert, self.field, _total(d[pos:]), dim, idx, e[idx], den, bound)
 
     def run(self, batch):
-        """Evaluate every stage on one batch (col, key, val) over in_dims;
-        returns the batch over out_dims, whose terms the caller sums.
+        """Evaluate every stage on one batch (key, numerators, denominator,
+        bound) over in_dims; returns the batch over out_dims, whose terms
+        the caller sums.
 
-        A stage that leaves more terms than it received is summed at once,
-        so no batch holds more terms than the larger of its input and its
-        distinct keys; other stages leave their terms to a later sum.
-        Values stay nonzero until a sum: every entry, weight and element
-        is nonzero.
+        A stage that leaves more terms than it received, and more than
+        _BLOCK, is summed at once, so no batch holds more terms than the
+        largest of _BLOCK, its input and its distinct keys; other stages
+        leave their terms to a later sum, which on small batches costs
+        less than summing after each stage.  Values stay nonzero until a
+        sum: every entry, weight and element is nonzero.
         """
-        f, dims = self.field, self.in_dims
-        for st in self.stages:
-            size = batch[1].size
-            if st[0] == "map":
-                batch, dims = st[1].apply_at(batch, dims, st[2])
-            elif st[0] == "perm":
-                batch, dims = _permute(batch, dims, st[1])
-            elif st[0] == "contract":
-                batch, dims = _contract(f, batch, dims, st[1], st[2])
-            else:
-                batch, dims = _insert(f, batch, dims, *st[1:])
-            if batch[1].size > size:
-                batch = _summed(f, *batch, _total(dims))
+        for fn, args in self.stages:
+            size = batch[0].size
+            batch = fn(batch, *args)
+            if batch[0].size > max(size, _BLOCK):
+                batch = _sum(self.field, batch)
         return batch
 
     def _blocks(self):
-        """Yield (first input, result batch) for consecutive blocks of the
-        input basis in lexicographic order."""
+        """Yield (first input, result batch, not yet summed) for consecutive
+        blocks of the input basis in lexicographic order; a batch's key is
+        its input tuple within the block times the output size plus the
+        output key."""
         n = _total(self.in_dims)
         for lo in range(0, n, _BLOCK):
             col = np.arange(min(n, lo + _BLOCK) - lo)
-            yield lo, self.run((col, col + lo, np.full(col.size, self.field.one(), dtype=_dtype(self.field))))
+            yield lo, self.run((col * (n + 1) + lo, np.ones(col.size, dtype=_num_dtype(self.field)), 1, 1))
+
+    def _entries(self):
+        """The composite's nonzeros: input keys, output keys, numerators
+        sorted by (input, output) key, and their denominator.  Every block
+        has the denominator of the stages' product."""
+        width = _total(self.out_dims)
+        src, dst, val, den = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [], 1
+        for lo, batch in self._blocks():
+            flat, v, den, _ = _sum(self.field, batch)
+            col, key = np.divmod(flat, width)
+            src.append(col + lo)
+            dst.append(key)
+            val.append(v)
+        val = np.concatenate(val) if val else np.zeros(0, dtype=_num_dtype(self.field))
+        return np.concatenate(src), np.concatenate(dst), val, den
 
     def matrix(self) -> Matrix:
         """The composite as a Matrix: column = input key, row = output key."""
         out = Matrix.zeros(self.field, _total(self.out_dims), _total(self.in_dims))
-        for lo, batch in self._blocks():
-            col, key, val = _summed(self.field, *batch, _total(self.out_dims))
-            out._d[key, col + lo] = val
+        src, dst, val, den = self._entries()
+        out._d[dst, src] = _fractions(self.field, val, den)
         return out
+
+    def sparse_map(self) -> SparseMap:
+        """The composite as one SparseMap, a stage of later pipelines; its
+        entries come from the summed batches, never from a dense matrix."""
+        src, dst, val, den = self._entries()
+        smap = SparseMap.__new__(SparseMap)
+        smap._set(self.field, self.in_dims, self.out_dims, src, dst, val, den)
+        return smap
 
 
 def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
     """The lexicographically first input basis tuple on which two pipelines
-    over the same spaces differ, or None when they are equal."""
+    over the same spaces differ, or None when they are equal.  The two
+    sides' numerators are brought over one denominator, d_l d_r, and their
+    difference is summed once."""
     if (lhs.in_dims, lhs.out_dims) != (rhs.in_dims, rhs.out_dims):
         raise ValueError(f"pipelines {lhs.in_dims} -> {lhs.out_dims} and {rhs.in_dims} -> {rhs.out_dims}")
     f, width = lhs.field, _total(lhs.out_dims)
-    for (lo, (c1, k1, v1)), (_, (c2, k2, v2)) in zip(lhs._blocks(), rhs._blocks()):
-        col, _, _ = _summed(f, np.concatenate((c1, c2)), np.concatenate((k1, k2)),
-                            np.concatenate((v1, f.reduce(-v2))), width)
-        if col.size:
-            return tuple(int(i) for i in np.unravel_index(lo + int(col.min()), lhs.in_dims))
+    for (lo, (k1, v1, d1, b1)), (_, (k2, v2, d2, b2)) in zip(lhs._blocks(), rhs._blocks()):
+        if d1 != d2:  # over Q only: F_p numerators are over 1
+            (v1, b1), (v2, b2) = _scaled(v1, b1, d2), _scaled(v2, b2, d1)
+        flat, _, _, _ = _sum(f, (np.concatenate((k1, k2)), np.concatenate((v1, f.reduce(-v2))), 1, max(b1, b2)))
+        if flat.size:
+            return tuple(int(i) for i in np.unravel_index(lo + int(flat.min()) // width, lhs.in_dims))
     return None

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from hopfsplit.fields import GF, QQ
+
+# `pytest --hypothesis-profile=ci` (the tier-1 CI step): a failing example
+# prints the blob that reproduces it, and no example fails on a slow runner
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

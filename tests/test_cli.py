@@ -430,3 +430,43 @@ def test_coradical_and_filtration_refuse_a_non_coassociative_coalgebra(tmp_path,
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (1, "")
             assert err == "CertificationFailed: coalgebra coassociativity: basis element 3\n"
+
+
+def _taft3_without(tmp_path, capsys, *keys):
+    """The Taft T_3 file over F_7 with the given keys removed."""
+    full = tmp_path / "t3.json"
+    run_cli(["example", "taft", "--n", "3", "--field", "fp:7", "--out", str(full)], capsys)
+    doc = {k: v for k, v in json.loads(full.read_text()).items() if k not in keys}
+    path = tmp_path / ("t3_no_" + "_".join(keys) + ".json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("dropped, argv, message", [
+    (("comul", "counit", "antipode"), ["coradical"], "coradical needs a coalgebra"),
+    (("comul", "counit", "antipode"), ["filtration"], "filtration needs a coalgebra"),
+    (("mul", "unit", "antipode"), ["radical"], "radical needs an algebra"),
+    (("mul", "unit", "antipode"), ["separable", "--ctx", "vect"], "separable needs an algebra"),
+])
+def test_command_on_the_wrong_kind_of_structure_exits_2(tmp_path, capsys, dropped, argv, message):
+    # these used to raise AttributeError ('CoalgebraObject' object has no
+    # attribute '_shape_ok', ... has no attribute 'constants'): a traceback
+    # and exit 1
+    path = _taft3_without(tmp_path, capsys, *dropped)
+    code, out, err = run_cli([argv[0], str(path)] + argv[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("label", [None, 5, ["e0"]])
+@pytest.mark.parametrize("command", ["validate", "coradical", "filtration"])
+def test_a_basis_label_that_is_not_a_string_exits_2(tmp_path, capsys, label, command):
+    # a null label used to pass `validate` (exit 0) and make `coradical` and
+    # `filtration` raise AttributeError from the dual's labels
+    full = _taft3_without(tmp_path, capsys)
+    doc = json.loads(full.read_text())
+    doc["basis"][1] = label
+    full.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(full)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: basis label {label!r} is not a string\n"

@@ -231,3 +231,40 @@ def test_quadruple_rejects_non_yd_algebra():
     assert not rep.ok
     failed = {n for n, _ in rep.failures()}
     assert "R_mul_yd_colinear" in failed or "R_mul_yd_linear" in failed
+
+
+def test_criterion_09_round_kernel_budget(monkeypatch):
+    """One criterion-09 round on a fresh H4 quadruple whose delta has a
+    bumped entry (validate, forced bosonize, validate_bosonization) makes a
+    fixed number of calls to the three kernels every stage and check runs
+    through: `SparseMap.apply_at` (a map stage), `linalg._sum_terms`
+    (every summation; `_summed` is its (col, key) form) and
+    `linalg._join`."""
+    import sys
+
+    from hopfsplit import linalg, tensors
+
+    f = QQ
+    h2 = group_algebra(2, f)
+    act = Matrix.from_entries(f, 2, 4, {(0, 0): f.one(), (1, 1): f.one(), (0, 2): f.one(), (1, 3): f.neg(f.one())})
+    yd = YDObject(h2, 2, act, Matrix.from_entries(f, 4, 2, {(0, 0): f.one(), (3, 1): f.one()}))
+    delta = Matrix.from_entries(f, 4, 2, {(0, 0): f.from_int(2), (1, 1): f.one(), (2, 1): f.one()})
+    omega = Matrix.from_entries(f, 4, 2, {(0, 0): f.one(), (0, 1): f.one()})
+    q = YDQuadruple(h2, sign_line_algebra(f), yd, [f.one(), f.zero()], delta, omega)
+    calls = dict.fromkeys(("apply_at", "_sum_terms", "_join"), 0)
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("_sum_terms", "_join"):
+        fn = getattr(linalg, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("hopfsplit") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy(name, fn))
+    monkeypatch.setattr(tensors.SparseMap, "apply_at", spy("apply_at", tensors.SparseMap.apply_at))
+    assert not q.validate().ok
+    assert not validate_bosonization(bosonize(q, force=True)).ok
+    assert calls == {"apply_at": 125, "_sum_terms": 61, "_join": 47}
