@@ -13,14 +13,14 @@ reduce to exact linear algebra on the arrays.
 
 Associativity is one kernel for every field, a sparse join of the nonzero
 structure constants (`AlgebraObject._check_associativity`) whose sums per
-left index are one sort and `np.add.reduceat` (`linalg._summed`).  The
+left index are one sort and `np.add.reduceat` (`Numerators.summed`).  The
 left nucleus {x : (xy)z = x(yz) for all y, z} is a subalgebra of any
 algebra, so once 1 is a unit the join needs only the left indices of a
 generating set (`validate(generators)`); a failure there reruns the full
 join, which names the first failing triple.  Products of vectors,
 `pairwise_products`, are two joins on the structure constants (row-by-row
 sparse products, after Gustavson, ACM TOMS 4(3), 1978), each summed by
-`linalg._summed`: the nonzeros of the left rows meet the constants of
+`Numerators.summed`: the nonzeros of the left rows meet the constants of
 their first leg, and the sums meet the nonzeros of the right rows.  The
 term counts are known before anything is multiplied; when one is not
 below the size of the dense array its stage fills, the whole product runs
@@ -50,8 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import (_LIMIT, InconsistentSystem, Matrix, SparseRows, Subspace, _dtype, _fit, _fractions, _join, _matmul,
-                     _numerators, _scaled, _summed, _times)
+from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, Subspace, _dtype, _join, _matmul, _summed
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq
 
 
@@ -200,11 +199,10 @@ class AlgebraObject:
             self._by_a = np.searchsorted(self._constants[0], np.arange(self.dim + 1))
         return self._constants
 
-    def constant_numerators(self):
-        """The values of `constants()` as (numerators, denominator, bound),
-        integers over one denominator (`linalg._numerators`; cached)."""
+    def constant_numerators(self) -> Numerators:
+        """The values of `constants()` as `linalg.Numerators` (cached)."""
         if self._numer is None:
-            self._numer = _numerators(self.field, self.constants()[3])
+            self._numer = Numerators.of(self.field, self.constants()[3])
         return self._numer
 
     # -- validation ---------------------------------------------------------
@@ -241,8 +239,8 @@ class AlgebraObject:
         (k, l, m) for the terms of (e_i e_j) e_l, and each entry (i, k, m)
         with every entry (j, l, k) for the terms of e_i (e_j e_l).  Their
         reduced difference is summed per key (j n + l) n + m by sort and
-        `np.add.reduceat` (`linalg._summed`, the one summation path for
-        every field), and associativity fails at i iff a sum is nonzero;
+        `np.add.reduceat` (`linalg.Numerators.summed`, the one summation
+        path for every field), and associativity fails at i iff a sum is nonzero;
         the witness names the lexicographically first failing (i, j, k)
         among the left indices checked.  Consecutive left indices whose terms
         start in the same window of _JOIN_BLOCK terms share one join, so a
@@ -250,7 +248,7 @@ class AlgebraObject:
         """
         f, n = self.field, self.dim
         a, b, c, _ = self.constants()
-        v, _, bound = self.constant_numerators()  # both sides' terms have the denominator squared
+        v = self.constant_numerators()
         # the entries with first leg x are [by_a[x], by_a[x + 1]), those with
         # last leg x are last[by_c[x]:by_c[x + 1]]
         by_a = self._by_a
@@ -264,18 +262,18 @@ class AlgebraObject:
             r_src, r_at = _join(s, by_c[b[s]], by_c[b[s] + 1])
             r_dst = last[r_at]
             keys = np.concatenate(((b[l_src] * n + b[l_dst]) * n + c[l_dst], (a[r_dst] * n + b[r_dst]) * n + c[r_src]))
-            terms, tb = _times(f, v[l_src], bound, v[l_dst], bound)
-            terms = _fit(np.concatenate((terms, -_times(f, v[r_src], bound, v[r_dst], bound)[0])), tb * keys.size)
-            bad_i, bad, _ = _summed(f, np.concatenate((a[l_src], a[r_src])), keys, terms, n**3)
+            terms = Numerators.concat((v[l_src] * v[l_dst], -(v[r_src] * v[r_dst])))
+            bad, _ = terms.summed(np.concatenate((a[l_src], a[r_src])) * n**3 + keys)
             if bad.size:
-                i, (j, k) = int(bad_i[0]), divmod(int(bad[0]) // n, n)
+                i, jk = divmod(int(bad[0]) // n, n * n)
+                j, k = divmod(jk, n)
                 return False, f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
         return True, None
 
     def _check_unit(self):
         """1 e_j = e_j = e_j 1 for every basis index j, from the structure
         constants: left and right multiplication by the unit vector minus
-        the identity, summed per (j, k) by `linalg._summed`.  The witness
+        the identity, summed per (j, k) by `Numerators.summed`.  The witness
         is the first failing j, the left side first (cached)."""
         if self._unit_check is None:
             self._unit_check = self._unit_defect()
@@ -284,17 +282,15 @@ class AlgebraObject:
     def _unit_defect(self):
         f, n = self.field, self.dim
         a, b, c, _ = self.constants()
-        v, den, bv = self.constant_numerators()
-        u, du, bu = _numerators(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
-        den *= du  # of u_a v, and of -1 = -den / den
+        v = self.constant_numerators()
+        u = Numerators.of(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
         diag = np.arange(n)
-        minus_one = np.full(n, f.reduce(-den), dtype=object if den >= _LIMIT else v.dtype)
+        minus_one = Numerators.of(f, np.full(n, f.neg(f.one()), dtype=_dtype(f)))
         first = []
         for by, j in ((a, b), (b, a)):  # 1 e_j: u_a e_a e_j; e_j 1: e_j u_b e_b
-            terms, tb = _times(f, u[by], bu, v, bv)
-            terms = _fit(np.concatenate((terms, minus_one)), max(tb, den) * (terms.size + n))
-            bad, _, _ = _summed(f, np.concatenate((j, diag)), np.concatenate((c, diag)), terms, n)
-            first.append(int(bad[0]) if bad.size else n)
+            bad, _ = Numerators.concat((u[by] * v, minus_one)).summed(np.concatenate((j, diag)) * n
+                                                                      + np.concatenate((c, diag)))
+            first.append(int(bad[0]) // n if bad.size else n)
         j = min(first)
         if j == n:
             return True, None
@@ -480,7 +476,8 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
     """All products (row of left) * (row of right), stacked as rows in
     (left, right) order, as summed COO rows (`linalg.SparseRows`): two
     joins on the structure constants (i, j, k, v), each summed by
-    `linalg._summed`.  Consumers read the COO; `.dense()` is the Matrix.
+    `linalg.Numerators.summed`.  Consumers read the COO; `.dense()` is the
+    Matrix.
 
     Stage 1, P[u, j, k] = sum_i left[u, i] [e_i e_j]_k, pairs each nonzero
     (u, i) of left with the constants of first leg i.  Stage 2,
@@ -509,23 +506,19 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
         q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (j, (u, k))
         out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
         return SparseRows.from_matrix(Matrix(f, lr * rr, n, out, _raw=True))
-    # both stages multiply integer numerators (`linalg._numerators`); the
-    # sums are over dx dc dy and become field values once, at the end
+    # both stages multiply `linalg.Numerators`, which become field values
+    # once, at the end
     by_a = a._by_a
-    x, dx, xb = _numerators(f, left._d[u, i])
-    y, dy, yb = _numerators(f, right._d[w, j])
-    cn, dc, cb = a.constant_numerators()
     s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
     # summed per (j, (u, k)), so P comes out sorted by j for stage 2
-    terms, tb = _times(f, x[s], xb, cn[e], cb)
-    pj, puk, pv = _summed(f, cj[e], u[s] * n + ck[e], _fit(terms, tb * terms.size), lr * n)
-    pb = tb * terms.size if f.kind == "Q" else f.p - 1
-    pu, pk = np.divmod(puk, n)
+    x = Numerators.of(f, left._d[u, i])
+    pjuk, pv = (x[s] * a.constant_numerators()[e]).summed((cj[e] * lr + u[s]) * n + ck[e])
+    pj, pu, pk = np.unravel_index(pjuk, (n, lr, n))
     starts = np.searchsorted(pj, np.arange(n + 1))
     s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
-    terms, tb = _times(f, y[s], yb, pv[e], pb)
-    r, c, val = _summed(f, pu[e] * rr + w[s], pk[e], _fit(terms, tb * terms.size), n)
-    return SparseRows(f, (lr * rr, n), r, c, _fractions(f, val, dx * dc * dy))
+    rc, val = (Numerators.of(f, right._d[w, j])[s] * pv[e]).summed((pu[e] * rr + w[s]) * n + pk[e])
+    r, c = np.divmod(rc, n)
+    return SparseRows(f, (lr * rr, n), r, c, val.fractions())
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
@@ -539,8 +532,8 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     f(e_i e_j) is the block's constants, read from the first-leg ranges of
     its indices, joined with the rows of f^T at their last leg;
     f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Both are integer
-    numerators (`linalg._numerators`) brought over one denominator, their
-    difference is summed by `linalg._summed`, so a row of D is failing iff
+    `linalg.Numerators` brought over one denominator, their difference is
+    summed by `Numerators.summed`, so a row of D is failing iff
     it holds an entry, and only those entries become field values.  Blocks
     span about _DEFECT_BLOCK entries of the dense D, so a failure is found
     before later blocks are multiplied.
@@ -548,11 +541,11 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     fld = src.field
     n = src.dim
     _, cj, ck, _ = src.constants()
-    cn, dc, cb = src.constant_numerators()
+    cn = src.constant_numerators()
     by_a = src._by_a
     ft = f.transpose()
     fk, fm = ft._d.nonzero()  # the entries of f(e_k) are [f_at[k], f_at[k + 1])
-    fv, df, fb = _numerators(fld, ft._d[fk, fm])
+    fv = Numerators.of(fld, ft._d[fk, fm])
     f_at = np.searchsorted(fk, np.arange(n + 1))
     step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
     lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
@@ -561,14 +554,11 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
         r, e = _join(np.arange(blk.size), by_a[blk], by_a[blk + 1])
         t, g = _join(np.arange(e.size), f_at[ck[e]], f_at[ck[e] + 1])
         r, e = r[t], e[t]  # constant e (row r n + j of D) meets the entry g of f(e_k)
-        lhs, lb = _times(fld, cn[e], cb, fv[g], fb)  # over dc df
         rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
-        rv, dr, rb = _numerators(fld, rhs._v)  # over dr
-        (lhs, lb), (rv, rb) = _scaled(lhs, lb, dr), _scaled(rv, rb, dc * df)
-        terms = _fit(np.concatenate((lhs, fld.reduce(-rv))), max(lb, rb) * (lhs.size + rv.size))
-        rows, cols, vals = _summed(fld, np.concatenate((r * n + cj[e], rhs._r)), np.concatenate((fm[g], rhs._c)),
-                                   terms, tgt.dim)
-        yield SparseRows(fld, rhs.shape, rows, cols, _fractions(fld, vals, dc * df * dr))
+        terms = Numerators.concat((cn[e] * fv[g], -Numerators.of(fld, rhs._v)))
+        flat, vals = terms.summed(np.concatenate((r * n + cj[e], rhs._r)) * tgt.dim + np.concatenate((fm[g], rhs._c)))
+        rows, cols = np.divmod(flat, tgt.dim)
+        yield SparseRows(fld, rhs.shape, rows, cols, vals.fractions())
 
 
 def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:

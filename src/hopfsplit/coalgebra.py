@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import (AlgebraObject, ValidationReport, VerificationFailed, _frozen, _in_range, _JOIN_BLOCK,
                       constants_of, radical, table_from_entries)
 from .fields import ScalarField
-from .linalg import _LIMIT, Matrix, Subspace, _dtype, _fit, _join, _numerators, _summed, _times
+from .linalg import Matrix, Numerators, Subspace, _dtype, _join
 from .tensors import SparseMap, StagePipeline
 
 
@@ -128,14 +128,12 @@ class CoalgebraObject:
         entry (i, j, k, c) of Delta pairs with every entry (x, y, i, w) for
         the terms w c e_x (x) e_y (x) e_j of the left side, and with every
         entry (x, y, j, w) for the terms w c e_i (x) e_x (x) e_y of the right
-        side.  Their difference is summed per (k, key) by `linalg._summed`,
+        side.  Their difference is summed per (k, key) by `Numerators.summed`,
         so k fails iff a sum is nonzero.  Consecutive input legs share one
         join while their terms fit a window of _JOIN_BLOCK."""
         f, n = self.field, self.dim
         delta = self.comul_map()
-        # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1]); the
-        # numerators share one denominator, so both sides' terms do
-        src, ij, v = delta.coo_numerators()
+        src, ij, v = delta.coo_numerators()  # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1])
         by_k = delta.starts
         i, j = np.divmod(ij, n)
         count = np.diff(by_k)
@@ -149,33 +147,27 @@ class CoalgebraObject:
             l_src, l_dst = _join(s, by_k[i[s]], by_k[i[s] + 1])
             r_src, r_dst = _join(s, by_k[j[s]], by_k[j[s] + 1])
             keys = np.concatenate((ij[l_dst] * n + j[l_src], i[r_src] * n * n + ij[r_dst]))
-            terms, bound = _times(f, v[l_src], delta.bound, v[l_dst], delta.bound)
-            terms = np.concatenate((terms, -_times(f, v[r_src], delta.bound, v[r_dst], delta.bound)[0]))
-            terms = _fit(terms, bound * terms.size)
-            bad, _, _ = _summed(f, np.concatenate((src[l_src], src[r_src])), keys, terms, n**3)
+            terms = Numerators.concat((v[l_src] * v[l_dst], -(v[r_src] * v[r_dst])))
+            bad, _ = terms.summed(np.concatenate((src[l_src], src[r_src])) * n**3 + keys)
             if bad.size:
-                return int(bad[0])
+                return int(bad[0]) // n**3
         return None
 
     def _counit_defect(self) -> int | None:
         """The first k with (eps (x) id) Delta(e_k) != e_k or
         (id (x) eps) Delta(e_k) != e_k, or None: both sides minus e_k, keyed
         by the remaining leg (the right side shifted by n), summed per k by
-        `linalg._summed`."""
+        `linalg.Numerators.summed`."""
         f, n = self.field, self.dim
         delta = self.comul_map()
         k, ij, v = delta.coo_numerators()
         i, j = np.divmod(ij, n)
-        eps, den, eb = _numerators(f, f.reduce(np.array(self.counit, dtype=_dtype(f))))
-        den *= delta.den  # of eps(e_i) v, and of -1 = -den / den
-        terms, bound = _times(f, eps[i], eb, v, delta.bound)
-        one = np.full(2 * n, f.reduce(-den), dtype=object if den >= _LIMIT else v.dtype)
-        terms = np.concatenate((terms, _times(f, eps[j], eb, v, delta.bound)[0], one))
-        terms = _fit(terms, max(bound, den) * terms.size)
+        eps = Numerators.of(f, f.reduce(np.array(self.counit, dtype=_dtype(f))))
+        minus_one = Numerators.of(f, np.full(2 * n, f.neg(f.one()), dtype=_dtype(f)))
+        terms = Numerators.concat((eps[i] * v, eps[j] * v, minus_one))
         diag = np.arange(n)
-        bad, _, _ = _summed(f, np.concatenate((k, k, diag, diag)), np.concatenate((j, n + i, diag, n + diag)),
-                            terms, 2 * n)
-        return int(bad[0]) if bad.size else None
+        bad, _ = terms.summed(np.concatenate((k, k, diag, diag)) * (2 * n) + np.concatenate((j, n + i, diag, n + diag)))
+        return int(bad[0]) // (2 * n) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

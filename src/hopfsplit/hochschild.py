@@ -57,8 +57,7 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import (InconsistentSystem, Matrix, SparseRows, Subspace, _along_factor, _fractions, _join, _matmul,
-                     _numerators)
+from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, Subspace, _along_factor, _join, _matmul
 from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor, v_zero
 
 
@@ -245,11 +244,10 @@ def _apply_rows(op: SparseMap, rows: np.ndarray) -> np.ndarray:
     fld = op.field
     width, n = _total(op.out_dims), _total(op.in_dims)
     col, key = rows.nonzero()
-    num, den, bound = _numerators(fld, rows[col, key])
-    flat, val, den, _ = _sum(fld, op.apply_at((col * n + key, num, den, bound), 1))
+    flat, val = _sum(op.apply_at((col * n + key, Numerators.of(fld, rows[col, key])), 1))
     col, key = np.divmod(flat, width)
     out = np.full((rows.shape[0], width), fld.zero(), dtype=rows.dtype)
-    out[col, key] = _fractions(fld, val, den)
+    out[col, key] = val.fractions()
     return out
 
 

@@ -23,8 +23,7 @@ import numpy as np
 from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
-from .linalg import (InconsistentSystem, Matrix, SparseRows, _dtype, _fit, _join, _numerators, _scaled, _summed, _times,
-                     kernel_from_rref)
+from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, _dtype, _join, _summed, kernel_from_rref
 from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_zero
 
 
@@ -121,18 +120,15 @@ class BialgebraObject:
         zero.  (The dense dim^2 x dim matrix of Delta would be the largest
         temporary of validating a large bialgebra.)"""
         f, n = self.field, self.dim
-        one, den, bound = _numerators(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
-        supp = np.flatnonzero(one != 0)
+        one = Numerators.of(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
+        supp = np.flatnonzero(one.num != 0)
         delta = self._coalg.comul_map()
         src, e = _join(supp, delta.starts[supp], delta.starts[supp + 1])
         pairs = (supp[:, None] * n + supp).ravel()
         keys = np.concatenate((delta.dst[e], pairs))
-        # over the denominator den^2 delta.den: 1_s Delta(e_s) has den delta.den, 1_s 1_u has den^2
-        lhs, lb = _scaled(*_times(f, one[src], bound, delta.val[e], delta.bound), den)
-        o = _fit(one[supp], bound * bound)
-        rhs, rb = _scaled(f.reduce(-np.outer(o, o).ravel()), bound * bound if f.kind == "Q" else f.p - 1, delta.den)
-        terms = _fit(np.concatenate((lhs, rhs)), max(lb, rb) * keys.size)
-        return _summed(f, np.zeros(keys.size, dtype=np.int64), keys, terms, n * n)[0].size == 0
+        o, k = one[supp], np.arange(supp.size)
+        terms = Numerators.concat((one[src] * delta.values[e], -(o[k.repeat(k.size)] * o[np.tile(k, k.size)])))
+        return terms.summed(keys)[0].size == 0
 
     def _check_delta_on_generators(self, gens):
         """Delta(e_i e_j) = Delta(e_i) Delta(e_j) for each generator index i
@@ -149,18 +145,18 @@ class BialgebraObject:
         products, and the first join's term counts choose the order that
         makes fewer terms before it.  Delta(e_i e_j) is the constants with
         first leg i against Delta of their last leg.  The difference is
-        summed per (i, j) and e_x (x) e_y by `linalg._summed`; the witness
+        summed per (i, j) and e_x (x) e_y by `Numerators.summed`; the witness
         is the first failing pair, generators in the order given, then j.
         Consecutive generators share one join while its terms fit
         _DELTA_BLOCK."""
         f, n = self.field, self.dim
         gens = np.asarray(list(gens), dtype=np.int64)
         a, c, x, _ = self._alg.constants()  # sorted by first leg a
-        v, _, bv = self._alg.constant_numerators()  # each side has one constant per term
+        v = self._alg.constant_numerators()
         by_a = self._alg._by_a
         delta = self._coalg.comul_map()
         s, pq, w = delta.coo_numerators()  # sorted by input leg s, whose entries are [by_s[s], by_s[s + 1])
-        by_s, bw = delta.starts, delta.bound
+        by_s = delta.starts
         p, q = np.divmod(pq, n)
         by_pq = np.argsort(pq, kind="stable")
         pq_at = np.searchsorted(pq[by_pq], np.arange(n * n + 1))
@@ -169,8 +165,7 @@ class BialgebraObject:
         gi, e = _join(np.arange(gens.size), by_s[gens], by_s[gens + 1])
         r, k = _join(np.arange(e.size), by_a[p[e]], by_a[p[e] + 1])
         gi, e = gi[r], e[r]
-        val, b1 = _times(f, w[e], bw, v[k], bv)
-        t1 = (gi, q[e], c[k], x[k], val)
+        t1 = (gi, q[e], c[k], x[k], w[e] * v[k])
         grow_c, grow_b = np.diff(p_at)[t1[2]], np.diff(by_a)[t1[1]]
         c_first = grow_c.sum() <= grow_b.sum()
         grow = grow_c if c_first else grow_b
@@ -191,15 +186,13 @@ class BialgebraObject:
                 r2, m2 = _join(np.arange(r.size), ac_at[b[r] * n + q[m]], ac_at[b[r] * n + q[m] + 1])
                 m2 = by_ac[m2]
                 j, yy = s[m][r2], x[m2]
-                val, b2 = _times(f, val[r], b1, w[m], bw)
-                val, b2 = _times(f, val[r2], b2, v[m2], bv)
+                val = (val[r] * w[m])[r2] * v[m2]
             else:  # the constants (b, d, y), then Delta entries (c, d, j)
                 r, m = _join(np.arange(g.size), by_a[b], by_a[b + 1])
                 r2, m2 = _join(np.arange(r.size), pq_at[cc[r] * n + c[m]], pq_at[cc[r] * n + c[m] + 1])
                 m2 = by_pq[m2]
                 j, yy = s[m2], x[m][r2]
-                val, b2 = _times(f, val[r], b1, v[m], bv)
-                val, b2 = _times(f, val[r2], b2, w[m2], bw)
+                val = (val[r] * v[m])[r2] * w[m2]
             rows = g[r][r2] * n + j
             keys = xx[r][r2] * n + yy
             # Delta(e_i e_j): the constants (i, j, k, u) against Delta(e_k)
@@ -207,16 +200,10 @@ class BialgebraObject:
             li, lk = _join(blk, by_a[gens[blk]], by_a[gens[blk] + 1])
             r, le = _join(np.arange(lk.size), by_s[x[lk]], by_s[x[lk] + 1])
             li, lk = li[r], lk[r]
-            # with the constants over dv and Delta over den, Delta(e_i) Delta(e_j)
-            # is over dv den^2 and Delta(e_i e_j) over dv den
-            rhs, b3 = _scaled(*_times(f, v[lk], bv, w[le], bw), delta.den)
-            terms = np.concatenate((val, -rhs))
-            del rhs
-            terms = _fit(terms, max(b2, b3) * terms.size)
-            bad, _, _ = _summed(f, np.concatenate((rows, li * n + c[lk])), np.concatenate((keys, pq[le])),
-                                terms, n * n)
+            terms = Numerators.concat((val, -(v[lk] * w[le])))
+            bad, _ = terms.summed(np.concatenate((rows, li * n + c[lk])) * (n * n) + np.concatenate((keys, pq[le])))
             if bad.size:
-                i, j = divmod(int(bad[0]), n)
+                i, j = divmod(int(bad[0]) // (n * n), n)
                 i = int(gens[i])
                 return False, f"Delta(e{i} e{j}) != Delta(e{i})Delta(e{j})"
         return True, None

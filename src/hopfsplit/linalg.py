@@ -13,14 +13,14 @@ dimension k, so every partial sum is an integer float64 holds exactly;
 object products multiply only nonzero pairs.
 
 Sparse kernels (products, summations, the stage engine of `tensors`)
-compute on integer numerators over one positive common denominator
-(``_numerators``): over F_p the reduced values over 1, over Q int64
-numerators while a bound on their absolute values proves that every
-product and sum fits int64 (``_times``, ``_fit``: the bound of a product
-is the product of the bounds, that of a sum of n terms n times theirs,
-and past 2^63 the operands become python ints).  `Fraction`s stay in
-`Matrix` storage, the Gauss-Jordan fallback and the read-out of a
-result (``_fractions``).
+compute on `Numerators`: integer numerators over one positive common
+denominator, over F_p the reduced values over 1, over Q int64 numerators
+while a bound on their absolute values proves that every product and sum
+fits int64 (the bound of a product is the product of the bounds, that of
+a sum of n terms n times theirs, and past 2^63 the operands become python
+ints).  Its operations carry the denominator and the bound.  `Fraction`s
+stay in `Matrix` storage, the Gauss-Jordan fallback and the read-out of
+a result (``Numerators.fractions``).
 
 Elimination is one kernel for every dtype, ``_rref_chunked``: rows are
 streamed in chunks, each chunk is stacked under the RREF found so far, and
@@ -91,52 +91,113 @@ def _num_dtype(field: ScalarField):
     return np.int64 if field.kind == "Q" else _dtype(field)
 
 
-def _numerators(field: ScalarField, vals: np.ndarray):
-    """Field values as (numerators, denominator, bound): integers over one
-    positive common denominator, and a bound on their absolute values.
-
-    Over Q the denominator is the lcm of the values' denominators and the
-    numerators are int64 when the bound fits, python ints otherwise; over F_p
-    the reduced values are their own numerators over 1, bounded by p - 1."""
-    if field.kind == "Fp":
-        return vals, 1, field.p - 1
-    fr = vals.tolist()
-    dens = [x.denominator for x in fr]
-    den = lcm(*dens)
-    nums = [x.numerator for x in fr] if den == 1 else [x.numerator * (den // d) for x, d in zip(fr, dens)]
-    bound = max(map(abs, nums), default=0)
-    return np.array(nums, dtype=np.int64 if bound < _LIMIT else object), den, bound
-
-
-def _fractions(field: ScalarField, num: np.ndarray, den: int) -> np.ndarray:
-    """The field values of numerators over den: `Fraction`s in lowest terms
-    over Q, the numerators themselves over F_p (where den is 1)."""
-    if field.kind == "Fp":
-        return num
-    out = np.empty(num.size, dtype=object)
-    out[:] = [Fraction(x) for x in num.tolist()] if den == 1 else [Fraction(x, den) for x in num.tolist()]
-    return out
-
-
 def _fit(val: np.ndarray, bound: int) -> np.ndarray:
     """val as python ints (dtype=object) unless it is int64 and bound, a bound
     on every product or sum about to be formed from it, is below 2**63."""
     return val.astype(object) if bound >= _LIMIT and val.dtype != object else val
 
 
-def _times(field: ScalarField, a: np.ndarray, ba: int, b: np.ndarray, bb: int):
-    """The reduced products a * b of numerator arrays bounded by ba and bb,
-    and a bound on them: ba bb over Q, p - 1 over F_p."""
-    out = field.reduce(_fit(a, ba * bb) * b)
-    return out, ba * bb if field.kind == "Q" else field.p - 1
+class Numerators:
+    """Field values as integer numerators ``num`` over one positive common
+    denominator ``den``, with ``bound`` >= every |numerator|.
 
+    Over Q the numerators are int64 while the bound proves that int64 holds
+    every product and sum formed from them, and python ints (dtype=object)
+    past it: a product is bounded by the product of the bounds, a sum of n
+    terms by n times theirs.  Over F_p they are the reduced values over 1,
+    bounded by p - 1.  Indexing, products, negation, `concat` and `summed`
+    carry the denominator and the bound, so no caller computes either."""
 
-def _scaled(val: np.ndarray, bound: int, k: int):
-    """val * k for a positive integer k (bringing numerators to a multiple
-    of their denominator), and the bound of the result."""
-    if k == 1:
-        return val, bound
-    return _fit(val, bound * k) * k, bound * k
+    __slots__ = ("field", "num", "den", "bound")
+
+    def __init__(self, field: ScalarField, num: np.ndarray, den: int = 1, bound: int | None = None):
+        """bound defaults to the largest |numerator|; over F_p it is p - 1."""
+        self.field, self.num, self.den = field, num, den
+        if field.kind == "Fp":
+            self.bound = field.p - 1
+        else:
+            self.bound = (int(np.abs(num).max()) if num.size else 0) if bound is None else bound
+
+    @classmethod
+    def of(cls, field: ScalarField, vals: np.ndarray) -> "Numerators":
+        """Reduced field values; over Q over the lcm of their denominators."""
+        if field.kind == "Fp":
+            return cls(field, vals)
+        fr = vals.tolist()
+        dens = [x.denominator for x in fr]
+        den = lcm(*dens)
+        nums = [x.numerator for x in fr] if den == 1 else [x.numerator * (den // d) for x, d in zip(fr, dens)]
+        bound = max(map(abs, nums), default=0)
+        return cls(field, np.array(nums, dtype=np.int64 if bound < _LIMIT else object), den, bound)
+
+    @classmethod
+    def ones(cls, field: ScalarField, size: int) -> "Numerators":
+        return cls(field, np.ones(size, dtype=_num_dtype(field)), 1, 1)
+
+    @property
+    def size(self) -> int:
+        return self.num.size
+
+    def __getitem__(self, idx) -> "Numerators":
+        return Numerators(self.field, self.num[idx], self.den, self.bound)
+
+    def __mul__(self, other: "Numerators") -> "Numerators":
+        """The elementwise products, reduced."""
+        f, bound = self.field, self.bound * other.bound
+        return Numerators(f, f.reduce(_fit(self.num, bound) * other.num), self.den * other.den, bound)
+
+    def __neg__(self) -> "Numerators":
+        return Numerators(self.field, self.field.reduce(-self.num), self.den, self.bound)
+
+    def over(self, den: int) -> "Numerators":
+        """The same values over den, a multiple of this denominator."""
+        k = den // self.den
+        if k == 1:
+            return self
+        bound = self.bound * k
+        return Numerators(self.field, _fit(self.num, bound) * k, den, bound)
+
+    @staticmethod
+    def concat(parts) -> "Numerators":
+        """The values of parts in order, over the lcm of their denominators."""
+        den = lcm(*[p.den for p in parts])
+        nums, bound = [], 0
+        for p in parts:
+            if p.den != den:
+                p = p.over(den)
+            nums.append(p.num)
+            bound = max(bound, p.bound)
+        return Numerators(parts[0].field, np.concatenate(nums), den, bound)
+
+    def summed(self, keys: np.ndarray):
+        """Sum the values with equal key and drop zero sums (`_sum_terms`);
+        returns (keys, Numerators) sorted by key.  A bound past 2**32 on the
+        sums is replaced by their largest |value|, so bounds grow with the
+        values, not with the number of sums they went through."""
+        f, bound = self.field, self.bound * keys.size
+        keys, num = _sum_terms(f, keys, _fit(self.num, bound))
+        if f.kind == "Q" and bound >= 2**32:
+            bound = int(np.abs(num).max()) if num.size else 0
+        return keys, Numerators(f, num, self.den, bound)
+
+    def lowest(self) -> "Numerators":
+        """The same values over the least denominator."""
+        if self.den == 1:
+            return self
+        g = gcd(self.den, int(np.gcd.reduce(self.num))) if self.num.size else self.den  # no values: over 1
+        if g == 1:
+            return self
+        return Numerators(self.field, self.num // g if self.num.size else self.num, self.den // g)
+
+    def fractions(self) -> np.ndarray:
+        """The field values: `Fraction`s in lowest terms over Q, the
+        numerators themselves over F_p (where the denominator is 1)."""
+        if self.field.kind == "Fp":
+            return self.num
+        out = np.empty(self.num.size, dtype=object)
+        d = self.den
+        out[:] = [Fraction(x) for x in self.num.tolist()] if d == 1 else [Fraction(x, d) for x in self.num.tolist()]
+        return out
 
 
 def _join(src, lo, hi):
@@ -207,7 +268,7 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """a @ b for object arrays, multiplying only nonzero pairs: the nonzeros
     (i, t) of a are joined with the nonzeros (t, j) of b on t, and the
     products are summed per (i, j).  Over Q the nonzeros are multiplied and
-    summed as integer numerators (`_numerators`), int64 while the bound on
+    summed as integer numerators (`Numerators`), int64 while the bound on
     the sums allows, and only the sums become `Fraction`s again."""
     # scan the smaller factor for nonzeros first and the other only at the
     # inner indices those use (a matrix times a sparse vector reads only
@@ -227,11 +288,9 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
         by_t = np.searchsorted(bt, np.arange(a.shape[1] + 1))
         src, dst = _join(np.arange(ai.size), by_t[at], by_t[at + 1])
         if src.size:
-            an, ad, ab = _numerators(field, a[ai, at])
-            bn, bd, bb = _numerators(field, b[bt, bj])
-            terms, bound = _times(field, an[src], ab, bn[dst], bb)
-            keys, sums = _sum_terms(field, ai[src] * b.shape[1] + bj[dst], _fit(terms, bound * terms.size))
-            out.flat[keys] = _fractions(field, sums, ad * bd)
+            terms = Numerators.of(field, a[ai, at])[src] * Numerators.of(field, b[bt, bj])[dst]
+            keys, sums = terms.summed(ai[src] * b.shape[1] + bj[dst])
+            out.flat[keys] = sums.fractions()
     return out
 
 
@@ -296,11 +355,10 @@ class SparseRows:
         bk, bt = b.nonzero()
         starts = np.searchsorted(bk, np.arange(b.shape[0] + 1))
         src, dst = _join(np.arange(self._v.size), starts[self._c], starts[self._c + 1])
-        av, ad, ab = _numerators(f, self._v)
-        bv, bd, bb = _numerators(f, b[bk, bt])
-        terms, tb = _times(f, av[src], ab, bv[dst], bb)
-        r, c, v = _summed(f, self._r[src], bt[dst], _fit(terms, tb * terms.size), b.shape[1])
-        return SparseRows(f, (self.rows, b.shape[1]), r, c, _fractions(f, v, ad * bd))
+        terms = Numerators.of(f, self._v)[src] * Numerators.of(f, b[bk, bt])[dst]
+        flat, v = terms.summed(self._r[src] * b.shape[1] + bt[dst])
+        r, c = np.divmod(flat, b.shape[1])
+        return SparseRows(f, (self.rows, b.shape[1]), r, c, v.fractions())
 
     def rref(self):
         """Canonical RREF through `_rref`'s sparse front end; returns

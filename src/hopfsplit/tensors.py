@@ -6,17 +6,16 @@ A `SparseMap` between tensor spaces holds its nonzero entries as COO
 arrays (input key, output key, numerator), sorted by input key, with a
 CSR offset table built once.
 
-Values are integer numerators over one positive common denominator per
-map or batch (`linalg._numerators`).  Over F_p the numerators are the
+Values are `linalg.Numerators`: integer numerators over one positive
+common denominator per map or batch.  Over F_p the numerators are the
 reduced values (int64 below p < 2**31, python ints for larger p) over 1.
 Over Q they are int64 while a bound proves that int64 holds them, and
 python ints (dtype=object) past it: every map and batch carries a bound
-on |numerator|, a product is bounded by the product of the bounds
-(`linalg._times`) and a sum of n terms by n times theirs, and a product or
-sum whose bound reaches 2**63 is formed from python ints (`linalg._fit`),
-as `linalg._matmul` proves its 2**53 rule before using float64.  A
-`Fraction` is made only on read-out: `SparseMap.coo()`, `matrix()`, and
-never by `pipelines_equal`.
+on |numerator|, a product is bounded by the product of the bounds and a
+sum of n terms by n times theirs, and a product or sum whose bound
+reaches 2**63 is formed from python ints, as `linalg._matmul` proves its
+2**53 rule before using float64.  A `Fraction` is made only on read-out:
+`SparseMap.coo()`, `matrix()`, and never by `pipelines_equal`.
 
 A `StagePipeline` declares a composite map as a chain of stages on the
 factors:
@@ -30,17 +29,17 @@ Declaring a stage checks it against the factor dims it receives and fixes
 the numbers its evaluation needs (the size of the factors after it,
 weights as numerators), so evaluating one is a single call on the batch.
 A pipeline evaluates on a whole batch of input basis tuples at once.  A
-batch is (key, numerators, denominator, bound); a term's key is its input
-tuple within the batch times the size of the current tensor space plus
-its factor key, so every stage, and the sum, reads one key array.  A map
-stage joins each term with the map's entries at the term's factor digits
-(`linalg._join`), or, for a map with at most one entry per input key (the
-structure maps of group algebras, most actions and coactions), indexes
-them directly; a contract stage weights each term by the functional at its
+batch is (key, Numerators); a term's key is its input tuple within the
+batch times the size of the current tensor space plus its factor key, so
+every stage, and the sum, reads one key array.  A map stage joins each
+term with the map's entries at the term's factor digits (`linalg._join`),
+or, for a map with exactly one entry per input key (the structure maps
+of group algebras, most actions and coactions), indexes them directly; a
+contract stage weights each term by the functional at its
 digit; insert repeats each term once per nonzero entry of the element;
 permute only re-addresses keys.  The denominators of the map, weights and
 element multiply into the batch's.  Terms with equal key are summed by a
-sort and `np.add.reduceat` (`linalg._sum_terms`) and zero sums are
+sort and `np.add.reduceat` (`Numerators.summed`) and zero sums are
 dropped; over F_p the sums are reduced mod p.  A stage that grows a batch
 to more than `_BLOCK` terms is summed at once, and every batch once at the end,
 by `matrix()`, `sparse_map()` or `pipelines_equal` (see
@@ -58,12 +57,10 @@ order and starts with a `permute`.
 """
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import Matrix, _dtype, _fit, _fractions, _join, _num_dtype, _numerators, _scaled, _sum_terms, _times
+from .linalg import Matrix, Numerators, _dtype, _join
 
 _BLOCK = 2**13  # input tuples evaluated in one batch
 _KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address: keys hold the input tuple too
@@ -107,62 +104,51 @@ def _total(dims) -> int:
     return n
 
 
-def _sum(field: ScalarField, batch):
-    """Sum a batch's terms with equal key (`linalg._sum_terms`).  The sum of
-    n terms bounded by b is bounded by n b; int64 numerators whose sums that
-    bound does not prove to fit become python ints first.  A bound past
-    2**32 is replaced by the largest |sum|, so it grows with the values, not
-    with the number of stages."""
-    flat, val, den, bound = batch
-    bound *= flat.size
-    flat, val = _sum_terms(field, flat, _fit(val, bound))
-    if field.kind == "Fp":
-        bound = field.p - 1
-    elif bound >= 2**32:
-        bound = int(np.abs(val).max()) if val.size else 0
-    return flat, val, den, bound
+def _sum(batch):
+    """Sum a batch's terms with equal key (`Numerators.summed`)."""
+    return batch[1].summed(batch[0])
 
 
 class SparseMap:
     """Linear map V_1 (x) ... (x) V_a -> W_1 (x) ... (x) W_b.
 
-    dst and val hold the nonzero entries sorted by input key; those of
-    input key s are [starts[s], starts[s + 1]).  val holds numerators over
-    the positive denominator den, and bound is the largest |val| (see the
-    module docstring); `coo()` reads the field values.  Duplicate entries
-    given to the constructor add up.  When every value is 1 (as in the
-    structure maps of a group algebra), applying the map takes no products;
-    when no input key has more than one entry (fan <= 1, as for the
-    structure maps of a group algebra and most actions and coactions), it
-    takes no join.
+    dst and values hold the nonzero entries sorted by input key; those of
+    input key s are [starts[s], starts[s + 1]).  values is `Numerators` over
+    the least denominator, with the largest |numerator| as its bound (see
+    the module docstring), and val its numerator array; `coo()` reads the
+    field values.  Duplicate entries given to the constructor add up.  When
+    every value is 1 (as in the structure maps of a group algebra),
+    applying the map takes no products; when every input key has exactly
+    one entry (as for the structure maps of a group algebra and most
+    actions and coactions), it takes no join.
     """
 
-    __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "dst", "val", "den", "bound", "starts",
-                 "fan", "ones")
+    __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "dst", "values", "starts", "fan", "ones")
 
     def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
-        num, den, bound = _numerators(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
+        val = Numerators.of(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
         flat = np.asarray(src, dtype=np.int64) * _total(out_dims) + np.asarray(dst, dtype=np.int64)
-        flat, num, _, _ = _sum(field, (flat, num, den, bound))
+        flat, val = val.summed(flat)
         src, dst = np.divmod(flat, _total(out_dims))
-        self._set(field, in_dims, out_dims, src, dst, num, den)
+        self._set(field, in_dims, out_dims, src, dst, val)
 
-    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val, den: int):
+    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val: Numerators):
         """Store entries already sorted by (input, output) key, unique and
-        nonzero, as numerators over den, which is made lowest."""
-        if field.kind == "Q" and den > 1:
-            g = gcd(den, int(np.gcd.reduce(val))) if val.size else den  # no entries: over 1
-            if g > 1:
-                val, den = (val // g if val.size else val), den // g
+        nonzero; their values are brought over the least denominator."""
         self.field = field
         self.in_dims = tuple(in_dims)
         self.out_dims = tuple(out_dims)
         self.in_size, self.out_size = _total(self.in_dims), _total(self.out_dims)
-        self.dst, self.val, self.den = dst, val, den
-        self.bound = (int(np.abs(val).max()) if val.size else 0) if field.kind == "Q" else field.p - 1
+        self.dst = dst
+        val = val.lowest()
+        self.values = Numerators(field, val.num, val.den)  # bounded by the largest |numerator|
         self.starts = np.searchsorted(src, np.arange(self.in_size + 1))
         self.fan = int(np.diff(self.starts).max()) if self.in_size else 0  # most entries of one input key
-        self.ones = den == 1 and bool((val == 1).all())
+        self.ones = val.den == 1 and bool((val.num == 1).all())
+
+    @property
+    def val(self) -> np.ndarray:
+        return self.values.num
 
     @classmethod
     def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
@@ -172,49 +158,40 @@ class SparseMap:
         if (m.rows, m.cols) != (_total(out_dims), _total(in_dims)):
             raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
         src, dst = np.nonzero(m._d.T)
-        num, den, _ = _numerators(m.field, m._d[dst, src])
         smap = cls.__new__(cls)
-        smap._set(m.field, in_dims, out_dims, src, dst, num, den)
+        smap._set(m.field, in_dims, out_dims, src, dst, Numerators.of(m.field, m._d[dst, src]))
         return smap
 
     def coo_numerators(self):
-        """The entries as COO arrays (input key, output key, numerator over
-        den)."""
-        return np.repeat(np.arange(self.in_size), np.diff(self.starts)), self.dst, self.val
+        """The entries as COO arrays (input key, output key) and their
+        `Numerators`."""
+        return np.repeat(np.arange(self.in_size), np.diff(self.starts)), self.dst, self.values
 
     def coo(self):
         """The entries as COO arrays (input key, output key, field value)."""
         src, dst, val = self.coo_numerators()
-        return src, dst, _fractions(self.field, val, self.den)
+        return src, dst, val.fractions()
 
     def apply_at(self, batch, post: int):
         """Apply to the factors of every term of a batch whose key digits lie
         just above post, the size of the factors after them; returns the
         new batch, its terms not yet summed.  `StagePipeline.map_at` checks
         the factor dims when the stage is declared."""
-        flat, val, den, bound = batch
+        flat, val = batch
         hi, mid = np.divmod(flat, self.in_size * post)
         if post > 1:
             mid, lo = np.divmod(mid, post)
-        if self.fan > 1:  # term t meets entries e
+        if self.fan == 1 and self.dst.size == self.in_size:  # one entry per key: entry s is that of key s
+            e = mid
+        else:  # term t meets entries e
             t, e = _join(np.arange(flat.size), self.starts[mid], self.starts[mid + 1])
-        elif self.dst.size < self.in_size:  # terms at keys without an entry vanish
-            e = self.starts[mid]
-            t = (self.starts[mid + 1] != e).nonzero()[0]
-            e = e[t]
-        else:  # one entry per key: entry s is that of key s
-            t, e = None, mid
-        if t is not None:
             hi, val = hi[t], val[t]
             if post > 1:
                 lo = lo[t]
         flat = hi * self.out_size + self.dst[e]
         if post > 1:
             flat = flat * post + lo
-        if self.ones:
-            return flat, val, den, bound
-        val, bound = _times(self.field, val, bound, self.val[e], self.bound)
-        return flat, val, den * self.den, bound
+        return flat, (val if self.ones else val * self.values[e])
 
 
 def _map_stage(batch, smap: SparseMap, post: int):
@@ -227,40 +204,38 @@ def _permute(batch, dims: tuple, perm: tuple, new_dims: tuple):
     """Re-address every key through its digits, _BLOCK keys at a time, so
     the digit arrays (one per factor) stay small for a large batch.  The
     input tuple is the leading digit of a key."""
-    flat, val, den, bound = batch
+    flat, val = batch
     lead = 2**62 // _total(dims)
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _BLOCK):
         digits = np.unravel_index(flat[lo : lo + _BLOCK], (lead,) + dims)
         out[lo : lo + _BLOCK] = np.ravel_multi_index([digits[0]] + [digits[p + 1] for p in perm], (lead,) + new_dims)
-    return out, val, den, bound
+    return out, val
 
 
-def _contract(batch, field: ScalarField, size: int, post: int, w, wden: int, wbound: int):
+def _contract(batch, size: int, post: int, w: Numerators):
     """Pair the factor of dim size whose key digit lies above post with
-    the functional of numerators w over wden."""
-    flat, val, den, bound = batch
+    the functional w."""
+    flat, val = batch
     hi, digit = np.divmod(flat, size * post)
     if post > 1:
         digit, lo = np.divmod(digit, post)
         hi = hi * post + lo
     w = w[digit]
-    nz = w != 0
+    nz = w.num != 0
     if np.count_nonzero(nz) < nz.size:
         hi, val, w = hi[nz], val[nz], w[nz]
-    val, bound = _times(field, val, bound, w, wbound)
-    return hi, val, den * wden, bound
+    return hi, val * w
 
 
-def _insert(batch, field: ScalarField, post: int, dim: int, idx, e, eden: int, ebound: int):
+def _insert(batch, post: int, dim: int, idx, e: Numerators):
     """Tensor in, as a factor of dim dim above post, the element whose
-    nonzero numerators over eden are e at idx."""
-    flat, val, den, bound = batch
+    nonzero values are e at idx."""
+    flat, val = batch
     hi, lo = np.divmod(flat, post)
     k, n = idx.size, flat.size
     flat = (hi.repeat(k) * dim + np.tile(idx, n)) * post + lo.repeat(k)
-    val, bound = _times(field, val.repeat(k), bound, np.tile(e, n), ebound)
-    return flat, val, den * eden, bound
+    return flat, val[np.arange(n).repeat(k)] * e[np.tile(np.arange(k), n)]
 
 
 class StagePipeline:
@@ -284,8 +259,8 @@ class StagePipeline:
         self.out_dims = out_dims
         return self
 
-    def _vector(self, values):
-        return _numerators(self.field, self.field.reduce(np.array(list(values), dtype=_dtype(self.field))))
+    def _vector(self, values) -> Numerators:
+        return Numerators.of(self.field, self.field.reduce(np.array(list(values), dtype=_dtype(self.field))))
 
     def map_at(self, smap: SparseMap, pos: int) -> "StagePipeline":
         d, a = self.out_dims, len(smap.in_dims)
@@ -302,23 +277,22 @@ class StagePipeline:
 
     def contract(self, pos: int, weights) -> "StagePipeline":
         d = self.out_dims
-        w, den, bound = self._vector(weights)
+        w = self._vector(weights)
         if w.size != d[pos]:
             raise ValueError(f"functional of length {w.size} on a factor of dim {d[pos]}")
-        return self._add(d[:pos] + d[pos + 1 :], _contract, self.field, d[pos], _total(d[pos + 1 :]), w, den, bound)
+        return self._add(d[:pos] + d[pos + 1 :], _contract, d[pos], _total(d[pos + 1 :]), w)
 
     def insert(self, pos: int, element, dim: int) -> "StagePipeline":
-        e, den, bound = self._vector(element)
+        e = self._vector(element)
         if e.size != dim:
             raise ValueError(f"element of length {e.size} for a factor of dim {dim}")
-        idx = np.flatnonzero(e != 0)
+        idx = np.flatnonzero(e.num != 0)
         d = self.out_dims
-        return self._add(d[:pos] + (dim,) + d[pos:], _insert, self.field, _total(d[pos:]), dim, idx, e[idx], den, bound)
+        return self._add(d[:pos] + (dim,) + d[pos:], _insert, _total(d[pos:]), dim, idx, e[idx])
 
     def run(self, batch):
-        """Evaluate every stage on one batch (key, numerators, denominator,
-        bound) over in_dims; returns the batch over out_dims, whose terms
-        the caller sums.
+        """Evaluate every stage on one batch (key, Numerators) over in_dims;
+        returns the batch over out_dims, whose terms the caller sums.
 
         A stage that leaves more terms than it received, and more than
         _BLOCK, is summed at once, so no batch holds more terms than the
@@ -331,7 +305,7 @@ class StagePipeline:
             size = batch[0].size
             batch = fn(batch, *args)
             if batch[0].size > max(size, _BLOCK):
-                batch = _sum(self.field, batch)
+                batch = _sum(batch)
         return batch
 
     def _blocks(self):
@@ -342,51 +316,47 @@ class StagePipeline:
         n = _total(self.in_dims)
         for lo in range(0, n, _BLOCK):
             col = np.arange(min(n, lo + _BLOCK) - lo)
-            yield lo, self.run((col * (n + 1) + lo, np.ones(col.size, dtype=_num_dtype(self.field)), 1, 1))
+            yield lo, self.run((col * (n + 1) + lo, Numerators.ones(self.field, col.size)))
 
     def _entries(self):
-        """The composite's nonzeros: input keys, output keys, numerators
-        sorted by (input, output) key, and their denominator.  Every block
-        has the denominator of the stages' product."""
+        """The composite's nonzeros: input keys, output keys, and their
+        `Numerators`, sorted by (input, output) key.  Every block has the
+        denominator of the stages' product."""
         width = _total(self.out_dims)
-        src, dst, val, den = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [], 1
+        src, dst, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [Numerators.ones(self.field, 0)]
         for lo, batch in self._blocks():
-            flat, v, den, _ = _sum(self.field, batch)
+            flat, v = _sum(batch)
             col, key = np.divmod(flat, width)
             src.append(col + lo)
             dst.append(key)
             val.append(v)
-        val = np.concatenate(val) if val else np.zeros(0, dtype=_num_dtype(self.field))
-        return np.concatenate(src), np.concatenate(dst), val, den
+        return np.concatenate(src), np.concatenate(dst), Numerators.concat(val)
 
     def matrix(self) -> Matrix:
         """The composite as a Matrix: column = input key, row = output key."""
         out = Matrix.zeros(self.field, _total(self.out_dims), _total(self.in_dims))
-        src, dst, val, den = self._entries()
-        out._d[dst, src] = _fractions(self.field, val, den)
+        src, dst, val = self._entries()
+        out._d[dst, src] = val.fractions()
         return out
 
     def sparse_map(self) -> SparseMap:
         """The composite as one SparseMap, a stage of later pipelines; its
         entries come from the summed batches, never from a dense matrix."""
-        src, dst, val, den = self._entries()
         smap = SparseMap.__new__(SparseMap)
-        smap._set(self.field, self.in_dims, self.out_dims, src, dst, val, den)
+        smap._set(self.field, self.in_dims, self.out_dims, *self._entries())
         return smap
 
 
 def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
     """The lexicographically first input basis tuple on which two pipelines
     over the same spaces differ, or None when they are equal.  The two
-    sides' numerators are brought over one denominator, d_l d_r, and their
+    sides' numerators are brought over one denominator and their
     difference is summed once."""
     if (lhs.in_dims, lhs.out_dims) != (rhs.in_dims, rhs.out_dims):
         raise ValueError(f"pipelines {lhs.in_dims} -> {lhs.out_dims} and {rhs.in_dims} -> {rhs.out_dims}")
-    f, width = lhs.field, _total(lhs.out_dims)
-    for (lo, (k1, v1, d1, b1)), (_, (k2, v2, d2, b2)) in zip(lhs._blocks(), rhs._blocks()):
-        if d1 != d2:  # over Q only: F_p numerators are over 1
-            (v1, b1), (v2, b2) = _scaled(v1, b1, d2), _scaled(v2, b2, d1)
-        flat, _, _, _ = _sum(f, (np.concatenate((k1, k2)), np.concatenate((v1, f.reduce(-v2))), 1, max(b1, b2)))
+    width = _total(lhs.out_dims)
+    for (lo, (k1, v1)), (_, (k2, v2)) in zip(lhs._blocks(), rhs._blocks()):
+        flat, _ = Numerators.concat((v1, -v2)).summed(np.concatenate((k1, k2)))
         if flat.size:
             return tuple(int(i) for i in np.unravel_index(lo + int(flat.min()) // width, lhs.in_dims))
     return None

@@ -6,7 +6,9 @@ int64 holds a product or a sum.  Here every value is drawn from rationals
 with non-unit denominators and numerators near and past 2**63, chains end
 with stages whose terms cancel, and `SparseMap`, `StagePipeline.matrix()`,
 `sparse_map()` and `pipelines_equal` are compared with the per-tuple
-Fraction evaluator of test_tensors.
+Fraction evaluator of test_tensors.  The structure checks, which bring
+the two sides of each axiom over one denominator, are run on bialgebras
+in rescaled bases.
 """
 import itertools
 from fractions import Fraction
@@ -16,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_tensors import _add_term, build, flat, ref_run
 
+from hopfsplit.algebra import multiplicativity_defect
+from hopfsplit.builtin import dual_group_algebra, group_algebra, sweedler_h4
 from hopfsplit.fields import QQ
+from hopfsplit.hopf import BialgebraObject, is_coalgebra_map
 from hopfsplit.linalg import Matrix
 from hopfsplit.tensors import SparseMap, StagePipeline, pipelines_equal
 
@@ -101,13 +106,13 @@ def test_sparse_maps_read_back_their_fractions(data):
     want = {(flat(ki, in_dims), flat(ko, out_dims)): c for ki, col in cols.items() for ko, c in col.items()}
     assert got == want
     assert all(type(v) is Fraction for v in val)
-    assert smap.den > 0 and smap.bound == max((abs(int(x)) for x in smap.val), default=0)
+    assert smap.values.den > 0 and smap.values.bound == max((abs(int(x)) for x in smap.values.num), default=0)
     m = Matrix.zeros(f, smap.out_size, smap.in_size)
     for (s, d), v in want.items():
         m._d[d, s] = v
     back = SparseMap.from_matrix(m, in_dims, out_dims)
-    assert (back.den, back.bound) == (smap.den, smap.bound)
-    assert np.array_equal(back.dst, smap.dst) and np.array_equal(back.val, smap.val)
+    assert (back.values.den, back.values.bound) == (smap.values.den, smap.values.bound)
+    assert np.array_equal(back.dst, smap.dst) and np.array_equal(back.values.num, smap.values.num)
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,7 +156,7 @@ def test_huge_products_and_sums_leave_int64():
     # a thirds map composed three times: denominators multiply, lowest terms on read-out
     third = SparseMap(f, (2,), (2,), [0, 1, 1], [1, 0, 1], [Fraction(1, 3), Fraction(-2, 3), Fraction(5, 3)])
     pipe = StagePipeline(f, (2,)).map_at(third, 0).map_at(third, 0).map_at(third, 0)
-    assert pipe.sparse_map().den == 27
+    assert pipe.sparse_map().values.den == 27
     a = [[Fraction(0), Fraction(-2, 3)], [Fraction(1, 3), Fraction(5, 3)]]
     cube = [[sum(a[i][k] * a[k][l] * a[l][j] for k in range(2) for l in range(2)) for j in range(2)] for i in range(2)]
     assert pipe.matrix().to_rows() == cube
@@ -174,3 +179,67 @@ def test_q_products_on_wide_numerators_match_fractions(data):
     ma, mb = Matrix.from_rows(f, a), Matrix.from_rows(f, b)
     assert _matmul(f, ma._d, mb._d).tolist() == want
     assert SparseRows.from_matrix(ma).matmul(mb._d).dense().to_rows() == want
+
+
+# -- structure checks in a rescaled basis ------------------------------------
+#
+# e'_k = s_k e_k rescales every structure constant by a product of the s_k
+# and their inverses, so the numerators of the two sides of an axiom get
+# different denominators.  Scaling a basis element keeps every defect's
+# support, so each check reads the same verdict and names the same witness.
+
+
+def rescaled(b, s):
+    """The bialgebra b in the basis e'_k = s_k e_k."""
+    mul = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in out.items()} for (i, j), out in b.mul.items()}
+    comul = {k: {(p, q): c * s[k] / (s[p] * s[q]) for (p, q), c in out.items()} for k, out in b.comul.items()}
+    return BialgebraObject(f, b.dim, mul, [u / x for u, x in zip(b.unit, s)], comul,
+                           [e * x for e, x in zip(b.counit, s)])
+
+
+def transported(m, s):
+    """The matrix of the same linear map between the rescaled bases."""
+    return Matrix.from_rows(f, [[m[i, j] * s[j] / s[i] for j in range(m.cols)] for i in range(m.rows)])
+
+
+def test_h4_validates_with_x_halved():
+    # g (x/2) = (gx)/2 puts a denominator on the structure constants:
+    # Delta(e_i) Delta(e_j) then has it squared, Delta(e_i e_j) once
+    h = sweedler_h4(f)
+    b = rescaled(h, [Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1)])
+    assert b.validate().checks == BialgebraObject(f, 4, h.mul, h.unit, h.comul, h.counit).validate().checks
+    assert b.validate().ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_checks_read_the_same_in_a_rescaled_basis(data):
+    h = data.draw(st.sampled_from([sweedler_h4(f), group_algebra(3, f), dual_group_algebra(2, f)]))
+    n = h.dim
+    mul = {key: dict(out) for key, out in h.mul.items()}
+    comul = {key: dict(out) for key, out in h.comul.items()}
+    unit, counit = list(h.unit), list(h.counit)
+    which = data.draw(st.sampled_from(["none", "mul", "comul", "unit", "counit"]))
+    bump = Fraction(data.draw(st.integers(1, 3)))
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if which == "mul":
+        mul.setdefault((i, j), {})[k] = mul.get((i, j), {}).get(k, 0) + bump
+    elif which == "comul":
+        comul.setdefault(k, {})[(i, j)] = comul.get(k, {}).get((i, j), 0) + bump
+    elif which == "unit":
+        unit[k] += bump
+    elif which == "counit":
+        counit[k] += bump
+    b = BialgebraObject(f, n, mul, unit, comul, counit)
+    s = data.draw(st.lists(rationals(), min_size=n, max_size=n))
+    b2 = rescaled(b, s)
+    assert b2.validate().checks == b.validate().checks
+    # a map H -> H, identity plus a bump, reads the same verdicts between the
+    # rescaled bases (the multiplicativity defect and the coalgebra-map pipelines)
+    m = Matrix.identity(f, n)
+    m._d[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([0, 1, -1]))
+    m2 = transported(m, s)
+    assert (multiplicativity_defect(b2.as_algebra(), b2.as_algebra(), m2)
+            == multiplicativity_defect(b.as_algebra(), b.as_algebra(), m))
+    assert (is_coalgebra_map(b2.as_coalgebra(), b2.as_coalgebra(), m2)
+            == is_coalgebra_map(b.as_coalgebra(), b.as_coalgebra(), m))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsplit.fields import GF, QQ
-from hopfsplit.linalg import _fractions, _numerators
+from hopfsplit.linalg import Numerators
 from hopfsplit.tensors import SparseMap, StagePipeline, pipelines_equal
 
 FIELDS = [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)]
@@ -169,10 +169,10 @@ def test_batched_pipeline_matches_per_tuple_reference(data):
     picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=6))
     scale = data.draw(st.lists(scalars(f), min_size=len(picks), max_size=len(picks)))
     col = np.array([t // 2 for t in range(len(picks))], dtype=np.int64)
-    num, den, bound = _numerators(f, f.reduce(np.array(scale, dtype=m._d.dtype)))
-    flat, v, den, _ = pipe.run((col * len(keys) + np.array(picks, dtype=np.int64), num, den, bound))
+    vals = Numerators.of(f, f.reduce(np.array(scale, dtype=m._d.dtype)))
+    flat, v = pipe.run((col * len(keys) + np.array(picks, dtype=np.int64), vals))
     c, k = np.divmod(flat, m.rows)
-    v = _fractions(f, v, den)
+    v = v.fractions()
     want: dict = {}
     for t, (pick, s) in enumerate(zip(picks, scale)):
         for okey, w in ref_run(f, stages, in_dims, keys[pick]).items():
