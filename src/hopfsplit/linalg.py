@@ -160,6 +160,8 @@ class Numerators:
     @staticmethod
     def concat(parts) -> "Numerators":
         """The values of parts in order, over the lcm of their denominators."""
+        if len(parts) == 1:
+            return parts[0]
         den = lcm(*[p.den for p in parts])
         nums, bound = [], 0
         for p in parts:

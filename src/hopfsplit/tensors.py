@@ -33,7 +33,7 @@ batch is (key, Numerators); a term's key is its input tuple within the
 batch times the size of the current tensor space plus its factor key, so
 every stage, and the sum, reads one key array.  A map stage joins each
 term with the map's entries at the term's factor digits (`linalg._join`),
-or, for a map with exactly one entry per input key (the structure maps
+or, for a map with at most one entry per input key (the structure maps
 of group algebras, most actions and coactions), indexes them directly; a
 contract stage weights each term by the functional at its
 digit; insert repeats each term once per nonzero entry of the element;
@@ -118,8 +118,8 @@ class SparseMap:
     the module docstring), and val its numerator array; `coo()` reads the
     field values.  Duplicate entries given to the constructor add up.  When
     every value is 1 (as in the structure maps of a group algebra),
-    applying the map takes no products; when every input key has exactly
-    one entry (as for the structure maps of a group algebra and most
+    applying the map takes no products; when no input key has more than one
+    entry (fan <= 1, as for the structure maps of a group algebra and most
     actions and coactions), it takes no join.
     """
 
@@ -181,10 +181,15 @@ class SparseMap:
         hi, mid = np.divmod(flat, self.in_size * post)
         if post > 1:
             mid, lo = np.divmod(mid, post)
-        if self.fan == 1 and self.dst.size == self.in_size:  # one entry per key: entry s is that of key s
-            e = mid
-        else:  # term t meets entries e
+        if self.fan > 1:  # term t meets entries e
             t, e = _join(np.arange(flat.size), self.starts[mid], self.starts[mid + 1])
+        elif self.dst.size < self.in_size:  # at most one entry per key: terms at keys without one vanish
+            e = self.starts[mid]
+            t = (self.starts[mid + 1] != e).nonzero()[0]
+            e = e[t]
+        else:  # one entry per key: entry s is that of key s
+            t, e = None, mid
+        if t is not None:
             hi, val = hi[t], val[t]
             if post > 1:
                 lo = lo[t]
@@ -323,14 +328,15 @@ class StagePipeline:
         `Numerators`, sorted by (input, output) key.  Every block has the
         denominator of the stages' product."""
         width = _total(self.out_dims)
-        src, dst, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [Numerators.ones(self.field, 0)]
+        src, dst, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for lo, batch in self._blocks():
             flat, v = _sum(batch)
             col, key = np.divmod(flat, width)
             src.append(col + lo)
             dst.append(key)
             val.append(v)
-        return np.concatenate(src), np.concatenate(dst), Numerators.concat(val)
+        val = Numerators.concat(val) if val else Numerators.ones(self.field, 0)
+        return np.concatenate(src), np.concatenate(dst), val
 
     def matrix(self) -> Matrix:
         """The composite as a Matrix: column = input key, row = output key."""

@@ -267,4 +267,4 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
     monkeypatch.setattr(tensors.SparseMap, "apply_at", spy("apply_at", tensors.SparseMap.apply_at))
     assert not q.validate().ok
     assert not validate_bosonization(bosonize(q, force=True)).ok
-    assert calls == {"apply_at": 125, "_sum_terms": 61, "_join": 69}
+    assert calls == {"apply_at": 125, "_sum_terms": 61, "_join": 47}
