@@ -18,7 +18,9 @@ each broadcast over the slots it leaves untouched, coinciding entries
 summed once.  `differential` is D_n vec(f).  `cohomology` is three
 products: the coefficient matrix D_n B^T for the cochain basis B (as
 rows), the cocycles ker(D_n B^T) B and the coboundaries, the rows of
-(D_(n-1) B_(n-1)^T)^T.  Section correction hands D_1's entries to
+(D_(n-1) B_(n-1)^T)^T; the coefficient matrix and the coboundaries stay
+COO rows, eliminated over Q modulo primes with an exact certificate
+(`linalg._rref_modular`).  Section correction hands D_1's entries to
 `MapSolver`, whose unknowns are the same vec coordinates.  The
 coefficient matrix is the one a per-cochain evaluation builds, so
 kernels, representatives and reports come out the same byte for byte.
@@ -57,7 +59,17 @@ from .category import (
     tensor_catobject,
     unit_object,
 )
-from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, Subspace, _along_factor, _join, _matmul
+from .linalg import (
+    InconsistentSystem,
+    Matrix,
+    Numerators,
+    SparseRows,
+    Subspace,
+    _along_factor,
+    _join,
+    _matmul,
+    kernel_from_rref,
+)
 from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor, v_zero
 
 
@@ -239,16 +251,15 @@ def _hochschild_operator(mctx: BimoduleInContext, n: int) -> SparseMap:
     return SparseMap(fld, (dm,) + (da,) * n, (dm,) + (da,) * (n + 1), cat(cols), cat(rows), cat(vals))
 
 
-def _apply_rows(op: SparseMap, rows: np.ndarray) -> np.ndarray:
-    """op applied to each row of a dense (k, vec length) array."""
+def _images(op: SparseMap, rows: np.ndarray) -> SparseRows:
+    """op applied to each row of a dense (k, vec length) array, as summed
+    COO rows."""
     fld = op.field
     width, n = _total(op.out_dims), _total(op.in_dims)
     col, key = rows.nonzero()
     flat, val = _sum(op.apply_at((col * n + key, Numerators.of(fld, rows[col, key])), 1))
     col, key = np.divmod(flat, width)
-    out = np.full((rows.shape[0], width), fld.zero(), dtype=rows.dtype)
-    out[col, key] = val.fractions()
-    return out
+    return SparseRows(fld, (rows.shape[0], width), col, key, val.fractions())
 
 
 def differential(actx: AlgebraInContext, mctx: BimoduleInContext, n: int, f: Matrix) -> Matrix:
@@ -258,7 +269,7 @@ def differential(actx: AlgebraInContext, mctx: BimoduleInContext, n: int, f: Mat
         raise ValueError("the bimodule is over another algebra")
     if (f.rows, f.cols) != (mctx.dim, actx.dim**n):
         raise ValueError(f"{f.rows}x{f.cols} matrix is not a {n}-cochain")
-    img = _apply_rows(mctx.operator(n), f._d.reshape(1, -1))
+    img = _images(mctx.operator(n), f._d.reshape(1, -1)).dense()._d
     return Matrix(f.field, mctx.dim, actx.dim ** (n + 1), img.reshape(mctx.dim, -1), _raw=True)
 
 
@@ -292,17 +303,22 @@ def cohomology(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> Cohom
         zero_sub = Subspace.zero(fld, max(veclen, 1))
         return CohomologyData(n, 0, [], zero_sub, zero_sub, cs)
     basis = _basis_rows(cs)
-    images = _apply_rows(mctx.operator(n), basis)
-    coeff = Matrix(fld, images.shape[1], cs.dim, images.T.copy(), _raw=True)
-    ker = coeff.kernel()  # rows: coefficient vectors of cocycles
-    cocycles = ker @ Matrix(fld, cs.dim, veclen, basis, _raw=True)
-    z_space = Subspace.from_matrix_rows(cocycles) if ker.rows else Subspace.zero(fld, veclen)
+    images = _images(mctx.operator(n), basis)
+    # the coefficient matrix D_n B^T as COO rows, eliminated by `_rref`'s
+    # sparse front end (over Q modulo primes, certified)
+    coeff = SparseRows(fld, (images.cols, cs.dim), images._c, images._r, images._v)
+    ker = kernel_from_rref(cs.dim, *coeff.rref())  # rows: coefficient vectors of cocycles
+    # ker and B are RREFs of full row rank, so ker B is one too (row t leads
+    # at B's pivot under ker's pivot of row t, where no other row of ker B
+    # is nonzero) and spans the cocycles as it stands
+    z_space = (Subspace(veclen, ker @ Matrix(fld, cs.dim, veclen, basis, _raw=True)) if ker.rows
+               else Subspace.zero(fld, veclen))
     prev = cochain_space(actx, mctx, n - 1) if n else None
     if prev is None or prev.dim == 0:
         b_space = Subspace.zero(fld, veclen)
     else:
-        coboundaries = Matrix(fld, prev.dim, veclen, _apply_rows(mctx.operator(n - 1), _basis_rows(prev)), _raw=True)
-        b_space = Subspace.from_matrix_rows(coboundaries)
+        coboundaries = _images(mctx.operator(n - 1), _basis_rows(prev))
+        b_space = Subspace(veclen, *coboundaries.rref())
         # re-verify b^n b^(n-1) = 0 on the cochains: every coboundary is a cocycle
         _kernel_coordinates(z_space, coboundaries, "coboundaries_in_cocycles", (prev.dim,))
     comp = b_space.quotient_complement(z_space)

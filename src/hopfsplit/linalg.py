@@ -35,26 +35,29 @@ structured Gaussian elimination after LaMacchia and Odlyzko, CRYPTO '90).
 Duplicate entries are summed and zero rows dropped, each row is scaled to
 a leading 1, and duplicate rows are dropped (a lexsort of the rows padded
 as (col, value) keys, then an exact comparison of neighbours).  Singleton
-rows are then pivoted until none is left: a row with one nonzero at
-column j puts e_j in the row space, so e_j is a row of the canonical RREF,
-and column j is deleted from the other rows, which can make new
-singletons.  The chunked Gauss-Jordan runs only on the core left, on its
-nonzero columns, and the e_j rows are merged back in by pivot.  The row
-space never changes, so the output is the canonical RREF the streamed
-kernel gives on the whole system.  `kernel_from_rref` and
-`particular_from_rref` read the results.  Dense input (`Matrix.rref`,
-hence `Matrix.kernel` and `Subspace.from_matrix_rows`) is streamed
-directly.
+rows are then pivoted: a row with one nonzero at column j puts e_j in the
+row space, so e_j is a row of the canonical RREF, and column j is deleted
+from the other rows.  Doubleton rows u e_j + w e_k (j < k) are pivoted
+next: column j is replaced by column k in the other rows, which adds no
+entry.  Both repeat until neither is left.  The chunked Gauss-Jordan runs
+only on the core left, on its nonzero columns, and the other rows are
+merged back in by pivot.  The row space never changes, so the output is
+the canonical RREF the streamed kernel gives on the whole system.
+`kernel_from_rref` and `particular_from_rref` read the results.  Dense
+input (`Matrix.rref`, hence `Matrix.kernel` and
+`Subspace.from_matrix_rows`) is streamed directly.
 
-Over Q a `SparseRows` source is eliminated modulo primes below 2^31
-(`_rref_modular`): the front end and the int64 kernel run on the image
-n d^-1 mod p of its nonzeros, the result is lifted by CRT and Wang's
-rational reconstruction and returned only after an exact certificate over Q (full column rank
-mod p, or A = A[:, pivots] R checked as a COO join of nonzeros).  The
-output is the same canonical RREF the Fraction kernel gives, which still
-answers dense Q input and any system no prime certifies.  (Sorting and
-`np.add.reduceat` sum duplicates here, never `np.unique`: it imports
-`numpy.ma`, about 1.7 MB of resident memory.)
+Over Q a `SparseRows` source A is eliminated modulo primes below 2^31
+(`_rref_modular`) as the integer matrix d A, d the common denominator of
+its entries, which has the same RREF: the front end and the int64 kernel
+run on its numerators mod p, the result is lifted by CRT and Wang's
+rational reconstruction and returned only after an exact certificate
+(full column rank mod p, or d A = (d A)[:, pivots] R checked in integers
+as a COO join of nonzeros).  The output is the same canonical RREF the
+Fraction kernel gives, which still answers dense Q input and any system
+no prime certifies.  (Sorting and `np.add.reduceat` sum duplicates here,
+never `np.unique`: it imports `numpy.ma`, about 1.7 MB of resident
+memory.)
 
 Containment in a subspace checks M = M[:, pivots] @ basis for all rows
 of M at once (``Subspace.coordinates``): one product for a dense M, and
@@ -426,8 +429,9 @@ def _rational(u: int, m: int, bound: int):
 def _lift(images: list, primes: list, piv: list[int], cols: int):
     """The rational RREF whose images mod ``primes`` are ``images`` (all with
     pivots ``piv``): CRT, then rational reconstruction of the nonzero
-    entries off the pivot columns.  Returns (rref_rows, (rows, cols, values)
-    of those entries), or None when an entry has no reconstruction."""
+    entries off the pivot columns.  Returns (rref_rows, (rows, cols,
+    `Numerators`) of those entries), or None when an entry has no
+    reconstruction."""
     off = np.ones(cols, dtype=bool)
     off[piv] = False
     ti, tj = (np.logical_or.reduce([im != 0 for im in images]) & off).nonzero()
@@ -447,15 +451,17 @@ def _lift(images: list, primes: list, piv: list[int], cols: int):
     out = np.full((len(piv), cols), Fraction(0), dtype=object)
     out[range(len(piv)), piv] = Fraction(1)
     out[ti, tj] = vals
-    return out, (ti, tj, vals)
+    return out, (ti, tj, Numerators.of(QQ, vals))
 
 
-def _certified(field: ScalarField, entries, off_pivot, piv: list[int], cols: int) -> bool:
+def _certified(entries, off_pivot, piv: list[int], cols: int) -> bool:
     """Whether A = A[:, piv] R exactly, for A given by its summed nonzeros
-    (rows, cols, values, sorted by row * cols + col) and R an RREF with
-    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot`` (sorted by
-    row).  Only the off-pivot columns need checking (R[:, piv] = I), as a
-    COO join of A's entries at pivot columns with R's rows."""
+    (rows, cols, `Numerators`, sorted by row * cols + col) and R an RREF with
+    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot`` (rows, cols,
+    `Numerators`, sorted by row).  Only the off-pivot columns need checking
+    (R[:, piv] = I), as a COO join of A's entries at pivot columns with R's
+    rows.  The two sides are compared as numerators over the product of
+    the denominators, so over Q the check multiplies and sums integers."""
     r, c, v = entries
     ti, tj, tv = off_pivot
     slot = np.full(cols, -1)
@@ -464,10 +470,10 @@ def _certified(field: ScalarField, entries, off_pivot, piv: list[int], cols: int
     at_piv = np.flatnonzero(t >= 0)
     starts = np.searchsorted(ti, np.arange(len(piv) + 1))
     src, dst = _join(at_piv, starts[t[at_piv]], starts[t[at_piv] + 1])
-    pr, pc, pv = _summed(field, r[src], tj[dst], field.reduce(v[src] * tv[dst]), cols)
+    keys, prod = (v[src] * tv[dst]).summed(r[src] * cols + tj[dst])
     rest = t < 0
-    return (np.array_equal(pr, r[rest]) and np.array_equal(pc, c[rest])
-            and bool((pv == v[rest]).all()))
+    return (np.array_equal(keys, r[rest] * cols + c[rest])
+            and bool((prod.num == v[rest].over(prod.den).num).all()))
 
 
 def _covers(piv: list[int], other: list[int]) -> bool:
@@ -481,15 +487,16 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
     its images mod the primes of ``_PRIMES``, or None when no prime gives a
     certified result.
 
-    A prime dividing a denominator is skipped.  The image of n/d is
-    n d^-1 mod p, formed from the nonzeros only, and runs the int64 kernel.
-    rank_p <= rank_Q, so full column rank mod p proves R = I.  Otherwise the
-    images with equal pivots are lifted by CRT and rational reconstruction
-    (`_lift`) and accepted only when A = A[:, piv] R holds exactly over Q
-    (`_certified`): then rowspace(A) lies in rowspace(R), rank_Q(A) <=
-    rank(R) = rank_p <= rank_Q(A), the row spaces are equal, and R is the
-    canonical RREF.  Images with a smaller rank profile than the ones kept
-    are dropped; a larger one replaces them.
+    The source is read once as integer numerators over one common
+    denominator d (`Numerators`): d A has the same RREF as A, so the image
+    mod p is the numerators mod p, for every prime, and runs the int64
+    kernel.  rank_p <= rank_Q, so full column rank mod p proves R = I.
+    Otherwise the images with equal pivots are lifted by CRT and rational
+    reconstruction (`_lift`) and accepted only when d A = (d A)[:, piv] R
+    holds exactly, in integers (`_certified`): then rowspace(A) lies in
+    rowspace(R), rank_Q(A) <= rank(R) = rank_p <= rank_Q(A), the row spaces
+    are equal, and R is the canonical RREF.  Images with a smaller rank
+    profile than the ones kept are dropped; a larger one replaces them.
     """
     cols = a.shape[1]
     r, c, v = a._r, a._c, a._v
@@ -497,26 +504,17 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
         br, bc = rhs.nonzero()
         r, c, v = np.concatenate((r, br)), np.concatenate((c, bc + cols)), np.concatenate((v, rhs[br, bc]))
         cols += rhs.shape[1]
-    entries = r, c, v = _summed(QQ, r, c, v, cols)
-    if not v.size:
+    keys, num = Numerators.of(QQ, v).summed(r * cols + c)
+    if not num.size:
         return np.zeros((0, cols), dtype=object), []
+    r, c = np.divmod(keys, cols)
     # the images skip zero rows: the canonical RREF does not see them
     dense_r = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
     m = int(dense_r[-1]) + 1
-    vals = v.tolist()
-    num = np.array([x.numerator for x in vals], dtype=object)
-    den = [x.denominator for x in vals]
-    dens = set(den) - {1}
     piv, images, primes = None, [], []
     for p in _PRIMES:
-        if any(d % p == 0 for d in dens):
-            continue
-        img = (num % p).astype(np.int64)
-        if dens:
-            inv = {d: pow(d, -1, p) for d in dens}
-            img = img * np.array([inv.get(d, 1) for d in den], dtype=np.int64) % p
         gf = GF(p)
-        red, pp = _rref(SparseRows(gf, (m, cols), dense_r, c, img), gf)
+        red, pp = _rref(SparseRows(gf, (m, cols), dense_r, c, (num.num % p).astype(np.int64)), gf)
         if len(pp) == cols:
             out = np.full((cols, cols), Fraction(0), dtype=object)
             out[range(cols), range(cols)] = Fraction(1)
@@ -528,7 +526,7 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
         images.append(red)
         primes.append(p)
         lifted = _lift(images, primes, piv, cols)
-        if lifted is not None and _certified(QQ, entries, lifted[1], piv, cols):
+        if lifted is not None and _certified((r, c, num), lifted[1], piv, cols):
             return lifted[0], piv
     return None
 
@@ -583,6 +581,13 @@ def _ranks(x: np.ndarray):
     return s[new], rank
 
 
+def _inverses(field: ScalarField, x: np.ndarray) -> np.ndarray:
+    """The inverses of the nonzero entries of x, one inversion per distinct
+    value."""
+    distinct, rank = _ranks(x)
+    return np.array([field.inv(u) for u in distinct.tolist()], dtype=x.dtype)[rank]
+
+
 def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = None):
     """Canonical RREF of a `SparseRows` source (of ``[a | rhs]``) through a
     structured front end (LaMacchia-Odlyzko) before any dense step:
@@ -595,8 +600,18 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     - singleton rows are pivoted until none is left: a row with one
       nonzero at column j puts e_j in the row space, so e_j is a row of the
       canonical RREF and column j is deleted from every other row;
+    - then doubleton rows, u e_j + w e_k with j < k: e_j = -(w/u) e_k modulo
+      the row space, so column j is substituted by column k in every other
+      row, which never adds an entry.  A round takes one doubleton per
+      column j; chains j -> k -> ... are resolved by pointer jumping to a
+      root column no doubleton eliminates, e_j = c_j e_root.  Rounds of
+      singletons and doubletons alternate until neither is left;
     - `_rref_chunked` eliminates the core left, on its nonzero columns
-      only, and the e_j rows are merged in by pivot.
+      only, and the other rows are merged in by pivot: e_j for a
+      singleton, and for an eliminated column e_j - c_j e_root, reduced by
+      the row of its root when the root is a pivot.  Every row then leads
+      at its own pivot (roots lie right of j) and is zero at every other
+      pivot.
 
     The row space is unchanged at every step, and it has one canonical
     RREF, so the result is the one `_rref_chunked` gives on the whole input.
@@ -614,10 +629,8 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     count = np.diff(np.append(start, v.size))
     rid = np.repeat(np.arange(start.size), count)
     lead = v[start]
-    if (lead != 1).any():  # one inversion per distinct leading value
-        distinct, rank = _ranks(lead)
-        inv = np.array([field.inv(u) for u in distinct.tolist()], dtype=v.dtype)
-        v = field.reduce(v * inv[rank][rid])
+    if (lead != 1).any():
+        v = field.reduce(v * _inverses(field, lead)[rid])
     # (col, value) as one int64, c p + v, or by the value's rank when the
     # values are python objects
     if v.dtype == object:
@@ -633,14 +646,40 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     keep = ~dup[rid]
     r, c, v = rid[keep], c[keep], v[keep]
     unit = np.zeros(cols, dtype=bool)
-    while True:
-        single = (np.bincount(r, minlength=start.size) == 1)[r]
-        if not single.any():
+    gone = np.zeros(cols, dtype=bool)  # columns eliminated by a doubleton
+    root = np.arange(cols)
+    coef = np.full(cols, field.one(), dtype=v.dtype)
+    while v.size:
+        count = np.bincount(r, minlength=start.size)[r]
+        single = count == 1
+        if single.any():
+            unit[c[single]] = True
+            keep = ~unit[c]
+            r, c, v = r[keep], c[keep], v[keep]
+            continue
+        pair = np.flatnonzero(count == 2)  # (j, k) entries of each doubleton, in order
+        if not pair.size:
             break
-        unit[c[single]] = True
-        keep = ~unit[c]
+        lo, hi = pair[0::2], pair[1::2]
+        order = np.argsort(c[lo], kind="stable")
+        js = c[lo][order]
+        take = order[np.concatenate(([True], js[1:] != js[:-1]))]  # one doubleton per column j
+        lo, hi = lo[take], hi[take]
+        j = c[lo]
+        gone[j] = True
+        root[j] = c[hi]
+        coef[j] = field.reduce(-(v[hi] * _inverses(field, v[lo])))
+        done = np.zeros(start.size, dtype=bool)
+        done[r[lo]] = True
+        keep = ~done[r]
         r, c, v = r[keep], c[keep], v[keep]
+        _jump(field, gone, root, coef)
+        at = gone[c]
+        v[at] = field.reduce(v[at] * coef[c[at]])
+        c[at] = root[c[at]]
+        r, c, v = _summed(field, r, c, v, cols)
     upiv = np.flatnonzero(unit)
+    gpiv = np.flatnonzero(gone)
     used = np.zeros(cols, dtype=bool)
     used[c] = True
     ccols = np.flatnonzero(used)
@@ -649,14 +688,40 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
         rows = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
         core = SparseRows(field, (int(rows[-1]) + 1, ccols.size), rows, (np.cumsum(used) - 1)[c], v)
         red, cpiv = _rref_chunked(core, field)
-    piv = np.concatenate((upiv, ccols[cpiv]))
+    piv = np.concatenate((upiv, ccols[cpiv], gpiv))
     order = np.argsort(piv)
     slot = np.empty(piv.size, dtype=np.int64)
     slot[order] = np.arange(piv.size)
     out = np.full((piv.size, cols), field.zero(), dtype=a.dtype)
     out[slot[: upiv.size], upiv] = field.one()
-    out[slot[upiv.size :, None], ccols] = red
+    ncore = upiv.size + len(cpiv)
+    out[slot[upiv.size : ncore, None], ccols] = red
+    # eliminated columns: e_j - c e_root, reduced by the row of its root
+    row_of = np.full(cols, -1)
+    row_of[piv] = slot
+    gslot, groot, gcoef = slot[ncore:], root[gpiv], coef[gpiv]
+    free = row_of[groot] < 0
+    out[gslot[free], groot[free]] = field.reduce(-gcoef[free])
+    grows, proot = gslot[~free], groot[~free]
+    out[grows] = field.reduce(gcoef[~free][:, None] * out[row_of[proot]])
+    out[grows, proot] = field.zero()
+    out[gslot, gpiv] = field.one()
     return out, piv[order].tolist()
+
+
+def _jump(field: ScalarField, gone: np.ndarray, root: np.ndarray, coef: np.ndarray):
+    """Resolve the doubleton relations e_j = coef[j] e_root[j] of the
+    eliminated columns (``gone``) in place until every root is a column no
+    doubleton eliminates (pointer jumping)."""
+    g = np.flatnonzero(gone)
+    while True:
+        nxt = root[g]
+        deeper = gone[nxt]
+        if not deeper.any():
+            return
+        g, nxt = g[deeper], nxt[deeper]
+        coef[g] = field.reduce(coef[g] * coef[nxt])
+        root[g] = root[nxt]
 
 
 class Matrix:
@@ -958,8 +1023,9 @@ class Subspace:
         ti, tj = (b != 0).nonzero()
         keep = off[tj]
         ti, tj = ti[keep], tj[keep]
-        entries = rows._r, rows._c, rows._v
-        if not _certified(self.field, entries, (ti, tj, b[ti, tj]), self.pivots, self.ambient_dim):
+        f = self.field
+        entries = rows._r, rows._c, Numerators.of(f, rows._v)
+        if not _certified(entries, (ti, tj, Numerators.of(f, b[ti, tj])), self.pivots, self.ambient_dim):
             return None
         slot = np.full(self.ambient_dim, -1)
         slot[self.pivots] = np.arange(self.dim)

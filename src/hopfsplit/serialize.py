@@ -246,6 +246,8 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(doc, field=None, ambient=None) -> Subspace:
+    """A subspace file read for a structure over ``field`` of dim ``ambient``
+    (when given): the file's own field and ambient_dim must match them."""
     try:
         f = field_from_json(doc["field"]) if "field" in doc else field
         n = _dim(doc["ambient_dim"], "ambient_dim") if "ambient_dim" in doc else ambient
@@ -254,6 +256,10 @@ def subspace_from_json(doc, field=None, ambient=None) -> Subspace:
         raise FileFormatError(f"bad subspace file: {e}")
     if f is None or n is None:
         raise FileFormatError("subspace file lacks field/ambient_dim")
+    if field is not None and f != field:
+        raise FileFormatError(f"subspace over {f!r} for a structure over {field!r}")
+    if ambient is not None and n != ambient:
+        raise FileFormatError(f"subspace ambient_dim {n} for a structure of dim {ambient}")
     vecs = [_parse_vec(f, v, n, "subspace vector") for v in _list(raw, "vectors")]
     return Subspace.from_vectors(f, n, vecs)
 

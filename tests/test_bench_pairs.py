@@ -37,6 +37,34 @@ def test_won_counts_strictly_better_pairs_by_direction():
     assert bench_pairs.won(p, c, "lower") == 5
 
 
+def test_claim_needs_nine_of_ten_pairs_and_a_gap_wider_than_the_parent_iqr():
+    lower = {"name": "accept_s", "better": "lower"}
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 1.1 to 1.3
+    # 9 of 10 pairs won, median 0.9: a gap of 0.3 against an IQR of 0.2
+    change = [0.7, 0.8, 0.9, 1.0, 1.5, 0.7, 0.8, 0.9, 1.0, 0.9]
+    assert bench_pairs.verdicts(parent, change, lower)["claim_met"] is True
+    # 7 of 10 pairs won
+    assert bench_pairs.verdicts(parent, change[:8] + [1.5, 1.5], lower)["claim_met"] is False
+    # 10 of 10 pairs won, but the medians are 0.05 apart against an IQR of 0.2
+    assert bench_pairs.verdicts(parent, [x - 0.05 for x in parent], lower)["claim_met"] is False
+    # a higher-is-better metric reads the other way
+    higher = {"name": "rank_ratio", "better": "higher"}
+    assert bench_pairs.verdicts(change, parent, higher)["claim_met"] is True
+    assert bench_pairs.verdicts(parent, change, higher)["claim_met"] is False
+
+
+def test_within_bound_is_relative_to_the_parent_median_by_direction():
+    parent = [1.0] * 10
+    lower = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    assert bench_pairs.verdicts(parent, [1.09] * 10, lower)["within_bound"] is True
+    assert bench_pairs.verdicts(parent, [1.11] * 10, lower)["within_bound"] is False
+    higher = {"name": "rank_ratio", "better": "higher", "bound": 0.1}
+    assert bench_pairs.verdicts(parent, [0.91] * 10, higher)["within_bound"] is True
+    assert bench_pairs.verdicts(parent, [0.89] * 10, higher)["within_bound"] is False
+    # no bound declared: no verdict
+    assert bench_pairs.verdicts(parent, [5.0] * 10, {"name": "x", "better": "lower"})["within_bound"] is None
+
+
 def _record(side, pair, accept, ratio, correct=True, failed=0):
     return {"workload": "w", "seed": 0, "side": side, "pair": pair, "correct": correct, "failed": failed,
             "record": {}, "metrics": {"accept_s": accept, "rank_ratio": ratio}}
@@ -54,7 +82,9 @@ def test_summary_pairs_runs_by_pair_and_drops_unpaired_runs():
     assert acc["parent_runs"] == [1.0, 1.2] and acc["change_runs"] == [0.8, 0.7]
     assert acc["won"] == 2
     assert acc["parent"] == {"median": 1.1, "q1": 1.05, "q3": 1.15}
+    assert (acc["claim_met"], acc["within_bound"]) == (True, None)
     assert got["end_to_end"]["rank_ratio"]["won"] == 1
+    assert got["end_to_end"]["rank_ratio"]["claim_met"] is False
 
 
 def test_pairs_alternate_resume_and_write_the_bench_file(tmp_path, monkeypatch):

@@ -470,3 +470,29 @@ def test_a_basis_label_that_is_not_a_string_exits_2(tmp_path, capsys, label, com
     code, out, err = run_cli([command, str(full)], capsys)
     assert (code, out) == (2, "")
     assert err == f"input error: basis label {label!r} is not a string\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical"], ["split", "--side", "radical"],
+    ["coradical"], ["filtration"], ["split", "--side", "coradical"],
+], ids=["radical", "split_radical", "coradical", "filtration", "split_coradical"])
+@pytest.mark.parametrize("key, value, message", [
+    ("ambient_dim", 9, "subspace ambient_dim 9 for a structure of dim 4"),
+    ("field", {"kind": "Fp", "p": 7}, "subspace over GF(7) for a structure over QQ"),
+], ids=["dim", "field"])
+def test_a_candidate_that_does_not_match_its_structure_exits_2(tmp_path, capsys, argv, key, value, message):
+    # a candidate's own field or ambient_dim used to replace the structure's:
+    # dim 9 failed later with exit 1 (`subspace of K^9 in a 4-dim algebra`,
+    # `factor dims (9,) do not match map input (4,)`), and an F_7 candidate
+    # was checked against the Q structure, exit 1
+    hpath = str(tmp_path / "h4.json")
+    run_cli(["example", "sweedler_h4", "--field", "q", "--out", hpath], capsys)
+    cand = {"field": {"kind": "Q"}, "ambient_dim": 4, "vectors": [["0", "1", "0", "0"]]}
+    if key == "ambient_dim":
+        cand["vectors"] = [["0", "1"] + ["0"] * 7]
+    cand[key] = value
+    cpath = tmp_path / "cand.json"
+    cpath.write_text(json.dumps(cand))
+    code, out, err = run_cli([argv[0], hpath, *argv[1:], "--candidate", str(cpath)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"

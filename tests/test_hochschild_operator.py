@@ -15,7 +15,14 @@ from hopfsplit.algebra import AlgebraObject
 from hopfsplit.builtin import group_algebra
 from hopfsplit.category import CatObject, CategoryContext
 from hopfsplit.fields import GF, QQ
-from hopfsplit.hochschild import AlgebraInContext, BimoduleInContext, cochain_space, cohomology, differential
+from hopfsplit.hochschild import (
+    AlgebraInContext,
+    BimoduleInContext,
+    cochain_space,
+    cohomology,
+    differential,
+    normalize_2cocycle,
+)
 from hopfsplit.linalg import InconsistentSystem, Matrix, Subspace
 from hopfsplit.tensors import StagePipeline, v_basis, v_zero
 
@@ -246,3 +253,57 @@ def test_cohomology_matches_loop(cx):
         assert got.cocycle_reps == reps
         assert got.cocycles == z
         assert got.coboundaries == b
+
+
+def cohomology_by_dense_kernel(actx, mctx, n):
+    """(dimension, representatives, cocycles, coboundaries) with every
+    elimination on dense `Fraction` matrices: the coefficient matrix's
+    kernel by `Matrix.kernel`, and the cocycles and coboundaries re-reduced
+    by `Subspace.from_matrix_rows`."""
+    fld = actx.field
+    cs = cochain_space(actx, mctx, n)
+    da, dm = actx.dim, mctx.dim
+    veclen = dm * da**n
+    basis = Matrix.from_rows(fld, [_vec(b) for b in cs.basis])
+    images = Matrix.from_rows(fld, [_vec(differential(actx, mctx, n, b)) for b in cs.basis])
+    ker = images.transpose().kernel()
+    z = Subspace.from_matrix_rows(ker @ basis) if ker.rows else Subspace.zero(fld, veclen)
+    prev = cochain_space(actx, mctx, n - 1).basis if n else []
+    b = (Subspace.from_matrix_rows(Matrix.from_rows(fld, [_vec(differential(actx, mctx, n - 1, p)) for p in prev]))
+         if prev else Subspace.zero(fld, veclen))
+    comp = b.quotient_complement(z)
+    reps = []
+    for t in range(comp.rows):
+        flat = comp.row_list(t)
+        rep = Matrix.from_rows(fld, [flat[r * da**n : (r + 1) * da**n] for r in range(dm)])
+        reps.append(normalize_2cocycle(actx, mctx, rep) if n == 2 else rep)
+    return z.dim - b.dim, reps, z, b
+
+
+def matrix_units_2(f):
+    """M_2 on E_11, E_12, E_21, E_22, with no character (None)."""
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    idx = {e: t for t, e in enumerate(units)}
+    mul = {(idx[x], idx[y]): {idx[(x[0], y[1])]: f.one()} for x in units for y in units if x[1] == y[0]}
+    return AlgebraObject(f, 4, mul, [f.one(), f.zero(), f.zero(), f.one()]), None
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["dual", "z2", "mat2", "comodule"]), seed=st.integers(0, 2**16))
+def test_cohomology_matches_dense_kernel_reference(name, seed):
+    # the coefficient matrices go through `_rref`'s certified modular path
+    # as COO rows; the reference eliminates them densely in Fractions
+    if name == "comodule":
+        actx, mctx = comodule_complex(QQ, 2)
+    else:
+        alg, chi = {"dual": lambda: truncated_polynomials(QQ, 2), "z2": lambda: group(QQ, 2),
+                    "mat2": lambda: matrix_units_2(QQ)}[name]()
+        alg, _ = basis_change(alg, chi or [QQ.zero()] * alg.dim, seed)
+        actx, mctx = vect_complex(alg, None, "regular")
+    for n in (0, 1, 2):
+        got = cohomology(actx, mctx, n)
+        dim, reps, z, b = cohomology_by_dense_kernel(actx, mctx, n)
+        assert got.dimension == dim
+        assert got.cocycle_reps == reps
+        assert (got.cocycles, got.cocycles.pivots) == (z, z.pivots)
+        assert (got.coboundaries, got.coboundaries.pivots) == (b, b.pivots)

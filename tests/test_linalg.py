@@ -422,15 +422,16 @@ def test_modular_rref_of_all_zero_and_empty_input():
 
 
 def _record_primes(monkeypatch):
-    """The field of every Gauss-Jordan run, in order."""
+    """The field of every sparse elimination (each image mod p, and the
+    Fraction front end), in order."""
     seen = []
-    gauss_jordan = linalg._gauss_jordan
+    rref_sparse = linalg._rref_sparse
 
-    def spy(a, field):
+    def spy(a, field, rhs=None):
         seen.append(field)
-        return gauss_jordan(a, field)
+        return rref_sparse(a, field, rhs)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    monkeypatch.setattr(linalg, "_rref_sparse", spy)
     return seen
 
 
@@ -475,14 +476,28 @@ def test_fraction_kernel_answers_when_every_prime_fails(monkeypatch):
     assert seen[0] == GF(_PRIMES[0]) and seen[-1] == QQ
 
 
-def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+def test_prime_dividing_a_denominator_is_used(monkeypatch):
+    # the images are those of the integer matrix d A (d the common
+    # denominator), so a prime dividing a denominator is tried like any
+    # other: here it drops pivot 0 of d A, and later primes lift R
     p = _PRIMES[0]
-    rows = [[Fraction(1, p), Fraction(2), Fraction(1, 3)], [Fraction(2, p), Fraction(1), Fraction(5)],
-            [Fraction(3, p), Fraction(3), Fraction(16, 3)]]
-    seen = _record_primes(monkeypatch)
-    red, piv = _rref(_sparse_rows(rows, 3, random.Random(3)), QQ)
+    rows = [[Fraction(1), Fraction(2, p), Fraction(1, 3)], [Fraction(2), Fraction(1, p), Fraction(5)],
+            [Fraction(3), Fraction(3, p), Fraction(16, 3)]]
+    seen, verdicts = _record_primes(monkeypatch), _record_certificates(monkeypatch)
+    images = []
+    rref = linalg._rref
+
+    def spy(a, field, rhs=None):
+        images.append((field, [x for x in a._v.tolist() if x]))
+        return rref(a, field, rhs)
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    red, piv = rref(_sparse_rows(rows, 3, random.Random(3)), QQ)
     assert (red.tolist(), piv) == _reference_rref(QQ, rows)
-    assert seen[0] == GF(_PRIMES[1]) and GF(p) not in seen and QQ not in seen
+    # d = 3 p: the image mod p keeps only column 1, (6, 3, 9)
+    assert images[0] == (GF(p), [6, 3, 9])
+    assert [f for f, _ in images] == [GF(q) for q in _PRIMES[: len(images)]]
+    assert verdicts[0] is False and verdicts[-1] is True and QQ not in seen
 
 
 def test_modular_rref_lifts_large_entries_by_crt(monkeypatch):
@@ -494,6 +509,89 @@ def test_modular_rref_lifts_large_entries_by_crt(monkeypatch):
     red, piv = _rref(_sparse_rows(rows, 3, random.Random(4)), QQ, np.array([[big], [Fraction(1)], [2 * big + 1]], dtype=object))
     assert (red.tolist(), piv) == _reference_rref(QQ, [r + [b] for r, b in zip(rows, [big, Fraction(1), 2 * big + 1])])
     assert len(seen) >= 3 and QQ not in seen
+
+
+@st.composite
+def _integer_path_inputs(draw):
+    """A sparse Q system A = C B (C with identity rows on top, so every row
+    of B is a row of A), maybe rank deficient, its entries written with
+    split and cancelling duplicates, and a rhs half of the time.  "scaled"
+    multiplies each row by a rational with numerator and denominator past
+    2^63: d A then needs python ints, and the RREF stays that of B.  "huge"
+    draws B itself past 2^63, where no prime may certify."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["small", "scaled", "huge"]))
+    n = draw(st.integers(1, 7))
+    rank = draw(st.integers(0, n))
+    m = rank + draw(st.integers(1, 12))
+
+    def entry(bits):
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randrange(-2**bits, 2**bits), rng.randrange(1, 2**bits))
+
+    basis = [[entry(66 if kind == "huge" else 2) for _ in range(n)] for _ in range(rank)]
+    coeff = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    coeff += [[Fraction(rng.randrange(-2, 3)) for _ in range(rank)] for _ in range(m - rank)]
+    rows = [[sum((c * b[j] for c, b in zip(cr, basis)), Fraction(0)) for j in range(n)] for cr in coeff]
+    if kind == "scaled":
+        rows = [[x * Fraction(rng.randrange(2**64, 2**70), rng.randrange(2**64, 2**70)) for x in row]
+                for row in rows]
+    r, c, v = _coo_split(rows, rng)
+    # cancelling pairs, some on entries that are zero
+    for _ in range(rng.randrange(4)):
+        i, j, x = rng.randrange(m), rng.randrange(n), entry(70)
+        r, c, v = np.append(r, [i, i]), np.append(c, [j, j]), np.append(v, np.array([x, -x], dtype=object))
+    rhs = np.array([[entry(70)] for _ in range(m)], dtype=object) if draw(st.booleans()) else None
+    return SparseRows(QQ, (m, n), r, c, v), rhs, rows, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_integer_path_inputs())
+def test_integer_modular_rref_matches_fraction_kernel(case):
+    a, rhs, rows, kind = case
+    ref, refpiv = _chunked_reference(QQ, a, rhs)
+    out = linalg._rref_modular(a, rhs)
+    if kind != "huge":
+        assert out is not None
+    if out is not None:
+        red, piv = out
+        assert piv == refpiv and red.tolist() == ref.tolist()
+        assert all(type(x) is Fraction for x in red.flat)
+    red, piv = _rref(a, QQ, rhs)
+    assert piv == refpiv and red.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)])
+def test_certificate_fails_when_one_off_pivot_entry_of_r_changes(field):
+    # A = C R with R a canonical RREF and every row of R among A's rows:
+    # the certificate accepts R and rejects R with any one off-pivot entry
+    # changed, through `_certified` on numerators and `Subspace.coordinates`
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randrange(2, 8)
+        rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(rng.randrange(1, n))]
+        if field.kind == "Q":
+            rows = [[x / rng.randrange(1, 4) for x in row] for row in rows]
+        red, piv = Matrix.from_rows(field, rows).rref()
+        # the entries an RREF may hold off its pivot columns
+        spots = [(t, j) for t in range(len(piv)) for j in range(piv[t] + 1, n) if j not in piv]
+        if not spots:
+            continue
+        coeff = np.array([[field.from_int(rng.randrange(-2, 3)) for _ in range(red.rows)] for _ in range(5)],
+                         dtype=red._d.dtype)
+        a = SparseRows.from_matrix(red).vstack(SparseRows.from_matrix(Matrix(field, 5, red.rows, coeff) @ red))
+        entries = a._r, a._c, linalg.Numerators.of(field, a._v)
+        t, j = rng.choice(spots)
+        for bump in (field.zero(), field.one(), field.from_int(rng.randrange(2, 5))):
+            r = red._d.copy()
+            r[t, j] = field.reduce(r[t, j] + bump)
+            off = np.ones(n, dtype=bool)
+            off[piv] = False
+            ti, tj = ((r != 0) & off).nonzero()
+            ok = linalg._certified(entries, (ti, tj, linalg.Numerators.of(field, r[ti, tj])), piv, n)
+            sub = Subspace(n, Matrix(field, len(piv), n, r, _raw=True), piv)
+            assert ok is (bump == 0) is (sub.coordinates(a) is not None)
 
 
 # -- the sparse front end of _rref ------------------------------------------
@@ -534,10 +632,13 @@ def _front_end_inputs(draw):
     - "deficient": rows spanning a smaller space, one of them repeated with
       a rhs off its multiple, so the system is inconsistent;
     - "chain": e_j0 and rows x_jk + c x_j(k+1) along a permutation, so each
-      deleted singleton column makes the next row a singleton.
+      deleted singleton column makes the next row a singleton;
+    - "doubletons": rows a x_j + b x_k on the edges of a random graph, with
+      chains, stars and cycles (a cycle may close consistently or make a
+      singleton), and a few longer rows.
     """
     field = draw(st.sampled_from(_FRONT_END_FIELDS))
-    kind = draw(st.sampled_from(["random", "duplicates", "zero", "deficient", "chain"]))
+    kind = draw(st.sampled_from(["random", "duplicates", "zero", "deficient", "chain", "doubletons"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
     with_rhs = kind == "deficient" or draw(st.booleans())
@@ -561,6 +662,13 @@ def _front_end_inputs(draw):
         for row in rows:
             row[n] = scalar()
         rows += [sparse_row() for _ in range(rng.randrange(3))]
+    elif kind == "doubletons":
+        rows = []
+        for _ in range(rng.randrange(1, 3 * n + 2)):
+            row = [field.zero()] * (n + 1)
+            for j in rng.sample(range(n + 1), min(n + 1, 2 if rng.random() < 0.85 else 3)):
+                row[j] = scalar(nonzero=True) if rng.random() < 0.5 else rng.choice([field.one(), field.neg(field.one())])
+            rows.append(row)
     elif kind == "duplicates":
         base = [sparse_row() for _ in range(rng.randrange(1, 4))]
         rows = [[field.mul(c, x) for x in rng.choice(base)]

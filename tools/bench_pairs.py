@@ -22,7 +22,11 @@ Per workload and seed the BENCH file records the pairs, whether every run
 was correct, the failed-job counts per side and, for each end-to-end
 metric, the median and the inclusive quartiles of each side's runs, `won`
 (pairs in which the change is better, by the metric's direction in
-BENCHMARK.json) and the runs themselves, rounded to 4 decimals.  Traced
+BENCHMARK.json), the verdicts `claim_met` (won in at least 9 of 10 pairs,
+and the medians apart by more than the parent's interquartile range, in the
+change's favour) and `within_bound` (the change's median not worse than the
+parent's by more than the metric's `bound`), and the runs themselves,
+rounded to 4 decimals.  Traced
 pairs add a `traced` entry: the median of each per-layer metric per side,
 and each run's `trace.coverage_min` and failed count.
 """
@@ -56,6 +60,30 @@ def won(parent: list[float], change: list[float], better: str) -> int:
     return sum(c > p for p, c in zip(parent, change))
 
 
+def verdicts(parent: list[float], change: list[float], metric: dict) -> dict:
+    """The benchmark's two verdicts on one metric over paired runs.
+
+    `claim_met`: the change is better in at least 9 of 10 pairs, and its
+    median is better than the parent's by more than the parent's
+    interquartile range.  `within_bound`: the change's median is not worse
+    than the parent's by more than the metric's relative `bound` (None when
+    the metric has no bound)."""
+    better = metric.get("better", "lower")
+    p, c = quartiles(parent), quartiles(change)
+    gain = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
+    bound = metric.get("bound")
+    if bound is None:
+        within = None
+    elif better == "lower":
+        within = c["median"] <= p["median"] * (1 + bound)
+    else:
+        within = c["median"] >= p["median"] * (1 - bound)
+    return {
+        "claim_met": 10 * won(parent, change, better) >= 9 * len(parent) and gain > p["q3"] - p["q1"],
+        "within_bound": within,
+    }
+
+
 def summarize_job(records: list[dict], metrics: list[dict]) -> dict:
     """One job's entry from its log records (one per run, each with side,
     pair, correct, failed and the metric values)."""
@@ -75,6 +103,7 @@ def summarize_job(records: list[dict], metrics: list[dict]) -> dict:
             "parent": quartiles(vals["parent"]),
             "change": quartiles(vals["change"]),
             "won": won(vals["parent"], vals["change"], m.get("better", "lower")),
+            **verdicts(vals["parent"], vals["change"], m),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
             "change_runs": [round(v, 4) for v in vals["change"]],
         }
@@ -158,7 +187,9 @@ def bench(log: list[dict], args, metrics: list[dict]) -> dict:
         "method": (f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in both "
                    "checkouts, written by tools/bench_pairs.py; parent and change alternate which runs first "
                    "in each pair; 'won' counts pairs where the change reads better; quartiles are inclusive "
-                   "over the runs of each side; a 'traced' entry comes from --seconds 0 --trace 1 pairs"),
+                   "over the runs of each side; 'claim_met' is won >= 9/10 with the median gain above the "
+                   "parent's IQR, 'within_bound' the change's median no worse than the parent's by more than "
+                   "the metric's bound; a 'traced' entry comes from --seconds 0 --trace 1 pairs"),
         "notes": {},
         "workloads": {name: {**(summarize_job(jobs[name], metrics) if name in jobs else {}),
                              **({"traced": summarize_traced(traced[name])} if name in traced else {})}
