@@ -650,14 +650,14 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     root = np.arange(cols)
     coef = np.full(cols, field.one(), dtype=v.dtype)
     while v.size:
-        count = np.bincount(r, minlength=start.size)[r]
-        single = count == 1
+        length = np.bincount(r, minlength=start.size)[r]  # of each entry's row
+        single = length == 1
         if single.any():
             unit[c[single]] = True
             keep = ~unit[c]
             r, c, v = r[keep], c[keep], v[keep]
             continue
-        pair = np.flatnonzero(count == 2)  # (j, k) entries of each doubleton, in order
+        pair = np.flatnonzero(length == 2)  # (j, k) entries of each doubleton, in order
         if not pair.size:
             break
         lo, hi = pair[0::2], pair[1::2]
