@@ -319,12 +319,38 @@ class AlgebraObject:
 
     def _generating_set(self, cap: int) -> list[int] | None:
         """Each e_i, in order, outside the left-Krylov closure from 1 of the
-        earlier generators becomes one.  The span S stays closed under left
-        multiplication by the generators: a new generator g adds e_g and
-        g S, then each round multiplies only the rows it added (new pivots).
-        Every vector reached is a product of 1 and generators, so it lies in
-        any unital subalgebra holding them; in an associative algebra S is
-        the subalgebra they generate."""
+        earlier generators becomes one.  Every vector reached is a product
+        of 1 and generators, so it lies in any unital subalgebra holding
+        them; in an associative algebra the closure is the subalgebra they
+        generate.  On a monomial table whose unit is a multiple of one basis
+        vector the closure is a walk on indices (`_index_closure`), else an
+        exact elimination (`_rref_closure`); both give the same set."""
+        walk = self._index_graph()
+        return self._rref_closure(cap) if walk is None else _index_closure(*walk, cap)
+
+    def _index_graph(self):
+        """(nxt, s) when every product e_a e_b is a nonzero multiple of
+        e_nxt[a, b] or zero (nxt[a, b] = -1) and the unit is a nonzero
+        multiple of e_s; else None.  The table is monomial iff no pair
+        (a, b) holds two nonzero constants, counted by one `np.bincount`."""
+        if not self._shape_ok():
+            return None
+        f, n = self.field, self.dim
+        a, b, c, _ = self.constants()
+        if a.size and np.bincount(a * n + b).max() > 1:
+            return None
+        support = [t for t, x in enumerate(self.unit) if f.reduce(x) != 0]
+        if len(support) != 1:
+            return None
+        nxt = np.full((n, n), -1, dtype=np.int64)
+        nxt[a, b] = c
+        return nxt, support[0]
+
+    def _rref_closure(self, cap: int) -> list[int] | None:
+        """The greedy search with the span S kept as an RREF.  S stays closed
+        under left multiplication by the generators: a new generator g adds
+        e_g and g S, then each round multiplies only the rows it added (new
+        pivots)."""
         f, n = self.field, self.dim
         a, b, c, v = self.constants()
 
@@ -358,6 +384,34 @@ class AlgebraObject:
                 fresh = [r for r, p in enumerate(grown.pivots) if p not in old]
                 span = grown
                 new = times(lm, span.basis._new(len(fresh), n, span.basis._d[fresh]))
+
+
+def _index_closure(nxt: np.ndarray, start: int, cap: int) -> list[int] | None:
+    """`AlgebraObject._rref_closure` on a monomial table: e_g times a span
+    of basis vectors is spanned by the e_nxt[g, y] it reaches, so the
+    closure from e_start is the set of indices reachable in the graph
+    y -> nxt[g, y] over the generators g.  The closure only grows, so the
+    first index outside it is found by one scan in order."""
+    reached = [False] * len(nxt)
+    reached[start] = True
+    order = [start]  # the reached indices
+    rows: list[list[int]] = []  # nxt[g] for each generator g
+    gens: list[int] = []
+    for i in range(len(nxt)):
+        if reached[i]:
+            continue
+        gens.append(i)
+        if len(gens) > cap:
+            return None
+        rows.append(row := nxt[i].tolist())
+        stack = [i] + [row[y] for y in order]  # e_i and e_i S; new rows meet every generator
+        while stack:
+            k = stack.pop()
+            if k >= 0 and not reached[k]:
+                reached[k] = True
+                order.append(k)
+                stack.extend(r[k] for r in rows)
+    return gens
 
 
 def _in_range(table, n: int) -> bool:

@@ -1,8 +1,9 @@
 """JSON structure-constant files and report serialization.
 
 Coefficients travel as strings ("a/b" over Q, integer residues over F_p)
-so exactness survives the wire.  Triple lists are sorted and json.dumps is
-called with sorted keys, making write -> read -> write byte-identical.
+so exactness survives the wire.  Triple lists are sorted and documents are
+written with sorted keys (`dumps`, the text of json.dumps with indent=1),
+making write -> read -> write byte-identical.
 
 Reading raises only FileFormatError on malformed input: indices and
 dimensions must be JSON integers, dimensions at most ``MAX_DIM``,
@@ -13,9 +14,12 @@ divide by zero in the field.
 Every reader parses its coefficients through `_batch_scalars`: a list of
 strings that all match ``[+-]digits`` is checked with one match on its
 distinct strings joined by newlines, and each distinct string is converted
-once.  Any other list, well-formed or not, is parsed item by item, so the
-fast path changes neither the accepted inputs nor the first error and its
-message.  Duplicate entries of a triple list add up in every reader.
+once.  Triple lists are read by column (`_columns`) into the index arrays
+and coefficient array of the structure constants, and the vectors of a
+candidate file are parsed as one list.  Any other list, well-formed or
+not, is parsed item by item (`_entries`, `_scalar`), so the fast path
+changes neither the accepted inputs nor the first error and its message.
+Duplicate entries of a triple list add up in every reader.
 """
 from __future__ import annotations
 
@@ -25,11 +29,11 @@ import re
 
 import numpy as np
 
-from .algebra import AlgebraObject, table_from_entries
+from .algebra import AlgebraObject
 from .coalgebra import CoalgebraObject
 from .fields import GF, QQ, ScalarField
 from .hopf import BialgebraObject, HopfObject
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _dtype
 
 
 class FileFormatError(Exception):
@@ -97,9 +101,10 @@ def _batch_scalars(f, xs) -> list | None:
     return list(map(value.__getitem__, xs))
 
 
-def _batch_entries(f, raw, bounds) -> list | None:
-    """`_entries` of a list whose entries all have the right length, JSON
-    integer indices in range and integer coefficient strings; else None."""
+def _batch_columns(f, raw, bounds) -> list | None:
+    """The columns of a list whose entries all have the right length, JSON
+    integer indices in range and integer coefficient strings: one int64
+    array per index and the parsed coefficients; else None."""
     if type(raw) is not list or set(map(type, raw)) != {list} or set(map(len, raw)) != {len(bounds) + 1}:
         return None
     cols = list(zip(*raw))
@@ -107,14 +112,12 @@ def _batch_entries(f, raw, bounds) -> list | None:
         if set(map(type, col)) != {int} or min(col) < 0 or max(col) >= b:
             return None
     vals = _batch_scalars(f, cols[-1])
-    return None if vals is None else list(zip(*cols[:-1], vals))
+    return None if vals is None else [np.array(col, dtype=np.int64) for col in cols[:-1]] + [vals]
 
 
-def _entries(f, raw, bounds, what):
-    """Parse [i_1, ..., i_r, c] entries, each index below its bound."""
-    out = _batch_entries(f, raw, bounds)
-    if out is not None:
-        return out
+def _entries(f, raw, bounds, what) -> list:
+    """Parse [i_1, ..., i_r, c] entries item by item, each index below its
+    bound, into tuples; the first bad entry raises."""
     out = []
     for t in _list(raw, what):
         if not isinstance(t, list) or len(t) != len(bounds) + 1:
@@ -124,6 +127,20 @@ def _entries(f, raw, bounds, what):
             raise FileFormatError(f"{what} entry {t!r} out of range")
         out.append((*idx, _scalar(f, t[-1], f"{what} entry {t!r}")))
     return out
+
+
+def _columns(f, raw, bounds, what) -> tuple:
+    """[i_1, ..., i_r, c] entries as r int64 index arrays and the array of
+    their coefficients, in the order of the entries.  A regular list is read
+    column by column (`_batch_columns`); any other goes through `_entries`,
+    so the column read changes neither the accepted inputs nor the first
+    error and its message."""
+    cols = _batch_columns(f, raw, bounds)
+    if cols is None:
+        entries = _entries(f, raw, bounds, what)
+        cols = [np.array([e[t] for e in entries], dtype=np.int64) for t in range(len(bounds))]
+        cols.append([e[-1] for e in entries])
+    return (*cols[:-1], np.array(cols[-1], dtype=_dtype(f)))
 
 
 def field_to_json(f: ScalarField) -> dict:
@@ -182,11 +199,11 @@ def object_to_json(x) -> dict:
     return doc
 
 
-def _table(f, entries, n: int) -> tuple:
-    """Structure-constant arrays (i, j, k, v) from (i, j, k, c) entries with
-    indices below n: the entries of one (i, j, k) add up, in the place of
-    its first entry."""
-    i, j, k, v = table_from_entries(f, entries)
+def _table(f, raw, n: int, what: str) -> tuple:
+    """Structure-constant arrays (i, j, k, v) from a list of [i, j, k, c]
+    entries with indices below n (`_columns`): the entries of one (i, j, k)
+    add up, in the place of its first entry."""
+    i, j, k, v = _columns(f, raw, (n, n, n), what)
     key = (i * n + j) * n + k
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     if first.size == key.size:
@@ -213,10 +230,10 @@ def object_from_json(doc):
             raise FileFormatError(f"basis label {x!r} is not a string")
     alg = coalg = None
     if "mul" in doc:
-        mul = _table(f, _entries(f, doc["mul"], (dim, dim, dim), "mul"), dim)
+        mul = _table(f, doc["mul"], dim, "mul")
         alg = AlgebraObject.from_constants(f, dim, mul, _parse_vec(f, doc.get("unit"), dim, "unit"), labels)
     if "comul" in doc:
-        comul = _table(f, _entries(f, doc["comul"], (dim, dim, dim), "comul"), dim)
+        comul = _table(f, doc["comul"], dim, "comul")
         coalg = CoalgebraObject.from_constants(f, dim, comul, _parse_vec(f, doc.get("counit"), dim, "counit"), labels)
     if alg is None and coalg is None:
         raise FileFormatError("file carries neither mul nor comul")
@@ -260,7 +277,14 @@ def subspace_from_json(doc, field=None, ambient=None) -> Subspace:
         raise FileFormatError(f"subspace over {f!r} for a structure over {field!r}")
     if ambient is not None and n != ambient:
         raise FileFormatError(f"subspace ambient_dim {n} for a structure of dim {ambient}")
-    vecs = [_parse_vec(f, v, n, "subspace vector") for v in _list(raw, "vectors")]
+    raw = _list(raw, "vectors")
+    vals = None
+    if all(type(v) is list and len(v) == n for v in raw):
+        vals = _batch_scalars(f, list(itertools.chain.from_iterable(raw)))
+    if vals is None:
+        vecs = [_parse_vec(f, v, n, "subspace vector") for v in raw]
+    else:
+        vecs = [vals[r * n : (r + 1) * n] for r in range(len(raw))]
     return Subspace.from_vectors(f, n, vecs)
 
 
@@ -271,9 +295,10 @@ def _sparse_matrix_triples(f, m: Matrix) -> list:
 
 
 def _matrix_from_triples(f, rows, cols, triples, what) -> Matrix:
+    i, j, v = (x.tolist() for x in _columns(f, triples, (rows, cols), what))
     entries: dict = {}
-    for i, j, c in _entries(f, triples, (rows, cols), what):
-        entries[(i, j)] = f.add(entries[(i, j)], c) if (i, j) in entries else c
+    for key, c in zip(zip(i, j), v):
+        entries[key] = f.add(entries[key], c) if key in entries else c
     return Matrix.from_entries(f, rows, cols, entries)
 
 
@@ -327,14 +352,14 @@ def quadruple_from_json(doc):
     coact = _matrix_from_triples(f, dh * dr, dr, env.get("yd_coact", []), "yd_coact")
     yd = YDObject(h, dr, act, coact)
     if side == "primal":
-        mul = _table(f, _entries(f, env.get("R_mul", []), (dr, dr, dr), "R_mul"), dr)
+        mul = _table(f, env.get("R_mul", []), dr, "R_mul")
         r_alg = AlgebraObject.from_constants(f, dr, mul, _parse_vec(f, env.get("R_unit"), dr, "R_unit"))
         eps = _parse_vec(f, env.get("eps"), dr, "eps")
         delta = _matrix_from_triples(f, dr * dr, dr, env.get("delta", []), "delta")
         omega = _matrix_from_triples(f, dr * dr, dh, env.get("omega", []), "omega")
         return YDQuadruple(h, r_alg, yd, eps, delta, omega)
     if side == "dual":
-        comul = _table(f, _entries(f, env.get("R_comul", []), (dr, dr, dr), "R_comul"), dr)
+        comul = _table(f, env.get("R_comul", []), dr, "R_comul")
         r_coalg = CoalgebraObject.from_constants(f, dr, comul, _parse_vec(f, env.get("R_counit"), dr, "R_counit"))
         one = _parse_vec(f, env.get("one"), dr, "one")
         mulm = _matrix_from_triples(f, dr, dr * dr, env.get("m", []), "m")
@@ -361,14 +386,68 @@ def report_to_json(report) -> dict:
     return doc
 
 
+# the JSON text of each scalar type, as json.dumps writes it
+_ATOMS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+class _Unsupported(Exception):
+    """A value `_encode` leaves to json.dumps."""
+
+
+def _encode(x, nl: str) -> str:
+    """x as json.dumps(x, sort_keys=True, separators=(",", ": "), indent=1)
+    writes it at the line start nl; a list of scalars of one type is one
+    join.  Raises _Unsupported on floats, dicts with keys that are not
+    strings and every type json.dumps does not write as a list or dict."""
+    enc = _ATOMS.get(type(x))
+    if enc is not None:
+        return enc(x)
+    inner = nl + " "
+    if type(x) is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise _Unsupported
+        parts = (_ATOMS[str](k) + ": " + _encode(v, inner) for k, v in sorted(x.items()))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if type(x) is list or type(x) is tuple:
+        if not x:
+            return "[]"
+        parts = _atoms(x)
+        if parts is None and set(map(type, x)) == {list} and len(set(map(len, x))) == 1 and x[0]:
+            cols = [_atoms(col) for col in zip(*x)]  # a table of scalars, one join per column
+            if None not in cols:
+                sep = "," + inner + " "
+                parts = ("[" + inner + " " + sep.join(row) + inner + "]" for row in zip(*cols))
+        if parts is None:
+            parts = (_encode(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    raise _Unsupported
+
+
+def _atoms(xs):
+    """The JSON texts of a sequence of scalars of one type, else None."""
+    kinds = set(map(type, xs))
+    enc = _ATOMS.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if enc is None else map(enc, xs)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The deterministic JSON text of a document: sorted keys, one space of
+    indent per level, a final newline.  `_encode` writes it; json.dumps,
+    whose indented form runs its pure-Python encoder, only what `_encode`
+    leaves."""
+    try:
+        return _encode(doc, "\n") + "\n"
+    except _Unsupported:
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise FileFormatError(f"invalid JSON: {e}")
 
 

@@ -3,6 +3,7 @@ item-by-item parse it replaces, and the duplicate-triple rule."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,24 +11,13 @@ from hypothesis import strategies as st
 from hopfsplit import serialize
 from hopfsplit.cli import main
 from hopfsplit.fields import GF, QQ
+from hopfsplit.linalg import _dtype
 from hopfsplit.serialize import (
-    FileFormatError, _entries, _int, _list, _matrix_from_rows, _matrix_from_triples, _parse_vec, _scalar,
+    FileFormatError, _columns, _entries, _list, _matrix_from_rows, _matrix_from_triples, _parse_vec, _scalar,
     object_from_json, quadruple_from_json, quadruple_to_json, subspace_from_json,
 )
 
 # -- the item-by-item readers, as they were before the batch parse ---------
-
-
-def ref_entries(f, raw, bounds, what):
-    out = []
-    for t in _list(raw, what):
-        if not isinstance(t, list) or len(t) != len(bounds) + 1:
-            raise FileFormatError(f"bad {what} entry {t!r}")
-        idx = [_int(x, f"{what} entry {t!r}") for x in t[:-1]]
-        if not all(0 <= i < b for i, b in zip(idx, bounds)):
-            raise FileFormatError(f"{what} entry {t!r} out of range")
-        out.append((*idx, _scalar(f, t[-1], f"{what} entry {t!r}")))
-    return out
 
 
 def ref_vec(f, raw, dim, what):
@@ -104,8 +94,12 @@ def vectors(draw):
 @given(f=st.sampled_from(FIELDS), case=st.integers(3, 4).flatmap(entry_lists))
 def test_batch_entries_match_item_parse(f, case):
     bounds, raw = case
-    got = outcome(_entries, f, raw, bounds, "mul")
-    assert typed(got) == typed(outcome(ref_entries, f, raw, bounds, "mul"))
+    got = outcome(_columns, f, raw, bounds, "mul")
+    if got[0] == "ok":
+        idx, vals = got[1][:-1], got[1][-1]
+        assert all(x.dtype == np.int64 for x in idx) and vals.dtype == _dtype(f)
+        got = "ok", list(zip(*(x.tolist() for x in got[1])))
+    assert typed(got) == typed(outcome(_entries, f, raw, bounds, "mul"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,7 +136,7 @@ def item_parse(monkeypatch):
     def run(fn, *args):
         with monkeypatch.context() as mp:
             mp.setattr(serialize, "_batch_scalars", lambda f, xs: None)
-            mp.setattr(serialize, "_batch_entries", lambda f, raw, bounds: None)
+            mp.setattr(serialize, "_batch_columns", lambda f, raw, bounds: None)
             return outcome(fn, *args)
     return run
 
@@ -339,3 +333,40 @@ def test_quadruple_readers_sum_duplicate_triples(quadruple_docs, side, key):
     want = quadruple_view(quadruple_from_json(doc))
     doc["quadruple"][key] = _split_first(doc["quadruple"][key])
     assert quadruple_view(quadruple_from_json(doc)) == want
+
+
+# -- the writer against json.dumps -----------------------------------------
+
+
+def json_text(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+strings = st.text(st.sampled_from('ab"\\/\n\t\x00\x1féü☃ \U0001d11e'), max_size=6) | st.text(max_size=4)
+scalars = st.none() | st.booleans() | st.integers(-(10**25), 10**25) | strings
+tables = st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(scalars, min_size=w, max_size=w), max_size=4))
+documents = st.recursive(
+    scalars | tables | st.floats(),
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids) | st.dictionaries(strings, kids, max_size=4)
+    | st.dictionaries(st.integers(0, 3), kids, max_size=2),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=documents)
+def test_dumps_writes_the_text_of_json_dumps(doc):
+    assert serialize.dumps(doc) == json_text(doc)
+
+
+def test_dumps_matches_json_on_structure_files_and_reports():
+    from hopfsplit.builtin import sweedler_h4, taft
+    from hopfsplit.linalg import Subspace
+    from hopfsplit.pipeline import run_radical_pipeline
+    from hopfsplit.tensors import v_basis
+
+    f = GF(29)
+    docs = [serialize.object_to_json(taft(7, f.primitive_root_of_unity(7), f))]
+    rep = run_radical_pipeline(sweedler_h4(QQ), Subspace.from_vectors(QQ, 4, [v_basis(QQ, 4, 1), v_basis(QQ, 4, 3)]))
+    docs.append(serialize.report_to_json(rep))
+    for doc in docs:
+        assert serialize.dumps(doc) == json_text(doc)
