@@ -295,11 +295,10 @@ def _sparse_matrix_triples(f, m: Matrix) -> list:
 
 
 def _matrix_from_triples(f, rows, cols, triples, what) -> Matrix:
-    i, j, v = (x.tolist() for x in _columns(f, triples, (rows, cols), what))
-    entries: dict = {}
-    for key, c in zip(zip(i, j), v):
-        entries[key] = f.add(entries[key], c) if key in entries else c
-    return Matrix.from_entries(f, rows, cols, entries)
+    i, j, v = _columns(f, triples, (rows, cols), what)
+    d = Matrix.zeros(f, rows, cols)._d
+    np.add.at(d, (i, j), v)
+    return Matrix(f, rows, cols, f.reduce(d), _raw=True)
 
 
 def quadruple_to_json(q) -> dict:
@@ -447,7 +446,7 @@ def dumps(doc) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer literal past int's digit limit
+    except (ValueError, RecursionError) as e:  # also an integer past int's digit limit, or deep nesting
         raise FileFormatError(f"invalid JSON: {e}")
 
 

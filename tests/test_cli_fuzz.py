@@ -150,11 +150,16 @@ def test_mutated_files_keep_the_exit_code_contract(files, data):
         assert (code, out) == (2, "") and err.startswith("input error: ") and err.count("\n") == 1, (code, err)
 
 
-def test_an_over_long_integer_literal_exits_2(files):
+@pytest.mark.parametrize("text", [
     # json.loads raises a bare ValueError past Python's 4300-digit limit for
-    # int conversion; it used to reach `cli.main` as a mathematical negative
-    docs, spath, _ = files
-    text = json.dumps(docs["z3_f7"][0]).replace('"1"]', "1" + "0" * 5000 + "]", 1)
+    # int conversion, and RecursionError on deep nesting; both used to reach
+    # `cli.main`, the first as a mathematical negative, the second as a
+    # traceback
+    '{"field": {"kind": "Q"}, "dim": 1, "mul": [[0, 0, 0, 1%s]], "unit": ["1"]}' % ("0" * 5000),
+    "[" * 100000 + "]" * 100000,
+], ids=["long_integer", "deep_nesting"])
+def test_unreadable_json_exits_2(files, text):
+    _, spath, _ = files
     spath.write_text(text)
     code, out, err = run(["validate", str(spath)])
-    assert (code, out) == (2, "") and err.startswith("input error: invalid JSON: ")
+    assert (code, out) == (2, "") and err.startswith("input error: invalid JSON: ") and err.count("\n") == 1

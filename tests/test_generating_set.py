@@ -157,7 +157,7 @@ def basis_changed(a, lower):
 @given(p=st.sampled_from([7, 13, 31]), data=st.data())
 def test_basis_changed_taft_matches_rref(p, data):
     a = taft_over(3, p).as_algebra()
-    lower = [[data.draw(st.integers(0, p - 1)) for _ in range(9)] for _ in range(9)]
+    lower = [[data.draw(st.integers(0, p - 1)) for _ in range(t)] for t in range(9)]
     b = basis_changed(a, lower)
     assert b.validate().ok
     assert_closures_agree(b, caps=[0, 24])
@@ -166,7 +166,7 @@ def test_basis_changed_taft_matches_rref(p, data):
 @pytest.mark.parametrize("p", [7, 13])
 def test_taft_on_a_non_monomial_basis_takes_the_rref_path(p):
     # f_1 = 1 + g: f_1 f_1 = g^2 + 2 g + 1 = f_2 + 2 f_1 - f_0
-    lower = [[0] * 9 for _ in range(9)]
+    lower = [[0] * t for t in range(9)]
     lower[1][0] = 1
     b = basis_changed(taft_over(3, p).as_algebra(), lower)
     assert b.validate().ok
