@@ -44,7 +44,8 @@ subalgebras, and so is {x : f(xy) = f(x) f(y) for all y} when the target
 is associative and unital and f(1) = 1; so `is_ideal` multiplies I by the
 generators only, and `multiplicativity_defect` reads its verdict on their
 rows, rerunning every row for the witness.  `radical` validates A first.
-"""
+What a verified theorem implies is recorded, not recomputed (README,
+"Implied checks")."""
 from __future__ import annotations
 
 import numpy as np
@@ -506,16 +507,35 @@ def record_bimodule_axioms(rep: ValidationReport, a: AlgebraObject, dm: int, act
 
 
 class IdealData:
-    """Two-sided ideal given as a subspace (with an optional generator map)."""
+    """Two-sided ideal given as a subspace (with an optional generator map).
+    It records that it is an ideal (`holds`) and, once
+    `ideal_power_nilpotency` ran on it, the chain I, I^2, ..., 0 as
+    IdealData (`powers`) and the index; consumers read the record."""
 
     def __init__(self, algebra: AlgebraObject, subspace: Subspace, witness: Matrix | None = None):
         self.algebra = algebra
         self.subspace = subspace
         self.witness = witness
+        self._ideal = False  # `is_ideal` passed, or a verified theorem implies it
+        self.powers: list[IdealData] | None = None
+        self.nil_index: int | None = None
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
+
+    def holds(self) -> bool:
+        """`is_ideal` of the subspace, until it passes once (recorded)."""
+        if not self._ideal:
+            self._ideal = is_ideal(self.algebra, self.subspace)
+        return self._ideal
+
+
+def _is_ideal_of(a: AlgebraObject, ideal: IdealData | Subspace) -> bool:
+    """`IdealData.holds` for an IdealData of a, else `is_ideal`."""
+    if isinstance(ideal, IdealData) and ideal.algebra is a:
+        return ideal.holds()
+    return is_ideal(a, ideal.subspace if isinstance(ideal, IdealData) else ideal)
 
 
 def _dense(f: ScalarField, shape) -> np.ndarray:
@@ -706,24 +726,27 @@ def ideal_power_nilpotency(a: AlgebraObject, ideal: IdealData, max_n: int = 64):
     """Powers I^n (n-fold products, n >= 2; I^1 := I) and the nilpotency index.
 
     Returns (powers, index) where powers[0] = I^1; raises NotNilpotentWithin
-    if I^max_n is still nonzero.
+    if I^max_n is still nonzero.  The chain is recorded on an IdealData of
+    a, each power as an ideal when A is verified: x I^n = (x I) I^(n-1)
+    <= I^n by associativity, and likewise on the right.
     """
-    if not is_ideal(a, ideal.subspace):
+    if not _is_ideal_of(a, ideal):
         raise ValueError("not an ideal")
     powers = [ideal.subspace]
-    n = 1
-    while n < max_n:
-        prev = powers[-1]
-        if prev.dim == 0:
-            return powers, n + 1 if n == 1 else n  # I = 0: I^2 = 0 at index 2
-        nxt = Subspace.from_matrix_rows(pairwise_products(a, ideal.subspace.basis, prev.basis))
-        powers.append(nxt)
-        n += 1
-        if nxt.dim == 0:
-            return powers, n
-        if nxt.dim == prev.dim:  # stabilised above zero: never nilpotent
+    while powers[-1].dim:
+        if len(powers) == max_n:
             raise NotNilpotentWithin(max_n)
-    raise NotNilpotentWithin(max_n)
+        nxt = Subspace.from_matrix_rows(pairwise_products(a, ideal.subspace.basis, powers[-1].basis))
+        if nxt.dim == powers[-1].dim:  # stabilised above zero: never nilpotent
+            raise NotNilpotentWithin(max_n)
+        powers.append(nxt)
+    index = max(len(powers), 2)  # I = 0: I^2 = 0 at index 2
+    if ideal.algebra is a:
+        ideal.powers = [ideal] + [IdealData(a, p) for p in powers[1:]]
+        for p in ideal.powers[1:]:
+            p._ideal = a._verified
+        ideal.nil_index = index
+    return powers, index
 
 
 class SmallCharUnsupported(Exception):
@@ -782,7 +805,7 @@ def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> I
     quotient, which pins it as the radical in any characteristic.
     Either way A is validated first, on a generating set (so the ideal
     tests may use it), unless it already is; a failed axiom raises
-    CertificationFailed naming it.
+    CertificationFailed naming it.  The ideal is tested once (`holds`).
     """
     _require_valid(a)
     f = a.field
@@ -792,12 +815,12 @@ def radical(a: AlgebraObject, certified_candidate: IdealData | None = None) -> I
         ker = trace_form(a).kernel()
         rad = IdealData(a, Subspace.from_matrix_rows(ker))
         if rad.dim:
-            if not is_ideal(a, rad.subspace):
+            if not rad.holds():
                 raise CertificationFailed("trace-form kernel is not an ideal")
             ideal_power_nilpotency(a, rad)  # raises if not nilpotent
         return rad
     cand = certified_candidate
-    if not is_ideal(a, cand.subspace):
+    if not _is_ideal_of(a, cand):
         raise CertificationFailed("candidate is not a two-sided ideal")
     try:
         ideal_power_nilpotency(a, cand)
@@ -937,11 +960,12 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     The complement basis consists of the non-pivot coordinates of the
     ideal's RREF basis, so the construction is deterministic.  Q's
     structure constants are proj applied to the products of the free basis
-    vectors, and proj is re-verified to be an algebra map.
+    vectors, and proj is re-verified to be an algebra map.  Q is validated
+    unless A is verified: A/I is then associative and unital (recorded).
     """
-    s = ideal.subspace if isinstance(ideal, IdealData) else ideal
-    if not is_ideal(a, s):
+    if not _is_ideal_of(a, ideal):
         raise ValueError("not an ideal")
+    s = ideal.subspace if isinstance(ideal, IdealData) else ideal
     f = a.field
     n = a.dim
     free = s.free_columns()
@@ -952,7 +976,10 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     consts = pairwise_products(a, basis, basis).matmul(proj._d.T)  # row (ti, tj)
     q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts._r, qdim), consts._c, consts._v),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
-    q.validate().require("quotient algebra")
+    if a._verified:
+        q._verified = True
+    else:
+        q.validate().require("quotient algebra")
     bad = multiplicativity_defect(a, q, proj)
     if bad is not None:
         raise VerificationFailed("projection_algebra_map", bad)

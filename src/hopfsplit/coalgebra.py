@@ -184,8 +184,8 @@ def dualize(x):
     basis identification.  A bialgebra's dual is the dual of its coalgebra as the
     algebra and the dual of its algebra as the coalgebra.  Its axioms are
     the object's, read with the legs swapped (associativity is
-    coassociativity), so the dual of a bialgebra whose axioms were
-    validated counts as validated.
+    coassociativity), so the dual of a validated object counts as
+    validated, and so do the parts of a dual bialgebra.
     """
     from .hopf import BialgebraObject, HopfObject
 
@@ -198,10 +198,13 @@ def dualize(x):
         dual._verified = x._verified
         return dual
     if isinstance(x, AlgebraObject):
-        return CoalgebraObject.from_constants(x.field, x.dim, x.table, x.unit, _dual_labels(x.labels))
-    if isinstance(x, CoalgebraObject):
-        return AlgebraObject.from_constants(x.field, x.dim, x.table, x.counit, _dual_labels(x.labels))
-    raise TypeError(f"cannot dualize {type(x).__name__}")
+        dual = CoalgebraObject.from_constants(x.field, x.dim, x.table, x.unit, _dual_labels(x.labels))
+    elif isinstance(x, CoalgebraObject):
+        dual = AlgebraObject.from_constants(x.field, x.dim, x.table, x.counit, _dual_labels(x.labels))
+    else:
+        raise TypeError(f"cannot dualize {type(x).__name__}")
+    dual._verified = x._verified
+    return dual
 
 
 def _dual_labels(labels):

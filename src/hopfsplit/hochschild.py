@@ -70,7 +70,7 @@ from .linalg import (
     _matmul,
     kernel_from_rref,
 )
-from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor, v_zero
+from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor
 
 
 class AlgebraInContext:
@@ -435,18 +435,7 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
     y, x = np.divmod(col, da)
     parts.append((da + y, x, da + out, mctx.act_r._d[out, col]))
     table = [np.concatenate(x) for x in zip(*parts)]
-    unit = list(a.unit) + v_zero(fld, dm)
-    w11 = v_zero(fld, dm)
-    for i, u in enumerate(a.unit):
-        if fld.is_zero(u):
-            continue
-        for j, u2 in enumerate(a.unit):
-            if fld.is_zero(u2):
-                continue
-            oc = omega.col_list(i * da + j)
-            w11 = [fld.add(x, fld.mul(fld.mul(u, u2), y)) for x, y in zip(w11, oc)]
-    for t, c in enumerate(w11):
-        unit[da + t] = c
+    unit = list(a.unit) + omega.apply(v_tensor(fld, a.unit, a.unit))  # (1, omega(1, 1))
     e_alg = AlgebraObject.from_constants(fld, de, table, unit,
                                          tuple(actx.algebra.labels) + tuple("m:" + l for l in mctx.obj.labels))
     e_obj = _direct_sum_object(actx.ctx, actx.obj, mctx.obj)
@@ -710,12 +699,13 @@ class QuotientStep:
         self.free = free  # ambient indices of the complement basis
 
 
-def quotient_in_context(actx: AlgebraInContext, ideal_subspace: Subspace) -> QuotientStep:
+def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> QuotientStep:
     """Quotient algebra with coactions descended along the projection."""
     from .algebra import quotient_algebra
 
     fld = actx.field
-    q, proj = quotient_algebra(actx.algebra, IdealData(actx.algebra, ideal_subspace))
+    q, proj = quotient_algebra(actx.algebra, ideal)
+    ideal_subspace = ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = actx.dim, q.dim
     free = ideal_subspace.free_columns()
     incl = Matrix.from_entries(fld, n, dq, {(fr, t): fld.one() for t, fr in enumerate(free)})
@@ -816,19 +806,26 @@ def _coordinate_section(fld, cur: QuotientStep, nxt: QuotientStep) -> Matrix:
 
 
 def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
-                       b_actx: AlgebraInContext, f_map: Matrix,
-                       return_steps: bool = False):
+                       b_actx: AlgebraInContext, f_map: Matrix):
     """Lift an algebra map B -> A/J to B -> A through the square-zero tower
     A/J^(r+1) -> A/J^r, correcting a ctx-lift at every step.
 
-    f_map is expressed in the canonical basis of A/J produced by
-    quotient_in_context(actx, J).  Returns the lifted map B -> A.
+    The tower is the chain J, J^2, ..., 0 recorded on j_ideal (computed if
+    none is), refused unless it ends at 0; its top level A/0 is A itself.
+    f_map is expressed in the complement basis of A/J (the free columns of
+    J's RREF basis).  Returns the lifted map B -> A.
     """
-    powers, nil_index = ideal_power_nilpotency(actx.algebra, j_ideal)
-    # chain of quotients A/J^1, A/J^2, ..., A/J^(nil) = A
-    steps = [quotient_in_context(actx, powers[r]) for r in range(len(powers))]
+    if j_ideal.algebra is not actx.algebra:
+        raise ValueError("the ideal is of another algebra")
+    if j_ideal.powers is None:
+        ideal_power_nilpotency(actx.algebra, j_ideal)
+    powers = j_ideal.powers
     if powers[-1].dim != 0:
         raise ValueError("ideal is not nilpotent")
+    # chain of quotients A/J^1, A/J^2, ..., A/J^(nil) = A
+    eye = Matrix.identity(actx.field, actx.dim)
+    steps = [quotient_in_context(actx, p) for p in powers[:-1]]
+    steps.append(QuotientStep(actx, eye, eye, list(range(actx.dim))))
     f_cur = f_map
     for r in range(len(steps) - 1):
         cur, nxt = steps[r], steps[r + 1]
@@ -839,10 +836,9 @@ def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
         f_cur = _tower_correct(b_actx, nxt.actx, p_r, kr, sigma0u)
     lift = f_cur
     # final check: the lift projects onto f_map (each step verified the rest)
-    down = steps[0].proj_from_full @ steps[-1].incl_to_full @ lift
-    if not (down - f_map).is_zero():
+    if not (steps[0].proj_from_full @ lift - f_map).is_zero():
         raise VerificationFailed("tower_lift_projects_to_target")
-    return (lift, steps) if return_steps else lift
+    return lift
 
 
 def unitalize_section_generic(b_actx: AlgebraInContext, e_alg: AlgebraObject,

@@ -22,7 +22,6 @@ from .algebra import (
     ValidationReport,
     constants_of,
     ideal_power_nilpotency,
-    is_ideal,
     pairwise_products,
     separability_idempotent,
 )
@@ -72,11 +71,12 @@ class CertificationFailed(Exception):
 
 
 class CertifiedInput:
-    """Certified data for one side of the splitting pipeline."""
+    """Certified data for one side of the splitting pipeline; `ideal`
+    (radical side) records J's ideal test and power chain, the tower."""
 
     def __init__(self, side: str, bialgebra: BialgebraObject, candidate: Subspace,
                  hopf: HopfObject, proj: Matrix | None, incl: Matrix | None,
-                 checks: ValidationReport, nil_index: int | None = None):
+                 checks: ValidationReport, ideal: IdealData | None = None):
         self.side = side
         self.bialgebra = bialgebra
         self.candidate = candidate
@@ -84,15 +84,17 @@ class CertifiedInput:
         self.proj = proj  # A -> H (radical side)
         self.incl = incl  # H -> A (coradical side: inclusion matrix)
         self.checks = checks
-        self.nil_index = nil_index
+        self.ideal = ideal
 
 
-def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
-    """Quotient bialgebra A / I for a biideal I; returns (Q, proj, incl)."""
+def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
+    """Quotient bialgebra A / I for a biideal I; returns (Q, proj, incl).
+    Q is validated: a non-coideal I fails there first."""
     from .algebra import quotient_algebra
 
     f = a.field
-    q_alg, proj = quotient_algebra(a.as_algebra(), IdealData(a.as_algebra(), ideal))
+    q_alg, proj = quotient_algebra(a.as_algebra(), ideal)
+    ideal = ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = a.dim, q_alg.dim
     free = ideal.free_columns()
     incl = Matrix.from_entries(f, n, dq, {(fr, t): f.one() for t, fr in enumerate(free)})
@@ -116,7 +118,8 @@ def quotient_bialgebra(a: BialgebraObject, ideal: Subspace):
 def sub_bialgebra(a: BialgebraObject, d: Subspace):
     """Bialgebra structure on a sub-bialgebra in its RREF basis.
 
-    Returns (B, incl) with incl (dim x d.dim)."""
+    Returns (B, incl) with incl (dim x d.dim).  B is validated unless A
+    is verified: B's axioms are then A's, read through the inclusion."""
     f = a.field
     if not is_subcoalgebra(a.as_coalgebra(), d):
         raise CertificationFailed("candidate is not a subcoalgebra")
@@ -131,7 +134,10 @@ def sub_bialgebra(a: BialgebraObject, d: Subspace):
     labels = tuple(f"h{t}" for t in range(dd))
     b = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dd, constants_of(prods, dd), unit, labels),
                                    CoalgebraObject.from_constants(f, dd, sub_co.table, sub_co.counit, labels))
-    b.validate().require("sub-bialgebra")
+    if a._verified:
+        b._verified = b.as_algebra()._verified = b.as_coalgebra()._verified = True
+    else:
+        b.validate().require("sub-bialgebra")
     return b, incl
 
 
@@ -156,18 +162,18 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
     rep = ValidationReport()
     f = a.field
     if side == "radical":
-        alg = a.as_algebra()
-        if not is_ideal(alg, candidate):
+        j = IdealData(a.as_algebra(), candidate)
+        if not j.holds():
             raise CertificationFailed("candidate is not a two-sided ideal")
         rep.record("ideal", True)
         from .algebra import NotNilpotentWithin
 
         try:
-            powers, nil_index = ideal_power_nilpotency(alg, IdealData(alg, candidate), max_nil)
+            ideal_power_nilpotency(j.algebra, j, max_nil)
         except NotNilpotentWithin:
             raise CertificationFailed("candidate is not nilpotent")
         rep.record("nilpotent", True)
-        q, proj, incl = quotient_bialgebra(a, candidate)
+        q, proj, incl = quotient_bialgebra(a, j)
         rep.record("coideal_and_quotient_bialgebra", True)
         h = upgrade_to_hopf(q)
         rep.record("quotient_has_antipode", True)
@@ -176,7 +182,7 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
         except NotSeparable:
             raise CertificationFailed("quotient is not separable (not semisimple)")
         rep.record("quotient_separable", True)
-        return CertifiedInput(side, a, candidate, h, proj, incl, rep, nil_index)
+        return CertifiedInput(side, a, candidate, h, proj, incl, rep, j)
     if side == "coradical":
         b, incl = sub_bialgebra(a, candidate)
         rep.record("sub_bialgebra", True)
@@ -237,9 +243,8 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
                       coact_l=reg.coact_l if level == "bicomodule" else None,
                       coact_r=reg.coact_r)
     b_actx = AlgebraInContext(actx.ctx, h.as_algebra(), b_obj)
-    j_ideal = IdealData(a.as_algebra(), certified.candidate)
     f_map = Matrix.identity(f, h.dim)  # A/J and H share the complement basis
-    sigma = lift_through_tower(actx, j_ideal, b_actx, f_map)
+    sigma = lift_through_tower(actx, certified.ideal, b_actx, f_map)
     pi = certified.proj
     # re-verify everything claimed
     rep.record("pi_sigma_id", (pi @ sigma) == Matrix.identity(f, h.dim), "pi sigma != id")
@@ -353,7 +358,7 @@ def hopf_upgrade(a: BialgebraObject, biideal: Subspace) -> HopfObject:
     s0 = incl @ hq.antipode @ proj
     u = _convolve(a, Matrix.identity(f, n), s0)
     # n_mat = u - u eps maps into the ideal; geometric series inverts u
-    ueps = _u_eps(a)
+    ueps = Matrix.column(f, a.unit) @ Matrix.row(f, a.counit)  # x -> eps(x) 1
     n_mat = u - ueps
     inv = ueps
     term = n_mat
@@ -392,20 +397,6 @@ def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:
     f(e_i) g(e_j), one column per pair (i, j), times the matrix of Delta."""
     prods = pairwise_products(a.as_algebra(), fm.transpose(), gm.transpose()).dense().transpose()
     return prods @ a.as_coalgebra().comul_matrix()
-
-
-def _u_eps(a: BialgebraObject) -> Matrix:
-    fld = a.field
-    n = a.dim
-    cols = {}
-    for k in range(n):
-        e = a.counit[k]
-        if fld.is_zero(e):
-            continue
-        for t, u in enumerate(a.unit):
-            if not fld.is_zero(u):
-                cols[(t, k)] = fld.mul(e, u)
-    return Matrix.from_entries(fld, n, n, cols)
 
 
 def corad_filtration_smash_check(a: BialgebraObject, report: SplitReport) -> ValidationReport:
