@@ -741,10 +741,10 @@ def ideal_power_nilpotency(a: AlgebraObject, ideal: IdealData, max_n: int = 64):
             raise NotNilpotentWithin(max_n)
         powers.append(nxt)
     index = max(len(powers), 2)  # I = 0: I^2 = 0 at index 2
-    if ideal.algebra is a:
-        ideal.powers = [ideal] + [IdealData(a, p) for p in powers[1:]]
-        for p in ideal.powers[1:]:
-            p._ideal = a._verified
+    if ideal.algebra is a:  # new IdealData, so that the record makes no reference cycle
+        ideal.powers = [IdealData(a, p) for p in powers]
+        for p in ideal.powers:
+            p._ideal = p.subspace is ideal.subspace or a._verified
         ideal.nil_index = index
     return powers, index
 

@@ -25,8 +25,10 @@ COO rows, eliminated over Q modulo primes with an exact certificate
 coefficient matrix is the one a per-cochain evaluation builds, so
 kernels, representatives and reports come out the same byte for byte.
 
-Lifting through a nilpotent tower runs on whole matrices: each quotient
-descends its coactions by one product, (proj (x) id_H) co [ideal^T | incl],
+Lifting through a nilpotent tower runs on whole matrices over the power
+chain recorded on the ideal.  The top level is A itself; each quotient
+below it descends its coactions by one product,
+(proj (x) id_H) co [ideal^T | incl],
 and each square-zero step reads its curvature (`defect_matrix`), kernel
 products and restricted coactions in kernel coordinates
 (`Subspace.coordinates`).  Every step is re-verified; a failure raises

@@ -11,7 +11,9 @@ section transposed back to a bilinear coalgebra retraction.
 
 Every matrix in a SplitReport re-verifies its defining property; solver
 output is never trusted.  The input's bialgebra axioms are validated
-before any candidate check, once per object (`certify_split_input`).
+before any candidate check, once per object (`certify_split_input`), and
+the radical side's candidate is tested as an ideal and its power chain
+computed once: the tower reads them from the certificate.
 """
 from __future__ import annotations
 

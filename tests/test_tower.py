@@ -233,11 +233,11 @@ def test_powers_are_recorded_as_ideals_only_of_a_verified_algebra():
     j = IdealData(a, _taft_candidate(4, "radical"))
     powers, index = ideal_power_nilpotency(a, j)
     assert [p.subspace for p in j.powers] == powers and j.nil_index == index == 4
-    assert j.powers[0] is j and all(p._ideal for p in j.powers)
+    assert j.powers[0].subspace is j.subspace and all(p._ideal for p in j.powers)
     fresh = AlgebraObject.from_constants(a.field, a.dim, a.table, a.unit)
     k = IdealData(fresh, j.subspace)
     ideal_power_nilpotency(fresh, k)
-    assert k._ideal and not any(p._ideal for p in k.powers[1:])
+    assert k.powers[0]._ideal and not any(p._ideal for p in k.powers[1:])
 
 
 def _vect(alg):
