@@ -52,7 +52,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, Subspace, _dtype, _join, _matmul, _summed
-from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq
+from .tensors import SparseMap, StagePipeline, difference, pipelines_equal, v_eq
 
 
 class ValidationReport:
@@ -105,12 +105,22 @@ def table_from_entries(field: ScalarField, entries) -> tuple:
 
 
 def constants_of(m: Matrix, n: int) -> tuple:
-    """The structure constants (i, j, k, v) held by a product matrix
-    (n x n^2, column i n + j) or a coproduct matrix (n^2 x n, row i n + j),
-    ordered by the pair i n + j, then by k."""
-    d = m._d.T if m.rows == n else m._d
-    ij, k = np.nonzero(d)
-    return (*np.divmod(ij, n), k, d[ij, k])
+    """The structure constants (i, j, k, v) held by an n^2 x n matrix with
+    row i n + j and column k (coordinates of products or coproducts of a
+    basis), ordered by the pair i n + j, then by k."""
+    ij, k = np.nonzero(m._d)
+    return (*np.divmod(ij, n), k, m._d[ij, k])
+
+
+def pipeline_constants(pipe: StagePipeline, n: int) -> tuple:
+    """The structure constants (i, j, k, v) of a product (n^2 inputs) or a
+    coproduct (n inputs) composite, read from its COO in `constants_of`'s
+    order; a coproduct's COO comes sorted by (k, i n + j)."""
+    src, dst, v = pipe.coo()
+    if np.prod(pipe.in_dims) == n:
+        order = np.lexsort((src, dst))
+        src, dst, v = dst[order], src[order], v[order]
+    return (*np.divmod(src, n), dst, v)
 
 
 def _frozen(table) -> tuple:
@@ -841,9 +851,10 @@ class NotSeparable(Exception):
 def separability_idempotent(a: AlgebraObject, ctx=None) -> list:
     """Element e of A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x) for all x.
 
-    ctx, when given, is a record with fields hopf / coact_l / coact_r (see
-    category.AlgebraContext); e must then also be coinvariant for the
-    diagonal coactions, making the induced bimodule section colinear.
+    ctx, when given, is a `category.CatObject` over its Hopf object with
+    coactions coact_l / coact_r (either may be None); e must then also be
+    coinvariant for the diagonal coactions, making the induced bimodule
+    section colinear.
     Returns e as a dense vector of length dim^2; raises NotSeparable.
     """
     e = _separability_solution(a, ctx)
@@ -901,8 +912,9 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
     count, left side first.
 
     Right: rho(x (x) y) = x0 (x) y0 (x) x1 y1 must send e to e (x) 1_H;
-    left symmetrically.  Each side is a stage pipeline minus the pipeline
-    inserting 1_H.
+    left symmetrically.  Each side is the COO of a stage pipeline minus the
+    pipeline inserting 1_H (`tensors.difference`): its output keys are the
+    rows, its input keys the coordinates of e.
     """
     f = a.field
     n = a.dim
@@ -910,16 +922,14 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
     dh = h.dim
     mul_h = h.as_algebra().mul_map()
     coo, rows = [], 0
-    for cm, pos in ((ctx.coact_l, 0), (ctx.coact_r, 2)):
-        if cm is None:
+    for sm, pos in ((ctx.coact_l_map, 0), (ctx.coact_r_map, 2)):
+        if sm is None:
             continue
-        sm = SparseMap.from_matrix(cm, (n,), (dh, n) if pos == 0 else (n, dh))
         # (x, h, y, h') on the right, (h, x, h', y) on the left, then h h'
         rho = StagePipeline(f, (n, n)).map_at(sm, 0).map_at(sm, 2).permute((0, 2, 1, 3)).map_at(mul_h, pos)
-        d = (rho.matrix() - StagePipeline(f, (n, n)).insert(pos, h.unit, dh).matrix())._d
-        r, c = d.nonzero()
-        coo.append((r + rows, c, d[r, c]))
-        rows += d.shape[0]
+        c, r, v = difference(rho, StagePipeline(f, (n, n)).insert(pos, h.unit, dh))
+        coo.append((r + rows, c, v))
+        rows += n * n * dh
     empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_dtype(f)),)
     r, c, v = (np.concatenate(x) for x in zip(empty, *coo))
     return r, c, v, rows

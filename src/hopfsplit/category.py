@@ -16,7 +16,7 @@ from .algebra import ValidationReport, VerificationFailed
 from .fields import ScalarField
 from .hopf import HopfObject, IntegralWitness
 from .linalg import Matrix, SparseRows, Subspace, _dtype, _rref, kernel_from_rref, particular_from_rref
-from .tensors import SparseMap, StagePipeline, pipelines_equal, v_basis, v_eq, v_tensor, v_zero
+from .tensors import SparseMap, StagePipeline, pipelines_equal
 
 CTX_KINDS = ("vect", "comod_r", "bicomod", "mod_r", "bimod")
 
@@ -73,22 +73,31 @@ class CatObject:
         self.act_r = act_r
         self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
 
-    # the structure maps as SparseMaps, each built once
+    def __setattr__(self, name, value):
+        """A reassigned structure matrix drops its cached map."""
+        super().__setattr__(name, value)
+        self.__dict__.pop(name + "_map", None)
+
+    # the structure maps as SparseMaps (None where the object has none), each built once
     @cached_property
-    def coact_l_map(self) -> SparseMap:
-        return SparseMap.from_matrix(self.coact_l, (self.dim,), (self.hopf.dim, self.dim))
+    def coact_l_map(self) -> SparseMap | None:
+        m = self.coact_l
+        return None if m is None else SparseMap.from_matrix(m, (self.dim,), (self.hopf.dim, self.dim))
 
     @cached_property
-    def coact_r_map(self) -> SparseMap:
-        return SparseMap.from_matrix(self.coact_r, (self.dim,), (self.dim, self.hopf.dim))
+    def coact_r_map(self) -> SparseMap | None:
+        m = self.coact_r
+        return None if m is None else SparseMap.from_matrix(m, (self.dim,), (self.dim, self.hopf.dim))
 
     @cached_property
-    def act_l_map(self) -> SparseMap:
-        return SparseMap.from_matrix(self.act_l, (self.hopf.dim, self.dim), (self.dim,))
+    def act_l_map(self) -> SparseMap | None:
+        m = self.act_l
+        return None if m is None else SparseMap.from_matrix(m, (self.hopf.dim, self.dim), (self.dim,))
 
     @cached_property
-    def act_r_map(self) -> SparseMap:
-        return SparseMap.from_matrix(self.act_r, (self.dim, self.hopf.dim), (self.dim,))
+    def act_r_map(self) -> SparseMap | None:
+        m = self.act_r
+        return None if m is None else SparseMap.from_matrix(m, (self.dim, self.hopf.dim), (self.dim,))
 
     @classmethod
     def trivial(cls, field, hopf, dim=1) -> "CatObject":
@@ -218,20 +227,16 @@ def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
     dh = h.dim if h else 0
     dx, dy = x.dim, y.dim
 
-    def diag_coact(cl_x, cl_y, side):
-        if cl_x is None or cl_y is None:
+    def diag_coact(sx, sy, side):
+        if sx is None or sy is None:
             return None
-        sx = SparseMap.from_matrix(cl_x, (dx,), (dh, dx) if side == "l" else (dx, dh))
-        sy = SparseMap.from_matrix(cl_y, (dy,), (dh, dy) if side == "l" else (dy, dh))
         # (h, x, h', y) -> (h h', x, y) on the left, (x, h, y, h') -> (x, y, h h') on the right
         pipe = StagePipeline(f, (dx, dy)).map_at(sx, 0).map_at(sy, 2).permute((0, 2, 1, 3))
         return pipe.map_at(h.as_algebra().mul_map(), 0 if side == "l" else 2).matrix()
 
-    def diag_act(al_x, al_y, side):
-        if al_x is None or al_y is None:
+    def diag_act(sx, sy, side):
+        if sx is None or sy is None:
             return None
-        sx = SparseMap.from_matrix(al_x, (dh, dx) if side == "l" else (dx, dh), (dx,))
-        sy = SparseMap.from_matrix(al_y, (dh, dy) if side == "l" else (dy, dh), (dy,))
         if side == "l":  # (h, x, y) -> (h1, x, h2, y) -> (h1 x, h2 y)
             pipe = StagePipeline(f, (dh, dx, dy)).map_at(h.as_coalgebra().comul_map(), 0)
         else:  # (x, y, h) -> (x, h1, y, h2) -> (x h1, y h2)
@@ -240,10 +245,10 @@ def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
 
     return CatObject(
         f, dx * dy, h,
-        coact_l=diag_coact(x.coact_l, y.coact_l, "l"),
-        coact_r=diag_coact(x.coact_r, y.coact_r, "r"),
-        act_l=diag_act(x.act_l, y.act_l, "l"),
-        act_r=diag_act(x.act_r, y.act_r, "r"),
+        coact_l=diag_coact(x.coact_l_map, y.coact_l_map, "l"),
+        coact_r=diag_coact(x.coact_r_map, y.coact_r_map, "r"),
+        act_l=diag_act(x.act_l_map, y.act_l_map, "l"),
+        act_r=diag_act(x.act_r_map, y.act_r_map, "r"),
     )
 
 
@@ -444,42 +449,27 @@ def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
 
 
 def _verify_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, m: Matrix):
-    """Independent re-check of colinearity by direct application; raises
-    VerificationFailed with the first basis vector of X where it fails."""
-    f = x.field
+    """Independent re-check of colinearity, rho_Y m = (m (x) id) rho_X, as
+    pipelines on the objects' coaction maps; raises VerificationFailed with
+    the first basis vector of X where it fails, the right side first on a
+    tie."""
     if ctx.kind == "vect":
         return
-    dh = ctx.hopf.dim
-    for v in range(x.dim):
-        ev = v_basis(f, x.dim, v)
-        if ctx.wants_right_coaction:
-            lhs = y.coact_r.apply(m.apply(ev))
-            rho = x.coact_r.apply(ev)
-            rhs = v_zero(f, y.dim * dh)
-            for idx, c in enumerate(rho):
-                if f.is_zero(c):
-                    continue
-                xv, hh = idx // dh, idx % dh
-                img = m.apply(v_basis(f, x.dim, xv))
-                for yv, w in enumerate(img):
-                    if not f.is_zero(w):
-                        rhs[yv * dh + hh] = f.add(rhs[yv * dh + hh], f.mul(c, w))
-            if not v_eq(f, lhs, rhs):
-                raise VerificationFailed("hom_map_right_colinear", v)
-        if ctx.wants_left_coaction:
-            lhs = y.coact_l.apply(m.apply(ev))
-            rho = x.coact_l.apply(ev)
-            rhs = v_zero(f, dh * y.dim)
-            for idx, c in enumerate(rho):
-                if f.is_zero(c):
-                    continue
-                hh, xv = idx // x.dim, idx % x.dim
-                img = m.apply(v_basis(f, x.dim, xv))
-                for yv, w in enumerate(img):
-                    if not f.is_zero(w):
-                        rhs[hh * y.dim + yv] = f.add(rhs[hh * y.dim + yv], f.mul(c, w))
-            if not v_eq(f, lhs, rhs):
-                raise VerificationFailed("hom_map_left_colinear", v)
+    mm = SparseMap.from_matrix(m, (x.dim,), (y.dim,))
+
+    def P():
+        return StagePipeline(x.field, (x.dim,))
+
+    sides = [("hom_map_right_colinear", ctx.wants_right_coaction, x.coact_r_map, y.coact_r_map, 0),
+             ("hom_map_left_colinear", ctx.wants_left_coaction, x.coact_l_map, y.coact_l_map, 1)]
+    bad = []
+    for t, (name, wanted, rx, ry, pos) in enumerate(sides):
+        w = pipelines_equal(P().map_at(mm, 0).map_at(ry, 0), P().map_at(rx, 0).map_at(mm, pos)) if wanted else None
+        if w is not None:
+            bad.append((w[0], t, name))
+    if bad:
+        v, _, name = min(bad)
+        raise VerificationFailed(name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +524,7 @@ class YDObject:
         rhs = (StagePipeline(f, (dh, n))  # h1 v(-1) S(h3) (x) h2 v(0)
                .map_at(comul, 0).map_at(comul, 1)  # (h1, h2, h3, v)
                .map_at(cm, 3)  # (h1, h2, h3, v-1, v0)
-               .map_at(SparseMap.from_matrix(h.antipode, (dh,), (dh,)), 2)  # S(h3)
+               .map_at(h.antipode_map, 2)  # S(h3)
                .permute((0, 3, 2, 1, 4))  # (h1, v-1, Sh3, h2, v0)
                .map_at(mul, 0).map_at(mul, 0)  # (h1 v-1 Sh3, h2, v0)
                .map_at(am, 1))  # (h', h2 v0)
@@ -568,21 +558,10 @@ def braiding(v: YDObject, w: YDObject) -> Matrix:
 def coinvariants(field, dim: int, coact_r: Matrix, hopf: HopfObject) -> Subspace:
     """{v : rho_r(v) = v (x) 1_H} as the kernel of rho_r - (. (x) 1)."""
     dh = hopf.dim
-    entries = {}
-    for r, c, v in coact_r.entries():
-        entries[(r, c)] = v
-    f = field
-    for v in range(dim):
-        for h in range(dh):
-            key = (v * dh + h, v)
-            cur = entries.get(key, f.zero())
-            val = f.sub(cur, hopf.unit[h])
-            if f.is_zero(val):
-                entries.pop(key, None)
-            else:
-                entries[key] = val
-    m = Matrix.from_entries(f, dim * dh, dim, entries)
-    return Subspace.from_matrix_rows(m.kernel())
+    r = np.arange(dim * dh)
+    d = coact_r._d.copy()
+    d[r, r // dh] = field.reduce(d[r, r // dh] - np.array(hopf.unit, dtype=d.dtype)[r % dh])
+    return Subspace.from_matrix_rows(coact_r._new(dim * dh, dim, d).kernel())
 
 
 def _coordinates_in(space: Subspace, rows: Matrix, check: str, witness) -> Matrix:
@@ -590,6 +569,7 @@ def _coordinates_in(space: Subspace, rows: Matrix, check: str, witness) -> Matri
     witness(k)) names the first row k outside it."""
     c = space.coordinates(rows)
     if c is None:
+        rows = rows.dense() if isinstance(rows, SparseRows) else rows
         k = next(k for k in range(rows.rows) if not space.contains_vector(rows.row_list(k)))
         raise VerificationFailed(check, witness(k))
     return c
@@ -605,14 +585,15 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     incl = r_space.basis.transpose()
     dh, n = h.dim, v.dim
     # adjoint action h . r = h1 r S(h2), one row per (h, t)
-    adj = (StagePipeline(f, (dh, dr))
-           .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
-           .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
-           .map_at(SparseMap.from_matrix(h.antipode, (dh,), (dh,)), 1)  # (h1, S h2, r)
-           .permute((0, 2, 1))
-           .map_at(SparseMap.from_matrix(v.act_l, (dh, n), (n,)), 0)  # (h1 r, S h2)
-           .map_at(SparseMap.from_matrix(v.act_r, (n, dh), (n,)), 0)
-           .matrix().transpose())
+    src, dst, val = (StagePipeline(f, (dh, dr))
+                     .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
+                     .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
+                     .map_at(h.antipode_map, 1)  # (h1, S h2, r)
+                     .permute((0, 2, 1))
+                     .map_at(v.act_l_map, 0)  # (h1 r, S h2)
+                     .map_at(v.act_r_map, 0)
+                     .coo())
+    adj = SparseRows(f, (dh * dr, n), src, dst, val)
     act = _coordinates_in(r_space, adj, "adjoint_action_preserves_coinvariants", lambda k: divmod(k, dr))
     # restricted left coaction: the H-components of rho(r_t), one row per (t, h)
     rho = (v.coact_l @ incl)._d.reshape(dh, n, dr).transpose(2, 0, 1)
@@ -649,19 +630,9 @@ def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
 def phi_iso(v: CatObject, r_incl: Matrix) -> tuple[Matrix, Matrix]:
     """phi : R (x) H -> V, r (x) h -> r h; returns (phi, phi^-1), verified
     bijective.  r_incl has shape (dV, dR)."""
-    f = v.field
-    h = v.hopf
-    dh = h.dim
     dr = r_incl.cols
-    entries: dict = {}
-    for t in range(dr):
-        rv = r_incl.col_list(t)
-        for hh in range(dh):
-            img = v.act_r.apply(v_tensor(f, rv, v_basis(f, dh, hh)))
-            for x, c in enumerate(img):
-                if not f.is_zero(c):
-                    entries[(x, t * dh + hh)] = c
-    phi = Matrix.from_entries(f, v.dim, dr * dh, entries)
+    phi = (StagePipeline(v.field, (dr, v.hopf.dim)).map_at(SparseMap.from_matrix(r_incl, (dr,), (v.dim,)), 0)
+           .map_at(v.act_r_map, 0).matrix())
     return phi, phi.inverse()
 
 
@@ -679,15 +650,12 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject) ->
         raise ValueError("integral functional must be normalized")
     dh = hopf.dim
     dm = m.dim
-    cl = SparseMap.from_matrix(m.coact_l, (dm,), (dh, dm))
-    cr = SparseMap.from_matrix(m.coact_r, (dm,), (dm, dh))
-    s = SparseMap.from_matrix(hopf.antipode, (dh,), (dh,))
+    cl, cr, s = m.coact_l_map, m.coact_r_map, hopf.antipode_map
     mul = hopf.as_algebra().mul_map()
-    mu = (StagePipeline(f, (dh, dm, dh)).map_at(s, 0).map_at(s, 2)  # (Sh, m, Sk)
-          .map_at(cl, 1).map_at(mul, 0).contract(0, lam.vector)  # lam(S(h) m_(-1)) (m_(0), Sk)
-          .map_at(cr, 0).map_at(mul, 1).contract(1, lam.vector)  # lam(m_(1) S(k)) m_(0)
-          .matrix())
-    mu_map = SparseMap.from_matrix(mu, (dh, dm, dh), (dm,))
+    mu_map = (StagePipeline(f, (dh, dm, dh)).map_at(s, 0).map_at(s, 2)  # (Sh, m, Sk)
+              .map_at(cl, 1).map_at(mul, 0).contract(0, lam.vector)  # lam(S(h) m_(-1)) (m_(0), Sk)
+              .map_at(cr, 0).map_at(mul, 1).contract(1, lam.vector)  # lam(m_(1) S(k)) m_(0)
+              .sparse_map())
     # retraction check: mu sigma = id with sigma = (rho_l (x) H) rho_r
     mu_sigma = StagePipeline(f, (dm,)).map_at(cr, 0).map_at(cl, 0).map_at(mu_map, 0)
     if pipelines_equal(mu_sigma, StagePipeline(f, (dm,))) is not None:
@@ -706,4 +674,4 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject) ->
         bad = pipelines_equal(lhs, rhs)
         if bad is not None:
             raise VerificationFailed(f"retraction_{side}_colinear", bad)
-    return mu
+    return mu_map.matrix()

@@ -229,20 +229,12 @@ def cmd_separable(args):
     doc = read_file(args.file)
     alg = _algebra_of(object_from_json(doc), "separable")
     ctx, hopf = _context_from_args(args, alg.field)
-    ctx_rec = None
+    aobj = None
     if ctx.kind != "vect":
         aobj = _catobject_from_doc(doc, alg.field, alg.dim, hopf,
                                    ctx.wants_left_coaction, ctx.wants_right_coaction)
-
-        class _Rec:
-            pass
-
-        ctx_rec = _Rec()
-        ctx_rec.hopf = hopf
-        ctx_rec.coact_l = aobj.coact_l
-        ctx_rec.coact_r = aobj.coact_r
     try:
-        e = separability_idempotent(alg, ctx_rec)
+        e = separability_idempotent(alg, aobj)
     except NotSeparable:
         _emit(args, ["NotSeparable"], {"separable": False})
         return 1

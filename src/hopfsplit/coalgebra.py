@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import (AlgebraObject, ValidationReport, VerificationFailed, _frozen, _in_range, _JOIN_BLOCK,
                       constants_of, radical, table_from_entries)
 from .fields import ScalarField
-from .linalg import Matrix, Numerators, Subspace, _dtype, _join
+from .linalg import Matrix, Numerators, SparseRows, Subspace, _dtype, _join, kernel_from_rref
 from .tensors import SparseMap, StagePipeline
 
 
@@ -88,11 +88,7 @@ class CoalgebraObject:
         return self._delta
 
     def comul_matrix(self) -> Matrix:
-        n = self.dim
-        k, ij, v = self.comul_map().coo()
-        m = Matrix.zeros(self.field, n * n, n)
-        m._d[ij, k] = v
-        return m
+        return self.comul_map().matrix()
 
     def counit_of_rows(self, m: Matrix) -> list:
         """eps of every row of m, as one product."""
@@ -226,9 +222,13 @@ def _delta_of_rows(c: CoalgebraObject, rows: Matrix) -> StagePipeline:
 
 
 def _coproduct_kernel(c: CoalgebraObject, p: Matrix, q: Matrix) -> Subspace:
-    """Ker((p (x) q) Delta) for linear maps p, q out of C."""
-    m = StagePipeline(c.field, (c.dim,)).map_at(c.comul_map(), 0).map_at(_map(p), 0).map_at(_map(q), 1).matrix()
-    return Subspace.from_matrix_rows(m.kernel())
+    """Ker((p (x) q) Delta) for linear maps p, q out of C, eliminated from
+    the composite's COO: its output keys are the rows of the system."""
+    pm = _map(p)
+    pipe = StagePipeline(c.field, (c.dim,)).map_at(c.comul_map(), 0).map_at(pm, 0).map_at(pm if q is p else _map(q), 1)
+    src, dst, val = pipe.coo()
+    rows = SparseRows(c.field, (p.rows * q.rows, c.dim), dst, src, val)
+    return Subspace.from_matrix_rows(kernel_from_rref(c.dim, *rows.rref()))
 
 
 def _tensors(m: Matrix) -> list[Matrix]:
@@ -279,11 +279,10 @@ def _subcoalgebra_defect(c: CoalgebraObject, d: Subspace) -> int | None:
     pi = quotient_projection(c.field, d)
     if pi.rows == 0 or d.dim == 0:
         return None
-    p = _map(pi)
-    bad = (_delta_of_rows(c, d.basis).map_at(p, 0).matrix()._d.any(axis=0)
-           | _delta_of_rows(c, d.basis).map_at(p, 1).matrix()._d.any(axis=0))
-    t = np.flatnonzero(bad)
-    return int(t[0]) if t.size else None
+    delta, p = _delta_of_rows(c, d.basis).sparse_map(), _map(pi)  # Delta(d_t), evaluated once
+    t = np.concatenate([StagePipeline(c.field, (d.dim,)).map_at(delta, 0).map_at(p, pos).coo()[0][:1]
+                        for pos in (0, 1)])
+    return int(t.min()) if t.size else None
 
 
 def in_tensor_square(c: CoalgebraObject, sub: Subspace, x: Matrix) -> bool:

@@ -18,6 +18,8 @@ back to the full join for its witness, `AlgebraObject.validate`).
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
@@ -28,6 +30,9 @@ from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_zero
 
 
 _DELTA_BLOCK = 2**20  # terms before the second join of the Delta-multiplicativity check
+# the checks of `AlgebraObject.validate`, recorded as passed for a verified
+# algebra (README, "Implied checks")
+_ALGEBRA_VERIFIED = (("shape", True, None), ("associativity", True, None), ("unit", True, None))
 
 
 class BialgebraObject:
@@ -95,9 +100,9 @@ class BialgebraObject:
         alg = self._alg
         c = self._coalg.validate()
         gens = None
-        if c.ok and alg._shape_ok() and alg._check_unit()[0]:
+        if c.ok and (alg._verified or alg._shape_ok() and alg._check_unit()[0]):
             gens = alg.generating_basis_indices(generator_cap)
-        for name, ok, wit in alg.validate(gens).checks:
+        for name, ok, wit in _ALGEBRA_VERIFIED if alg._verified else alg.validate(gens).checks:
             rep.record("algebra:" + name, ok, wit)
         for name, ok, wit in c.checks:
             rep.record("coalgebra:" + name, ok, wit)
@@ -242,6 +247,11 @@ class HopfObject(BialgebraObject):
         super()._set(alg, coalg)
         self.antipode = antipode
 
+    @cached_property
+    def antipode_map(self) -> SparseMap:
+        """The antipode as a SparseMap (n,) -> (n,), built once."""
+        return SparseMap.from_matrix(self.antipode, (self.dim,), (self.dim,))
+
     def validate(self, generator_cap: int = 24) -> ValidationReport:
         rep = super().validate(generator_cap)
         ok, wit = check_antipode(self, self.antipode)
@@ -259,7 +269,8 @@ def check_antipode(b: BialgebraObject, s: Matrix):
     the left identity before the right one."""
     f, n = b.field, b.dim
     delta, mul = b.as_coalgebra().comul_map(), b.as_algebra().mul_map()
-    sm = SparseMap.from_matrix(s, (n,), (n,))
+    own = isinstance(b, HopfObject) and s is b.antipode
+    sm = b.antipode_map if own else SparseMap.from_matrix(s, (n,), (n,))
     target = StagePipeline(f, (n,)).contract(0, b.counit).insert(0, b.unit, n)
     fails = []
     for pos, name in enumerate(("m(S (x) id)Delta", "m(id (x) S)Delta")):
@@ -277,13 +288,15 @@ def upgrade_to_hopf(b: BialgebraObject, antipode_hint: Matrix | None = None, sol
 
     The generic solve has dim^2 unknowns and is gated at solve_limit;
     larger objects must supply a hint (verification is cheap).  The Hopf
-    object shares b's algebra and coalgebra.
+    object shares b's algebra and coalgebra; it is made before its antipode
+    is checked, so the check builds its cached `antipode_map`.
     """
     if antipode_hint is not None:
-        ok, wit = check_antipode(b, antipode_hint)
+        h = HopfObject.from_parts(b.as_algebra(), b.as_coalgebra(), antipode_hint)
+        ok, wit = check_antipode(h, antipode_hint)
         if not ok:
             raise NoAntipode(f"hint fails: {wit}")
-        return HopfObject.from_parts(b.as_algebra(), b.as_coalgebra(), antipode_hint)
+        return h
     if b.dim > solve_limit:
         raise NoAntipode(f"dim {b.dim} > {solve_limit}: supply an antipode hint")
     f = b.field
@@ -293,10 +306,11 @@ def upgrade_to_hopf(b: BialgebraObject, antipode_hint: Matrix | None = None, sol
     except InconsistentSystem:
         raise NoAntipode("convolution system for the antipode is inconsistent")
     s = Matrix.from_rows(f, [[sol[x * n + y] for y in range(n)] for x in range(n)])
-    ok, wit = check_antipode(b, s)
+    h = HopfObject.from_parts(b.as_algebra(), b.as_coalgebra(), s)
+    ok, wit = check_antipode(h, s)
     if not ok:
         raise NoAntipode(f"left convolution inverse is not two-sided: {wit}")
-    return HopfObject.from_parts(b.as_algebra(), b.as_coalgebra(), s)
+    return h
 
 
 def _convolution_system(b: BialgebraObject) -> Matrix:
@@ -405,8 +419,7 @@ def check_ad_invariance(h: HopfObject, lam: IntegralWitness) -> bool:
     f, n = h.field, h.dim
     if not lam.normalized:
         raise ValueError("integral functional must be normalized to lam(1) = 1")
-    delta, mul = h.as_coalgebra().comul_map(), h.as_algebra().mul_map()
-    sm = SparseMap.from_matrix(h.antipode, (n,), (n,))
+    delta, mul, sm = h.as_coalgebra().comul_map(), h.as_algebra().mul_map(), h.antipode_map
     rhs = StagePipeline(f, (n, n)).contract(0, h.counit).contract(0, lam.vector)
     # (x1, x2, y) -> (x1, y, x2), S on x2 or on x1, then x1 y x2
     for pos in (2, 0):
@@ -424,8 +437,7 @@ def check_ad_coinvariance(h: HopfObject, t: IntegralWitness) -> bool:
     tv = t.vector
     if not f.is_one(h.counit_of(tv)):
         raise ValueError("integral element must be normalized to eps(t) = 1")
-    delta, mul = h.as_coalgebra().comul_map(), h.as_algebra().mul_map()
-    sm = SparseMap.from_matrix(h.antipode, (n,), (n,))
+    delta, mul, sm = h.as_coalgebra().comul_map(), h.as_algebra().mul_map(), h.antipode_map
     # (t1, t2, t3) -> (t1, t2, S t3) -> (t1, S t3, t2) -> (t1 S(t3), t2)
     lhs = (StagePipeline(f, ()).insert(0, tv, n).map_at(delta, 0).map_at(delta, 0).map_at(sm, 2)
            .permute((0, 2, 1)).map_at(mul, 0))

@@ -25,11 +25,13 @@ from .algebra import (
     constants_of,
     ideal_power_nilpotency,
     pairwise_products,
+    pipeline_constants,
     separability_idempotent,
 )
 from .category import CatObject, CategoryContext
 from .coalgebra import (
     CoalgebraObject,
+    _delta_of_rows,
     _outer,
     _tensors,
     coradical,
@@ -107,12 +109,12 @@ def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
     # (proj (x) proj) Delta: the quotient's Delta on the complement basis,
     # and zero on the ideal exactly when the candidate is a coideal
     pm = SparseMap.from_matrix(proj, (n,), (dq,))
-    delta = StagePipeline(f, (n,)).map_at(a.as_coalgebra().comul_map(), 0).map_at(pm, 0).map_at(pm, 1).matrix()
+    delta = _delta_of_rows(coalg, incl.transpose()).map_at(pm, 0).map_at(pm, 1)
     counit = coalg.counit_of_rows(incl.transpose())
-    q = BialgebraObject.from_parts(q_alg, CoalgebraObject.from_constants(f, dq, constants_of(delta @ incl, dq), counit,
+    q = BialgebraObject.from_parts(q_alg, CoalgebraObject.from_constants(f, dq, pipeline_constants(delta, dq), counit,
                                                                          q_alg.labels))
     q.validate().require("quotient bialgebra")
-    if not (delta @ ideal.basis.transpose()).is_zero():
+    if _delta_of_rows(coalg, ideal.basis).map_at(pm, 0).map_at(pm, 1).coo()[0].size:
         raise CertificationFailed("candidate is not a coideal")
     return q, proj, incl
 
@@ -374,10 +376,11 @@ def hopf_upgrade(a: BialgebraObject, biideal: Subspace) -> HopfObject:
         if guard > n + 2:
             raise ValueError("convolution series does not terminate (ideal not nilpotent?)")
     s = _convolve(a, s0, inv)
-    ok, wit = check_antipode(a, s)
+    h = HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
+    ok, wit = check_antipode(h, s)
     if not ok:
         raise ValueError(f"lifted antipode fails verification: {wit}")
-    return HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
+    return h
 
 
 def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObject:
@@ -388,10 +391,11 @@ def hopf_upgrade_via_dual(a: BialgebraObject, coradical_incl: Matrix) -> HopfObj
     jprime = Subspace.from_matrix_rows(coradical_incl.transpose().kernel())
     h_dual = hopf_upgrade(dual_a, jprime)
     s = h_dual.antipode.transpose()
-    ok, wit = check_antipode(a, s)
+    h = HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
+    ok, wit = check_antipode(h, s)
     if not ok:
         raise ValueError(f"dual-lifted antipode fails verification: {wit}")
-    return HopfObject.from_parts(a.as_algebra(), a.as_coalgebra(), s)
+    return h
 
 
 def _convolve(a: BialgebraObject, fm: Matrix, gm: Matrix) -> Matrix:

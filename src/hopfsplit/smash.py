@@ -16,35 +16,31 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraObject, ValidationReport, constants_of, pairwise_products
+from .algebra import AlgebraObject, ValidationReport, constants_of, pairwise_products, pipeline_constants
 from .category import CatObject, YDObject, hopf_bimodule_from_yd, phi_iso
-from .coalgebra import CoalgebraObject, _square_coordinates
+from .coalgebra import CoalgebraObject, _outer, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
 from .linalg import Matrix, Subspace, _along_factor
-from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor, v_zero
+from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor
 
 
 class _Maps:
     """Stage maps shared by the quadruple validators and bosonizations.  The
     structure maps are those H and R keep (`mul_map`, `comul_map`,
     `YDObject.act_map`, `coact_map`), so building this costs nothing; the
-    antipode and the diagonal (co)actions on R (x) R serve one `validate`
-    and are built there."""
+    diagonal (co)actions on R (x) R serve one `validate` and are built
+    there."""
 
-    __slots__ = ("f", "dh", "dr", "hopf", "mul_h", "comul_h", "act", "coact")
+    __slots__ = ("f", "dh", "dr", "mul_h", "comul_h", "act", "coact")
 
     def __init__(self, hopf: HopfObject, yd: YDObject):
         self.f = hopf.field
         self.dh = hopf.dim
         self.dr = yd.dim
-        self.hopf = hopf
         self.mul_h = hopf.as_algebra().mul_map()
         self.comul_h = hopf.as_coalgebra().comul_map()
         self.act = yd.act_map
         self.coact = yd.coact_map
-
-    def s_h(self) -> SparseMap:
-        return SparseMap.from_matrix(self.hopf.antipode, (self.dh,), (self.dh,))
 
     def P(self, *dims) -> StagePipeline:
         return StagePipeline(self.f, dims)
@@ -113,9 +109,11 @@ class YDQuadruple:
     def maps(self) -> _Maps:
         return _Maps(self.hopf, self.yd)
 
+    @cached_property
     def delta_map(self) -> SparseMap:
         return SparseMap.from_matrix(self.delta, (self.yd.dim,), (self.yd.dim,) * 2)
 
+    @cached_property
     def omega_map(self) -> SparseMap:
         return SparseMap.from_matrix(self.omega, (self.hopf.dim,), (self.yd.dim,) * 2)
 
@@ -137,7 +135,7 @@ class YDQuadruple:
         mp = self.maps()
         P = mp.P
         mul_r = self.r_alg.mul_map()
-        delta, omega, m_rr = self.delta_map(), self.omega_map(), self.m_rr
+        delta, omega, m_rr = self.delta_map, self.omega_map, self.m_rr
         act_rr = mp.act_rr()
         rho_rr = mp.rho_rr()
         rep.record("R_mul_yd_linear", pipelines_equal(
@@ -170,7 +168,7 @@ class YDQuadruple:
              P(dr).map_at(mp.coact, 0).map_at(delta, 1)),
             # YD3: omega colinear for the adjoint coaction
             ("yd3_omega_colinear", P(dh).map_at(omega, 0).map_at(rho_rr, 0),
-             P(dh).map_at(mp.comul_h, 0).map_at(mp.comul_h, 1).map_at(mp.s_h(), 2).permute((0, 2, 1))
+             P(dh).map_at(mp.comul_h, 0).map_at(mp.comul_h, 1).map_at(self.hopf.antipode_map, 2).permute((0, 2, 1))
              .map_at(mp.mul_h, 0).map_at(omega, 1)),
             # YD4: delta multiplicative for the braided product
             ("yd4_delta_braided_multiplicative", P(dr, dr).map_at(mul_r, 0).map_at(delta, 0),
@@ -214,20 +212,9 @@ class YDQuadruple:
         return rep
 
     def omega_is_trivial(self) -> bool:
-        f = self.field
-        dh, dr = self.hopf.dim, self.yd.dim
-        one = self.r_alg.unit
-        for hh in range(dh):
-            col = self.omega.col_list(hh)
-            expect = v_zero(f, dr * dr)
-            e = self.hopf.counit[hh]
-            if not f.is_zero(e):
-                for i, x in enumerate(one):
-                    for j, y in enumerate(one):
-                        expect[i * dr + j] = f.mul(e, f.mul(x, y))
-            if not v_eq(f, col, expect):
-                return False
-        return True
+        """omega(h) = eps(h) 1 (x) 1 for every h."""
+        f, one = self.field, self.r_alg.unit
+        return self.omega == _outer(f, v_tensor(f, one, one), self.hopf.counit)
 
 
 class DualYDQuadruple:
@@ -251,9 +238,11 @@ class DualYDQuadruple:
     def maps(self) -> _Maps:
         return _Maps(self.hopf, self.yd)
 
+    @cached_property
     def mul_map(self) -> SparseMap:
         return SparseMap.from_matrix(self.mul, (self.yd.dim,) * 2, (self.yd.dim,))
 
+    @cached_property
     def xi_map(self) -> SparseMap:
         return SparseMap.from_matrix(self.xi, (self.yd.dim,) * 2, (self.hopf.dim,))
 
@@ -269,7 +258,7 @@ class DualYDQuadruple:
         P = mp.P
         delta_m = self.r_coalg.comul_matrix()
         delta = self.r_coalg.comul_map()
-        mul, xi = self.mul_map(), self.xi_map()
+        mul, xi = self.mul_map, self.xi_map
         delta_rr = _braided_comul_rr(mp, delta)
         act_rr = mp.act_rr()
         rho_rr = mp.rho_rr()
@@ -303,7 +292,7 @@ class DualYDQuadruple:
              P(dh, dr, dr).map_at(act_rr, 0).map_at(mul, 0)),
             # YD3': xi linear for the adjoint action
             ("yd3_xi_adjoint_linear", P(dh, dr, dr).map_at(act_rr, 0).map_at(xi, 0),
-             P(dh, dr, dr).map_at(xi, 1).map_at(mp.comul_h, 0).map_at(mp.s_h(), 1).permute((0, 2, 1))
+             P(dh, dr, dr).map_at(xi, 1).map_at(mp.comul_h, 0).map_at(self.hopf.antipode_map, 1).permute((0, 2, 1))
              .map_at(mp.mul_h, 0).map_at(mp.mul_h, 0)),
             # YD4': m a coalgebra map for the braided structure
             ("yd4_mul_braided_comultiplicative", P(dr, dr).map_at(mul, 0).map_at(delta, 0),
@@ -360,16 +349,9 @@ class DualYDQuadruple:
         return rep
 
     def xi_is_trivial(self) -> bool:
-        f = self.field
-        dh, dr = self.hopf.dim, self.yd.dim
-        eps = self.r_coalg.counit
-        for a in range(dr):
-            for b in range(dr):
-                col = self.xi.col_list(a * dr + b)
-                expect = [f.mul(f.mul(eps[a], eps[b]), u) for u in self.hopf.unit]
-                if not v_eq(f, col, expect):
-                    return False
-        return True
+        """xi(a (x) b) = eps(a) eps(b) 1_H for every a, b."""
+        f, eps = self.field, self.r_coalg.counit
+        return self.xi == _outer(f, self.hopf.unit, v_tensor(f, eps, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +377,26 @@ def smash_product_algebra(r_alg: AlgebraObject, yd: YDObject, hopf: HopfObject,
            .map_at(hopf.as_algebra().mul_map(), 1))  # (r (h1 . s), h2 k)
     unit = v_tensor(f, r_alg.unit, hopf.unit)
     labels = tuple(f"{rl}#{hl}" for rl in r_alg.labels for hl in hopf.labels)
-    out_alg = AlgebraObject.from_constants(f, dim, constants_of(mul.matrix(), dim), unit, labels)
+    out_alg = AlgebraObject.from_constants(f, dim, pipeline_constants(mul, dim), unit, labels)
     if validate:
         out_alg.validate().require("smash product algebra")
     return out_alg
 
 
-def smash_coproduct_coalgebra(r_coalg: CoalgebraObject, coact: Matrix, hopf: HopfObject) -> CoalgebraObject:
-    """Delta(c # h) = c1 # (c2)_(-1) h1 (x) (c2)_(0) # h2 on C (x) H."""
+def smash_coproduct_coalgebra(r_coalg: CoalgebraObject, yd: YDObject, hopf: HopfObject) -> CoalgebraObject:
+    """Delta(c # h) = c1 # (c2)_(-1) h1 (x) (c2)_(0) # h2 on C (x) H, for the
+    coaction of yd."""
     f = hopf.field
     dr, dh = r_coalg.dim, hopf.dim
     dim = dr * dh
-    coact_m = SparseMap.from_matrix(coact, (dr,), (dh, dr))
     comul = (StagePipeline(f, (dr, dh))
              .map_at(r_coalg.comul_map(), 0)  # (c1, c2, h)
-             .map_at(coact_m, 1)         # (c1, cm, c20, h)
+             .map_at(yd.coact_map, 1)    # (c1, cm, c20, h)
              .map_at(hopf.as_coalgebra().comul_map(), 3)  # (c1, cm, c20, h1, h2)
              .permute((0, 1, 3, 2, 4))   # (c1, cm, h1, c20, h2)
              .map_at(hopf.as_algebra().mul_map(), 1))
     counit = [f.mul(r_coalg.counit[a], hopf.counit[x]) for a in range(dr) for x in range(dh)]
-    out_co = CoalgebraObject.from_constants(f, dim, constants_of(comul.matrix(), dim), counit,
+    out_co = CoalgebraObject.from_constants(f, dim, pipeline_constants(comul, dim), counit,
                                             tuple(f"{rl}#{hl}" for rl in r_coalg.labels for hl in hopf.labels))
     out_co.validate().require("smash coproduct coalgebra")
     return out_co
@@ -448,7 +430,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
     alg = smash_product_algebra(q.r_alg, q.yd, q.hopf, validate=False)
-    mp, delta, omega, m_rr = q.maps(), q.delta_map(), q.omega_map(), q.m_rr
+    mp, delta, omega, m_rr = q.maps(), q.delta_map, q.omega_map, q.m_rr
     comul = (mp.P(dr, dh)
              .map_at(mp.comul_h, 1)       # (r, h1, h2)
              .map_at(mp.comul_h, 2)       # (r, h1, h2, h3)
@@ -460,7 +442,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
              .map_at(mp.mul_h, 1))        # (d1, d2m h2, d20, h3)
     dim = dr * dh
     counit = [f.mul(q.eps[a], q.hopf.counit[x]) for a in range(dr) for x in range(dh)]
-    bi = BialgebraObject.from_parts(alg, CoalgebraObject.from_constants(f, dim, constants_of(comul.matrix(), dim),
+    bi = BialgebraObject.from_parts(alg, CoalgebraObject.from_constants(f, dim, pipeline_constants(comul, dim),
                                                                         counit, alg.labels))
     pi, sigma = _canonical_pi_sigma(f, dr, dh, q)
     bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "primal")
@@ -475,8 +457,8 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
         q.validate().require("dual quadruple")
     f = q.field
     dr, dh = q.yd.dim, q.hopf.dim
-    coalg = smash_coproduct_coalgebra(q.r_coalg, q.yd.coact, q.hopf)
-    mp, mul, xi = q.maps(), q.mul_map(), q.xi_map()
+    coalg = smash_coproduct_coalgebra(q.r_coalg, q.yd, q.hopf)
+    mp, mul, xi = q.maps(), q.mul_map, q.xi_map
     delta = q.r_coalg.comul_map()
     # m(r#h (x) s#k) = m(r1 (x) (r2_(-1) h1).s1) # xi(r2_(0) (x) h2.s2) h3 k
     mul_t = (mp.P(dr, dh, dr, dh)
@@ -495,7 +477,7 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
              .map_at(mp.mul_h, 1))         # (m1, x h3 k)
     dim = dr * dh
     unit = v_tensor(f, q.one, q.hopf.unit)
-    bi = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dim, constants_of(mul_t.matrix(), dim), unit,
+    bi = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dim, pipeline_constants(mul_t, dim), unit,
                                                                  coalg.labels), coalg)
     pi, sigma = _canonical_pi_sigma_dual(f, dr, dh, q)
     bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "dual")

@@ -15,7 +15,7 @@ on |numerator|, a product is bounded by the product of the bounds and a
 sum of n terms by n times theirs, and a product or sum whose bound
 reaches 2**63 is formed from python ints, as `linalg._matmul` proves its
 2**53 rule before using float64.  A `Fraction` is made only on read-out:
-`SparseMap.coo()`, `matrix()`, and never by `pipelines_equal`.
+`coo()`, `difference`, `matrix()`, and never by `pipelines_equal`.
 
 A `StagePipeline` declares a composite map as a chain of stages on the
 factors:
@@ -41,19 +41,18 @@ permute only re-addresses keys.  The denominators of the map, weights and
 element multiply into the batch's.  Terms with equal key are summed by a
 sort and `np.add.reduceat` (`Numerators.summed`) and zero sums are
 dropped; over F_p the sums are reduced mod p.  A stage that grows a batch
-to more than `_BLOCK` terms is summed at once, and every batch once at the end,
-by `matrix()`, `sparse_map()` or `pipelines_equal` (see
-`StagePipeline.run`).  No stage loops over terms in Python.  Batches hold
-at most `_BLOCK` input tuples.
+to more than `_BLOCK` terms is summed at once, and every batch once at the
+end (see `StagePipeline.run`).  No stage loops over terms in Python.
+Batches hold at most `_BLOCK` input tuples.
 
-Callers use three results: `matrix()`, the composite as a Matrix with one
-column per input tuple in lexicographic order; `sparse_map()`, the
-composite as a `SparseMap` built from the summed batches, a stage of later
-pipelines; and `pipelines_equal`, the lexicographically first input tuple
-on which two pipelines differ, found by summing one side's numerators
-against the other's over the product of their denominators.  A check that
-reports its witness in another loop order declares its input in that
-order and starts with a `permute`.
+A composite leaves the engine as its summed COO: `StagePipeline.coo()`,
+its nonzeros (input key, output key, field value) sorted by (input, output)
+key, and `difference(lhs, rhs)`, the same for lhs - rhs.  On these stand
+`sparse_map()`, a stage of later pipelines; `pipelines_equal`, the first
+input tuple of the difference; and `matrix()`, the COO scattered into a
+Matrix for the callers that need one.  A check that reports its witness in
+another loop order declares its input in that order and starts with a
+`permute`.
 """
 from __future__ import annotations
 
@@ -172,6 +171,9 @@ class SparseMap:
         src, dst, val = self.coo_numerators()
         return src, dst, val.fractions()
 
+    def matrix(self) -> Matrix:
+        return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
+
     def apply_at(self, batch, post: int):
         """Apply to the factors of every term of a batch whose key digits lie
         just above post, the size of the factors after them; returns the
@@ -197,6 +199,13 @@ class SparseMap:
         if post > 1:
             flat = flat * post + lo
         return flat, (val if self.ones else val * self.values[e])
+
+
+def _scatter(field: ScalarField, in_dims, out_dims, src, dst, val) -> Matrix:
+    """COO entries as a Matrix: column = input key, row = output key."""
+    out = Matrix.zeros(field, _total(out_dims), _total(in_dims))
+    out._d[dst, src] = val
+    return out
 
 
 def _map_stage(batch, smap: SparseMap, post: int):
@@ -314,36 +323,31 @@ class StagePipeline:
         return batch
 
     def _blocks(self):
-        """Yield (first input, result batch, not yet summed) for consecutive
-        blocks of the input basis in lexicographic order; a batch's key is
-        its input tuple within the block times the output size plus the
-        output key."""
+        """Yield (first input, keys, Numerators), the result batch not yet
+        summed, for consecutive blocks of the input basis in lexicographic
+        order; a key is its input tuple within the block times the output
+        size plus the output key."""
         n = _total(self.in_dims)
         for lo in range(0, n, _BLOCK):
             col = np.arange(min(n, lo + _BLOCK) - lo)
-            yield lo, self.run((col * (n + 1) + lo, Numerators.ones(self.field, col.size)))
+            yield (lo, *self.run((col * (n + 1) + lo, Numerators.ones(self.field, col.size))))
 
     def _entries(self):
         """The composite's nonzeros: input keys, output keys, and their
         `Numerators`, sorted by (input, output) key.  Every block has the
         denominator of the stages' product."""
-        width = _total(self.out_dims)
-        src, dst, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
-        for lo, batch in self._blocks():
-            flat, v = _sum(batch)
-            col, key = np.divmod(flat, width)
-            src.append(col + lo)
-            dst.append(key)
-            val.append(v)
-        val = Numerators.concat(val) if val else Numerators.ones(self.field, 0)
-        return np.concatenate(src), np.concatenate(dst), val
+        return _coo(self.field, _total(self.out_dims), ((lo, *v.summed(k)) for lo, k, v in self._blocks()))
+
+    def coo(self):
+        """The composite's nonzeros as COO arrays (input key, output key,
+        field value), sorted by (input, output) key."""
+        src, dst, val = self._entries()
+        return src, dst, val.fractions()
 
     def matrix(self) -> Matrix:
-        """The composite as a Matrix: column = input key, row = output key."""
-        out = Matrix.zeros(self.field, _total(self.out_dims), _total(self.in_dims))
-        src, dst, val = self._entries()
-        out._d[dst, src] = val.fractions()
-        return out
+        """The COO as a Matrix, for the callers that need one (README,
+        "Structure-tensor pipelines")."""
+        return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
 
     def sparse_map(self) -> SparseMap:
         """The composite as one SparseMap, a stage of later pipelines; its
@@ -353,16 +357,43 @@ class StagePipeline:
         return smap
 
 
-def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
-    """The lexicographically first input basis tuple on which two pipelines
-    over the same spaces differ, or None when they are equal.  The two
-    sides' numerators are brought over one denominator and their
-    difference is summed once."""
+def _coo(field: ScalarField, width: int, blocks):
+    """One COO (input keys, output keys, Numerators) of consecutive summed
+    blocks (first input, keys, Numerators), keys as in
+    `StagePipeline._blocks`."""
+    src, dst, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+    for lo, flat, v in blocks:
+        col, key = np.divmod(flat, width)
+        src.append(col + lo)
+        dst.append(key)
+        val.append(v)
+    val = Numerators.concat(val) if val else Numerators.ones(field, 0)
+    return np.concatenate(src), np.concatenate(dst), val
+
+
+def _differences(lhs: StagePipeline, rhs: StagePipeline):
+    """Yield lhs - rhs block by block, summed, as (first input, keys,
+    Numerators): one side's numerators against the other's over the
+    product of their denominators."""
     if (lhs.in_dims, lhs.out_dims) != (rhs.in_dims, rhs.out_dims):
         raise ValueError(f"pipelines {lhs.in_dims} -> {lhs.out_dims} and {rhs.in_dims} -> {rhs.out_dims}")
+    for (lo, k1, v1), (_, k2, v2) in zip(lhs._blocks(), rhs._blocks()):
+        yield (lo, *Numerators.concat((v1, -v2)).summed(np.concatenate((k1, k2))))
+
+
+def difference(lhs: StagePipeline, rhs: StagePipeline):
+    """lhs - rhs for two pipelines over the same spaces, as COO arrays
+    (input key, output key, field value) sorted by (input, output) key."""
+    src, dst, val = _coo(lhs.field, _total(lhs.out_dims), _differences(lhs, rhs))
+    return src, dst, val.fractions()
+
+
+def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
+    """The lexicographically first input basis tuple on which two pipelines
+    over the same spaces differ, or None: the first input key of their
+    difference, read from its first nonzero block."""
     width = _total(lhs.out_dims)
-    for (lo, (k1, v1)), (_, (k2, v2)) in zip(lhs._blocks(), rhs._blocks()):
-        flat, _ = Numerators.concat((v1, -v2)).summed(np.concatenate((k1, k2)))
+    for lo, flat, _ in _differences(lhs, rhs):
         if flat.size:
-            return tuple(int(i) for i in np.unravel_index(lo + int(flat.min()) // width, lhs.in_dims))
+            return tuple(int(i) for i in np.unravel_index(lo + int(flat[0]) // width, lhs.in_dims))
     return None

@@ -1,7 +1,9 @@
 """Dict-table helpers that the package used before its structure constants
 became arrays, kept as references for the tests: sparse vectors as
-{index: c} dicts, products read from `.mul`, and the normal-form word
-products of the p^4 two-generator family."""
+{index: c} dicts, products read from `.mul`, the normal-form word
+products of the p^4 two-generator family, and the structure constants read
+off a dense product or coproduct matrix."""
+import numpy as np
 
 
 def dense_to_sparse(field, u, arity=1, dims=None) -> dict:
@@ -108,3 +110,12 @@ def tensor_mult(f, mul: dict, u: dict, v: dict) -> dict:
                     else:
                         out[key] = s
     return out
+
+
+def constants_of(m, n: int) -> tuple:
+    """The structure constants (i, j, k, v) held by a product matrix
+    (n x n^2, column i n + j) or a coproduct matrix (n^2 x n, row i n + j),
+    ordered by the pair i n + j, then by k."""
+    d = m._d.T if m.rows == n else m._d
+    ij, k = np.nonzero(d)
+    return (*np.divmod(ij, n), k, d[ij, k])

@@ -28,6 +28,7 @@ from hopfsplit.algebra import (
     verify_separability_idempotent,
 )
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
+from hopfsplit.category import CatObject
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import BialgebraObject
 from hopfsplit.linalg import Matrix, Subspace
@@ -254,12 +255,8 @@ def test_separability_idempotent_in_comodule_context():
 
     h = group_algebra(2, QQ)
 
-    class _Ctx:
-        hopf = h
-        coact_r = h.as_coalgebra().comul_matrix()
-        coact_l = h.as_coalgebra().comul_matrix()
-
-    e = separability_idempotent(h.as_algebra(), _Ctx())
+    comul = h.as_coalgebra().comul_matrix()
+    e = separability_idempotent(h.as_algebra(), CatObject(QQ, 2, h, coact_l=comul, coact_r=comul))
     assert e == [Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)]
 
 
@@ -708,12 +705,8 @@ def _nonzero_rows(rows, rhs):
 
 
 def _bicomodule_ctx(h):
-    class _Ctx:
-        hopf = h
-        coact_l = h.as_coalgebra().comul_matrix()
-        coact_r = h.as_coalgebra().comul_matrix()
-
-    return _Ctx()
+    comul = h.as_coalgebra().comul_matrix()
+    return CatObject(h.field, h.dim, h, coact_l=comul, coact_r=comul)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])

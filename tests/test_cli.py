@@ -38,6 +38,25 @@ def test_separable_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_separable_in_a_comodule_context(tmp_path, capsys):
+    # K[Z2] as a (bi)comodule algebra over itself, coacting by Delta: the
+    # Casimir element (1 (x) 1 + g (x) g) / 2 is coinvariant
+    aux = {"field": {"kind": "Q"}, "dim": 2, "basis": ["1", "g"],
+           "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+           "unit": ["1", "0"], "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "counit": ["1", "1"],
+           "antipode": [["1", "0"], ["0", "1"]]}
+    comul = [[0, 0, "1"], [3, 1, "1"]]  # Delta as matrix triples [row, col, coeff]
+    alg = {key: aux[key] for key in ("field", "dim", "basis", "mul", "unit")}
+    alg["structures"] = {"coact_r": comul, "coact_l": comul}
+    (tmp_path / "aux.json").write_text(json.dumps(aux))
+    (tmp_path / "alg.json").write_text(json.dumps(alg))
+    for ctx in ("comod", "bicomod"):
+        code, out, err = run_cli(["--json", "separable", str(tmp_path / "alg.json"), "--ctx", ctx,
+                                  "--aux", str(tmp_path / "aux.json")], capsys)
+        assert code == 0, err
+        assert json.loads(out) == {"idempotent": [[0, 0, "1/2"], [1, 1, "1/2"]], "separable": True}
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

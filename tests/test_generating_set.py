@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfsplit.algebra import AlgebraObject, constants_of
+from dict_reference import constants_of
+from hopfsplit.algebra import AlgebraObject
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import BialgebraObject

@@ -1,13 +1,19 @@
 """Smash products, quadruples, bosonization, extraction."""
+import sys
+
+import numpy as np
 import pytest
 
+from dict_reference import constants_of
+from hopfsplit import algebra, pipeline, smash
 from hopfsplit.algebra import AlgebraObject
-from hopfsplit.builtin import group_algebra, sweedler_h4
+from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.category import YDObject
 from hopfsplit.coalgebra import CoalgebraObject
-from hopfsplit.fields import QQ
+from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import is_algebra_map, is_coalgebra_map
-from hopfsplit.linalg import Matrix
+from hopfsplit.linalg import Matrix, Subspace
+from hopfsplit.tensors import v_basis
 from hopfsplit.smash import (
     YDQuadruple,
     bosonize,
@@ -88,7 +94,8 @@ def test_smash_coproduct_trivial_c_gives_h():
     h2 = group_algebra(2, f)
     c = CoalgebraObject(f, 1, {0: {(0, 0): f.one()}}, [f.one()])
     coact = Matrix.from_entries(f, 2, 1, {(0, 0): f.one()})
-    out = smash_coproduct_coalgebra(c, coact, h2)
+    act = Matrix.from_entries(f, 1, 2, {(0, 0): f.one(), (0, 1): f.one()})
+    out = smash_coproduct_coalgebra(c, YDObject(h2, 1, act, coact), h2)
     assert out.dim == 2
     assert out.comul == h2.comul
 
@@ -268,3 +275,30 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
     assert not q.validate().ok
     assert not validate_bosonization(bosonize(q, force=True)).ok
     assert calls == {"apply_at": 125, "_sum_terms": 61, "_join": 47}
+
+
+def test_tables_read_from_the_coo_match_the_dense_read_out(monkeypatch):
+    """Every table built from a pipeline's COO, in the smash product, the
+    smash coproduct, both bosonizations and the quotient bialgebra's Delta,
+    equals array by array and in order `constants_of` of the pipeline's
+    matrix.  The quadruples are those extracted from the radical and
+    coradical splits of H4 over Q and of Taft T_3 over F_7."""
+    seen = []
+
+    def spy(pipe, n):
+        got = algebra.pipeline_constants(pipe, n)
+        seen.append((sys._getframe(1).f_code.co_name, got, constants_of(pipe.matrix(), n)))
+        return got
+
+    for mod in (smash, pipeline):
+        monkeypatch.setattr(mod, "pipeline_constants", spy)
+    f7 = GF(7)
+    cases = [(sweedler_h4(QQ), QQ, 4, (1, 3), (0, 2)),
+             (taft(3, 2, f7), f7, 9, [t for t in range(9) if t % 3], (0, 3, 6))]
+    for a, f, n, rad, corad in cases:
+        for run, idx in ((pipeline.run_radical_pipeline, rad), (pipeline.run_coradical_pipeline, corad)):
+            run(a, Subspace.from_vectors(f, n, [v_basis(f, n, i) for i in idx]))
+    assert {name for name, _, _ in seen} == {"smash_product_algebra", "bosonize", "smash_coproduct_coalgebra",
+                                             "dual_bosonize", "quotient_bialgebra"}
+    for _, got, want in seen:
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want, strict=True))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Numerators
-from hopfsplit.tensors import SparseMap, StagePipeline, pipelines_equal
+from hopfsplit.tensors import SparseMap, StagePipeline, difference, pipelines_equal
 
 FIELDS = [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)]
 
@@ -70,6 +70,15 @@ def ref_run(f, stages, in_dims, key):
     for st_ in stages:
         vec, dims = ref_stage(f, st_, vec, dims)
     return vec
+
+
+def coo_dict(pipe, coo):
+    """COO arrays as {(input key, output tuple): value}, after checking that
+    they are sorted by (input, output) key, unique and nonzero."""
+    src, dst, val = coo
+    width = int(np.prod(pipe.out_dims, dtype=np.int64))
+    assert (np.diff(src * width + dst) > 0).all() and all(v != 0 for v in val.tolist())
+    return {(s, _unflatten(d, pipe.out_dims)): v for s, d, v in zip(src.tolist(), dst.tolist(), val.tolist())}
 
 
 def build(f, in_dims, stages) -> StagePipeline:
@@ -161,10 +170,12 @@ def test_batched_pipeline_matches_per_tuple_reference(data):
     pipe = build(f, in_dims, stages)
     m = pipe.matrix()
     keys = list(itertools.product(*map(range, in_dims)))
+    coo = coo_dict(pipe, pipe.coo())
     for j, key in enumerate(keys):
         want = ref_run(f, stages, in_dims, key)
         got = {_unflatten(i, pipe.out_dims): m[i, j] for i in range(m.rows) if m[i, j] != 0}
-        assert got == want
+        assert got == want == {okey: v for (s, okey), v in coo.items() if s == j}
+    assert len(coo) == np.count_nonzero(m._d)  # the COO holds the nonzeros of matrix(), and only them
     # one batch of chosen input tuples, repeats and scaled values included
     picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=6))
     scale = data.draw(st.lists(scalars(f), min_size=len(picks), max_size=len(picks)))
@@ -201,13 +212,20 @@ def test_witness_is_first_differing_tuple(data):
     other = build(f, in_dims, rhs)
     if other.out_dims != pipe.out_dims:
         return
-    want = None
-    for key in itertools.product(*map(range, in_dims)):
-        if ref_run(f, lhs, in_dims, key) != ref_run(f, rhs, in_dims, key):
+    want, diff = None, {}
+    for j, key in enumerate(itertools.product(*map(range, in_dims))):
+        left, right = ref_run(f, lhs, in_dims, key), ref_run(f, rhs, in_dims, key)
+        if want is None and left != right:
             want = key
-            break
+        for okey in set(left) | set(right):
+            _add_term(f, diff, (j, okey), f.sub(left.get(okey, f.zero()), right.get(okey, f.zero())))
     assert pipelines_equal(pipe, other) == want
     assert pipelines_equal(pipe, build(f, in_dims, lhs)) is None
+    # the difference as COO: the per-tuple difference, and matrix() - matrix()
+    got = coo_dict(pipe, difference(pipe, other))
+    dense = pipe.matrix() - other.matrix()
+    assert got == diff == {(j, _unflatten(i, pipe.out_dims)): dense[i, j] for i, j in zip(*np.nonzero(dense._d))}
+    assert difference(pipe, build(f, in_dims, lhs))[0].size == 0  # every sum cancels to zero
 
 
 @pytest.mark.parametrize("field", FIELDS)

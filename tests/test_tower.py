@@ -26,6 +26,7 @@ from hopfsplit.category import CatObject, CategoryContext
 from hopfsplit.coalgebra import dualize
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hochschild import AlgebraInContext, lift_through_tower
+from hopfsplit.hopf import BialgebraObject
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.pipeline import (
     CertificationFailed,
@@ -39,7 +40,7 @@ from hopfsplit.tensors import v_basis
 
 from tower_reference import revalidating_lift_through_tower
 
-TAFT_PRIMES = {3: 7, 4: 13, 5: 11}
+TAFT_PRIMES = {3: 7, 4: 13, 5: 11, 6: 7}
 
 
 def _taft(n):
@@ -273,6 +274,26 @@ def test_the_sub_bialgebra_of_an_unverified_bialgebra_is_validated(monkeypatch):
     b, _ = pipeline.sub_bialgebra(a, _taft_candidate(3, "coradical"))
     assert b._verified and b.as_algebra()._verified and b.as_coalgebra()._verified
     assert b.as_algebra() not in spies.validated
+
+
+def test_the_quotient_bialgebra_records_its_verified_algebra(monkeypatch):
+    """A/J's algebra is verified when `quotient_algebra` makes it, so the
+    quotient bialgebra's validation records algebra:shape, associativity
+    and unit as passed, with the names and in the order a run of
+    `AlgebraObject.validate` gives, without running it: a Taft n = 6
+    radical split validates the extracted R and the bosonization only, one
+    algebra fewer."""
+    a, cand = _taft(6), _taft_candidate(6, "radical")
+    q, _, _ = pipeline.quotient_bialgebra(a, cand)
+    alg = q.as_algebra()
+    assert alg._verified
+    unverified = AlgebraObject.from_constants(alg.field, alg.dim, alg.table, alg.unit, alg.labels)
+    want = BialgebraObject.from_parts(unverified, q.as_coalgebra()).validate().checks
+    assert want[:3] == [(f"algebra:{name}", True, None) for name in ("shape", "associativity", "unit")]
+    assert q.validate().checks == want
+    spies = Spies(monkeypatch)
+    _split(a, "radical", cand)
+    assert [x.dim for x in spies.validated] == [6, 36]
 
 
 def test_the_dual_of_a_verified_bialgebra_has_verified_parts():
