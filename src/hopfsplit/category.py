@@ -564,7 +564,7 @@ def coinvariants(field, dim: int, coact_r: Matrix, hopf: HopfObject) -> Subspace
     return Subspace.from_matrix_rows(coact_r._new(dim * dh, dim, d).kernel())
 
 
-def _coordinates_in(space: Subspace, rows: Matrix, check: str, witness) -> Matrix:
+def _coordinates_in(space: Subspace, rows: Matrix | SparseRows, check: str, witness) -> Matrix:
     """Coordinates of every row in the space; VerificationFailed(check,
     witness(k)) names the first row k outside it."""
     c = space.coordinates(rows)

@@ -158,7 +158,7 @@ class Numerators:
         if k == 1:
             return self
         bound = self.bound * k
-        return Numerators(self.field, _fit(self.num, bound) * k, den, bound)
+        return Numerators(self.field, _fit(self.num, max(bound, k)) * k, den, bound)  # k itself may pass 2**63
 
     @staticmethod
     def concat(parts) -> "Numerators":

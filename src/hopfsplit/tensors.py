@@ -172,6 +172,7 @@ class SparseMap:
         return src, dst, val.fractions()
 
     def matrix(self) -> Matrix:
+        """The map as a Matrix: column = input key, row = output key."""
         return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
 
     def apply_at(self, batch, post: int):

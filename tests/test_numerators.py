@@ -22,7 +22,7 @@ from hopfsplit.algebra import multiplicativity_defect
 from hopfsplit.builtin import dual_group_algebra, group_algebra, sweedler_h4
 from hopfsplit.fields import QQ
 from hopfsplit.hopf import BialgebraObject, is_coalgebra_map
-from hopfsplit.linalg import Matrix
+from hopfsplit.linalg import Matrix, Numerators
 from hopfsplit.tensors import SparseMap, StagePipeline, pipelines_equal
 
 f = QQ
@@ -160,6 +160,11 @@ def test_huge_products_and_sums_leave_int64():
     a = [[Fraction(0), Fraction(-2, 3)], [Fraction(1, 3), Fraction(5, 3)]]
     cube = [[sum(a[i][k] * a[k][l] * a[l][j] for k in range(2) for l in range(2)) for j in range(2)] for i in range(2)]
     assert pipe.matrix().to_rows() == cube
+    # zero numerators (bound 0) brought over a denominator past 2^63, as when
+    # a multiplicativity defect in a basis rescaled by 2^-40 concatenates its sides
+    zero = SparseMap(f, (1,), (1,), [0], [0], [Fraction(0)]).values
+    assert zero.over(2**70).num.tolist() == []
+    assert Numerators(f, np.zeros(2, dtype=np.int64), 3, 0).over(3 * 2**70).num.tolist() == [0, 0]
 
 
 
