@@ -51,8 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, Subspace, _dtype, _join, _matmul, _summed
-from .tensors import SparseMap, StagePipeline, difference, pipelines_equal, v_eq
+from .linalg import InconsistentSystem, Matrix, Numerators, SparseMap, Subspace, _dtype, _join, _matmul, _summed
+from .tensors import StagePipeline, difference, pipelines_equal, v_eq, vector
 
 
 class ValidationReport:
@@ -294,7 +294,7 @@ class AlgebraObject:
         f, n = self.field, self.dim
         a, b, c, _ = self.constants()
         v = self.constant_numerators()
-        u = Numerators.of(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
+        u = vector(f, self.unit)
         diag = np.arange(n)
         minus_one = Numerators.of(f, np.full(n, f.neg(f.one()), dtype=_dtype(f)))
         first = []
@@ -556,12 +556,12 @@ def _dense(f: ScalarField, shape) -> np.ndarray:
     return np.full(shape, f.zero(), dtype=np.int32 if dtype == np.int64 else dtype)
 
 
-def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRows:
+def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseMap:
     """All products (row of left) * (row of right), stacked as rows in
-    (left, right) order, as summed COO rows (`linalg.SparseRows`): two
-    joins on the structure constants (i, j, k, v), each summed by
-    `linalg.Numerators.summed`.  Consumers read the COO; `.dense()` is the
-    Matrix.
+    (left, right) order, as a matrix of rows (`linalg.SparseMap`) whose
+    `Numerators` come summed from two joins on the structure constants
+    (i, j, k, v), each summed by `linalg.Numerators.summed`.  Consumers
+    read the COO; `.dense()` is the Matrix.
 
     Stage 1, P[u, j, k] = sum_i left[u, i] [e_i e_j]_k, pairs each nonzero
     (u, i) of left with the constants of first leg i.  Stage 2,
@@ -580,7 +580,7 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
     ci, cj, ck, cv = a.constants()
     if lr * rr * n == 0:
         none = np.zeros(0, dtype=np.int64)
-        return SparseRows(f, (lr * rr, n), none, none, none)
+        return SparseMap.from_coo(f, (lr * rr,), (n,), none, none, Numerators.ones(f, 0))
     u, i = left._d.nonzero()
     w, j = right._d.nonzero()
     per_i = np.bincount(i, minlength=n)[ci]  # left nonzeros at each constant's first leg
@@ -589,9 +589,7 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
         t[ci, cj * n + ck] = cv
         q = _matmul(f, left._d, t).reshape(lr, n, n).transpose(1, 0, 2).reshape(n, lr * n)  # (j, (u, k))
         out = _matmul(f, right._d, q).reshape(rr, lr, n).transpose(1, 0, 2).reshape(lr * rr, n)
-        return SparseRows.from_matrix(Matrix(f, lr * rr, n, out, _raw=True))
-    # both stages multiply `linalg.Numerators`, which become field values
-    # once, at the end
+        return SparseMap.from_rows(Matrix(f, lr * rr, n, out, _raw=True))
     by_a = a._by_a
     s, e = _join(np.arange(u.size), by_a[i], by_a[i + 1])
     # summed per (j, (u, k)), so P comes out sorted by j for stage 2
@@ -602,14 +600,14 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseRo
     s, e = _join(np.arange(w.size), starts[j], starts[j + 1])
     rc, val = (Numerators.of(f, right._d[w, j])[s] * pv[e]).summed((pu[e] * rr + w[s]) * n + pk[e])
     r, c = np.divmod(rc, n)
-    return SparseRows(f, (lr * rr, n), r, c, val.fractions())
+    return SparseMap.from_coo(f, (lr * rr,), (n,), r, c, val)
 
 
 _DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
 
 
 def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
-    """Yield D, as summed COO rows (`linalg.SparseRows`), for consecutive
+    """Yield D, as matrices of rows (`linalg.SparseMap`), for consecutive
     blocks of the left indices (all of them, or the list `lefts`): row
     r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for the block's r-th index i.
 
@@ -617,10 +615,9 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
     its indices, joined with the rows of f^T at their last leg;
     f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Both are integer
     `linalg.Numerators` brought over one denominator, their difference is
-    summed by `Numerators.summed`, so a row of D is failing iff
-    it holds an entry, and only those entries become field values.  Blocks
-    span about _DEFECT_BLOCK entries of the dense D, so a failure is found
-    before later blocks are multiplied.
+    summed by `Numerators.summed`, so a row of D is failing iff it holds an
+    entry.  Blocks span about _DEFECT_BLOCK entries of the dense D, so a
+    failure is found before later blocks are multiplied.
     """
     fld = src.field
     n = src.dim
@@ -639,10 +636,10 @@ def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
         t, g = _join(np.arange(e.size), f_at[ck[e]], f_at[ck[e] + 1])
         r, e = r[t], e[t]  # constant e (row r n + j of D) meets the entry g of f(e_k)
         rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
-        terms = Numerators.concat((cn[e] * fv[g], -Numerators.of(fld, rhs._v)))
-        flat, vals = terms.summed(np.concatenate((r * n + cj[e], rhs._r)) * tgt.dim + np.concatenate((fm[g], rhs._c)))
+        terms = Numerators.concat((cn[e] * fv[g], -rhs.values))
+        flat, vals = terms.summed(np.concatenate((r * n + cj[e], rhs.src)) * tgt.dim + np.concatenate((fm[g], rhs.dst)))
         rows, cols = np.divmod(flat, tgt.dim)
-        yield SparseRows(fld, rhs.shape, rows, cols, vals.fractions())
+        yield SparseMap.from_coo(fld, rhs.in_dims, rhs.out_dims, rows, cols, vals)
 
 
 def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:
@@ -665,27 +662,30 @@ def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -
     allows it; a defect there reruns every row, so the witness is always
     the full scan's: the smallest row of the first block with an entry."""
     gens = _map_generators(src, tgt, f)
-    if gens is not None and not any(d._v.size for d in _defect_rows(src, tgt, f, gens)):
+    if gens is not None and not any(d.src.size for d in _defect_rows(src, tgt, f, gens)):
         return None
     done = 0
     for d in _defect_rows(src, tgt, f):
-        if d._v.size:
-            return divmod(done + int(d._r[0]), src.dim)
-        done += d.rows
+        if d.src.size:
+            return divmod(done + int(d.src[0]), src.dim)
+        done += d.in_size
     return None
 
 
-def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
-    """f(e_i e_j) - f(e_i) f(e_j) as a tgt.dim x src.dim^2 matrix with
-    column i n + j: the curvature of a section f, densified once from the
+def defect_map(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> SparseMap:
+    """f(e_i e_j) - f(e_i) f(e_j) as the map (src.dim^2,) -> (tgt.dim,), a
+    matrix of rows i n + j: the curvature of a section f, stacked from the
     COO blocks."""
-    fld, n = src.field, src.dim
-    out = np.full((tgt.dim, n * n), fld.zero(), dtype=_dtype(fld))
-    done = 0
+    none = np.zeros(0, dtype=np.int64)
+    out = SparseMap.from_coo(src.field, (0,), (tgt.dim,), none, none, Numerators.ones(src.field, 0))
     for d in _defect_rows(src, tgt, f):
-        out[d._c, d._r + done] = d._v
-        done += d.rows
-    return Matrix(fld, tgt.dim, n * n, out, _raw=True)
+        out = out.vstack(d)
+    return out
+
+
+def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
+    """`defect_map` as a tgt.dim x src.dim^2 matrix with column i n + j."""
+    return defect_map(src, tgt, f).matrix()
 
 
 def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
@@ -721,7 +721,7 @@ def ideal_generated_by(a: AlgebraObject, f: Matrix) -> IdealData:
     basis = Matrix.identity(field, a.dim)
     left = pairwise_products(a, basis, mid_m)  # rows: e_i * f_t
     full = pairwise_products(a, left.dense(), basis)  # rows: (e_i f_t) * e_j
-    span = Subspace.from_matrix_rows(full.vstack(left).vstack(SparseRows.from_matrix(mid_m)))
+    span = Subspace.from_matrix_rows(full.vstack(left).vstack(SparseMap.from_rows(mid_m)))
     # span already contains f(X) since 1 is a combination of basis elements
     return IdealData(a, span, f)
 
@@ -983,8 +983,8 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     proj = s.complement_projection()
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
-    consts = pairwise_products(a, basis, basis).matmul(proj._d.T)  # row (ti, tj)
-    q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts._r, qdim), consts._c, consts._v),
+    consts = pairwise_products(a, basis, basis).matmul(SparseMap.from_matrix(proj, (n,), (qdim,)))  # row (ti, tj)
+    q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts.src, qdim), consts.dst, consts.values.fractions()),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     if a._verified:
         q._verified = True

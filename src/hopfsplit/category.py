@@ -15,8 +15,8 @@ import numpy as np
 from .algebra import ValidationReport, VerificationFailed
 from .fields import ScalarField
 from .hopf import HopfObject, IntegralWitness
-from .linalg import Matrix, SparseRows, Subspace, _dtype, _rref, kernel_from_rref, particular_from_rref
-from .tensors import SparseMap, StagePipeline, pipelines_equal
+from .linalg import Matrix, SparseMap, Subspace, _dtype, kernel_from_rref, particular_from_rref
+from .tensors import StagePipeline, pipelines_equal
 
 CTX_KINDS = ("vect", "comod_r", "bicomod", "mod_r", "bimod")
 
@@ -265,11 +265,11 @@ def unit_object(ctx: CategoryContext, field: ScalarField) -> CatObject:
 class MapSolver:
     """Stacked linear constraints on the entries of a matrix F: X -> Y.
 
-    vec(F) is row-major: coordinate of F[y, x] is y * dX + x.  The system
-    stays in COO arrays (`SparseRows`) until `linalg._rref`'s sparse front
-    end has summed them and dropped zero, duplicate and singleton rows; only
-    the core left is densified, one chunk of rows at a time, over Q modulo
-    primes with an exact certificate (`linalg._rref_modular`).
+    vec(F) is row-major: coordinate of F[y, x] is y * dX + x.  The blocks
+    are summed once into a matrix of rows (`SparseMap`, the rhs its last
+    column when asked for), and `SparseMap.rref`'s front end drops zero,
+    duplicate and singleton rows; only the core left is densified, one chunk
+    of rows at a time, over Q modulo primes with an exact certificate.
     """
 
     def __init__(self, field: ScalarField, d_src: int, d_tgt: int):
@@ -287,28 +287,29 @@ class MapSolver:
         z = self.field.zero()
         self.rhs.extend(rhs if rhs is not None else [z] * block_rows)
 
-    def _rows(self) -> SparseRows:
+    def _rows(self, rhs: bool = False) -> SparseMap:
+        """The system as a matrix of rows, its entries summed once, with the
+        rhs as its last column when rhs is set."""
         empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_dtype(self.field)),)
-        r, c, v = (np.concatenate(a) for a in zip(empty, *self._coo))
-        return SparseRows(self.field, (self.nrows, self.d_src * self.d_tgt), r, c, v)
-
-    def _rref(self, rhs: bool = False):
-        """RREF of the system, of [system | rhs] when rhs is set."""
-        rows = self._rows()
-        b = np.array(self.rhs, dtype=rows.dtype).reshape(-1, 1) if rhs else None
-        red, piv = _rref(rows, self.field, b)
-        return Matrix(self.field, *red.shape, red, _raw=True), piv
+        coo = [empty, *self._coo]
+        cols = self.d_src * self.d_tgt
+        if rhs:
+            b = np.array(self.rhs, dtype=_dtype(self.field))
+            r = np.flatnonzero(b != 0)
+            coo.append((r, np.full(r.size, cols), b[r]))
+        r, c, v = (np.concatenate(a) for a in zip(*coo))
+        return SparseMap(self.field, (self.nrows,), (cols + 1 if rhs else cols,), r, c, v)
 
     def kernel(self) -> Matrix:
         """Canonical basis (rows, in RREF) of the solutions with zero rhs."""
-        return kernel_from_rref(self.d_src * self.d_tgt, *self._rref())
+        return kernel_from_rref(self.d_src * self.d_tgt, *self._rows().rref())
 
     def kernel_maps(self) -> list[Matrix]:
         ker = self.kernel()
         return [self._devec(ker.row_list(i)) for i in range(ker.rows)]
 
     def solve_map(self) -> Matrix:
-        return self._devec(particular_from_rref(self.d_src * self.d_tgt, *self._rref(rhs=True)))
+        return self._devec(particular_from_rref(self.d_src * self.d_tgt, *self._rows(rhs=True).rref()))
 
     def _devec(self, flat: list) -> Matrix:
         dX = self.d_src
@@ -564,14 +565,15 @@ def coinvariants(field, dim: int, coact_r: Matrix, hopf: HopfObject) -> Subspace
     return Subspace.from_matrix_rows(coact_r._new(dim * dh, dim, d).kernel())
 
 
-def _coordinates_in(space: Subspace, rows: Matrix | SparseRows, check: str, witness) -> Matrix:
-    """Coordinates of every row in the space; VerificationFailed(check,
-    witness(k)) names the first row k outside it."""
+def _coordinates_in(space: Subspace, rows: SparseMap, check: str, shape: tuple) -> Matrix:
+    """Coordinates of every row of a matrix of rows in the space;
+    VerificationFailed(check, index tuple over shape of k) names the first
+    row k outside it."""
     c = space.coordinates(rows)
     if c is None:
-        rows = rows.dense() if isinstance(rows, SparseRows) else rows
-        k = next(k for k in range(rows.rows) if not space.contains_vector(rows.row_list(k)))
-        raise VerificationFailed(check, witness(k))
+        dense = rows.dense()
+        k = next(k for k in range(dense.rows) if not space.contains_vector(dense.row_list(k)))
+        raise VerificationFailed(check, tuple(int(x) for x in np.unravel_index(k, shape)))
     return c
 
 
@@ -585,46 +587,54 @@ def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     incl = r_space.basis.transpose()
     dh, n = h.dim, v.dim
     # adjoint action h . r = h1 r S(h2), one row per (h, t)
-    src, dst, val = (StagePipeline(f, (dh, dr))
-                     .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
-                     .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
-                     .map_at(h.antipode_map, 1)  # (h1, S h2, r)
-                     .permute((0, 2, 1))
-                     .map_at(v.act_l_map, 0)  # (h1 r, S h2)
-                     .map_at(v.act_r_map, 0)
-                     .coo())
-    adj = SparseRows(f, (dh * dr, n), src, dst, val)
-    act = _coordinates_in(r_space, adj, "adjoint_action_preserves_coinvariants", lambda k: divmod(k, dr))
+    adj = (StagePipeline(f, (dh, dr))
+           .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
+           .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
+           .map_at(h.antipode_map, 1)  # (h1, S h2, r)
+           .permute((0, 2, 1))
+           .map_at(v.act_l_map, 0)  # (h1 r, S h2)
+           .map_at(v.act_r_map, 0)
+           .sparse_map())
+    act = _coordinates_in(r_space, adj, "adjoint_action_preserves_coinvariants", (dh, dr))
     # restricted left coaction: the H-components of rho(r_t), one row per (t, h)
     rho = (v.coact_l @ incl)._d.reshape(dh, n, dr).transpose(2, 0, 1)
-    co = _coordinates_in(r_space, incl._new(dr * dh, n, rho.reshape(dr * dh, n)),
-                         "coaction_preserves_coinvariants", lambda k: divmod(k, dh))
+    co = _coordinates_in(r_space, SparseMap.from_rows(incl._new(dr * dh, n, rho.reshape(dr * dh, n))),
+                         "coaction_preserves_coinvariants", (dr, dh))
     coact = co._new(dh * dr, dr, co._d.reshape(dr, dh, dr).transpose(1, 2, 0).reshape(dh * dr, dr))
     yd = YDObject(h, dr, act.transpose(), coact)
     yd.validate().require("diagram of a Hopf bimodule")
     return yd, incl
 
 
-def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
-    """W (x) H with diagonal left structures and canonical right ones."""
+def hopf_bimodule_structures(w: YDObject) -> tuple:
+    """The structures of the Hopf bimodule W (x) H, diagonal on the left and
+    canonical on the right, as pipelines on its basis (n,) = (dw dh,), in
+    the order coact_l, coact_r, act_l, act_r; each regroups n as (w, k)."""
     h = w.hopf
     f = w.field
     dh = h.dim
     dw = w.dim
-    dim = dw * dh
+    n = dw * dh
     mul = h.as_algebra().mul_map()
     comul = h.as_coalgebra().comul_map()
 
     def P(*dims):
         return StagePipeline(f, dims)
 
-    act_r = P(dw, dh, dh).map_at(mul, 1).matrix()  # (w (x) k) h = w (x) kh
-    coact_r = P(dw, dh).map_at(comul, 1).matrix()  # w (x) k1 (x) k2
-    # h (w (x) k) = (h1 . w) (x) h2 k
-    act_l = P(dh, dw, dh).map_at(comul, 0).permute((0, 2, 1, 3)).map_at(w.act_map, 0).map_at(mul, 1).matrix()
     # w (x) k -> w(-1) k1 (x) w(0) (x) k2
-    coact_l = P(dw, dh).map_at(w.coact_map, 0).map_at(comul, 2).permute((0, 2, 1, 3)).map_at(mul, 0).matrix()
-    return CatObject(f, dim, h, coact_l, coact_r, act_l, act_r)
+    coact_l = (P(n).regroup((dw, dh)).map_at(w.coact_map, 0).map_at(comul, 2).permute((0, 2, 1, 3))
+               .map_at(mul, 0).regroup((dh, n)))
+    coact_r = P(n).regroup((dw, dh)).map_at(comul, 1).regroup((n, dh))  # w (x) k1 (x) k2
+    # h (w (x) k) = (h1 . w) (x) h2 k
+    act_l = (P(dh, n).regroup((dh, dw, dh)).map_at(comul, 0).permute((0, 2, 1, 3)).map_at(w.act_map, 0)
+             .map_at(mul, 1).regroup((n,)))
+    act_r = P(n, dh).regroup((dw, dh, dh)).map_at(mul, 1).regroup((n,))  # (w (x) k) h = w (x) kh
+    return coact_l, coact_r, act_l, act_r
+
+
+def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
+    """W (x) H with diagonal left structures and canonical right ones."""
+    return CatObject(w.field, w.dim * w.hopf.dim, w.hopf, *(p.matrix() for p in hopf_bimodule_structures(w)))
 
 
 def phi_iso(v: CatObject, r_incl: Matrix) -> tuple[Matrix, Matrix]:

@@ -9,7 +9,7 @@ inside the package hand the arrays over through
 constructor is converted once, and `CoalgebraObject.comul` rebuilds it
 only for callers outside the package.  The dual algebra has the same
 arrays, so `dualize` copies nothing.  `comul_map()` is Delta as a cached
-`tensors.SparseMap` (n,) -> (n, n), as `mul_map()` is the product, and
+`linalg.SparseMap` (n,) -> (n, n), as `mul_map()` is the product, and
 `validate` joins its entries: coassociativity is the mirror of the
 associativity join of `AlgebraObject`, grouped by the coproduct's input
 leg k.  The kernels below are `StagePipeline`s over `comul_map()` or
@@ -38,8 +38,8 @@ import numpy as np
 from .algebra import (AlgebraObject, ValidationReport, VerificationFailed, _frozen, _in_range, _JOIN_BLOCK,
                       constants_of, radical, table_from_entries)
 from .fields import ScalarField
-from .linalg import Matrix, Numerators, SparseRows, Subspace, _dtype, _join, kernel_from_rref
-from .tensors import SparseMap, StagePipeline
+from .linalg import Matrix, Numerators, SparseMap, Subspace, _dtype, _join, kernel_from_rref
+from .tensors import StagePipeline, vector
 
 
 class CoalgebraObject:
@@ -129,7 +129,8 @@ class CoalgebraObject:
         join while their terms fit a window of _JOIN_BLOCK."""
         f, n = self.field, self.dim
         delta = self.comul_map()
-        src, ij, v = delta.coo_numerators()  # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1])
+        # sorted by input leg k, whose entries are [by_k[k], by_k[k + 1])
+        src, ij, v = delta.src, delta.dst, delta.values
         by_k = delta.starts
         i, j = np.divmod(ij, n)
         count = np.diff(by_k)
@@ -156,9 +157,9 @@ class CoalgebraObject:
         `linalg.Numerators.summed`."""
         f, n = self.field, self.dim
         delta = self.comul_map()
-        k, ij, v = delta.coo_numerators()
+        k, ij, v = delta.src, delta.dst, delta.values
         i, j = np.divmod(ij, n)
-        eps = Numerators.of(f, f.reduce(np.array(self.counit, dtype=_dtype(f))))
+        eps = vector(f, self.counit)
         minus_one = Numerators.of(f, np.full(2 * n, f.neg(f.one()), dtype=_dtype(f)))
         terms = Numerators.concat((eps[i] * v, eps[j] * v, minus_one))
         diag = np.arange(n)
@@ -223,12 +224,10 @@ def _delta_of_rows(c: CoalgebraObject, rows: Matrix) -> StagePipeline:
 
 def _coproduct_kernel(c: CoalgebraObject, p: Matrix, q: Matrix) -> Subspace:
     """Ker((p (x) q) Delta) for linear maps p, q out of C, eliminated from
-    the composite's COO: its output keys are the rows of the system."""
+    the composite's transpose: its output keys are the rows of the system."""
     pm = _map(p)
     pipe = StagePipeline(c.field, (c.dim,)).map_at(c.comul_map(), 0).map_at(pm, 0).map_at(pm if q is p else _map(q), 1)
-    src, dst, val = pipe.coo()
-    rows = SparseRows(c.field, (p.rows * q.rows, c.dim), dst, src, val)
-    return Subspace.from_matrix_rows(kernel_from_rref(c.dim, *rows.rref()))
+    return Subspace.from_matrix_rows(kernel_from_rref(c.dim, *pipe.sparse_map().transpose().rref()))
 
 
 def _tensors(m: Matrix) -> list[Matrix]:
@@ -246,14 +245,14 @@ def _square_coordinates(d: Subspace, x: Matrix) -> Matrix | None:
     """Coordinates of the columns of x (elements of C (x) C, row i n + j) in
     the basis d_s (x) d_u of D (x) D, as a dim(D)^2 x x.cols matrix with row
     s dim(D) + u; None when a column lies outside D (x) D.  The first
-    `coordinates` call reads the right leg of every row i of every column,
+    `dense_coordinates` call reads the right leg of every row i of every column,
     the second the left leg of every right coordinate."""
     n, m, k = d.ambient_dim, x.cols, d.dim
     # right: row (t, i), column u; left: row (t, u), column s
-    right = d.coordinates(x._new(m * n, n, x._d.T.reshape(m * n, n)))
+    right = d.dense_coordinates(x._new(m * n, n, x._d.T.reshape(m * n, n)))
     if right is None:
         return None
-    left = d.coordinates(x._new(m * k, n, right._d.reshape(m, n, k).transpose(0, 2, 1).reshape(m * k, n)))
+    left = d.dense_coordinates(x._new(m * k, n, right._d.reshape(m, n, k).transpose(0, 2, 1).reshape(m * k, n)))
     if left is None:
         return None
     return x._new(k * k, m, left._d.reshape(m, k, k).transpose(2, 1, 0).reshape(k * k, m))

@@ -29,12 +29,15 @@ Lifting through a nilpotent tower runs on whole matrices over the power
 chain recorded on the ideal.  The top level is A itself; each quotient
 below it descends its coactions by one product,
 (proj (x) id_H) co [ideal^T | incl],
-and each square-zero step reads its curvature (`defect_matrix`), kernel
+and each square-zero step reads its curvature (`defect_map`), kernel
 products and restricted coactions in kernel coordinates
-(`Subspace.coordinates`).  Every step is re-verified; a failure raises
-`VerificationFailed` naming the check and its first failing index.
+(`Subspace.coordinates` on matrices of rows).  Every step is
+re-verified; a failure raises `VerificationFailed` naming the check and
+its first failing index.
 """
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .algebra import (
     IdealData,
     ValidationReport,
     VerificationFailed,
+    defect_map,
     defect_matrix,
     ideal_power_nilpotency,
     multiplicativity_defect,
@@ -54,6 +58,7 @@ from .category import (
     CategoryContext,
     HomSpace,
     MapSolver,
+    _coordinates_in,
     _post_block,
     _pre_block,
     colinearity_blocks,
@@ -64,15 +69,14 @@ from .category import (
 from .linalg import (
     InconsistentSystem,
     Matrix,
-    Numerators,
-    SparseRows,
+    SparseMap,
     Subspace,
     _along_factor,
     _join,
     _matmul,
     kernel_from_rref,
 )
-from .tensors import SparseMap, _sum, _total, v_basis, v_eq, v_tensor
+from .tensors import v_basis, v_eq, v_tensor
 
 
 class AlgebraInContext:
@@ -253,15 +257,9 @@ def _hochschild_operator(mctx: BimoduleInContext, n: int) -> SparseMap:
     return SparseMap(fld, (dm,) + (da,) * n, (dm,) + (da,) * (n + 1), cat(cols), cat(rows), cat(vals))
 
 
-def _images(op: SparseMap, rows: np.ndarray) -> SparseRows:
-    """op applied to each row of a dense (k, vec length) array, as summed
-    COO rows."""
-    fld = op.field
-    width, n = _total(op.out_dims), _total(op.in_dims)
-    col, key = rows.nonzero()
-    flat, val = _sum(op.apply_at((col * n + key, Numerators.of(fld, rows[col, key])), 1))
-    col, key = np.divmod(flat, width)
-    return SparseRows(fld, (rows.shape[0], width), col, key, val.fractions())
+def _images(op: SparseMap, rows: Matrix) -> SparseMap:
+    """op applied to each row of a dense matrix, as a matrix of rows."""
+    return SparseMap.from_rows(rows).matmul(op)
 
 
 def differential(actx: AlgebraInContext, mctx: BimoduleInContext, n: int, f: Matrix) -> Matrix:
@@ -271,7 +269,7 @@ def differential(actx: AlgebraInContext, mctx: BimoduleInContext, n: int, f: Mat
         raise ValueError("the bimodule is over another algebra")
     if (f.rows, f.cols) != (mctx.dim, actx.dim**n):
         raise ValueError(f"{f.rows}x{f.cols} matrix is not a {n}-cochain")
-    img = _images(mctx.operator(n), f._d.reshape(1, -1)).dense()._d
+    img = _images(mctx.operator(n), f._new(1, f.rows * f.cols, f._d.reshape(1, -1))).dense()._d
     return Matrix(f.field, mctx.dim, actx.dim ** (n + 1), img.reshape(mctx.dim, -1), _raw=True)
 
 
@@ -285,9 +283,10 @@ class CohomologyData:
         self.cochain_basis = cochain_basis  # HomSpace
 
 
-def _basis_rows(hs: HomSpace) -> np.ndarray:
+def _basis_rows(hs: HomSpace) -> Matrix:
     """The cochain basis as rows of vec coordinates."""
-    return np.stack([b._d.ravel() for b in hs.basis])
+    d = np.stack([b._d.ravel() for b in hs.basis])
+    return Matrix(hs.basis[0].field, *d.shape, d, _raw=True)
 
 
 def cohomology(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> CohomologyData:
@@ -305,16 +304,13 @@ def cohomology(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> Cohom
         zero_sub = Subspace.zero(fld, max(veclen, 1))
         return CohomologyData(n, 0, [], zero_sub, zero_sub, cs)
     basis = _basis_rows(cs)
-    images = _images(mctx.operator(n), basis)
-    # the coefficient matrix D_n B^T as COO rows, eliminated by `_rref`'s
-    # sparse front end (over Q modulo primes, certified)
-    coeff = SparseRows(fld, (images.cols, cs.dim), images._c, images._r, images._v)
-    ker = kernel_from_rref(cs.dim, *coeff.rref())  # rows: coefficient vectors of cocycles
+    # the coefficient matrix D_n B^T as a matrix of rows, eliminated by
+    # `SparseMap.rref`'s front end (over Q modulo primes, certified)
+    ker = kernel_from_rref(cs.dim, *_images(mctx.operator(n), basis).transpose().rref())  # coefficients of cocycles
     # ker and B are RREFs of full row rank, so ker B is one too (row t leads
     # at B's pivot under ker's pivot of row t, where no other row of ker B
     # is nonzero) and spans the cocycles as it stands
-    z_space = (Subspace(veclen, ker @ Matrix(fld, cs.dim, veclen, basis, _raw=True)) if ker.rows
-               else Subspace.zero(fld, veclen))
+    z_space = Subspace(veclen, ker @ basis) if ker.rows else Subspace.zero(fld, veclen)
     prev = cochain_space(actx, mctx, n - 1) if n else None
     if prev is None or prev.dim == 0:
         b_space = Subspace.zero(fld, veclen)
@@ -322,7 +318,7 @@ def cohomology(actx: AlgebraInContext, mctx: BimoduleInContext, n: int) -> Cohom
         coboundaries = _images(mctx.operator(n - 1), _basis_rows(prev))
         b_space = Subspace(veclen, *coboundaries.rref())
         # re-verify b^n b^(n-1) = 0 on the cochains: every coboundary is a cocycle
-        _kernel_coordinates(z_space, coboundaries, "coboundaries_in_cocycles", (prev.dim,))
+        _coordinates_in(z_space, coboundaries, "coboundaries_in_cocycles", (prev.dim,))
     comp = b_space.quotient_complement(z_space)
     reps = []
     for t in range(comp.rows):
@@ -604,7 +600,7 @@ def _add_b1_rows(solver: MapSolver, mctx: BimoduleInContext, omega: Matrix):
     columns of the degree-1 operator are those of the solver."""
     op = mctx.operator(1)
     src, dst, val = op.coo()
-    solver.add_coo(dst, src, val, _total(op.out_dims), _vec(omega))
+    solver.add_coo(dst, src, val, prod(op.out_dims), _vec(omega))
 
 
 def _verify_algebra_lift(src: AlgebraInContext, tgt: AlgebraInContext, sigma: Matrix,
@@ -737,23 +733,16 @@ def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> 
     return QuotientStep(qactx, proj, incl, free)
 
 
-def _first_nonzero_row(d: "np.ndarray | SparseRows", shape: tuple):
-    """The first nonzero row of d (dense, or summed COO rows), as an index
-    tuple over shape, or None."""
-    rows = d._r if isinstance(d, SparseRows) else np.flatnonzero((d != 0).any(axis=1))
-    return tuple(int(x) for x in np.unravel_index(rows[0], shape)) if rows.size else None
+def _at(k: int, shape: tuple) -> tuple:
+    """The flat index k as an index tuple over shape."""
+    return tuple(int(x) for x in np.unravel_index(k, shape))
 
 
-def _kernel_coordinates(kernel: Subspace, rows: "Matrix | SparseRows", check: str, shape: tuple) -> Matrix:
-    """Coordinates of the rows (dense, or summed COO rows) in the kernel's
-    basis; when a row lies outside, VerificationFailed names `check` and
-    that row's index tuple over shape."""
-    coords = kernel.coordinates(rows)
-    if coords is None:
-        rows = rows.dense() if isinstance(rows, SparseRows) else rows
-        bad = next(t for t in range(rows.rows) if not kernel.contains_vector(rows.row_list(t)))
-        raise VerificationFailed(check, tuple(int(x) for x in np.unravel_index(bad, shape)))
-    return coords
+def _first_nonzero_row(d: np.ndarray, shape: tuple):
+    """The first nonzero row of a dense d, as an index tuple over shape, or
+    None."""
+    rows = np.flatnonzero((d != 0).any(axis=1))
+    return _at(rows[0], shape) if rows.size else None
 
 
 def _solve_ctx_lift(ctx, b_actx, q_actx, cur: QuotientStep, nxt: QuotientStep,
@@ -864,7 +853,7 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
 
     The kernel's square-zero test, the curvature, the induced bimodule
     actions and the restricted coactions are each one product
-    (`pairwise_products`, `defect_matrix`, `@`) read off in kernel
+    (`pairwise_products`, `defect_map`, `@`) read off in kernel
     coordinates (`Subspace.coordinates`), which fails when a product
     escapes the kernel.
     """
@@ -875,20 +864,20 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     dm = kernel_sub.dim
     kern = kernel_sub.basis  # rows: the kernel basis in Q_{r+1}
     incl = kern.transpose()  # (dq, dm)
-    bad = _first_nonzero_row(pairwise_products(q_alg, kern, kern), (dm, dm))
-    if bad is not None:
-        raise VerificationFailed("tower_kernel_square_zero", bad)
+    square = pairwise_products(q_alg, kern, kern)
+    if square.src.size:
+        raise VerificationFailed("tower_kernel_square_zero", _at(square.src[0], (dm, dm)))
     # curvature theta(a, b) = sigma(ab) - sigma(a) sigma(b) lands in the
     # kernel; omega holds its coordinates, column (i, j)
-    theta = defect_matrix(b_alg, q_alg, sigma).transpose()
-    omega = _kernel_coordinates(kernel_sub, theta, "tower_curvature_in_kernel", (db, db)).transpose()
+    theta = defect_map(b_alg, q_alg, sigma)
+    omega = _coordinates_in(kernel_sub, theta, "tower_curvature_in_kernel", (db, db)).transpose()
     # B-bimodule structure on the kernel via sigma (well-defined: M^2 = 0):
     # rows (i, t) are sigma(e_i) m_t, rows (t, i) are m_t sigma(e_i)
     st = sigma.transpose()
-    act_l = _kernel_coordinates(kernel_sub, pairwise_products(q_alg, st, kern),
-                                "tower_kernel_left_action", (db, dm)).transpose()
-    act_r = _kernel_coordinates(kernel_sub, pairwise_products(q_alg, kern, st),
-                                "tower_kernel_right_action", (dm, db)).transpose()
+    act_l = _coordinates_in(kernel_sub, pairwise_products(q_alg, st, kern),
+                            "tower_kernel_left_action", (db, dm)).transpose()
+    act_r = _coordinates_in(kernel_sub, pairwise_products(q_alg, kern, st),
+                            "tower_kernel_right_action", (dm, db)).transpose()
     # kernel as a ctx object: restrict the coactions of Q_{r+1}
     ctx = b_actx.ctx
     if ctx.kind == "vect":
@@ -905,8 +894,8 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
             img = (co @ incl)._d
             img = (img.reshape(dq, dh, dm).transpose(2, 1, 0) if side == "r"
                    else img.reshape(dh, dq, dm).transpose(2, 0, 1))  # (t, h, x)
-            slices = Matrix(fld, dm * dh, dq, img.reshape(dm * dh, dq), _raw=True)
-            c = _kernel_coordinates(kernel_sub, slices, "tower_kernel_coaction", (dm, dh))._d
+            slices = SparseMap.from_rows(Matrix(fld, dm * dh, dq, img.reshape(dm * dh, dq), _raw=True))
+            c = _coordinates_in(kernel_sub, slices, "tower_kernel_coaction", (dm, dh))._d
             c = c.reshape(dm, dh, dm).transpose((2, 1, 0) if side == "r" else (1, 2, 0))
             return Matrix(fld, dm * dh, dm, c.reshape(dm * dh, dm), _raw=True)
 

@@ -25,8 +25,8 @@ import numpy as np
 from .algebra import AlgebraObject, ValidationReport, multiplicativity_defect
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
-from .linalg import InconsistentSystem, Matrix, Numerators, SparseRows, _dtype, _join, _summed, kernel_from_rref
-from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_zero
+from .linalg import InconsistentSystem, Matrix, Numerators, SparseMap, _dtype, _join, _summed, kernel_from_rref
+from .tensors import StagePipeline, pipelines_equal, v_eq, v_zero, vector
 
 
 _DELTA_BLOCK = 2**20  # terms before the second join of the Delta-multiplicativity check
@@ -125,7 +125,7 @@ class BialgebraObject:
         zero.  (The dense dim^2 x dim matrix of Delta would be the largest
         temporary of validating a large bialgebra.)"""
         f, n = self.field, self.dim
-        one = Numerators.of(f, f.reduce(np.array(self.unit, dtype=_dtype(f))))
+        one = vector(f, self.unit)
         supp = np.flatnonzero(one.num != 0)
         delta = self._coalg.comul_map()
         src, e = _join(supp, delta.starts[supp], delta.starts[supp + 1])
@@ -160,7 +160,7 @@ class BialgebraObject:
         v = self._alg.constant_numerators()
         by_a = self._alg._by_a
         delta = self._coalg.comul_map()
-        s, pq, w = delta.coo_numerators()  # sorted by input leg s, whose entries are [by_s[s], by_s[s + 1])
+        s, pq, w = delta.src, delta.dst, delta.values  # sorted by input leg s, whose entries are [by_s[s], by_s[s + 1])
         by_s = delta.starts
         p, q = np.divmod(pq, n)
         by_pq = np.argsort(pq, kind="stable")
@@ -347,11 +347,12 @@ class IntegralWitness:
         return f"IntegralWitness({self.where}, {self.side}, normalized={self.normalized})"
 
 
-def _integral_system(h: BialgebraObject, where: str, side: str) -> SparseRows:
+def _integral_system(h: BialgebraObject, where: str, side: str) -> SparseMap:
     """The integral conditions on t (in_H) or lam (in_dual), n^2 rows per
-    side, as summed COO rows (`linalg.SparseRows`) scattered from the
-    nonzero structure constants, so the kernel takes `linalg._rref`'s
-    sparse front end and the 2 n^2 x n system is never dense.
+    side, as a matrix of rows (`linalg.SparseMap`) scattered from the
+    numerators of the nonzero structure constants and summed once, so the
+    kernel takes `linalg._rref_sparse`'s front end and the 2 n^2 x n system
+    is never dense.
 
     in_H left, x t = eps(x) t: row x n + out, column t holds the
     coefficient of e_out in e_x e_t (right: e_t e_x), minus eps(x) where
@@ -363,22 +364,24 @@ def _integral_system(h: BialgebraObject, where: str, side: str) -> SparseRows:
     rows = np.arange(n * n)
     x, y = np.divmod(rows, n)
     if where == "in_H":
-        a, b, c, v = h.as_algebra().constants()  # e_a e_b has v on e_c
+        a, b, c, _ = h.as_algebra().constants()  # e_a e_b has v on e_c
+        v = h.as_algebra().constant_numerators()
         legs = {"left": (a * n + c, b), "right": (b * n + c, a)}
-        diag_col, diag_val = y, np.repeat(f.reduce(np.array(h.counit, dtype=_dtype(f))), n)
+        diag_col, diag_val = y, (-vector(f, h.counit))[x]
     else:
-        k, ab, v = h.as_coalgebra().comul_map().coo()  # Delta(e_k) has v on e_a (x) e_b
+        comul = h.as_coalgebra().comul_map()
+        k, ab, v = comul.src, comul.dst, comul.values  # Delta(e_k) has v on e_a (x) e_b
         a, b = np.divmod(ab, n)
         legs = {"left": (k * n + a, b), "right": (k * n + b, a)}
-        diag_col, diag_val = x, np.tile(f.reduce(np.array(h.unit, dtype=_dtype(f))), n)
+        diag_col, diag_val = x, (-vector(f, h.unit))[y]
     sides = ("left", "right") if side == "two_sided" else (side,)
     r, c, val = [], [], []
     for s, name in enumerate(sides):
         r += [legs[name][0] + s * n * n, rows + s * n * n]
         c += [legs[name][1], diag_col]
-        val += [v, f.reduce(-diag_val)]
-    entries = _summed(f, *(np.concatenate(x) for x in (r, c, val)), n)
-    return SparseRows(f, (len(sides) * n * n, n), *entries)
+        val += [v, diag_val]
+    flat, val = Numerators.concat(val).summed(np.concatenate(r) * n + np.concatenate(c))
+    return SparseMap.from_coo(f, (len(sides) * n * n,), (n,), *np.divmod(flat, n), val)
 
 
 def find_integral(h: BialgebraObject, where: str = "in_H", side: str = "two_sided") -> IntegralWitness:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p: dense matrices and one sparse matrix.
 
 Matrices act on column vectors.  Reduced row echelon form is canonical
 (leftmost pivots, scaled to 1, cleared columns), so every derived object
@@ -18,9 +18,7 @@ denominator, over F_p the reduced values over 1, over Q int64 numerators
 while a bound on their absolute values proves that every product and sum
 fits int64 (the bound of a product is the product of the bounds, that of
 a sum of n terms n times theirs, and past 2^63 the operands become python
-ints).  Its operations carry the denominator and the bound.  `Fraction`s
-stay in `Matrix` storage, the Gauss-Jordan fallback and the read-out of
-a result (``Numerators.fractions``).
+ints).  Its operations carry the denominator and the bound.
 
 Elimination is one kernel for every dtype, ``_rref_chunked``: rows are
 streamed in chunks, each chunk is stacked under the RREF found so far, and
@@ -29,14 +27,18 @@ column) x (columns nonzero in the pivot row).  Sparse matrices, the
 common case, cost little more than their nonzeros, and over Q no zero
 Fraction is ever multiplied.
 
-A tall sparse system can stay COO arrays (`SparseRows`); `_rref` then
-runs a sparse front end before anything is dense (`_rref_sparse`,
-structured Gaussian elimination after LaMacchia and Odlyzko, CRYPTO '90).
-Duplicate entries are summed and zero rows dropped, each row is scaled to
-a leading 1, and duplicate rows are dropped (a lexsort of the rows padded
-as (col, value) keys, then an exact comparison of neighbours).  Singleton
-rows are then pivoted: a row with one nonzero at column j puts e_j in the
-row space, so e_j is a row of the canonical RREF, and column j is deleted
+The one sparse matrix is `SparseMap`, a map between tensor spaces held
+as its summed COO entries with `Numerators` values; a matrix of rows is
+the map (rows,) -> (cols,).  Every sparse elimination input is one, and
+its producers hand their `Numerators` over as they are.
+
+A tall sparse system (`SparseMap.rref`) runs a sparse front end before
+anything is dense (`_rref_sparse`, structured Gaussian elimination after
+LaMacchia and Odlyzko, CRYPTO '90).  Each row is scaled to a leading 1,
+and duplicate rows are dropped (a lexsort of the rows padded as (col,
+value) keys, then an exact comparison of neighbours).  Singleton rows are
+then pivoted: a row with one nonzero at column j puts e_j in the row
+space, so e_j is a row of the canonical RREF, and column j is deleted
 from the other rows.  Doubleton rows u e_j + w e_k (j < k) are pivoted
 next: column j is replaced by column k in the other rows, which adds no
 entry.  Both repeat until neither is left.  The chunked Gauss-Jordan runs
@@ -45,29 +47,32 @@ merged back in by pivot.  The row space never changes, so the output is
 the canonical RREF the streamed kernel gives on the whole system.
 `kernel_from_rref` and `particular_from_rref` read the results.  Dense
 input (`Matrix.rref`, hence `Matrix.kernel` and
-`Subspace.from_matrix_rows`) is streamed directly.
+`Subspace.from_matrix_rows` of a Matrix) is streamed directly.
 
-Over Q a `SparseRows` source A is eliminated modulo primes below 2^31
+Over Q a sparse source A is eliminated modulo primes below 2^31
 (`_rref_modular`) as the integer matrix d A, d the common denominator of
-its entries, which has the same RREF: the front end and the int64 kernel
-run on its numerators mod p, the result is lifted by CRT and Wang's
-rational reconstruction and returned only after an exact certificate
-(full column rank mod p, or d A = (d A)[:, pivots] R checked in integers
-as a COO join of nonzeros).  The output is the same canonical RREF the
-Fraction kernel gives, which still answers dense Q input and any system
-no prime certifies.  (Sorting and `np.add.reduceat` sum duplicates here,
-never `np.unique`: it imports `numpy.ma`, about 1.7 MB of resident
-memory.)
+its `Numerators`, which has the same RREF: the front end and the int64
+kernel run on its numerators mod p, the result is lifted by CRT and
+Wang's rational reconstruction and returned only after an exact
+certificate (full column rank mod p, or d A = (d A)[:, pivots] R checked
+in integers as a COO join of nonzeros).  The output is the same canonical
+RREF the Fraction kernel gives, which still answers dense Q input and any
+system no prime certifies.  (Sorting and `np.add.reduceat` sum
+duplicates here, never `np.unique`: it imports `numpy.ma`, about 1.7 MB
+of resident memory.)
 
 Containment in a subspace checks M = M[:, pivots] @ basis for all rows
-of M at once (``Subspace.coordinates``): one product for a dense M, and
-for summed COO rows (a `SparseRows` product) the same join that certifies
-a modular RREF over Q, so the rows are never dense.
+of M at once: for sparse rows (``Subspace.coordinates``) the same join
+that certifies a modular RREF over Q, so the rows are never dense, and
+for a dense M one product (``Subspace.dense_coordinates``).  `Fraction`s
+appear only where a dense object array is formed: `Matrix` storage, the
+Gauss-Jordan fallback and the read-out of a result
+(``Numerators.fractions``, `SparseMap.coo`, `dense`, `matrix`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -299,77 +304,175 @@ def _matmul_sparse(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return out
 
 
-class SparseRows:
-    """A tall matrix held as COO arrays (row, col, value) of reduced values.
+def _scatter(field: ScalarField, in_dims, out_dims, src, dst, val) -> "Matrix":
+    """COO entries as a Matrix: column = input key, row = output key."""
+    out = Matrix.zeros(field, prod(out_dims), prod(in_dims))
+    out._d[dst, src] = val
+    return out
 
-    A linear system (`category.MapSolver`) may repeat entries and list them
-    in any order; `_rref` sums them.  Products hand over *summed* entries,
-    sorted by (row, col), unique and nonzero: `algebra.pairwise_products`,
-    `from_matrix`, `matmul` and `vstack` of summed sources.  Containment
-    (`Subspace.coordinates`) and the readers of a first failing row need
-    summed entries.  Slicing, `_rref`'s read of its summed core, returns a
-    range of rows dense, so no more than one chunk is ever dense; `dense()`
-    is the whole matrix, for the few callers that need a `Matrix`."""
 
-    def __init__(self, field: ScalarField, shape: tuple[int, int], r, c, v):
+class SparseMap:
+    """Linear map V_1 (x) ... (x) V_a -> W_1 (x) ... (x) W_b, the one sparse
+    matrix of the package; a key is the row-major index over the factor dims.
+
+    src and dst hold the nonzero entries (input key, output key), sorted
+    and unique; those of input key s are [starts[s], starts[s + 1]).
+    values is `Numerators` over the least denominator, bounded by the
+    largest |numerator|.  The constructor adds
+    up duplicate entries given in any order; summed producers store theirs
+    with `from_coo`.  With every value 1 applying the map takes no products,
+    and with at most one entry per input key (fan <= 1) no join.
+
+    A matrix of rows is the map (rows,) -> (cols,) (`from_rows`, `shape`):
+    a row range of it reads dense (`_rref_chunked`'s chunks), `dense()` is
+    the Matrix of rows and `matrix()` that of the map (column = input key).
+    """
+
+    __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "src", "dst", "values", "starts", "_fan",
+                 "_ones")
+
+    def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
+        val = Numerators.of(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
+        flat = np.asarray(src, dtype=np.int64) * prod(out_dims) + np.asarray(dst, dtype=np.int64)
+        flat, val = val.summed(flat)
+        src, dst = np.divmod(flat, prod(out_dims))
+        self._set(field, in_dims, out_dims, src, dst, val)
+
+    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val: Numerators):
+        """Store entries already sorted by (input, output) key, unique and
+        nonzero; their values are brought over the least denominator."""
         self.field = field
-        self.shape = shape
-        self.dtype = _dtype(field)
-        self._r, self._c = r, c
-        self._v = np.asarray(v, dtype=self.dtype)
-        self._starts = None
+        self.in_dims = tuple(in_dims)
+        self.out_dims = tuple(out_dims)
+        self.in_size, self.out_size = prod(self.in_dims), prod(self.out_dims)
+        self.src, self.dst = src, dst
+        val = val.lowest()
+        self.values = Numerators(field, val.num, val.den)  # bounded by the largest |numerator|
+        self.starts = np.searchsorted(src, np.arange(self.in_size + 1))
+        self._fan = self._ones = None  # read when the map is first a stage: a matrix of rows never is
 
     @classmethod
-    def from_matrix(cls, m: "Matrix") -> "SparseRows":
-        """The summed entries of a dense matrix."""
+    def from_coo(cls, field: ScalarField, in_dims, out_dims, src, dst, val: Numerators) -> "SparseMap":
+        """The map of entries already sorted by (input, output) key, unique
+        and nonzero, as summed producers hand them over."""
+        smap = cls.__new__(cls)
+        smap._set(field, in_dims, out_dims, src, dst, val)
+        return smap
+
+    @classmethod
+    def from_matrix(cls, m: "Matrix", in_dims, out_dims) -> "SparseMap":
+        """The map whose matrix is m: columns are input keys, rows output keys.
+        The entries of m are unique and reduced, and the nonzeros of m^T come
+        sorted by (input, output) key, so nothing is sorted or summed."""
+        if (m.rows, m.cols) != (prod(out_dims), prod(in_dims)):
+            raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
+        src, dst = np.nonzero(m._d.T)
+        return cls.from_coo(m.field, in_dims, out_dims, src, dst, Numerators.of(m.field, m._d[dst, src]))
+
+    @classmethod
+    def from_rows(cls, m: "Matrix") -> "SparseMap":
+        """The rows of m as the map (m.rows,) -> (m.cols,)."""
         r, c = m._d.nonzero()
-        return cls(m.field, (m.rows, m.cols), r, c, m._d[r, c])
+        return cls.from_coo(m.field, (m.rows,), (m.cols,), r, c, Numerators.of(m.field, m._d[r, c]))
 
     @property
-    def rows(self) -> int:
-        return self.shape[0]
+    def fan(self) -> int:
+        """The most entries of one input key."""
+        if self._fan is None:
+            self._fan = int(np.diff(self.starts).max()) if self.in_size else 0
+        return self._fan
 
     @property
-    def cols(self) -> int:
-        return self.shape[1]
+    def ones(self) -> bool:
+        """Whether every value is 1."""
+        if self._ones is None:
+            self._ones = self.values.den == 1 and bool((self.values.num == 1).all())
+        return self._ones
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, cols) of the matrix of rows."""
+        return self.in_size, self.out_size
+
+    def coo(self):
+        """The entries as COO arrays (input key, output key, field value)."""
+        return self.src, self.dst, self.values.fractions()
+
+    def matrix(self) -> "Matrix":
+        """The map as a Matrix: column = input key, row = output key."""
+        return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        if self._starts is None:
-            self._starts = np.searchsorted(self._r, np.arange(self.shape[0] + 1))
-        s, e = rows.start, min(rows.stop, self.shape[0])
-        lo, hi = self._starts[s], self._starts[e]
-        out = np.full((e - s, self.shape[1]), self.field.zero(), dtype=self.dtype)
-        out[self._r[lo:hi] - s, self._c[lo:hi]] = self._v[lo:hi]
+        """Rows [start, stop) of the matrix of rows, dense."""
+        s, e = rows.start, min(rows.stop, self.in_size)
+        lo, hi = self.starts[s], self.starts[e]
+        out = np.full((e - s, self.out_size), self.field.zero(), dtype=_dtype(self.field))
+        out[self.src[lo:hi] - s, self.dst[lo:hi]] = self.values[lo:hi].fractions()
         return out
 
     def dense(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, self[0 : self.rows], _raw=True)
+        """The matrix of rows: row = input key, column = output key."""
+        return Matrix(self.field, self.in_size, self.out_size, self[0 : self.in_size], _raw=True)
 
-    def vstack(self, other: "SparseRows") -> "SparseRows":
-        if self.cols != other.cols:
+    def transpose(self) -> "SparseMap":
+        """The map W -> V whose matrix is the transpose of this one's."""
+        order = np.argsort(self.dst * self.in_size + self.src)
+        return SparseMap.from_coo(self.field, self.out_dims, self.in_dims, self.dst[order], self.src[order],
+                                  self.values[order])
+
+    def vstack(self, other: "SparseMap") -> "SparseMap":
+        """The rows of self above the rows of other."""
+        if self.out_size != other.out_size:
             raise ValueError("col mismatch")
-        r = np.concatenate((self._r, other._r + self.rows))
-        return SparseRows(self.field, (self.rows + other.rows, self.cols), r, np.concatenate((self._c, other._c)),
-                          np.concatenate((self._v, other._v)))
+        return SparseMap.from_coo(self.field, (self.in_size + other.in_size,), self.out_dims,
+                                  np.concatenate((self.src, other.src + self.in_size)),
+                                  np.concatenate((self.dst, other.dst)), Numerators.concat((self.values, other.values)))
 
-    def matmul(self, b: np.ndarray) -> "SparseRows":
-        """self @ b for a dense b, summed: each entry (r, k, v) joins the
-        nonzeros of row k of b, and the products of their numerators are
-        summed per (r, column)."""
-        f = self.field
-        bk, bt = b.nonzero()
-        starts = np.searchsorted(bk, np.arange(b.shape[0] + 1))
-        src, dst = _join(np.arange(self._v.size), starts[self._c], starts[self._c + 1])
-        terms = Numerators.of(f, self._v)[src] * Numerators.of(f, b[bk, bt])[dst]
-        flat, v = terms.summed(self._r[src] * b.shape[1] + bt[dst])
-        r, c = np.divmod(flat, b.shape[1])
-        return SparseRows(f, (self.rows, b.shape[1]), r, c, v.fractions())
+    def matmul(self, other: "SparseMap") -> "SparseMap":
+        """The rows of self times the matrix of rows other, summed: each
+        entry (r, k, v) joins row k of other (Gustavson, ACM TOMS 4(3),
+        1978) as other's map stage on the batch of self's entries."""
+        if self.out_size != other.in_size:
+            raise ValueError(f"{self.in_size}x{self.out_size} rows times {other.in_size}x{other.out_size} rows")
+        flat, val = other.apply_at((self.src * self.out_size + self.dst, self.values), 1)
+        flat, val = val.summed(flat)
+        r, c = np.divmod(flat, other.out_size)
+        return SparseMap.from_coo(self.field, self.in_dims, other.out_dims, r, c, val)
 
     def rref(self):
-        """Canonical RREF through `_rref`'s sparse front end; returns
-        (Matrix, pivot_cols), as `Matrix.rref`."""
-        r, piv = _rref(self, self.field)
+        """Canonical RREF of the matrix of rows through the sparse front end
+        (`_rref_sparse`), over Q modulo primes with an exact certificate
+        first (`_rref_modular`); returns (Matrix, pivot_cols), as
+        `Matrix.rref`."""
+        out = _rref_modular(self) if self.field.kind == "Q" else None
+        r, piv = _rref_sparse(self) if out is None else out
         return Matrix(self.field, r.shape[0], r.shape[1], r, _raw=True), piv
+
+    def apply_at(self, batch, post: int):
+        """Apply to the factors of every term of a batch whose key digits lie
+        just above post, the size of the factors after them; returns the
+        new batch, its terms not yet summed.  `StagePipeline.map_at` checks
+        the factor dims when the stage is declared."""
+        flat, val = batch
+        hi, mid = np.divmod(flat, self.in_size * post)
+        if post > 1:
+            mid, lo = np.divmod(mid, post)
+        if self.fan > 1:  # term t meets entries e
+            t, e = _join(np.arange(flat.size), self.starts[mid], self.starts[mid + 1])
+        elif self.dst.size < self.in_size:  # at most one entry per key: terms at keys without one vanish
+            e = self.starts[mid]
+            t = (self.starts[mid + 1] != e).nonzero()[0]
+            e = e[t]
+        else:  # one entry per key: entry s is that of key s
+            t, e = None, mid
+        if t is not None:
+            hi, val = hi[t], val[t]
+            if post > 1:
+                lo = lo[t]
+        flat = hi * self.out_size + self.dst[e]
+        if post > 1:
+            flat = flat * post + lo
+        return flat, (val if self.ones else val * self.values[e])
 
 
 _CHUNK = 1024  # rows streamed per Gauss-Jordan pass
@@ -454,15 +557,15 @@ def _lift(images: list, primes: list, piv: list[int], cols: int):
     return out, (ti, tj, Numerators.of(QQ, vals))
 
 
-def _certified(entries, off_pivot, piv: list[int], cols: int) -> bool:
-    """Whether A = A[:, piv] R exactly, for A given by its summed nonzeros
-    (rows, cols, `Numerators`, sorted by row * cols + col) and R an RREF with
-    pivots ``piv`` whose off-pivot nonzeros are ``off_pivot`` (rows, cols,
-    `Numerators`, sorted by row).  Only the off-pivot columns need checking
-    (R[:, piv] = I), as a COO join of A's entries at pivot columns with R's
-    rows.  The two sides are compared as numerators over the product of
-    the denominators, so over Q the check multiplies and sums integers."""
-    r, c, v = entries
+def _certified(a: SparseMap, off_pivot, piv: list[int]) -> bool:
+    """Whether A = A[:, piv] R exactly, for A a matrix of rows and R an RREF
+    with pivots ``piv`` whose off-pivot nonzeros are ``off_pivot`` (rows,
+    cols, `Numerators`, sorted by row).  Only the off-pivot columns need
+    checking (R[:, piv] = I), as a COO join of A's entries at pivot columns
+    with R's rows.  The two sides are compared as numerators over the
+    product of the denominators, so over Q the check multiplies and sums
+    integers."""
+    cols, r, c, v = a.out_size, a.src, a.dst, a.values
     ti, tj, tv = off_pivot
     slot = np.full(cols, -1)
     slot[piv] = np.arange(len(piv))
@@ -482,39 +585,34 @@ def _covers(piv: list[int], other: list[int]) -> bool:
     return len(piv) >= len(other) and all(x <= y for x, y in zip(piv, other))
 
 
-def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
-    """Canonical RREF over Q of a `SparseRows` source (of ``[a | rhs]``) from
-    its images mod the primes of ``_PRIMES``, or None when no prime gives a
-    certified result.
+def _rref_modular(a: SparseMap):
+    """Canonical RREF over Q of a matrix of rows from its images mod the
+    primes of ``_PRIMES``, or None when no prime gives a certified result.
 
-    The source is read once as integer numerators over one common
-    denominator d (`Numerators`): d A has the same RREF as A, so the image
-    mod p is the numerators mod p, for every prime, and runs the int64
-    kernel.  rank_p <= rank_Q, so full column rank mod p proves R = I.
-    Otherwise the images with equal pivots are lifted by CRT and rational
+    The source's values are integer numerators over one common denominator
+    d (`Numerators`): d A has the same RREF as A, so the image mod p is the
+    numerators mod p, for every prime, and runs the int64 kernel.
+    rank_p <= rank_Q, so full column rank mod p proves R = I.  Otherwise
+    the images with equal pivots are lifted by CRT and rational
     reconstruction (`_lift`) and accepted only when d A = (d A)[:, piv] R
     holds exactly, in integers (`_certified`): then rowspace(A) lies in
     rowspace(R), rank_Q(A) <= rank(R) = rank_p <= rank_Q(A), the row spaces
     are equal, and R is the canonical RREF.  Images with a smaller rank
     profile than the ones kept are dropped; a larger one replaces them.
     """
-    cols = a.shape[1]
-    r, c, v = a._r, a._c, a._v
-    if rhs is not None:
-        br, bc = rhs.nonzero()
-        r, c, v = np.concatenate((r, br)), np.concatenate((c, bc + cols)), np.concatenate((v, rhs[br, bc]))
-        cols += rhs.shape[1]
-    keys, num = Numerators.of(QQ, v).summed(r * cols + c)
+    cols, r, num = a.out_size, a.src, a.values.num
     if not num.size:
         return np.zeros((0, cols), dtype=object), []
-    r, c = np.divmod(keys, cols)
     # the images skip zero rows: the canonical RREF does not see them
     dense_r = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
     m = int(dense_r[-1]) + 1
     piv, images, primes = None, [], []
     for p in _PRIMES:
         gf = GF(p)
-        red, pp = _rref(SparseRows(gf, (m, cols), dense_r, c, (num.num % p).astype(np.int64)), gf)
+        image = (num % p).astype(np.int64)
+        nz = image != 0
+        red, pp = _rref_sparse(SparseMap.from_coo(gf, (m,), a.out_dims, dense_r[nz], a.dst[nz],
+                                                  Numerators(gf, image[nz])))
         if len(pp) == cols:
             out = np.full((cols, cols), Fraction(0), dtype=object)
             out[range(cols), range(cols)] = Fraction(1)
@@ -526,31 +624,14 @@ def _rref_modular(a: SparseRows, rhs: np.ndarray | None):
         images.append(red)
         primes.append(p)
         lifted = _lift(images, primes, piv, cols)
-        if lifted is not None and _certified((r, c, num), lifted[1], piv, cols):
+        if lifted is not None and _certified(a, lifted[1], piv):
             return lifted[0], piv
     return None
 
 
-def _rref(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | None = None):
-    """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given);
-    returns (rref_rows, pivot_cols).
-
-    A `SparseRows` source goes through the sparse front end
-    (`_rref_sparse`), over Q modulo primes with an exact certificate
-    (`_rref_modular`); a modular attempt no prime certifies takes the front
-    end over Fractions.  Dense input is streamed by `_rref_chunked`.
-    """
-    if isinstance(a, SparseRows):
-        if field.kind == "Q":
-            out = _rref_modular(a, rhs)
-            if out is not None:
-                return out
-        return _rref_sparse(a, field, rhs)
-    return _rref_chunked(a, field, rhs)
-
-
-def _rref_chunked(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndarray | None = None):
-    """Canonical RREF by streamed Gauss-Jordan.
+def _rref_chunked(a: "np.ndarray | SparseMap", field: ScalarField, rhs: np.ndarray | None = None):
+    """Canonical RREF of ``a`` (of ``[a | rhs]`` when ``rhs`` is given) by
+    streamed Gauss-Jordan; returns (rref_rows, pivot_cols).
 
     Rows are streamed in chunks of ``_CHUNK``: a chunk is reduced, its zero
     rows dropped, and Gauss-Jordan runs on it stacked under the RREF found
@@ -559,7 +640,7 @@ def _rref_chunked(a: "np.ndarray | SparseRows", field: ScalarField, rhs: np.ndar
     """
     m = a.shape[0]
     n = a.shape[1] + (0 if rhs is None else rhs.shape[1])
-    r = np.zeros((0, n), dtype=a.dtype)
+    r = np.zeros((0, n), dtype=_dtype(field))
     pivs: list[int] = []
     for s in range(0, m, _CHUNK):
         c = a[s : s + _CHUNK] if rhs is None else np.hstack([a[s : s + _CHUNK], rhs[s : s + _CHUNK]])
@@ -588,12 +669,10 @@ def _inverses(field: ScalarField, x: np.ndarray) -> np.ndarray:
     return np.array([field.inv(u) for u in distinct.tolist()], dtype=x.dtype)[rank]
 
 
-def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = None):
-    """Canonical RREF of a `SparseRows` source (of ``[a | rhs]``) through a
-    structured front end (LaMacchia-Odlyzko) before any dense step:
+def _rref_sparse(a: SparseMap):
+    """Canonical RREF of a matrix of rows through a structured front end
+    (LaMacchia-Odlyzko) before any dense step:
 
-    - the rhs is folded into the COO arrays, duplicate entries are summed
-      and zero rows dropped (`_summed`);
     - each row is scaled to a leading 1;
     - duplicate rows are dropped: the rows, padded to the longest as int64
       (col, value) keys, are lexsorted and neighbours compared exactly;
@@ -616,15 +695,10 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     The row space is unchanged at every step, and it has one canonical
     RREF, so the result is the one `_rref_chunked` gives on the whole input.
     """
-    cols = a.shape[1]
-    r, c, v = a._r, a._c, a._v
-    if rhs is not None:
-        br, bc = rhs.nonzero()
-        r, c, v = np.concatenate((r, br)), np.concatenate((c, bc + cols)), np.concatenate((v, rhs[br, bc]))
-        cols += rhs.shape[1]
-    r, c, v = _summed(field, r, c, v, cols)
+    field, cols, dtype = a.field, a.out_size, _dtype(a.field)
+    r, c, v = a.src, a.dst, a.values.fractions()
     if not v.size:
-        return np.zeros((0, cols), dtype=a.dtype), []
+        return np.zeros((0, cols), dtype=dtype), []
     start = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
     count = np.diff(np.append(start, v.size))
     rid = np.repeat(np.arange(start.size), count)
@@ -683,16 +757,17 @@ def _rref_sparse(a: SparseRows, field: ScalarField, rhs: np.ndarray | None = Non
     used = np.zeros(cols, dtype=bool)
     used[c] = True
     ccols = np.flatnonzero(used)
-    red, cpiv = np.zeros((0, ccols.size), dtype=a.dtype), []
+    red, cpiv = np.zeros((0, ccols.size), dtype=dtype), []
     if v.size:
         rows = np.cumsum(np.concatenate(([0], r[1:] != r[:-1])))
-        core = SparseRows(field, (int(rows[-1]) + 1, ccols.size), rows, (np.cumsum(used) - 1)[c], v)
+        core = SparseMap.from_coo(field, (int(rows[-1]) + 1,), (ccols.size,), rows, (np.cumsum(used) - 1)[c],
+                                  Numerators.of(field, v))
         red, cpiv = _rref_chunked(core, field)
     piv = np.concatenate((upiv, ccols[cpiv], gpiv))
     order = np.argsort(piv)
     slot = np.empty(piv.size, dtype=np.int64)
     slot[order] = np.arange(piv.size)
-    out = np.full((piv.size, cols), field.zero(), dtype=a.dtype)
+    out = np.full((piv.size, cols), field.zero(), dtype=dtype)
     out[slot[: upiv.size], upiv] = field.one()
     ncore = upiv.size + len(cpiv)
     out[slot[upiv.size : ncore, None], ccols] = red
@@ -859,7 +934,7 @@ class Matrix:
         without building that copy; returns (Matrix, pivot_cols)."""
         if rhs is not None and rhs.rows != self.rows:
             raise ValueError("row mismatch")
-        r, piv = _rref(self._d, self.field, None if rhs is None else rhs._d)
+        r, piv = _rref_chunked(self._d, self.field, None if rhs is None else rhs._d)
         return self._new(r.shape[0], r.shape[1], r), piv
 
     def rank(self) -> int:
@@ -924,7 +999,7 @@ class Subspace:
     """Subspace of K^n held as a canonical RREF row basis and its pivot
     columns."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_off")
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivots: list[int] | None = None):
         self.ambient_dim = ambient_dim
@@ -932,6 +1007,7 @@ class Subspace:
         if pivots is None:
             pivots = (basis._d != 0).argmax(axis=1).tolist() if basis.rows else []
         self.pivots = pivots
+        self._off = None  # `_off_pivot`, once read
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
@@ -941,8 +1017,9 @@ class Subspace:
         return cls(ambient_dim, *m.rref())
 
     @classmethod
-    def from_matrix_rows(cls, m: Matrix) -> "Subspace":
-        return cls(m.cols, *m.rref())
+    def from_matrix_rows(cls, m: "Matrix | SparseMap") -> "Subspace":
+        basis, pivots = m.rref()
+        return cls(basis.cols, basis, pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
@@ -1004,42 +1081,49 @@ class Subspace:
         coeffs = ker._new(ker.rows, self.dim, ker._d[:, : self.dim])
         return Subspace(self.ambient_dim, *(coeffs @ self.basis).rref())
 
-    def coordinates(self, rows: "Matrix | SparseRows") -> Matrix | None:
-        """Coordinates C with rows = C @ basis, or None when a row lies
-        outside.  A vector of the span equals its entries at the pivots
-        times the RREF basis, so M = M[:, pivots] @ basis tests every row
-        of M at once: one product for a dense M, and for summed COO rows
-        the join of `_certified`, as over Q, so M is never dense."""
-        if rows.cols != self.ambient_dim:
-            raise ValueError(f"rows of length {rows.cols} in K^{self.ambient_dim}")
-        if not isinstance(rows, SparseRows):
-            c = rows._d[:, self.pivots]
-            if not np.array_equal(_matmul(self.field, c, self.basis._d), rows._d):
-                return None
-            return rows._new(rows.rows, self.dim, c)
-        b = self.basis._d
-        off = np.ones(self.ambient_dim, dtype=bool)
-        off[self.pivots] = False
-        ti, tj = (b != 0).nonzero()
-        keep = off[tj]
-        ti, tj = ti[keep], tj[keep]
-        f = self.field
-        entries = rows._r, rows._c, Numerators.of(f, rows._v)
-        if not _certified(entries, (ti, tj, Numerators.of(f, b[ti, tj])), self.pivots, self.ambient_dim):
+    def coordinates(self, rows: SparseMap) -> Matrix | None:
+        """Coordinates C with rows = C @ basis for a matrix of rows, or None
+        when a row lies outside.  A vector of the span equals its entries
+        at the pivots times the RREF basis, so M = M[:, pivots] @ basis
+        tests every row of M at once, here as the join of `_certified` on
+        M's `Numerators`, so M is never dense."""
+        if rows.out_size != self.ambient_dim:
+            raise ValueError(f"rows of length {rows.out_size} in K^{self.ambient_dim}")
+        if not _certified(rows, self._off_pivot(), self.pivots):
             return None
         slot = np.full(self.ambient_dim, -1)
         slot[self.pivots] = np.arange(self.dim)
-        at = ~off[rows._c]
-        c = np.full((rows.rows, self.dim), self.field.zero(), dtype=b.dtype)
-        c[rows._r[at], slot[rows._c[at]]] = rows._v[at]
-        return Matrix(self.field, rows.rows, self.dim, c, _raw=True)
+        at = slot[rows.dst] >= 0
+        c = np.full((rows.in_size, self.dim), self.field.zero(), dtype=_dtype(self.field))
+        c[rows.src[at], slot[rows.dst[at]]] = rows.values[at].fractions()
+        return Matrix(self.field, rows.in_size, self.dim, c, _raw=True)
+
+    def _off_pivot(self):
+        """The basis entries off the pivot columns as (rows, cols,
+        `Numerators`), sorted by row, read once per subspace."""
+        if self._off is None:
+            b = self.basis._d
+            off = np.ones(self.ambient_dim, dtype=bool)
+            off[self.pivots] = False
+            ti, tj = ((b != 0) & off).nonzero()
+            self._off = ti, tj, Numerators.of(self.field, b[ti, tj])
+        return self._off
+
+    def dense_coordinates(self, rows: Matrix) -> Matrix | None:
+        """`coordinates` of dense rows: one product M[:, pivots] @ basis."""
+        if rows.cols != self.ambient_dim:
+            raise ValueError(f"rows of length {rows.cols} in K^{self.ambient_dim}")
+        c = rows._d[:, self.pivots]
+        if not np.array_equal(_matmul(self.field, c, self.basis._d), rows._d):
+            return None
+        return rows._new(rows.rows, self.dim, c)
 
     def contains_vector(self, vec) -> bool:
-        return self.coordinates(Matrix.row(self.field, list(vec))) is not None
+        return self.dense_coordinates(Matrix.row(self.field, list(vec))) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return self.coordinates(other.basis) is not None
+        return self.dense_coordinates(other.basis) is not None
 
     def quotient_complement(self, inside: "Subspace") -> Matrix:
         """Complement basis of self inside `inside` (requires self <= inside).

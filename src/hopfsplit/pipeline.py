@@ -28,7 +28,7 @@ from .algebra import (
     pipeline_constants,
     separability_idempotent,
 )
-from .category import CatObject, CategoryContext
+from .category import CatObject, CategoryContext, coinvariants
 from .coalgebra import (
     CoalgebraObject,
     _delta_of_rows,
@@ -54,7 +54,7 @@ from .hopf import (
     is_coalgebra_map,
     upgrade_to_hopf,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, SparseMap, Subspace
 from .smash import (
     _pi_linear_defect,
     _sigma_colinear_defect,
@@ -65,7 +65,7 @@ from .smash import (
     extract_quadruple_dual,
     extract_quadruple_primal,
 )
-from .tensors import SparseMap, StagePipeline
+from .tensors import StagePipeline
 
 
 class CertificationFailed(Exception):
@@ -227,8 +227,15 @@ def _algebra_in_comodule_ctx(a: BialgebraObject, h: HopfObject, proj: Matrix,
     return AlgebraInContext(ctx, a.as_algebra(), obj)
 
 
+def _check_level(level: str):
+    """Refuse a split level other than the two there are, before any work."""
+    if level not in ("comodule", "bicomodule"):
+        raise ValueError(f"unknown split level {level!r}: expected 'comodule' or 'bicomodule'")
+
+
 def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> SplitResult:
     """Colinear algebra section of the canonical projection A -> A/J."""
+    _check_level(level)
     rep = ValidationReport()
     a = certified.bialgebra
     h = certified.hopf
@@ -267,6 +274,7 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
 def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> SplitResult:
     """Bilinear coalgebra retraction of the coradical inclusion, obtained by
     dualizing to the radical side over the dual Hopf algebra."""
+    _check_level(level)
     a = certified.bialgebra
     f = a.field
     dual_a = dualize(a)
@@ -336,10 +344,8 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
         bos = dual_bosonize(quad)
     rep.record("quadruple_axioms", True)
     rep.record("bosonization_valid", True)
-    # phi(r # h) = r sigma(h)
-    from .smash import _diagram_yd
-
-    yd, incl, _v = _diagram_yd(a, h, split_res.pi, split_res.sigma)
+    # phi(r # h) = r sigma(h), R the right coinvariants of A
+    incl = coinvariants(a.field, a.dim, coactions_from_pi(a, split_res.pi, h.dim)[1], h).basis.transpose()
     phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).dense().transpose()
     phi.inverse()  # bijectivity (raises if singular)
     rep.record("iso_bijective", True)

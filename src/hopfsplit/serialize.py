@@ -47,9 +47,11 @@ def _int(x, what) -> int:
     return x
 
 
-# Largest dimension a file may declare.  Checked before labels, vectors or
-# the dense n x n x n int64 tensor of the F_p kernels (128 MiB at the cap)
-# are built; the largest worked example, the flagship, has dimension 81.
+# Largest dimension a file may declare, checked before any array is built.
+# It bounds the dense n x n^2 arrays of a structure (`mul_matrix()`,
+# `comul_matrix()`, a dense product's constants: 128 MiB as int64 at the
+# cap), not the joins on a table that is dense in its basis.  The largest
+# worked example, the flagship, has dimension 81.
 MAX_DIM = 256
 
 

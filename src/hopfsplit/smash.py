@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraObject, ValidationReport, constants_of, pairwise_products, pipeline_constants
-from .category import CatObject, YDObject, hopf_bimodule_from_yd, phi_iso
+from .category import CatObject, YDObject, hopf_bimodule_structures, phi_iso, yd_from_hopf_bimodule
 from .coalgebra import CoalgebraObject, _outer, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
-from .linalg import Matrix, Subspace, _along_factor
-from .tensors import SparseMap, StagePipeline, pipelines_equal, v_eq, v_tensor
+from .linalg import Matrix, SparseMap, Subspace, _along_factor
+from .tensors import StagePipeline, pipelines_equal, v_eq, v_tensor, vector
 
 
 class _Maps:
@@ -145,11 +145,11 @@ class YDQuadruple:
             P(dr, dr).map_at(mul_r, 0).map_at(mp.coact, 0),
             P(dr, dr).map_at(rho_rr, 0).map_at(mul_r, 1)) is None, "mul not H-colinear")
         one = self.r_alg.unit
-        eps_w = self.eps
-        epsh = self.hopf.counit
+        # the units and counits as the stages read them, converted once
+        one_v, eps_w, epsh, unit_h = (vector(f, x) for x in (one, self.eps, self.hopf.counit, self.hopf.unit))
         # unit invariance/coinvariance
         rep.record("R_unit_invariant", pipelines_equal(
-            P(dh).insert(1, one, dr).map_at(mp.act, 0), P(dh).contract(0, epsh).insert(0, one, dr)) is None,
+            P(dh).insert(1, one_v, dr).map_at(mp.act, 0), P(dh).contract(0, epsh).insert(0, one_v, dr)) is None,
             "h . 1 != eps(h) 1")
         rep.record("R_unit_coinvariant", v_eq(f, self.yd.coact.apply(one), v_tensor(f, self.hopf.unit, one)),
                    "rho(1) != 1_H (x) 1")
@@ -159,7 +159,7 @@ class YDQuadruple:
             ("yd0_action", P(dh, dr).map_at(mp.act, 0).contract(0, eps_w),
              P(dh, dr).contract(0, epsh).contract(0, eps_w)),
             ("yd0_coaction", P(dr).map_at(mp.coact, 0).contract(1, eps_w),
-             P(dr).contract(0, eps_w).insert(0, self.hopf.unit, dh)),
+             P(dr).contract(0, eps_w).insert(0, unit_h, dh)),
             # YD1: eps is an algebra map
             ("yd1_multiplicative", P(dr, dr).map_at(mul_r, 0).contract(0, eps_w),
              P(dr, dr).contract(0, eps_w).contract(0, eps_w)),
@@ -199,9 +199,9 @@ class YDQuadruple:
             ("yd9_delta_counit_r", P(dr).map_at(delta, 0).contract(1, eps_w), P(dr)),
             # YD10: omega counitary
             ("yd10_omega_counit_l", P(dh).map_at(omega, 0).contract(0, eps_w),
-             P(dh).contract(0, epsh).insert(0, one, dr)),
+             P(dh).contract(0, epsh).insert(0, one_v, dr)),
             ("yd10_omega_counit_r", P(dh).map_at(omega, 0).contract(1, eps_w),
-             P(dh).contract(0, epsh).insert(0, one, dr)),
+             P(dh).contract(0, epsh).insert(0, one_v, dr)),
         ]
         # normalization of delta and omega at units
         rep.record("yd4_delta_unital", v_eq(f, self.delta.apply(one), v_tensor(f, one, one)), "delta(1) != 1 (x) 1")
@@ -262,9 +262,9 @@ class DualYDQuadruple:
         delta_rr = _braided_comul_rr(mp, delta)
         act_rr = mp.act_rr()
         rho_rr = mp.rho_rr()
-        eps = self.r_coalg.counit
-        epsh = self.hopf.counit
-        one = self.one
+        # the units and counits as the stages read them, converted once
+        eps, epsh, one, unit_h = (vector(f, x) for x in (self.r_coalg.counit, self.hopf.counit, self.one,
+                                                          self.hopf.unit))
         # R a coalgebra in YD: delta and eps are YD morphisms
         _record_pipelines(rep, [
             ("R_delta_yd_linear", P(dh, dr).map_at(mp.act, 0).map_at(delta, 0),
@@ -274,18 +274,19 @@ class DualYDQuadruple:
             ("R_eps_yd_linear", P(dh, dr).map_at(mp.act, 0).contract(0, eps),
              P(dh, dr).contract(0, epsh).contract(0, eps)),
             ("R_eps_yd_colinear", P(dr).map_at(mp.coact, 0).contract(1, eps),
-             P(dr).contract(0, eps).insert(0, self.hopf.unit, dh)),
+             P(dr).contract(0, eps).insert(0, unit_h, dh)),
         ])
         # YD0': 1 invariant and coinvariant
         rep.record("yd0_one_invariant", pipelines_equal(
             P(dh).insert(1, one, dr).map_at(mp.act, 0), P(dh).contract(0, epsh).insert(0, one, dr)) is None,
             "h . 1 != eps(h) 1")
-        rep.record("yd0_one_coinvariant", v_eq(f, self.yd.coact.apply(one), v_tensor(f, self.hopf.unit, one)),
+        rep.record("yd0_one_coinvariant",
+                   v_eq(f, self.yd.coact.apply(self.one), v_tensor(f, self.hopf.unit, self.one)),
                    "rho(1) != 1_H (x) 1")
         # YD1': 1 grouplike
         rep.record("yd1_one_grouplike",
-                   v_eq(f, delta_m.apply(one), v_tensor(f, one, one)) and f.is_one(self.r_coalg.counit_of(one)),
-                   "1 not grouplike")
+                   v_eq(f, delta_m.apply(self.one), v_tensor(f, self.one, self.one))
+                   and f.is_one(self.r_coalg.counit_of(self.one)), "1 not grouplike")
         _record_pipelines(rep, [
             # YD2': m left H-linear
             ("yd2_mul_linear", P(dh, dr, dr).map_at(mul, 1).map_at(mp.act, 0),
@@ -341,9 +342,9 @@ class DualYDQuadruple:
             ("yd9_unit_l", P(dr).insert(0, one, dr).map_at(mul, 0), P(dr)),
             # YD10': xi normalized at 1
             ("yd10_xi_unit_r", P(dr).insert(1, one, dr).map_at(xi, 0),
-             P(dr).contract(0, eps).insert(0, self.hopf.unit, dh)),
+             P(dr).contract(0, eps).insert(0, unit_h, dh)),
             ("yd10_xi_unit_l", P(dr).insert(0, one, dr).map_at(xi, 0),
-             P(dr).contract(0, eps).insert(0, self.hopf.unit, dh)),
+             P(dr).contract(0, eps).insert(0, unit_h, dh)),
         ])
         self._verified = rep.ok
         return rep
@@ -444,7 +445,7 @@ def bosonize(q: YDQuadruple, force: bool = False) -> Bosonization:
     counit = [f.mul(q.eps[a], q.hopf.counit[x]) for a in range(dr) for x in range(dh)]
     bi = BialgebraObject.from_parts(alg, CoalgebraObject.from_constants(f, dim, pipeline_constants(comul, dim),
                                                                         counit, alg.labels))
-    pi, sigma = _canonical_pi_sigma(f, dr, dh, q)
+    pi, sigma = _canonical_pi_sigma(f, dr, dh, q.eps, q.r_alg.unit)
     bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "primal")
     if not force:
         validate_bosonization(bos).require("bosonization")
@@ -479,49 +480,20 @@ def dual_bosonize(q: DualYDQuadruple, force: bool = False) -> Bosonization:
     unit = v_tensor(f, q.one, q.hopf.unit)
     bi = BialgebraObject.from_parts(AlgebraObject.from_constants(f, dim, pipeline_constants(mul_t, dim), unit,
                                                                  coalg.labels), coalg)
-    pi, sigma = _canonical_pi_sigma_dual(f, dr, dh, q)
+    pi, sigma = _canonical_pi_sigma(f, dr, dh, q.r_coalg.counit, q.one)
     bos = Bosonization(bi, q.hopf, q.yd, pi, sigma, "dual")
     if not force:
         validate_bosonization(bos).require("dual bosonization")
     return bos
 
 
-def _canonical_pi_sigma(f, dr, dh, q: YDQuadruple):
-    pi_entries = {}
-    for a in range(dr):
-        e = q.eps[a]
-        if f.is_zero(e):
-            continue
-        for x in range(dh):
-            pi_entries[(x, a * dh + x)] = e
-    pi = Matrix.from_entries(f, dh, dr * dh, pi_entries)
-    sig_entries = {}
-    for i, u in enumerate(q.r_alg.unit):
-        if f.is_zero(u):
-            continue
-        for x in range(dh):
-            sig_entries[(i * dh + x, x)] = u
-    sigma = Matrix.from_entries(f, dr * dh, dh, sig_entries)
-    return pi, sigma
-
-
-def _canonical_pi_sigma_dual(f, dr, dh, q: DualYDQuadruple):
-    eps = q.r_coalg.counit
-    pi_entries = {}
-    for a in range(dr):
-        e = eps[a]
-        if f.is_zero(e):
-            continue
-        for x in range(dh):
-            pi_entries[(x, a * dh + x)] = e
-    pi = Matrix.from_entries(f, dh, dr * dh, pi_entries)
-    sig_entries = {}
-    for i, u in enumerate(q.one):
-        if f.is_zero(u):
-            continue
-        for x in range(dh):
-            sig_entries[(i * dh + x, x)] = u
-    sigma = Matrix.from_entries(f, dr * dh, dh, sig_entries)
+def _canonical_pi_sigma(f, dr, dh, eps: list, one: list):
+    """pi(a # x) = eps(a) x and sigma(x) = 1 # x on R # H, for the counit
+    eps and the unit 1 of R."""
+    pi = Matrix.from_entries(f, dh, dr * dh, {(x, a * dh + x): e for a, e in enumerate(eps) if not f.is_zero(e)
+                                              for x in range(dh)})
+    sigma = Matrix.from_entries(f, dr * dh, dh, {(i * dh + x, x): u for i, u in enumerate(one) if not f.is_zero(u)
+                                                 for x in range(dh)})
     return pi, sigma
 
 
@@ -549,24 +521,26 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
     if bos.side == "primal":
         rep.record("pi_algebra_map", is_algebra_map(bi.as_algebra(), h.as_algebra(), pi),
                    "pi is not an algebra map")
-    coact_l, coact_r = coactions_from_pi(bi, pi, dh)
-    act_l, act_r = actions_from_sigma(bi, sigma, dh)
     if bos.side == "dual":
         rep.record("sigma_coalgebra_map", is_coalgebra_map(h.as_coalgebra(), bi.as_coalgebra(), sigma),
                    "sigma is not a coalgebra map")
         # pi bilinear for the actions induced by sigma: pi(sigma(h) a) = h pi(a)
         # and pi(a sigma(h)) = pi(a) h
+        act_l, act_r = actions_from_sigma(bi, sigma, dh)
         rep.record("pi_bilinear", _pi_linear_defect(h, pi, act_l, "l") is None
                    and _pi_linear_defect(h, pi, act_r, "r") is None, "pi is not (H,H)-bilinear")
     comp = pi @ sigma
     rep.record("pi_sigma_id", comp == Matrix.identity(f, dh), "pi sigma != id")
-    # the (co)actions induced by pi and sigma must be those of the Hopf
-    # bimodule R # H: right ones canonical, left ones diagonal
-    smash = hopf_bimodule_from_yd(bos.yd)
-    rep.record("induced_right_coaction", coact_r == smash.coact_r, "(id (x) pi) Delta is not the smash coaction")
-    rep.record("induced_left_coaction", coact_l == smash.coact_l, "(pi (x) id) Delta is not the diagonal coaction")
-    rep.record("induced_right_action", act_r == smash.act_r, "(r#k) sigma(h) != r # kh")
-    rep.record("induced_left_action", act_l == smash.act_l, "sigma(h)(r#k) != (h1.r) # h2 k")
+    # the (co)actions induced by pi and sigma (coact_l, coact_r, act_l,
+    # act_r) must be those of the Hopf bimodule R # H, right ones canonical
+    # and left ones diagonal, compared as pipelines on the same basis
+    induced = zip((*_coaction_pipelines(bi, pi, dh), *_action_pipelines(bi, sigma, dh)),
+                  hopf_bimodule_structures(bos.yd))
+    same = [pipelines_equal(lhs, rhs) is None for lhs, rhs in induced]
+    rep.record("induced_right_coaction", same[1], "(id (x) pi) Delta is not the smash coaction")
+    rep.record("induced_left_coaction", same[0], "(pi (x) id) Delta is not the diagonal coaction")
+    rep.record("induced_right_action", same[3], "(r#k) sigma(h) != r # kh")
+    rep.record("induced_left_action", same[2], "sigma(h)(r#k) != (h1.r) # h2 k")
     return rep
 
 
@@ -574,19 +548,29 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
 # extraction from split bialgebras
 
 
-def coactions_from_pi(a: BialgebraObject, pi: Matrix, dh: int):
-    """rho_l = (pi (x) id) Delta and rho_r = (id (x) pi) Delta as matrices,
-    each one pipeline on the cached Delta map (`comul_map`)."""
+def _coaction_pipelines(a: BialgebraObject, pi: Matrix, dh: int):
+    """rho_l = (pi (x) id) Delta : (n,) -> (dh, n) and rho_r = (id (x) pi)
+    Delta : (n,) -> (n, dh), on the cached Delta map."""
     n = a.dim
     comul, pm = a.as_coalgebra().comul_map(), SparseMap.from_matrix(pi, (n,), (dh,))
-    return tuple(StagePipeline(a.field, (n,)).map_at(comul, 0).map_at(pm, pos).matrix() for pos in (0, 1))
+    return tuple(StagePipeline(a.field, (n,)).map_at(comul, 0).map_at(pm, pos) for pos in (0, 1))
+
+
+def _action_pipelines(a: BialgebraObject, sigma: Matrix, dh: int):
+    """act_l(h (x) x) = sigma(h) x : (dh, n) -> (n,) and act_r(x (x) h) =
+    x sigma(h) : (n, dh) -> (n,), on the cached product."""
+    n, mul = a.dim, a.as_algebra().mul_map()
+    sm = SparseMap.from_matrix(sigma, (dh,), (n,))
+    return (StagePipeline(a.field, (dh, n)).map_at(sm, 0).map_at(mul, 0),
+            StagePipeline(a.field, (n, dh)).map_at(sm, 1).map_at(mul, 0))
+
+
+def coactions_from_pi(a: BialgebraObject, pi: Matrix, dh: int):
+    return tuple(p.matrix() for p in _coaction_pipelines(a, pi, dh))
 
 
 def actions_from_sigma(a: BialgebraObject, sigma: Matrix, dh: int):
-    """act_l(h (x) a) = sigma(h) a and act_r(a (x) h) = a sigma(h)."""
-    s, eye = sigma.transpose(), Matrix.identity(a.field, a.dim)
-    alg = a.as_algebra()
-    return pairwise_products(alg, s, eye).dense().transpose(), pairwise_products(alg, eye, s).dense().transpose()
+    return tuple(p.matrix() for p in _action_pipelines(a, sigma, dh))
 
 
 class ExtractionError(Exception):
@@ -624,7 +608,10 @@ def _raise_first(failures):
         raise ExtractionError(min(found)[2])
 
 
-def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, side: str):
+def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, side: str) -> tuple:
+    """Check the premises of an extraction, in order, and return the
+    (co)actions pi and sigma induce on A, (coact_l, coact_r, act_l,
+    act_r), each computed once for the checks and the diagram."""
     f = a.field
     if not (pi @ sigma == Matrix.identity(f, h.dim)):
         raise ExtractionError("pi sigma != id")
@@ -639,28 +626,25 @@ def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix
         coact_l, coact_r = coactions_from_pi(a, pi, h.dim)
         _raise_first([("sigma is not right colinear", _sigma_colinear_defect(h, sigma, coact_r, "r")),
                       ("sigma is not left colinear", _sigma_colinear_defect(h, sigma, coact_l, "l"))])
-    else:
-        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
-            raise ExtractionError("sigma is not an algebra map")
-        if not is_coalgebra_map(h.as_coalgebra(), a.as_coalgebra(), sigma):
-            raise ExtractionError("sigma is not a coalgebra map")
-        if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pi):
-            raise ExtractionError("pi is not a coalgebra map")
-        # pi bilinear: pi(sigma(h) a sigma(k)) = h pi(a) k
-        act_l, act_r = actions_from_sigma(a, sigma, h.dim)
-        _raise_first([("pi is not left H-linear", _pi_linear_defect(h, pi, act_l, "l")),
-                      ("pi is not right H-linear", _pi_linear_defect(h, pi, act_r, "r"))])
+        return (coact_l, coact_r, *actions_from_sigma(a, sigma, h.dim))
+    if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
+        raise ExtractionError("sigma is not an algebra map")
+    if not is_coalgebra_map(h.as_coalgebra(), a.as_coalgebra(), sigma):
+        raise ExtractionError("sigma is not a coalgebra map")
+    if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pi):
+        raise ExtractionError("pi is not a coalgebra map")
+    # pi bilinear: pi(sigma(h) a sigma(k)) = h pi(a) k
+    act_l, act_r = actions_from_sigma(a, sigma, h.dim)
+    _raise_first([("pi is not left H-linear", _pi_linear_defect(h, pi, act_l, "l")),
+                  ("pi is not right H-linear", _pi_linear_defect(h, pi, act_r, "r"))])
+    return (*coactions_from_pi(a, pi, h.dim), act_l, act_r)
 
 
-def _diagram_yd(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix):
-    """Coinvariants R with adjoint action and restricted left coaction."""
-    f = a.field
-    n, dh = a.dim, h.dim
-    coact_l, coact_r = coactions_from_pi(a, pi, dh)
-    act_l, act_r = actions_from_sigma(a, sigma, dh)
-    v = CatObject(f, n, h, coact_l, coact_r, act_l, act_r)
-    from .category import yd_from_hopf_bimodule
-
+def _diagram_yd(a: BialgebraObject, h: HopfObject, induced: tuple):
+    """Coinvariants R with adjoint action and restricted left coaction, from
+    the induced (co)actions (coact_l, coact_r, act_l, act_r) of
+    `_split_premises`."""
+    v = CatObject(a.field, a.dim, h, *induced)
     yd, incl = yd_from_hopf_bimodule(v)
     return yd, incl, v
 
@@ -669,8 +653,7 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
     """R = right coinvariants; delta, omega via (P (x) P) Delta with
     P = (id (x) eps_H) phi^{-1}; validated before returning."""
     f = a.field
-    _split_premises(a, h, pi, sigma, "primal")
-    yd, incl, v = _diagram_yd(a, h, pi, sigma)
+    yd, incl, v = _diagram_yd(a, h, _split_premises(a, h, pi, sigma, "primal"))
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     # P : A -> R
@@ -696,8 +679,7 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     R (x) R, m and xi by splitting phi^{-1} of products; validated before
     returning."""
     f = a.field
-    _split_premises(a, h, pi, sigma, "dual")
-    yd, incl, v = _diagram_yd(a, h, pi, sigma)
+    yd, incl, v = _diagram_yd(a, h, _split_premises(a, h, pi, sigma, "dual"))
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     r_space = Subspace.from_matrix_rows(incl.transpose())

@@ -2,9 +2,11 @@
 
 A basis tensor of V_1 (x) ... (x) V_k is a tuple (i_1, ..., i_k) of factor
 indices; its key is the row-major flattened index over the factor dims.
-A `SparseMap` between tensor spaces holds its nonzero entries as COO
-arrays (input key, output key, numerator), sorted by input key, with a
-CSR offset table built once.
+A map between tensor spaces is a `linalg.SparseMap`, the package's one
+sparse matrix (defined in `linalg`, so that elimination takes it without
+an import cycle): its nonzero entries as COO arrays (input key, output
+key, numerator), sorted by (input, output) key, with a CSR offset table
+by input key built once.  Its `apply_at` is the map stage below.
 
 Values are `linalg.Numerators`: integer numerators over one positive
 common denominator per map or batch.  Over F_p the numerators are the
@@ -24,10 +26,14 @@ factors:
   permute(perm)        new factor i is old factor perm[i]
   contract(pos, w)     pair factor pos with the functional w
   insert(pos, e, dim)  tensor in the fixed element e as a new factor at pos
+  regroup(dims)        read the same tensor space as the factors dims
 
 Declaring a stage checks it against the factor dims it receives and fixes
 the numbers its evaluation needs (the size of the factors after it,
-weights as numerators), so evaluating one is a single call on the batch.
+weights as numerators: `vector`, or `Numerators` given as they are), so
+evaluating one is a single call on the batch.  A regroup adds no stage:
+keys are row-major, so (n,) and (a, b) with n = a b address a basis
+tensor by the same key.
 A pipeline evaluates on a whole batch of input basis tuples at once.  A
 batch is (key, Numerators); a term's key is its input tuple within the
 batch times the size of the current tensor space plus its factor key, so
@@ -56,10 +62,12 @@ another loop order declares its input in that order and starts with a
 """
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import Matrix, Numerators, _dtype, _join
+from .linalg import Matrix, Numerators, SparseMap, _dtype, _scatter
 
 _BLOCK = 2**13  # input tuples evaluated in one batch
 _KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address: keys hold the input tuple too
@@ -92,121 +100,22 @@ def v_tensor(field, u, v) -> list:
     return out
 
 
+def vector(field: ScalarField, values) -> Numerators:
+    """A dense vector of field values as `Numerators`, as `contract` and
+    `insert` read it; `Numerators` are taken as they are, so a caller that
+    passes one vector to many stages converts it once."""
+    if isinstance(values, Numerators):
+        return values
+    return Numerators.of(field, field.reduce(np.array(list(values), dtype=_dtype(field))))
+
+
 # ---------------------------------------------------------------------------
 # COO batches
-
-
-def _total(dims) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
 
 
 def _sum(batch):
     """Sum a batch's terms with equal key (`Numerators.summed`)."""
     return batch[1].summed(batch[0])
-
-
-class SparseMap:
-    """Linear map V_1 (x) ... (x) V_a -> W_1 (x) ... (x) W_b.
-
-    dst and values hold the nonzero entries sorted by input key; those of
-    input key s are [starts[s], starts[s + 1]).  values is `Numerators` over
-    the least denominator, with the largest |numerator| as its bound (see
-    the module docstring), and val its numerator array; `coo()` reads the
-    field values.  Duplicate entries given to the constructor add up.  When
-    every value is 1 (as in the structure maps of a group algebra),
-    applying the map takes no products; when no input key has more than one
-    entry (fan <= 1, as for the structure maps of a group algebra and most
-    actions and coactions), it takes no join.
-    """
-
-    __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "dst", "values", "starts", "fan", "ones")
-
-    def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
-        val = Numerators.of(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
-        flat = np.asarray(src, dtype=np.int64) * _total(out_dims) + np.asarray(dst, dtype=np.int64)
-        flat, val = val.summed(flat)
-        src, dst = np.divmod(flat, _total(out_dims))
-        self._set(field, in_dims, out_dims, src, dst, val)
-
-    def _set(self, field: ScalarField, in_dims, out_dims, src, dst, val: Numerators):
-        """Store entries already sorted by (input, output) key, unique and
-        nonzero; their values are brought over the least denominator."""
-        self.field = field
-        self.in_dims = tuple(in_dims)
-        self.out_dims = tuple(out_dims)
-        self.in_size, self.out_size = _total(self.in_dims), _total(self.out_dims)
-        self.dst = dst
-        val = val.lowest()
-        self.values = Numerators(field, val.num, val.den)  # bounded by the largest |numerator|
-        self.starts = np.searchsorted(src, np.arange(self.in_size + 1))
-        self.fan = int(np.diff(self.starts).max()) if self.in_size else 0  # most entries of one input key
-        self.ones = val.den == 1 and bool((val.num == 1).all())
-
-    @property
-    def val(self) -> np.ndarray:
-        return self.values.num
-
-    @classmethod
-    def from_matrix(cls, m: Matrix, in_dims, out_dims) -> "SparseMap":
-        """The map whose matrix is m: columns are input keys, rows output keys.
-        The entries of m are unique and reduced, and the nonzeros of m^T come
-        sorted by (input, output) key, so nothing is sorted or summed."""
-        if (m.rows, m.cols) != (_total(out_dims), _total(in_dims)):
-            raise ValueError(f"{m.rows}x{m.cols} matrix is not a map {tuple(in_dims)} -> {tuple(out_dims)}")
-        src, dst = np.nonzero(m._d.T)
-        smap = cls.__new__(cls)
-        smap._set(m.field, in_dims, out_dims, src, dst, Numerators.of(m.field, m._d[dst, src]))
-        return smap
-
-    def coo_numerators(self):
-        """The entries as COO arrays (input key, output key) and their
-        `Numerators`."""
-        return np.repeat(np.arange(self.in_size), np.diff(self.starts)), self.dst, self.values
-
-    def coo(self):
-        """The entries as COO arrays (input key, output key, field value)."""
-        src, dst, val = self.coo_numerators()
-        return src, dst, val.fractions()
-
-    def matrix(self) -> Matrix:
-        """The map as a Matrix: column = input key, row = output key."""
-        return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
-
-    def apply_at(self, batch, post: int):
-        """Apply to the factors of every term of a batch whose key digits lie
-        just above post, the size of the factors after them; returns the
-        new batch, its terms not yet summed.  `StagePipeline.map_at` checks
-        the factor dims when the stage is declared."""
-        flat, val = batch
-        hi, mid = np.divmod(flat, self.in_size * post)
-        if post > 1:
-            mid, lo = np.divmod(mid, post)
-        if self.fan > 1:  # term t meets entries e
-            t, e = _join(np.arange(flat.size), self.starts[mid], self.starts[mid + 1])
-        elif self.dst.size < self.in_size:  # at most one entry per key: terms at keys without one vanish
-            e = self.starts[mid]
-            t = (self.starts[mid + 1] != e).nonzero()[0]
-            e = e[t]
-        else:  # one entry per key: entry s is that of key s
-            t, e = None, mid
-        if t is not None:
-            hi, val = hi[t], val[t]
-            if post > 1:
-                lo = lo[t]
-        flat = hi * self.out_size + self.dst[e]
-        if post > 1:
-            flat = flat * post + lo
-        return flat, (val if self.ones else val * self.values[e])
-
-
-def _scatter(field: ScalarField, in_dims, out_dims, src, dst, val) -> Matrix:
-    """COO entries as a Matrix: column = input key, row = output key."""
-    out = Matrix.zeros(field, _total(out_dims), _total(in_dims))
-    out._d[dst, src] = val
-    return out
 
 
 def _map_stage(batch, smap: SparseMap, post: int):
@@ -220,7 +129,7 @@ def _permute(batch, dims: tuple, perm: tuple, new_dims: tuple):
     the digit arrays (one per factor) stay small for a large batch.  The
     input tuple is the leading digit of a key."""
     flat, val = batch
-    lead = 2**62 // _total(dims)
+    lead = 2**62 // prod(dims)
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _BLOCK):
         digits = np.unravel_index(flat[lo : lo + _BLOCK], (lead,) + dims)
@@ -259,7 +168,7 @@ class StagePipeline:
     Declaring a stage checks it against the factor dims it receives."""
 
     def __init__(self, field: ScalarField, in_dims):
-        if _total(in_dims) > _KEY_LIMIT:
+        if prod(in_dims) > _KEY_LIMIT:
             raise ValueError(f"tensor space {tuple(in_dims)} is too large to address")
         self.field = field
         self.in_dims = tuple(in_dims)
@@ -268,20 +177,17 @@ class StagePipeline:
 
     def _add(self, out_dims: tuple, fn, *args) -> "StagePipeline":
         """Append the stage batch -> fn(batch, *args)."""
-        if _total(out_dims) > _KEY_LIMIT:
+        if prod(out_dims) > _KEY_LIMIT:
             raise ValueError(f"tensor space {out_dims} is too large to address")
         self.stages.append((fn, args))
         self.out_dims = out_dims
         return self
 
-    def _vector(self, values) -> Numerators:
-        return Numerators.of(self.field, self.field.reduce(np.array(list(values), dtype=_dtype(self.field))))
-
     def map_at(self, smap: SparseMap, pos: int) -> "StagePipeline":
         d, a = self.out_dims, len(smap.in_dims)
         if d[pos : pos + a] != smap.in_dims:
             raise ValueError(f"factor dims {d[pos:pos + a]} do not match map input {smap.in_dims}")
-        return self._add(d[:pos] + smap.out_dims + d[pos + a :], _map_stage, smap, _total(d[pos + a :]))
+        return self._add(d[:pos] + smap.out_dims + d[pos + a :], _map_stage, smap, prod(d[pos + a :]))
 
     def permute(self, perm) -> "StagePipeline":
         perm = tuple(perm)
@@ -292,18 +198,27 @@ class StagePipeline:
 
     def contract(self, pos: int, weights) -> "StagePipeline":
         d = self.out_dims
-        w = self._vector(weights)
+        w = vector(self.field, weights)
         if w.size != d[pos]:
             raise ValueError(f"functional of length {w.size} on a factor of dim {d[pos]}")
-        return self._add(d[:pos] + d[pos + 1 :], _contract, d[pos], _total(d[pos + 1 :]), w)
+        return self._add(d[:pos] + d[pos + 1 :], _contract, d[pos], prod(d[pos + 1 :]), w)
 
     def insert(self, pos: int, element, dim: int) -> "StagePipeline":
-        e = self._vector(element)
+        e = vector(self.field, element)
         if e.size != dim:
             raise ValueError(f"element of length {e.size} for a factor of dim {dim}")
         idx = np.flatnonzero(e.num != 0)
         d = self.out_dims
-        return self._add(d[:pos] + (dim,) + d[pos:], _insert, _total(d[pos:]), dim, idx, e[idx])
+        return self._add(d[:pos] + (dim,) + d[pos:], _insert, prod(d[pos:]), dim, idx, e[idx])
+
+    def regroup(self, dims) -> "StagePipeline":
+        """Read the current tensor space as the factors dims, of the same
+        total size: every key stays as it is."""
+        dims = tuple(dims)
+        if prod(dims) != prod(self.out_dims):
+            raise ValueError(f"factors {dims} do not regroup {self.out_dims}")
+        self.out_dims = dims
+        return self
 
     def run(self, batch):
         """Evaluate every stage on one batch (key, Numerators) over in_dims;
@@ -328,7 +243,7 @@ class StagePipeline:
         summed, for consecutive blocks of the input basis in lexicographic
         order; a key is its input tuple within the block times the output
         size plus the output key."""
-        n = _total(self.in_dims)
+        n = prod(self.in_dims)
         for lo in range(0, n, _BLOCK):
             col = np.arange(min(n, lo + _BLOCK) - lo)
             yield (lo, *self.run((col * (n + 1) + lo, Numerators.ones(self.field, col.size))))
@@ -337,7 +252,7 @@ class StagePipeline:
         """The composite's nonzeros: input keys, output keys, and their
         `Numerators`, sorted by (input, output) key.  Every block has the
         denominator of the stages' product."""
-        return _coo(self.field, _total(self.out_dims), ((lo, *v.summed(k)) for lo, k, v in self._blocks()))
+        return _coo(self.field, prod(self.out_dims), ((lo, *v.summed(k)) for lo, k, v in self._blocks()))
 
     def coo(self):
         """The composite's nonzeros as COO arrays (input key, output key,
@@ -353,9 +268,7 @@ class StagePipeline:
     def sparse_map(self) -> SparseMap:
         """The composite as one SparseMap, a stage of later pipelines; its
         entries come from the summed batches, never from a dense matrix."""
-        smap = SparseMap.__new__(SparseMap)
-        smap._set(self.field, self.in_dims, self.out_dims, *self._entries())
-        return smap
+        return SparseMap.from_coo(self.field, self.in_dims, self.out_dims, *self._entries())
 
 
 def _coo(field: ScalarField, width: int, blocks):
@@ -385,7 +298,7 @@ def _differences(lhs: StagePipeline, rhs: StagePipeline):
 def difference(lhs: StagePipeline, rhs: StagePipeline):
     """lhs - rhs for two pipelines over the same spaces, as COO arrays
     (input key, output key, field value) sorted by (input, output) key."""
-    src, dst, val = _coo(lhs.field, _total(lhs.out_dims), _differences(lhs, rhs))
+    src, dst, val = _coo(lhs.field, prod(lhs.out_dims), _differences(lhs, rhs))
     return src, dst, val.fractions()
 
 
@@ -393,7 +306,7 @@ def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:
     """The lexicographically first input basis tuple on which two pipelines
     over the same spaces differ, or None: the first input key of their
     difference, read from its first nonzero block."""
-    width = _total(lhs.out_dims)
+    width = prod(lhs.out_dims)
     for lo, flat, _ in _differences(lhs, rhs):
         if flat.size:
             return tuple(int(i) for i in np.unravel_index(lo + int(flat[0]) // width, lhs.in_dims))

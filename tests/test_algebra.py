@@ -720,11 +720,8 @@ def test_separability_system_matches_dict_loop(field):
     cases += [(h4.as_algebra(), None), (h4.as_algebra(), _bicomodule_ctx(h4)), (z3.as_algebra(), _bicomodule_ctx(z3))]
     for a, ctx in cases:
         solver = _separability_system(a, ctx)
-        coo = solver._rows()
-        # duplicate entries add up, as in _rref
-        dense = np.full(coo.shape, field.zero(), dtype=coo.dtype)
-        np.add.at(dense, (coo._r, coo._c), coo._v)
-        got = _nonzero_rows(field.reduce(dense).tolist(), solver.rhs)
+        # duplicate entries add up in the matrix of rows
+        got = _nonzero_rows(solver._rows().dense().to_rows(), solver.rhs)
         want = _nonzero_rows(*separability_system_by_dict_loop(a, ctx))
         assert got == want
 
@@ -833,7 +830,7 @@ def test_multiplicativity_on_generators_matches_full_scan(data):
     if not verified:
         assert gens is None
     if gens is not None:  # the restricted verdict alone is the full one
-        assert any((d._v != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
+        assert any((d.values.num != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
@@ -864,7 +861,7 @@ def test_unverified_algebras_take_the_full_path(field, monkeypatch):
         assert multiplicativity_defect(a, k, eps) == first_defect(a, k, eps) == (3, 4)
         assert seen == [()]
     # the generator rows alone pass: the gate is what keeps the verdicts right
-    assert not any((d._v != 0).any() for d in real(a, k, eps, [1]))
+    assert not any((d.values.num != 0).any() for d in real(a, k, eps, [1]))
     # an associative k[Z_5] takes the generator rows once validated, not before
     b = AlgebraObject(field, n, group_algebra(n, field).as_algebra().mul, [one] + [field.zero()] * (n - 1))
     b.generating_basis_indices()

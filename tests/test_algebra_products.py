@@ -7,6 +7,7 @@ operand and then the right one (`pairwise_products`), read by block rows
 its own transpose (`trace_form`).
 """
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ import hopfsplit.algebra as alg_mod
 from hopfsplit.algebra import AlgebraObject, ideal_generated_by, is_ideal, pairwise_products, quotient_algebra, trace_form
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
-from hopfsplit.linalg import Matrix, Subspace, _dtype, _matmul
-from hopfsplit.tensors import SparseMap
+from hopfsplit.linalg import Matrix, SparseMap, Subspace, _dtype, _matmul
 
 FIELDS = [GF(2), GF(7), GF(2**31 - 1), GF(2**61 - 1), QQ]
 
@@ -130,12 +130,19 @@ def with_branch(fn, *args):
 
 
 def assert_summed(m):
-    """COO rows as products hand them over: sorted by (row, col), unique,
-    nonzero and of the field's dtype."""
-    key = m._r * m.cols + m._c
-    assert m._v.dtype == _dtype(m.field)
-    assert (np.diff(key) > 0).all() and (m._v != 0).all()
-    assert ((0 <= m._c) & (m._c < m.cols)).all() and ((0 <= m._r) & (m._r < m.rows)).all()
+    """Matrices of rows as products hand them over: sorted by (row, col),
+    unique and nonzero, their numerators over the least denominator and of
+    the field's numerator dtype (int64 over Q while the bound allows), with
+    the CSR offsets of the rows."""
+    key = m.src * m.out_size + m.dst
+    if m.field.kind == "Fp":
+        assert m.values.num.dtype == _dtype(m.field) and m.values.den == 1
+    else:
+        assert m.values.num.dtype == (np.int64 if m.values.bound < 2**63 else object)
+        assert gcd(m.values.den, *m.values.num.tolist()) == 1
+    assert (np.diff(key) > 0).all() and (m.values.num != 0).all()
+    assert ((0 <= m.dst) & (m.dst < m.out_size)).all() and ((0 <= m.src) & (m.src < m.in_size)).all()
+    assert np.array_equal(m.starts, np.searchsorted(m.src, np.arange(m.in_size + 1)))
 
 
 def dense_by_rule(a, left, right):
@@ -167,7 +174,7 @@ def test_pairwise_products_match_the_tensor_contractions():
         right = draw_operand(data, f, n, data.draw(st.integers(0, 5)))
         got, dense = with_branch(pairwise_products, a, left, right)
         want = products_by_tensor(a, left, right)
-        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.shape == (want.rows, want.cols)
         assert_summed(got)
         got = got.dense()
         assert got._d.dtype == want._d.dtype
@@ -212,7 +219,7 @@ def test_empty_operands_multiply_nothing(field):
     for left, right in ((none, eye), (eye, none), (none, none)):
         got, dense = with_branch(pairwise_products, a, left, right)
         assert not dense
-        assert (got.rows, got.cols) == (0, 3)
+        assert got.shape == (0, 3)
         assert got.dense()._d.dtype == _dtype(field)
 
 
@@ -366,7 +373,7 @@ def _same_map(got, want):
     assert (got.in_dims, got.out_dims, got.ones) == (want.in_dims, want.out_dims, want.ones)
     assert np.array_equal(got.starts, want.starts)
     assert got.dst.dtype == want.dst.dtype and np.array_equal(got.dst, want.dst)
-    assert got.val.dtype == want.val.dtype and np.array_equal(got.val, want.val)
+    assert got.values.num.dtype == want.values.num.dtype and np.array_equal(got.values.num, want.values.num)
 
 
 @pytest.mark.parametrize("a", _builtins(), ids=lambda a: f"{a.field}-{a.dim}")

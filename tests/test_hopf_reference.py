@@ -163,7 +163,7 @@ def test_integral_system_matches_loop(hopf, where):
     for side in ("left", "right", "two_sided"):
         m = _integral_system(hopf, where, side)
         assert m.dense() == loop_integral_system(hopf, where, side)
-        assert kernel_from_rref(m.cols, *m.rref()) == loop_integral_system(hopf, where, side).kernel()
+        assert kernel_from_rref(m.out_size, *m.rref()) == loop_integral_system(hopf, where, side).kernel()
 
 
 def test_integral_system_matches_loop_on_mutants(hopf):

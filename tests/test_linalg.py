@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsplit import linalg
+from hopfsplit.category import MapSolver
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import (
     _CHUNK,
     _PRIMES,
     InconsistentSystem,
     Matrix,
-    SparseRows,
+    SparseMap,
     Subspace,
     _matmul,
-    _rref,
     kernel_from_rref,
     particular_from_rref,
     solve_linear,
@@ -217,16 +217,20 @@ def test_streamed_rref_matches_reference(case):
     if m.cols not in augpiv:
         x = m.solve(b)
         assert m.apply(x) == b.col_list(0)
-    # the same system as COO arrays, every entry split in two summands
+    # the same system as COO arrays, every entry split in two summands, the
+    # rhs as one more column
     r, c = np.nonzero(np.array([[not field.is_zero(x) for x in row] for row in rows], dtype=bool).reshape(len(rows), -1))
     vals = [rows[i][j] for i, j in zip(r, c)]
     halves = [field.sub(v, field.one()) for v in vals]
-    coo = SparseRows(field, (m.rows, m.cols), np.concatenate([r, r]), np.concatenate([c, c]),
-                     np.array(halves + [field.one()] * len(vals), dtype=object))
-    red, piv = _rref(coo, field, b._d)
-    assert (red.tolist(), piv) == (aug.to_rows(), augpiv)
-    red, piv = _rref(coo, field)
-    assert kernel_from_rref(m.cols, Matrix(field, *red.shape, red, _raw=True), piv) == m.kernel()
+    r, c, v = np.concatenate([r, r]), np.concatenate([c, c]), np.array(halves + [field.one()] * len(vals), dtype=object)
+    br = np.array([i for i, x in enumerate(b.col_list(0)) if not field.is_zero(x)], dtype=np.int64)
+    bv = np.array([b[i, 0] for i in br.tolist()], dtype=object)
+    coo = SparseMap(field, (m.rows,), (m.cols + 1,), np.concatenate([r, br]),
+                    np.concatenate([c, np.full(br.size, m.cols)]), np.concatenate([v, bv]))
+    red, piv = coo.rref()
+    assert (red.to_rows(), piv) == (aug.to_rows(), augpiv)
+    red, piv = SparseMap(field, (m.rows,), (m.cols,), r, c, v).rref()
+    assert kernel_from_rref(m.cols, red, piv) == m.kernel()
     if m.cols not in augpiv:
         assert particular_from_rref(m.cols, aug, augpiv) == m.solve(b)
     else:
@@ -294,7 +298,9 @@ def _coordinate_inputs(draw):
 def test_coordinates_match_rank_reference(case):
     field, sub, m = case
     inside = [sub.basis.vstack(m._new(1, m.cols, m._d[t : t + 1])).rank() == sub.dim for t in range(m.rows)]
-    coords = sub.coordinates(m)
+    coords = sub.dense_coordinates(m)
+    # the same rows as a matrix of rows: the join gives the same answer
+    assert sub.coordinates(SparseMap.from_rows(m)) == coords
     if all(inside):
         assert coords is not None and (coords.rows, coords.cols) == (m.rows, sub.dim)
         assert coords @ sub.basis == m
@@ -306,7 +312,9 @@ def test_coordinates_match_rank_reference(case):
     # a row of the wrong length is a caller's error, never "not inside"
     for width in (m.cols - 1, m.cols + 1):
         with pytest.raises(ValueError):
-            sub.coordinates(Matrix.zeros(field, 1, width))
+            sub.dense_coordinates(Matrix.zeros(field, 1, width))
+        with pytest.raises(ValueError):
+            sub.coordinates(SparseMap.from_rows(Matrix.zeros(field, 1, width)))
         with pytest.raises(ValueError):
             sub.contains_vector([field.zero()] * width)
 
@@ -346,7 +354,7 @@ def test_matmul_float_path_stops_at_the_exactness_bound():
     assert int(np.float64(p - 2) ** 2 * 3) != big
 
 
-# -- modular elimination of SparseRows over Q -------------------------------
+# -- modular elimination of sparse matrices over Q ---------------------------
 
 
 def _coo_split(rows, rng):
@@ -366,7 +374,8 @@ def _coo_split(rows, rng):
 
 
 def _sparse_rows(rows, cols, rng):
-    return SparseRows(QQ, (len(rows), cols), *_coo_split(rows, rng))
+    """The rows as a SparseMap summed from split entries."""
+    return SparseMap(QQ, (len(rows),), (cols,), *_coo_split(rows, rng))
 
 
 @st.composite
@@ -400,13 +409,12 @@ def _modular_inputs(draw):
 def test_modular_rref_matches_reference(case):
     rows, rhs, rng = case
     n = len(rows[0])
-    a = _sparse_rows(rows, n, rng)
-    for b, dense in ((None, rows), (np.array(rhs, dtype=object), [r + s for r, s in zip(rows, rhs)])):
-        red, piv = _rref(a, QQ, b)
+    for dense in (rows, [r + s for r, s in zip(rows, rhs)]):
+        red, piv = _sparse_rows(dense, len(dense[0]), rng).rref()
         ref, refpiv = _reference_rref(QQ, dense)
         assert piv == refpiv
-        assert red.tolist() == ref
-        assert all(type(x) is Fraction for x in red.flat)
+        assert red.to_rows() == ref
+        assert all(type(x) is Fraction for x in red._d.flat)
 
 
 def test_modular_rref_of_all_zero_and_empty_input():
@@ -414,11 +422,12 @@ def test_modular_rref_of_all_zero_and_empty_input():
         r = [i for i, row in enumerate(rows) for _ in row] * 2
         c = [j for row in rows for j in range(len(row))] * 2
         v = [x for row in rows for x in row] + [-x for row in rows for x in row]
-        coo = SparseRows(QQ, (len(rows), len(rows[0])), np.array(r), np.array(c), np.array(v, dtype=object))
-        red, piv = _rref(coo, QQ)
-        assert (red.shape, piv) == ((0, len(rows[0])), [])
-    empty = SparseRows(QQ, (0, 2), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object))
-    assert _rref(empty, QQ)[1] == []
+        coo = SparseMap(QQ, (len(rows),), (len(rows[0]),), np.array(r), np.array(c), np.array(v, dtype=object))
+        red, piv = coo.rref()
+        assert ((red.rows, red.cols), piv) == ((0, len(rows[0])), [])
+    none = np.zeros(0, dtype=np.int64)
+    empty = SparseMap(QQ, (0,), (2,), none, none, np.zeros(0, dtype=object))
+    assert empty.rref()[1] == []
 
 
 def _record_primes(monkeypatch):
@@ -427,9 +436,9 @@ def _record_primes(monkeypatch):
     seen = []
     rref_sparse = linalg._rref_sparse
 
-    def spy(a, field, rhs=None):
-        seen.append(field)
-        return rref_sparse(a, field, rhs)
+    def spy(a):
+        seen.append(a.field)
+        return rref_sparse(a)
 
     monkeypatch.setattr(linalg, "_rref_sparse", spy)
     return seen
@@ -459,8 +468,8 @@ def test_certificate_rejects_a_prime_that_drops_a_pivot(monkeypatch):
     rows = [r[:2] + [Fraction(0)] + r[2:] for r in _column_of_multiples(_PRIMES[0])]
     rows = [r + [r[1] + 3 * r[3]] for r in rows]  # a dependent column: R != I
     seen, verdicts = _record_primes(monkeypatch), _record_certificates(monkeypatch)
-    red, piv = _rref(_sparse_rows(rows, 5, random.Random(1)), QQ)
-    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    red, piv = _sparse_rows(rows, 5, random.Random(1)).rref()
+    assert (red.to_rows(), piv) == _reference_rref(QQ, rows)
     assert [f.p for f in seen] == list(_PRIMES[:2])
     assert verdicts == [False, True]
     assert piv == [0, 1, 3]
@@ -471,8 +480,8 @@ def test_fraction_kernel_answers_when_every_prime_fails(monkeypatch):
     rows = [r + [r[0] - r[2]] for r in rows]
     monkeypatch.setattr(linalg, "_PRIMES", _PRIMES[:1])
     seen = _record_primes(monkeypatch)
-    red, piv = _rref(_sparse_rows(rows, 4, random.Random(2)), QQ)
-    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    red, piv = _sparse_rows(rows, 4, random.Random(2)).rref()
+    assert (red.to_rows(), piv) == _reference_rref(QQ, rows)
     assert seen[0] == GF(_PRIMES[0]) and seen[-1] == QQ
 
 
@@ -485,15 +494,15 @@ def test_prime_dividing_a_denominator_is_used(monkeypatch):
             [Fraction(3), Fraction(3, p), Fraction(16, 3)]]
     verdicts = _record_certificates(monkeypatch)
     images = []
-    rref = linalg._rref
+    rref_sparse = linalg._rref_sparse
 
-    def spy(a, field, rhs=None):
-        images.append((field, [x for x in a._v.tolist() if x]))
-        return rref(a, field, rhs)
+    def spy(a):
+        images.append((a.field, [x for x in a.values.num.tolist() if x]))
+        return rref_sparse(a)
 
-    monkeypatch.setattr(linalg, "_rref", spy)
-    red, piv = rref(_sparse_rows(rows, 3, random.Random(3)), QQ)
-    assert (red.tolist(), piv) == _reference_rref(QQ, rows)
+    monkeypatch.setattr(linalg, "_rref_sparse", spy)
+    red, piv = _sparse_rows(rows, 3, random.Random(3)).rref()
+    assert (red.to_rows(), piv) == _reference_rref(QQ, rows)
     # d = 3 p: the image mod p keeps only column 1, (6, 3, 9)
     assert images[0] == (GF(p), [6, 3, 9])
     assert [f for f, _ in images] == [GF(q) for q in _PRIMES[: len(images)]]
@@ -506,8 +515,9 @@ def test_modular_rref_lifts_large_entries_by_crt(monkeypatch):
     big = Fraction(2**40 + 15, 2**39 + 7)
     rows = [[Fraction(1), Fraction(0), big], [Fraction(0), Fraction(3), 1 / big], [Fraction(2), Fraction(3), 2 * big + 1 / big]]
     seen = _record_primes(monkeypatch)
-    red, piv = _rref(_sparse_rows(rows, 3, random.Random(4)), QQ, np.array([[big], [Fraction(1)], [2 * big + 1]], dtype=object))
-    assert (red.tolist(), piv) == _reference_rref(QQ, [r + [b] for r, b in zip(rows, [big, Fraction(1), 2 * big + 1])])
+    aug = [r + [b] for r, b in zip(rows, [big, Fraction(1), 2 * big + 1])]
+    red, piv = _sparse_rows(aug, 4, random.Random(4)).rref()
+    assert (red.to_rows(), piv) == _reference_rref(QQ, aug)
     assert len(seen) >= 3 and QQ not in seen
 
 
@@ -534,32 +544,39 @@ def _integer_path_inputs(draw):
     coeff = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
     coeff += [[Fraction(rng.randrange(-2, 3)) for _ in range(rank)] for _ in range(m - rank)]
     rows = [[sum((c * b[j] for c, b in zip(cr, basis)), Fraction(0)) for j in range(n)] for cr in coeff]
-    if kind == "scaled":
-        rows = [[x * Fraction(rng.randrange(2**64, 2**70), rng.randrange(2**64, 2**70)) for x in row]
-                for row in rows]
+    if kind == "scaled":  # one scale per row, so the row space is B's
+        scales = [Fraction(rng.randrange(2**64, 2**70), rng.randrange(2**64, 2**70)) for _ in rows]
+        rows = [[x * s for x in row] for row, s in zip(rows, scales)]
     r, c, v = _coo_split(rows, rng)
     # cancelling pairs, some on entries that are zero
     for _ in range(rng.randrange(4)):
         i, j, x = rng.randrange(m), rng.randrange(n), entry(70)
         r, c, v = np.append(r, [i, i]), np.append(c, [j, j]), np.append(v, np.array([x, -x], dtype=object))
-    rhs = np.array([[entry(70)] for _ in range(m)], dtype=object) if draw(st.booleans()) else None
-    return SparseRows(QQ, (m, n), r, c, v), rhs, rows, kind
+    cols = n
+    if draw(st.booleans()):  # a rhs, as one more column
+        cols += 1
+        rhs = [entry(70) for _ in range(m)]
+        at = np.array([i for i, x in enumerate(rhs) if x], dtype=np.int64)
+        r, c = np.append(r, at), np.append(c, np.full(at.size, n))
+        v = np.append(v, np.array([rhs[i] for i in at.tolist()], dtype=object))
+    return (m, cols), (r, c, v), kind
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_integer_path_inputs())
 def test_integer_modular_rref_matches_fraction_kernel(case):
-    a, rhs, rows, kind = case
-    ref, refpiv = _chunked_reference(QQ, a, rhs)
-    out = linalg._rref_modular(a, rhs)
+    shape, raw, kind = case
+    a = SparseMap(QQ, shape[:1], shape[1:], *raw)
+    ref, refpiv = _chunked_reference(QQ, shape, *raw)
+    out = linalg._rref_modular(a)
     if kind != "huge":
         assert out is not None
     if out is not None:
         red, piv = out
         assert piv == refpiv and red.tolist() == ref.tolist()
         assert all(type(x) is Fraction for x in red.flat)
-    red, piv = _rref(a, QQ, rhs)
-    assert piv == refpiv and red.tolist() == ref.tolist()
+    red, piv = a.rref()
+    assert piv == refpiv and red.to_rows() == ref.tolist()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)])
@@ -580,8 +597,7 @@ def test_certificate_fails_when_one_off_pivot_entry_of_r_changes(field):
             continue
         coeff = np.array([[field.from_int(rng.randrange(-2, 3)) for _ in range(red.rows)] for _ in range(5)],
                          dtype=red._d.dtype)
-        a = SparseRows.from_matrix(red).vstack(SparseRows.from_matrix(Matrix(field, 5, red.rows, coeff) @ red))
-        entries = a._r, a._c, linalg.Numerators.of(field, a._v)
+        a = SparseMap.from_rows(red).vstack(SparseMap.from_rows(Matrix(field, 5, red.rows, coeff) @ red))
         t, j = rng.choice(spots)
         off = np.ones(n, dtype=bool)
         off[piv] = False
@@ -589,28 +605,28 @@ def test_certificate_fails_when_one_off_pivot_entry_of_r_changes(field):
             r = red._d.copy()
             r[t, j] = field.reduce(r[t, j] + bump)
             ti, tj = ((r != 0) & off).nonzero()
-            ok = linalg._certified(entries, (ti, tj, linalg.Numerators.of(field, r[ti, tj])), piv, n)
+            ok = linalg._certified(a, (ti, tj, linalg.Numerators.of(field, r[ti, tj])), piv)
             sub = Subspace(n, Matrix(field, len(piv), n, r, _raw=True), piv)
             assert ok is (bump == 0) is (sub.coordinates(a) is not None)
 
 
-# -- the sparse front end of _rref ------------------------------------------
+# -- the sparse front end of SparseMap.rref ----------------------------------
 
 
-def _chunked_reference(field, a, rhs):
-    """Reference: `_rref` on a SparseRows source before its sparse front
-    end.  Chunks of rows are densified with duplicate entries added up,
-    reduced, stripped of zero rows and eliminated stacked under the RREF so
-    far, over Q in Fractions."""
-    r = np.zeros((0, a.shape[1] + (0 if rhs is None else rhs.shape[1])), dtype=a.dtype)
+def _chunked_reference(field, shape, rr, cc, vv):
+    """Reference: the RREF of the matrix of shape with COO entries (rr, cc,
+    vv), repeated and in any order, as the streamed kernel gave it before
+    any sparse front end.  Chunks of rows are densified with duplicate
+    entries added up, reduced, stripped of zero rows and eliminated stacked
+    under the RREF so far, over Q in Fractions."""
+    dtype = linalg._dtype(field)
+    r = np.zeros((0, shape[1]), dtype=dtype)
     pivs = []
-    for s in range(0, a.shape[0], _CHUNK):
-        e = min(s + _CHUNK, a.shape[0])
-        c = np.full((e - s, a.shape[1]), field.zero(), dtype=a.dtype)
-        at = (a._r >= s) & (a._r < e)
-        np.add.at(c, (a._r[at] - s, a._c[at]), a._v[at])
-        if rhs is not None:
-            c = np.hstack([c, rhs[s:e]])
+    for s in range(0, shape[0], _CHUNK):
+        e = min(s + _CHUNK, shape[0])
+        c = np.full((e - s, shape[1]), field.zero(), dtype=dtype)
+        at = (rr >= s) & (rr < e)
+        np.add.at(c, (rr[at] - s, cc[at]), field.reduce(np.asarray(vv, dtype=dtype)[at]))
         c = field.reduce(c)
         c = c[c.any(axis=1)]
         if c.shape[0]:
@@ -623,7 +639,7 @@ _FRONT_END_FIELDS = [GF(2), GF(7), GF(15013), GF(2**31 - 1), GF(2**61 - 1), QQ]
 
 @st.composite
 def _front_end_inputs(draw):
-    """A sparse system of one of five shapes, written as COO arrays in
+    """A sparse system of one of seven shapes, written as COO arrays in
     shuffled order with split and cancelling entries, and maybe a rhs:
 
     - "random": sparse rows of a random low-rank product;
@@ -635,10 +651,16 @@ def _front_end_inputs(draw):
       deleted singleton column makes the next row a singleton;
     - "doubletons": rows a x_j + b x_k on the edges of a random graph, with
       chains, stars and cycles (a cycle may close consistently or make a
-      singleton), and a few longer rows.
+      singleton), and a few longer rows;
+    - "solver": random low-rank rows given as `MapSolver` gets them, in
+      blocks whose entries repeat in cancelling pairs in shuffled order,
+      the rhs per block, and read back through `MapSolver._rows`.
+
+    The summing constructor (or the solver) makes the SparseMap; the raw
+    entries, the rhs among them as the last column, go to the reference.
     """
     field = draw(st.sampled_from(_FRONT_END_FIELDS))
-    kind = draw(st.sampled_from(["random", "duplicates", "zero", "deficient", "chain", "doubletons"]))
+    kind = draw(st.sampled_from(["random", "duplicates", "zero", "deficient", "chain", "doubletons", "solver"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
     with_rhs = kind == "deficient" or draw(st.booleans())
@@ -691,45 +713,67 @@ def _front_end_inputs(draw):
             c = scalar(nonzero=True)
             rows.append([field.mul(c, x) for x in rows[k][:n]] + [field.add(field.mul(c, rows[k][n]), field.one())])
     rng.shuffle(rows)
-    # COO entries: every nonzero split in summands, plus cancelling pairs
+    width = n + 1 if with_rhs else n  # the rhs is the last column
     r, c, v = [], [], []
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row[:n]):
-            terms = [] if field.is_zero(x) else [x]
-            if terms and rng.random() < 0.5:
+    if kind == "solver":
+        # blocks of a MapSolver over F : K^n -> K, each with its entries
+        # repeated (cancelling pairs) and shuffled and its rhs given apart
+        solver = MapSolver(field, n, 1)
+        for lo in range(0, len(rows), 4):
+            block = rows[lo : lo + 4]
+            ents = [(i, j, x) for i, row in enumerate(block) for j, x in enumerate(row[:n]) if not field.is_zero(x)]
+            for i, j, _ in list(ents):
                 y = scalar()
-                terms = [field.sub(x, y), y]
-            if rng.random() < 0.2:
-                y = scalar()
-                terms += [y, field.neg(y)]
-            r += [i] * len(terms)
-            c += [j] * len(terms)
-            v += terms
-    order = rng.sample(range(len(v)), len(v))
-    a = SparseRows(field, (len(rows), n), np.array(r, dtype=np.int64)[order],
-                   np.array(c, dtype=np.int64)[order], np.array(v, dtype=object)[order])
-    rhs = np.array([[row[n]] for row in rows], dtype=a.dtype) if with_rhs else None
-    return field, kind, a, rhs, draw(st.sampled_from([3, _CHUNK]))
+                ents += [(i, j, y), (i, j, field.neg(y))]
+            rng.shuffle(ents)
+            br, bc, bv = (np.array([e[k] for e in ents], dtype=np.int64 if k < 2 else object) for k in range(3))
+            solver.add_coo(br, bc, bv, len(block), [row[n] for row in block])
+            r += [lo + e[0] for e in ents]
+            c += [e[1] for e in ents]
+            v += [e[2] for e in ents]
+        if with_rhs:
+            at = [i for i, row in enumerate(rows) if not field.is_zero(row[n])]
+            r, c, v = r + at, c + [n] * len(at), v + [rows[i][n] for i in at]
+        order = list(range(len(v)))
+    else:
+        # COO entries: every nonzero split in summands, plus cancelling pairs
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row[:width]):
+                terms = [] if field.is_zero(x) else [x]
+                if terms and rng.random() < 0.5:
+                    y = scalar()
+                    terms = [field.sub(x, y), y]
+                if rng.random() < 0.2:
+                    y = scalar()
+                    terms += [y, field.neg(y)]
+                r += [i] * len(terms)
+                c += [j] * len(terms)
+                v += terms
+        order = rng.sample(range(len(v)), len(v))
+    raw = np.array(r, dtype=np.int64)[order], np.array(c, dtype=np.int64)[order], np.array(v, dtype=object)[order]
+    a = solver._rows(rhs=with_rhs) if kind == "solver" else SparseMap(field, (len(rows),), (width,), *raw)
+    return field, kind, a, raw, n, draw(st.sampled_from([3, _CHUNK]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_front_end_inputs())
 def test_sparse_front_end_matches_chunked_reference(case):
-    field, kind, a, rhs, chunk = case
+    field, kind, a, raw, n, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CHUNK", chunk)
-        ref, refpiv = _chunked_reference(field, a, rhs)
-        outs = [_rref(a, field, rhs)]
+        ref, refpiv = _chunked_reference(field, a.shape, *raw)
+        outs = [a.rref()]
         if field.kind == "Q":  # the Fraction front end, which no prime certified
-            outs.append(linalg._rref_sparse(a, field, rhs))
+            red, piv = linalg._rref_sparse(a)
+            outs.append((Matrix(field, *red.shape, red, _raw=True), piv))
     for red, piv in outs:
         assert piv == refpiv
-        assert red.dtype == ref.dtype and red.shape == ref.shape
-        assert red.tolist() == ref.tolist()
-        assert [type(x) for x in red.flat] == [type(x) for x in ref.flat]
+        assert red._d.dtype == ref.dtype and red._d.shape == ref.shape
+        assert red.to_rows() == ref.tolist()
+        assert [type(x) for x in red._d.flat] == [type(x) for x in ref.flat]
     if kind == "zero":
         assert refpiv == []
     if kind == "deficient":
-        assert refpiv[-1] == a.shape[1]  # the pivot in the rhs column
+        assert refpiv[-1] == n  # the pivot in the rhs column
     if kind == "chain":
-        assert refpiv[: a.shape[1]] == list(range(a.shape[1]))
+        assert refpiv[:n] == list(range(n))

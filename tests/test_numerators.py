@@ -173,7 +173,7 @@ def test_huge_products_and_sums_leave_int64():
 def test_q_products_on_wide_numerators_match_fractions(data):
     # the object-matrix product and the COO product multiply the same
     # numerators: both against the plain Fraction product
-    from hopfsplit.linalg import SparseRows, _matmul
+    from hopfsplit.linalg import SparseMap, _matmul
 
     shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
     entry = st.one_of(st.just(Fraction(0)), rationals())
@@ -183,7 +183,7 @@ def test_q_products_on_wide_numerators_match_fractions(data):
             for i in range(shape[0])]
     ma, mb = Matrix.from_rows(f, a), Matrix.from_rows(f, b)
     assert _matmul(f, ma._d, mb._d).tolist() == want
-    assert SparseRows.from_matrix(ma).matmul(mb._d).dense().to_rows() == want
+    assert SparseMap.from_rows(ma).matmul(SparseMap.from_rows(mb)).dense().to_rows() == want
 
 
 # -- structure checks in a rescaled basis ------------------------------------

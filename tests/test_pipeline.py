@@ -176,3 +176,23 @@ def test_reconstruction_validates_its_quadruple_once(h4_qq, side, monkeypatch):
     report = run_radical_pipeline(h4_qq, h4_radical_candidate(QQ)) if side == "radical" else \
         run_coradical_pipeline(h4_qq, h4_coradical_candidate(QQ))
     assert report.checks.ok and len(calls) == 1
+
+
+@pytest.mark.parametrize("side", ["radical", "coradical"])
+def test_unknown_split_level_is_refused_before_any_work(h4_qq, side, monkeypatch):
+    # a level other than the two is a caller's error, named with the allowed
+    # values, and raised before an integral is sought or a dual is built
+    import hopfsplit.pipeline as pipeline_mod
+
+    candidate = h4_radical_candidate(QQ) if side == "radical" else h4_coradical_candidate(QQ)
+    cert = certify_split_input(h4_qq, side, candidate)
+    split = split_radical if side == "radical" else split_coradical
+
+    def no_work(*args):
+        raise AssertionError("the split started")
+
+    for name in ("find_integral", "dualize", "lift_through_tower"):
+        monkeypatch.setattr(pipeline_mod, name, no_work)
+    for level in ("algebra", "Bicomodule", ""):
+        with pytest.raises(ValueError, match=f"unknown split level {level!r}: expected 'comodule' or 'bicomodule'"):
+            split(cert, level)

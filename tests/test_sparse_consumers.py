@@ -1,7 +1,7 @@
 """The consumers of summed COO rows against dense references.
 
-`pairwise_products` hands its products over as summed COO rows
-(`linalg.SparseRows`); containment in a subspace, the multiplicativity
+`pairwise_products` hands its products over as a matrix of summed rows
+(`linalg.SparseMap`); containment in a subspace, the multiplicativity
 defect and the ideal powers read them without a dense array.  Each is
 checked here against the dense computation or the dict loop it replaced,
 over Q, F_7 (float64 BLAS products), F_(2^31 - 1) (the blocked int64
@@ -10,6 +10,7 @@ themselves are pinned in test_algebra_products.py.
 """
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from hopfsplit.algebra import (
     pairwise_products,
 )
 from hopfsplit.fields import GF, QQ
-from hopfsplit.linalg import Matrix, SparseRows, Subspace
+from hopfsplit.linalg import Matrix, SparseMap, Subspace
 
 FIELDS = [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)]
 
@@ -81,17 +82,17 @@ def test_coo_containment_matches_the_dense_product(data):
         else:
             rows.append(draw_rows(data, f, 1, n).row_list(0))
     m = Matrix(f, len(rows), n, rows)
-    want = sub.coordinates(m)
+    want = sub.dense_coordinates(m)
     inside = all(sub.basis.vstack(Matrix.row(f, r)).rank() == sub.dim for r in rows)
     assert (want is not None) == inside
-    got = sub.coordinates(SparseRows.from_matrix(m))
+    got = sub.coordinates(SparseMap.from_rows(m))
     assert (got is None) == (want is None)
     if want is not None:
         assert got == want
     # a row of the wrong width is a caller's error, never "not inside"
     for width in (n - 1, n + 1):
         with pytest.raises(ValueError):
-            sub.coordinates(SparseRows.from_matrix(Matrix.zeros(f, 1, width)))
+            sub.coordinates(SparseMap.from_rows(Matrix.zeros(f, 1, width)))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -101,7 +102,7 @@ def test_coo_containment_sees_an_entry_off_the_pivots(field):
     one, two = field.one(), field.from_int(2)
     sub = Subspace.from_vectors(field, 3, [[one, field.zero(), one]])
     for row, inside in (([one, field.zero(), one], True), ([one, field.zero(), two], False)):
-        got = sub.coordinates(SparseRows.from_matrix(Matrix.row(field, row)))
+        got = sub.coordinates(SparseMap.from_rows(Matrix.row(field, row)))
         assert (got is not None) == inside
 
 
@@ -241,3 +242,35 @@ def test_ideal_powers_match_the_dense_rref_of_all_products(data):
     # each power holds the products of the ideal with the one before
     for prev, nxt in zip(powers, powers[1:]):
         assert nxt.coordinates(pairwise_products(a, ideal.subspace.basis, prev.basis)) is not None
+
+
+# -- Numerators from the product to the elimination ----------------------------
+
+
+def test_q_products_reach_elimination_and_containment_as_numerators(monkeypatch):
+    # over Q the products hand their values over as `Numerators`, and the
+    # modular elimination and the containment join read them as they are:
+    # no `Numerators.of` call sees the products' field values again
+    from hopfsplit import linalg
+    from hopfsplit.builtin import sweedler_h4
+
+    a = sweedler_h4(QQ).as_algebra()
+    j = Subspace.from_vectors(QQ, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    eye = Matrix.identity(QQ, 4)
+    rows = pairwise_products(a, eye, j.basis).vstack(pairwise_products(a, j.basis, eye))
+    values = rows.coo()[2].tolist()
+    assert values
+    seen = []
+    of = linalg.Numerators.of.__func__
+
+    def spy(cls, field, vals):
+        seen.append(np.asarray(vals).tolist())
+        return of(cls, field, vals)
+
+    monkeypatch.setattr(linalg.Numerators, "of", classmethod(spy))
+    span = Subspace.from_matrix_rows(rows)
+    coords = j.coordinates(rows)
+    monkeypatch.undo()
+    assert values not in seen
+    assert span == Subspace.from_matrix_rows(rows.dense()) == j
+    assert coords == j.dense_coordinates(rows.dense())

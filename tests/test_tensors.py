@@ -261,6 +261,24 @@ def test_declared_stages_are_checked_against_factor_dims():
         StagePipeline(GF(7), (2, 3)).permute((0, 0))
     with pytest.raises(ValueError):
         StagePipeline(GF(7), (2,)).contract(0, [1, 2, 3])
+    with pytest.raises(ValueError):
+        StagePipeline(GF(7), (2, 3)).regroup((5,))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_regroup_reads_the_same_keys_as_other_factors(field):
+    # (6,) regrouped as (2, 3) and m : (2, 3) -> (2,) is the map with m's
+    # entries on the flat keys; regrouping its output changes no value, and
+    # a witness unravels over the declared input dims
+    one = field.one()
+    m = SparseMap(field, (2, 3), (2,), [3, 2], [0, 1], [one, one])
+    flat = SparseMap(field, (6,), (2,), [3, 2], [0, 1], [one, one])
+    zero = SparseMap(field, (6,), (2,), [], [], [])
+    grouped = StagePipeline(field, (6,)).regroup((2, 3)).map_at(m, 0)
+    assert grouped.in_dims == (6,) and grouped.out_dims == (2,)
+    assert pipelines_equal(grouped, StagePipeline(field, (6,)).map_at(flat, 0)) is None
+    assert pipelines_equal(grouped, StagePipeline(field, (6,)).map_at(zero, 0)) == (2,)
+    assert grouped.regroup((1, 2)).matrix() == StagePipeline(field, (6,)).map_at(flat, 0).matrix()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2**61 - 1)])
@@ -282,7 +300,7 @@ def test_from_matrix_matches_constructor(field):
         order = rng.permutation(len(ent))
         src, dst, val = ([ent[t][k] for t in order] for k in (1, 0, 2))
         want = SparseMap(field, (m.cols,), (m.rows,), src, dst, val)
-        for a, b in zip((got.dst, got.val, got.starts), (want.dst, want.val, want.starts)):
+        for a, b in zip((got.dst, got.values.num, got.starts), (want.dst, want.values.num, want.starts)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert got.ones == want.ones
         assert all(np.array_equal(a, b) for a, b in zip(got.coo(), want.coo()))

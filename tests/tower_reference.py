@@ -22,7 +22,7 @@ from hopfsplit.hochschild import (
     _tower_correct,
     unitalize_section_generic,
 )
-from hopfsplit.linalg import Matrix, Subspace, _along_factor
+from hopfsplit.linalg import Matrix, SparseMap, Subspace, _along_factor
 
 
 def revalidating_quotient_algebra(a: AlgebraObject, s: Subspace):
@@ -36,8 +36,8 @@ def revalidating_quotient_algebra(a: AlgebraObject, s: Subspace):
     proj = s.complement_projection()
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
-    consts = pairwise_products(a, basis, basis).matmul(proj._d.T)
-    q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts._r, qdim), consts._c, consts._v),
+    consts = pairwise_products(a, basis, basis).matmul(SparseMap.from_matrix(proj, (n,), (qdim,)))
+    q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts.src, qdim), consts.dst, consts.values.fractions()),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     q.validate().require("quotient algebra")
     bad = multiplicativity_defect(a, q, proj)
