@@ -3,8 +3,12 @@
 bimodule equivalence, the braiding and the integral-driven retraction.
 
 Hom-spaces are kernels of one stacked constraint matrix (all colinearity /
-linearity conditions at once); every returned basis map is re-verified by
-direct contraction, never trusted from the solver.
+linearity conditions at once); every returned basis map is re-verified,
+never trusted from the solver.
+
+Whether a map respects the (co)actions a context wants is decided in one
+place, `morphism_defects`, on stage pipelines of the structure maps, for
+every caller in the package.
 """
 from __future__ import annotations
 
@@ -112,12 +116,14 @@ class CatObject:
 
     @classmethod
     def regular(cls, hopf: HopfObject) -> "CatObject":
-        """H itself with regular actions and coactions."""
-        f = hopf.field
-        n = hopf.dim
-        comul_m = hopf.as_coalgebra().comul_matrix()  # rows (i,j) = i*n+j
-        mul_m = hopf.as_algebra().mul_matrix()
-        return cls(f, n, hopf, coact_l=comul_m, coact_r=comul_m, act_l=mul_m, act_r=mul_m)
+        """H itself with regular actions and coactions; its stage maps are
+        H's own `comul_map` and `mul_map`."""
+        comul, mul = hopf.as_coalgebra().comul_map(), hopf.as_algebra().mul_map()
+        cm, mm = comul.matrix(), mul.matrix()  # comul rows (i,j) = i*n+j
+        obj = cls(hopf.field, hopf.dim, hopf, coact_l=cm, coact_r=cm, act_l=mm, act_r=mm)
+        obj.coact_l_map = obj.coact_r_map = comul
+        obj.act_l_map = obj.act_r_map = mul
+        return obj
 
     def validate(self, ctx: CategoryContext) -> ValidationReport:
         rep = ValidationReport()
@@ -220,36 +226,29 @@ def _record_checks(rep: ValidationReport, checks, interleaved: bool = False) -> 
     return True
 
 
-def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
-    """X (x) Y with diagonal (co)actions."""
-    f = x.field
+def _diagonal(pipe: StagePipeline, x: CatObject, y: CatObject, name: str) -> StagePipeline:
+    """pipe followed by the diagonal structure `name` of X (x) Y on its
+    factors (x, y), with H first for a left action and last for a right one."""
     h = x.hopf
-    dh = h.dim if h else 0
-    dx, dy = x.dim, y.dim
-
-    def diag_coact(sx, sy, side):
-        if sx is None or sy is None:
-            return None
+    sx, sy = getattr(x, name + "_map"), getattr(y, name + "_map")
+    if name in ("coact_l", "coact_r"):
         # (h, x, h', y) -> (h h', x, y) on the left, (x, h, y, h') -> (x, y, h h') on the right
-        pipe = StagePipeline(f, (dx, dy)).map_at(sx, 0).map_at(sy, 2).permute((0, 2, 1, 3))
-        return pipe.map_at(h.as_algebra().mul_map(), 0 if side == "l" else 2).matrix()
+        pipe = pipe.map_at(sx, 0).map_at(sy, 2).permute((0, 2, 1, 3))
+        return pipe.map_at(h.as_algebra().mul_map(), 0 if name == "coact_l" else 2)
+    # (h, x, y) -> (h1, x, h2, y) -> (h1 x, h2 y) on the left, (x, y, h) ->
+    # (x, h1, y, h2) -> (x h1, y h2) on the right
+    pipe = pipe.map_at(h.as_coalgebra().comul_map(), 0 if name == "act_l" else 2)
+    return pipe.permute((0, 2, 1, 3)).map_at(sx, 0).map_at(sy, 1)
 
-    def diag_act(sx, sy, side):
-        if sx is None or sy is None:
-            return None
-        if side == "l":  # (h, x, y) -> (h1, x, h2, y) -> (h1 x, h2 y)
-            pipe = StagePipeline(f, (dh, dx, dy)).map_at(h.as_coalgebra().comul_map(), 0)
-        else:  # (x, y, h) -> (x, h1, y, h2) -> (x h1, y h2)
-            pipe = StagePipeline(f, (dx, dy, dh)).map_at(h.as_coalgebra().comul_map(), 2)
-        return pipe.permute((0, 2, 1, 3)).map_at(sx, 0).map_at(sy, 1).matrix()
 
-    return CatObject(
-        f, dx * dy, h,
-        coact_l=diag_coact(x.coact_l_map, y.coact_l_map, "l"),
-        coact_r=diag_coact(x.coact_r_map, y.coact_r_map, "r"),
-        act_l=diag_act(x.act_l_map, y.act_l_map, "l"),
-        act_r=diag_act(x.act_r_map, y.act_r_map, "r"),
-    )
+def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
+    """X (x) Y with diagonal (co)actions (`_diagonal`), each one both have."""
+    dx, dy = x.dim, y.dim
+    dh = x.hopf.dim if x.hopf else 0
+    ins = {"coact_l": (dx, dy), "coact_r": (dx, dy), "act_l": (dh, dx, dy), "act_r": (dx, dy, dh)}
+    return CatObject(x.field, dx * dy, x.hopf, **{
+        name: _diagonal(StagePipeline(x.field, dims), x, y, name).matrix() for name, dims in ins.items()
+        if getattr(x, name) is not None and getattr(y, name) is not None})
 
 
 def unit_object(ctx: CategoryContext, field: ScalarField) -> CatObject:
@@ -435,7 +434,8 @@ def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
     """All ctx-morphisms X -> Y (optionally A-bimodule maps on top).
 
     extra_bimodule = (x_act_l, x_act_r, y_act_l, y_act_r, d_alg): the four
-    action matrices of a declared algebra A acting on X and Y.
+    action matrices of a declared algebra A acting on X and Y.  A refuted
+    basis map (`morphism_defects`) raises VerificationFailed at v or (h, v).
     """
     solver = MapSolver(x.field, x.dim, y.dim)
     blocks = colinearity_blocks(ctx, x, y)
@@ -445,32 +445,58 @@ def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
         solver.add_coo(*block)
     maps = solver.kernel_maps()
     for m in maps:
-        _verify_ctx_morphism(ctx, x, y, m)
+        bad = morphism_defects(ctx, x, y, m)
+        if bad:
+            name, wit = bad[0]
+            raise VerificationFailed(_HOM_CHECKS[name], wit[0] if len(wit) == 1 else wit)
     return HomSpace(ctx, x, y, maps)
 
 
-def _verify_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, m: Matrix):
-    """Independent re-check of colinearity, rho_Y m = (m (x) id) rho_X, as
-    pipelines on the objects' coaction maps; raises VerificationFailed with
-    the first basis vector of X where it fails, the right side first on a
-    tie."""
+_HOM_CHECKS = {"coact_r": "hom_map_right_colinear", "coact_l": "hom_map_left_colinear",
+               "act_l": "hom_map_left_linear", "act_r": "hom_map_right_linear"}
+
+
+def morphism_defects(ctx: CategoryContext, x, y: CatObject, f) -> list[tuple[str, tuple]]:
+    """The structures of ctx that f : X -> Y does not respect, as (name,
+    witness), the first failure first; [] for a ctx-morphism.
+
+    Each is one equation of two pipelines compared by `pipelines_equal`:
+    rho_Y f = (f (x) id_H) rho_X for "coact_r" (mirrored for "coact_l") and
+    f mu_X = mu_Y (f (x) id_H) for "act_r" (mirrored for "act_l").  X is a
+    CatObject or a pair (X1, X2), X1 (x) X2 with the structures `_diagonal`
+    gives; f is a Matrix or a SparseMap on X's factors.  A witness is the
+    first input tuple, (v,) for a coaction and (h, v) for an action; a tie
+    goes to the structure first in ("coact_r", "coact_l", "act_l", "act_r").
+    """
     if ctx.kind == "vect":
-        return
-    mm = SparseMap.from_matrix(m, (x.dim,), (y.dim,))
+        return []
+    dims = (x.dim,) if isinstance(x, CatObject) else (x[0].dim, x[1].dim)
+    fm = f if isinstance(f, SparseMap) else SparseMap.from_matrix(f, dims, (y.dim,))
 
-    def P():
-        return StagePipeline(x.field, (x.dim,))
+    def P(name):  # the equation's input: X, or (h, X) for an action, read as (X, h) on the right
+        if name.startswith("coact"):
+            return StagePipeline(y.field, dims)
+        p = StagePipeline(y.field, (ctx.hopf.dim, *dims))
+        return p.permute((*range(1, len(dims) + 1), 0)) if name == "act_r" else p
 
-    sides = [("hom_map_right_colinear", ctx.wants_right_coaction, x.coact_r_map, y.coact_r_map, 0),
-             ("hom_map_left_colinear", ctx.wants_left_coaction, x.coact_l_map, y.coact_l_map, 1)]
+    def with_x(p, name):  # p followed by X's structure
+        return p.map_at(getattr(x, name + "_map"), 0) if isinstance(x, CatObject) else _diagonal(p, *x, name)
+
+    wanted = (("coact_r", ctx.wants_right_coaction), ("coact_l", ctx.wants_left_coaction),
+              ("act_l", ctx.wants_left_action), ("act_r", ctx.wants_right_action))
     bad = []
-    for t, (name, wanted, rx, ry, pos) in enumerate(sides):
-        w = pipelines_equal(P().map_at(mm, 0).map_at(ry, 0), P().map_at(rx, 0).map_at(mm, pos)) if wanted else None
-        if w is not None:
-            bad.append((w[0], t, name))
-    if bad:
-        v, _, name = min(bad)
-        raise VerificationFailed(name, v)
+    for t, (name, wants) in enumerate(wanted):
+        if not wants:
+            continue
+        ym = getattr(y, name + "_map")
+        if name.startswith("coact"):
+            lhs, rhs = P(name).map_at(fm, 0).map_at(ym, 0), with_x(P(name), name).map_at(fm, int(name == "coact_l"))
+        else:
+            lhs, rhs = with_x(P(name), name).map_at(fm, 0), P(name).map_at(fm, int(name == "act_l")).map_at(ym, 0)
+        wit = pipelines_equal(lhs, rhs)
+        if wit is not None:
+            bad.append((wit, t, name))
+    return [(name, wit) for wit, _, name in sorted(bad)]
 
 
 # ---------------------------------------------------------------------------

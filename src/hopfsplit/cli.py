@@ -479,6 +479,12 @@ def main(argv=None) -> int:
         # validation failures carry mathematical meaning
         print(f"failure: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        # an input too large for this machine's memory, as the file limits
+        # bound the dense arrays but not the joins
+        detail = f" ({e})" if str(e) else ""
+        print(f"resource error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ products and restricted coactions in kernel coordinates
 (`Subspace.coordinates` on matrices of rows).  Every step is
 re-verified; a failure raises `VerificationFailed` naming the check and
 its first failing index.
+
+That a lift, an extension's projection, or the structure maps of an
+algebra or bimodule in a context respect the (co)actions is decided by
+`category.morphism_defects`, a source A (x) M on its diagonal pipelines.
 """
 from __future__ import annotations
 
@@ -63,6 +67,7 @@ from .category import (
     _pre_block,
     colinearity_blocks,
     hom_space,
+    morphism_defects,
     tensor_catobject,
     unit_object,
 )
@@ -105,16 +110,14 @@ class AlgebraInContext:
             rep.record("object:" + name, ok, wit)
         if not rep.ok:
             return rep
-        # multiplication and unit must be ctx-morphisms
+        # multiplication (from A (x) A) and unit must be ctx-morphisms
         if self.ctx.kind != "vect":
             f = self.field
-            sq = tensor_catobject(self.obj, self.obj)
-            mulm = self.algebra.mul_matrix()
-            ok = _is_ctx_morphism(self.ctx, sq, self.obj, mulm)
-            rep.record("mul_is_ctx_morphism", ok, "multiplication not a ctx morphism")
-            unitm = Matrix.column(f, self.algebra.unit)
-            one = unit_object(self.ctx, f)
-            rep.record("unit_is_ctx_morphism", _is_ctx_morphism(self.ctx, one, self.obj, unitm),
+            rep.record("mul_is_ctx_morphism",
+                       not morphism_defects(self.ctx, (self.obj, self.obj), self.obj, self.algebra.mul_map()),
+                       "multiplication not a ctx morphism")
+            rep.record("unit_is_ctx_morphism", not morphism_defects(self.ctx, unit_object(self.ctx, f), self.obj,
+                                                                    Matrix.column(f, self.algebra.unit)),
                        "unit not a ctx morphism")
         return rep
 
@@ -150,12 +153,10 @@ class BimoduleInContext:
                 "left": ("left_module", "(e{0}e{1})m{2}"), "right": ("right_module", "m{2}(e{0}e{1})"),
                 "middle": ("middle_compat", "e{0}m{2}e{1}"), "unit": ("unit_module", "m{0}")}):
             return rep
-        if self.actx.ctx.kind != "vect":
-            am = tensor_catobject(self.actx.obj, self.obj)
-            rep.record("act_l_ctx", _is_ctx_morphism(self.actx.ctx, am, self.obj, self.act_l),
-                       "left action not a ctx morphism")
-            ma = tensor_catobject(self.obj, self.actx.obj)
-            rep.record("act_r_ctx", _is_ctx_morphism(self.actx.ctx, ma, self.obj, self.act_r),
+        ctx, a, m = self.actx.ctx, self.actx.obj, self.obj
+        if ctx.kind != "vect":  # the actions, from A (x) M and M (x) A
+            rep.record("act_l_ctx", not morphism_defects(ctx, (a, m), m, self.act_l), "left action not a ctx morphism")
+            rep.record("act_r_ctx", not morphism_defects(ctx, (m, a), m, self.act_r),
                        "right action not a ctx morphism")
         return rep
 
@@ -171,27 +172,6 @@ class BimoduleInContext:
 
     def right(self, m, avec):
         return self.act_r.apply(v_tensor(self.field, m, avec))
-
-
-def _is_ctx_morphism(ctx: CategoryContext, x: CatObject, y: CatObject, f_mat: Matrix) -> bool:
-    """Direct check that f : X -> Y commutes with the ctx structures, one
-    product per structure: rho_Y f = (f (x) id_H) rho_X for coactions and
-    f mu_X = mu_Y (f (x) id_H) for actions (mirrored on the left)."""
-    if ctx.kind == "vect":
-        return True
-    dh = ctx.hopf.dim
-    ft = f_mat.transpose()
-    pairs = []
-    if ctx.wants_right_coaction:
-        pairs.append((y.coact_r @ f_mat, _along_factor(f_mat, x.coact_r, dh, "r")))
-    if ctx.wants_left_coaction:
-        pairs.append((y.coact_l @ f_mat, _along_factor(f_mat, x.coact_l, dh, "l")))
-    # mu_Y (f (x) id_H) = ((f^T (x) id_H) mu_Y^T)^T
-    if ctx.wants_right_action:
-        pairs.append((f_mat @ x.act_r, _along_factor(ft, y.act_r.transpose(), dh, "r").transpose()))
-    if ctx.wants_left_action:
-        pairs.append((f_mat @ x.act_l, _along_factor(ft, y.act_l.transpose(), dh, "l").transpose()))
-    return all(lhs == rhs for lhs, rhs in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +357,7 @@ class ExtensionData:
         bad = multiplicativity_defect(e, a, self.pi)
         rep.record("pi_algebra_map", bad is None and v_eq(fld, self.pi.apply(e.unit), a.unit),
                    "pi not an algebra map" + ("" if bad is None else f" at {bad}"))
-        rep.record("pi_ctx", _is_ctx_morphism(self.actx.ctx, self.eactx.obj, self.actx.obj, self.pi),
+        rep.record("pi_ctx", not morphism_defects(self.actx.ctx, self.eactx.obj, self.actx.obj, self.pi),
                    "pi not a ctx morphism")
         # kernel = image of incl, square zero
         comp = self.pi @ self.incl
@@ -446,61 +426,31 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
 
 
 def _direct_sum_object(ctx: CategoryContext, x: CatObject, y: CatObject) -> CatObject:
+    """X (+) Y with block-diagonal (co)actions: each summand's structure
+    matrix is placed at its basis, its (v, h) and its (h, v) tensors."""
     fld = x.field
     n = x.dim + y.dim
     if ctx.kind == "vect":
         return CatObject(fld, n)
     dh = ctx.hopf.dim
 
-    def block_co(mx, my, side):
+    def at(dim, off):  # a summand's v, (v, h) and (h, v) indices in X (+) Y
+        v = np.arange(dim) + off
+        return v, (v[:, None] * dh + np.arange(dh)).ravel(), (np.arange(dh)[:, None] * n + v).ravel()
+
+    ix, iy = at(x.dim, 0), at(y.dim, x.dim)
+
+    def block(mx, my, rows, cols):
         if mx is None or my is None:
             return None
-        entries = {}
-        for r, c, v in mx.entries():
-            if side == "r":
-                xv, hh = r // dh, r % dh
-                entries[(xv * dh + hh, c)] = v
-            else:
-                hh, xv = r // x.dim, r % x.dim
-                entries[(hh * n + xv, c)] = v
-        for r, c, v in my.entries():
-            if side == "r":
-                yv, hh = r // dh, r % dh
-                entries[((x.dim + yv) * dh + hh, x.dim + c)] = v
-            else:
-                hh, yv = r // y.dim, r % y.dim
-                entries[(hh * n + x.dim + yv, x.dim + c)] = v
-        rows = n * dh if side == "r" else dh * n
-        return Matrix.from_entries(fld, rows, n, entries)
+        out = Matrix.zeros(fld, ix[rows].size + iy[rows].size, ix[cols].size + iy[cols].size)
+        out._d[np.ix_(ix[rows], ix[cols])] = mx._d
+        out._d[np.ix_(iy[rows], iy[cols])] = my._d
+        return out
 
-    def block_act(mx, my, side):
-        if mx is None or my is None:
-            return None
-        entries = {}
-        for r, c, v in mx.entries():
-            if side == "r":
-                xv, hh = c // dh, c % dh
-                entries[(r, xv * dh + hh)] = v
-            else:
-                hh, xv = c // x.dim, c % x.dim
-                entries[(r, hh * n + xv)] = v
-        for r, c, v in my.entries():
-            if side == "r":
-                yv, hh = c // dh, c % dh
-                entries[(x.dim + r, (x.dim + yv) * dh + hh)] = v
-            else:
-                hh, yv = c // y.dim, c % y.dim
-                entries[(x.dim + r, hh * n + x.dim + yv)] = v
-        cols = n * dh if side == "r" else dh * n
-        return Matrix.from_entries(fld, n, cols, entries)
-
-    return CatObject(
-        fld, n, ctx.hopf,
-        coact_l=block_co(x.coact_l, y.coact_l, "l"),
-        coact_r=block_co(x.coact_r, y.coact_r, "r"),
-        act_l=block_act(x.act_l, y.act_l, "l"),
-        act_r=block_act(x.act_r, y.act_r, "r"),
-    )
+    return CatObject(fld, n, ctx.hopf, coact_l=block(x.coact_l, y.coact_l, 2, 0),
+                     coact_r=block(x.coact_r, y.coact_r, 1, 0), act_l=block(x.act_l, y.act_l, 0, 2),
+                     act_r=block(x.act_r, y.act_r, 0, 1))
 
 
 def find_ctx_section(ext: ExtensionData) -> Matrix:
@@ -616,7 +566,7 @@ def _verify_algebra_lift(src: AlgebraInContext, tgt: AlgebraInContext, sigma: Ma
     bad = multiplicativity_defect(src.algebra, tgt.algebra, sigma)
     if bad is not None:
         raise VerificationFailed(f"{what}_multiplicative", bad)
-    if not _is_ctx_morphism(src.ctx, src.obj, tgt.obj, sigma):
+    if morphism_defects(src.ctx, src.obj, tgt.obj, sigma):
         raise VerificationFailed(f"{what}_ctx_morphism")
 
 

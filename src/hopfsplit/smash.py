@@ -9,15 +9,25 @@ conditions making the smash product R # H a bialgebra.  The dual variant
 every smash structure is a `tensors.StagePipeline`, evaluated on the whole
 basis at once, and every constructed bosonization is re-validated from
 scratch.
+
+That sigma is (bi)colinear, or pi (bi)linear, for the (co)actions the
+other induces on A is decided by `category.morphism_defects`, in the
+extraction premises and the bosonization check alike.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import AlgebraObject, ValidationReport, constants_of, pairwise_products, pipeline_constants
-from .category import CatObject, YDObject, hopf_bimodule_structures, phi_iso, yd_from_hopf_bimodule
+from .category import (
+    CatObject,
+    CategoryContext,
+    YDObject,
+    hopf_bimodule_structures,
+    morphism_defects,
+    phi_iso,
+    yd_from_hopf_bimodule,
+)
 from .coalgebra import CoalgebraObject, _outer, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
 from .linalg import Matrix, SparseMap, Subspace, _along_factor
@@ -510,32 +520,33 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
     bi = bos.bialgebra
     h = bos.hopf
     f = bi.field
-    dh = h.dim
+    n, dh = bi.dim, h.dim
     for name, ok, wit in bi.validate().checks:
         rep.record("bialgebra:" + name, ok, wit)
     pi, sigma = bos.pi, bos.sigma
-    rep.record("pi_coalgebra_map", is_coalgebra_map(bi.as_coalgebra(), h.as_coalgebra(), pi),
+    pm, sm = SparseMap.from_matrix(pi, (n,), (dh,)), SparseMap.from_matrix(sigma, (dh,), (n,))
+    rep.record("pi_coalgebra_map", is_coalgebra_map(bi.as_coalgebra(), h.as_coalgebra(), pm),
                "pi is not a coalgebra map")
     rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), bi.as_algebra(), sigma),
                "sigma is not an algebra map")
     if bos.side == "primal":
         rep.record("pi_algebra_map", is_algebra_map(bi.as_algebra(), h.as_algebra(), pi),
                    "pi is not an algebra map")
+    act_l, act_r = _action_pipelines(bi, sm)
     if bos.side == "dual":
-        rep.record("sigma_coalgebra_map", is_coalgebra_map(h.as_coalgebra(), bi.as_coalgebra(), sigma),
+        rep.record("sigma_coalgebra_map", is_coalgebra_map(h.as_coalgebra(), bi.as_coalgebra(), sm),
                    "sigma is not a coalgebra map")
         # pi bilinear for the actions induced by sigma: pi(sigma(h) a) = h pi(a)
         # and pi(a sigma(h)) = pi(a) h
-        act_l, act_r = actions_from_sigma(bi, sigma, dh)
-        rep.record("pi_bilinear", _pi_linear_defect(h, pi, act_l, "l") is None
-                   and _pi_linear_defect(h, pi, act_r, "r") is None, "pi is not (H,H)-bilinear")
+        v = CatObject(f, n, h, act_l=act_l.matrix(), act_r=act_r.matrix())
+        rep.record("pi_bilinear", not morphism_defects(CategoryContext("bimod", h), v, CatObject.regular(h), pm),
+                   "pi is not (H,H)-bilinear")
     comp = pi @ sigma
     rep.record("pi_sigma_id", comp == Matrix.identity(f, dh), "pi sigma != id")
     # the (co)actions induced by pi and sigma (coact_l, coact_r, act_l,
     # act_r) must be those of the Hopf bimodule R # H, right ones canonical
     # and left ones diagonal, compared as pipelines on the same basis
-    induced = zip((*_coaction_pipelines(bi, pi, dh), *_action_pipelines(bi, sigma, dh)),
-                  hopf_bimodule_structures(bos.yd))
+    induced = zip((*_coaction_pipelines(bi, pm), act_l, act_r), hopf_bimodule_structures(bos.yd))
     same = [pipelines_equal(lhs, rhs) is None for lhs, rhs in induced]
     rep.record("induced_right_coaction", same[1], "(id (x) pi) Delta is not the smash coaction")
     rep.record("induced_left_coaction", same[0], "(pi (x) id) Delta is not the diagonal coaction")
@@ -548,112 +559,80 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
 # extraction from split bialgebras
 
 
-def _coaction_pipelines(a: BialgebraObject, pi: Matrix, dh: int):
+def _coaction_pipelines(a: BialgebraObject, pm: SparseMap):
     """rho_l = (pi (x) id) Delta : (n,) -> (dh, n) and rho_r = (id (x) pi)
-    Delta : (n,) -> (n, dh), on the cached Delta map."""
-    n = a.dim
-    comul, pm = a.as_coalgebra().comul_map(), SparseMap.from_matrix(pi, (n,), (dh,))
-    return tuple(StagePipeline(a.field, (n,)).map_at(comul, 0).map_at(pm, pos) for pos in (0, 1))
+    Delta : (n,) -> (n, dh), for pi as the map pm, on the cached Delta map."""
+    comul = a.as_coalgebra().comul_map()
+    return tuple(StagePipeline(a.field, (a.dim,)).map_at(comul, 0).map_at(pm, pos) for pos in (0, 1))
 
 
-def _action_pipelines(a: BialgebraObject, sigma: Matrix, dh: int):
+def _action_pipelines(a: BialgebraObject, sm: SparseMap):
     """act_l(h (x) x) = sigma(h) x : (dh, n) -> (n,) and act_r(x (x) h) =
-    x sigma(h) : (n, dh) -> (n,), on the cached product."""
-    n, mul = a.dim, a.as_algebra().mul_map()
-    sm = SparseMap.from_matrix(sigma, (dh,), (n,))
+    x sigma(h) : (n, dh) -> (n,), for sigma as the map sm, on the cached
+    product."""
+    n, dh, mul = a.dim, sm.in_size, a.as_algebra().mul_map()
     return (StagePipeline(a.field, (dh, n)).map_at(sm, 0).map_at(mul, 0),
             StagePipeline(a.field, (n, dh)).map_at(sm, 1).map_at(mul, 0))
 
 
 def coactions_from_pi(a: BialgebraObject, pi: Matrix, dh: int):
-    return tuple(p.matrix() for p in _coaction_pipelines(a, pi, dh))
+    return tuple(p.matrix() for p in _coaction_pipelines(a, SparseMap.from_matrix(pi, (a.dim,), (dh,))))
 
 
 def actions_from_sigma(a: BialgebraObject, sigma: Matrix, dh: int):
-    return tuple(p.matrix() for p in _action_pipelines(a, sigma, dh))
+    return tuple(p.matrix() for p in _action_pipelines(a, SparseMap.from_matrix(sigma, (dh,), (a.dim,))))
 
 
 class ExtractionError(Exception):
     pass
 
 
-def _sigma_colinear_defect(h: HopfObject, sigma: Matrix, coact: Matrix, side: str) -> int | None:
-    """The first basis index of H at which sigma is not colinear for a
-    coaction induced by pi, or None: coact sigma = (sigma (x) id) Delta_H for
-    the right coaction (side "r"), (id (x) sigma) Delta_H for the left one
-    (side "l")."""
-    d = coact @ sigma - _along_factor(sigma, h.as_coalgebra().comul_matrix(), h.dim, side)
-    bad = np.flatnonzero(d._d.any(axis=0))
-    return int(bad[0]) if bad.size else None
+# the premise each structure of a failing `morphism_defects` breaks
+_PREMISES = {"coact_r": "sigma is not right colinear", "coact_l": "sigma is not left colinear",
+             "act_l": "pi is not left H-linear", "act_r": "pi is not right H-linear"}
 
 
-def _pi_linear_defect(h: HopfObject, pi: Matrix, act: Matrix, side: str) -> tuple[int, int] | None:
-    """The first (h, a), in that loop order, at which pi is not H-linear for
-    an action induced by sigma, or None: pi act = mul_H (id (x) pi) for the
-    left action (side "l": pi(sigma(h) a) = h pi(a)), mul_H (pi (x) id) for
-    the right one (side "r": pi(a sigma(h)) = pi(a) h)."""
-    dh, n = h.dim, pi.cols
-    mul_t = h.as_algebra().mul_matrix().transpose()
-    d = (pi @ act - _along_factor(pi.transpose(), mul_t, dh, side).transpose())._d.any(axis=0)
-    bad = np.flatnonzero(d.reshape(dh, n) if side == "l" else d.reshape(n, dh).T)
-    return divmod(int(bad[0]), n) if bad.size else None
-
-
-def _raise_first(failures):
-    """Raise ExtractionError for the (message, witness) pair whose witness
-    comes first; on a tie the earlier pair wins, as in a loop that tests
-    them in turn at each basis index."""
-    found = [(wit, i, msg) for i, (msg, wit) in enumerate(failures) if wit is not None]
-    if found:
-        raise ExtractionError(min(found)[2])
-
-
-def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, side: str) -> tuple:
-    """Check the premises of an extraction, in order, and return the
-    (co)actions pi and sigma induce on A, (coact_l, coact_r, act_l,
-    act_r), each computed once for the checks and the diagram."""
-    f = a.field
-    if not (pi @ sigma == Matrix.identity(f, h.dim)):
+def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix, side: str) -> CatObject:
+    """Check the premises of an extraction, in order, and return A with the
+    (co)actions pi and sigma induce on it (`_coaction_pipelines`,
+    `_action_pipelines`), computed once for the checks and the diagram.  pi
+    and sigma are each converted to a map once."""
+    f, n, dh = a.field, a.dim, h.dim
+    if not (pi @ sigma == Matrix.identity(f, dh)):
         raise ExtractionError("pi sigma != id")
+    pm, sm = SparseMap.from_matrix(pi, (n,), (dh,)), SparseMap.from_matrix(sigma, (dh,), (n,))
     if side == "primal":
         if not is_algebra_map(a.as_algebra(), h.as_algebra(), pi):
             raise ExtractionError("pi is not an algebra map")
-        if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pi):
+        if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pm):
             raise ExtractionError("pi is not a coalgebra map")
         if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
             raise ExtractionError("sigma is not an algebra map")
-        # sigma bicolinear for the coactions induced by pi
-        coact_l, coact_r = coactions_from_pi(a, pi, h.dim)
-        _raise_first([("sigma is not right colinear", _sigma_colinear_defect(h, sigma, coact_r, "r")),
-                      ("sigma is not left colinear", _sigma_colinear_defect(h, sigma, coact_l, "l"))])
-        return (coact_l, coact_r, *actions_from_sigma(a, sigma, h.dim))
-    if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
-        raise ExtractionError("sigma is not an algebra map")
-    if not is_coalgebra_map(h.as_coalgebra(), a.as_coalgebra(), sigma):
-        raise ExtractionError("sigma is not a coalgebra map")
-    if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pi):
-        raise ExtractionError("pi is not a coalgebra map")
-    # pi bilinear: pi(sigma(h) a sigma(k)) = h pi(a) k
-    act_l, act_r = actions_from_sigma(a, sigma, h.dim)
-    _raise_first([("pi is not left H-linear", _pi_linear_defect(h, pi, act_l, "l")),
-                  ("pi is not right H-linear", _pi_linear_defect(h, pi, act_r, "r"))])
-    return (*coactions_from_pi(a, pi, h.dim), act_l, act_r)
-
-
-def _diagram_yd(a: BialgebraObject, h: HopfObject, induced: tuple):
-    """Coinvariants R with adjoint action and restricted left coaction, from
-    the induced (co)actions (coact_l, coact_r, act_l, act_r) of
-    `_split_premises`."""
-    v = CatObject(a.field, a.dim, h, *induced)
-    yd, incl = yd_from_hopf_bimodule(v)
-    return yd, incl, v
+    else:
+        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
+            raise ExtractionError("sigma is not an algebra map")
+        if not is_coalgebra_map(h.as_coalgebra(), a.as_coalgebra(), sm):
+            raise ExtractionError("sigma is not a coalgebra map")
+        if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pm):
+            raise ExtractionError("pi is not a coalgebra map")
+    v = CatObject(f, n, h, *(p.matrix() for p in (*_coaction_pipelines(a, pm), *_action_pipelines(a, sm))))
+    # primal: sigma bicolinear for the coactions pi induces; dual: pi
+    # bilinear for the actions sigma induces, pi(sigma(h) a sigma(k)) = h pi(a) k
+    if side == "primal":
+        bad = morphism_defects(CategoryContext("bicomod", h), CatObject.regular(h), v, sm)
+    else:
+        bad = morphism_defects(CategoryContext("bimod", h), v, CatObject.regular(h), pm)
+    if bad:
+        raise ExtractionError(_PREMISES[bad[0][0]])
+    return v
 
 
 def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix) -> YDQuadruple:
     """R = right coinvariants; delta, omega via (P (x) P) Delta with
     P = (id (x) eps_H) phi^{-1}; validated before returning."""
     f = a.field
-    yd, incl, v = _diagram_yd(a, h, _split_premises(a, h, pi, sigma, "primal"))
+    v = _split_premises(a, h, pi, sigma, "primal")
+    yd, incl = yd_from_hopf_bimodule(v)
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     # P : A -> R
@@ -679,7 +658,8 @@ def extract_quadruple_dual(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma:
     R (x) R, m and xi by splitting phi^{-1} of products; validated before
     returning."""
     f = a.field
-    yd, incl, v = _diagram_yd(a, h, _split_premises(a, h, pi, sigma, "dual"))
+    v = _split_premises(a, h, pi, sigma, "dual")
+    yd, incl = yd_from_hopf_bimodule(v)
     dr, dh, n = yd.dim, h.dim, a.dim
     phi, phi_inv = phi_iso(v, incl)
     r_space = Subspace.from_matrix_rows(incl.transpose())

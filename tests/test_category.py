@@ -275,30 +275,69 @@ def test_integral_retraction_rejects_non_colinear_functional():
     assert exc.value.witness == (0, 1, 0)
 
 
-def test_hom_map_colinearity_failures_are_typed():
+def test_hom_map_colinearity_failures_are_typed(monkeypatch):
     # the re-check behind every hom_space basis map (solved modularly over
     # Q) names the side and the first basis vector of X where it fails
     import pytest
 
     from hopfsplit.algebra import VerificationFailed
-    from hopfsplit.category import _verify_ctx_morphism
+    from hopfsplit.category import MapSolver, morphism_defects
 
     h = group_algebra(3, QQ)
     reg = CatObject.regular(h)
     shift = Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # e_1 -> e_0
+    comod = CategoryContext("comod_r", h)
     # right: rho(e_0) = e_0 (x) e_0 against (shift (x) id)(e_1 (x) e_1) = e_0 (x) e_1
-    with pytest.raises(VerificationFailed) as exc:
-        _verify_ctx_morphism(CategoryContext("comod_r", h), reg, reg, shift)
-    assert (exc.value.check, exc.value.witness) == ("hom_map_right_colinear", 1)
-    # with the trivial right coaction every map is right colinear, and the
-    # regular left coaction fails at e_1 the same way
-    obj = CatObject(QQ, 3, h, coact_l=reg.coact_l, coact_r=CatObject.trivial(QQ, h, 3).coact_r)
-    bicomod = CategoryContext("bicomod", h)
-    with pytest.raises(VerificationFailed) as exc:
-        _verify_ctx_morphism(bicomod, obj, obj, shift)
-    assert (exc.value.check, exc.value.witness) == ("hom_map_left_colinear", 1)
-    _verify_ctx_morphism(bicomod, obj, obj, Matrix.identity(QQ, 3))
+    assert morphism_defects(comod, reg, reg, shift) == [("coact_r", (1,))]
+    with monkeypatch.context() as mp:  # a solver that hands back shift as the basis
+        mp.setattr(MapSolver, "kernel_maps", lambda self: [shift])
+        with pytest.raises(VerificationFailed) as exc:
+            hom_space(comod, reg, reg)
+        assert (exc.value.check, exc.value.witness) == ("hom_map_right_colinear", 1)
+        # with the trivial right coaction every map is right colinear, and the
+        # regular left coaction fails at e_1 the same way
+        obj = CatObject(QQ, 3, h, coact_l=reg.coact_l, coact_r=CatObject.trivial(QQ, h, 3).coact_r)
+        bicomod = CategoryContext("bicomod", h)
+        assert morphism_defects(bicomod, obj, obj, shift) == [("coact_l", (1,))]
+        with pytest.raises(VerificationFailed) as exc:
+            hom_space(bicomod, obj, obj)
+        assert (exc.value.check, exc.value.witness) == ("hom_map_left_colinear", 1)
+        # an action is checked in the loop order (h, v): shift(e_0 e_1) = e_0
+        # but shift(e_0) e_1 = 0
+        with pytest.raises(VerificationFailed) as exc:
+            hom_space(CategoryContext("mod_r", h), reg, reg)
+        assert (exc.value.check, exc.value.witness) == ("hom_map_right_linear", (1, 0))
+    assert morphism_defects(bicomod, obj, obj, Matrix.identity(QQ, 3)) == []
     assert hom_space(bicomod, obj, obj).dim == 3
+
+
+def test_morphism_defects_order_failures_by_witness_then_structure():
+    """Every failing structure is listed, the earliest witness first; on a
+    tie the right coaction comes before the left one and the left action
+    before the right one, as the split premises' loops test them.  The
+    witnesses are worked out by hand on k[Z_3], whose unit is e_0."""
+    from hopfsplit.category import morphism_defects
+
+    h = group_algebra(3, QQ)
+    reg = CatObject.regular(h)
+    triv = CatObject.trivial(QQ, h, 3)
+    # left structures regular, right ones trivial
+    left_reg = CatObject(QQ, 3, h, coact_l=reg.coact_l, coact_r=triv.coact_r, act_l=reg.act_l, act_r=triv.act_r)
+    shift = Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # e_1 -> e_0
+    swap = Matrix.from_rows(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # e_0 <-> e_1, e_2 -> 0
+    keep = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])  # e_2 -> 0
+    bicomod, bimod = CategoryContext("bicomod", h), CategoryContext("bimod", h)
+    # rho(shift e_1) = e_0 (x) e_0 against e_0 (x) e_1 on both sides: a tie at e_1
+    assert morphism_defects(bicomod, reg, reg, shift) == [("coact_r", (1,)), ("coact_l", (1,))]
+    # left: rho(swap e_0) = e_1 (x) e_1 against e_0 (x) e_1; right: swap e_1 (x) 1
+    # = e_0 (x) e_0 against e_0 (x) e_1
+    assert morphism_defects(bicomod, reg, left_reg, swap) == [("coact_l", (0,)), ("coact_r", (1,))]
+    # shift(e_1) = e_0 against e_1 shift(e_0) = 0 and shift(e_0) e_1 = 0: a tie at (e_1, e_0)
+    assert morphism_defects(bimod, reg, reg, shift) == [("act_l", (1, 0)), ("act_r", (1, 0))]
+    # right: keep(e_0 e_1) = e_1 against keep(e_0) . e_1 = e_0; left:
+    # keep(e_1 e_1) = 0 against e_1 keep(e_1) = e_2
+    assert morphism_defects(bimod, reg, left_reg, keep) == [("act_r", (1, 0)), ("act_l", (1, 1))]
+    assert morphism_defects(CategoryContext("vect"), reg, reg, shift) == []
 
 
 # -- constraint blocks as COO arrays -----------------------------------------

@@ -515,3 +515,60 @@ def test_a_candidate_that_does_not_match_its_structure_exits_2(tmp_path, capsys,
     code, out, err = run_cli([argv[0], hpath, *argv[1:], "--candidate", str(cpath)], capsys)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.46 GiB for an array with shape (196612633,) and data type int64",
+                                     ""], ids=["numpy_message", "bare"])
+def test_memory_exhaustion_exits_2_with_one_line(tmp_path, capsys, monkeypatch, message):
+    """A command that runs out of memory (as the Delta join of a dense-basis
+    T_4 file can) exits 2 with one line on stderr and no traceback."""
+    from hopfsplit.hopf import BialgebraObject
+
+    path = str(tmp_path / "t3.json")
+    run_cli(["example", "taft", "--n", "3", "--field", "fp:7", "--out", path], capsys)
+
+    def exhausted(self, gens):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(BialgebraObject, "_check_delta_on_generators", exhausted)
+    code, out, err = run_cli(["validate", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource error: out of memory") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def split_inputs(tmp_path_factory):
+    """The split inputs of the README example session, built with `example`:
+    H4 over Q with J = span{e1, e3}, and HA(p = 3) over F_7 with the
+    coradical candidate span{e_9i}."""
+    d = tmp_path_factory.mktemp("split_inputs")
+    main(["example", "sweedler_h4", "--field", "q", "--out", str(d / "h4.json")])
+    main(["example", "ha", "--p", "3", "--field", "fp:7", "--lam", "2", "--a", "1", "--out", str(d / "ha.json")])
+    (d / "rad.json").write_text(json.dumps({"field": {"kind": "Q"}, "ambient_dim": 4,
+                                            "vectors": [["0", "1", "0", "0"], ["0", "0", "0", "1"]]}))
+    vecs = [["1" if j == 9 * i else "0" for j in range(81)] for i in range(9)]
+    (d / "corad.json").write_text(json.dumps({"field": {"kind": "Fp", "p": 7}, "ambient_dim": 81, "vectors": vecs}))
+    return d
+
+
+@pytest.mark.parametrize("structure, side, candidate, level, digest", [
+    ("h4.json", "radical", "rad.json", "comodule", "c042494f7069d5d0d7a6f1343a49c6ec9aa6bda79511de2887d08f104fcb9b46"),
+    ("h4.json", "radical", "rad.json", "bicomodule", "cf3fa93bc6b0e2bfb6313dc80233582fc0e5bc22ed1bde5909b5f1a6d38053d0"),
+    ("ha.json", "coradical", "corad.json", "comodule",
+     "653127d3ccc4c116f8985b7de344ed9c3d564d198c848957e2cc326e64fcc4bc"),
+    ("ha.json", "coradical", "corad.json", "bicomodule",
+     "d45e112f9ae8688f6970e8199477e4d11cb80fe36e3adb80154eed3d2a164e6f"),
+], ids=["h4_radical_comodule", "h4_radical_bicomodule", "ha_coradical_comodule", "ha_coradical_bicomodule"])
+def test_split_reports_are_byte_identical(split_inputs, tmp_path, capsys, structure, side, candidate, level, digest):
+    """The SHA-256 of each split report of the example session, at both
+    levels: the split checks (sections, retractions and their (co)linearity)
+    leave the report as it was."""
+    import hashlib
+
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(["split", str(split_inputs / structure), "--side", side, "--candidate",
+                            str(split_inputs / candidate), "--level", level, "--out", str(out)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -35,7 +35,7 @@ from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import BialgebraObject, is_coalgebra_map
 from hopfsplit.linalg import Matrix, Subspace
 from hopfsplit.pipeline import CertificationFailed, quotient_bialgebra
-from hopfsplit.smash import _diagram_yd, _split_premises, actions_from_sigma, coactions_from_pi
+from hopfsplit.smash import _split_premises, actions_from_sigma, coactions_from_pi
 from hopfsplit.tensors import v_basis, v_eq, v_tensor, v_zero
 
 HOPFS = {
@@ -694,8 +694,10 @@ def test_split_predicates_name_the_loops_first_failure(side):
                 continue
             want = split_premises_by_dict_loop(h4, h2, p2, s2, side)
             got = outcome(_split_premises, h4, h2, p2, s2, side)
-            if got[0] == "ok":  # the induced (co)actions, computed once, for the diagram
-                assert got[1] == (*coactions_from_pi(h4, p2, 2), *actions_from_sigma(h4, s2, 2))
+            if got[0] == "ok":  # A with the induced (co)actions, computed once, for the diagram
+                v = got[1]
+                assert (v.coact_l, v.coact_r, v.act_l, v.act_r) == (*coactions_from_pi(h4, p2, 2),
+                                                                    *actions_from_sigma(h4, s2, 2))
                 got = ("ok", None)
             assert got == (("ok", None) if want is None else ("ExtractionError", want))
             seen.add(want)
@@ -758,7 +760,7 @@ def _split_bimodule(name):
         a, h = group_algebra(6, f), group_algebra(2, f)
         pi = Matrix.from_entries(f, 2, 6, {(i % 2, i): f.one() for i in range(6)})
         sigma = Matrix.from_entries(f, 6, 2, {(0, 0): f.one(), (3, 1): f.one()})
-    return _diagram_yd(a, h, (*coactions_from_pi(a, pi, h.dim), *actions_from_sigma(a, sigma, h.dim)))[2]
+    return CatObject(a.field, a.dim, h, *coactions_from_pi(a, pi, h.dim), *actions_from_sigma(a, sigma, h.dim))
 
 
 @pytest.mark.parametrize("split, name, entry, check, witness", [

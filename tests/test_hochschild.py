@@ -407,26 +407,80 @@ def _ctx_morphism_loop(ctx, x, y, f_mat):
 
 @pytest.mark.parametrize("f", [QQ, GF(7)])
 def test_ctx_morphism_check_matches_pointwise_loop(f):
+    """The one morphism check against the pointwise loop, on maps from H,
+    from H (x) H (the multiplication) and from H (x) K^2 (an action on the
+    trivial object), each with single-entry changes: a tensor source is
+    checked on its diagonal structures as pipelines, the loop on the dense
+    `tensor_catobject`."""
     from hopfsplit.builtin import taft
-    from hopfsplit.hochschild import _is_ctx_morphism
+    from hopfsplit.category import morphism_defects, tensor_catobject
 
     rng = random.Random(11)
+
+    def variants(m):
+        out = [m, Matrix.zeros(f, m.rows, m.cols), m.scale(f.from_int(3))]
+        for _ in range(6):
+            r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+            out.append(m + Matrix.from_entries(f, m.rows, m.cols, {(r, c): f.from_int(rng.randrange(1, 5))}))
+        return out
+
     hopfs = [group_algebra(3, f), taft(2, f.from_int(-1), f)]
     for h in hopfs:
         x = CatObject.regular(h)
+        t = CatObject.trivial(f, h, 2)
         n = h.dim
-        maps = [Matrix.identity(f, n), Matrix.zeros(f, n, n), Matrix.identity(f, n).scale(f.from_int(3))]
-        for _ in range(6):
-            r, c = rng.randrange(n), rng.randrange(n)
-            maps.append(maps[0] + Matrix.from_entries(f, n, n, {(r, c): f.from_int(rng.randrange(1, 5))}))
-        seen = set()
-        for kind in ("comod_r", "bicomod", "mod_r", "bimod"):
-            ctx = CategoryContext(kind, h)
-            for m in maps:
-                want = _ctx_morphism_loop(ctx, x, x, m)
-                assert _is_ctx_morphism(ctx, x, x, m) == want
-                seen.add(want)
-        assert seen == {True, False}
+        counit_action = Matrix.from_entries(f, 2, n * 2, {(v, a * 2 + v): h.counit[a] for a in range(n)
+                                                          for v in range(2) if not f.is_zero(h.counit[a])})
+        for src, y, m0 in [(x, x, Matrix.identity(f, n)), ((x, x), x, h.as_algebra().mul_matrix()),
+                           ((x, t), t, counit_action)]:
+            dense = src if isinstance(src, CatObject) else tensor_catobject(*src)
+            maps = variants(m0)
+            seen = set()
+            for kind in ("comod_r", "bicomod", "mod_r", "bimod"):
+                ctx = CategoryContext(kind, h)
+                for m in maps:
+                    want = _ctx_morphism_loop(ctx, dense, y, m)
+                    assert (not morphism_defects(ctx, src, y, m)) == want
+                    seen.add(want)
+            assert seen == {True, False}
+
+
+def test_direct_sum_object_acts_on_each_summand_pointwise():
+    """The object of an extension E = X (+) Y: each basis vector of a
+    summand has that summand's (co)actions, moved to its place in E, for
+    the regular T_2 and a tensor product, every structure on both sides."""
+    from hopfsplit.builtin import taft
+    from hopfsplit.category import tensor_catobject
+    from hopfsplit.hochschild import _direct_sum_object
+    from hopfsplit.tensors import v_tensor
+
+    for f in (QQ, GF(7)):
+        h = taft(2, f.from_int(-1), f)
+        dh = h.dim
+        x = CatObject.regular(h)
+        y = tensor_catobject(CatObject.trivial(f, h, 2), x)
+        n = x.dim + y.dim
+        e = _direct_sum_object(CategoryContext("bimod", h), x, y)
+        for part, off in ((x, 0), (y, x.dim)):
+
+            def into(vec, left):  # a vector of H (x) part (left) or part (x) H as one of E's
+                out = [f.zero()] * (n * dh)
+                for k, c in enumerate(vec):
+                    hh, w = divmod(k, part.dim) if left else divmod(k, dh)[::-1]
+                    out[hh * n + off + w if left else (off + w) * dh + hh] = c
+                return out
+
+            def placed(vec):  # a vector of part as one of E's
+                return [f.zero()] * off + vec + [f.zero()] * (n - off - part.dim)
+
+            for v in range(part.dim):
+                ev, pv = v_basis(f, n, off + v), v_basis(f, part.dim, v)
+                assert e.coact_r.apply(ev) == into(part.coact_r.apply(pv), False)
+                assert e.coact_l.apply(ev) == into(part.coact_l.apply(pv), True)
+                for hh in range(dh):
+                    eh = v_basis(f, dh, hh)
+                    assert e.act_r.apply(v_tensor(f, ev, eh)) == placed(part.act_r.apply(v_tensor(f, pv, eh)))
+                    assert e.act_l.apply(v_tensor(f, eh, ev)) == placed(part.act_l.apply(v_tensor(f, eh, pv)))
 
 
 def test_escaping_coboundary_raises_verification_failed(monkeypatch):

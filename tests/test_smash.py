@@ -215,15 +215,30 @@ def test_flagship_bosonization_report_lists_every_check(ha_report):
     assert rep.checks == [(name, True, None) for name in DUAL_CHECKS]
 
 
-def test_forced_bosonization_names_failing_delta_pair():
-    # Delta_R(1) gains y (x) y, so Delta(1 # 1) is not 1 (x) 1 and the first
-    # non-multiplicative basis pair is (e1, e0) = (1 # g, 1 # 1)
+def _bumped_delta_quadruple():
+    """The H4 quadruple with y (x) y added to Delta_R(1)."""
     q = h4_quadruple()
     f = QQ
     delta = q.delta + Matrix.from_entries(f, 4, 2, {(3, 0): f.one()})
-    bad = YDQuadruple(q.hopf, q.r_alg, q.yd, q.eps, delta, q.omega)
-    failures = dict(validate_bosonization(bosonize(bad, force=True)).failures())
-    assert failures["bialgebra:delta_multiplicative"] == "Delta(e1 e0) != Delta(e1)Delta(e0)"
+    return YDQuadruple(q.hopf, q.r_alg, q.yd, q.eps, delta, q.omega)
+
+
+def test_forced_bosonization_names_failing_delta_pair():
+    # Delta_R(1) gains y (x) y, so Delta(1 # 1) is not 1 (x) 1 and the first
+    # non-multiplicative basis pair is (e0, e0) = (1 # 1, 1 # 1)
+    failures = dict(validate_bosonization(bosonize(_bumped_delta_quadruple(), force=True)).failures())
+    assert failures["bialgebra:delta_multiplicative"] == "Delta(e0 e0) != Delta(e0)Delta(e0)"
+
+
+def test_delta_witness_does_not_depend_on_the_generating_set():
+    """The same invalid bialgebra names the same Delta pair whether its
+    check runs on every row (no generating set within a cap of 0) or on the
+    cached generating set {e1, e2}, whose rows fail first at (e1, e0)."""
+    bi = bosonize(_bumped_delta_quadruple(), force=True).bialgebra
+    full = dict(bi.validate(generator_cap=0).failures())
+    assert bi.as_algebra().generating_basis_indices() == [1, 2]
+    restricted = dict(bi.validate().failures())
+    assert full["delta_multiplicative"] == restricted["delta_multiplicative"] == "Delta(e0 e0) != Delta(e0)Delta(e0)"
 
 
 def test_quadruple_rejects_non_yd_algebra():
@@ -274,7 +289,7 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
     monkeypatch.setattr(tensors.SparseMap, "apply_at", spy("apply_at", tensors.SparseMap.apply_at))
     assert not q.validate().ok
     assert not validate_bosonization(bosonize(q, force=True)).ok
-    assert calls == {"apply_at": 129, "_sum_terms": 56, "_join": 43}
+    assert calls == {"apply_at": 130, "_sum_terms": 56, "_join": 42}
 
 
 def test_tables_read_from_the_coo_match_the_dense_read_out(monkeypatch):
