@@ -255,8 +255,8 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
     f_map = Matrix.identity(f, h.dim)  # A/J and H share the complement basis
     sigma = lift_through_tower(actx, certified.ideal, b_actx, f_map)
     pi = certified.proj
-    # re-verify everything claimed; colinearity for the coactions actx
-    # already holds, those pi induces
+    # re-verify everything claimed; sigma's colinearity is for the
+    # coactions pi induces, which actx holds
     rep.record("pi_sigma_id", (pi @ sigma) == Matrix.identity(f, h.dim), "pi sigma != id")
     rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), a.as_algebra(), sigma),
                "sigma is not an algebra map")
