@@ -377,7 +377,7 @@ class AlgebraObject:
         eye = Matrix.identity(f, n)
         span = Subspace.from_vectors(f, n, [self.unit])
         gens: list[int] = []
-        while True:
+        while span.dim < n:
             outside = (_matmul(f, eye._d[:, span.pivots], span.basis._d) != eye._d).any(axis=1)
             if not outside.any():
                 return gens
@@ -395,6 +395,7 @@ class AlgebraObject:
                 fresh = [r for r, p in enumerate(grown.pivots) if p not in old]
                 span = grown
                 new = times(lm, span.basis._new(len(fresh), n, span.basis._d[fresh]))
+        return gens  # the span is everything
 
 
 def _index_closure(nxt: np.ndarray, start: int, cap: int) -> list[int] | None:
@@ -518,9 +519,11 @@ def record_bimodule_axioms(rep: ValidationReport, a: AlgebraObject, dm: int, act
 
 class IdealData:
     """Two-sided ideal given as a subspace (with an optional generator map).
-    It records that it is an ideal (`holds`) and, once
-    `ideal_power_nilpotency` ran on it, the chain I, I^2, ..., 0 as
-    IdealData (`powers`) and the index; consumers read the record."""
+    It records that it is an ideal (`holds`), once
+    `ideal_power_nilpotency` ran on it the chain I, I^2, ..., 0 as
+    IdealData (`powers`) and the index, and once `quotient_algebra` made
+    A/I the triple (Q, proj, proj's map) (`quotient`); consumers read the
+    record (`quotient_record`)."""
 
     def __init__(self, algebra: AlgebraObject, subspace: Subspace, witness: Matrix | None = None):
         self.algebra = algebra
@@ -529,6 +532,7 @@ class IdealData:
         self._ideal = False  # `is_ideal` passed, or a verified theorem implies it
         self.powers: list[IdealData] | None = None
         self.nil_index: int | None = None
+        self.quotient: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -972,6 +976,7 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     structure constants are proj applied to the products of the free basis
     vectors, and proj is re-verified to be an algebra map.  Q is validated
     unless A is verified: A/I is then associative and unital (recorded).
+    On an IdealData of a it records (Q, proj, proj's map) (`quotient_record`).
     """
     if not _is_ideal_of(a, ideal):
         raise ValueError("not an ideal")
@@ -983,7 +988,8 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     proj = s.complement_projection()
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
-    consts = pairwise_products(a, basis, basis).matmul(SparseMap.from_matrix(proj, (n,), (qdim,)))  # row (ti, tj)
+    pm = SparseMap.from_matrix(proj, (n,), (qdim,))
+    consts = pairwise_products(a, basis, basis).matmul(pm)  # row (ti, tj)
     q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts.src, qdim), consts.dst, consts.values.fractions()),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     if a._verified:
@@ -993,4 +999,17 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     bad = multiplicativity_defect(a, q, proj)
     if bad is not None:
         raise VerificationFailed("projection_algebra_map", bad)
+    if isinstance(ideal, IdealData) and ideal.algebra is a:
+        ideal.quotient = (q, proj, pm)
     return q, proj
+
+
+def quotient_record(a: AlgebraObject, ideal: IdealData | Subspace) -> tuple:
+    """(Q, proj, proj as a SparseMap (n,) -> (dim Q,)) of `quotient_algebra`,
+    made once per IdealData of a and read from its record after that; a
+    subspace, or an ideal of another algebra object, is tested afresh."""
+    if not (isinstance(ideal, IdealData) and ideal.algebra is a):
+        ideal = IdealData(a, ideal.subspace if isinstance(ideal, IdealData) else ideal)
+    if ideal.quotient is None:
+        quotient_algebra(a, ideal)
+    return ideal.quotient

@@ -16,17 +16,22 @@ with lam a primitive p-th root of unity; c is grouplike and
 Delta(xi) = c (x) xi + xi (x) 1.  c^p is central since lam^p = 1, so the
 power reductions commute with everything.  Normal-form rewriting gives
 only the right multiplications R_c, R_x1, R_x2 of the generators on the
-basis (column t holds e_t g).  Walking the monomials m = c^i x1^j x2^r in
-order, one step from the previous monomial of the chain gives
+basis (row t of the map R_g is e_t g).  Since
+R_(c^i x1^j x2^r) = R_x2^r R_x1^j R_c^i, the monomials are walked by
+layers (`_by_layers`): c^i from c^(i-1), then every c^i x1^j from the
+layer c^i x1^(j-1) at once, then every c^i x1^j x2^r from the layer
+c^i x1^j x2^(r-1), p^2 - 1 + 2(p - 1) steps in all.  A step takes the
+batch of a layer of monomials m, keyed by monomial, to that of the m g by
+`SparseMap.apply_at` stages and one sum:
 
-    R_(m g) = R_g R_m                                (e_t m g = R_g R_m e_t)
-    Delta(m c) = R_c D_m R_c^T,  Delta(m x) = R_c D_m R_x^T + R_x D_m
+    e_s (m g) = R_g (e_s m)                          (the product rows)
+    Delta(m c) = (R_c (x) R_c) Delta(m)
+    Delta(m x) = (R_c (x) R_x + R_x (x) id) Delta(m)
     S(m g) = L_(S g) S(m)                            (S is anti-multiplicative)
 
-where D_m is Delta(m) as an n x n matrix and L_y the left multiplication
-by y, whose column t is R_t y.  The column t of R_(e_t') is e_t e_t', so
-the product constants are the nonzeros of the R_m; only the current chain
-of n x n matrices is kept, never an n^3 array.
+with L_y: e_t -> y e_t read from the product table's `mul_map()`.  The
+product rows of all monomials are the structure constants; no n x n
+matrix is multiplied and no n^3 array is formed.
 """
 from __future__ import annotations
 
@@ -36,7 +41,8 @@ from .algebra import AlgebraObject, table_from_entries
 from .coalgebra import CoalgebraObject
 from .fields import ScalarField
 from .hopf import HopfObject
-from .linalg import Matrix, _dtype, _matmul
+from .linalg import Matrix, Numerators, SparseMap, _dtype
+from .tensors import StagePipeline
 
 
 def _validated(h: HopfObject, what: str) -> HopfObject:
@@ -261,62 +267,72 @@ def _regular_generators(rw: _MonomialRewriter) -> list:
     return out
 
 
-def _chain_steps(p: int):
-    """(t, g) for each monomial t but 1, in index order: t = m g, with g
-    = 0 (c), 1 (x1) or 2 (x2) the last generator of t.  The walk keeps the
-    chain (c^i, c^i x1^j, c^i x1^j x2^r) of the monomials reached last; m
-    is its entry g, and t replaces that entry and the ones after it."""
-    for t, (i, j, r) in enumerate(_monomials(p)):
-        if t:
-            yield t, 0 if j == r == 0 else 1 if r == 0 else 2
+def _by_layers(p: int, width: int, batch, times):
+    """Walk a batch (keys, Numerators) from the monomial 1 to every
+    monomial, by layers: c^i from c^(i-1), then c^i x1^j from the layer
+    c^i x1^(j-1), then c^i x1^j x2^r from the layer c^i x1^j x2^(r-1).
+    times(batch, g) takes the batch of a layer of monomials m, keyed
+    u * width + k for the layer's u-th monomial, to that of the m g, g = 0
+    (c), 1 (x1) or 2 (x2).  Returns the batch keyed t * width + k for the
+    monomial of index t, in no particular order."""
+    ts = np.zeros(1, dtype=np.int64)
+    for g, (step, count) in enumerate(((p * p, p * p - 1), (p, p - 1), (1, p - 1))):
+        layer = [(ts, batch)]
+        for _ in range(count):
+            t, b = layer[-1]
+            layer.append((t + step, times(b, g)))
+        offsets = np.cumsum([0] + [t.size for t, _ in layer[:-1]]) * width
+        ts = np.concatenate([t for t, _ in layer])
+        batch = (np.concatenate([b[0] + o for o, (_, b) in zip(offsets, layer)]),
+                 Numerators.concat([b[1] for _, b in layer]))
+    u, k = np.divmod(batch[0], width)
+    return ts[u] * width + k, batch[1]
 
 
 def _ha_from_generators(p: int, f: ScalarField, rc, rx1, rx2) -> HopfObject:
     """The Hopf object H(a) from the right multiplications of its
-    generators, by the chain recurrences of the module docstring; not
-    validated."""
+    generators (n x n arrays, column t holding e_t g), by the layer walks
+    of the module docstring; not validated."""
     n = p**4
-    gens = (rc, rx1, rx2)
-    inv_c = (p * p - 1) * p * p  # the index of c^(p^2 - 1) = c^-1 = S(c)
-    eye = Matrix.identity(f, n)._d
-    # the columns S(c) = c^-1 and S(xi) = -c^-1 xi
-    sg = np.stack([eye[inv_c], f.reduce(-rx1[:, inv_c]), f.reduce(-rx2[:, inv_c])], axis=1)
-    one = np.full((n, n), f.zero(), dtype=rc.dtype)
-    one[0, 0] = f.one()
-
-    def mm(x, y):
-        return _matmul(f, x, y)
-
-    def record(t, rm, dm):
-        k, m1 = np.nonzero(rm)  # e_m1 e_t has rm[k, m1] on e_k
-        mul.append((m1, np.full(k.size, t), k, rm[k, m1]))
-        a, b = np.nonzero(dm)
-        comul.append((a, b, np.full(a.size, t), dm[a, b]))
-        left.append(mm(rm, sg))  # column t of L_S(c), L_S(x1), L_S(x2)
-
-    mul, comul, left = [], [], []
-    chain = [(eye, one)] * 3  # (R_m, Delta(m))
-    record(0, eye, one)
-    for t, g in _chain_steps(p):
-        r, d = chain[g]
-        d_next = mm(mm(rc, d), gens[g].T)
-        chain[g:] = [(mm(gens[g], r), d_next if g == 0 else f.reduce(d_next + mm(gens[g], d)))] * (3 - g)
-        record(t, *chain[g])
-    left = np.stack(left, axis=1)  # L_S(g)[:, t] = left[:, t, g]
-    s = np.full((n, n), f.zero(), dtype=rc.dtype)
-    s[:, 0] = eye[0]
-    s_chain = [eye[0]] * 3
-    for t, g in _chain_steps(p):
-        s_chain[g:] = [mm(left[:, :, g], s_chain[g][:, None])[:, 0]] * (3 - g)
-        s[:, t] = s_chain[g]
-    mul = [np.concatenate(x) for x in zip(*mul)]
-    order = np.lexsort((mul[2], mul[1], mul[0]))
+    gens = [SparseMap.from_matrix(Matrix(f, n, n, g, _raw=True), (n,), (n,)) for g in (rc, rx1, rx2)]
     monos = _monomials(p)
+
+    def start(keys):
+        return np.asarray(keys, dtype=np.int64), Numerators.ones(f, len(keys))
+
+    def summed(batch):
+        return batch[1].summed(batch[0])
+
+    # products: the rows e_s m, keyed s n + k, times R_g
+    key, val = _by_layers(p, n * n, start(np.arange(n) * (n + 1)), lambda b, g: summed(gens[g].apply_at(b, 1)))
+    t, s, k = np.unravel_index(key, (n, n, n))
+    order = np.argsort((s * n + t) * n + k)  # e_s e_t has val on e_k
+    mul = (s[order], t[order], k[order], val[order].fractions())
+
+    # Delta(m c) = (R_c (x) R_c) Delta(m), Delta(m x) = (R_c (x) R_x + R_x (x) id) Delta(m)
+    def delta_times(b, g):
+        terms = [gens[g].apply_at(gens[0].apply_at(b, n), 1)] + ([gens[g].apply_at(b, n)] if g else [])
+        return Numerators.concat([v for _, v in terms]).summed(np.concatenate([k for k, _ in terms]))
+
+    key, val = _by_layers(p, n * n, start([0]), delta_times)
+    order = key.argsort()
+    t, a, b = np.unravel_index(key[order], (n, n, n))
+    comul = (a, b, t, val[order].fractions())
+
     unit = [f.one() if t == 0 else f.zero() for t in range(n)]
-    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
     labels = tuple(f"c^{i}x1^{j}x2^{r}" for (i, j, r) in monos)
-    return _hopf(f, n, [x[order] for x in mul], unit, [np.concatenate(x) for x in zip(*comul)], counit,
-                 Matrix(f, n, n, s, _raw=True), labels)
+    alg = AlgebraObject.from_constants(f, n, mul, unit, labels)
+    # S(m g) = L_S(g) S(m), L_y: e_t -> y e_t read from the product map;
+    # S(c) = c^-1 = c^(p^2 - 1), S(xi) = -c^-1 xi
+    inv_c = (p * p - 1) * p * p
+    s_gens = [Matrix.identity(f, n)._d[inv_c]] + [f.reduce(-x[inv_c : inv_c + 1][0]) for x in gens[1:]]
+    left = [StagePipeline(f, (n,)).insert(0, y, n).map_at(alg.mul_map(), 0).sparse_map() for y in s_gens]
+    key, val = _by_layers(p, n, start([0]), lambda b, g: summed(left[g].apply_at(b, 1)))
+    s = Matrix.zeros(f, n, n)
+    t, row = np.divmod(key, n)
+    s._d[row, t] = val.fractions()
+    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
+    return HopfObject.from_parts(alg, CoalgebraObject.from_constants(f, n, comul, counit, labels), s)
 
 
 def builtin(name: str, field: ScalarField, **params) -> HopfObject:

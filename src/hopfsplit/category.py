@@ -119,10 +119,17 @@ class CatObject:
         """H itself with regular actions and coactions; its stage maps are
         H's own `comul_map` and `mul_map`."""
         comul, mul = hopf.as_coalgebra().comul_map(), hopf.as_algebra().mul_map()
-        cm, mm = comul.matrix(), mul.matrix()  # comul rows (i,j) = i*n+j
-        obj = cls(hopf.field, hopf.dim, hopf, coact_l=cm, coact_r=cm, act_l=mm, act_r=mm)
-        obj.coact_l_map = obj.coact_r_map = comul
-        obj.act_l_map = obj.act_r_map = mul
+        return cls.from_maps(hopf.field, hopf.dim, hopf, coact_l=comul, coact_r=comul, act_l=mul, act_r=mul)
+
+    @classmethod
+    def from_maps(cls, field, dim: int, hopf: HopfObject, **maps) -> "CatObject":
+        """The object whose structures (coact_l=..., act_r=...) are the
+        SparseMaps given, None for a missing one; each is kept as its stage
+        map next to its matrix, which is read out once per map."""
+        mats = {id(m): m.matrix() for m in maps.values() if m is not None}
+        obj = cls(field, dim, hopf, **{k: None if m is None else mats[id(m)] for k, m in maps.items()})
+        for k, m in maps.items():
+            setattr(obj, k + "_map", m)
         return obj
 
     def validate(self, ctx: CategoryContext) -> ValidationReport:

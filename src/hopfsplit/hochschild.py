@@ -27,8 +27,9 @@ kernels, representatives and reports come out the same byte for byte.
 
 Lifting through a nilpotent tower runs on whole matrices over the power
 chain recorded on the ideal.  The top level is A itself; each quotient
-below it descends its coactions by one product,
-(proj (x) id_H) co [ideal^T | incl],
+below it descends its coactions as stage pipelines on the coaction's
+map, (proj (x) id_H) co on the ideal's basis (which must vanish) and on
+the complement basis (the descended coaction, kept as map and matrix),
 and each square-zero step reads its curvature (`defect_map`), kernel
 products and restricted coactions in kernel coordinates
 (`Subspace.coordinates` on matrices of rows).  Every step is
@@ -55,6 +56,7 @@ from .algebra import (
     ideal_power_nilpotency,
     multiplicativity_defect,
     pairwise_products,
+    quotient_record,
     record_bimodule_axioms,
 )
 from .category import (
@@ -76,12 +78,11 @@ from .linalg import (
     Matrix,
     SparseMap,
     Subspace,
-    _along_factor,
     _join,
     _matmul,
     kernel_from_rref,
 )
-from .tensors import v_basis, v_eq, v_tensor
+from .tensors import StagePipeline, v_basis, v_eq, v_tensor
 
 
 class AlgebraInContext:
@@ -648,11 +649,10 @@ class QuotientStep:
 
 
 def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> QuotientStep:
-    """Quotient algebra with coactions descended along the projection."""
-    from .algebra import quotient_algebra
-
+    """Quotient algebra with coactions descended along the projection; a
+    quotient recorded on the IdealData is taken as it is."""
     fld = actx.field
-    q, proj = quotient_algebra(actx.algebra, ideal)
+    q, proj, pm = quotient_record(actx.algebra, ideal)
     ideal_subspace = ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = actx.dim, q.dim
     free = ideal_subspace.free_columns()
@@ -661,24 +661,25 @@ def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> 
     if ctx.kind == "vect":
         obj = CatObject(fld, dq)
     else:
-        dh = ctx.hopf.dim
-        di = ideal_subspace.dim
-        cols = ideal_subspace.basis.transpose().hstack(incl)  # [ideal^T | incl]
+        ideal_rows, incl_rows = SparseMap.from_rows(ideal_subspace.basis), SparseMap.from_rows(incl.transpose())
 
-        def descend(co, side):
-            # (proj (x) id_H) co [ideal^T | incl], (id_H (x) proj) on the
-            # left: the ideal block vanishes iff the ideal is a subcomodule,
-            # the complement block is the descended coaction
+        def descend(co, pos, side):
+            # (proj (x) id_H) co on the ideal's basis and on the complement
+            # basis, (id_H (x) proj) on the left: the ideal's image vanishes
+            # iff the ideal is a subcomodule, the complement's is the
+            # descended coaction
             if co is None:
                 return None
-            img = _along_factor(proj, co @ cols, dh, side)._d
-            if img[:, :di].any():
-                raise ValueError(f"ideal is not a {'right' if side == 'r' else 'left'} subcomodule")
-            return Matrix(fld, dq * dh, dq, img[:, di:].copy(), _raw=True)
 
-        obj = CatObject(fld, dq, ctx.hopf,
-                        coact_l=descend(actx.obj.coact_l, "l"),
-                        coact_r=descend(actx.obj.coact_r, "r"))
+            def image(rows):
+                return StagePipeline(fld, (rows.in_size,)).map_at(rows, 0).map_at(co, 0).map_at(pm, pos).sparse_map()
+
+            if image(ideal_rows).src.size:
+                raise ValueError(f"ideal is not a {side} subcomodule")
+            return image(incl_rows)
+
+        obj = CatObject.from_maps(fld, dq, ctx.hopf, coact_l=descend(actx.obj.coact_l_map, 1, "left"),
+                                  coact_r=descend(actx.obj.coact_r_map, 0, "right"))
     qactx = AlgebraInContext(ctx, q, obj)
     return QuotientStep(qactx, proj, incl, free)
 
@@ -763,9 +764,10 @@ def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
     powers = j_ideal.powers
     if powers[-1].dim != 0:
         raise ValueError("ideal is not nilpotent")
-    # chain of quotients A/J^1, A/J^2, ..., A/J^(nil) = A
+    # chain of quotients A/J^1 (J's own record, so a quotient made before
+    # is reused), A/J^2, ..., A/J^(nil) = A
     eye = Matrix.identity(actx.field, actx.dim)
-    steps = [quotient_in_context(actx, p) for p in powers[:-1]]
+    steps = [quotient_in_context(actx, p) for p in ([j_ideal, *powers[1:-1]] if len(powers) > 1 else [])]
     steps.append(QuotientStep(actx, eye, eye, list(range(actx.dim))))
     f_cur = f_map
     for r in range(len(steps) - 1):

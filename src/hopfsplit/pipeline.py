@@ -26,6 +26,7 @@ from .algebra import (
     ideal_power_nilpotency,
     pairwise_products,
     pipeline_constants,
+    quotient_record,
     separability_idempotent,
 )
 from .category import CatObject, CategoryContext, coinvariants, morphism_defects
@@ -57,8 +58,8 @@ from .hopf import (
 from .linalg import Matrix, SparseMap, Subspace
 from .smash import (
     _action_pipelines,
+    _coaction_pipelines,
     bosonize,
-    coactions_from_pi,
     dual_bosonize,
     extract_quadruple_dual,
     extract_quadruple_primal,
@@ -74,7 +75,8 @@ class CertificationFailed(Exception):
 
 class CertifiedInput:
     """Certified data for one side of the splitting pipeline; `ideal`
-    (radical side) records J's ideal test and power chain, the tower."""
+    (radical side) records J's ideal test, power chain and quotient, which
+    the split and its tower read."""
 
     def __init__(self, side: str, bialgebra: BialgebraObject, candidate: Subspace,
                  hopf: HopfObject, proj: Matrix | None, incl: Matrix | None,
@@ -92,10 +94,8 @@ class CertifiedInput:
 def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
     """Quotient bialgebra A / I for a biideal I; returns (Q, proj, incl).
     Q is validated: a non-coideal I fails there first."""
-    from .algebra import quotient_algebra
-
     f = a.field
-    q_alg, proj = quotient_algebra(a.as_algebra(), ideal)
+    q_alg, proj, pm = quotient_record(a.as_algebra(), ideal)
     ideal = ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = a.dim, q_alg.dim
     free = ideal.free_columns()
@@ -106,7 +106,6 @@ def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
         raise CertificationFailed("counit does not vanish on the candidate")
     # (proj (x) proj) Delta: the quotient's Delta on the complement basis,
     # and zero on the ideal exactly when the candidate is a coideal
-    pm = SparseMap.from_matrix(proj, (n,), (dq,))
     delta = _delta_of_rows(coalg, incl.transpose()).map_at(pm, 0).map_at(pm, 1)
     counit = coalg.counit_of_rows(incl.transpose())
     q = BialgebraObject.from_parts(q_alg, CoalgebraObject.from_constants(f, dq, pipeline_constants(delta, dq), counit,
@@ -206,22 +205,24 @@ def certify_split_input(a: BialgebraObject, side: str, candidate: Subspace,
 
 class SplitResult:
     def __init__(self, certified: CertifiedInput, level: str, pi: Matrix, sigma: Matrix,
-                 hopf: HopfObject, checks: ValidationReport):
+                 hopf: HopfObject, checks: ValidationReport, pi_map: SparseMap):
         self.certified = certified
         self.level = level
         self.pi = pi
+        self.pi_map = pi_map  # pi as the SparseMap the split built, for the induced coactions
         self.sigma = sigma
         self.hopf = hopf
         self.checks = checks
 
 
-def _algebra_in_comodule_ctx(a: BialgebraObject, h: HopfObject, proj: Matrix,
+def _algebra_in_comodule_ctx(a: BialgebraObject, h: HopfObject, pm: SparseMap,
                              level: str) -> AlgebraInContext:
+    """A with the coactions the projection pm induces: the right one, and
+    the left one at the bicomodule level."""
     ctx = CategoryContext("comod_r" if level == "comodule" else "bicomod", h)
-    coact_l, coact_r = coactions_from_pi(a, proj, h.dim)
-    obj = CatObject(a.field, a.dim, h,
-                    coact_l=coact_l if level == "bicomodule" else None,
-                    coact_r=coact_r)
+    rho_l, rho_r = _coaction_pipelines(a, pm)
+    obj = CatObject.from_maps(a.field, a.dim, h, coact_l=rho_l.sparse_map() if level == "bicomodule" else None,
+                              coact_r=rho_r.sparse_map())
     return AlgebraInContext(ctx, a.as_algebra(), obj)
 
 
@@ -245,7 +246,8 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
         if not check_ad_coinvariance(h, t):
             raise CertificationFailed("quotient integral is not ad-coinvariant")
         rep.record("ad_coinvariant_integral", True)
-    actx = _algebra_in_comodule_ctx(a, h, certified.proj, level)
+    _, pi, pm = quotient_record(a.as_algebra(), certified.ideal)  # the certificate's A -> A/J
+    actx = _algebra_in_comodule_ctx(a, h, pm, level)
     # B = H with its regular coactions, whose stage maps are H's own
     b_obj = CatObject.regular(h)
     b_obj.act_l = b_obj.act_r = None
@@ -254,7 +256,6 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
     b_actx = AlgebraInContext(actx.ctx, h.as_algebra(), b_obj)
     f_map = Matrix.identity(f, h.dim)  # A/J and H share the complement basis
     sigma = lift_through_tower(actx, certified.ideal, b_actx, f_map)
-    pi = certified.proj
     # re-verify everything claimed; sigma's colinearity is for the
     # coactions pi induces, which actx holds
     rep.record("pi_sigma_id", (pi @ sigma) == Matrix.identity(f, h.dim), "pi sigma != id")
@@ -265,7 +266,7 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
     if level == "bicomodule":
         rep.record("sigma_left_colinear", "coact_l" not in bad, "sigma not left colinear")
     rep.require("radical-side split")
-    return SplitResult(certified, level, pi, sigma, h, rep)
+    return SplitResult(certified, level, pi, sigma, h, rep, pm)
 
 
 def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> SplitResult:
@@ -305,7 +306,7 @@ def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> Spl
     rep.record("sigma_image_is_coradical", img == certified.candidate,
                "section image differs from the coradical")
     rep.require("coradical-side split")
-    return SplitResult(certified, level, pi_c, sigma_c, h_cor, rep)
+    return SplitResult(certified, level, pi_c, sigma_c, h_cor, rep, pm)
 
 
 class SplitReport:
@@ -314,12 +315,13 @@ class SplitReport:
     and a ledger of every verified identity."""
 
     def __init__(self, side, level, bialgebra, hopf, pi, sigma, quadruple, bosonization,
-                 iso, checks: ValidationReport, certified: CertifiedInput):
+                 iso, checks: ValidationReport, certified: CertifiedInput, pi_map: SparseMap):
         self.side = side
         self.level = level
         self.bialgebra = bialgebra
         self.hopf = hopf
         self.pi = pi
+        self.pi_map = pi_map
         self.sigma = sigma
         self.quadruple = quadruple
         self.bosonization = bosonization
@@ -344,7 +346,8 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
     rep.record("quadruple_axioms", True)
     rep.record("bosonization_valid", True)
     # phi(r # h) = r sigma(h), R the right coinvariants of A
-    incl = coinvariants(a.field, a.dim, coactions_from_pi(a, split_res.pi, h.dim)[1], h).basis.transpose()
+    rho_r = _coaction_pipelines(a, split_res.pi_map)[1].matrix()
+    incl = coinvariants(a.field, a.dim, rho_r, h).basis.transpose()
     phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).dense().transpose()
     phi.inverse()  # bijectivity (raises if singular)
     rep.record("iso_bijective", True)
@@ -354,7 +357,7 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
                "phi is not a coalgebra map")
     rep.require("reconstruction")
     return SplitReport(split_res.certified.side, split_res.level, a, h, split_res.pi,
-                       split_res.sigma, quad, bos, phi, rep, split_res.certified)
+                       split_res.sigma, quad, bos, phi, rep, split_res.certified, split_res.pi_map)
 
 
 def hopf_upgrade(a: BialgebraObject, biideal: Subspace) -> HopfObject:
@@ -426,7 +429,7 @@ def corad_filtration_smash_check(a: BialgebraObject, report: SplitReport) -> Val
     # R inside A: image of the reconstruction iso restricted to R # 1
     dr, dh = report.bosonization.r_dim, h.dim
     r_space = _span_from_iso_r(a, report, dr, dh)
-    coact_l, _ = coactions_from_pi(a, report.pi, dh)
+    coact_l = _coaction_pipelines(a, report.pi_map)[0].matrix()
     n, dm = a.dim, a.as_coalgebra().comul_matrix()
     for nstep, cn in enumerate(filt.steps):
         rn = r_space.intersect(cn)

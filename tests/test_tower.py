@@ -21,7 +21,7 @@ from hopfsplit.algebra import (
     quotient_algebra,
     radical,
 )
-from hopfsplit.builtin import sweedler_h4, taft
+from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.category import CatObject, CategoryContext
 from hopfsplit.coalgebra import dualize
 from hopfsplit.fields import GF, QQ
@@ -38,7 +38,7 @@ from hopfsplit.pipeline import (
 from hopfsplit.serialize import dumps, object_from_json, object_to_json, quadruple_to_json, report_to_json
 from hopfsplit.tensors import v_basis
 
-from tower_reference import revalidating_lift_through_tower
+from tower_reference import revalidating_lift_through_tower, revalidating_quotient_in_context
 
 TAFT_PRIMES = {3: 7, 4: 13, 5: 11, 6: 7}
 
@@ -155,8 +155,9 @@ def test_one_chain_one_ideal_test_and_no_level_validated_per_split(n, side, monk
     # the ideal tested is the candidate J: on the radical side, or the
     # annihilator of C_0 in the dual on the coradical side
     assert len(spies.ideal_tests) == 1 and spies.ideal_tests[0].dim == n * (n - 1)
-    # A/J, then A/J^2, ..., A/J^(n-1): no A/0 at the top of the tower
-    assert spies.quotient_dims == [n * (n - 1)] + [n * (n - r) for r in range(1, n)]
+    # A/J once (the certificate's, which the tower's first level reuses),
+    # then A/J^2, ..., A/J^(n-1): no A/0 at the top of the tower
+    assert spies.quotient_dims == [n * (n - r) for r in range(1, n)]
     assert len(spies.built) == n - 1 + (side == "coradical")
     assert not {id(x) for x in spies.built} & {id(x) for x in spies.validated}
 
@@ -302,3 +303,59 @@ def test_the_dual_of_a_verified_bialgebra_has_verified_parts():
     assert d._verified and d.as_algebra()._verified and d.as_coalgebra()._verified
     d = dualize(object_from_json(object_to_json(a)))
     assert not (d._verified or d.as_algebra()._verified or d.as_coalgebra()._verified)
+
+
+def _levels(monkeypatch, a, side, cand):
+    """(actx, ideal, step) of every tower level `quotient_in_context` built
+    in the split of a at the candidate, bicomodule level."""
+    levels, real = [], hochschild.quotient_in_context
+
+    def spy(actx, ideal):
+        step = real(actx, ideal)
+        levels.append((actx, ideal, step))
+        return step
+
+    monkeypatch.setattr(hochschild, "quotient_in_context", spy)
+    cert = certify_split_input(a, side, cand)
+    split_radical(cert) if side == "radical" else split_coradical(cert)
+    return levels
+
+
+DESCENTS = [(f"taft{n}", lambda n=n: _taft(n), lambda n=n: _taft_candidate(n, "radical"), "radical")
+            for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("name,build,candidate,side", DESCENTS, ids=[c[0] for c in DESCENTS])
+def test_levels_descend_as_the_dense_product(name, build, candidate, side, monkeypatch):
+    """Each level's coactions, descended by stage pipelines and kept as map
+    and matrix, are the dense (proj (x) id_H) co [ideal^T | incl]."""
+    _assert_dense_descent(_levels(monkeypatch, build(), side, candidate()))
+
+
+def test_flagship_levels_descend_as_the_dense_product(ha_f7, monkeypatch):
+    _assert_dense_descent(_levels(monkeypatch, ha_f7, "coradical", _span(GF(7), 81, [9 * i for i in range(9)])))
+
+
+def _assert_dense_descent(levels):
+    assert levels
+    for actx, ideal, step in levels:
+        want = revalidating_quotient_in_context(actx, ideal.subspace).actx.obj
+        got = step.actx.obj
+        assert want.coact_l is not None and want.coact_r is not None
+        for side in ("coact_l", "coact_r"):
+            assert getattr(got, side) == getattr(want, side)
+            assert getattr(got, side + "_map").matrix() == getattr(want, side)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_non_subcomodule_ideal_is_refused(side):
+    """span{1 - g} is an ideal of Q[Z_2] but not a subcomodule of either
+    side for the regular coactions: Delta(1 - g) = 1 (x) 1 - g (x) g."""
+    h = group_algebra(2, QQ)
+    reg = CatObject.regular(h)
+    obj = CatObject(QQ, 2, h, coact_l=reg.coact_l if side == "left" else None,
+                    coact_r=reg.coact_r if side == "right" else None)
+    actx = AlgebraInContext(CategoryContext("comod_r" if side == "right" else "bicomod", h), h.as_algebra(), obj)
+    ideal = Subspace.from_vectors(QQ, 2, [[QQ.one(), QQ.neg(QQ.one())]])
+    with pytest.raises(ValueError, match=f"ideal is not a {side} subcomodule"):
+        hochschild.quotient_in_context(actx, ideal)
