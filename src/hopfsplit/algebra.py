@@ -519,11 +519,9 @@ def record_bimodule_axioms(rep: ValidationReport, a: AlgebraObject, dm: int, act
 
 class IdealData:
     """Two-sided ideal given as a subspace (with an optional generator map).
-    It records that it is an ideal (`holds`), once
-    `ideal_power_nilpotency` ran on it the chain I, I^2, ..., 0 as
-    IdealData (`powers`) and the index, and once `quotient_algebra` made
-    A/I the triple (Q, proj, proj's map) (`quotient`); consumers read the
-    record (`quotient_record`)."""
+    It records that it is an ideal (`holds`), the chain I, I^2, ..., 0 as
+    IdealData (`powers`) and the index once `ideal_power_nilpotency` ran on
+    it, and A/I (`quotient`, see `quotient_record`); consumers read them."""
 
     def __init__(self, algebra: AlgebraObject, subspace: Subspace, witness: Matrix | None = None):
         self.algebra = algebra
@@ -1005,9 +1003,8 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
 
 
 def quotient_record(a: AlgebraObject, ideal: IdealData | Subspace) -> tuple:
-    """(Q, proj, proj as a SparseMap (n,) -> (dim Q,)) of `quotient_algebra`,
-    made once per IdealData of a and read from its record after that; a
-    subspace, or an ideal of another algebra object, is tested afresh."""
+    """(Q, proj, proj's SparseMap) of `quotient_algebra`, made once per IdealData
+    of a and then read from it; a subspace or another algebra's ideal gets a new one."""
     if not (isinstance(ideal, IdealData) and ideal.algebra is a):
         ideal = IdealData(a, ideal.subspace if isinstance(ideal, IdealData) else ideal)
     if ideal.quotient is None:

@@ -15,23 +15,18 @@ The two-generator family H(a) has the basis of monomials c^i x1^j x2^r
 with lam a primitive p-th root of unity; c is grouplike and
 Delta(xi) = c (x) xi + xi (x) 1.  c^p is central since lam^p = 1, so the
 power reductions commute with everything.  Normal-form rewriting gives
-only the right multiplications R_c, R_x1, R_x2 of the generators on the
-basis (row t of the map R_g is e_t g).  Since
-R_(c^i x1^j x2^r) = R_x2^r R_x1^j R_c^i, the monomials are walked by
-layers (`_by_layers`): c^i from c^(i-1), then every c^i x1^j from the
-layer c^i x1^(j-1) at once, then every c^i x1^j x2^r from the layer
-c^i x1^j x2^(r-1), p^2 - 1 + 2(p - 1) steps in all.  A step takes the
-batch of a layer of monomials m, keyed by monomial, to that of the m g by
-`SparseMap.apply_at` stages and one sum:
+only the right multiplications R_c, R_x1, R_x2 of the generators (row t
+of the map R_g is e_t g).  Since R_(c^i x1^j x2^r) = R_x2^r R_x1^j R_c^i,
+the monomials are walked by layers (`_by_layers`: the c^i, then every
+c^i x1^j, then every c^i x1^j x2^r), p^2 - 1 + 2(p - 1) steps, each a
+few `SparseMap.apply_at` stages and one sum on a batch keyed by monomial:
 
-    e_s (m g) = R_g (e_s m)                          (the product rows)
-    Delta(m c) = (R_c (x) R_c) Delta(m)
-    Delta(m x) = (R_c (x) R_x + R_x (x) id) Delta(m)
+    e_s (m g) = R_g (e_s m)                          (the product constants)
+    Delta(m c) = (R_c (x) R_c) Delta(m),  Delta(m x) = (R_c (x) R_x + R_x (x) id) Delta(m)
     S(m g) = L_(S g) S(m)                            (S is anti-multiplicative)
 
-with L_y: e_t -> y e_t read from the product table's `mul_map()`.  The
-product rows of all monomials are the structure constants; no n x n
-matrix is multiplied and no n^3 array is formed.
+with L_y: e_t -> y e_t from the product's `mul_map()`.  No n x n matrix
+is multiplied and no n^3 array formed.
 """
 from __future__ import annotations
 
@@ -42,7 +37,7 @@ from .coalgebra import CoalgebraObject
 from .fields import ScalarField
 from .hopf import HopfObject
 from .linalg import Matrix, Numerators, SparseMap, _dtype
-from .tensors import StagePipeline
+from .tensors import StagePipeline, _sum
 
 
 def _validated(h: HopfObject, what: str) -> HopfObject:
@@ -159,10 +154,6 @@ class _MonomialRewriter:
     def idx(self, i, j, r):
         return (i * self.p + j) * self.p + r
 
-    def key(self, flat):
-        p = self.p
-        return (flat // (p * p), (flat // p) % p, flat % p)
-
     def _add(self, acc, mono, c):
         f = self.f
         s = f.add(acc.get(mono, f.zero()), c)
@@ -255,9 +246,7 @@ def _monomials(p: int) -> list:
 
 def _regular_generators(rw: _MonomialRewriter) -> list:
     """R_c, R_x1, R_x2 as n x n arrays: column t holds e_t g in normal form."""
-    f = rw.f
-    monos = _monomials(rw.p)
-    out = []
+    f, monos, out = rw.f, _monomials(rw.p), []
     for times in (rw.times_c, rw.times_x1, rw.times_x2):
         r = np.full((len(monos), len(monos)), f.zero(), dtype=_dtype(f))
         for t, m in enumerate(monos):
@@ -268,23 +257,20 @@ def _regular_generators(rw: _MonomialRewriter) -> list:
 
 
 def _by_layers(p: int, width: int, batch, times):
-    """Walk a batch (keys, Numerators) from the monomial 1 to every
-    monomial, by layers: c^i from c^(i-1), then c^i x1^j from the layer
-    c^i x1^(j-1), then c^i x1^j x2^r from the layer c^i x1^j x2^(r-1).
-    times(batch, g) takes the batch of a layer of monomials m, keyed
-    u * width + k for the layer's u-th monomial, to that of the m g, g = 0
-    (c), 1 (x1) or 2 (x2).  Returns the batch keyed t * width + k for the
-    monomial of index t, in no particular order."""
+    """Walk a batch (keys, Numerators) of the monomial 1 to every monomial
+    by layers: c^i from c^(i-1), then c^i x1^j from the layer c^i x1^(j-1),
+    then c^i x1^j x2^r from c^i x1^j x2^(r-1).  times(batch, g) takes the
+    batch of a layer of monomials m, keyed u width + k for its u-th
+    monomial, to that of the m g (g = 0, 1, 2 for c, x1, x2).  Returns the
+    batch keyed t width + k for the monomial of index t, unsorted."""
     ts = np.zeros(1, dtype=np.int64)
     for g, (step, count) in enumerate(((p * p, p * p - 1), (p, p - 1), (1, p - 1))):
         layer = [(ts, batch)]
         for _ in range(count):
-            t, b = layer[-1]
-            layer.append((t + step, times(b, g)))
+            layer.append((layer[-1][0] + step, times(layer[-1][1], g)))
         offsets = np.cumsum([0] + [t.size for t, _ in layer[:-1]]) * width
         ts = np.concatenate([t for t, _ in layer])
-        batch = (np.concatenate([b[0] + o for o, (_, b) in zip(offsets, layer)]),
-                 Numerators.concat([b[1] for _, b in layer]))
+        batch = np.concatenate([b[0] + o for o, (_, b) in zip(offsets, layer)]), Numerators.concat([b[1] for _, b in layer])
     u, k = np.divmod(batch[0], width)
     return ts[u] * width + k, batch[1]
 
@@ -295,44 +281,35 @@ def _ha_from_generators(p: int, f: ScalarField, rc, rx1, rx2) -> HopfObject:
     of the module docstring; not validated."""
     n = p**4
     gens = [SparseMap.from_matrix(Matrix(f, n, n, g, _raw=True), (n,), (n,)) for g in (rc, rx1, rx2)]
+    one = np.zeros(1, dtype=np.int64), Numerators.ones(f, 1)  # 1, and 1 (x) 1
     monos = _monomials(p)
-
-    def start(keys):
-        return np.asarray(keys, dtype=np.int64), Numerators.ones(f, len(keys))
-
-    def summed(batch):
-        return batch[1].summed(batch[0])
-
-    # products: the rows e_s m, keyed s n + k, times R_g
-    key, val = _by_layers(p, n * n, start(np.arange(n) * (n + 1)), lambda b, g: summed(gens[g].apply_at(b, 1)))
+    labels = tuple(f"c^{i}x1^{j}x2^{r}" for (i, j, r) in monos)
+    # the rows e_s m, keyed s n + k, are the product constants e_s e_t
+    rows = np.arange(n) * (n + 1), Numerators.ones(f, n)
+    key, val = _by_layers(p, n * n, rows, lambda b, g: _sum(gens[g].apply_at(b, 1)))
     t, s, k = np.unravel_index(key, (n, n, n))
-    order = np.argsort((s * n + t) * n + k)  # e_s e_t has val on e_k
-    mul = (s[order], t[order], k[order], val[order].fractions())
+    order = np.argsort((s * n + t) * n + k)
+    alg = AlgebraObject.from_constants(f, n, (s[order], t[order], k[order], val[order].fractions()),
+                                       [f.one()] + [f.zero()] * (n - 1), labels)
 
-    # Delta(m c) = (R_c (x) R_c) Delta(m), Delta(m x) = (R_c (x) R_x + R_x (x) id) Delta(m)
     def delta_times(b, g):
         terms = [gens[g].apply_at(gens[0].apply_at(b, n), 1)] + ([gens[g].apply_at(b, n)] if g else [])
-        return Numerators.concat([v for _, v in terms]).summed(np.concatenate([k for k, _ in terms]))
+        return _sum((np.concatenate([k for k, _ in terms]), Numerators.concat([v for _, v in terms])))
 
-    key, val = _by_layers(p, n * n, start([0]), delta_times)
+    key, val = _by_layers(p, n * n, one, delta_times)
     order = key.argsort()
     t, a, b = np.unravel_index(key[order], (n, n, n))
-    comul = (a, b, t, val[order].fractions())
-
-    unit = [f.one() if t == 0 else f.zero() for t in range(n)]
-    labels = tuple(f"c^{i}x1^{j}x2^{r}" for (i, j, r) in monos)
-    alg = AlgebraObject.from_constants(f, n, mul, unit, labels)
-    # S(m g) = L_S(g) S(m), L_y: e_t -> y e_t read from the product map;
-    # S(c) = c^-1 = c^(p^2 - 1), S(xi) = -c^-1 xi
+    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
+    coalg = CoalgebraObject.from_constants(f, n, (a, b, t, val[order].fractions()), counit, labels)
+    # S(c) = c^-1 = c^(p^2 - 1) and S(xi) = -c^-1 xi, and L_y: e_t -> y e_t
     inv_c = (p * p - 1) * p * p
     s_gens = [Matrix.identity(f, n)._d[inv_c]] + [f.reduce(-x[inv_c : inv_c + 1][0]) for x in gens[1:]]
     left = [StagePipeline(f, (n,)).insert(0, y, n).map_at(alg.mul_map(), 0).sparse_map() for y in s_gens]
-    key, val = _by_layers(p, n, start([0]), lambda b, g: summed(left[g].apply_at(b, 1)))
+    key, val = _by_layers(p, n, one, lambda b, g: _sum(left[g].apply_at(b, 1)))
     s = Matrix.zeros(f, n, n)
     t, row = np.divmod(key, n)
     s._d[row, t] = val.fractions()
-    counit = [f.one() if (j == 0 and r == 0) else f.zero() for (i, j, r) in monos]
-    return HopfObject.from_parts(alg, CoalgebraObject.from_constants(f, n, comul, counit, labels), s)
+    return HopfObject.from_parts(alg, coalg, s)
 
 
 def builtin(name: str, field: ScalarField, **params) -> HopfObject:

@@ -123,9 +123,8 @@ class CatObject:
 
     @classmethod
     def from_maps(cls, field, dim: int, hopf: HopfObject, **maps) -> "CatObject":
-        """The object whose structures (coact_l=..., act_r=...) are the
-        SparseMaps given, None for a missing one; each is kept as its stage
-        map next to its matrix, which is read out once per map."""
+        """The object whose structures (coact_l=..., act_r=...) are the SparseMaps
+        given (or None), each kept as its stage map next to its matrix."""
         mats = {id(m): m.matrix() for m in maps.values() if m is not None}
         obj = cls(field, dim, hopf, **{k: None if m is None else mats[id(m)] for k, m in maps.items()})
         for k, m in maps.items():

@@ -663,20 +663,13 @@ def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> 
     else:
         ideal_rows, incl_rows = SparseMap.from_rows(ideal_subspace.basis), SparseMap.from_rows(incl.transpose())
 
-        def descend(co, pos, side):
-            # (proj (x) id_H) co on the ideal's basis and on the complement
-            # basis, (id_H (x) proj) on the left: the ideal's image vanishes
-            # iff the ideal is a subcomodule, the complement's is the
-            # descended coaction
-            if co is None:
-                return None
+        def image(rows, co, pos):  # (proj (x) id_H) co on the rows' vectors, (id_H (x) proj) co on the left
+            return StagePipeline(fld, (rows.in_size,)).map_at(rows, 0).map_at(co, 0).map_at(pm, pos).sparse_map()
 
-            def image(rows):
-                return StagePipeline(fld, (rows.in_size,)).map_at(rows, 0).map_at(co, 0).map_at(pm, pos).sparse_map()
-
-            if image(ideal_rows).src.size:
+        def descend(co, pos, side):  # the ideal's image vanishes iff it is a subcomodule
+            if co is not None and image(ideal_rows, co, pos).src.size:
                 raise ValueError(f"ideal is not a {side} subcomodule")
-            return image(incl_rows)
+            return None if co is None else image(incl_rows, co, pos)
 
         obj = CatObject.from_maps(fld, dq, ctx.hopf, coact_l=descend(actx.obj.coact_l_map, 1, "left"),
                                   coact_r=descend(actx.obj.coact_r_map, 0, "right"))
@@ -764,8 +757,7 @@ def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
     powers = j_ideal.powers
     if powers[-1].dim != 0:
         raise ValueError("ideal is not nilpotent")
-    # chain of quotients A/J^1 (J's own record, so a quotient made before
-    # is reused), A/J^2, ..., A/J^(nil) = A
+    # chain of quotients A/J^1 (the one recorded on J), A/J^2, ..., A/J^(nil) = A
     eye = Matrix.identity(actx.field, actx.dim)
     steps = [quotient_in_context(actx, p) for p in ([j_ideal, *powers[1:-1]] if len(powers) > 1 else [])]
     steps.append(QuotientStep(actx, eye, eye, list(range(actx.dim))))

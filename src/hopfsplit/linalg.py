@@ -960,18 +960,6 @@ class Matrix:
         return self._new(self.rows, self.rows, r._d[:, self.rows :].copy())
 
 
-def _along_factor(p: Matrix, m: Matrix, dh: int, side: str) -> Matrix:
-    """(p (x) id_H) m when side is "r" (rows of m indexed (x, h)), and
-    (id_H (x) p) m when side is "l" (rows (h, x)), without forming the
-    tensor product of the maps."""
-    n, w = p.cols, m.cols
-    d = m._d.reshape(n, dh * w) if side == "r" else m._d.reshape(dh, n, w).transpose(1, 0, 2).reshape(n, dh * w)
-    out = _matmul(p.field, p._d, d).reshape(p.rows, dh, w)  # (q, h, column)
-    if side == "l":
-        out = out.transpose(1, 0, 2)
-    return Matrix(p.field, p.rows * dh, w, out.reshape(-1, w), _raw=True)
-
-
 def kernel_from_rref(cols: int, r: Matrix, piv: list[int]) -> Matrix:
     """Canonical kernel basis (rows, in RREF) of a matrix with ``cols``
     columns, from its RREF (r, piv)."""

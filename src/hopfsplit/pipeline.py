@@ -217,8 +217,7 @@ class SplitResult:
 
 def _algebra_in_comodule_ctx(a: BialgebraObject, h: HopfObject, pm: SparseMap,
                              level: str) -> AlgebraInContext:
-    """A with the coactions the projection pm induces: the right one, and
-    the left one at the bicomodule level."""
+    """A with the right coaction pm induces, and the left one at the bicomodule level."""
     ctx = CategoryContext("comod_r" if level == "comodule" else "bicomod", h)
     rho_l, rho_r = _coaction_pipelines(a, pm)
     obj = CatObject.from_maps(a.field, a.dim, h, coact_l=rho_l.sparse_map() if level == "bicomodule" else None,

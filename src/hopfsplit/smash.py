@@ -30,7 +30,7 @@ from .category import (
 )
 from .coalgebra import CoalgebraObject, _outer, _square_coordinates
 from .hopf import BialgebraObject, HopfObject, is_algebra_map, is_coalgebra_map
-from .linalg import Matrix, SparseMap, Subspace, _along_factor
+from .linalg import Matrix, SparseMap, Subspace
 from .tensors import StagePipeline, pipelines_equal, v_eq, v_tensor, vector
 
 
@@ -645,8 +645,9 @@ def extract_quadruple_primal(a: BialgebraObject, h: HopfObject, pi: Matrix, sigm
     one_r = [a.unit[piv] for piv in r_space.pivots]
     r_alg = AlgebraObject.from_constants(f, dr, constants_of(prods, dr), one_r, tuple(f"r{t}" for t in range(dr)))
     # delta and omega: (P (x) P) Delta of the coinvariants and of sigma(H)
-    d = a.as_coalgebra().comul_matrix()
-    delta, omega = (_along_factor(p, _along_factor(p, d @ m, n, "r"), dr, "l") for m in (incl, sigma))
+    pm, comul = SparseMap.from_matrix(p, (n,), (dr,)), a.as_coalgebra().comul_map()
+    delta, omega = (StagePipeline(f, (m.cols,)).map_at(SparseMap.from_matrix(m, (m.cols,), (n,)), 0).map_at(comul, 0)
+                    .map_at(pm, 0).map_at(pm, 1).matrix() for m in (incl, sigma))
     eps_r = a.as_coalgebra().counit_of_rows(incl.transpose())
     q = YDQuadruple(h, r_alg, yd, eps_r, delta, omega)
     q.validate().require("extracted quadruple")

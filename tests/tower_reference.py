@@ -22,7 +22,7 @@ from hopfsplit.hochschild import (
     _tower_correct,
     unitalize_section_generic,
 )
-from hopfsplit.linalg import Matrix, SparseMap, Subspace, _along_factor
+from hopfsplit.linalg import Matrix, SparseMap, Subspace, _matmul
 
 
 def revalidating_quotient_algebra(a: AlgebraObject, s: Subspace):
@@ -44,6 +44,18 @@ def revalidating_quotient_algebra(a: AlgebraObject, s: Subspace):
     if bad is not None:
         raise VerificationFailed("projection_algebra_map", bad)
     return q, proj
+
+
+def _along_factor(p: Matrix, m: Matrix, dh: int, side: str) -> Matrix:
+    """(p (x) id_H) m when side is "r" (rows of m indexed (x, h)), and
+    (id_H (x) p) m when side is "l" (rows (h, x)), without forming the
+    tensor product of the maps."""
+    n, w = p.cols, m.cols
+    d = m._d.reshape(n, dh * w) if side == "r" else m._d.reshape(dh, n, w).transpose(1, 0, 2).reshape(n, dh * w)
+    out = _matmul(p.field, p._d, d).reshape(p.rows, dh, w)  # (q, h, column)
+    if side == "l":
+        out = out.transpose(1, 0, 2)
+    return Matrix(p.field, p.rows * dh, w, out.reshape(-1, w), _raw=True)
 
 
 def revalidating_quotient_in_context(actx: AlgebraInContext, s: Subspace) -> QuotientStep:
