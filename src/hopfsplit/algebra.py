@@ -521,7 +521,7 @@ class IdealData:
     """Two-sided ideal given as a subspace (with an optional generator map).
     It records that it is an ideal (`holds`), the chain I, I^2, ..., 0 as
     IdealData (`powers`) and the index once `ideal_power_nilpotency` ran on
-    it, and A/I (`quotient`, see `quotient_record`); consumers read them."""
+    it, and the certificate's (A/I, proj, proj's map) (`quotient`)."""
 
     def __init__(self, algebra: AlgebraObject, subspace: Subspace, witness: Matrix | None = None):
         self.algebra = algebra
@@ -974,7 +974,6 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     structure constants are proj applied to the products of the free basis
     vectors, and proj is re-verified to be an algebra map.  Q is validated
     unless A is verified: A/I is then associative and unital (recorded).
-    On an IdealData of a it records (Q, proj, proj's map) (`quotient_record`).
     """
     if not _is_ideal_of(a, ideal):
         raise ValueError("not an ideal")
@@ -986,8 +985,7 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     proj = s.complement_projection()
     eye = Matrix.identity(f, n)
     basis = eye._new(qdim, n, eye._d[free])
-    pm = SparseMap.from_matrix(proj, (n,), (qdim,))
-    consts = pairwise_products(a, basis, basis).matmul(pm)  # row (ti, tj)
+    consts = pairwise_products(a, basis, basis).matmul(SparseMap.from_matrix(proj, (n,), (qdim,)))  # row (ti, tj)
     q = AlgebraObject.from_constants(f, qdim, (*np.divmod(consts.src, qdim), consts.dst, consts.values.fractions()),
                                      proj.apply(a.unit), tuple(a.labels[fr] for fr in free))
     if a._verified:
@@ -997,16 +995,4 @@ def quotient_algebra(a: AlgebraObject, ideal: IdealData | Subspace):
     bad = multiplicativity_defect(a, q, proj)
     if bad is not None:
         raise VerificationFailed("projection_algebra_map", bad)
-    if isinstance(ideal, IdealData) and ideal.algebra is a:
-        ideal.quotient = (q, proj, pm)
     return q, proj
-
-
-def quotient_record(a: AlgebraObject, ideal: IdealData | Subspace) -> tuple:
-    """(Q, proj, proj's SparseMap) of `quotient_algebra`, made once per IdealData
-    of a and then read from it; a subspace or another algebra's ideal gets a new one."""
-    if not (isinstance(ideal, IdealData) and ideal.algebra is a):
-        ideal = IdealData(a, ideal.subspace if isinstance(ideal, IdealData) else ideal)
-    if ideal.quotient is None:
-        quotient_algebra(a, ideal)
-    return ideal.quotient

@@ -56,7 +56,6 @@ from .algebra import (
     ideal_power_nilpotency,
     multiplicativity_defect,
     pairwise_products,
-    quotient_record,
     record_bimodule_axioms,
 )
 from .category import (
@@ -649,10 +648,13 @@ class QuotientStep:
 
 
 def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> QuotientStep:
-    """Quotient algebra with coactions descended along the projection; a
-    quotient recorded on the IdealData is taken as it is."""
+    """Quotient algebra with coactions descended along the projection; the
+    quotient a certificate recorded on the IdealData is taken as it is."""
+    from .algebra import quotient_algebra
+
     fld = actx.field
-    q, proj, pm = quotient_record(actx.algebra, ideal)
+    recorded = ideal.quotient if isinstance(ideal, IdealData) and ideal.algebra is actx.algebra else None
+    q, proj, pm = recorded or (*quotient_algebra(actx.algebra, ideal), None)
     ideal_subspace = ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = actx.dim, q.dim
     free = ideal_subspace.free_columns()
@@ -661,6 +663,7 @@ def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> 
     if ctx.kind == "vect":
         obj = CatObject(fld, dq)
     else:
+        pm = pm or SparseMap.from_matrix(proj, (n,), (dq,))
         ideal_rows, incl_rows = SparseMap.from_rows(ideal_subspace.basis), SparseMap.from_rows(incl.transpose())
 
         def image(rows, co, pos):  # (proj (x) id_H) co on the rows' vectors, (id_H (x) proj) co on the left
@@ -757,7 +760,7 @@ def lift_through_tower(actx: AlgebraInContext, j_ideal: IdealData,
     powers = j_ideal.powers
     if powers[-1].dim != 0:
         raise ValueError("ideal is not nilpotent")
-    # chain of quotients A/J^1 (the one recorded on J), A/J^2, ..., A/J^(nil) = A
+    # chain of quotients A/J^1 (the one a certificate recorded on J), A/J^2, ..., A/J^(nil) = A
     eye = Matrix.identity(actx.field, actx.dim)
     steps = [quotient_in_context(actx, p) for p in ([j_ideal, *powers[1:-1]] if len(powers) > 1 else [])]
     steps.append(QuotientStep(actx, eye, eye, list(range(actx.dim))))

@@ -26,7 +26,6 @@ from .algebra import (
     ideal_power_nilpotency,
     pairwise_products,
     pipeline_constants,
-    quotient_record,
     separability_idempotent,
 )
 from .category import CatObject, CategoryContext, coinvariants, morphism_defects
@@ -94,9 +93,12 @@ class CertifiedInput:
 def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
     """Quotient bialgebra A / I for a biideal I; returns (Q, proj, incl).
     Q is validated: a non-coideal I fails there first."""
+    from .algebra import quotient_algebra
+
     f = a.field
-    q_alg, proj, pm = quotient_record(a.as_algebra(), ideal)
-    ideal = ideal.subspace if isinstance(ideal, IdealData) else ideal
+    q_alg, proj = quotient_algebra(a.as_algebra(), ideal)
+    pm = SparseMap.from_matrix(proj, (a.dim,), (q_alg.dim,))
+    given, ideal = ideal, ideal.subspace if isinstance(ideal, IdealData) else ideal
     n, dq = a.dim, q_alg.dim
     free = ideal.free_columns()
     incl = Matrix.from_entries(f, n, dq, {(fr, t): f.one() for t, fr in enumerate(free)})
@@ -113,6 +115,8 @@ def quotient_bialgebra(a: BialgebraObject, ideal: IdealData | Subspace):
     q.validate().require("quotient bialgebra")
     if _delta_of_rows(coalg, ideal.basis).map_at(pm, 0).map_at(pm, 1).coo()[0].size:
         raise CertificationFailed("candidate is not a coideal")
+    if isinstance(given, IdealData) and given.algebra is a.as_algebra():
+        given.quotient = (q_alg, proj, pm)  # the split and its tower's first level read it
     return q, proj, incl
 
 
@@ -245,7 +249,7 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
         if not check_ad_coinvariance(h, t):
             raise CertificationFailed("quotient integral is not ad-coinvariant")
         rep.record("ad_coinvariant_integral", True)
-    _, pi, pm = quotient_record(a.as_algebra(), certified.ideal)  # the certificate's A -> A/J
+    _, pi, pm = certified.ideal.quotient  # the certificate's A -> A/J
     actx = _algebra_in_comodule_ctx(a, h, pm, level)
     # B = H with its regular coactions, whose stage maps are H's own
     b_obj = CatObject.regular(h)
