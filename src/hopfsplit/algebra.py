@@ -695,7 +695,7 @@ def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
     generators once A is verified (`verified_generators`): {x : xI <= I}
     and {x : Ix <= I} are unital subalgebras of an associative A.  Each
     side is one `pairwise_products` of the unit rows e_g with the basis of
-    I, tested as COO with one `Subspace.coordinates` join; the left side
+    I, tested as COO with one `Subspace.contains_rows` join; the left side
     is tested first."""
     if s.ambient_dim != a.dim:
         raise ValueError(f"subspace of K^{s.ambient_dim} in a {a.dim}-dim algebra")
@@ -705,8 +705,7 @@ def is_ideal(a: AlgebraObject, s: Subspace) -> bool:
     units = Matrix.identity(a.field, a.dim)
     if gens is not None:
         units = units._new(len(gens), a.dim, units._d[gens])
-    return all(s.coordinates(pairwise_products(a, lhs, rhs)) is not None
-               for lhs, rhs in ((units, s.basis), (s.basis, units)))
+    return all(s.contains_rows(pairwise_products(a, lhs, rhs)) for lhs, rhs in ((units, s.basis), (s.basis, units)))
 
 
 def ideal_generated_by(a: AlgebraObject, f: Matrix) -> IdealData:

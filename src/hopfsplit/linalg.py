@@ -1075,9 +1075,7 @@ class Subspace:
         at the pivots times the RREF basis, so M = M[:, pivots] @ basis
         tests every row of M at once, here as the join of `_certified` on
         M's `Numerators`, so M is never dense."""
-        if rows.out_size != self.ambient_dim:
-            raise ValueError(f"rows of length {rows.out_size} in K^{self.ambient_dim}")
-        if not _certified(rows, self._off_pivot(), self.pivots):
+        if not self.contains_rows(rows):
             return None
         slot = np.full(self.ambient_dim, -1)
         slot[self.pivots] = np.arange(self.dim)
@@ -1085,6 +1083,13 @@ class Subspace:
         c = np.full((rows.in_size, self.dim), self.field.zero(), dtype=_dtype(self.field))
         c[rows.src[at], slot[rows.dst[at]]] = rows.values[at].fractions()
         return Matrix(self.field, rows.in_size, self.dim, c, _raw=True)
+
+    def contains_rows(self, rows: SparseMap) -> bool:
+        """Whether every row of a matrix of rows lies in the span: the
+        `_certified` join of `coordinates`, with no coordinates formed."""
+        if rows.out_size != self.ambient_dim:
+            raise ValueError(f"rows of length {rows.out_size} in K^{self.ambient_dim}")
+        return _certified(rows, self._off_pivot(), self.pivots)
 
     def _off_pivot(self):
         """The basis entries off the pivot columns as (rows, cols,
