@@ -301,6 +301,7 @@ def test_coordinates_match_rank_reference(case):
     coords = sub.dense_coordinates(m)
     # the same rows as a matrix of rows: the join gives the same answer
     assert sub.coordinates(SparseMap.from_rows(m)) == coords
+    assert sub.contains_rows(SparseMap.from_rows(m)) == all(inside)
     if all(inside):
         assert coords is not None and (coords.rows, coords.cols) == (m.rows, sub.dim)
         assert coords @ sub.basis == m
@@ -315,6 +316,8 @@ def test_coordinates_match_rank_reference(case):
             sub.dense_coordinates(Matrix.zeros(field, 1, width))
         with pytest.raises(ValueError):
             sub.coordinates(SparseMap.from_rows(Matrix.zeros(field, 1, width)))
+        with pytest.raises(ValueError):
+            sub.contains_rows(SparseMap.from_rows(Matrix.zeros(field, 1, width)))
         with pytest.raises(ValueError):
             sub.contains_vector([field.zero()] * width)
 

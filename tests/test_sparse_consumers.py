@@ -244,6 +244,18 @@ def test_ideal_powers_match_the_dense_rref_of_all_products(data):
         assert nxt.coordinates(pairwise_products(a, ideal.subspace.basis, prev.basis)) is not None
 
 
+def test_the_ideal_test_forms_no_coordinates(monkeypatch):
+    # is_ideal needs a verdict only: the containment join, never the dense
+    # (products x dim I) coordinates, which at dim 625 would take 1.8 GB
+    from hopfsplit.algebra import is_ideal
+    from hopfsplit.builtin import sweedler_h4
+
+    a = sweedler_h4(QQ).as_algebra()
+    monkeypatch.setattr(Subspace, "coordinates", lambda *args: pytest.fail("coordinates formed"))
+    assert is_ideal(a, Subspace.from_vectors(QQ, 4, [[0, 1, 0, 0], [0, 0, 0, 1]]))
+    assert not is_ideal(a, Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0]]))
+
+
 # -- Numerators from the product to the elimination ----------------------------
 
 
