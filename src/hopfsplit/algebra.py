@@ -26,16 +26,17 @@ term counts are known before anything is multiplied; when one is not
 below the size of the dense array its stage fills, the whole product runs
 as two exact `linalg._matmul` on the constants densified for that call,
 so dense operands cost no more than a dense product.  No n^3 array is
-kept: the ideal test, the multiplicativity defect, quotient algebras and
-the trace form read the constants too.  The multiplication as a stage map is
+kept: the ideal test, quotient algebras and the trace form read the
+constants too.  The multiplication as a stage map is
 `AlgebraObject.mul_map`.
 
-Whether a linear map f is multiplicative is one kernel for every field,
-`multiplicativity_defect`: f(e_i e_j) - f(e_i) f(e_j) for blocks of left
-indices, reporting the first failing pair (i, j).  It serves quotient
-projections, algebra-map checks, extensions and the tower lift;
-`defect_matrix` keeps the whole defect (a section's curvature).  A failed
-re-verification of computed output raises `VerificationFailed`.
+Whether a linear map f is multiplicative is one equation in the stage
+engine (`tensors`): f m against m (f (x) f), two pipelines over the pairs
+(i, j).  `multiplicativity_defect` compares them (`pipelines_equal`),
+reporting the first failing pair (i, j); it serves quotient projections,
+algebra-map checks, extensions and the tower lift.  `defect_map` is their
+difference as one map (a section's curvature).  A failed re-verification
+of computed output raises `VerificationFailed`.
 
 A passing `validate` is remembered, and `verified_generators` then returns
 the generating set it cached (never searching for one).  On an
@@ -52,7 +53,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .linalg import InconsistentSystem, Matrix, Numerators, SparseMap, Subspace, _dtype, _join, _matmul, _summed
-from .tensors import StagePipeline, difference, pipelines_equal, v_eq, vector
+from .tensors import StagePipeline, difference, difference_map, pipelines_equal, v_eq, vector
 
 
 class ValidationReport:
@@ -605,43 +606,24 @@ def pairwise_products(a: AlgebraObject, left: Matrix, right: Matrix) -> SparseMa
     return SparseMap.from_coo(f, (lr * rr,), (n,), r, c, val)
 
 
-_DEFECT_BLOCK = 2**16  # entries in one block of the multiplicativity defect
+def _defect_pipelines(src: AlgebraObject, tgt: AlgebraObject, fm: SparseMap, rows=None):
+    """The two sides of f(xy) = f(x) f(y) for the map fm : src -> tgt, f m
+    and m (f (x) f), as stage pipelines on the pairs (i, j) keyed i n + j,
+    or, given rows, on (r, j) with i the r-th of rows (a selection map
+    first)."""
+    fld, n = src.field, src.dim
 
+    def start():
+        if rows is None:
+            return StagePipeline(fld, (n * n,)).regroup((n, n))
+        k = len(rows)
+        pick = SparseMap.from_coo(fld, (k,), (n,), np.arange(k), np.asarray(rows, dtype=np.int64),
+                                  Numerators.ones(fld, k))
+        return StagePipeline(fld, (k, n)).map_at(pick, 0)
 
-def _defect_rows(src: AlgebraObject, tgt: AlgebraObject, f: Matrix, lefts=None):
-    """Yield D, as matrices of rows (`linalg.SparseMap`), for consecutive
-    blocks of the left indices (all of them, or the list `lefts`): row
-    r n + j of D is f(e_i e_j) - f(e_i) f(e_j) for the block's r-th index i.
-
-    f(e_i e_j) is the block's constants, read from the first-leg ranges of
-    its indices, joined with the rows of f^T at their last leg;
-    f(e_i) f(e_j) is `pairwise_products` of rows of f^T.  Both are integer
-    `linalg.Numerators` brought over one denominator, their difference is
-    summed by `Numerators.summed`, so a row of D is failing iff it holds an
-    entry.  Blocks span about _DEFECT_BLOCK entries of the dense D, so a
-    failure is found before later blocks are multiplied.
-    """
-    fld = src.field
-    n = src.dim
-    _, cj, ck, _ = src.constants()
-    cn = src.constant_numerators()
-    by_a = src._by_a
-    ft = f.transpose()
-    fk, fm = ft._d.nonzero()  # the entries of f(e_k) are [f_at[k], f_at[k + 1])
-    fv = Numerators.of(fld, ft._d[fk, fm])
-    f_at = np.searchsorted(fk, np.arange(n + 1))
-    step = max(1, _DEFECT_BLOCK // max(1, n * tgt.dim))
-    lefts = np.arange(n) if lefts is None else np.asarray(lefts, dtype=np.int64)
-    for s in range(0, lefts.size, step):
-        blk = lefts[s : s + step]
-        r, e = _join(np.arange(blk.size), by_a[blk], by_a[blk + 1])
-        t, g = _join(np.arange(e.size), f_at[ck[e]], f_at[ck[e] + 1])
-        r, e = r[t], e[t]  # constant e (row r n + j of D) meets the entry g of f(e_k)
-        rhs = pairwise_products(tgt, ft._new(blk.size, tgt.dim, ft._d[blk]), ft)
-        terms = Numerators.concat((cn[e] * fv[g], -rhs.values))
-        flat, vals = terms.summed(np.concatenate((r * n + cj[e], rhs.src)) * tgt.dim + np.concatenate((fm[g], rhs.dst)))
-        rows, cols = np.divmod(flat, tgt.dim)
-        yield SparseMap.from_coo(fld, rhs.in_dims, rhs.out_dims, rows, cols, vals)
+    lhs = start().map_at(src.mul_map(), 0).map_at(fm, 0)
+    rhs = start().map_at(fm, 0).map_at(fm, 1).map_at(tgt.mul_map(), 0)
+    return lhs, rhs
 
 
 def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:
@@ -662,32 +644,19 @@ def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -
     tgt.dim x src.dim matrix), or None when f is multiplicative.  The
     verdict is read on the generator rows alone when `_map_generators`
     allows it; a defect there reruns every row, so the witness is always
-    the full scan's: the smallest row of the first block with an entry."""
+    the full scan's."""
+    fm = SparseMap.from_matrix(f, (src.dim,), (tgt.dim,))
     gens = _map_generators(src, tgt, f)
-    if gens is not None and not any(d.src.size for d in _defect_rows(src, tgt, f, gens)):
+    if gens is not None and pipelines_equal(*_defect_pipelines(src, tgt, fm, gens)) is None:
         return None
-    done = 0
-    for d in _defect_rows(src, tgt, f):
-        if d.src.size:
-            return divmod(done + int(d.src[0]), src.dim)
-        done += d.in_size
-    return None
+    bad = pipelines_equal(*_defect_pipelines(src, tgt, fm))
+    return None if bad is None else divmod(bad[0], src.dim)
 
 
 def defect_map(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> SparseMap:
     """f(e_i e_j) - f(e_i) f(e_j) as the map (src.dim^2,) -> (tgt.dim,), a
-    matrix of rows i n + j: the curvature of a section f, stacked from the
-    COO blocks."""
-    none = np.zeros(0, dtype=np.int64)
-    out = SparseMap.from_coo(src.field, (0,), (tgt.dim,), none, none, Numerators.ones(src.field, 0))
-    for d in _defect_rows(src, tgt, f):
-        out = out.vstack(d)
-    return out
-
-
-def defect_matrix(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> Matrix:
-    """`defect_map` as a tgt.dim x src.dim^2 matrix with column i n + j."""
-    return defect_map(src, tgt, f).matrix()
+    matrix of rows i n + j: the curvature of a section f."""
+    return difference_map(*_defect_pipelines(src, tgt, SparseMap.from_matrix(f, (src.dim,), (tgt.dim,))))
 
 
 def is_ideal(a: AlgebraObject, s: Subspace) -> bool:

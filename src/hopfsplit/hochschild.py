@@ -30,9 +30,11 @@ chain recorded on the ideal.  The top level is A itself; each quotient
 below it descends its coactions as stage pipelines on the coaction's
 map, (proj (x) id_H) co on the ideal's basis (which must vanish) and on
 the complement basis (the descended coaction, kept as map and matrix),
-and each square-zero step reads its curvature (`defect_map`), kernel
-products and restricted coactions in kernel coordinates
-(`Subspace.coordinates` on matrices of rows).  Every step is
+and each square-zero step reads its curvature, kernel products and
+restricted coactions in kernel coordinates (`Subspace.coordinates` on
+matrices of rows).  The curvature sigma(ab) - sigma(a) sigma(b) is
+`defect_map`, the difference of the stage pipelines sigma m and
+m (sigma (x) sigma) read as one map.  Every step is
 re-verified; a failure raises `VerificationFailed` naming the check and
 its first failing index.
 
@@ -52,7 +54,6 @@ from .algebra import (
     ValidationReport,
     VerificationFailed,
     defect_map,
-    defect_matrix,
     ideal_power_nilpotency,
     multiplicativity_defect,
     pairwise_products,
@@ -517,7 +518,7 @@ class Obstructed(Exception):
 def _curvature_cocycle(ext: ExtensionData, sigma: Matrix) -> Matrix:
     """omega with incl omega = sigma(ab) - sigma(a) sigma(b), the curvature
     of a section, which lands in the kernel."""
-    theta = defect_matrix(ext.actx.algebra, ext.eactx.algebra, sigma)
+    theta = defect_map(ext.actx.algebra, ext.eactx.algebra, sigma).matrix()
     omega = left_inverse(ext.incl) @ theta
     bad = _first_nonzero_row((ext.incl @ omega - theta)._d.T, (ext.actx.dim,) * 2)
     if bad is not None:
@@ -798,11 +799,12 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
                    p_r: Matrix, kernel_sub: Subspace, sigma: Matrix) -> Matrix:
     """One square-zero correction step: solve b1(tau) = curvature in ctx.
 
-    The kernel's square-zero test, the curvature, the induced bimodule
-    actions and the restricted coactions are each one product
-    (`pairwise_products`, `defect_map`, `@`) read off in kernel
-    coordinates (`Subspace.coordinates`), which fails when a product
-    escapes the kernel.
+    The kernel's square-zero test, the induced bimodule actions and the
+    restricted coactions are each one product (`pairwise_products`, `@`),
+    and the curvature is the difference of two stage pipelines
+    (`defect_map`); each is read off in kernel coordinates
+    (`Subspace.coordinates`), which fails when a product escapes the
+    kernel.
     """
     fld = b_actx.field
     b_alg = b_actx.algebra

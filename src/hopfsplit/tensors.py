@@ -54,9 +54,10 @@ Batches hold at most `_BLOCK` input tuples.
 A composite leaves the engine as its summed COO: `StagePipeline.coo()`,
 its nonzeros (input key, output key, field value) sorted by (input, output)
 key, and `difference(lhs, rhs)`, the same for lhs - rhs.  On these stand
-`sparse_map()`, a stage of later pipelines; `pipelines_equal`, the first
-input tuple of the difference; and `matrix()`, the COO scattered into a
-Matrix for the callers that need one.  A check that reports its witness in
+`sparse_map()`, a stage of later pipelines; `difference_map`, the
+difference as one map; `pipelines_equal`, the first input tuple of the
+difference; and `matrix()`, the COO scattered into a Matrix for the
+callers that need one.  A check that reports its witness in
 another loop order declares its input in that order and starts with a
 `permute`.
 """
@@ -300,6 +301,12 @@ def difference(lhs: StagePipeline, rhs: StagePipeline):
     (input key, output key, field value) sorted by (input, output) key."""
     src, dst, val = _coo(lhs.field, prod(lhs.out_dims), _differences(lhs, rhs))
     return src, dst, val.fractions()
+
+
+def difference_map(lhs: StagePipeline, rhs: StagePipeline) -> SparseMap:
+    """lhs - rhs as one SparseMap, its entries from the summed blocks."""
+    entries = _coo(lhs.field, prod(lhs.out_dims), _differences(lhs, rhs))
+    return SparseMap.from_coo(lhs.field, lhs.in_dims, lhs.out_dims, *entries)
 
 
 def pipelines_equal(lhs: StagePipeline, rhs: StagePipeline) -> tuple | None:

@@ -15,7 +15,7 @@ from hopfsplit.algebra import (
     NotNilpotentWithin,
     NotSeparable,
     SmallCharUnsupported,
-    defect_matrix,
+    defect_map,
     ideal_generated_by,
     ideal_power_nilpotency,
     is_ideal,
@@ -31,8 +31,8 @@ from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.category import CatObject
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import BialgebraObject
-from hopfsplit.linalg import Matrix, Subspace
-from hopfsplit.tensors import v_basis
+from hopfsplit.linalg import Matrix, SparseMap, Subspace
+from hopfsplit.tensors import pipelines_equal, v_basis
 
 
 def one_dim_field_algebra(f):
@@ -559,26 +559,26 @@ def test_multiplicativity_defect_matches_pair_loop(field, taft_orders, data):
     if not mutate:
         assert first is None
     assert multiplicativity_defect(src, tgt, f) == first
-    d = defect_matrix(src, tgt, f)
+    d = defect_map(src, tgt, f).matrix()
     assert all(d.col_list(i * src.dim + j) == ref[(i, j)] for i, j in ref)
 
 
 def test_multiplicativity_defect_blocks_cover_every_left_index(monkeypatch):
     # the only nonzero product is e_(n-1) e_0 = e_0 and the target has none,
-    # so the identity fails at the last left index only; with one left index
-    # per block and with the default blocks it must still be found
-    import hopfsplit.algebra as alg_mod
+    # so the identity fails at the last left index only; with one input pair
+    # per engine batch, with 7 and with the default batches it must still be
+    # found
+    import hopfsplit.tensors as tensors_mod
 
     n = 20
-    for field in (QQ, GF(7), GF(65537)):
-        src = AlgebraObject(field, n, {(n - 1, 0): {0: field.one()}}, [field.zero()] * n)
-        tgt = AlgebraObject(field, n, {}, [field.zero()] * n)
-        f = Matrix.identity(field, n)
-        assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
-        monkeypatch.setattr(alg_mod, "_DEFECT_BLOCK", 1)
-        assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
-        assert multiplicativity_defect(src, src, f) is None
-        monkeypatch.undo()
+    for block in (1, 7, 2**13):
+        monkeypatch.setattr(tensors_mod, "_BLOCK", block)
+        for field in (QQ, GF(7), GF(65537)):
+            src = AlgebraObject(field, n, {(n - 1, 0): {0: field.one()}}, [field.zero()] * n)
+            tgt = AlgebraObject(field, n, {}, [field.zero()] * n)
+            f = Matrix.identity(field, n)
+            assert multiplicativity_defect(src, tgt, f) == (n - 1, 0)
+            assert multiplicativity_defect(src, src, f) is None
 
 
 def test_separability_idempotent_typed_failures():
@@ -808,6 +808,7 @@ def test_is_ideal_on_generators_matches_full_check(data):
 @given(data=st.data())
 def test_multiplicativity_on_generators_matches_full_scan(data):
     import hopfsplit.algebra as alg_mod
+    import hopfsplit.tensors as tensors_mod
 
     src, eps, verified = draw_gated_algebra(data, [s for s in SPECS if s[2] <= 16])
     fld, n = src.field, src.dim
@@ -825,12 +826,15 @@ def test_multiplicativity_on_generators_matches_full_scan(data):
         r, c = data.draw(st.integers(0, f.rows - 1)), data.draw(st.integers(0, f.cols - 1))
         f = f + Matrix.from_entries(fld, f.rows, f.cols, {(r, c): fld.from_int(data.draw(st.integers(1, 6)))})
     want = first_defect(src, tgt, f)
-    assert multiplicativity_defect(src, tgt, f) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors_mod, "_BLOCK", data.draw(st.sampled_from([1, 7, 2**13])))
+        assert multiplicativity_defect(src, tgt, f) == want
     gens = alg_mod._map_generators(src, tgt, f)
     if not verified:
         assert gens is None
     if gens is not None:  # the restricted verdict alone is the full one
-        assert any((d.values.num != 0).any() for d in alg_mod._defect_rows(src, tgt, f, gens)) == (want is not None)
+        fm = SparseMap.from_matrix(f, (n,), (tgt.dim,))
+        assert (pipelines_equal(*alg_mod._defect_pipelines(src, tgt, fm, gens)) is None) == (want is None)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
@@ -850,8 +854,8 @@ def test_unverified_algebras_take_the_full_path(field, monkeypatch):
     eps = Matrix.row(field, [one] * n)
     assert a.generating_basis_indices() == [1]
     seen = []
-    real = alg_mod._defect_rows
-    monkeypatch.setattr(alg_mod, "_defect_rows", lambda *args: seen.append(args[3:]) or real(*args))
+    real = alg_mod._defect_pipelines
+    monkeypatch.setattr(alg_mod, "_defect_pipelines", lambda *args: seen.append(args[3:]) or real(*args))
     for validate in (False, True):
         if validate:
             assert not a.validate([1]).ok
@@ -861,7 +865,7 @@ def test_unverified_algebras_take_the_full_path(field, monkeypatch):
         assert multiplicativity_defect(a, k, eps) == first_defect(a, k, eps) == (3, 4)
         assert seen == [()]
     # the generator rows alone pass: the gate is what keeps the verdicts right
-    assert not any((d.values.num != 0).any() for d in real(a, k, eps, [1]))
+    assert pipelines_equal(*real(a, k, SparseMap.from_matrix(eps, (n,), (1,)), [1])) is None
     # an associative k[Z_5] takes the generator rows once validated, not before
     b = AlgebraObject(field, n, group_algebra(n, field).as_algebra().mul, [one] + [field.zero()] * (n - 1))
     b.generating_basis_indices()

@@ -1,10 +1,11 @@
 """Products on the structure constants against the dense structure tensor.
 
-The references below are the tensor contractions the joins replaced: the
-dense n x n x n tensor T[i, j, k] = [e_i e_j]_k, contracted with the left
-operand and then the right one (`pairwise_products`), read by block rows
-(`_defect_rows`), at the free basis pairs (`quotient_algebra`) and against
-its own transpose (`trace_form`).
+The references below are the tensor contractions the joins and pipelines
+replaced: the dense n x n x n tensor T[i, j, k] = [e_i e_j]_k, contracted
+with the left operand and then the right one (`pairwise_products`), read
+by rows of left indices (the multiplicativity defect, `_defect_pipelines`),
+at the free basis pairs (`quotient_algebra`) and against its own transpose
+(`trace_form`).
 """
 from fractions import Fraction
 from math import gcd
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 import hopfsplit.algebra as alg_mod
 from hopfsplit.algebra import AlgebraObject, ideal_generated_by, is_ideal, pairwise_products, quotient_algebra, trace_form
+from hopfsplit import tensors
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Matrix, SparseMap, Subspace, _dtype, _matmul
+from hopfsplit.tensors import difference_map
 
 FIELDS = [GF(2), GF(7), GF(2**31 - 1), GF(2**61 - 1), QQ]
 
@@ -43,17 +46,16 @@ def products_by_tensor(a, left, right):
 
 
 def defect_rows_by_tensor(src, tgt, f, lefts=None):
+    """Row r n + j is f(e_i e_j) - f(e_i) f(e_j) for the r-th left index i
+    (of all of them, or of the list lefts)."""
     fld, n = src.field, src.dim
     t = tensor_of(src)
     ft = f.transpose()
-    step = max(1, alg_mod._DEFECT_BLOCK // max(1, n * tgt.dim))
-    count = n if lefts is None else len(lefts)
-    for s in range(0, count, step):
-        blk = slice(s, s + step) if lefts is None else lefts[s : s + step]
-        rows = ft._d[blk]
-        lhs = _matmul(fld, t[blk].reshape(-1, n), ft._d)
-        rhs = products_by_tensor(tgt, ft._new(rows.shape[0], tgt.dim, rows), ft)
-        yield fld.reduce(lhs - rhs._d)
+    blk = slice(0, n) if lefts is None else lefts
+    rows = ft._d[blk]
+    lhs = _matmul(fld, t[blk].reshape(rows.shape[0] * n, n), ft._d)
+    rhs = products_by_tensor(tgt, ft._new(rows.shape[0], tgt.dim, rows), ft)
+    return fld.reduce(lhs - rhs._d)
 
 
 def quotient_constants_by_tensor(a, s):
@@ -266,13 +268,12 @@ def test_defect_rows_match_the_tensor_blocks(data):
     tgt = draw_algebra(data, f, data.draw(st.integers(0, 4)))
     m = draw_operand(data, f, src.dim, tgt.dim)  # tgt.dim x src.dim
     lefts = data.draw(st.one_of(st.none(), st.lists(st.integers(0, src.dim - 1), unique=True) if src.dim else st.none()))
+    fm = SparseMap.from_matrix(m, (src.dim,), (tgt.dim,))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(alg_mod, "_DEFECT_BLOCK", data.draw(st.sampled_from([1, 20, 2**16])))
-        got = list(alg_mod._defect_rows(src, tgt, m, lefts))
-        want = list(defect_rows_by_tensor(src, tgt, m, lefts))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g.dense()._d, w)
+        mp.setattr(tensors, "_BLOCK", data.draw(st.sampled_from([1, 7, 2**13])))
+        got = difference_map(*alg_mod._defect_pipelines(src, tgt, fm, lefts))
+    want = defect_rows_by_tensor(src, tgt, m, lefts)
+    assert got.shape == want.shape and np.array_equal(got.dense()._d, want)
 
 
 def test_trace_form_matches_the_tensor_product():

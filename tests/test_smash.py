@@ -289,7 +289,7 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
     monkeypatch.setattr(tensors.SparseMap, "apply_at", spy("apply_at", tensors.SparseMap.apply_at))
     assert not q.validate().ok
     assert not validate_bosonization(bosonize(q, force=True)).ok
-    assert calls == {"apply_at": 130, "_sum_terms": 56, "_join": 42}
+    assert calls == {"apply_at": 142, "_sum_terms": 52, "_join": 34}
 
 
 def test_tables_read_from_the_coo_match_the_dense_read_out(monkeypatch):

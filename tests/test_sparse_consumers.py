@@ -19,7 +19,7 @@ from dict_reference import product_sparse
 from hopfsplit.algebra import (
     AlgebraObject,
     NotNilpotentWithin,
-    defect_matrix,
+    defect_map,
     ideal_generated_by,
     ideal_power_nilpotency,
     multiplicativity_defect,
@@ -171,7 +171,7 @@ def test_defect_witness_and_matrix_match_the_pair_loop(data):
     ref = defect_by_pair_loop(src, tgt, m)
     want = next((ij for ij, d in ref.items() if any(not f.is_zero(x) for x in d)), None)
     assert multiplicativity_defect(src, tgt, m) == want
-    dm = defect_matrix(src, tgt, m)
+    dm = defect_map(src, tgt, m).matrix()
     assert (dm.rows, dm.cols) == (tgt.dim, src.dim**2)
     for (i, j), d in ref.items():
         assert dm.col_list(i * src.dim + j) == d
@@ -191,7 +191,7 @@ def test_defect_off_the_generators_span_is_found(field, m):
     c = field.from_int(3)
     f = Matrix.row(field, [c] + [field.zero()] * (m - 1))
     assert multiplicativity_defect(a, k, f) == (0, 0)
-    dm = defect_matrix(a, k, f)
+    dm = defect_map(a, k, f).matrix()
     assert dm.col_list(0) == [field.sub(c, field.mul(c, c))]
     assert not any(dm.col_list(t)[0] for t in range(1, m * m))
 

@@ -12,7 +12,8 @@ span{c^i} and giving a p^2-dimensional H, and xi(x2 (x) x1) = a(c^2 - 1),
 read through sigma.
 
 Prints one JSON line: p, q, lam, a, the seconds of each step (build,
-certify, split, reconstruct), `ru_maxrss` in MB, `correct`, and the
+certify, split, reconstruct), `ru_maxrss` in MB at the end and after each
+step (`rss_mb`, so the step that sets the peak shows), `correct`, and the
 failed checks.  BLAS and OpenMP are pinned to one thread.  Exits 1 unless
 correct.
 """
@@ -53,12 +54,16 @@ def main(argv=None) -> int:
     q, lam, a = choose(p, args.seed)
     f = fields.GF(q)
     n, pp = p**4, p * p
-    seconds, problems = {}, []
+    seconds, rss_mb, problems = {}, {}, []
+
+    def maxrss_mb():
+        return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     def step(name, fn):
         t0 = time.perf_counter()
         out = fn()
         seconds[name] = round(time.perf_counter() - t0, 3)
+        rss_mb[name] = maxrss_mb()
         return out
 
     ha = step("build", lambda: builtin.build_ha(p, f, lam, a))
@@ -80,7 +85,7 @@ def main(argv=None) -> int:
         problems.append("xi(x2 (x) x1) through sigma is not a(c^2 - 1)")
     out = {"p": p, "q": q, "lam": lam, "a": a, "dim": n, "seconds": seconds,
            "total_s": round(sum(seconds.values()), 3),
-           "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+           "ru_maxrss_mb": maxrss_mb(), "rss_mb": rss_mb,
            "correct": not problems, "problems": problems}
     print(json.dumps(out))
     return 0 if not problems else 1
