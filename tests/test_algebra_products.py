@@ -21,7 +21,6 @@ from hopfsplit import tensors
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Matrix, SparseMap, Subspace, _dtype, _matmul
-from hopfsplit.tensors import difference_map
 
 FIELDS = [GF(2), GF(7), GF(2**31 - 1), GF(2**61 - 1), QQ]
 
@@ -271,7 +270,7 @@ def test_defect_rows_match_the_tensor_blocks(data):
     fm = SparseMap.from_matrix(m, (src.dim,), (tgt.dim,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors, "_BLOCK", data.draw(st.sampled_from([1, 7, 2**13])))
-        got = difference_map(*alg_mod._defect_pipelines(src, tgt, fm, lefts))
+        got = tensors.difference_map(*alg_mod._defect_pipelines(src, tgt, fm, lefts))
     want = defect_rows_by_tensor(src, tgt, m, lefts)
     assert got.shape == want.shape and np.array_equal(got.dense()._d, want)
 
