@@ -892,7 +892,7 @@ def _ctx_coinvariance_rows(a: AlgebraObject, ctx):
     dh = h.dim
     mul_h = h.as_algebra().mul_map()
     coo, rows = [], 0
-    for sm, pos in ((ctx.coact_l_map, 0), (ctx.coact_r_map, 2)):
+    for sm, pos in ((ctx.coact_l, 0), (ctx.coact_r, 2)):
         if sm is None:
             continue
         # (x, h, y, h') on the right, (h, x, h', y) on the left, then h h'

@@ -6,13 +6,17 @@ Hom-spaces are kernels of one stacked constraint matrix (all colinearity /
 linearity conditions at once); every returned basis map is re-verified,
 never trusted from the solver.
 
-Whether a map respects the (co)actions a context wants is decided in one
-place, `morphism_defects`, on stage pipelines of the structure maps, for
-every caller in the package.
+Every object keeps its (co)actions in one form, as `SparseMap`s over its
+own dims (`CatObject`); a structure given as a Matrix (the CLI reader,
+`YDObject.module`) is converted once, when the object is made.  The
+constraint blocks read the maps' entries, and whether a map respects the
+(co)actions a context wants is decided in one place, `morphism_defects`, on
+stage pipelines of the structure maps, for every caller in the package.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -58,12 +62,18 @@ class CategoryContext:
 
 
 class CatObject:
-    """Finite-dimensional object with optional (co)action structure data.
+    """Finite-dimensional object with optional (co)action structure data,
+    each a `SparseMap` over the object's own dims (None where it has none):
 
-    coact_l : V -> H (x) V   as a (dH*dV x dV) matrix
-    coact_r : V -> V (x) H   as a (dV*dH x dV) matrix
-    act_l   : H (x) V -> V   as a (dV x dH*dV) matrix
-    act_r   : V (x) H -> V   as a (dV x dV*dH) matrix
+    coact_l : V -> H (x) V   (dV,) -> (dH, dV)
+    coact_r : V -> V (x) H   (dV,) -> (dV, dH)
+    act_l   : H (x) V -> V   (dH, dV) -> (dV,)
+    act_r   : V (x) H -> V   (dV, dH) -> (dV,)
+
+    A structure given as a Matrix (column = input key) is converted once;
+    a map over other factors of the same sizes, such as the (dx, dy) of
+    `tensor_catobject`, is read over these with its keys unchanged.  A map
+    of other sizes raises ValueError.
     """
 
     def __init__(self, field: ScalarField, dim: int, hopf: HopfObject | None = None,
@@ -71,65 +81,30 @@ class CatObject:
         self.field = field
         self.dim = dim
         self.hopf = hopf
-        self.coact_l = coact_l
-        self.coact_r = coact_r
-        self.act_l = act_l
-        self.act_r = act_r
+        dh = hopf.dim if hopf is not None else 0
+        self.coact_l = _structure(coact_l, (dim,), (dh, dim))
+        self.coact_r = _structure(coact_r, (dim,), (dim, dh))
+        self.act_l = _structure(act_l, (dh, dim), (dim,))
+        self.act_r = _structure(act_r, (dim, dh), (dim,))
         self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
-
-    def __setattr__(self, name, value):
-        """A reassigned structure matrix drops its cached map."""
-        super().__setattr__(name, value)
-        self.__dict__.pop(name + "_map", None)
-
-    # the structure maps as SparseMaps (None where the object has none), each built once
-    @cached_property
-    def coact_l_map(self) -> SparseMap | None:
-        m = self.coact_l
-        return None if m is None else SparseMap.from_matrix(m, (self.dim,), (self.hopf.dim, self.dim))
-
-    @cached_property
-    def coact_r_map(self) -> SparseMap | None:
-        m = self.coact_r
-        return None if m is None else SparseMap.from_matrix(m, (self.dim,), (self.dim, self.hopf.dim))
-
-    @cached_property
-    def act_l_map(self) -> SparseMap | None:
-        m = self.act_l
-        return None if m is None else SparseMap.from_matrix(m, (self.hopf.dim, self.dim), (self.dim,))
-
-    @cached_property
-    def act_r_map(self) -> SparseMap | None:
-        m = self.act_r
-        return None if m is None else SparseMap.from_matrix(m, (self.dim, self.hopf.dim), (self.dim,))
 
     @classmethod
     def trivial(cls, field, hopf, dim=1) -> "CatObject":
         """K^dim with trivial (co)actions (the unit object for dim = 1)."""
         dh = hopf.dim
-        f = field
-        cl = Matrix.from_entries(f, dh * dim, dim, {(h * dim + v, v): hopf.unit[h] for h in range(dh) for v in range(dim) if not f.is_zero(hopf.unit[h])})
-        cr = Matrix.from_entries(f, dim * dh, dim, {(v * dh + h, v): hopf.unit[h] for h in range(dh) for v in range(dim) if not f.is_zero(hopf.unit[h])})
-        al = Matrix.from_entries(f, dim, dh * dim, {(v, h * dim + v): hopf.counit[h] for h in range(dh) for v in range(dim) if not f.is_zero(hopf.counit[h])})
-        ar = Matrix.from_entries(f, dim, dim * dh, {(v, v * dh + h): hopf.counit[h] for h in range(dh) for v in range(dim) if not f.is_zero(hopf.counit[h])})
-        return cls(field, dim, hopf, cl, cr, al, ar)
+        v, h = np.repeat(np.arange(dim), dh), np.tile(np.arange(dh), dim)  # every (v, h)
+        unit, counit = (np.array(c, dtype=_dtype(field))[h] for c in (hopf.unit, hopf.counit))
+        return cls(field, dim, hopf, coact_l=SparseMap(field, (dim,), (dh, dim), v, h * dim + v, unit),
+                   coact_r=SparseMap(field, (dim,), (dim, dh), v, v * dh + h, unit),
+                   act_l=SparseMap(field, (dh, dim), (dim,), h * dim + v, v, counit),
+                   act_r=SparseMap(field, (dim, dh), (dim,), v * dh + h, v, counit))
 
     @classmethod
     def regular(cls, hopf: HopfObject) -> "CatObject":
-        """H itself with regular actions and coactions; its stage maps are
-        H's own `comul_map` and `mul_map`."""
+        """H itself with regular actions and coactions: H's own `comul_map`
+        and `mul_map`."""
         comul, mul = hopf.as_coalgebra().comul_map(), hopf.as_algebra().mul_map()
-        return cls.from_maps(hopf.field, hopf.dim, hopf, coact_l=comul, coact_r=comul, act_l=mul, act_r=mul)
-
-    @classmethod
-    def from_maps(cls, field, dim: int, hopf: HopfObject, **maps) -> "CatObject":
-        """The object whose structures (coact_l=..., act_r=...) are the SparseMaps
-        given (or None), each kept as its stage map next to its matrix."""
-        mats = {id(m): m.matrix() for m in maps.values() if m is not None}
-        obj = cls(field, dim, hopf, **{k: None if m is None else mats[id(m)] for k, m in maps.items()})
-        for k, m in maps.items():
-            setattr(obj, k + "_map", m)
-        return obj
+        return cls(hopf.field, hopf.dim, hopf, coact_l=comul, coact_r=comul, act_l=mul, act_r=mul)
 
     def validate(self, ctx: CategoryContext) -> ValidationReport:
         rep = ValidationReport()
@@ -151,7 +126,7 @@ class CatObject:
             rep.record("has_coact_r", self.coact_r is not None, "missing right coaction")
             if self.coact_r is None:
                 return rep
-            sm = self.coact_r_map
+            sm = self.coact_r
             if not _record_checks(rep, [
                 ("coact_r_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 0),
                                                     P(n).map_at(sm, 0).map_at(comul, 1)), "basis {0}"),
@@ -162,7 +137,7 @@ class CatObject:
             rep.record("has_coact_l", self.coact_l is not None, "missing left coaction")
             if self.coact_l is None:
                 return rep
-            sm = self.coact_l_map
+            sm = self.coact_l
             if not _record_checks(rep, [
                 ("coact_l_coassoc", pipelines_equal(P(n).map_at(sm, 0).map_at(sm, 1),
                                                     P(n).map_at(sm, 0).map_at(comul, 0)), "basis {0}"),
@@ -171,7 +146,7 @@ class CatObject:
                 return rep
         if ctx.wants_left_coaction and ctx.wants_right_coaction:
             # bicomodule compatibility: (id (x) rho_r) rho_l = (rho_l (x) id) rho_r
-            sl, sr = self.coact_l_map, self.coact_r_map
+            sl, sr = self.coact_l, self.coact_r
             if not _record_checks(rep, [
                 ("bicomodule_compat", pipelines_equal(P(n).map_at(sl, 0).map_at(sr, 1),
                                                       P(n).map_at(sr, 0).map_at(sl, 0)), "basis {0}"),
@@ -181,7 +156,7 @@ class CatObject:
             rep.record("has_act_r", self.act_r is not None, "missing right action")
             if self.act_r is None:
                 return rep
-            am = self.act_r_map
+            am = self.act_r
             if not _record_checks(rep, [
                 ("act_r_assoc", pipelines_equal(P(n, dh, dh).map_at(am, 0).map_at(am, 0),
                                                 P(n, dh, dh).map_at(mul, 1).map_at(am, 0)), "(v{0},h{1},h{2})"),
@@ -192,7 +167,7 @@ class CatObject:
             rep.record("has_act_l", self.act_l is not None, "missing left action")
             if self.act_l is None:
                 return rep
-            am = self.act_l_map
+            am = self.act_l
             # declared in loop order (v, h1, h2) over the key (h1, h2, v)
             if not _record_checks(rep, [
                 ("act_l_assoc", pipelines_equal(P(n, dh, dh).permute((1, 2, 0)).map_at(am, 1).map_at(am, 0),
@@ -202,7 +177,7 @@ class CatObject:
             ]):
                 return rep
         if ctx.wants_left_action and ctx.wants_right_action:
-            al, ar = self.act_l_map, self.act_r_map
+            al, ar = self.act_l, self.act_r
             # loop order (v, h1, h2) over the key (h1, v, h2)
             _record_checks(rep, [
                 ("bimodule_compat", pipelines_equal(P(n, dh, dh).permute((1, 0, 2)).map_at(al, 0).map_at(ar, 0),
@@ -210,6 +185,19 @@ class CatObject:
                  "(h{1},v{0},h{2})"),
             ])
         return rep
+
+
+def _structure(m, in_dims: tuple, out_dims: tuple) -> SparseMap | None:
+    """m (None, a Matrix or a SparseMap) as a structure map in_dims -> out_dims."""
+    if m is None:
+        return None
+    if isinstance(m, Matrix):
+        return SparseMap.from_matrix(m, in_dims, out_dims)
+    if (m.in_size, m.out_size) != (prod(in_dims), prod(out_dims)):
+        raise ValueError(f"map {m.in_dims} -> {m.out_dims} is not a structure {in_dims} -> {out_dims}")
+    if (m.in_dims, m.out_dims) == (in_dims, out_dims):
+        return m
+    return SparseMap.from_coo(m.field, in_dims, out_dims, m.src, m.dst, m.values)
 
 
 def _record_checks(rep: ValidationReport, checks, interleaved: bool = False) -> bool:
@@ -236,7 +224,7 @@ def _diagonal(pipe: StagePipeline, x: CatObject, y: CatObject, name: str) -> Sta
     """pipe followed by the diagonal structure `name` of X (x) Y on its
     factors (x, y), with H first for a left action and last for a right one."""
     h = x.hopf
-    sx, sy = getattr(x, name + "_map"), getattr(y, name + "_map")
+    sx, sy = getattr(x, name), getattr(y, name)
     if name in ("coact_l", "coact_r"):
         # (h, x, h', y) -> (h h', x, y) on the left, (x, h, y, h') -> (x, y, h h') on the right
         pipe = pipe.map_at(sx, 0).map_at(sy, 2).permute((0, 2, 1, 3))
@@ -253,7 +241,7 @@ def tensor_catobject(x: CatObject, y: CatObject) -> CatObject:
     dh = x.hopf.dim if x.hopf else 0
     ins = {"coact_l": (dx, dy), "coact_r": (dx, dy), "act_l": (dh, dx, dy), "act_r": (dx, dy, dh)}
     return CatObject(x.field, dx * dy, x.hopf, **{
-        name: _diagonal(StagePipeline(x.field, dims), x, y, name).matrix() for name, dims in ins.items()
+        name: _diagonal(StagePipeline(x.field, dims), x, y, name).sparse_map() for name, dims in ins.items()
         if getattr(x, name) is not None and getattr(y, name) is not None})
 
 
@@ -321,11 +309,12 @@ class MapSolver:
         return Matrix.from_rows(self.field, [flat[y * dX : (y + 1) * dX] for y in range(self.d_tgt)])
 
 
-def _grid(m: Matrix):
-    """The nonzeros (i, j, value) of m, with i and j as columns, ready to
-    broadcast against a range of a further index."""
-    i, j = m._d.nonzero()
-    return i[:, None], j[:, None], m._d[i, j]
+def _grid(m: SparseMap):
+    """The nonzeros (i, j, value) of the matrix of m (row i = output key,
+    column j = input key), with i and j as columns, ready to broadcast
+    against a range of a further index."""
+    src, dst, v = m.coo()
+    return dst[:, None], src[:, None], v
 
 
 def _block(rows, cols, v, nrows: int):
@@ -335,21 +324,21 @@ def _block(rows, cols, v, nrows: int):
     return rows.ravel(), cols.ravel(), np.repeat(v, rows.shape[1]), nrows
 
 
-def _post_block(p: Matrix, d_src: int):
+def _post_block(p: SparseMap, d_src: int):
     """F -> P @ F; rows (z, x)."""
     z, y, v = _grid(p)
     x = np.arange(d_src)
-    return _block(z * d_src + x, y * d_src + x, v, p.rows * d_src)
+    return _block(z * d_src + x, y * d_src + x, v, p.out_size * d_src)
 
 
-def _pre_block(q: Matrix, d_tgt: int, d_src: int):
+def _pre_block(q: SparseMap, d_tgt: int, d_src: int):
     """F -> F @ Q; rows (y, w)."""
     x, w, v = _grid(q)
     y = np.arange(d_tgt)
-    return _block(y * q.cols + w, y * d_src + x, v, d_tgt * q.cols)
+    return _block(y * q.in_size + w, y * d_src + x, v, d_tgt * q.in_size)
 
 
-def _right_tensor_block(r: Matrix, d_src: int, d_tgt: int, dh: int):
+def _right_tensor_block(r: SparseMap, d_src: int, d_tgt: int, dh: int):
     """F -> (F (x) id_H) @ R with R : X -> X (x) H; rows ((y, h), x)."""
     rx, x, v = _grid(r)
     xp, hh = np.divmod(rx, dh)
@@ -357,7 +346,7 @@ def _right_tensor_block(r: Matrix, d_src: int, d_tgt: int, dh: int):
     return _block((y * dh + hh) * d_src + x, y * d_src + xp, v, d_tgt * dh * d_src)
 
 
-def _left_tensor_block(l: Matrix, d_src: int, d_tgt: int, dh: int):
+def _left_tensor_block(l: SparseMap, d_src: int, d_tgt: int, dh: int):
     """F -> (id_H (x) F) @ L with L : X -> H (x) X; rows ((h, y), x)."""
     rx, x, v = _grid(l)
     hh, xp = np.divmod(rx, d_src)
@@ -372,7 +361,7 @@ def _difference(field: ScalarField, a, b):
             np.concatenate((a[2], field.reduce(-b[2]))), a[3])
 
 
-def _action_block(field: ScalarField, x_act: Matrix, y_act: Matrix, d_src: int, d_tgt: int, d: int, side: str):
+def _action_block(field: ScalarField, x_act: SparseMap, y_act: SparseMap, d_src: int, d_tgt: int, d: int, side: str):
     """F x_act = y_act (F (x) id_A) for right actions of an algebra A of
     dim d (side "r", rows (y_out, (x, a))), F x_act = y_act (id_A (x) F)
     for left ones (side "l", rows (y_out, (a, x)))."""
@@ -384,7 +373,7 @@ def _action_block(field: ScalarField, x_act: Matrix, y_act: Matrix, d_src: int, 
     else:
         av, yp = np.divmod(z, d_tgt)
         rows = yo * (d * d_src) + av * d_src + x
-    nrows = y_act.rows * d_src * d
+    nrows = y_act.out_size * d_src * d
     return _difference(field, _pre_block(x_act, d_tgt, d_src), _block(rows, yp * d_src + x, v, nrows))
 
 
@@ -410,17 +399,6 @@ def colinearity_blocks(ctx: CategoryContext, x: CatObject, y: CatObject) -> list
     return blocks
 
 
-def bimodule_blocks(x: CatObject, y: CatObject, extra_bimodule) -> list[tuple]:
-    """Constraint blocks expressing that F : X -> Y is a bimodule map for
-    extra_bimodule = (x_act_l, x_act_r, y_act_l, y_act_r, d_alg), as in
-    `colinearity_blocks`: F xal = yal (id_A (x) F), then F xar = yar (F (x)
-    id_A)."""
-    xal, xar, yal, yar, d_alg = extra_bimodule
-    f = x.field
-    return [_action_block(f, xal, yal, x.dim, y.dim, d_alg, "l"),
-            _action_block(f, xar, yar, x.dim, y.dim, d_alg, "r")]
-
-
 class HomSpace:
     """Basis (RREF order) of the ctx-constrained morphism space."""
 
@@ -435,19 +413,11 @@ class HomSpace:
         return len(self.basis)
 
 
-def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject,
-              extra_bimodule=None) -> HomSpace:
-    """All ctx-morphisms X -> Y (optionally A-bimodule maps on top).
-
-    extra_bimodule = (x_act_l, x_act_r, y_act_l, y_act_r, d_alg): the four
-    action matrices of a declared algebra A acting on X and Y.  A refuted
-    basis map (`morphism_defects`) raises VerificationFailed at v or (h, v).
-    """
+def hom_space(ctx: CategoryContext, x: CatObject, y: CatObject) -> HomSpace:
+    """All ctx-morphisms X -> Y.  A refuted basis map (`morphism_defects`)
+    raises VerificationFailed at v or (h, v)."""
     solver = MapSolver(x.field, x.dim, y.dim)
-    blocks = colinearity_blocks(ctx, x, y)
-    if extra_bimodule is not None:
-        blocks += bimodule_blocks(x, y, extra_bimodule)
-    for block in blocks:
+    for block in colinearity_blocks(ctx, x, y):
         solver.add_coo(*block)
     maps = solver.kernel_maps()
     for m in maps:
@@ -486,7 +456,7 @@ def morphism_defects(ctx: CategoryContext, x, y: CatObject, f) -> list[tuple[str
         return p.permute((*range(1, len(dims) + 1), 0)) if name == "act_r" else p
 
     def with_x(p, name):  # p followed by X's structure
-        return p.map_at(getattr(x, name + "_map"), 0) if isinstance(x, CatObject) else _diagonal(p, *x, name)
+        return p.map_at(getattr(x, name), 0) if isinstance(x, CatObject) else _diagonal(p, *x, name)
 
     wanted = (("coact_r", ctx.wants_right_coaction), ("coact_l", ctx.wants_left_coaction),
               ("act_l", ctx.wants_left_action), ("act_r", ctx.wants_right_action))
@@ -494,7 +464,7 @@ def morphism_defects(ctx: CategoryContext, x, y: CatObject, f) -> list[tuple[str
     for t, (name, wants) in enumerate(wanted):
         if not wants:
             continue
-        ym = getattr(y, name + "_map")
+        ym = getattr(y, name)
         if name.startswith("coact"):
             lhs, rhs = P(name).map_at(fm, 0).map_at(ym, 0), with_x(P(name), name).map_at(fm, int(name == "coact_l"))
         else:
@@ -523,18 +493,18 @@ class YDObject:
 
     @cached_property
     def module(self) -> CatObject:
-        """R as a left module and left comodule; its stage maps are R's."""
+        """R as a left module and left comodule, its matrices converted once."""
         return CatObject(self.field, self.dim, self.hopf, coact_l=self.coact, act_l=self.act)
 
     @property
     def act_map(self) -> SparseMap:
         """The action as a SparseMap (dH, dim) -> (dim,), built once."""
-        return self.module.act_l_map
+        return self.module.act_l
 
     @property
     def coact_map(self) -> SparseMap:
         """The coaction as a SparseMap (dim,) -> (dH, dim), built once."""
-        return self.module.coact_l_map
+        return self.module.coact_l
 
     def validate(self) -> ValidationReport:
         if self._passed is not None:
@@ -588,13 +558,14 @@ def braiding(v: YDObject, w: YDObject) -> Matrix:
     return m
 
 
-def coinvariants(field, dim: int, coact_r: Matrix, hopf: HopfObject) -> Subspace:
-    """{v : rho_r(v) = v (x) 1_H} as the kernel of rho_r - (. (x) 1)."""
+def coinvariants(coact_r: SparseMap, hopf: HopfObject) -> Subspace:
+    """{v : rho_r(v) = v (x) 1_H} as the kernel of rho_r - (. (x) 1), on the
+    dense matrix of rho_r (faster than the sparse path on tiny Q systems)."""
     dh = hopf.dim
-    r = np.arange(dim * dh)
-    d = coact_r._d.copy()
-    d[r, r // dh] = field.reduce(d[r, r // dh] - np.array(hopf.unit, dtype=d.dtype)[r % dh])
-    return Subspace.from_matrix_rows(coact_r._new(dim * dh, dim, d).kernel())
+    m = coact_r.matrix()
+    r = np.arange(m.rows)
+    m._d[r, r // dh] = coact_r.field.reduce(m._d[r, r // dh] - np.array(hopf.unit, dtype=m._d.dtype)[r % dh])
+    return Subspace.from_matrix_rows(m.kernel())
 
 
 def _coordinates_in(space: Subspace, rows: SparseMap, check: str, shape: tuple) -> Matrix:
@@ -609,29 +580,44 @@ def _coordinates_in(space: Subspace, rows: SparseMap, check: str, shape: tuple) 
     return c
 
 
+def coaction_slices(co: SparseMap, rows: SparseMap, side: str) -> SparseMap:
+    """The H-slices of a coaction on the vectors v_t of a matrix of rows:
+    row (t, h) is the h-component of co(v_t), for co : V -> H (x) V (side
+    "l") or V -> V (x) H (side "r").  One two-stage pipeline, its output
+    keys relabelled from (t, (x, h)) to ((t, h), x)."""
+    n = rows.out_size
+    dh = co.out_size // n
+    m = StagePipeline(co.field, (rows.in_size,)).map_at(rows, 0).map_at(co, 0).sparse_map()
+    h, x = np.divmod(m.dst, n) if side == "l" else np.divmod(m.dst, dh)[::-1]
+    key = (m.src * dh + h) * n + x
+    order = np.argsort(key, kind="stable")
+    r, c = np.divmod(key[order], n)
+    return SparseMap.from_coo(co.field, (rows.in_size * dh,), (n,), r, c, m.values[order])
+
+
 def yd_from_hopf_bimodule(v: CatObject) -> tuple[YDObject, Matrix]:
     """Diagram of a Hopf bimodule: coinvariants with adjoint action and
     restricted left coaction.  Returns (R, incl) with incl (dV x dR)."""
     h = v.hopf
     f = v.field
-    r_space = coinvariants(f, v.dim, v.coact_r, h)
+    r_space = coinvariants(v.coact_r, h)
     dr = r_space.dim
     incl = r_space.basis.transpose()
-    dh, n = h.dim, v.dim
+    r_rows = SparseMap.from_rows(r_space.basis)
+    dh = h.dim
     # adjoint action h . r = h1 r S(h2), one row per (h, t)
     adj = (StagePipeline(f, (dh, dr))
-           .map_at(SparseMap.from_matrix(incl, (dr,), (n,)), 1)  # (h, r)
+           .map_at(r_rows, 1)  # (h, r)
            .map_at(h.as_coalgebra().comul_map(), 0)  # (h1, h2, r)
            .map_at(h.antipode_map, 1)  # (h1, S h2, r)
            .permute((0, 2, 1))
-           .map_at(v.act_l_map, 0)  # (h1 r, S h2)
-           .map_at(v.act_r_map, 0)
+           .map_at(v.act_l, 0)  # (h1 r, S h2)
+           .map_at(v.act_r, 0)
            .sparse_map())
     act = _coordinates_in(r_space, adj, "adjoint_action_preserves_coinvariants", (dh, dr))
     # restricted left coaction: the H-components of rho(r_t), one row per (t, h)
-    rho = (v.coact_l @ incl)._d.reshape(dh, n, dr).transpose(2, 0, 1)
-    co = _coordinates_in(r_space, SparseMap.from_rows(incl._new(dr * dh, n, rho.reshape(dr * dh, n))),
-                         "coaction_preserves_coinvariants", (dr, dh))
+    co = _coordinates_in(r_space, coaction_slices(v.coact_l, r_rows, "l"), "coaction_preserves_coinvariants",
+                         (dr, dh))
     coact = co._new(dh * dr, dr, co._d.reshape(dr, dh, dr).transpose(1, 2, 0).reshape(dh * dr, dr))
     yd = YDObject(h, dr, act.transpose(), coact)
     yd.validate().require("diagram of a Hopf bimodule")
@@ -666,7 +652,7 @@ def hopf_bimodule_structures(w: YDObject) -> tuple:
 
 def hopf_bimodule_from_yd(w: YDObject) -> CatObject:
     """W (x) H with diagonal left structures and canonical right ones."""
-    return CatObject(w.field, w.dim * w.hopf.dim, w.hopf, *(p.matrix() for p in hopf_bimodule_structures(w)))
+    return CatObject(w.field, w.dim * w.hopf.dim, w.hopf, *(p.sparse_map() for p in hopf_bimodule_structures(w)))
 
 
 def phi_iso(v: CatObject, r_incl: Matrix) -> tuple[Matrix, Matrix]:
@@ -674,7 +660,7 @@ def phi_iso(v: CatObject, r_incl: Matrix) -> tuple[Matrix, Matrix]:
     bijective.  r_incl has shape (dV, dR)."""
     dr = r_incl.cols
     phi = (StagePipeline(v.field, (dr, v.hopf.dim)).map_at(SparseMap.from_matrix(r_incl, (dr,), (v.dim,)), 0)
-           .map_at(v.act_r_map, 0).matrix())
+           .map_at(v.act_r, 0).matrix())
     return phi, phi.inverse()
 
 
@@ -692,7 +678,7 @@ def integral_retraction(hopf: HopfObject, lam: IntegralWitness, m: CatObject) ->
         raise ValueError("integral functional must be normalized")
     dh = hopf.dim
     dm = m.dim
-    cl, cr, s = m.coact_l_map, m.coact_r_map, hopf.antipode_map
+    cl, cr, s = m.coact_l, m.coact_r, hopf.antipode_map
     mul = hopf.as_algebra().mul_map()
     mu_map = (StagePipeline(f, (dh, dm, dh)).map_at(s, 0).map_at(s, 2)  # (Sh, m, Sk)
               .map_at(cl, 1).map_at(mul, 0).contract(0, lam.vector)  # lam(S(h) m_(-1)) (m_(0), Sk)

@@ -67,6 +67,7 @@ from .category import (
     _coordinates_in,
     _post_block,
     _pre_block,
+    coaction_slices,
     colinearity_blocks,
     hom_space,
     morphism_defects,
@@ -76,6 +77,7 @@ from .category import (
 from .linalg import (
     InconsistentSystem,
     Matrix,
+    Numerators,
     SparseMap,
     Subspace,
     _join,
@@ -314,6 +316,11 @@ def _vec(m: Matrix) -> list:
     return m._d.ravel().tolist()
 
 
+def _as_map(m: Matrix) -> SparseMap:
+    """m as the map (cols,) -> (rows,), an operand of the constraint blocks."""
+    return SparseMap.from_matrix(m, (m.cols,), (m.rows,))
+
+
 def _devec(fld, flat: list, rows: int, cols: int) -> Matrix:
     return Matrix.from_rows(fld, [flat[r * cols : (r + 1) * cols] for r in range(rows)])
 
@@ -428,30 +435,33 @@ def extension_from_cocycle(actx: AlgebraInContext, mctx: BimoduleInContext, omeg
 
 def _direct_sum_object(ctx: CategoryContext, x: CatObject, y: CatObject) -> CatObject:
     """X (+) Y with block-diagonal (co)actions: each summand's structure
-    matrix is placed at its basis, its (v, h) and its (h, v) tensors."""
+    entries are placed with its V factor moved to the summand's offset."""
     fld = x.field
     n = x.dim + y.dim
     if ctx.kind == "vect":
         return CatObject(fld, n)
     dh = ctx.hopf.dim
+    # each structure's input and output dims over X (+) Y, and the position of V in each
+    dims = {"coact_l": ((n,), (dh, n), 0, 1), "coact_r": ((n,), (n, dh), 0, 0),
+            "act_l": ((dh, n), (n,), 1, 0), "act_r": ((n, dh), (n,), 0, 0)}
 
-    def at(dim, off):  # a summand's v, (v, h) and (h, v) indices in X (+) Y
-        v = np.arange(dim) + off
-        return v, (v[:, None] * dh + np.arange(dh)).ravel(), (np.arange(dh)[:, None] * n + v).ravel()
+    def moved(keys, sub, pos, off, out):  # keys over a summand's dims sub, V moved by off, over out
+        digits = list(np.unravel_index(keys, sub))
+        digits[pos] = digits[pos] + off
+        return np.ravel_multi_index(digits, out)
 
-    ix, iy = at(x.dim, 0), at(y.dim, x.dim)
-
-    def block(mx, my, rows, cols):
-        if mx is None or my is None:
+    def block(name):
+        ins, outs, pi, po = dims[name]
+        parts = ((getattr(x, name), 0), (getattr(y, name), x.dim))
+        if any(m is None for m, _ in parts):
             return None
-        out = Matrix.zeros(fld, ix[rows].size + iy[rows].size, ix[cols].size + iy[cols].size)
-        out._d[np.ix_(ix[rows], ix[cols])] = mx._d
-        out._d[np.ix_(iy[rows], iy[cols])] = my._d
-        return out
+        src = np.concatenate([moved(m.src, m.in_dims, pi, off, ins) for m, off in parts])
+        dst = np.concatenate([moved(m.dst, m.out_dims, po, off, outs) for m, off in parts])
+        order = np.lexsort((dst, src))
+        return SparseMap.from_coo(fld, ins, outs, src[order], dst[order],
+                                  Numerators.concat([m.values for m, _ in parts])[order])
 
-    return CatObject(fld, n, ctx.hopf, coact_l=block(x.coact_l, y.coact_l, 2, 0),
-                     coact_r=block(x.coact_r, y.coact_r, 1, 0), act_l=block(x.act_l, y.act_l, 0, 2),
-                     act_r=block(x.act_r, y.act_r, 0, 1))
+    return CatObject(fld, n, ctx.hopf, **{name: block(name) for name in dims})
 
 
 def find_ctx_section(ext: ExtensionData) -> Matrix:
@@ -463,7 +473,7 @@ def find_ctx_section(ext: ExtensionData) -> Matrix:
     solver = MapSolver(fld, da, de)
     for block in colinearity_blocks(actx.ctx, actx.obj, ext.eactx.obj):
         solver.add_coo(*block)
-    solver.add_coo(*_post_block(ext.pi, da), _vec(Matrix.identity(fld, da)))
+    solver.add_coo(*_post_block(_as_map(ext.pi), da), _vec(Matrix.identity(fld, da)))
     return solver.solve_map()
 
 
@@ -591,12 +601,12 @@ def equivalent_extensions(e1: ExtensionData, e2: ExtensionData, bound: int = 409
     fld = e1.actx.field
     de1, de2 = e1.eactx.dim, e2.eactx.dim
     solver = MapSolver(fld, de1, de2)
-    solver.add_coo(*_post_block(e2.pi, de1), _vec(e1.pi))
-    solver.add_coo(*_pre_block(e1.incl, de2, de1), _vec(e2.incl))
+    solver.add_coo(*_post_block(_as_map(e2.pi), de1), _vec(e1.pi))
+    solver.add_coo(*_pre_block(_as_map(e1.incl), de2, de1), _vec(e2.incl))
     for block in colinearity_blocks(e1.actx.ctx, e1.eactx.obj, e2.eactx.obj):
         solver.add_coo(*block)
     # unit condition f(1) = 1: F u = u' with u the unit as a column
-    solver.add_coo(*_pre_block(Matrix.column(fld, e1.eactx.algebra.unit), de2, de1),
+    solver.add_coo(*_pre_block(_as_map(Matrix.column(fld, e1.eactx.algebra.unit)), de2, de1),
                    list(e2.eactx.algebra.unit))
     try:
         f0 = solver.solve_map()
@@ -675,8 +685,8 @@ def quotient_in_context(actx: AlgebraInContext, ideal: IdealData | Subspace) -> 
                 raise ValueError(f"ideal is not a {side} subcomodule")
             return None if co is None else image(incl_rows, co, pos)
 
-        obj = CatObject.from_maps(fld, dq, ctx.hopf, coact_l=descend(actx.obj.coact_l_map, 1, "left"),
-                                  coact_r=descend(actx.obj.coact_r_map, 0, "right"))
+        obj = CatObject(fld, dq, ctx.hopf, coact_l=descend(actx.obj.coact_l, 1, "left"),
+                        coact_r=descend(actx.obj.coact_r, 0, "right"))
     qactx = AlgebraInContext(ctx, q, obj)
     return QuotientStep(qactx, proj, incl, free)
 
@@ -799,9 +809,10 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
                    p_r: Matrix, kernel_sub: Subspace, sigma: Matrix) -> Matrix:
     """One square-zero correction step: solve b1(tau) = curvature in ctx.
 
-    The kernel's square-zero test, the induced bimodule actions and the
-    restricted coactions are each one product (`pairwise_products`, `@`),
-    and the curvature is the difference of two stage pipelines
+    The kernel's square-zero test and the induced bimodule actions are each
+    one product (`pairwise_products`), the restricted coactions the
+    coaction's slices on the kernel basis (`coaction_slices`), and the
+    curvature is the difference of two stage pipelines
     (`defect_map`); each is read off in kernel coordinates
     (`Subspace.coordinates`), which fails when a product escapes the
     kernel.
@@ -809,7 +820,7 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
     fld = b_actx.field
     b_alg = b_actx.algebra
     q_alg = q_actx.algebra
-    db, dq = b_alg.dim, q_alg.dim
+    db = b_alg.dim
     dm = kernel_sub.dim
     kern = kernel_sub.basis  # rows: the kernel basis in Q_{r+1}
     incl = kern.transpose()  # (dq, dm)
@@ -833,23 +844,22 @@ def _tower_correct(b_actx: AlgebraInContext, q_actx: AlgebraInContext,
         kobj = CatObject(fld, dm)
     else:
         dh = ctx.hopf.dim
+        kern_rows = SparseMap.from_rows(kern)
 
         def restrict(co, side):
             # slice (t, h) of co(m_t) is a vector of Q_{r+1} that must lie
-            # in the kernel; its coordinate s is entry (s, h) of column t
-            # on the right, (h, s) on the left
+            # in the kernel; its coordinate s is the entry t -> (s, h) on the
+            # right, t -> (h, s) on the left
             if co is None:
                 return None
-            img = (co @ incl)._d
-            img = (img.reshape(dq, dh, dm).transpose(2, 1, 0) if side == "r"
-                   else img.reshape(dh, dq, dm).transpose(2, 0, 1))  # (t, h, x)
-            slices = SparseMap.from_rows(Matrix(fld, dm * dh, dq, img.reshape(dm * dh, dq), _raw=True))
-            c = _coordinates_in(kernel_sub, slices, "tower_kernel_coaction", (dm, dh))._d
-            c = c.reshape(dm, dh, dm).transpose((2, 1, 0) if side == "r" else (1, 2, 0))
-            return Matrix(fld, dm * dh, dm, c.reshape(dm * dh, dm), _raw=True)
+            c = _coordinates_in(kernel_sub, coaction_slices(co, kern_rows, side), "tower_kernel_coaction", (dm, dh))
+            th, s = np.nonzero(c._d)
+            t, h = np.divmod(th, dh)
+            if side == "r":
+                return SparseMap(fld, (dm,), (dm, dh), t, s * dh + h, c._d[th, s])
+            return SparseMap(fld, (dm,), (dh, dm), t, h * dm + s, c._d[th, s])
 
-        kobj = CatObject(fld, dm, ctx.hopf,
-                         coact_l=restrict(q_actx.obj.coact_l, "l"),
+        kobj = CatObject(fld, dm, ctx.hopf, coact_l=restrict(q_actx.obj.coact_l, "l"),
                          coact_r=restrict(q_actx.obj.coact_r, "r"))
     mctx = BimoduleInContext(b_actx, kobj, act_l, act_r)
     solver = MapSolver(fld, db, dm)

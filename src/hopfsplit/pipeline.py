@@ -224,8 +224,8 @@ def _algebra_in_comodule_ctx(a: BialgebraObject, h: HopfObject, pm: SparseMap,
     """A with the right coaction pm induces, and the left one at the bicomodule level."""
     ctx = CategoryContext("comod_r" if level == "comodule" else "bicomod", h)
     rho_l, rho_r = _coaction_pipelines(a, pm)
-    obj = CatObject.from_maps(a.field, a.dim, h, coact_l=rho_l.sparse_map() if level == "bicomodule" else None,
-                              coact_r=rho_r.sparse_map())
+    obj = CatObject(a.field, a.dim, h, coact_l=rho_l.sparse_map() if level == "bicomodule" else None,
+                    coact_r=rho_r.sparse_map())
     return AlgebraInContext(ctx, a.as_algebra(), obj)
 
 
@@ -300,7 +300,7 @@ def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> Spl
     rep.record("pi_coalgebra_map", is_coalgebra_map(a.as_coalgebra(), h_cor.as_coalgebra(), pm),
                "pi is not a coalgebra map")
     # pi right (and left) H-linear for the actions sigma induces
-    v = CatObject(f, n, h_cor, None, None, *(p.matrix() for p in _action_pipelines(a, sm)))
+    v = CatObject(f, n, h_cor, None, None, *(p.sparse_map() for p in _action_pipelines(a, sm)))
     ctx = CategoryContext("bimod" if level == "bicomodule" else "mod_r", h_cor)
     rep.record("pi_bilinear" if level == "bicomodule" else "pi_right_linear",
                not morphism_defects(ctx, v, CatObject.regular(h_cor), pm), "pi is not H-(bi)linear")
@@ -349,8 +349,8 @@ def reconstruct_and_verify(a: BialgebraObject, split_res: SplitResult) -> SplitR
     rep.record("quadruple_axioms", True)
     rep.record("bosonization_valid", True)
     # phi(r # h) = r sigma(h), R the right coinvariants of A
-    rho_r = _coaction_pipelines(a, split_res.pi_map)[1].matrix()
-    incl = coinvariants(a.field, a.dim, rho_r, h).basis.transpose()
+    rho_r = _coaction_pipelines(a, split_res.pi_map)[1].sparse_map()
+    incl = coinvariants(rho_r, h).basis.transpose()
     phi = pairwise_products(a.as_algebra(), incl.transpose(), split_res.sigma.transpose()).dense().transpose()
     phi.inverse()  # bijectivity (raises if singular)
     rep.record("iso_bijective", True)

@@ -538,7 +538,7 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
                    "sigma is not a coalgebra map")
         # pi bilinear for the actions induced by sigma: pi(sigma(h) a) = h pi(a)
         # and pi(a sigma(h)) = pi(a) h
-        v = CatObject(f, n, h, act_l=act_l.matrix(), act_r=act_r.matrix())
+        v = CatObject(f, n, h, act_l=act_l.sparse_map(), act_r=act_r.sparse_map())
         rep.record("pi_bilinear", not morphism_defects(CategoryContext("bimod", h), v, CatObject.regular(h), pm),
                    "pi is not (H,H)-bilinear")
     comp = pi @ sigma
@@ -575,14 +575,6 @@ def _action_pipelines(a: BialgebraObject, sm: SparseMap):
             StagePipeline(a.field, (n, dh)).map_at(sm, 1).map_at(mul, 0))
 
 
-def coactions_from_pi(a: BialgebraObject, pi: Matrix, dh: int):
-    return tuple(p.matrix() for p in _coaction_pipelines(a, SparseMap.from_matrix(pi, (a.dim,), (dh,))))
-
-
-def actions_from_sigma(a: BialgebraObject, sigma: Matrix, dh: int):
-    return tuple(p.matrix() for p in _action_pipelines(a, SparseMap.from_matrix(sigma, (dh,), (a.dim,))))
-
-
 class ExtractionError(Exception):
     pass
 
@@ -615,7 +607,7 @@ def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix
             raise ExtractionError("sigma is not a coalgebra map")
         if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pm):
             raise ExtractionError("pi is not a coalgebra map")
-    v = CatObject(f, n, h, *(p.matrix() for p in (*_coaction_pipelines(a, pm), *_action_pipelines(a, sm))))
+    v = CatObject(f, n, h, *(p.sparse_map() for p in (*_coaction_pipelines(a, pm), *_action_pipelines(a, sm))))
     # primal: sigma bicolinear for the coactions pi induces; dual: pi
     # bilinear for the actions sigma induces, pi(sigma(h) a sigma(k)) = h pi(a) k
     if side == "primal":

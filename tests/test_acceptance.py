@@ -499,6 +499,7 @@ def _mu_is_morphism(h, m, mu) -> bool:
     through the coactions of A = H)."""
     f = h.field
     dh, dm = h.dim, m.dim
+    coact_l, coact_r, act_l = m.coact_l.matrix(), m.coact_r.matrix(), m.act_l.matrix()
     for hh in range(dh):
         for mm in range(dm):
             for kk in range(dh):
@@ -506,7 +507,7 @@ def _mu_is_morphism(h, m, mu) -> bool:
                 src[(hh * dm + mm) * dh + kk] = f.one()
                 out = mu.apply(src)
                 # left coaction: Delta_H on the first factor
-                lhs = m.coact_l.apply(out)
+                lhs = coact_l.apply(out)
                 rhs = v_zero(f, dh * dm)
                 for (h1, h2), c in h.comul.get(hh, {}).items():
                     src2 = v_zero(f, dh * dm * dh)
@@ -518,7 +519,7 @@ def _mu_is_morphism(h, m, mu) -> bool:
                 if lhs != rhs:
                     return False
                 # right coaction: Delta_H on the last factor
-                lhs = m.coact_r.apply(out)
+                lhs = coact_r.apply(out)
                 rhs = v_zero(f, dm * dh)
                 for (k1, k2), c in h.comul.get(kk, {}).items():
                     src2 = v_zero(f, dh * dm * dh)
@@ -532,13 +533,13 @@ def _mu_is_morphism(h, m, mu) -> bool:
                 # left action of a in A = H: a (h (x) m (x) k) =
                 #   a_(-1) h (x) a_(0) m (x) a_(1) k  with coactions Delta^2
                 for av in range(dh):
-                    lhs = m.act_l.apply(v_tensor(f, v_basis(f, dh, av), out))
+                    lhs = act_l.apply(v_tensor(f, v_basis(f, dh, av), out))
                     rhs = v_zero(f, dm)
                     for (a1, a2), c in h.comul.get(av, {}).items():
                         for (a2a, a2b), c2 in h.comul.get(a2, {}).items():
                             for hp, c3 in h.mul.get((a1, hh), {}).items():
                                 for kp, c4 in h.mul.get((a2b, kk), {}).items():
-                                    mid = m.act_l.apply(v_tensor(f, v_basis(f, dh, a2a), v_basis(f, dm, mm)))
+                                    mid = act_l.apply(v_tensor(f, v_basis(f, dh, a2a), v_basis(f, dm, mm)))
                                     for t, w in enumerate(mid):
                                         if f.is_zero(w):
                                             continue

@@ -669,7 +669,7 @@ def separability_system_by_dict_loop(a, ctx):
         h = ctx.hopf
         dh = h.dim
         hm = h.as_algebra()
-        for cm, left in ((ctx.coact_l, True), (ctx.coact_r, False)):
+        for cm, left in ((ctx.coact_l.matrix(), True), (ctx.coact_r.matrix(), False)):
             # rho(e_x (x) e_y) - e_x (x) e_y (x) 1 on (h, x', y') left, (x', y', h) right
             out = [[f.zero()] * (n * n) for _ in range(dh * n * n)]
 

@@ -10,8 +10,8 @@ from hopfsplit.category import (
     CatObject,
     CategoryContext,
     YDObject,
-    bimodule_blocks,
     braiding,
+    coaction_slices,
     colinearity_blocks,
     coinvariants,
     hom_space,
@@ -22,10 +22,11 @@ from hopfsplit.category import (
     yd_from_hopf_bimodule,
 )
 from hopfsplit.fields import GF, QQ
+from hopfsplit.hochschild import _direct_sum_object, quotient_in_context
 from hopfsplit.hopf import find_integral
-from hopfsplit.linalg import Matrix
-from hopfsplit.smash import coactions_from_pi, actions_from_sigma
+from hopfsplit.linalg import Matrix, SparseMap, Subspace
 from hopfsplit.tensors import v_basis, v_tensor
+from smash_reference import actions_from_sigma, coactions_from_pi
 
 
 def h4_as_hopf_bimodule():
@@ -89,7 +90,7 @@ def test_bicomod_hom_contains_projection():
 
 def test_coinvariants_of_h4():
     h4, h2, v = h4_as_hopf_bimodule()
-    r = coinvariants(QQ, 4, v.coact_r, h2)
+    r = coinvariants(v.coact_r, h2)
     assert r.dim == 2
     assert r.contains_vector(v_basis(QQ, 4, 0))
     assert r.contains_vector(v_basis(QQ, 4, 1))
@@ -173,7 +174,17 @@ def test_hom_dim_preserved_by_yd_equivalence():
     v2 = random_yd_module(h, rng)
     w1 = hopf_bimodule_from_yd(v1)
     w2 = hopf_bimodule_from_yd(v2)
-    hs = hom_space(ctx, w1, w2, extra_bimodule=(w1.act_l, w1.act_r, w2.act_l, w2.act_r, h.dim))
+    # Hopf bimodule maps: bicolinear and bilinear maps w1 -> w2
+
+    class _Bctx:
+        kind = "bicomod"
+        hopf = h
+        wants_right_coaction = True
+        wants_left_coaction = True
+        wants_right_action = True
+        wants_left_action = True
+
+    hs = hom_space(_Bctx(), w1, w2)
     # YD morphisms: linear + colinear maps v1 -> v2
 
     class _Yctx:
@@ -252,8 +263,8 @@ def test_yd_hopf_bimodule_random_roundtrip():
             for t in range(back.dim):
                 x = incl.col_list(t)
                 lhs = incl @ Matrix.column(QQ, back.act.apply(v_basis(QQ, 2 * back.dim, hh * back.dim + t)))
-                mid = w.act_l.apply(v_tensor(QQ, v_basis(QQ, 2, hh), x))
-                rhs = w.act_r.apply(v_tensor(QQ, mid, sh))  # grouplike: Delta(h) = h (x) h
+                mid = w.act_l.matrix().apply(v_tensor(QQ, v_basis(QQ, 2, hh), x))
+                rhs = w.act_r.matrix().apply(v_tensor(QQ, mid, sh))  # grouplike: Delta(h) = h (x) h
                 assert lhs.col_list(0) == rhs
 
 
@@ -389,22 +400,49 @@ def _action_block_by_dict(f, x_act, y_act, dx, dy, d, side):
 
 
 def _colinearity_blocks_by_dict(ctx, x, y):
+    """The blocks of `colinearity_blocks`, read off the structures' matrices."""
     f = x.field
     blocks = []
     if ctx.kind == "vect":
         return blocks
     dh = ctx.hopf.dim
+    xm, ym = ({name: getattr(o, name).matrix() for name in _WANTS if getattr(o, name) is not None} for o in (x, y))
     if ctx.wants_right_coaction:
-        b1, n1 = _post_block_by_dict(y.coact_r, x.dim)
-        blocks.append((_merge_by_dict(f, b1, _right_tensor_block_by_dict(x.coact_r, x.dim, y.dim, dh)), n1))
+        b1, n1 = _post_block_by_dict(ym["coact_r"], x.dim)
+        blocks.append((_merge_by_dict(f, b1, _right_tensor_block_by_dict(xm["coact_r"], x.dim, y.dim, dh)), n1))
     if ctx.wants_left_coaction:
-        b1, n1 = _post_block_by_dict(y.coact_l, x.dim)
-        blocks.append((_merge_by_dict(f, b1, _left_tensor_block_by_dict(x.coact_l, x.dim, y.dim, dh)), n1))
+        b1, n1 = _post_block_by_dict(ym["coact_l"], x.dim)
+        blocks.append((_merge_by_dict(f, b1, _left_tensor_block_by_dict(xm["coact_l"], x.dim, y.dim, dh)), n1))
     if ctx.wants_right_action:
-        blocks.append(_action_block_by_dict(f, x.act_r, y.act_r, x.dim, y.dim, dh, "r"))
+        blocks.append(_action_block_by_dict(f, xm["act_r"], ym["act_r"], x.dim, y.dim, dh, "r"))
     if ctx.wants_left_action:
-        blocks.append(_action_block_by_dict(f, x.act_l, y.act_l, x.dim, y.dim, dh, "l"))
+        blocks.append(_action_block_by_dict(f, xm["act_l"], ym["act_l"], x.dim, y.dim, dh, "l"))
     return blocks
+
+
+# the structure each want of a context asks for
+_WANTS = {"coact_r": "wants_right_coaction", "coact_l": "wants_left_coaction",
+          "act_r": "wants_right_action", "act_l": "wants_left_action"}
+
+
+def _has_wanted(ctx, obj):
+    return all(getattr(obj, name) is not None for name, want in _WANTS.items() if getattr(ctx, want))
+
+
+def _split_objects(a, radical, ideal):
+    """H = A / J with A and A / I, I in J an ideal, as H-bicomodules: the
+    coactions pi : A -> H induces on A, and those descended to A / I as a
+    level of the tower."""
+    from hopfsplit.pipeline import _algebra_in_comodule_ctx, certify_split_input
+
+    f, n = a.field, a.dim
+
+    def span(idx):
+        return Subspace.from_vectors(f, n, [v_basis(f, n, i) for i in idx])
+
+    cert = certify_split_input(a, "radical", span(radical))
+    actx = _algebra_in_comodule_ctx(a, cert.hopf, cert.ideal.quotient[2], "bicomodule")
+    return cert.hopf, [actx.obj, quotient_in_context(actx, span(ideal)).actx.obj]
 
 
 def _summed_block(f, block):
@@ -422,23 +460,63 @@ def _summed_block(f, block):
 
 def test_coo_constraint_blocks_match_dict_builders():
     cancelled = 0
-    for h in (taft(3, 2, GF(7)), sweedler_h4(QQ)):
+    t3, h4 = taft(3, 2, GF(7)), sweedler_h4(QQ)
+    # over T_3 and H4, and over their quotients by J = (x), k[Z_3] and k[Z_2],
+    # with the objects of a split: J is spanned by g^i x^j with j > 0 in T_3
+    # (its square by j = 2) and by x, gx in H4
+    for h, extra in ((t3, []), (h4, []), _split_objects(t3, (1, 2, 4, 5, 7, 8), (2, 5, 8)),
+                     _split_objects(h4, (1, 3), (1, 3))):
         f = h.field
         reg, triv = CatObject.regular(h), CatObject.trivial(f, h, 2)
-        objects = [reg, triv, tensor_catobject(reg, triv)]
+        objects = [reg, triv, tensor_catobject(reg, triv), _direct_sum_object(CategoryContext("bimod", h), triv, reg),
+                   *extra]
         for kind in CTX_KINDS:
             ctx = CategoryContext(kind, h)
             for x in objects:
                 for y in objects:
+                    if not (_has_wanted(ctx, x) and _has_wanted(ctx, y)):
+                        continue
                     got = [_summed_block(f, b) for b in colinearity_blocks(ctx, x, y)]
                     assert [g[:2] for g in got] == _colinearity_blocks_by_dict(ctx, x, y)
                     cancelled += sum(g[2] for g in got)
-        for x in objects:
-            for y in objects:
-                got = [_summed_block(f, b) for b in
-                       bimodule_blocks(x, y, (x.act_l, x.act_r, y.act_l, y.act_r, h.dim))]
-                assert [g[:2] for g in got] == [
-                    _action_block_by_dict(f, x.act_l, y.act_l, x.dim, y.dim, h.dim, "l"),
-                    _action_block_by_dict(f, x.act_r, y.act_r, x.dim, y.dim, h.dim, "r")]
-                cancelled += sum(g[2] for g in got)
     assert cancelled  # some entries of the two sides cancel to zero
+
+
+def _dense_slices(co, rows, side):
+    """The H-slices of co on the rows by the dense product co @ rows^T,
+    reshaped to one row per (t, h)."""
+    n, k = rows.cols, rows.rows
+    dh = co.rows // n
+    img = (co @ rows.transpose())._d
+    img = img.reshape(n, dh, k).transpose(2, 1, 0) if side == "r" else img.reshape(dh, n, k).transpose(2, 0, 1)
+    return Matrix(co.field, k * dh, n, img.reshape(k * dh, n), _raw=True)
+
+
+def test_coaction_slices_match_the_dense_reshape():
+    rng = random.Random(11)
+    for h in (taft(3, 2, GF(7)), sweedler_h4(QQ)):
+        f = h.field
+        for obj in (CatObject.regular(h), tensor_catobject(CatObject.regular(h), CatObject.trivial(f, h, 2))):
+            n = obj.dim
+            for k in (1, 3):
+                rows = Matrix.from_rows(f, [[f.from_int(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(k)])
+                for side, co in (("l", obj.coact_l), ("r", obj.coact_r)):
+                    got = coaction_slices(co, SparseMap.from_rows(rows), side)
+                    assert got.shape == (k * h.dim, n)
+                    assert got.dense() == _dense_slices(co.matrix(), rows, side)
+
+
+def test_catobject_refuses_a_structure_of_the_wrong_size():
+    import pytest
+
+    h = group_algebra(2, QQ)
+    comul = h.as_coalgebra().comul_map()  # (2,) -> (2, 2)
+    with pytest.raises(ValueError):
+        CatObject(QQ, 3, h, coact_r=comul)
+    with pytest.raises(ValueError):
+        CatObject(QQ, 3, h, act_l=h.as_algebra().mul_map())
+    with pytest.raises(ValueError):
+        CatObject(QQ, 2, h, coact_l=Matrix.zeros(QQ, 4, 3))
+    # a map over other factors of the same sizes is read over the object's own
+    obj = CatObject(QQ, 4, h, coact_r=SparseMap(QQ, (2, 2), (2, 2, 2), [0], [0], [QQ.one()]))
+    assert (obj.coact_r.in_dims, obj.coact_r.out_dims) == ((4,), (4, 2))

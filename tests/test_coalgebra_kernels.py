@@ -33,10 +33,11 @@ from hopfsplit.coalgebra import (
 )
 from hopfsplit.fields import GF, QQ
 from hopfsplit.hopf import BialgebraObject, is_coalgebra_map
-from hopfsplit.linalg import Matrix, Subspace
+from hopfsplit.linalg import Matrix, SparseMap, Subspace
 from hopfsplit.pipeline import CertificationFailed, quotient_bialgebra
-from hopfsplit.smash import _split_premises, actions_from_sigma, coactions_from_pi
+from hopfsplit.smash import _split_premises
 from hopfsplit.tensors import v_basis, v_eq, v_tensor, v_zero
+from smash_reference import actions_from_sigma, coactions_from_pi
 
 HOPFS = {
     "taft2_f5": lambda: taft(2, GF(5).primitive_root_of_unity(2), GF(5)),
@@ -696,8 +697,8 @@ def test_split_predicates_name_the_loops_first_failure(side):
             got = outcome(_split_premises, h4, h2, p2, s2, side)
             if got[0] == "ok":  # A with the induced (co)actions, computed once, for the diagram
                 v = got[1]
-                assert (v.coact_l, v.coact_r, v.act_l, v.act_r) == (*coactions_from_pi(h4, p2, 2),
-                                                                    *actions_from_sigma(h4, s2, 2))
+                assert tuple(m.matrix() for m in (v.coact_l, v.coact_r, v.act_l, v.act_r)) == (
+                    *coactions_from_pi(h4, p2, 2), *actions_from_sigma(h4, s2, 2))
                 got = ("ok", None)
             assert got == (("ok", None) if want is None else ("ExtractionError", want))
             seen.add(want)
@@ -710,7 +711,8 @@ def yd_by_dict_loop(v: CatObject):
     from hopfsplit.category import coinvariants
 
     h, f = v.hopf, v.field
-    r_space = coinvariants(f, v.dim, v.coact_r, h)
+    r_space = coinvariants(v.coact_r, h)
+    act_l, act_r, coact_l = v.act_l.matrix(), v.act_r.matrix(), v.coact_l.matrix()
     dr, dh, piv = r_space.dim, h.dim, r_space.pivots
     act: dict = {}
     for hh in range(dh):
@@ -718,10 +720,10 @@ def yd_by_dict_loop(v: CatObject):
             out = v_zero(f, v.dim)
             for (h1, h2), c in h.comul.get(hh, {}).items():
                 sh2 = h.antipode.apply(v_basis(f, dh, h2))
-                tmp = v.act_l.apply(v_tensor(f, v_basis(f, dh, h1), r_space.basis.row_list(t)))
+                tmp = act_l.apply(v_tensor(f, v_basis(f, dh, h1), r_space.basis.row_list(t)))
                 for idx2, w2 in enumerate(sh2):
                     if not f.is_zero(w2):
-                        tmp2 = v.act_r.apply(v_tensor(f, tmp, v_basis(f, dh, idx2)))
+                        tmp2 = act_r.apply(v_tensor(f, tmp, v_basis(f, dh, idx2)))
                         out = [f.add(o, f.mul(f.mul(c, w2), z)) for o, z in zip(out, tmp2)]
             if not r_space.contains_vector(out):
                 raise VerificationFailed("adjoint_action_preserves_coinvariants", (hh, t))
@@ -729,7 +731,7 @@ def yd_by_dict_loop(v: CatObject):
                 act[(s, hh * dr + t)] = out[piv[s]]
     co: dict = {}
     for t in range(dr):
-        rho = v.coact_l.apply(r_space.basis.row_list(t))
+        rho = coact_l.apply(r_space.basis.row_list(t))
         for hh in range(dh):
             comp = rho[hh * v.dim:(hh + 1) * v.dim]
             if not r_space.contains_vector(comp):
@@ -763,6 +765,13 @@ def _split_bimodule(name):
     return CatObject(a.field, a.dim, h, *coactions_from_pi(a, pi, h.dim), *actions_from_sigma(a, sigma, h.dim))
 
 
+def _bump(v: CatObject, name: str, entries: dict):
+    """Add entries {(row, col): value} to the matrix of v's structure name."""
+    sm = getattr(v, name)
+    m = sm.matrix() + Matrix.from_entries(v.field, sm.out_size, sm.in_size, entries)
+    setattr(v, name, SparseMap.from_matrix(m, sm.in_dims, sm.out_dims))
+
+
 @pytest.mark.parametrize("split, name, entry, check, witness", [
     ("taft3_f7", "act_l", (1, 18, 3), "adjoint_action_preserves_coinvariants", (2, 0)),
     ("taft3_f7", "act_r", (6, 22, 4), "adjoint_action_preserves_coinvariants", (2, 1)),
@@ -773,9 +782,8 @@ def _split_bimodule(name):
 ])
 def test_diagram_failures_name_the_dict_loop_witness(split, name, entry, check, witness):
     v = _split_bimodule(split)
-    m = getattr(v, name)
     r, col, delta = entry
-    setattr(v, name, m + Matrix.from_entries(v.field, m.rows, m.cols, {(r, col): v.field.from_int(delta)}))
+    _bump(v, name, {(r, col): v.field.from_int(delta)})
     assert outcome(yd_from_hopf_bimodule, v) == outcome(yd_by_dict_loop, v) == ("VerificationFailed", check, witness)
 
 
@@ -789,9 +797,10 @@ def test_diagram_matches_dict_loop(data):
     corrupt = data.draw(st.booleans())
     if corrupt:
         name = data.draw(st.sampled_from(["act_l", "act_r", "coact_l"]))
-        m = getattr(v, name)
-        bump = {(data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))): _scalar(data, v.field)}
-        setattr(v, name, m + Matrix.from_entries(v.field, m.rows, m.cols, bump))
+        sm = getattr(v, name)
+        bump = {(data.draw(st.integers(0, sm.out_size - 1)), data.draw(st.integers(0, sm.in_size - 1))):
+                _scalar(data, v.field)}
+        _bump(v, name, bump)
     want = outcome(yd_by_dict_loop, v)
     got = outcome(yd_from_hopf_bimodule, v)
     if got[0] == "ok" or not corrupt:

@@ -370,12 +370,21 @@ def test_corrupted_tower_step_raises_verification_failed(f, monkeypatch):
     assert exc.value.witness == multiplicativity_defect(b_actx.algebra, q_actx.algebra, wrong)
 
 
+def _dense(o):
+    """o's dim and structures, these as Matrices (None where o has none)."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(dim=o.dim, **{name: None if getattr(o, name) is None else getattr(o, name).matrix()
+                                         for name in ("coact_l", "coact_r", "act_l", "act_r")})
+
+
 def _ctx_morphism_loop(ctx, x, y, f_mat):
     """Pointwise reference: each structure checked on basis vectors."""
     from hopfsplit.tensors import v_tensor
 
     fld = x.field
     dh = ctx.hopf.dim
+    x, y = _dense(x), _dense(y)
     cols = [f_mat.col_list(v) for v in range(x.dim)]
     for v in range(x.dim):
         ev = v_basis(fld, x.dim, v)
@@ -460,8 +469,8 @@ def test_direct_sum_object_acts_on_each_summand_pointwise():
         x = CatObject.regular(h)
         y = tensor_catobject(CatObject.trivial(f, h, 2), x)
         n = x.dim + y.dim
-        e = _direct_sum_object(CategoryContext("bimod", h), x, y)
-        for part, off in ((x, 0), (y, x.dim)):
+        e = _dense(_direct_sum_object(CategoryContext("bimod", h), x, y))
+        for part, off in ((_dense(x), 0), (_dense(y), x.dim)):
 
             def into(vec, left):  # a vector of H (x) part (left) or part (x) H as one of E's
                 out = [f.zero()] * (n * dh)

@@ -75,7 +75,7 @@ def revalidating_quotient_in_context(actx: AlgebraInContext, s: Subspace) -> Quo
         def descend(co, side):
             if co is None:
                 return None
-            img = _along_factor(proj, co @ cols, dh, side)._d
+            img = _along_factor(proj, co.matrix() @ cols, dh, side)._d
             if img[:, : s.dim].any():
                 raise ValueError("ideal is not a subcomodule")
             return Matrix(fld, dq * dh, dq, img[:, s.dim :].copy(), _raw=True)
