@@ -626,27 +626,28 @@ def _defect_pipelines(src: AlgebraObject, tgt: AlgebraObject, fm: SparseMap, row
     return lhs, rhs
 
 
-def _map_generators(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> list[int] | None:
-    """Generators of src on which the multiplicativity of f decides it, or
-    None.  When src and tgt are verified associative and unital and
-    f(1) = 1, {x : f(xy) = f(x) f(y) for all y} is a unital subalgebra:
+def _map_generators(src: AlgebraObject, tgt: AlgebraObject, fm: SparseMap) -> list[int] | None:
+    """Generators of src on which the multiplicativity of the map f = fm
+    decides it, or None.  When src and tgt are verified associative and
+    unital and f(1) = 1, {x : f(xy) = f(x) f(y) for all y} is a unital subalgebra:
     f(x x' y) = f(x) f(x' y) = f(x) f(x') f(y) = f(x x') f(y) for x, x'
     in it, and 1 is in it because f(1) = 1."""
     gens = src.verified_generators()
-    if gens is None or not tgt._verified or not v_eq(src.field, f.apply(src.unit), tgt.unit):
+    if gens is None or not tgt._verified or not v_eq(src.field, fm.apply(src.unit), tgt.unit):
         return None
     return gens
 
 
-def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> tuple[int, int] | None:
+def multiplicativity_defect(src: AlgebraObject, tgt: AlgebraObject, f: Matrix | SparseMap) -> tuple[int, int] | None:
     """The first basis pair (i, j), in lexicographic order, with
     f(e_i e_j) != f(e_i) f(e_j) for the linear map f : src -> tgt (a
-    tgt.dim x src.dim matrix), or None when f is multiplicative.  The
+    tgt.dim x src.dim matrix, or the SparseMap (src.dim,) -> (tgt.dim,) of
+    a caller that has built it), or None when f is multiplicative.  The
     verdict is read on the generator rows alone when `_map_generators`
     allows it; a defect there reruns every row, so the witness is always
     the full scan's."""
-    fm = SparseMap.from_matrix(f, (src.dim,), (tgt.dim,))
-    gens = _map_generators(src, tgt, f)
+    fm = f if isinstance(f, SparseMap) else SparseMap.from_matrix(f, (src.dim,), (tgt.dim,))
+    gens = _map_generators(src, tgt, fm)
     if gens is not None and pipelines_equal(*_defect_pipelines(src, tgt, fm, gens)) is None:
         return None
     bad = pipelines_equal(*_defect_pipelines(src, tgt, fm))

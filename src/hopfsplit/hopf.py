@@ -450,8 +450,9 @@ def check_ad_coinvariance(h: HopfObject, t: IntegralWitness) -> bool:
     return pipelines_equal(lhs, StagePipeline(f, ()).insert(0, tv, n).insert(0, h.unit, n)) is None
 
 
-def is_algebra_map(src: AlgebraObject, tgt: AlgebraObject, f: Matrix) -> bool:
-    """f(xy) = f(x)f(y) on all basis pairs and f(1) = 1."""
+def is_algebra_map(src: AlgebraObject, tgt: AlgebraObject, f: Matrix | SparseMap) -> bool:
+    """f(xy) = f(x)f(y) on all basis pairs and f(1) = 1, for f a Matrix or
+    the SparseMap (src.dim,) -> (tgt.dim,) of a caller that has built it."""
     if not v_eq(src.field, f.apply(src.unit), tgt.unit):
         return False
     return multiplicativity_defect(src, tgt, f) is None

@@ -329,7 +329,7 @@ class SparseMap:
     """
 
     __slots__ = ("field", "in_dims", "out_dims", "in_size", "out_size", "src", "dst", "values", "starts", "_fan",
-                 "_ones")
+                 "_ones", "_dense_num")
 
     def __init__(self, field: ScalarField, in_dims, out_dims, src, dst, val):
         val = Numerators.of(field, field.reduce(np.asarray(val, dtype=_dtype(field))))
@@ -349,7 +349,7 @@ class SparseMap:
         val = val.lowest()
         self.values = Numerators(field, val.num, val.den)  # bounded by the largest |numerator|
         self.starts = np.searchsorted(src, np.arange(self.in_size + 1))
-        self._fan = self._ones = None  # read when the map is first a stage: a matrix of rows never is
+        self._fan = self._ones = self._dense_num = None  # read when the map is first a stage: a matrix of rows never is
 
     @classmethod
     def from_coo(cls, field: ScalarField, in_dims, out_dims, src, dst, val: Numerators) -> "SparseMap":
@@ -390,6 +390,15 @@ class SparseMap:
         return self._ones
 
     @property
+    def dense_num(self) -> np.ndarray:
+        """The numerators as an (in_size, out_size) int64 array over values.den,
+        for `tensors.StagePipeline`'s dense route (small maps int64 holds)."""
+        if self._dense_num is None:
+            self._dense_num = np.zeros((self.in_size, self.out_size), dtype=np.int64)
+            self._dense_num[self.src, self.dst] = self.values.num
+        return self._dense_num
+
+    @property
     def shape(self) -> tuple[int, int]:
         """(rows, cols) of the matrix of rows."""
         return self.in_size, self.out_size
@@ -401,6 +410,15 @@ class SparseMap:
     def matrix(self) -> "Matrix":
         """The map as a Matrix: column = input key, row = output key."""
         return _scatter(self.field, self.in_dims, self.out_dims, *self.coo())
+
+    def apply(self, vec: list) -> list:
+        """The map applied to a vector of field values, as python scalars (`Matrix.apply`)."""
+        f = self.field
+        v = Numerators.of(f, f.reduce(np.array(vec, dtype=_dtype(f))))
+        keys, val = (v[self.src] * self.values).summed(self.dst)
+        out = np.full(self.out_size, f.zero(), dtype=_dtype(f))
+        out[keys] = val.fractions()
+        return out.tolist()
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         """Rows [start, stop) of the matrix of rows, dense."""

@@ -262,9 +262,10 @@ def split_radical(certified: CertifiedInput, level: str = "bicomodule") -> Split
     # re-verify everything claimed; sigma's colinearity is for the
     # coactions pi induces, which actx holds
     rep.record("pi_sigma_id", (pi @ sigma) == Matrix.identity(f, h.dim), "pi sigma != id")
-    rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), a.as_algebra(), sigma),
+    sm = SparseMap.from_matrix(sigma, (h.dim,), (a.dim,))
+    rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), a.as_algebra(), sm),
                "sigma is not an algebra map")
-    bad = {name for name, _ in morphism_defects(actx.ctx, b_obj, actx.obj, sigma)}
+    bad = {name for name, _ in morphism_defects(actx.ctx, b_obj, actx.obj, sm)}
     rep.record("sigma_right_colinear", "coact_r" not in bad, "sigma not right colinear")
     if level == "bicomodule":
         rep.record("sigma_left_colinear", "coact_l" not in bad, "sigma not left colinear")
@@ -294,7 +295,7 @@ def split_coradical(certified: CertifiedInput, level: str = "bicomodule") -> Spl
     pm, sm = SparseMap.from_matrix(pi_c, (n,), (dh,)), SparseMap.from_matrix(sigma_c, (dh,), (n,))
     rep.record("pi_sigma_id", (pi_c @ sigma_c) == Matrix.identity(f, dh), "pi sigma != id")
     rep.record("sigma_bialgebra_map",
-               is_algebra_map(h_cor.as_algebra(), a.as_algebra(), sigma_c)
+               is_algebra_map(h_cor.as_algebra(), a.as_algebra(), sm)
                and is_coalgebra_map(h_cor.as_coalgebra(), a.as_coalgebra(), sm),
                "sigma is not a bialgebra map")
     rep.record("pi_coalgebra_map", is_coalgebra_map(a.as_coalgebra(), h_cor.as_coalgebra(), pm),

@@ -527,10 +527,10 @@ def validate_bosonization(bos: Bosonization) -> ValidationReport:
     pm, sm = SparseMap.from_matrix(pi, (n,), (dh,)), SparseMap.from_matrix(sigma, (dh,), (n,))
     rep.record("pi_coalgebra_map", is_coalgebra_map(bi.as_coalgebra(), h.as_coalgebra(), pm),
                "pi is not a coalgebra map")
-    rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), bi.as_algebra(), sigma),
+    rep.record("sigma_algebra_map", is_algebra_map(h.as_algebra(), bi.as_algebra(), sm),
                "sigma is not an algebra map")
     if bos.side == "primal":
-        rep.record("pi_algebra_map", is_algebra_map(bi.as_algebra(), h.as_algebra(), pi),
+        rep.record("pi_algebra_map", is_algebra_map(bi.as_algebra(), h.as_algebra(), pm),
                    "pi is not an algebra map")
     act_l, act_r = _action_pipelines(bi, sm)
     if bos.side == "dual":
@@ -594,14 +594,14 @@ def _split_premises(a: BialgebraObject, h: HopfObject, pi: Matrix, sigma: Matrix
         raise ExtractionError("pi sigma != id")
     pm, sm = SparseMap.from_matrix(pi, (n,), (dh,)), SparseMap.from_matrix(sigma, (dh,), (n,))
     if side == "primal":
-        if not is_algebra_map(a.as_algebra(), h.as_algebra(), pi):
+        if not is_algebra_map(a.as_algebra(), h.as_algebra(), pm):
             raise ExtractionError("pi is not an algebra map")
         if not is_coalgebra_map(a.as_coalgebra(), h.as_coalgebra(), pm):
             raise ExtractionError("pi is not a coalgebra map")
-        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
+        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sm):
             raise ExtractionError("sigma is not an algebra map")
     else:
-        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sigma):
+        if not is_algebra_map(h.as_algebra(), a.as_algebra(), sm):
             raise ExtractionError("sigma is not an algebra map")
         if not is_coalgebra_map(h.as_coalgebra(), a.as_coalgebra(), sm):
             raise ExtractionError("sigma is not a coalgebra map")

@@ -51,15 +51,29 @@ to more than `_BLOCK` terms is summed at once, and every batch once at the
 end (see `StagePipeline.run`).  No stage loops over terms in Python.
 Batches hold at most `_BLOCK` input tuples.
 
+A tiny pipeline runs on a dense route instead (`_run_dense`): all its
+inputs in one block, as an (inputs, tensor space) int64 array of
+numerators, from the identity.  A map stage is a matmul with the map's
+`SparseMap.dense_num`, contract a matmul with the weights, insert an
+outer product, permute a transpose; over F_p each stage reduces mod p.
+Declaring the stages counts, before anything is allocated, the work
+(inputs times the tensor space after each stage times the terms each
+value sums) and a numerator bound (each stage's bound times its terms).
+The route is taken when the inputs fit in one batch of `_BLOCK`, the work
+is at most `_DENSE_WORK` and the bound stays below 2**63 (the
+`linalg._fit` rule); the COO route runs otherwise.
+
 A composite leaves the engine as its summed COO: `StagePipeline.coo()`,
 its nonzeros (input key, output key, field value) sorted by (input, output)
 key, and `difference(lhs, rhs)`, the same for lhs - rhs.  On these stand
 `sparse_map()`, a stage of later pipelines; `difference_map`, the
 difference as one map; `pipelines_equal`, the first input tuple of the
 difference; and `matrix()`, the COO scattered into a Matrix for the
-callers that need one.  A check that reports its witness in
-another loop order declares its input in that order and starts with a
-`permute`.
+callers that need one.  Both routes give the same COO: a dense array's
+row-major nonzeros come sorted by (input, output) key, and a dense side
+of a difference is the one block [0, N) its COO side yields.  A check
+that reports its witness in another loop order declares its input in
+that order and starts with a `permute`.
 """
 from __future__ import annotations
 
@@ -68,10 +82,11 @@ from math import prod
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import Matrix, Numerators, SparseMap, _dtype, _scatter
+from .linalg import _LIMIT, Matrix, Numerators, SparseMap, _dtype, _fit, _num_dtype, _scatter
 
 _BLOCK = 2**13  # input tuples evaluated in one batch
 _KEY_LIMIT = 2**62 // _BLOCK  # largest tensor space a stage may address: keys hold the input tuple too
+_DENSE_WORK = 2**12  # most counted products of a pipeline evaluated as dense arrays
 
 # ---------------------------------------------------------------------------
 # dense element vectors
@@ -163,6 +178,32 @@ def _insert(batch, post: int, dim: int, idx, e: Numerators):
     return flat, val[np.arange(n).repeat(k)] * e[np.tile(np.arange(k), n)]
 
 
+def _run_dense(pipe: "StagePipeline"):
+    """Evaluate pipe on its whole input basis as dense arrays (see the
+    module docstring); returns the composite's (inputs, tensor space) int64
+    numerators and their denominator."""
+    f, n = pipe.field, prod(pipe.in_dims)
+    x, den = np.eye(n, dtype=np.int64), 1
+    for fn, args in pipe.stages:
+        if fn is _map_stage:
+            smap, post = args
+            m, a = smap.dense_num, smap.in_size
+            x = x.reshape(-1, a) @ m if post == 1 else np.matmul(m.T, x.reshape(-1, a, post))
+            den *= smap.values.den
+        elif fn is _permute:
+            x = x.reshape((n,) + args[0]).transpose((0,) + tuple(p + 1 for p in args[1]))
+        elif fn is _contract:
+            size, post, w = args
+            x, den = np.matmul(w.num.astype(np.int64), x.reshape(-1, size, post)), den * w.den
+        else:
+            post, dim, idx, e = args
+            ev = np.zeros(dim, dtype=np.int64)
+            ev[idx] = e.num
+            x, den = x.reshape(-1, 1, post) * ev[:, None], den * e.den
+        x = f.reduce(x.reshape(n, -1))
+    return x, den
+
+
 class StagePipeline:
     """A composite map declared as a chain of factorwise stages and
     evaluated on batches of input basis tuples (see the module docstring).
@@ -175,20 +216,34 @@ class StagePipeline:
         self.in_dims = tuple(in_dims)
         self.out_dims = self.in_dims
         self.stages: list[tuple] = []  # (fn, args): batch -> fn(batch, *args)
+        # the dense route's counted products (the identity it starts from
+        # first) and a bound on its numerators, None once int64 cannot hold one
+        n = prod(self.in_dims)
+        self._work = n * n
+        self._bound = 1 if _num_dtype(field) is np.int64 and n else None
 
-    def _add(self, out_dims: tuple, fn, *args) -> "StagePipeline":
-        """Append the stage batch -> fn(batch, *args)."""
-        if prod(out_dims) > _KEY_LIMIT:
+    def _add(self, out_dims: tuple, fn, *args, terms: int = 1, bound: int = 1) -> "StagePipeline":
+        """Append the stage batch -> fn(batch, *args).  On the dense route
+        each value after it is a sum of terms products of a value before it
+        and one of the stage's, which are bounded by bound."""
+        size = prod(out_dims)
+        if size > _KEY_LIMIT:
             raise ValueError(f"tensor space {out_dims} is too large to address")
         self.stages.append((fn, args))
         self.out_dims = out_dims
+        self._work += prod(self.in_dims) * size * terms
+        if self._bound is not None:  # as `linalg._fit`: int64 holds what stays below 2**63
+            b = self._bound * bound * terms
+            fits = max(b, bound) < _LIMIT and size  # the stage's own values too, and no empty space
+            self._bound = (min(b, self.field.p - 1) if self.field.kind == "Fp" else b) if fits else None
         return self
 
     def map_at(self, smap: SparseMap, pos: int) -> "StagePipeline":
         d, a = self.out_dims, len(smap.in_dims)
         if d[pos : pos + a] != smap.in_dims:
             raise ValueError(f"factor dims {d[pos:pos + a]} do not match map input {smap.in_dims}")
-        return self._add(d[:pos] + smap.out_dims + d[pos + a :], _map_stage, smap, prod(d[pos + a :]))
+        return self._add(d[:pos] + smap.out_dims + d[pos + a :], _map_stage, smap, prod(d[pos + a :]),
+                         terms=smap.in_size, bound=smap.values.bound)
 
     def permute(self, perm) -> "StagePipeline":
         perm = tuple(perm)
@@ -202,7 +257,7 @@ class StagePipeline:
         w = vector(self.field, weights)
         if w.size != d[pos]:
             raise ValueError(f"functional of length {w.size} on a factor of dim {d[pos]}")
-        return self._add(d[:pos] + d[pos + 1 :], _contract, d[pos], prod(d[pos + 1 :]), w)
+        return self._add(d[:pos] + d[pos + 1 :], _contract, d[pos], prod(d[pos + 1 :]), w, terms=d[pos], bound=w.bound)
 
     def insert(self, pos: int, element, dim: int) -> "StagePipeline":
         e = vector(self.field, element)
@@ -210,7 +265,7 @@ class StagePipeline:
             raise ValueError(f"element of length {e.size} for a factor of dim {dim}")
         idx = np.flatnonzero(e.num != 0)
         d = self.out_dims
-        return self._add(d[:pos] + (dim,) + d[pos:], _insert, prod(d[pos:]), dim, idx, e[idx])
+        return self._add(d[:pos] + (dim,) + d[pos:], _insert, prod(d[pos:]), dim, idx, e[idx], bound=e.bound)
 
     def regroup(self, dims) -> "StagePipeline":
         """Read the current tensor space as the factors dims, of the same
@@ -249,10 +304,23 @@ class StagePipeline:
             col = np.arange(min(n, lo + _BLOCK) - lo)
             yield (lo, *self.run((col * (n + 1) + lo, Numerators.ones(self.field, col.size))))
 
+    def _dense(self):
+        """(array, den) from `_run_dense` when the whole input basis is one
+        block and the counted products are at most _DENSE_WORK, all of them
+        in int64; None when the COO route runs."""
+        if self._bound is None or prod(self.in_dims) > _BLOCK or self._work > _DENSE_WORK:
+            return None
+        return _run_dense(self)
+
     def _entries(self):
         """The composite's nonzeros: input keys, output keys, and their
         `Numerators`, sorted by (input, output) key.  Every block has the
         denominator of the stages' product."""
+        dense = self._dense()
+        if dense is not None:  # row-major nonzeros come sorted by (input, output)
+            x, den = dense
+            src, dst = np.nonzero(x)
+            return src, dst, Numerators(self.field, x[src, dst], den)
         return _coo(self.field, prod(self.out_dims), ((lo, *v.summed(k)) for lo, k, v in self._blocks()))
 
     def coo(self):
@@ -286,13 +354,30 @@ def _coo(field: ScalarField, width: int, blocks):
     return np.concatenate(src), np.concatenate(dst), val
 
 
+def _dense_block(field: ScalarField, dense):
+    """A dense result (array, den) as the one summed block [0, N) of
+    `_differences`: its keys are the array's row-major indices."""
+    x, den = dense
+    keys = np.flatnonzero(x)
+    return 0, keys, Numerators(field, x.ravel()[keys], den)
+
+
 def _differences(lhs: StagePipeline, rhs: StagePipeline):
     """Yield lhs - rhs block by block, summed, as (first input, keys,
     Numerators): one side's numerators against the other's over the
     product of their denominators."""
     if (lhs.in_dims, lhs.out_dims) != (rhs.in_dims, rhs.out_dims):
         raise ValueError(f"pipelines {lhs.in_dims} -> {lhs.out_dims} and {rhs.in_dims} -> {rhs.out_dims}")
-    for (lo, k1, v1), (_, k2, v2) in zip(lhs._blocks(), rhs._blocks()):
+    f = lhs.field
+    a, b = lhs._dense(), rhs._dense()
+    if a is not None and b is not None:  # one block, over the product of the denominators
+        (x, d1), (y, d2) = a, b
+        bound = max(lhs._bound * d2 + rhs._bound * d1, d1, d2)  # the denominators enter int64 too
+        yield _dense_block(f, (f.reduce(_fit(x, bound) * d2 - _fit(y, bound) * d1), d1 * d2))
+        return
+    # a dense side is the one block [0, N) the other side yields
+    sides = [pipe._blocks() if d is None else [_dense_block(f, d)] for pipe, d in ((lhs, a), (rhs, b))]
+    for (lo, k1, v1), (_, k2, v2) in zip(*sides):
         yield (lo, *Numerators.concat((v1, -v2)).summed(np.concatenate((k1, k2))))
 
 

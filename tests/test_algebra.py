@@ -30,7 +30,7 @@ from hopfsplit.algebra import (
 from hopfsplit.builtin import group_algebra, sweedler_h4, taft
 from hopfsplit.category import CatObject
 from hopfsplit.fields import GF, QQ
-from hopfsplit.hopf import BialgebraObject
+from hopfsplit.hopf import BialgebraObject, is_algebra_map
 from hopfsplit.linalg import Matrix, SparseMap, Subspace
 from hopfsplit.tensors import pipelines_equal, v_basis
 
@@ -829,11 +829,15 @@ def test_multiplicativity_on_generators_matches_full_scan(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors_mod, "_BLOCK", data.draw(st.sampled_from([1, 7, 2**13])))
         assert multiplicativity_defect(src, tgt, f) == want
-    gens = alg_mod._map_generators(src, tgt, f)
+    # f as the map a caller has built: the same verdict, f(1) read off the map
+    fm = SparseMap.from_matrix(f, (n,), (tgt.dim,))
+    assert fm.apply(src.unit) == f.apply(src.unit)
+    assert multiplicativity_defect(src, tgt, fm) == want
+    assert is_algebra_map(src, tgt, fm) == is_algebra_map(src, tgt, f)
+    gens = alg_mod._map_generators(src, tgt, fm)
     if not verified:
         assert gens is None
     if gens is not None:  # the restricted verdict alone is the full one
-        fm = SparseMap.from_matrix(f, (n,), (tgt.dim,))
         assert (pipelines_equal(*alg_mod._defect_pipelines(src, tgt, fm, gens)) is None) == (want is None)
 
 

@@ -1,5 +1,6 @@
 """Smash products, quadruples, bosonization, extraction."""
 import sys
+from math import prod
 
 import numpy as np
 import pytest
@@ -215,6 +216,25 @@ def test_flagship_bosonization_report_lists_every_check(ha_report):
     assert rep.checks == [(name, True, None) for name in DUAL_CHECKS]
 
 
+def test_dense_route_runs_the_h4_axioms_and_not_the_flagship_product(monkeypatch, ha_report):
+    # H4's axiom equalities are tiny and run as dense arrays; the product
+    # of the flagship's 81-dim dual bosonization has 81^2 inputs, one
+    # block, but far more counted work than the dense route takes
+    from hopfsplit import tensors
+
+    ran, products = [], []
+    run, constants = tensors._run_dense, smash.pipeline_constants
+    monkeypatch.setattr(tensors, "_run_dense", lambda pipe: ran.append(pipe) or run(pipe))
+    monkeypatch.setattr(smash, "pipeline_constants", lambda pipe, n: products.append(pipe) or constants(pipe, n))
+    assert h4_quadruple().validate().ok
+    assert ran
+    del ran[:]
+    q = ha_report.quadruple
+    dual_bosonize(q, force=True)
+    (mul_t,) = [p for p in products if p.in_dims == (q.yd.dim, q.hopf.dim) * 2]
+    assert prod(mul_t.in_dims) <= tensors._BLOCK and mul_t not in ran
+
+
 def _bumped_delta_quadruple():
     """The H4 quadruple with y (x) y added to Delta_R(1)."""
     q = h4_quadruple()
@@ -258,10 +278,11 @@ def test_quadruple_rejects_non_yd_algebra():
 def test_criterion_09_round_kernel_budget(monkeypatch):
     """One criterion-09 round on a fresh H4 quadruple whose delta has a
     bumped entry (validate, forced bosonize, validate_bosonization) makes a
-    fixed number of calls to the three kernels every stage and check runs
+    fixed number of calls to the kernels every stage and check runs
     through: `SparseMap.apply_at` (a map stage), `linalg._sum_terms`
-    (every summation; `_summed` is its (col, key) form) and
-    `linalg._join`."""
+    (every summation; `_summed` is its (col, key) form), `linalg._join`
+    and `tensors._run_dense` (a whole pipeline as dense arrays).  Every
+    pipeline of the round is tiny, so none of them takes a COO map stage."""
     import sys
 
     from hopfsplit import linalg, tensors
@@ -273,7 +294,7 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
     delta = Matrix.from_entries(f, 4, 2, {(0, 0): f.from_int(2), (1, 1): f.one(), (2, 1): f.one()})
     omega = Matrix.from_entries(f, 4, 2, {(0, 0): f.one(), (0, 1): f.one()})
     q = YDQuadruple(h2, sign_line_algebra(f), yd, [f.one(), f.zero()], delta, omega)
-    calls = dict.fromkeys(("apply_at", "_sum_terms", "_join"), 0)
+    calls = dict.fromkeys(("apply_at", "_sum_terms", "_join", "_run_dense"), 0)
 
     def spy(name, fn):
         def counted(*args, **kwargs):
@@ -287,9 +308,10 @@ def test_criterion_09_round_kernel_budget(monkeypatch):
             if getattr(mod, "__name__", "").startswith("hopfsplit") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, spy(name, fn))
     monkeypatch.setattr(tensors.SparseMap, "apply_at", spy("apply_at", tensors.SparseMap.apply_at))
+    monkeypatch.setattr(tensors, "_run_dense", spy("_run_dense", tensors._run_dense))
     assert not q.validate().ok
     assert not validate_bosonization(bosonize(q, force=True)).ok
-    assert calls == {"apply_at": 142, "_sum_terms": 52, "_join": 34}
+    assert calls == {"apply_at": 0, "_sum_terms": 17, "_join": 12, "_run_dense": 65}
 
 
 def test_tables_read_from_the_coo_match_the_dense_read_out(monkeypatch):

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsplit import tensors
 from hopfsplit.fields import GF, QQ
 from hopfsplit.linalg import Numerators
-from hopfsplit.tensors import SparseMap, StagePipeline, difference, pipelines_equal
+from hopfsplit.tensors import SparseMap, StagePipeline, difference, difference_map, pipelines_equal
 
 FIELDS = [QQ, GF(7), GF(2**31 - 1), GF(2**61 - 1)]
 
@@ -52,6 +53,11 @@ def ref_stage(f, stage, vec, dims):
     if kind == "perm":
         perm = stage[1]
         return {tuple(k[p] for p in perm): c for k, c in vec.items()}, tuple(dims[p] for p in perm)
+    if kind == "regroup":  # factors pos and pos + 1 read as one
+        pos = stage[1]
+        d = dims[pos + 1]
+        return ({k[:pos] + (k[pos] * d + k[pos + 1],) + k[pos + 2 :]: c for k, c in vec.items()},
+                dims[:pos] + (dims[pos] * d,) + dims[pos + 2 :])
     if kind == "contract":
         pos, weights = stage[1:]
         for key, c in vec.items():
@@ -90,6 +96,9 @@ def build(f, in_dims, stages) -> StagePipeline:
             pipe.permute(st_[1])
         elif st_[0] == "contract":
             pipe.contract(*st_[1:])
+        elif st_[0] == "regroup":
+            d, pos = pipe.out_dims, st_[1]
+            pipe.regroup(d[:pos] + (d[pos] * d[pos + 1],) + d[pos + 2 :])
         else:
             pipe.insert(*st_[1:])
     return pipe
@@ -132,7 +141,7 @@ def chains(draw, f, in_dims, max_stages=5):
     dims = tuple(in_dims)
     stages = []
     for _ in range(draw(st.integers(0, max_stages))):
-        kinds = ["map", "insert"] + (["perm", "contract"] if dims else [])
+        kinds = ["map", "insert"] + (["perm", "contract"] if dims else []) + (["regroup"] if len(dims) > 1 else [])
         kind = draw(st.sampled_from(kinds))
         if kind == "map" and dims:
             pos = draw(st.integers(0, len(dims) - 1))
@@ -150,6 +159,10 @@ def chains(draw, f, in_dims, max_stages=5):
             pos = draw(st.integers(0, len(dims) - 1))
             stages.append(("contract", pos, draw(st.lists(scalars(f), min_size=dims[pos], max_size=dims[pos]))))
             dims = dims[:pos] + dims[pos + 1 :]
+        elif kind == "regroup":
+            pos = draw(st.integers(0, len(dims) - 2))
+            stages.append(("regroup", pos))
+            dims = dims[:pos] + (dims[pos] * dims[pos + 1],) + dims[pos + 2 :]
         elif len(dims) < 4:
             pos = draw(st.integers(0, len(dims)))
             dim = draw(st.integers(1, 3))
@@ -304,3 +317,130 @@ def test_from_matrix_matches_constructor(field):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert got.ones == want.ones
         assert all(np.array_equal(a, b) for a, b in zip(got.coo(), want.coo()))
+
+
+# ---------------------------------------------------------------------------
+# the dense route against the COO route
+
+
+def _read_outs(lhs, rhs, twin):
+    """Every read-out of the engine on lhs and rhs: coo(), sparse_map(),
+    difference, difference_map and the pipelines_equal witness, and the
+    empty difference of lhs with its twin (the same chain built again)."""
+    def as_lists(*arrays):
+        return tuple(a.tolist() for a in arrays)
+
+    out = {}
+    for name, pipe in (("lhs", lhs), ("rhs", rhs)):
+        out[name] = as_lists(*pipe.coo())
+        m = pipe.sparse_map()
+        out[name + "_map"] = as_lists(m.src, m.dst, m.values.num) + (m.values.den,)
+    if lhs.out_dims == rhs.out_dims:
+        out["difference"] = as_lists(*difference(lhs, rhs))
+        d = difference_map(lhs, rhs)
+        out["difference_map"] = as_lists(d.src, d.dst, d.values.num) + (d.values.den,)
+        out["witness"] = pipelines_equal(lhs, rhs)
+    out["twin"] = as_lists(*difference(lhs, twin))
+    assert out["twin"] == ([], [], []) and pipelines_equal(lhs, twin) is None
+    return out
+
+
+def _dense_runs(monkeypatch):
+    """Spy on `tensors._run_dense`: the list of pipelines it evaluated."""
+    ran = []
+    run = tensors._run_dense
+
+    def spy(pipe):
+        ran.append(pipe)
+        return run(pipe)
+
+    monkeypatch.setattr(tensors, "_run_dense", spy)
+    return ran
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dense_and_coo_routes_give_the_same_read_outs(data):
+    # all five stage kinds over Q, F_7 and F_(2^31 - 1); the COO route is
+    # forced with no dense work allowed, and a mixed pair (one side dense,
+    # the other COO) by allowing only the work of the cheaper side
+    f = data.draw(st.sampled_from([QQ, GF(7), GF(2**31 - 1)]))
+    in_dims = data.draw(input_dims)
+    lhs = data.draw(chains(f, in_dims))
+    if data.draw(st.booleans()):  # a chain and the same chain with one more map: often equal, often not
+        pipe = build(f, in_dims, lhs)
+        pos = data.draw(st.integers(0, len(pipe.out_dims) - 1)) if pipe.out_dims else None
+        rhs = lhs
+        if pos is not None:
+            d = (pipe.out_dims[pos],)
+            cols, smap = data.draw(sparse_maps(f, d, d))
+            rhs = lhs + [("map", cols, d, d, pos, smap)]
+    else:
+        rhs = data.draw(chains(f, in_dims))
+
+    def outs():
+        return _read_outs(build(f, in_dims, lhs), build(f, in_dims, rhs), build(f, in_dims, lhs))
+
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _dense_runs(mp)
+        mp.setattr(tensors, "_DENSE_WORK", 0)
+        coo = outs()
+        assert ran == []
+        mp.setattr(tensors, "_DENSE_WORK", 2**12)
+        assert outs() == coo
+        cheap = min(build(f, in_dims, c)._work for c in (lhs, rhs))
+        mp.setattr(tensors, "_DENSE_WORK", cheap)
+        del ran[:]
+        assert outs() == coo
+        assert all(p._work == cheap for p in ran)  # with unequal works, the pairs were mixed
+
+
+def test_bounds_past_int64_take_the_coo_route(monkeypatch):
+    # Q: two maps with entries 2^40 bound the sums by 2^82; F_(2^31 - 1):
+    # a second map of input size 3 bounds them by 3 (p - 1)^2 > 2^63.  Either
+    # composite goes through the COO route and matches the exact products;
+    # one map of each is dense, and a mixed pair gives the COO witness.
+    ran = _dense_runs(monkeypatch)
+    big = 2**40
+    m = SparseMap(QQ, (2,), (2,), [0, 0, 1], [0, 1, 1], [Fraction(big), Fraction(big), Fraction(-big)])
+    pipe = StagePipeline(QQ, (2,)).map_at(m, 0).map_at(m, 0)
+    assert [x.tolist() for x in pipe.coo()] == [[0, 1], [0, 1], [big * big, big * big]] and ran == []
+    once = StagePipeline(QQ, (2,)).map_at(m, 0)
+    assert pipelines_equal(pipe, once) == (0,) and ran == [once]
+    p = 2**31 - 1
+    f = GF(p)
+    vals = [[p - 1, 1, 2], [p - 2, 0, p - 1], [3, p - 1, p - 1]]  # vals[s][d]: the entry of input s at output d
+    m = SparseMap(f, (3,), (3,), [s for s in range(3) for _ in range(3)], [d for _ in range(3) for d in range(3)],
+                  [v for row in vals for v in row])
+    square = [[sum(vals[s][t] * vals[t][d] for t in range(3)) % p for d in range(3)] for s in range(3)]
+    want = [(s, d, v) for s in range(3) for d, v in enumerate(square[s]) if v]
+    del ran[:]
+    pipe = StagePipeline(f, (3,)).map_at(m, 0).map_at(m, 0)
+    assert list(zip(*(x.tolist() for x in pipe.coo()))) == want and ran == []
+    once = StagePipeline(f, (3,)).map_at(m, 0)
+    assert once._bound == p - 1 and pipe._bound is None  # 3 (p - 1)^2 >= 2^63 at the second map
+    small = StagePipeline(GF(7), (2,)).map_at(SparseMap(GF(7), (2,), (2,), [0, 1], [1, 0], [3, 4]), 0)
+    assert small.coo()[2].tolist() == [3, 4] and ran == [small]
+    # two dense sides whose numerators are tiny but whose denominator
+    # 2^40 (2^31 - 1) passes 2^63: the cross products are python ints
+    zero = (StagePipeline(QQ, (1,)).contract(0, [Fraction(1, 2**40)]).insert(0, [1, 1], 2)
+            .contract(0, [Fraction(1, p), Fraction(-1, p)]))
+    empty = zero.sparse_map()
+    del ran[:]
+    assert pipelines_equal(zero, StagePipeline(QQ, (1,)).map_at(empty, 0)) is None and len(ran) == 2
+
+
+def test_more_inputs_than_a_block_take_the_coo_route(monkeypatch):
+    # with one or seven input tuples per batch, as the block-boundary tests
+    # patch it, an 8-input pipeline runs in several blocks and never dense
+    ran = _dense_runs(monkeypatch)
+    f = GF(7)
+    m = SparseMap(f, (2, 4), (4,), list(range(8)), [t % 4 for t in range(8)], [1 + t % 3 for t in range(8)])
+    want = StagePipeline(f, (2, 4)).map_at(m, 0).coo()
+    assert len(ran) == 1
+    for block in (1, 7):
+        monkeypatch.setattr(tensors, "_BLOCK", block)
+        del ran[:]
+        pipe = StagePipeline(f, (2, 4)).map_at(m, 0)
+        assert len(list(pipe._blocks())) == -(-8 // block)
+        assert all(np.array_equal(a, b) for a, b in zip(pipe.coo(), want)) and ran == []
